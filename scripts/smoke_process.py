@@ -4,6 +4,7 @@ import sys
 import time
 
 from repro import RaSQLContext
+from repro.core import planner
 from repro.core.config import ExecutionConfig
 from repro.queries.library import get_query
 
@@ -19,7 +20,7 @@ def random_graph(n, m, seed):
 
 
 def run(backend):
-    cfg = ExecutionConfig(backend=backend, kernel_min_rows=0)
+    cfg = ExecutionConfig(backend=backend)
     ctx = RaSQLContext(num_workers=4, config=cfg)
     ctx.register_table("edge", ("Src", "Dst"), random_graph(24, 60, seed=5))
     t0 = time.perf_counter()
@@ -32,6 +33,10 @@ def run(backend):
 
 
 if __name__ == "__main__":
+    # 60 edges sit under the kernel size gate, which would keep the query
+    # off the remote-eligible kernel paths; the gate is evaluated
+    # driver-side, so lifting it here covers the worker pool too.
+    planner.KERNEL_MIN_ROWS = 0
     sim_rows, sim_info, sim_wall = run("simulated")
     proc_rows, proc_info, proc_wall = run("process")
     print(f"simulated: {len(sim_rows)} rows, iters={sim_info.iterations}, "

@@ -84,20 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "loops instead of the specialized kernels "
                              "(wall-clock only; results are bit-exact "
                              "either way)")
-    parser.add_argument("--no-adaptive-join", action="store_true",
-                        help="disable per-iteration adaptive join-strategy "
-                             "selection for co-partitioned joins")
-    parser.add_argument("--no-columnar", action="store_true",
-                        help="keep the row-tuple representation end to end: "
-                             "disable columnar batch kernels and the compact "
-                             "batch wire format of the process backend "
-                             "(results are bit-exact either way)")
-    parser.add_argument("--kernel-min-rows", type=int, default=None,
-                        metavar="N",
-                        help="size gate for the kernel layer: cliques whose "
-                             "base inputs total fewer than N rows skip "
-                             "kernel dispatch (0 disables the gate; default "
-                             "256)")
     parser.add_argument("--profile", metavar="PATH",
                         help="profile the query's execution with cProfile "
                              "and write pstats output here (inspect with "
@@ -409,8 +395,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config_kwargs = {}
-        if args.kernel_min_rows is not None:
-            config_kwargs["kernel_min_rows"] = args.kernel_min_rows
         if args.checkpoint is not None:
             from repro.core.config import DEFAULT_CHECKPOINT_INTERVAL
 
@@ -427,8 +411,6 @@ def main(argv: list[str] | None = None) -> int:
             codegen=not args.no_codegen,
             stage_combination=not args.no_stage_combination,
             kernels=not args.no_kernels,
-            adaptive_joins=not args.no_adaptive_join,
-            columnar_batches=not args.no_columnar,
             evaluation=args.evaluation,
             deadline_seconds=args.timeout,
             backend=args.backend,

@@ -73,34 +73,9 @@ class ExecutionConfig:
         aggregate merges).  ``False`` routes everything through the naive
         reference loops — the bit-exact baseline the differential suite
         (``pytest -m kernels``) compares against.  Wall-clock only: the
-        simulated cost model is identical either way.
-    adaptive_joins:
-        Re-choose the join strategy of co-partitioned base joins per
-        evaluation from observed delta/build cardinalities (hash vs
-        sort-merge vs nested-loop; AQE-style).  Requires ``kernels``;
-        choices are surfaced in EXPLAIN ANALYZE's "kernels" section.
-    kernel_min_rows:
-        Size gate for the kernel layer: a clique whose distinct base
-        inputs total fewer rows than this runs through the reference
-        loops even when ``kernels`` is on.  Router construction, padder
-        specialization and state-table caching are per-query setup costs
-        that dominate sub-millisecond queries (BENCH_5.json showed
-        ``same_generation`` at 0.75x and ``bom_stratified`` at 0.68x);
-        below the threshold the dispatch overhead cannot amortize.
-        ``0`` disables the gate.  Results are bit-exact either way —
-        the gate moves only wall-clock time.
-    columnar_batches:
-        Run the kernel layer's hot paths over column-decomposed
-        :class:`repro.engine.columnar.ColumnBatch` batches — columnar
-        base routing and hash-table builds, slot-specialized columnar
-        aggregate merges — and use the batch encoding (narrow-width int
-        columns + DEFLATE) as the process backend's wire format for
-        per-iteration delta payloads and reply buckets.  Requires
-        ``kernels`` and obeys ``kernel_min_rows``; ``False`` keeps the
-        row-tuple representation end to end.  Bit-exact either way (the
-        differential suite under ``pytest -m kernels`` pins rows *and*
-        iteration counts); only wall-clock time and process-backend
-        payload bytes move.  CLI: ``--no-columnar``.
+        simulated cost model is identical either way.  Cliques over fewer
+        than :data:`repro.core.planner.KERNEL_MIN_ROWS` base rows take
+        the reference loops regardless (setup costs never amortize).
     max_iterations:
         Safety budget; exceeding it raises
         :class:`repro.errors.FixpointNotReachedError`.  Also bounds the
@@ -152,9 +127,6 @@ class ExecutionConfig:
     use_setrdd: bool = True
     magic_filters: bool = True
     kernels: bool = True
-    adaptive_joins: bool = True
-    kernel_min_rows: int = 256
-    columnar_batches: bool = True
     max_iterations: int = 100_000
     deadline_seconds: float | None = None
     checkpoint_interval: int = 0
@@ -171,9 +143,6 @@ class ExecutionConfig:
             raise ValueError(f"unknown evaluation mode {self.evaluation!r}")
         if self.join_strategy not in ("shuffle_hash", "sort_merge"):
             raise ValueError(f"unknown join strategy {self.join_strategy!r}")
-        if self.kernel_min_rows < 0:
-            raise ValueError(
-                f"kernel_min_rows must be >= 0, got {self.kernel_min_rows}")
         if self.max_iterations < 1:
             raise ValueError(
                 f"max_iterations must be >= 1, got {self.max_iterations}")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.core.analyzer import analyze
@@ -40,10 +39,10 @@ from repro.core.config import DEFAULT_CONFIG, ExecutionConfig
 from repro.core.executor import execute_select
 from repro.core.fixpoint import FixpointOperator
 from repro.core.governor import QueryGovernor
-from repro.core.logical import CliquePlan, DerivedViewPlan, ScanNode
+from repro.core.logical import CliquePlan, DerivedViewPlan
 from repro.core.optimizer import optimize
 from repro.core.parser import parse
-from repro.core.planner import plan_clique
+from repro.core.planner import gate_kernels, plan_clique
 from repro.engine.cluster import Cluster
 from repro.engine.serialization import rows_size
 from repro.errors import (
@@ -115,26 +114,15 @@ class RunInfo:
 
         Keys: ``kernel_state_cache_hits``, ``kernel_state_cache_misses``,
         ``kernel_state_cache_updates``, ``kernel_state_cache_bypass``,
-        ``adaptive_join_hash``, ``adaptive_join_sort_merge``,
-        ``adaptive_join_nested_loop``, ``adaptive_join_overrides``,
         ``kernel_grouped_fixpoint_stages``, ``kernel_fused_fixpoint_stages``,
         ``kernel_small_input_gate`` (cliques the size gate routed through
-        the reference loops; see ``ExecutionConfig.kernel_min_rows``),
-        plus the columnar batch layer: ``columnar_batches_encoded``,
-        ``columnar_batches_decoded``, ``columnar_batch_rows``,
-        ``columnar_routes``, ``columnar_rows_deduped`` (see
-        ``ExecutionConfig.columnar_batches``).
+        the reference loops; see ``repro.core.planner.KERNEL_MIN_ROWS``).
         """
         keys = ("kernel_state_cache_hits", "kernel_state_cache_misses",
                 "kernel_state_cache_updates", "kernel_state_cache_bypass",
-                "adaptive_join_hash", "adaptive_join_sort_merge",
-                "adaptive_join_nested_loop", "adaptive_join_overrides",
                 "kernel_grouped_fixpoint_stages",
                 "kernel_fused_fixpoint_stages",
-                "kernel_small_input_gate",
-                "columnar_batches_encoded", "columnar_batches_decoded",
-                "columnar_batch_rows", "columnar_routes",
-                "columnar_rows_deduped")
+                "kernel_small_input_gate")
         return {key: self.metrics.get(key, 0) for key in keys}
 
     def checkpoint_summary(self) -> dict[str, float]:
@@ -196,41 +184,6 @@ class RunInfo:
             lines.append(f"{label:32s} {seconds:8.4f}s  {share:5.1f}%")
         lines.append(f"{'total':32s} {total:8.4f}s")
         return "\n".join(lines)
-
-
-@lru_cache(maxsize=32)
-def _gated_config(config: ExecutionConfig) -> ExecutionConfig:
-    """The reference-path twin of a config (kernel gate engaged).
-
-    Cached because the gate fires per executed query — a served
-    small-query workload would otherwise rebuild the frozen dataclass
-    thousands of times.
-    """
-    return config.but(kernels=False, adaptive_joins=False)
-
-
-def _clique_input_rows(unit: CliquePlan, resolve) -> int:
-    """Total distinct base-table rows feeding one recursive clique.
-
-    The input of the size gate (``ExecutionConfig.kernel_min_rows``):
-    counts each scanned base relation once, ignoring clique-internal
-    recursive references.
-    """
-    clique_views = {name.lower() for name in unit.view_names}
-    seen: set[str] = set()
-    total = 0
-    for view in unit.views:
-        for rule in view.base_rules + view.recursive_rules:
-            if rule.join is None:
-                continue
-            for node in rule.join.inputs:
-                if isinstance(node, ScanNode):
-                    key = node.relation.lower()
-                    if key in clique_views or key in seen:
-                        continue
-                    seen.add(key)
-                    total += len(resolve(node.relation).rows)
-    return total
 
 
 def _query_label(query: str) -> str:
@@ -475,7 +428,7 @@ class RaSQLContext:
 
         run = RunInfo()
         run.query_id = qid
-        events_before = len(self.cluster.metrics.events())
+        events_before = self.cluster.metrics.event_count()
         tracer = self.cluster.tracer
         query_span = None
         try:
@@ -497,20 +450,8 @@ class RaSQLContext:
                             unit.name, unit.columns, rows)
                     else:
                         assert isinstance(unit, CliquePlan)
-                        # Size gate *before* planning: the kernel layer's
-                        # costs start at plan time (extra codegen
-                        # variants), so a clique too small to amortize
-                        # them plans and runs entirely on the reference
-                        # paths.  The operator repeats this check for
-                        # callers that plan directly.
-                        clique_config = effective
-                        if (effective.kernels
-                                and effective.kernel_min_rows > 0
-                                and _clique_input_rows(unit, resolve)
-                                < effective.kernel_min_rows):
-                            clique_config = _gated_config(effective)
-                            self.cluster.metrics.inc(
-                                "kernel_small_input_gate")
+                        clique_config = gate_kernels(
+                            unit, effective, resolve, self.cluster.metrics)
                         checkpointer = None
                         if store is not None:
                             # Decomposed plans run their own nested loop
@@ -655,7 +596,7 @@ class RaSQLContext:
                     query_span, tracer) -> None:
         run.sim_time = self.cluster.metrics.sim_time
         run.metrics = self.cluster.metrics.snapshot()
-        for event in self.cluster.metrics.events()[events_before:]:
+        for event in self.cluster.metrics.events_since(events_before):
             run.time_breakdown[event.label] = (
                 run.time_breakdown.get(event.label, 0.0) + event.seconds)
         if tracer.enabled and query_span is not None:

@@ -41,24 +41,18 @@ from repro.core.physical import (
     TermRuntime,
     TotalizeStep,
     make_slots_key,
-    merge_padded,
     pad_row,
 )
 from repro.core.planner import PlannedClique
-from repro.engine.aggregates import BY_NAME as AGG_BY_NAME
+from repro.engine.aggregates import partial_aggregate
 from repro.engine.cluster import Cluster, StageTask
-from repro.engine.columnar import MIN_BATCH_ROWS, ColumnBatch, maybe_batch
-from repro.engine.partitioner import column_partition_ids
 from repro.engine.dataset import Dataset, Partition
-from repro.engine.joins import build_hash_table, sort_merge_join, sort_rows
+from repro.engine.joins import build_hash_table, sort_rows
 from repro.engine.kernels import (
-    AdaptiveJoinSelector,
-    hash_probe_join,
     make_extractor,
     make_fold_kernel,
     make_padder,
     make_router,
-    nested_loop_equi,
 )
 from repro.engine.partitioner import HashPartitioner, make_key_fn
 from repro.engine.setrdd import KeyedStateRDD, SetRDD
@@ -130,22 +124,55 @@ def merge_into_state_partition(state, partition: int, rows: list[tuple],
     this, so the merge semantics — the core of the oracle's bit-exactness
     argument — exist exactly once.
     """
-    if isinstance(rows, ColumnBatch):
-        # Columnar delta batch (wire format or driver-side packing): set
-        # states union its row iterator, two-column keyed states merge
-        # the key/value columns directly, anything else falls back to
-        # materialized rows.  Same semantics, same delta, same order.
-        if isinstance(state, SetRDD):
-            return state.union_in_place(partition, rows.iter_rows())
-        if two_col:
-            return state.merge_rows_batch(partition, rows)
-        rows = rows.to_rows()
     if isinstance(state, SetRDD):
         return state.union_in_place(partition, rows)
     if two_col:
         return state.merge_rows(partition, rows)
     delta_pairs = state.merge(partition, [splitter(r) for r in rows])
     return [assembler(key, values) for key, values in delta_pairs]
+
+
+def aggregate_and_route(collected: dict[str, list[tuple]], views: dict,
+                        partial_aggregation: bool, two_col: dict[str, bool],
+                        fold_kernels: dict, splitters: dict, assemblers: dict,
+                        routers: dict) -> dict[str, dict[int, list[tuple]]]:
+    """Map-side combine one partition's derived rows per view, then
+    bucket them by the view's partition key (empty buckets dropped).
+
+    The tail of :meth:`FixpointOperator._evaluate_terms` and of the
+    process-backend worker's twin — shared, like
+    :func:`merge_into_state_partition`, so it exists exactly once.
+    ``views`` values need ``has_aggregates`` / ``aggregate_functions``
+    (a ``PhysicalView`` or its wire form).
+    """
+    per_view: dict[str, dict[int, list[tuple]]] = {}
+    for view_name, rows in collected.items():
+        view = views[view_name]
+        if view.has_aggregates and partial_aggregation:
+            functions = view.aggregate_functions
+            fold = fold_kernels.get(view_name)
+            if fold is not None:
+                rows = fold(rows)
+            elif two_col[view_name]:
+                # Fused split+combine+assemble for (key, value) heads.
+                combine = functions[0].combine
+                combined: dict = {}
+                get = combined.get
+                for key, value in rows:
+                    old = get(key)
+                    combined[key] = (value if old is None
+                                     else combine(old, value))
+                rows = list(combined.items())
+            else:
+                splitter = splitters[view_name]
+                assembler = assemblers[view_name]
+                pairs = partial_aggregate(
+                    [splitter(r) for r in rows], functions)
+                rows = [assembler(k, v) for k, v in pairs]
+        per_view[view_name] = {
+            pid: bucket
+            for pid, bucket in enumerate(routers[view_name](rows)) if bucket}
+    return per_view
 
 
 def run_grouped_fixpoint(grouped_specs, broadcast_tables, delta_rows,
@@ -280,6 +307,23 @@ def run_fused_fixpoint(dedup_fns, broadcast_tables, delta_rows,
     return members, iterations
 
 
+def _reference_router(key_positions: tuple[int, ...],
+                      partitioner: HashPartitioner) -> Callable:
+    """``kernels.make_router``'s naive twin (``kernels=False``): one
+    ``partition_of`` call per row, same bucket lists."""
+    key_fn = make_key_fn(key_positions)
+    partition_of = partitioner.partition_of
+    n = partitioner.num_partitions
+
+    def route(rows):
+        buckets: list[list[tuple]] = [[] for _ in range(n)]
+        for row in rows:
+            buckets[partition_of(key_fn(row))].append(row)
+        return buckets
+
+    return route
+
+
 def _remote_task_stub(*_inputs):
     """Placeholder ``fn`` for payload-carrying tasks: the process backend
     claims the whole batch, so this should never execute driver-side."""
@@ -311,7 +355,6 @@ class FixpointOperator:
         self.splitters: dict[str, Callable] = {}
         self.assemblers: dict[str, Callable] = {}
         self.negators: dict[str, Callable] = {}
-        self.key_fns: dict[str, Callable] = {}
         #: Current-iteration fresh deltas, per view, per partition.
         self._current_d: dict[str, list[list[tuple]]] = {}
         self._two_col: dict[str, bool] = {}
@@ -320,36 +363,14 @@ class FixpointOperator:
         self._broadcast_groups: list[str] = []
         # --- kernel layer (wall-clock only; see repro.engine.kernels) ---
         self._use_kernels = config.kernels
-        self._adaptive = config.kernels and config.adaptive_joins
-        #: Columnar batch layer (see repro.engine.columnar): rides on the
-        #: kernel family — no kernels, no batches.
-        self._use_columnar = config.kernels and config.columnar_batches
-        #: Views whose shuffled delta rows may be exact-duplicate-deduped
-        #: before shipping (columnar mode only): set-semantics unions and
-        #: builtin min/max heads, where a repeated row can never change
-        #: state or re-emit a fresh delta — the merge loops use strict
-        #: comparisons and set membership.  ``sum``/``count`` and custom
-        #: aggregates *accumulate*, so duplicate rows are load-bearing
-        #: there and those views are excluded.
-        self._dedup_views = frozenset(
-            name for name, view in planned.views.items()
-            if all(a is None or (a is AGG_BY_NAME.get(a.name)
-                                 and a.name in ("min", "max"))
-                   for a in view.aggregates))
-        #: Per-view batched shuffle routers (kernels mode).
+        #: Per-view shuffle routers: batched kernels, or the reference
+        #: per-row ``partition_of`` loop when kernels are off.
         self._routers: dict[str, Callable] = {}
         #: Per-view fused partial-aggregation folds for two-column heads.
         self._fold_kernels: dict[str, Callable | None] = {}
         #: Cached state-side build tables:
         #: (view, partition, key_positions, pad) -> [version, count, table].
         self._state_tables: dict[tuple, list] = {}
-        #: Planner's strategy per co-partitioned step ("hash"/"sort_merge").
-        self._copartition_strategy: dict[int, str] = {}
-        #: Alternative build structures the adaptive selector re-indexes:
-        #: (step_id, partition, kind) -> hash table or sorted run.
-        self._alt_builds: dict[tuple[int, int, str], object] = {}
-        self.selector = (AdaptiveJoinSelector(cluster.metrics)
-                         if self._adaptive else None)
         # --- process-backend remote session (see engine/backend/) ---
         #: True while iterate/decompose work ships to the worker pool.
         self._remote = False
@@ -397,6 +418,12 @@ class FixpointOperator:
     # setup
     # ------------------------------------------------------------------
 
+    def _make_router(self, key_positions: tuple[int, ...]) -> Callable:
+        """rows -> per-partition bucket lists, keyed on ``key_positions``."""
+        if self._use_kernels:
+            return make_router(key_positions, self.n)
+        return _reference_router(key_positions, self.partitioner)
+
     def _setup_states(self) -> None:
         for name, view in self.planned.views.items():
             if view.has_aggregates:
@@ -408,18 +435,16 @@ class FixpointOperator:
             self.splitters[name] = _make_splitter(view)
             self.assemblers[name] = _make_assembler(view)
             self.negators[name] = _make_negator(view)
-            self.key_fns[name] = make_key_fn(view.partition_key_positions)
             self._current_d[name] = [[] for _ in range(self.n)]
             # Hot-path flag: the ubiquitous (key, value) head shape, where
             # rows and (key, values) pairs coincide up to 1-tuple wrapping.
             self._two_col[name] = (view.group_positions == (0,)
                                    and view.aggregate_positions == (1,))
-            if self._use_kernels:
-                self._routers[name] = make_router(
-                    view.partition_key_positions, self.n)
-                self._fold_kernels[name] = (
-                    make_fold_kernel(view.aggregate_functions[0])
-                    if self._two_col[name] else None)
+            self._routers[name] = self._make_router(
+                view.partition_key_positions)
+            if self._use_kernels and self._two_col[name]:
+                self._fold_kernels[name] = make_fold_kernel(
+                    view.aggregate_functions[0])
 
         def state_rows(view_name: str, partition: int) -> list[tuple]:
             state = self.states[view_name]
@@ -573,49 +598,7 @@ class FixpointOperator:
                     self.runtime.broadcast_tables[plan.step_id] = padded
             else:  # copartition
                 key_fn = make_slots_key(plan.build_slots)
-                columnar_tables = None
-                if (self._use_columnar and len(plan.build_slots) == 1
-                        and len(padded) >= MIN_BATCH_ROWS):
-                    # Single-pass columnar routing over the *extracted*
-                    # key column — the column form of
-                    # ``ColumnBatch.partition_ids`` applied in place, so
-                    # the non-key columns are never decomposed and the
-                    # existing row tuples are reused as-is.  Bucket
-                    # order matches make_router exactly.
-                    pos = plan.build_slots[0]
-                    key_column = [row[pos] for row in padded]
-                    n = self.n
-                    if set(map(type, key_column)) == {int}:
-                        pids = [key % n for key in key_column]
-                    else:
-                        pids = column_partition_ids(key_column, n)
-                    buckets: list[list] = [[] for _ in range(n)]
-                    if config.join_strategy != "sort_merge":
-                        # Fused route + hash-table build: one sweep
-                        # fills the bucket lists and their build tables
-                        # together — no key_fn call per row, no second
-                        # pass over the buckets.  Table entry order
-                        # matches build_hash_table exactly.
-                        columnar_tables = [{} for _ in range(n)]
-                        for pid, key, row in zip(pids, key_column,
-                                                 padded):
-                            buckets[pid].append(row)
-                            table = columnar_tables[pid]
-                            entry = table.get(key)
-                            if entry is None:
-                                table[key] = [row]
-                            else:
-                                entry.append(row)
-                    else:
-                        for pid, row in zip(pids, padded):
-                            buckets[pid].append(row)
-                    cluster.metrics.inc("columnar_routes")
-                elif self._use_kernels:
-                    buckets = make_router(plan.build_slots, self.n)(padded)
-                else:
-                    buckets = [[] for _ in range(self.n)]
-                    for row in padded:
-                        buckets[self.partitioner.partition_of(key_fn(row))].append(row)
+                buckets = self._make_router(plan.build_slots)(padded)
                 partitions = [
                     Partition(i, bucket, cluster.worker_for_partition(i))
                     for i, bucket in enumerate(buckets)
@@ -628,21 +611,10 @@ class FixpointOperator:
                         cluster.memory.charge(
                             "base", str(plan.step_id), partition.index,
                             partition.worker, partition.size_bytes())
-                if config.join_strategy == "sort_merge":
-                    built = [sort_rows(bucket, key_fn) for bucket in buckets]
-                    self._copartition_strategy[plan.step_id] = "sort_merge"
-                elif columnar_tables is not None:
-                    built = columnar_tables
-                    self._copartition_strategy[plan.step_id] = "hash"
-                else:
-                    built = [build_hash_table(bucket, key_fn)
-                             for bucket in buckets]
-                    self._copartition_strategy[plan.step_id] = "hash"
-                self.runtime.base_partitions[plan.step_id] = built
-                # The raw bucket lists alias Partition.rows: streaming
-                # inserts reach both; the adaptive selector scans or
-                # re-indexes them when overriding the planner's strategy.
-                self.runtime.base_raw[plan.step_id] = buckets
+                build = (sort_rows if config.join_strategy == "sort_merge"
+                         else build_hash_table)
+                self.runtime.base_partitions[plan.step_id] = [
+                    build(bucket, key_fn) for bucket in buckets]
             build_cpu += time.perf_counter() - t0
 
         # The builds above happen on workers in parallel; charge them as
@@ -710,47 +682,30 @@ class FixpointOperator:
     # shuffles
     # ------------------------------------------------------------------
 
-    def _exchange_outputs(self, per_view_buckets: dict[str, dict[int, list[tuple]]],
-                          source_workers: dict[int, int] | None = None
+    def _exchange_outputs(self, per_view_rows: dict[str, dict[int, list[tuple]]],
+                          source_workers: dict[int, int]
                           ) -> dict[str, Dataset]:
         """Bucket rows by each view's partition key and exchange them.
 
-        ``per_view_buckets`` maps view -> {source id -> rows}; rows are
-        re-bucketed by target partition here.
+        ``per_view_rows`` maps view -> {source id -> rows} and
+        ``source_workers`` each source id to the worker that produced it.
         """
-        incoming: dict[str, Dataset] = {}
-        for name, view in self.planned.views.items():
-            key_fn = self.key_fns[name]
-            router = self._routers.get(name)
-            map_outputs = []
-            for source, rows in per_view_buckets.get(name, {}).items():
-                if router is not None:
-                    buckets = {pid: bucket
-                               for pid, bucket in enumerate(router(rows))
-                               if bucket}
-                else:
-                    buckets: dict[int, list[tuple]] = defaultdict(list)
-                    for row in rows:
-                        pid = self.partitioner.partition_of(key_fn(row))
-                        buckets[pid].append(row)
-                worker = (source_workers or {}).get(source, source % self.cluster.num_workers)
-                map_outputs.append((worker, buckets))
-            incoming[name] = self.cluster.exchange(
-                map_outputs, self.n, self.partitioner,
-                view.partition_key_positions)
-        return incoming
+        outputs: dict[str, list[tuple[int, dict]]] = {}
+        for name, by_source in per_view_rows.items():
+            router = self._routers[name]
+            outputs[name] = [
+                (source_workers[source],
+                 {pid: bucket for pid, bucket in enumerate(router(rows))
+                  if bucket})
+                for source, rows in by_source.items()]
+        return self._exchange_prebucketed(outputs)
 
     def _exchange_prebucketed(
             self, per_view_outputs: dict[str, list[tuple[int, dict]]]
     ) -> dict[str, Dataset]:
-        """Exchange task-emitted shuffle buckets directly (kernels mode).
-
-        The combined-stage tasks already routed their output rows into
-        per-partition buckets; re-flattening and re-routing them (what
-        :meth:`_exchange_outputs` does) is pure overhead.  Per-partition
-        row sequences — and therefore results and memory charges — are
-        identical either way.
-        """
+        """Exchange ``(worker, {partition: rows})`` map outputs per view;
+        iteration tasks emit them already routed
+        (:func:`aggregate_and_route`)."""
         incoming: dict[str, Dataset] = {}
         for name, view in self.planned.views.items():
             incoming[name] = self.cluster.exchange(
@@ -812,8 +767,6 @@ class FixpointOperator:
     def _evaluate_terms(self, partition: int,
                         naive: bool) -> dict[str, dict[int, list[tuple]]]:
         """Run every term over one partition's delta; bucket the outputs."""
-        from repro.engine.aggregates import partial_aggregate
-
         # The joins read the cached base blocks and broadcast copies:
         # touch them so LRU eviction prefers colder segments, and so a
         # spilled block is read back (and charged) before use.
@@ -824,7 +777,6 @@ class FixpointOperator:
         for group in self._broadcast_groups:
             memory.touch("broadcast", group, home)
 
-        per_view: dict[str, dict[int, list[tuple]]] = {}
         collected: dict[str, list[tuple]] = defaultdict(list)
         for term in self.planned.terms:
             if naive:
@@ -833,180 +785,16 @@ class FixpointOperator:
                 delta = self._current_d[term.delta_view][partition]
             if not delta:
                 continue
-            rows = self._evaluate_term(term, delta, partition)
+            rows = term.evaluate(delta, partition, self.runtime)
             if term.negate and rows:
                 negate = self.negators[term.view]
                 rows = [negate(r) for r in rows]
             collected[term.view].extend(rows)
 
-        for view_name, rows in collected.items():
-            view = self.planned.views[view_name]
-            if view.has_aggregates and self.config.partial_aggregation:
-                functions = view.aggregate_functions
-                fold = self._fold_kernels.get(view_name)
-                if fold is not None:
-                    rows = fold(rows)
-                elif self._two_col[view_name]:
-                    # Fused split+combine+assemble for (key, value) heads.
-                    combine = functions[0].combine
-                    combined: dict = {}
-                    get = combined.get
-                    for key, value in rows:
-                        old = get(key)
-                        combined[key] = (value if old is None
-                                         else combine(old, value))
-                    rows = list(combined.items())
-                else:
-                    splitter = self.splitters[view_name]
-                    assembler = self.assemblers[view_name]
-                    pairs = partial_aggregate(
-                        [splitter(r) for r in rows], functions)
-                    rows = [assembler(k, v) for k, v in pairs]
-            router = self._routers.get(view_name)
-            if router is not None:
-                per_view[view_name] = {
-                    pid: bucket for pid, bucket in enumerate(router(rows))
-                    if bucket}
-            else:
-                buckets: dict[int, list[tuple]] = defaultdict(list)
-                key_fn = self.key_fns[view_name]
-                partition_of = self.partitioner.partition_of
-                for row in rows:
-                    buckets[partition_of(key_fn(row))].append(row)
-                per_view[view_name] = buckets
-        return per_view
-
-    def _evaluate_term(self, term: CompiledTerm, delta: list[tuple],
-                       partition: int) -> list[tuple]:
-        """Evaluate one term, letting the adaptive selector re-strategize
-        its co-partitioned join when the observed cardinalities warrant."""
-        selector = self.selector
-        if selector is None or term.copartition_index is None:
-            return term.evaluate(delta, partition, self.runtime)
-        step = term.steps[term.copartition_index]
-        default = self._copartition_strategy[step.step_id]
-        build_rows = self.runtime.base_raw[step.step_id][partition]
-        choice = selector.choose(
-            step.step_id, partition, default,
-            term.codegen_fn is not None, len(delta), len(build_rows))
-        if choice == default:
-            return term.evaluate(delta, partition, self.runtime)
-        return self._evaluate_with_strategy(term, delta, partition, choice)
-
-    def _evaluate_with_strategy(self, term: CompiledTerm, delta: list[tuple],
-                                partition: int, strategy: str) -> list[tuple]:
-        """Interpreted pipeline with the co-partitioned join re-strategized.
-
-        All three bodies compute the same equi join over the same cached
-        build rows, so results match :meth:`CompiledTerm.evaluate` exactly
-        (hash and nested-loop even emit the same row order; a sort-merge
-        override reorders rows, which set/monotone-aggregate consumption
-        absorbs).
-        """
-        if term.padder is not None:
-            rows = [term.padder(r) for r in delta]
-        else:
-            rows = [pad_row(r, term.delta_offset, term.arity) for r in delta]
-        if term.delta_prefilter is not None:
-            predicate = term.delta_prefilter
-            rows = [row for row in rows if predicate(row)]
-        for index, step in enumerate(term.steps):
-            if not rows:
-                return []
-            if index == term.copartition_index:
-                rows = self._apply_copartition_join(step, rows, partition,
-                                                    strategy)
-            else:
-                rows = step.apply(rows, partition, self.runtime)
-        project = term.project
-        return [project(row) for row in rows]
-
-    def _apply_copartition_join(self, step, rows: list[tuple], partition: int,
-                                strategy: str) -> list[tuple]:
-        """One co-partitioned base join under an overridden strategy."""
-        step_id = step.step_id
-        default = self._copartition_strategy[step_id]
-        build_rows = self.runtime.base_raw[step_id][partition]
-        if strategy == "nested_loop":
-            return nested_loop_equi(rows, build_rows, step.probe_key,
-                                    step.build_key, merge_padded)
-        if strategy == "hash":
-            if default == "hash":
-                table = self.runtime.base_partitions[step_id][partition]
-            else:
-                table = self._alt_build(step_id, partition, "hash",
-                                        step.build_key, build_rows)
-            return hash_probe_join(rows, table, step.probe_key, merge_padded)
-        # sort_merge
-        if default == "sort_merge":
-            base_sorted = self.runtime.base_partitions[step_id][partition]
-        else:
-            base_sorted = self._alt_build(step_id, partition, "sorted",
-                                          step.build_key, build_rows)
-        sorted_delta = sort_rows(rows, step.probe_key)
-        return sort_merge_join(sorted_delta, base_sorted, step.probe_key,
-                               step.build_key, merge_padded)
-
-    def _alt_build(self, step_id: int, partition: int, kind: str,
-                   build_key: Callable, build_rows: list[tuple]):
-        """Lazily build (and cache) the non-default build structure."""
-        key = (step_id, partition, kind)
-        built = self._alt_builds.get(key)
-        if built is None:
-            built = (build_hash_table(build_rows, build_key) if kind == "hash"
-                     else sort_rows(build_rows, build_key))
-            self._alt_builds[key] = built
-        return built
-
-    def invalidate_base_build(self, step_id: int, partition: int) -> None:
-        """Drop adaptive build caches after a streaming base insert.
-
-        The primary builds (``runtime.base_partitions``) and the raw
-        buckets are updated in place by the streaming absorber; only the
-        lazily re-indexed alternates can go stale."""
-        self._alt_builds.pop((step_id, partition, "hash"), None)
-        self._alt_builds.pop((step_id, partition, "sorted"), None)
-
-    # ------------------------------------------------------------------
-    # main loop
-    # ------------------------------------------------------------------
-
-    def _apply_kernel_gate(self) -> None:
-        """Disable kernel dispatch for tiny inputs (wall-clock only).
-
-        The kernel layer pays per-query setup — router/padders compiled
-        per view, state-table cache plumbing, adaptive-selector state —
-        that a sub-millisecond query never amortizes (the BENCH_5
-        regressions on ``same_generation``/``bom_stratified``).  When
-        the clique's distinct base inputs total fewer than
-        ``config.kernel_min_rows`` rows, route everything through the
-        reference loops instead.  Kernels are bit-exact with the
-        reference paths (including iteration counts), so the gate can
-        never change results — only where the wall-clock time goes.
-        """
-        threshold = self.config.kernel_min_rows
-        if not self._use_kernels or threshold <= 0:
-            return
-        seen: set[str] = set()
-        total = 0
-        for plan in self.planned.base_plans:
-            key = plan.relation.lower()
-            if key not in seen:
-                seen.add(key)
-                total += len(self.resolve(plan.relation).rows)
-        for base_rule in self.planned.base_rules:
-            if base_rule.driving_relation:
-                key = base_rule.driving_relation.lower()
-                if key not in seen:
-                    seen.add(key)
-                    total += len(self.resolve(base_rule.driving_relation).rows)
-        if total >= threshold:
-            return
-        self._use_kernels = False
-        self._adaptive = False
-        self._use_columnar = False
-        self.selector = None
-        self.cluster.metrics.inc("kernel_small_input_gate")
+        return aggregate_and_route(
+            collected, self.planned.views, self.config.partial_aggregation,
+            self._two_col, self._fold_kernels, self.splitters,
+            self.assemblers, self._routers)
 
     # ------------------------------------------------------------------
     # process-backend remote sessions (see repro.engine.backend)
@@ -1071,6 +859,10 @@ class FixpointOperator:
             for partition, data in parts.items():
                 state.replace_partition(partition, data)
 
+    # ------------------------------------------------------------------
+    # main loop
+    # ------------------------------------------------------------------
+
     def execute(self, resume: dict | None = None) -> FixpointResult:
         """Run the clique to its fixpoint.
 
@@ -1082,7 +874,6 @@ class FixpointOperator:
         re-broadcast / re-co-partitioned (the joins need them), exactly
         as a restarted Spark driver would reload its base RDDs.
         """
-        self._apply_kernel_gate()
         tracer = self.cluster.tracer
         with tracer.span("fixpoint", ",".join(self.planned.views)) as span:
             self._setup_states()
@@ -1328,41 +1119,13 @@ class FixpointOperator:
         self._remote_collect = True
         view_names = list(self.planned.views)
         sid = self._session_id
-        metrics = self.cluster.metrics
-        use_columnar = self._use_columnar
         tasks = []
         for p in range(self.n):
             rows_by_view = {}
             for name in view_names:
                 rows = incoming[name].partitions[p].rows
                 if rows:
-                    # Columnar mode ships delta partitions as encoded
-                    # ColumnBatches (byte planes + DEFLATE) instead of
-                    # pickled row lists; the worker's merge path accepts
-                    # either form bit-exactly.  An incoming bucket is the
-                    # concatenation of every source partition's
-                    # contributions for the same keys, so it is thick
-                    # with exact-duplicate rows (62% of cc's traffic);
-                    # for idempotent merges they are dropped before
-                    # encoding — first occurrence wins, order preserved,
-                    # so the worker's state and fresh delta are
-                    # bit-identical to the row path's.
-                    rows = list(rows)
-                    if (use_columnar and name in self._dedup_views
-                            and all(type(v) is int for v in rows[0])):
-                        # The one-row sniff keeps float-valued traffic
-                        # (e.g. SSSP distances, which essentially never
-                        # collide exactly) from paying the hash pass.
-                        deduped = list(dict.fromkeys(rows))
-                        if len(deduped) != len(rows):
-                            metrics.inc("columnar_rows_deduped",
-                                        len(rows) - len(deduped))
-                            rows = deduped
-                    packed = maybe_batch(rows) if use_columnar else rows
-                    if isinstance(packed, ColumnBatch):
-                        metrics.inc("columnar_batches_encoded")
-                        metrics.inc("columnar_batch_rows", len(packed))
-                    rows_by_view[name] = packed
+                    rows_by_view[name] = list(rows)
             tasks.append(StageTask(
                 p, self._stage_inputs(incoming, p), _remote_task_stub,
                 preferred_worker=self.cluster.worker_for_partition(p),
@@ -1379,18 +1142,7 @@ class FixpointOperator:
             for name, count in d_by_view.items():
                 delta_by_view[name] += count
             for view_name, buckets in per_view.items():
-                # Workers may reply with columnar buckets; decode them
-                # here so the exchange (and every simulated shuffle
-                # metric) sees the exact row lists of the row path.
-                decoded = None
-                for pid, bucket in buckets.items():
-                    if isinstance(bucket, ColumnBatch):
-                        metrics.inc("columnar_batches_decoded")
-                        if decoded is None:
-                            decoded = dict(buckets)
-                        decoded[pid] = bucket.to_rows()
-                outputs[view_name].append(
-                    (result.worker, buckets if decoded is None else decoded))
+                outputs[view_name].append((result.worker, buckets))
         self._remote_delta_by_view = delta_by_view
         return self._exchange_prebucketed(outputs), d_total
 
@@ -1431,30 +1183,13 @@ class FixpointOperator:
         self._release_consumed_shuffles(incoming)
 
         d_total = 0
-        if self._use_kernels:
-            # The tasks' buckets are already routed by the target view's
-            # partition key: hand them to the exchange as-is instead of
-            # flattening and re-routing every row.
-            outputs: dict[str, list[tuple[int, dict]]] = defaultdict(list)
-            for result in results:
-                d_count, per_view = result.output
-                d_total += d_count
-                for view_name, buckets in per_view.items():
-                    outputs[view_name].append((result.worker, buckets))
-            return self._exchange_prebucketed(outputs), d_total
-
-        merged: dict[str, dict[int, list[tuple]]] = defaultdict(dict)
-        workers: dict[int, int] = {}
+        outputs: dict[str, list[tuple[int, dict]]] = defaultdict(list)
         for result in results:
-            workers[result.index] = result.worker
             d_count, per_view = result.output
             d_total += d_count
             for view_name, buckets in per_view.items():
-                rows: list[tuple] = []
-                for bucket_rows in buckets.values():
-                    rows.extend(bucket_rows)
-                merged[view_name][result.index] = rows
-        return self._exchange_outputs(merged, source_workers=workers), d_total
+                outputs[view_name].append((result.worker, buckets))
+        return self._exchange_prebucketed(outputs), d_total
 
     def _iterate_two_stage(self, incoming: dict[str, Dataset],
                            naive: bool) -> tuple[dict[str, Dataset], int]:
@@ -1508,23 +1243,11 @@ class FixpointOperator:
                 preferred_worker=self.cluster.worker_for_partition(p)))
         map_results = self.cluster.run_stage("fixpoint-map", map_tasks)
 
-        if self._use_kernels:
-            outputs: dict[str, list[tuple[int, dict]]] = defaultdict(list)
-            for result in map_results:
-                for view_name, buckets in result.output.items():
-                    outputs[view_name].append((result.worker, buckets))
-            return self._exchange_prebucketed(outputs), d_total
-
-        merged: dict[str, dict[int, list[tuple]]] = defaultdict(dict)
-        workers: dict[int, int] = {}
+        outputs: dict[str, list[tuple[int, dict]]] = defaultdict(list)
         for result in map_results:
-            workers[result.index] = result.worker
             for view_name, buckets in result.output.items():
-                rows: list[tuple] = []
-                for bucket_rows in buckets.values():
-                    rows.extend(bucket_rows)
-                merged[view_name][result.index] = rows
-        return self._exchange_outputs(merged, source_workers=workers), d_total
+                outputs[view_name].append((result.worker, buckets))
+        return self._exchange_prebucketed(outputs), d_total
 
     # ------------------------------------------------------------------
     # decomposed execution (Section 7.2)
@@ -1631,14 +1354,6 @@ class FixpointOperator:
             tasks = []
             for p in range(self.n):
                 delta_rows = list(incoming[view_name].partitions[p].rows)
-                if self._use_columnar:
-                    # The local-fixpoint runners only iterate their seed
-                    # (``set(delta_rows)``), so a batch ships as-is.
-                    delta_rows = maybe_batch(delta_rows)
-                    if isinstance(delta_rows, ColumnBatch):
-                        self.cluster.metrics.inc("columnar_batches_encoded")
-                        self.cluster.metrics.inc("columnar_batch_rows",
-                                                 len(delta_rows))
                 tasks.append(StageTask(
                     p, [incoming[view_name].partitions[p]],
                     _remote_task_stub,

@@ -69,15 +69,11 @@ class TermRuntime:
       case callers rebuild from ``state_rows``).  ``pad=None`` keys raw
       rows by relative positions (the codegen path); ``pad=(offset,
       arity)`` keys padded rows by absolute slots (the interpreted path).
-    - ``base_raw[step_id][p]`` — the raw padded bucket list behind a
-      co-partitioned build (what the adaptive join selector scans or
-      re-indexes when it overrides the planner's strategy).
     """
 
     def __init__(self):
         self.broadcast_tables: dict[int, object] = {}
         self.base_partitions: dict[int, list] = {}
-        self.base_raw: dict[int, list[list[tuple]]] = {}
         self.state_rows: Callable[[str, int], list[tuple]] | None = None
         self.delta_rows: Callable[[str, int], list[tuple]] | None = None
         self.state_total: Callable[[str, int, object], tuple | None] | None = None
@@ -303,9 +299,6 @@ class CompiledTerm:
     #: is a single broadcast join whose projection is delta-only parts
     #: followed by one build column — see ``codegen.grouped_dedup_spec``.
     grouped_spec: "GroupedDedupSpec | None" = field(default=None, repr=False)
-    #: Index into ``steps`` of the co-partitioned first join (the one the
-    #: adaptive selector may re-strategize), or ``None``.
-    copartition_index: int | None = None
     #: Specialized delta padder (``kernels.make_padder``); set at plan time.
     padder: Callable[[tuple], tuple] | None = field(default=None, repr=False)
 

@@ -39,7 +39,6 @@ from repro.core.logical import (
     RecursiveScanNode,
     RulePlan,
     ScanNode,
-    ViewPlan,
 )
 from repro.core.physical import (
     BaseRelationPlan,
@@ -234,7 +233,6 @@ def _compile_term(ctx: _TermContext, target: PhysicalView, rule: RulePlan,
     steps.extend(applicable_filters())
 
     first_join = True
-    copartition_index: int | None = None
     while pending:
         # Prefer an input reachable through an equi conjunct.
         chosen = None
@@ -304,7 +302,6 @@ def _compile_term(ctx: _TermContext, target: PhysicalView, rule: RulePlan,
 
             step_id = ctx.step_ids.take()
             if can_copartition:
-                copartition_index = len(steps)
                 if ctx.config.join_strategy == "sort_merge":
                     steps.append(SortMergeJoinStep(step_id, probe_slots,
                                                    build_slots))
@@ -360,7 +357,6 @@ def _compile_term(ctx: _TermContext, target: PhysicalView, rule: RulePlan,
         project=project,
         negate=negate,
         rule=rule,
-        copartition_index=copartition_index,
         padder=(make_padder(delta_offset, arity, delta_arity)
                 if ctx.config.kernels else None),
     )
@@ -659,6 +655,49 @@ def _compile_maintenance_term(ctx: _TermContext, target: PhysicalView,
         delta_prefilter=prefilter,
         rule=rule,
     )
+
+
+#: Size gate of the kernel layer.  A clique whose base inputs total fewer
+#: rows than this plans and runs on the reference loops even when
+#: ``ExecutionConfig.kernels`` is on: router/padder specialization, extra
+#: codegen variants and state-table caching are per-query setup costs a
+#: sub-millisecond query never amortizes (BENCH_5.json:
+#: ``same_generation`` 0.75x, ``bom_stratified`` 0.68x).  Kernels are
+#: bit-exact with the reference loops, iteration counts included, so the
+#: gate only moves wall-clock time.
+KERNEL_MIN_ROWS = 256
+
+
+def gate_kernels(clique: CliquePlan, config: ExecutionConfig, resolve,
+                 metrics) -> ExecutionConfig:
+    """The config to plan *and* run ``clique`` under: ``config`` itself,
+    or its ``kernels=False`` twin when the base tables the clique scans
+    (each counted once) hold fewer than :data:`KERNEL_MIN_ROWS` rows.
+
+    Evaluated before :func:`plan_clique` because the kernel layer's
+    costs start at plan time.  ``resolve`` maps a relation name to its
+    :class:`~repro.relation.Relation`; a firing gate counts
+    ``kernel_small_input_gate`` on ``metrics``.
+    """
+    if not config.kernels:
+        return config
+    clique_views = {name.lower() for name in clique.view_names}
+    seen: set[str] = set()
+    total = 0
+    for view in clique.views:
+        for rule in view.base_rules + view.recursive_rules:
+            if rule.join is None:
+                continue
+            for node in rule.join.inputs:
+                if isinstance(node, ScanNode):
+                    key = node.relation.lower()
+                    if key not in clique_views and key not in seen:
+                        seen.add(key)
+                        total += len(resolve(node.relation).rows)
+    if total >= KERNEL_MIN_ROWS:
+        return config
+    metrics.inc("kernel_small_input_gate")
+    return config.but(kernels=False)
 
 
 def plan_clique(clique: CliquePlan, config: ExecutionConfig,

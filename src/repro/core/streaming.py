@@ -34,7 +34,7 @@ from repro.core.logical import CliquePlan, ScanNode
 from repro.core.optimizer import optimize
 from repro.core.parser import parse
 from repro.core.physical import pad_row
-from repro.core.planner import plan_clique
+from repro.core.planner import gate_kernels, plan_clique
 from repro.errors import AnalysisError, PlanningError
 from repro.relation import Relation
 
@@ -64,7 +64,6 @@ class IncrementalView:
                 "incremental views require the shuffle_hash join strategy")
         if config.evaluation != "dsn":
             raise PlanningError("incremental views require DSN evaluation")
-        self.config = config.but(decomposed_plans=False)
 
         analyzed = optimize(analyze(parse(query), ctx.catalog))
         cliques = analyzed.cliques()
@@ -73,6 +72,9 @@ class IncrementalView:
                 "incremental views support exactly one recursive clique")
         self.clique: CliquePlan = cliques[0]
         self.final = analyzed.final
+        self.config = gate_kernels(
+            self.clique, config.but(decomposed_plans=False),
+            ctx.catalog.get, ctx.cluster.metrics)
         self.planned = plan_clique(self.clique, self.config, maintenance=True)
         self._check_same_table_self_joins()
 
@@ -216,12 +218,8 @@ class IncrementalView:
                 for row in padded:
                     pid = partitioner.partition_of(key_fn(row))
                     tables[pid].setdefault(key_fn(row), []).append(row)
-                    # Partition.rows aliases runtime.base_raw's bucket, so
-                    # the adaptive selector's scan inputs stay in sync; its
-                    # lazily re-indexed alternates must be dropped.
                     partitions[pid].rows.append(row)
                     partitions[pid]._size_bytes = None
-                    self.operator.invalidate_base_build(plan.step_id, pid)
 
     # ------------------------------------------------------------------
 

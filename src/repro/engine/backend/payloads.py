@@ -90,10 +90,6 @@ class InstallSpec:
     broadcast_tables: dict[int, object] = field(default_factory=dict)
     partial_aggregation: bool = True
     max_iterations: int = 100_000
-    #: Workers mirror the driver's columnar setting: reply shuffle
-    #: buckets (and anything else they originate) use the batch wire
-    #: format only when the driver runs columnar too.
-    columnar_batches: bool = True
 
 
 def build_install_spec(operator, sid: str) -> InstallSpec:
@@ -134,7 +130,6 @@ def build_install_spec(operator, sid: str) -> InstallSpec:
         broadcast_tables=dict(operator.runtime.broadcast_tables),
         partial_aggregation=operator.config.partial_aggregation,
         max_iterations=operator.config.max_iterations,
-        columnar_batches=operator._use_columnar,
     )
 
 

@@ -64,20 +64,14 @@ from repro.core.fixpoint import (
     _make_assembler,
     _make_negator,
     _make_splitter,
+    aggregate_and_route,
     merge_into_state_partition,
     run_fused_fixpoint,
     run_grouped_fixpoint,
 )
-from repro.engine.aggregates import partial_aggregate
 from repro.engine.backend.payloads import (BLOB_CACHE_SLOTS, InstallSpec,
                                            assemble_install_spec,
                                            recompile_term)
-from repro.engine.columnar import maybe_batch
-
-#: Reply buckets smaller than this ship as plain row lists: the driver
-#: decodes reply batches immediately (exchange-metric parity), so the
-#: round trip only pays for itself on fat early-iteration buckets.
-REPLY_BATCH_MIN_ROWS = 256
 from repro.engine.kernels import make_fold_kernel, make_router
 from repro.engine.serialization import load_payload
 from repro.engine.setrdd import KeyedStateRDD, SetRDD
@@ -226,8 +220,8 @@ class WorkerSession:
     def _evaluate_terms(self, partition: int) -> dict[str, dict[int, list]]:
         """The kernels-mode subset of
         :meth:`repro.core.fixpoint.FixpointOperator._evaluate_terms`:
-        no naive mode, no adaptive selector (plain codegen evaluation —
-        bit-exact regardless), no memory touches."""
+        no naive mode, no memory touches; the aggregate-and-route tail
+        is the shared :func:`repro.core.fixpoint.aggregate_and_route`."""
         collected: dict[str, list[tuple]] = {}
         for spec, fn in self.terms:
             delta = self.fresh[spec.delta_view].get(partition, [])
@@ -239,47 +233,10 @@ class WorkerSession:
                 rows = [negate(r) for r in rows]
             collected.setdefault(spec.view, []).extend(rows)
 
-        per_view: dict[str, dict[int, list]] = {}
-        for view_name, rows in collected.items():
-            view = self.spec.views[view_name]
-            if view.has_aggregates and self.spec.partial_aggregation:
-                functions = view.aggregate_functions
-                fold = self.fold_kernels.get(view_name)
-                if fold is not None:
-                    rows = fold(rows)
-                elif self.two_col[view_name]:
-                    combine = functions[0].combine
-                    combined: dict = {}
-                    get = combined.get
-                    for key, value in rows:
-                        old = get(key)
-                        combined[key] = (value if old is None
-                                         else combine(old, value))
-                    rows = list(combined.items())
-                else:
-                    splitter = self.splitters[view_name]
-                    assembler = self.assemblers[view_name]
-                    pairs = partial_aggregate(
-                        [splitter(r) for r in rows], functions)
-                    rows = [assembler(k, v) for k, v in pairs]
-            router = self.routers[view_name]
-            if self.spec.columnar_batches:
-                # Reply buckets ship columnar: the batch's __reduce__
-                # makes the ok-reply pickle carry the compact encoding,
-                # and the driver decodes back to the identical row lists
-                # before its (simulated-metric-charging) exchange.  The
-                # threshold is higher than the dispatch side's: a reply
-                # bucket is decoded straight back to rows on the driver,
-                # so encode+decode only amortizes on the fat buckets of
-                # the early iterations, not a converging tail's trickle.
-                per_view[view_name] = {
-                    pid: maybe_batch(bucket, REPLY_BATCH_MIN_ROWS)
-                    for pid, bucket in enumerate(router(rows)) if bucket}
-            else:
-                per_view[view_name] = {
-                    pid: bucket for pid, bucket in enumerate(router(rows))
-                    if bucket}
-        return per_view
+        return aggregate_and_route(
+            collected, self.spec.views, self.spec.partial_aggregation,
+            self.two_col, self.fold_kernels, self.splitters,
+            self.assemblers, self.routers)
 
     def decompose(self, partition: int, mode: str, delta_rows: list):
         """Stateless per-partition fixpoint via the shared runners."""

@@ -1,8 +1,13 @@
-"""Column-decomposed row batches — the columnar execution/wire layer.
+"""Column-decomposed row batches — measured, then retired from the engine.
 
-A :class:`ColumnBatch` holds the rows of one relation partition (or one
-shuffle bucket, or one iteration's delta) as *parallel per-column
-sequences* instead of a list of row tuples:
+Nothing in the product path imports this module: row tuples are the only
+delta representation and pickled row lists the only process-backend wire
+(DESIGN.md §14 has the measurements that decided it).  What is left is
+exactly the surface ``benchmarks/e2e/micro.py`` times — ``from_rows``,
+``route``, ``keys``, ``encode``/``decode`` — pinned (and unit-tested in
+``tests/engine/test_columnar.py``) until the benchmark drops those rows.
+
+A :class:`ColumnBatch` holds rows as *parallel per-column sequences*:
 
 - columns whose every value is a plain ``int`` (``type(v) is int`` — a
   ``bool`` is deliberately not an int here, it would not round-trip
@@ -13,45 +18,27 @@ sequences* instead of a list of row tuples:
 - anything else — strings, ``None``-bearing (NULL) columns, mixed types,
   ints beyond 64 bits — falls back to a plain Python list.
 
-The same representation doubles as the process backend's wire format:
-:meth:`encode` splits each int column into its eight native-endian byte
-planes (``raw[i::8]`` — pure C-speed slicing), drops the planes that are
-a constant 0x00/0xFF (the high bytes of narrow values, i.e. most of
-them), ships floats as raw doubles and object columns pickled, then
-DEFLATEs the lot.  Byte-plane layout is what makes the compression
-bite: a converging fixpoint's delta columns are full of near-equal
-values whose low-byte planes are long repetitive runs that interleaved
-row pickles hide from the codec.  ``ColumnBatch`` pickles *as* its encoded form (see
-``__reduce__``), so any payload that contains one ships compactly with
-no changes to the payload plumbing, and the encoding is cached — a batch
-relayed driver → worker → driver is encoded exactly once.
+:meth:`encode` splits each numeric column into its eight native-endian
+byte planes (``raw[i::8]`` — pure C-speed slicing), drops the planes that
+are a constant 0x00/0xFF (the high bytes of narrow values, i.e. most of
+them), ships object columns pickled, then DEFLATEs the lot.
 
-Everything here is bit-exact with the row-tuple paths it replaces:
 ``to_rows(from_rows(rows)) == rows`` value-for-value and order-for-order,
 and :meth:`route` reproduces ``repro.engine.kernels.make_router`` (and
-therefore ``HashPartitioner.partition_of``) bucket-for-bucket.  The
-differential suite (``pytest -m kernels``) pins both claims.
+therefore ``HashPartitioner.partition_of``) bucket-for-bucket.
 """
 
 from __future__ import annotations
 
 import zlib
 from array import array
-from itertools import islice
 from operator import itemgetter
 from pickle import HIGHEST_PROTOCOL, dumps, loads
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.engine.partitioner import _stable_hash, column_partition_ids
-from repro.engine.serialization import value_size
 
-__all__ = ["ColumnBatch", "MIN_BATCH_ROWS", "as_rows", "maybe_batch"]
-
-#: Below this many rows a batch cannot amortize its per-column setup and
-#: header bytes; ``maybe_batch`` leaves such inputs as plain row lists.
-#: This is a representation-choice threshold, not a correctness gate —
-#: both forms flow through the same consumers bit-exactly.
-MIN_BATCH_ROWS = 16
+__all__ = ["ColumnBatch"]
 
 #: DEFLATE level 3 lands within ~2% of level 6 on plane data (the runs
 #: are long and obvious) at two-thirds of the compression CPU, which
@@ -116,7 +103,7 @@ class ColumnBatch:
         """Column-decompose a list of equal-arity row tuples.
 
         Raises ``ValueError`` on ragged input (``zip(*rows)`` would
-        silently truncate); :func:`maybe_batch` screens for that.
+        silently truncate).
         """
         if not rows:
             return cls([], "", 0)
@@ -159,37 +146,12 @@ class ColumnBatch:
             return iter(())
         return zip(*self.columns)
 
-    # Iterating a batch iterates its rows, so consumers written against
-    # row iterables (``set(delta_rows)``, ``for row in rows``) accept a
-    # batch unchanged.
     __iter__ = iter_rows
 
     def to_rows(self) -> list[tuple]:
         if not self.columns:
             return []
         return list(zip(*self.columns))
-
-    def take(self, indices: Iterable[int]) -> "ColumnBatch":
-        """A new batch of the selected rows, in the given order."""
-        idx = list(indices)
-        columns: list = []
-        for kind, col in zip(self.kinds, self.columns):
-            picked = [col[i] for i in idx]
-            columns.append(array("q", picked) if kind == "i"
-                           else array("d", picked) if kind == "f"
-                           else picked)
-        return ColumnBatch(columns, self.kinds, len(idx))
-
-    def slice(self, start: int, stop: int) -> "ColumnBatch":
-        """Contiguous row range as a new batch (array slices are cheap)."""
-        columns = [col[start:stop] for col in self.columns]
-        length = len(columns[0]) if columns else 0
-        return ColumnBatch(columns, self.kinds, length)
-
-    def dedup(self) -> "ColumnBatch":
-        """Distinct rows, first occurrence wins, order preserved — the
-        columnar twin of ``list(dict.fromkeys(rows))``."""
-        return ColumnBatch.from_rows(list(dict.fromkeys(self.iter_rows())))
 
     # -- hash-partition routing -----------------------------------------
 
@@ -226,53 +188,12 @@ class ColumnBatch:
             appends[stable_hash(getter(row)) % n](row)
         return buckets
 
-    def partition_ids(self, key_positions: tuple[int, ...],
-                      num_partitions: int) -> Iterator[int]:
-        """One partition id per row, in order — :meth:`route` without the
-        bucket fill, for callers that fuse routing with another pass
-        (e.g. the base-relation route + hash-table build)."""
-        n = num_partitions
-        if n == 1:
-            return iter([0] * self.length)
-        if len(key_positions) == 1:
-            position = key_positions[0]
-            keys = self.columns[position] if self.columns else ()
-            if self.kinds[position:position + 1] == "i":
-                return (key % n for key in keys)
-            return column_partition_ids(keys, n)
-        stable_hash = _stable_hash
-        return (stable_hash(key) % n
-                for key in zip(*(self.columns[p] for p in key_positions)))
-
     def keys(self, key_positions: tuple[int, ...]) -> Iterable:
         """The key column (scalars) or zipped key tuples — the columnar
         form of mapping ``partitioner.key_of`` over the rows."""
         if len(key_positions) == 1:
             return self.columns[key_positions[0]]
         return list(zip(*(self.columns[p] for p in key_positions)))
-
-    # -- memory accounting ----------------------------------------------
-
-    @property
-    def nbytes(self) -> int:
-        """In-memory footprint estimate (see ``serialization.rows_size``;
-        object columns are sampled the same way row lists are)."""
-        total = 56  # object header + slots
-        for kind, col in zip(self.kinds, self.columns):
-            if kind in ("i", "f"):
-                total += col.itemsize * len(col) + 64
-                continue
-            count = len(col)
-            if count == 0:
-                total += 56
-            elif count <= 64:
-                total += 56 + sum(value_size(v) for v in col)
-            else:
-                step = count // 64
-                sampled = list(islice(col, 0, count, step))
-                total += 56 + (sum(value_size(v) for v in sampled)
-                               * count // len(sampled))
-        return total
 
     # -- wire format ----------------------------------------------------
 
@@ -331,36 +252,6 @@ class ColumnBatch:
         batch._wire = bytes(blob)
         return batch
 
-    def __reduce__(self):
-        # Pickling IS the wire format: payloads carrying a batch ship its
-        # encoded (deflated byte-plane) bytes, and a relay re-sends the
-        # cached encoding instead of re-compressing.
-        return (ColumnBatch.decode, (self.encode(),))
-
     def __repr__(self) -> str:
         return (f"ColumnBatch(rows={self.length}, arity={self.arity}, "
                 f"kinds={self.kinds!r})")
-
-
-def maybe_batch(rows: list[tuple],
-                min_rows: int = MIN_BATCH_ROWS) -> "ColumnBatch | list[tuple]":
-    """Batch a row list when it is worth it; else return it unchanged.
-
-    Ineligible inputs — too small to amortize the headers, or ragged
-    arity (``zip(*rows)`` would truncate) — stay plain lists.  Both
-    representations are accepted everywhere a batch is, so this is a
-    pure wire/layout decision.
-    """
-    if len(rows) < min_rows:
-        return rows
-    try:
-        return ColumnBatch.from_rows(rows)
-    except ValueError:  # ragged arity
-        return rows
-
-
-def as_rows(rows: "ColumnBatch | list[tuple]") -> list[tuple]:
-    """Normalize either representation to a row-tuple list."""
-    if isinstance(rows, ColumnBatch):
-        return rows.to_rows()
-    return rows

@@ -39,6 +39,7 @@ def build_hash_table(rows: Iterable[tuple],
     return table
 
 
+# Unreferenced by the product path; pinned for benchmarks/e2e/micro.py.
 def build_hash_table_columns(keys: Iterable, rows: Iterable[tuple]) -> dict:
     """Columnar build: parallel key column instead of per-row ``key_fn``.
 

@@ -19,8 +19,9 @@ common shapes once, at plan/setup time, into tight specialized loops:
   KeyedStateRDD`, replacing the generic ``AggregateFunction`` dispatch.
 - :func:`make_fold_kernel` — the map-side partial-aggregation fold for
   ``(key, value)`` heads with the comparison inlined.
-- :func:`hash_probe_join` / :func:`nested_loop_equi` — the join bodies
-  the adaptive selector (see ``repro.core.fixpoint``) switches between.
+- :func:`hash_probe_join` / :func:`batch_hash_probe` and
+  :func:`make_merge_columns_kernel` — not on the product path; pinned
+  for ``benchmarks/e2e/micro.py``.
 
 Every kernel is a drop-in replacement for a naive reference loop that
 stays in the codebase (``joins.py``, ``setrdd.py``, ``partitioner.py``);
@@ -42,7 +43,6 @@ from repro.engine.aggregates import BY_NAME, AggregateFunction
 from repro.engine.partitioner import _stable_hash
 
 __all__ = [
-    "AdaptiveJoinSelector",
     "batch_hash_probe",
     "hash_probe_join",
     "make_extractor",
@@ -52,7 +52,6 @@ __all__ = [
     "make_merge_rows_kernel",
     "make_padder",
     "make_router",
-    "nested_loop_equi",
 ]
 
 
@@ -297,6 +296,8 @@ def make_merge_rows_kernel(aggregates: tuple[AggregateFunction, ...]
     return None
 
 
+# Unreferenced by the product path; pinned with
+# ``KeyedStateRDD.merge_rows_batch`` for benchmarks/e2e/micro.py.
 def make_merge_columns_kernel(aggregates: tuple[AggregateFunction, ...]
                               ) -> Callable[[dict, Iterable, Iterable],
                                             list] | None:
@@ -307,8 +308,8 @@ def make_merge_columns_kernel(aggregates: tuple[AggregateFunction, ...]
     ``(key, value)`` head — the loop walks the zipped key/value columns
     directly instead of indexing ``row[0]``/``row[1]`` per tuple.  Same
     eligibility rule (single canonical builtin aggregate), same state
-    transitions, same fresh-delta rows in the same order; the columnar
-    differential suite pins the equivalence.
+    transitions, same fresh-delta rows in the same order
+    (``tests/engine/test_columnar.py`` pins the equivalence).
     """
     if len(aggregates) != 1 or aggregates[0] is not BY_NAME.get(
             aggregates[0].name):
@@ -414,10 +415,12 @@ def make_fold_kernel(aggregate: AggregateFunction
 
 
 # ---------------------------------------------------------------------------
-# join bodies for the adaptive selector
+# standalone probe loops
 # ---------------------------------------------------------------------------
 
 
+# Unreferenced by the product path (the planner's HashJoinStep / generated
+# code own the probe); pinned for benchmarks/e2e/micro.py.
 def hash_probe_join(rows: Iterable[tuple], table: dict,
                     probe_key: Callable[[tuple], object],
                     combine: Callable[[tuple, tuple], tuple]) -> list[tuple]:
@@ -434,6 +437,7 @@ def hash_probe_join(rows: Iterable[tuple], table: dict,
     return out
 
 
+# Unreferenced by the product path; pinned for benchmarks/e2e/micro.py.
 def batch_hash_probe(keys: Iterable, rows: Iterable[tuple], table: dict,
                      combine: Callable[[tuple, tuple], tuple]) -> list[tuple]:
     """Columnar probe: pre-extracted key column instead of per-row calls.
@@ -453,86 +457,3 @@ def batch_hash_probe(keys: Iterable, rows: Iterable[tuple], table: dict,
         for build_row in bucket:
             append(combine(row, build_row))
     return out
-
-
-def nested_loop_equi(rows: Iterable[tuple], build_rows: list[tuple],
-                     probe_key: Callable[[tuple], object],
-                     build_key: Callable[[tuple], object],
-                     combine: Callable[[tuple, tuple], tuple]) -> list[tuple]:
-    """Equi join as a scan of the build rows — no table, no sort.
-
-    For tiny inputs the hash machinery costs more than the comparisons it
-    saves.  Matching build rows are emitted in build order, which is the
-    same per-key sequence a hash probe emits (buckets preserve insertion
-    order), so the two strategies produce identical output row-for-row.
-    """
-    out: list[tuple] = []
-    append = out.append
-    for row in rows:
-        key = probe_key(row)
-        for build_row in build_rows:
-            if build_key(build_row) == key:
-                append(combine(row, build_row))
-    return out
-
-
-class AdaptiveJoinSelector:
-    """AQE-style per-iteration join-strategy choice (Appendix D, revisited).
-
-    The planner fixes a strategy per term from ``config.join_strategy``;
-    at runtime the observed cardinalities often disagree with that static
-    choice.  Per ``(join step, partition)`` evaluation the selector picks:
-
-    - ``nested_loop`` when ``|delta| x |build|`` is tiny — scanning a
-      handful of rows beats hashing (and, under sort-merge, beats sorting
-      the delta).
-    - ``hash`` when the planner chose sort-merge but the cumulative
-      probed delta has reached the build size: building a hash table once
-      now amortizes over the remaining iterations (the cached-build
-      rationale of Appendix D, applied adaptively).
-    - the planner's strategy otherwise.  A fused (code-generated) hash
-      term is never overridden: its probe loop is already optimal, and
-      re-routing it through the interpreted pipeline would only add
-      dispatch overhead.
-
-    Choices never change results — all three bodies compute the same
-    equi join — only where the wall-clock time goes.
-    """
-
-    #: Override to nested-loop only below this probe x build product.
-    nested_loop_budget = 64
-    #: ... and only when the build side itself is this small.
-    nested_loop_max_build = 16
-
-    def __init__(self, metrics=None):
-        self.metrics = metrics
-        #: Cumulative delta rows probed per (step_id, partition).
-        self.probed: dict[tuple[int, int], int] = {}
-        #: Chosen-strategy counts, mirrored into the metrics registry.
-        self.choices = {"hash": 0, "sort_merge": 0, "nested_loop": 0}
-        self.overrides = 0
-
-    def choose(self, step_id: int, partition: int, default: str,
-               fused: bool, delta_n: int, build_n: int) -> str:
-        """Pick a strategy for one term evaluation; records counters."""
-        if default == "hash" and fused:
-            choice = "hash"
-        elif (delta_n * build_n <= self.nested_loop_budget
-                and build_n <= self.nested_loop_max_build):
-            choice = "nested_loop"
-        elif default == "sort_merge":
-            key = (step_id, partition)
-            seen = self.probed.get(key, 0)
-            self.probed[key] = seen + delta_n
-            choice = "hash" if seen + delta_n >= build_n else "sort_merge"
-        else:
-            choice = "hash"
-        self.choices[choice] += 1
-        if choice != default:
-            self.overrides += 1
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.inc(f"adaptive_join_{choice}")
-            if choice != default:
-                metrics.inc("adaptive_join_overrides")
-        return choice

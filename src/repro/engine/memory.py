@@ -131,12 +131,6 @@ class MemoryManager:
         charged segment itself is the working set and is never chosen as
         its own spill victim.
         """
-        if not isinstance(nbytes, int):
-            # Columnar partitions charge themselves: a ColumnBatch (or
-            # anything else exposing ``.nbytes``) may be passed in place
-            # of a precomputed size, keeping spill/budget decisions
-            # honest for array-backed columns row-size models miss.
-            nbytes = int(getattr(nbytes, "nbytes"))
         key = (kind, name, partition)
         self._clock += 1
         segment = self._segments.get(key)

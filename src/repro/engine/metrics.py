@@ -149,6 +149,16 @@ class MetricsRegistry:
         """Labelled clock advances, for debugging cost attribution."""
         return list(self._events)
 
+    def event_count(self) -> int:
+        """How many labelled advances exist; pair with :meth:`events_since`."""
+        return len(self._events)
+
+    def events_since(self, start: int) -> list[ClockEvent]:
+        """The advances recorded after the first ``start`` — copies only
+        that tail, so a per-query reader on a long-lived registry does
+        not pay for every event since the context was created."""
+        return self._events[start:]
+
     def scoped(self, scope: str) -> "ScopedCounters":
         """A counter view that namespaces every name under ``<scope>.``.
 

@@ -71,12 +71,6 @@ def rows_size(rows) -> int:
     shuffle accounting hot path and the model only needs byte counts, not
     byte-perfect sums.
     """
-    nbytes = getattr(rows, "nbytes", None)
-    if nbytes is not None:
-        # Columnar batches (engine.columnar.ColumnBatch) account for
-        # themselves: array-backed columns are exact, object columns use
-        # the same 64-row sampling this function applies to row lists.
-        return nbytes
     if not isinstance(rows, (list, tuple)):
         rows = list(rows)
     n = len(rows)

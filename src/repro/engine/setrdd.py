@@ -262,6 +262,7 @@ class KeyedStateRDD:
                            [(row[0], row[1:]) for row in rows])
         return [(key, values[0]) for key, values in delta]
 
+    # Unreferenced by the product path; pinned for benchmarks/e2e/micro.py.
     def merge_rows_batch(self, partition_index: int, batch) -> list[tuple]:
         """Merge a two-column :class:`~repro.engine.columnar.ColumnBatch`.
 

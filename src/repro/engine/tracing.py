@@ -407,40 +407,22 @@ def _format_supervision_section(trace: dict) -> list[str]:
 
 
 def _format_kernels_section(trace: dict) -> list[str]:
-    """The kernel-layer report: state-cache traffic + adaptive choices.
+    """The kernel-layer report: state-cache traffic + decomposed kernels.
 
     Reads the root span's counter deltas; only rendered when the query
     ran through the specialized kernels (``ExecutionConfig.kernels``) and
-    touched the state-table cache or the adaptive join selector.
+    touched the state-table cache or a decomposed-fixpoint kernel.
     """
     metrics = trace.get("metrics", {})
     hits = metrics.get("kernel_state_cache_hits", 0)
     misses = metrics.get("kernel_state_cache_misses", 0)
     updates = metrics.get("kernel_state_cache_updates", 0)
     bypass = metrics.get("kernel_state_cache_bypass", 0)
-    choices = {name: metrics.get(f"adaptive_join_{name}", 0)
-               for name in ("hash", "sort_merge", "nested_loop")}
     grouped = metrics.get("kernel_grouped_fixpoint_stages", 0)
     fused = metrics.get("kernel_fused_fixpoint_stages", 0)
-    encoded = metrics.get("columnar_batches_encoded", 0)
-    decoded = metrics.get("columnar_batches_decoded", 0)
-    batch_rows = metrics.get("columnar_batch_rows", 0)
-    routes = metrics.get("columnar_routes", 0)
-    deduped = metrics.get("columnar_rows_deduped", 0)
-    if not (hits or misses or updates or bypass or grouped or fused
-            or encoded or decoded or routes or deduped
-            or any(choices.values())):
+    if not (hits or misses or updates or bypass or grouped or fused):
         return []
     lines = ["kernels"]
-    if encoded or decoded or routes:
-        lines.append(
-            f"  columnar batches: {encoded:.0f} encoded "
-            f"({batch_rows:.0f} rows), {decoded:.0f} decoded, "
-            f"{routes:.0f} base relations routed columnar")
-    if deduped:
-        lines.append(
-            f"  shuffle dedup: {deduped:.0f} duplicate delta rows dropped "
-            f"before shipping")
     if grouped:
         lines.append(
             f"  decomposed fixpoint: column-decomposed set kernel "
@@ -460,13 +442,6 @@ def _format_kernels_section(trace: dict) -> list[str]:
             lines.append(
                 f"  gather-stage bypasses (mid-stage evolving state): "
                 f"{bypass:.0f}")
-    if any(choices.values()):
-        picks = ", ".join(f"{name}={count:.0f}"
-                          for name, count in choices.items() if count)
-        lines.append(
-            f"  adaptive join choices: {picks} "
-            f"(overrides of the planned strategy: "
-            f"{metrics.get('adaptive_join_overrides', 0):.0f})")
     return lines
 
 

@@ -36,14 +36,14 @@ INEXPRESSIBLE = {
 EXPRESSIBLE = sorted(set(QUERY_SETUPS) - set(INEXPRESSIBLE))
 
 #: The config axes the oracle sweeps: each one swaps a different layer of
-#: the engine (kernel fast paths, adaptive join choice, plan
-#: decomposition, join algorithm) whose bugs an internal-only test could
-#: inherit on both sides of its own comparison.  ``evaluation="naive"``
-#: is deliberately absent: the engine rejects it for sum/count
-#: aggregates (it would double-count), so it cannot sweep the library.
+#: the engine (kernel fast paths, plan decomposition, join algorithm)
+#: whose bugs an internal-only test could inherit on both sides of its
+#: own comparison.  ``evaluation="naive"`` is deliberately absent: the
+#: engine rejects it for sum/count aggregates (it would double-count),
+#: so it cannot sweep the library.
 CONFIGS = {
     "default": ExecutionConfig(),
-    "kernels_off": ExecutionConfig(kernels=False, adaptive_joins=False),
+    "kernels_off": ExecutionConfig(kernels=False),
     "decomposed_off": ExecutionConfig(decomposed_plans=False),
     "sort_merge": ExecutionConfig(join_strategy="sort_merge"),
 }

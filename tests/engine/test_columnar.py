@@ -1,14 +1,15 @@
-"""Unit tests for the columnar batch layer (``repro.engine.columnar``).
+"""Unit tests for the pinned remainder of ``repro.engine.columnar``.
 
-A :class:`ColumnBatch` claims bit-exactness with the row-tuple paths it
-replaces: ``to_rows(from_rows(rows)) == rows`` value-for-value and
+The columnar layer is off the product path (DESIGN.md §14); what stays
+importable is what ``benchmarks/e2e/micro.py`` times.  A
+:class:`ColumnBatch` is bit-exact with the row-tuple forms it mirrors:
+``to_rows(from_rows(rows)) == rows`` value-for-value and
 order-for-order, routing bucket-for-bucket identical to
-``kernels.make_router``, and an encode/decode wire round trip that
-preserves every value's ``repr`` (so ``1`` never comes back as ``True``
-or ``1.0``).  These tests pin all three claims on seeded adversarial
+``kernels.make_router``, and an encode/decode round trip that preserves
+every value's ``repr`` (so ``1`` never comes back as ``True`` or
+``1.0``).  These tests pin all three claims on seeded adversarial
 inputs — mixed types, NULLs, bools, >64-bit ints, NaN/inf floats, empty
-relations — plus the columnar merge/join twins and the memory-governance
-self-accounting hook.
+relations — plus the columnar merge/join twins.
 """
 
 import math
@@ -18,12 +19,7 @@ import random
 import pytest
 
 from repro.engine.aggregates import BY_NAME, merge_columns
-from repro.engine.columnar import (
-    MIN_BATCH_ROWS,
-    ColumnBatch,
-    as_rows,
-    maybe_batch,
-)
+from repro.engine.columnar import ColumnBatch
 from repro.engine.joins import build_hash_table, build_hash_table_columns
 from repro.engine.kernels import (
     batch_hash_probe,
@@ -33,10 +29,7 @@ from repro.engine.kernels import (
     make_merge_rows_kernel,
     make_router,
 )
-from repro.engine.memory import MemoryConfig, MemoryManager
-from repro.engine.metrics import CostModel, MetricsRegistry
-from repro.engine.partitioner import HashPartitioner
-from repro.engine.serialization import rows_size, value_size
+from repro.engine.partitioner import HashPartitioner, column_partition_ids
 
 MIXED_VALUES = [0, 1, -5, -(2**40), 2**63, 2**70, "node-1", "", 3.5,
                 -2.25, 10.0, float("inf"), None, True, False, ("a", 1)]
@@ -122,17 +115,6 @@ class TestWire:
         decoded = ColumnBatch.decode(ColumnBatch.from_rows(rows).encode())
         assert decoded.to_rows() == rows
 
-    def test_pickle_ships_the_encoded_wire(self):
-        rows = int_rows(5, count=200, lo=0, hi=50)
-        batch = ColumnBatch.from_rows(rows)
-        blob = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
-        assert batch.encode() in blob
-        clone = pickle.loads(blob)
-        assert isinstance(clone, ColumnBatch)
-        assert clone.to_rows() == rows
-        # A relayed batch re-sends its cached wire, not a re-encode.
-        assert clone.encode() == batch.encode()
-
     def test_wire_is_compact_for_narrow_columns(self):
         # Uniform-random narrow ints: one byte per value pre-DEFLATE
         # already halves the row pickle.
@@ -178,7 +160,8 @@ class TestRouting:
         partitioner = HashPartitioner(4)
         extractor = make_extractor(key_positions)
         expected = [partitioner.partition_of(extractor(row)) for row in rows]
-        assert list(batch.partition_ids(key_positions, 4)) == expected
+        assert list(column_partition_ids(batch.keys(key_positions),
+                                         4)) == expected
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_keys_match_extractor(self, seed):
@@ -187,32 +170,6 @@ class TestRouting:
         for positions in [(0,), (2,), (1, 2)]:
             extractor = make_extractor(positions)
             assert list(batch.keys(positions)) == [extractor(r) for r in rows]
-
-
-class TestPrimitives:
-    def test_dedup_first_occurrence_order(self):
-        rows = [(1, "a"), (2, "b"), (1, "a"), (3, "c"), (2, "b")]
-        assert ColumnBatch.from_rows(rows).dedup().to_rows() == \
-            list(dict.fromkeys(rows))
-
-    def test_take_and_slice(self):
-        rows = int_rows(5, count=20)
-        batch = ColumnBatch.from_rows(rows)
-        assert batch.take([3, 0, 7]).to_rows() == [rows[3], rows[0], rows[7]]
-        assert batch.slice(4, 9).to_rows() == rows[4:9]
-
-    def test_maybe_batch_thresholds(self):
-        small = int_rows(5, count=MIN_BATCH_ROWS - 1)
-        assert maybe_batch(small) is small
-        big = int_rows(5, count=MIN_BATCH_ROWS)
-        assert isinstance(maybe_batch(big), ColumnBatch)
-        ragged = [(1, 2)] * MIN_BATCH_ROWS + [(3,)]
-        assert maybe_batch(ragged) is ragged
-
-    def test_as_rows_normalizes_both_forms(self):
-        rows = int_rows(5)
-        assert as_rows(rows) is rows
-        assert as_rows(ColumnBatch.from_rows(rows)) == rows
 
 
 class TestMergeTwins:
@@ -267,28 +224,3 @@ class TestMergeTwins:
         assert batch_hash_probe(probe_batch.keys((0,)), probe_batch,
                                 table, combine) == \
             hash_probe_join(probe, table, key_fn, combine)
-
-
-@pytest.mark.governance
-class TestMemoryAccounting:
-    """A batch charges its own array-aware footprint (satellite 6)."""
-
-    def test_rows_size_uses_batch_nbytes(self):
-        batch = ColumnBatch.from_rows(int_rows(5, count=1000))
-        assert rows_size(batch) == batch.nbytes
-        # Two q-arrays of 1000 items dominate; the row-list model would
-        # charge tuple headers per row and land far higher.
-        assert 2 * 8 * 1000 <= batch.nbytes < rows_size(batch.to_rows())
-
-    def test_memory_manager_charges_batch_directly(self):
-        metrics = MetricsRegistry()
-        manager = MemoryManager(1, MemoryConfig(), metrics, CostModel())
-        batch = ColumnBatch.from_rows(int_rows(5, count=100))
-        manager.charge("state", "columnar", 0, 0, batch)
-        assert manager.resident_bytes(0) == batch.nbytes
-
-    def test_object_column_sampling_scales(self):
-        rows = [("x" * 40,) for _ in range(1000)]
-        batch = ColumnBatch.from_rows(rows)
-        exact = sum(value_size(s) for s, in rows)
-        assert 0.5 * exact < batch.nbytes < 2 * exact

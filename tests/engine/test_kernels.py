@@ -13,7 +13,6 @@ import random
 from repro.core.physical import pad_row
 from repro.engine.aggregates import BY_NAME, partial_aggregate
 from repro.engine.kernels import (
-    AdaptiveJoinSelector,
     hash_probe_join,
     make_extractor,
     make_fold_kernel,
@@ -21,7 +20,6 @@ from repro.engine.kernels import (
     make_merge_rows_kernel,
     make_padder,
     make_router,
-    nested_loop_equi,
 )
 from repro.engine.partitioner import HashPartitioner, key_of
 from repro.engine.setrdd import KeyedStateRDD
@@ -160,6 +158,8 @@ class TestFoldKernels:
 
 class TestJoinBodies:
     def test_hash_and_nested_loop_agree_row_for_row(self):
+        """``hash_probe_join`` against a brute-force nested loop: matches
+        come out in build order per probe row, row for row."""
         rng = random.Random(3)
         build = [(rng.randrange(5), rng.randrange(100)) for _ in range(12)]
         probe = [(rng.randrange(6), rng.randrange(100)) for _ in range(30)]
@@ -168,43 +168,6 @@ class TestJoinBodies:
             table.setdefault(row[0], []).append(row)
         key = make_extractor((0,))
         combine = lambda a, b: a + b  # noqa: E731
-        assert (hash_probe_join(probe, table, key, combine)
-                == nested_loop_equi(probe, build, key, key, combine))
-
-
-class TestAdaptiveJoinSelector:
-    def test_fused_hash_never_overridden(self):
-        selector = AdaptiveJoinSelector()
-        choice = selector.choose(0, 0, "hash", fused=True,
-                                 delta_n=1, build_n=1)
-        assert choice == "hash"
-        assert selector.overrides == 0
-
-    def test_tiny_product_goes_nested_loop(self):
-        selector = AdaptiveJoinSelector()
-        assert selector.choose(0, 0, "hash", fused=False,
-                               delta_n=4, build_n=8) == "nested_loop"
-        assert selector.overrides == 1
-
-    def test_large_build_never_nested_loop(self):
-        selector = AdaptiveJoinSelector()
-        assert selector.choose(0, 0, "hash", fused=False,
-                               delta_n=1, build_n=17) == "hash"
-
-    def test_sort_merge_promotes_to_hash_after_amortization(self):
-        selector = AdaptiveJoinSelector()
-        # Cumulative probed rows: 40, 80 >= build 60 -> promote on 2nd call.
-        first = selector.choose(1, 0, "sort_merge", fused=False,
-                                delta_n=40, build_n=60)
-        second = selector.choose(1, 0, "sort_merge", fused=False,
-                                 delta_n=40, build_n=60)
-        assert (first, second) == ("sort_merge", "hash")
-
-    def test_counters_accumulate_per_partition(self):
-        selector = AdaptiveJoinSelector()
-        selector.choose(1, 0, "sort_merge", fused=False,
-                        delta_n=50, build_n=60)
-        # Different partition: its own cumulative count, no promotion yet.
-        assert selector.choose(1, 1, "sort_merge", fused=False,
-                               delta_n=50, build_n=60) == "sort_merge"
-        assert selector.choices["sort_merge"] == 2
+        nested = [combine(p, b) for p in probe for b in build
+                  if key(b) == key(p)]
+        assert hash_probe_join(probe, table, key, combine) == nested

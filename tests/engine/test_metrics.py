@@ -100,6 +100,50 @@ class TestEventAttribution:
         assert metrics.get("x") == 0
         assert metrics.events() == []
 
+    def test_events_since_returns_only_the_tail(self):
+        metrics = MetricsRegistry()
+        metrics.advance(1, label="old")
+        mark = metrics.event_count()
+        assert mark == 1
+        metrics.advance(2, label="new")
+        assert metrics.events_since(mark) == [ClockEvent("new", 2, None)]
+        assert metrics.events_since(metrics.event_count()) == []
+
+
+class _TailOnlyList(list):
+    """An event log that may be appended to, measured and tail-sliced,
+    but never walked from the start — which is what copying it does."""
+
+    def __iter__(self):
+        raise AssertionError("the whole event log was copied")
+
+
+def test_per_query_event_read_ignores_earlier_events():
+    """A query on a long-lived context reads only its own clock events:
+    its cost must not depend on how many came before."""
+    from repro import RaSQLContext
+
+    ctx = RaSQLContext(num_workers=2)
+    ctx.register_table("edge", ["Src", "Dst"], [(0, 1), (1, 2), (2, 3)])
+    query = """
+        WITH recursive tc(Src, Dst) AS
+          (SELECT Src, Dst FROM edge) UNION
+          (SELECT tc.Src, edge.Dst FROM tc, edge WHERE tc.Dst = edge.Src)
+        SELECT Src, Dst FROM tc
+    """
+    ctx.sql(query)
+    expected = dict(ctx.last_run.time_breakdown)
+    assert expected
+
+    metrics = ctx.cluster.metrics
+    backlog = _TailOnlyList(metrics._events)
+    backlog.extend(ClockEvent("backlog", 1.0, None) for _ in range(1000))
+    metrics._events = backlog
+    ctx.sql(query)
+    breakdown = ctx.last_run.time_breakdown
+    assert "backlog" not in breakdown
+    assert breakdown.keys() == expected.keys()
+
 
 class TestCostModel:
     def test_transfer_includes_latency(self):

@@ -6,6 +6,10 @@ rows, same iteration counts, only faster.  This suite pins that claim
 across the whole query library and under composition with the other
 subsystems (sort-merge planning, fault injection, memory pressure).
 
+The test graphs sit far below the kernel size gate, so the whole marker
+suite runs with the gate lifted (``tests/conftest.py``); the gate's own
+tests put it back.
+
 Run with ``pytest -m kernels``; extra graph seeds via
 ``RASQL_KERNELS_SEEDS`` (comma-separated).
 """
@@ -16,6 +20,7 @@ import pytest
 
 from repro import ExecutionConfig, MemoryConfig, RaSQLContext
 from repro.chaos import make_schedule, run_with_chaos
+from repro.core import planner
 
 from tests.integration.test_chaos import (
     NUM_WORKERS,
@@ -28,7 +33,11 @@ pytestmark = pytest.mark.kernels
 SEEDS = [int(s) for s in
          os.environ.get("RASQL_KERNELS_SEEDS", "5,13").split(",")]
 
-REFERENCE = ExecutionConfig(kernels=False, adaptive_joins=False)
+REFERENCE = ExecutionConfig(kernels=False)
+
+#: The shipped threshold, read at import time — before the suite's
+#: autouse fixture lifts the gate.
+DEFAULT_GATE = planner.KERNEL_MIN_ROWS
 
 #: Queries whose input is a generated graph: rebuilt per seed so the
 #: differential covers several shapes.  Fixed-data queries (BOM, MLM,
@@ -79,6 +88,9 @@ def test_query_bit_exact_and_iteration_parity(query_name, seed):
     assert fast_rows == reference_rows
     assert (fast_ctx.last_run.iterations
             == reference_ctx.last_run.iterations)
+    # The kernels side really ran kernels: a gated run would make this a
+    # reference-vs-reference comparison.
+    assert fast_ctx.last_run.kernels_summary()["kernel_small_input_gate"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -94,8 +106,7 @@ def test_bit_exact_under_sort_merge_strategy(query_name):
         query_name, seed, config=ExecutionConfig(join_strategy="sort_merge"))
     reference_rows, _ = run_query(
         query_name, seed,
-        config=ExecutionConfig(join_strategy="sort_merge", kernels=False,
-                               adaptive_joins=False))
+        config=ExecutionConfig(join_strategy="sort_merge", kernels=False))
     assert fast_rows == reference_rows
 
 
@@ -103,21 +114,9 @@ def test_bit_exact_under_sort_merge_strategy(query_name):
 # 3. kernel counters are observable where the kernels engage
 # ----------------------------------------------------------------------
 
-#: The counter tests run on tiny canonical graphs, below the size gate's
-#: default threshold: disable the gate so the kernels actually dispatch.
-UNGATED = ExecutionConfig(kernel_min_rows=0)
-
-
-@pytest.mark.timeout(120)
-def test_adaptive_join_counters_fire_on_sssp():
-    _, ctx = run_query("sssp", SEEDS[0], config=UNGATED)
-    summary = ctx.last_run.kernels_summary()
-    assert summary["adaptive_join_hash"] > 0
-
-
 @pytest.mark.timeout(120)
 def test_state_cache_counters_fire_on_company_control():
-    _, ctx = run_query("company_control", SEEDS[0], config=UNGATED)
+    _, ctx = run_query("company_control", SEEDS[0])
     summary = ctx.last_run.kernels_summary()
     assert (summary["kernel_state_cache_hits"]
             + summary["kernel_state_cache_updates"]) > 0
@@ -125,7 +124,7 @@ def test_state_cache_counters_fire_on_company_control():
 
 @pytest.mark.timeout(120)
 def test_grouped_fixpoint_kernel_engages_on_tc():
-    _, ctx = run_query("tc", SEEDS[0], config=UNGATED)
+    _, ctx = run_query("tc", SEEDS[0])
     summary = ctx.last_run.kernels_summary()
     assert summary["kernel_grouped_fixpoint_stages"] > 0
     # ... and never off the kernel path.
@@ -135,52 +134,58 @@ def test_grouped_fixpoint_kernel_engages_on_tc():
 
 
 # ----------------------------------------------------------------------
-# 4. the small-input dispatch gate (ExecutionConfig.kernel_min_rows)
+# 4. the small-input dispatch gate (repro.core.planner.KERNEL_MIN_ROWS)
 # ----------------------------------------------------------------------
 
+def run_tc_over(num_edges):
+    ctx = RaSQLContext(num_workers=NUM_WORKERS)
+    ctx.register_table("edge", ["Src", "Dst"],
+                       random_graph(60, num_edges, seed=SEEDS[0]))
+    _, make_query = QUERY_SETUPS["tc"]
+    ctx.sql(make_query())
+    return ctx.last_run.kernels_summary()
+
+
 @pytest.mark.timeout(120)
-def test_small_input_gate_routes_through_reference_loops():
-    # 60 edges < the default 256-row threshold: the gate engages and no
+def test_small_input_gate_routes_through_reference_loops(monkeypatch):
+    # One row under the shipped threshold: the gate engages and no
     # kernel machinery runs, even though kernels are on in the config.
-    _, ctx = run_query("sssp", SEEDS[0])
-    summary = ctx.last_run.kernels_summary()
+    assert DEFAULT_GATE == 256
+    monkeypatch.setattr(planner, "KERNEL_MIN_ROWS", DEFAULT_GATE)
+    summary = run_tc_over(DEFAULT_GATE - 1)
     assert summary["kernel_small_input_gate"] == 1
-    assert summary["adaptive_join_hash"] == 0
+    assert summary["kernel_grouped_fixpoint_stages"] == 0
     assert summary["kernel_state_cache_hits"] == 0
     assert summary["kernel_state_cache_misses"] == 0
 
 
 @pytest.mark.timeout(120)
-def test_small_input_gate_is_bit_exact_with_ungated_kernels():
+def test_gate_does_not_engage_above_threshold(monkeypatch):
+    # Exactly at the threshold (and so anywhere above it) kernels run.
+    monkeypatch.setattr(planner, "KERNEL_MIN_ROWS", DEFAULT_GATE)
+    summary = run_tc_over(DEFAULT_GATE)
+    assert summary["kernel_small_input_gate"] == 0
+    assert summary["kernel_grouped_fixpoint_stages"] > 0
+
+
+@pytest.mark.timeout(120)
+def test_small_input_gate_is_bit_exact_with_ungated_kernels(monkeypatch):
     for query_name in ("sssp", "tc", "company_control", "bom"):
-        gated_rows, gated_ctx = run_query(query_name, SEEDS[0])
-        ungated_rows, ungated_ctx = run_query(query_name, SEEDS[0],
-                                              config=UNGATED)
+        ungated_rows, ungated_ctx = run_query(query_name, SEEDS[0])
+        with monkeypatch.context() as gate:
+            gate.setattr(planner, "KERNEL_MIN_ROWS", DEFAULT_GATE)
+            gated_rows, gated_ctx = run_query(query_name, SEEDS[0])
+        assert gated_ctx.last_run.kernels_summary()[
+            "kernel_small_input_gate"] == 1
         assert gated_rows == ungated_rows
         assert (gated_ctx.last_run.iterations
                 == ungated_ctx.last_run.iterations)
 
 
 @pytest.mark.timeout(120)
-def test_gate_does_not_engage_above_threshold():
-    ctx = RaSQLContext(num_workers=NUM_WORKERS)
-    ctx.register_table("edge", ["Src", "Dst"],
-                       random_graph(60, 300, seed=SEEDS[0]))
-    _, make_query = QUERY_SETUPS["tc"]
-    ctx.sql(make_query())
-    assert ctx.last_run.kernels_summary()["kernel_small_input_gate"] == 0
-
-
-@pytest.mark.timeout(120)
-def test_gate_threshold_validated():
-    with pytest.raises(ValueError, match="kernel_min_rows"):
-        ExecutionConfig(kernel_min_rows=-1)
-
-
-@pytest.mark.timeout(120)
 def test_explain_analyze_reports_kernels_section():
     _, make_query = QUERY_SETUPS["company_control"]
-    ctx = RaSQLContext(num_workers=NUM_WORKERS, config=UNGATED)
+    ctx = RaSQLContext(num_workers=NUM_WORKERS)
     for name, (columns, rows) in tables_for("company_control",
                                             SEEDS[0]).items():
         ctx.register_table(name, columns, rows)
@@ -197,7 +202,7 @@ def test_kernels_off_run_reports_no_kernel_counters():
 
 
 # ----------------------------------------------------------------------
-# 4. composition: kernels under fault injection and memory pressure
+# 5. composition: kernels under fault injection and memory pressure
 # ----------------------------------------------------------------------
 
 @pytest.mark.timeout(120)

@@ -11,6 +11,9 @@ poison tasks fail typed (with a partial trace) instead of crash-looping,
 and an exhausted pool surfaces :class:`NoHealthyWorkersError`.
 
 Run with ``pytest -m process_backend``; each test tears its pool down.
+The marker suite runs with the kernel size gate lifted
+(``tests/conftest.py``) so the tiny test graphs still take the
+remote-eligible kernel paths.
 """
 
 import time
@@ -37,15 +40,11 @@ FAST_SUPERVISION = ProcessConfig(heartbeat_interval=0.05,
                                  task_deadline_s=20.0,
                                  backoff_base_s=0.01)
 
-#: ``kernel_min_rows=0`` disables the small-input kernel gate so the
-#: tiny test graphs still take the remote-eligible kernel paths.
-UNGATED = dict(kernel_min_rows=0)
-
 
 def make_context(query_name, backend, process_config=FAST_SUPERVISION,
                  num_workers=NUM_WORKERS):
     build_tables, _ = QUERY_SETUPS[query_name]
-    config = ExecutionConfig(backend=backend, **UNGATED)
+    config = ExecutionConfig(backend=backend)
     kwargs = {"process_config": process_config} if backend == "process" else {}
     ctx = RaSQLContext(num_workers=num_workers, config=config, **kwargs)
     for name, (columns, rows) in build_tables().items():

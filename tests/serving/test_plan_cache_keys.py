@@ -42,9 +42,6 @@ FLIP_VALUES = {
     "use_setrdd": False,
     "magic_filters": False,
     "kernels": False,
-    "adaptive_joins": False,
-    "kernel_min_rows": 0,
-    "columnar_batches": False,
     "max_iterations": 7,
     "deadline_seconds": 123.0,
     "checkpoint_interval": 4,
