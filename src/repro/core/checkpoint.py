@@ -228,31 +228,62 @@ class CheckpointStore:
 
 
 class CliqueCheckpointer:
-    """Per-clique checkpoint writer handed to the fixpoint operator.
+    """Per-clique checkpoint writer/restorer handed to the fixpoint operator.
 
-    The operator builds the payload (it owns the state structures); this
-    object owns cadence (``due``), cost accounting (a checkpoint write is
-    charged to the simulated spill-disk tier under the ``"checkpoint"``
-    label *before* the clock snapshot enters the payload, so a resumed
-    run continues from exactly the clock an uninterrupted run would
-    show), and persistence.
+    The operator hands over its state structures and the in-flight
+    shuffled deltas; this object owns the payload format, cadence
+    (``due``), cost accounting (a checkpoint write is charged to the
+    simulated spill-disk tier under the ``"checkpoint"`` label *before*
+    the clock snapshot enters the payload, so a resumed run continues
+    from exactly the clock an uninterrupted run would show), and
+    persistence.
     """
 
     def __init__(self, store: CheckpointStore, query_id: str, unit: int,
-                 interval: int, metrics, cost_model):
+                 interval: int, cluster):
         self.store = store
         self.query_id = query_id
         self.unit = unit
         self.interval = interval
-        self.metrics = metrics
-        self.cost_model = cost_model
+        self.cluster = cluster
 
     def due(self, iteration: int) -> bool:
         return self.interval > 0 and iteration % self.interval == 0
 
-    def save(self, iteration: int, payload: dict, est_bytes: int) -> None:
-        metrics = self.metrics
-        metrics.advance(self.cost_model.spill_seconds(est_bytes),
+    @staticmethod
+    def _working_set_bytes(states: dict, incoming: dict) -> int:
+        """Wire-size estimate of the semi-naive working set (all + delta)."""
+        est = sum(state.size_bytes() for state in states.values())
+        for dataset in incoming.values():
+            for part in dataset.partitions:
+                if part.rows:
+                    est += part.size_bytes()
+        return est
+
+    def write(self, iteration: int, delta_history: list[int], states: dict,
+              incoming: dict) -> None:
+        """Persist everything iteration ``iteration + 1`` needs to run.
+
+        The payload holds the *all* relations, the shuffled deltas the
+        next iteration consumes, the iteration counter/history, and the
+        scheduler's RNG state; the clock/counter snapshot is added
+        *after* charging the write, so a resumed run continues from
+        exactly where an uninterrupted one would be.
+        """
+        rng = getattr(self.cluster.scheduler, "_rng", None)
+        payload = {
+            "iteration": iteration,
+            "delta_history": list(delta_history),
+            "states": {name: state.dump_state()
+                       for name, state in states.items()},
+            "incoming": {name: [list(part.rows)
+                                for part in dataset.partitions]
+                         for name, dataset in incoming.items()},
+            "rng_state": rng.getstate() if rng is not None else None,
+        }
+        est_bytes = self._working_set_bytes(states, incoming)
+        metrics = self.cluster.metrics
+        metrics.advance(self.cluster.cost_model.spill_seconds(est_bytes),
                         label="checkpoint")
         metrics.inc("checkpoint_writes")
         metrics.inc("checkpoint_bytes", est_bytes)
@@ -260,10 +291,43 @@ class CliqueCheckpointer:
         payload["counters"] = dict(metrics.counters)
         self.store.save_iteration(self.query_id, self.unit, iteration, payload)
 
-    def charge_restore(self, est_bytes: int) -> None:
-        """Account the resume-time read of a checkpoint blob."""
-        metrics = self.metrics
-        metrics.advance(self.cost_model.spill_seconds(est_bytes),
+    def restore(self, payload: dict, states: dict, views: dict) -> dict:
+        """Install a checkpoint payload; returns the restored deltas.
+
+        Restores, in order: the per-view state structures (through
+        ``load_state``, so versions bump and kernel caches invalidate),
+        their worker-memory charges, the in-flight shuffle datasets, the
+        scheduler RNG, and finally the simulated clock + counters —
+        then charges the blob's disk read on top.
+        """
+        cluster = self.cluster
+        metrics = cluster.metrics
+        for name, dumped in payload["states"].items():
+            state = states[name]
+            state.load_state(dumped)
+            for p in range(state.num_partitions):
+                size = state.partition_size_bytes(p)
+                if size:
+                    cluster.memory.charge("state", name, p,
+                                          cluster.worker_for_partition(p),
+                                          size)
+        incoming = {
+            name: cluster.restore_exchange(
+                payload["incoming"][name], states[name].partitioner,
+                view.partition_key_positions)
+            for name, view in views.items()}
+        rng_state = payload.get("rng_state")
+        rng = getattr(cluster.scheduler, "_rng", None)
+        if rng_state is not None and rng is not None:
+            rng.setstate(rng_state)
+        # Clock/counters jump to the checkpoint's snapshot (taken after
+        # the write charge), then the restore read is charged on top.
+        metrics.sim_time = payload["sim_time"]
+        metrics.counters.clear()
+        metrics.counters.update(payload["counters"])
+        est_bytes = self._working_set_bytes(states, incoming)
+        metrics.advance(cluster.cost_model.spill_seconds(est_bytes),
                         label="checkpoint")
         metrics.inc("checkpoint_restores")
         metrics.inc("checkpoint_restore_bytes", est_bytes)
+        return incoming

@@ -162,7 +162,10 @@ class RunInfo:
         (pipe sends carrying tasks, after coalescing),
         ``process_install_bytes`` (heavy install blobs actually shipped)
         and ``process_payload_bytes_saved`` (install bytes skipped via
-        the worker-side base-partition cache).
+        the worker-side base-partition cache), and
+        ``process_remote_ineligible`` (cliques a process-backend run kept
+        on the driver; each one's typed reason is the
+        ``remote_ineligible`` annotation of its ``fixpoint`` trace span).
         """
         keys = ("process_tasks_shipped", "process_tasks_driver_local",
                 "process_heartbeats", "process_heartbeats_missed",
@@ -170,7 +173,7 @@ class RunInfo:
                 "process_worker_crashes", "process_tasks_quarantined",
                 "process_backend_degradations", "process_payload_bytes",
                 "process_task_messages", "process_install_bytes",
-                "process_payload_bytes_saved")
+                "process_payload_bytes_saved", "process_remote_ineligible")
         return {key: self.metrics.get(key, 0) for key in keys}
 
     def profile_report(self) -> str:
@@ -462,9 +465,7 @@ class RaSQLContext:
                                 decomposed_plans=False)
                             checkpointer = CliqueCheckpointer(
                                 store, qid, unit_index,
-                                effective.checkpoint_interval,
-                                self.cluster.metrics,
-                                self.cluster.cost_model)
+                                effective.checkpoint_interval, self.cluster)
                         planned = plan_clique(unit, clique_config)
                         operator = FixpointOperator(planned, self.cluster,
                                                     clique_config, resolve,

@@ -1,0 +1,344 @@
+"""One clique's resident state and its per-partition iteration step.
+
+The paper's fixpoint has one loop body (Algorithms 4–6, Section 6.1,
+Section 7.1): merge the incoming delta partition into the cached
+all-relation, derive from the fresh delta ``D``, partially aggregate, and
+bucket the derivations by each view's partition key.  Stage combination,
+the two-stage ablation and the process backend differ only in *where and
+when* that body is scheduled, so it lives here exactly once:
+:class:`CliqueStep` is constructed by the driver
+(:class:`repro.core.fixpoint.FixpointOperator`, from the planner's
+``PhysicalView``/``CompiledTerm`` objects) and by every pool worker
+(:mod:`repro.engine.backend.worker`, from the wire spec), and both run
+their iterations through the same :meth:`CliqueStep.merge` and
+:meth:`CliqueStep.derive`.
+
+The step knows nothing about the cluster: memory accounting, fault
+snapshots, the immutable-state ablation and the metrics registry stay with
+the caller that schedules it.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+from repro.core.physical import TermRuntime, make_slots_key, pad_row
+from repro.engine.aggregates import partial_aggregate
+from repro.engine.kernels import make_fold_kernel, make_router
+from repro.engine.partitioner import HashPartitioner, make_key_fn
+from repro.engine.setrdd import KeyedStateRDD, SetRDD
+
+#: State-table cache outcomes, under the names the metrics registry
+#: reports them (the driver folds :attr:`CliqueStep.cache_counts` into it).
+CACHE_COUNTERS = ("kernel_state_cache_hits", "kernel_state_cache_updates",
+                  "kernel_state_cache_misses", "kernel_state_cache_bypass")
+
+
+def _make_splitter(view) -> Callable[[tuple], tuple[object, tuple]]:
+    """head row -> (group key, aggregate values) for keyed-state merging."""
+    group = view.group_positions
+    aggs = view.aggregate_positions
+    if len(group) == 1:
+        g = group[0]
+        return lambda row: (row[g], tuple(row[a] for a in aggs))
+    return lambda row: (tuple(row[i] for i in group),
+                        tuple(row[a] for a in aggs))
+
+
+def _make_assembler(view) -> Callable[[object, tuple], tuple]:
+    """(group key, aggregate values) -> head row."""
+    group = view.group_positions
+    aggs = view.aggregate_positions
+    arity = len(group) + len(aggs)
+    single = len(group) == 1
+
+    def assemble(key, values):
+        row = [None] * arity
+        key_values = (key,) if single else key
+        for position, value in zip(group, key_values):
+            row[position] = value
+        for position, value in zip(aggs, values):
+            row[position] = value
+        return tuple(row)
+
+    return assemble
+
+
+def _make_negator(view) -> Callable[[tuple], tuple]:
+    """Flip the sign of accumulating aggregate values (δ⋈δ correction)."""
+    aggs = view.aggregate_positions
+    functions = view.aggregate_functions
+    flip = [p for p, fn in zip(aggs, functions) if fn.name in ("sum", "count")]
+
+    def negate(row: tuple) -> tuple:
+        out = list(row)
+        for position in flip:
+            out[position] = -out[position]
+        return tuple(out)
+
+    return negate
+
+
+def _reference_router(key_positions: tuple[int, ...],
+                      partitioner: HashPartitioner) -> Callable:
+    """``kernels.make_router``'s naive twin (``kernels=False``): one
+    ``partition_of`` call per row, same bucket lists."""
+    key_fn = make_key_fn(key_positions)
+    partition_of = partitioner.partition_of
+    n = partitioner.num_partitions
+
+    def route(rows):
+        buckets: list[list[tuple]] = [[] for _ in range(n)]
+        for row in rows:
+            buckets[partition_of(key_fn(row))].append(row)
+        return buckets
+
+    return route
+
+
+def _append_state_rows(table: dict, rows: list[tuple],
+                       key_positions: tuple[int, ...],
+                       pad: tuple[int, int] | None) -> dict:
+    """Add state rows to a build table (``{}`` builds one from scratch)."""
+    if pad is not None:
+        offset, arity = pad
+        rows = [pad_row(r, offset, arity) for r in rows]
+        key_fn = make_slots_key(key_positions)
+    else:
+        key_fn = make_key_fn(key_positions)
+    for row in rows:
+        table.setdefault(key_fn(row), []).append(row)
+    return table
+
+
+class CliqueStep:
+    """Per-clique resident state plus the per-partition iteration step.
+
+    ``views`` maps view name to anything with the ``PhysicalView`` /
+    ``WireView`` attributes (``group_positions``, ``aggregate_positions``,
+    ``aggregate_functions``, ``has_aggregates``,
+    ``partition_key_positions``); ``terms`` is a sequence of ``(view,
+    delta_view, negate, evaluate)`` with ``evaluate(delta_rows, partition,
+    runtime) -> derived head rows``.  :attr:`runtime` is the
+    :class:`TermRuntime` those functions evaluate against; whoever builds
+    the step fills in its base join sides.
+    """
+
+    def __init__(self, views: dict, terms, n: int, kernels: bool,
+                 partial_aggregation: bool):
+        self.views = views
+        self.terms = list(terms)
+        self.n = n
+        self.kernels = kernels
+        self.partial_aggregation = partial_aggregation
+        self.partitioner = HashPartitioner(n)
+        self.states: dict[str, KeyedStateRDD | SetRDD] = {}
+        self.splitters: dict[str, Callable] = {}
+        self.assemblers: dict[str, Callable] = {}
+        self.negators: dict[str, Callable] = {}
+        #: Hot-path flag: the ubiquitous (key, value) head shape, where
+        #: rows and (key, values) pairs coincide up to 1-tuple wrapping.
+        self.two_col: dict[str, bool] = {}
+        #: Per-view shuffle routers: batched kernels, or the reference
+        #: per-row ``partition_of`` loop when kernels are off.
+        self.routers: dict[str, Callable] = {}
+        #: Per-view fused partial-aggregation folds for two-column heads.
+        self.fold_kernels: dict[str, Callable | None] = {}
+        #: Current-iteration fresh deltas ``D``, per view, per partition.
+        self.fresh: dict[str, list[list[tuple]]] = {}
+        #: Cached state-side build tables:
+        #: (view, partition, key_positions, pad) -> [version, count, table].
+        self._state_tables: dict[tuple, list] = {}
+        self.cache_counts: dict[str, int] = dict.fromkeys(CACHE_COUNTERS, 0)
+        for name, view in views.items():
+            if view.has_aggregates:
+                self.states[name] = KeyedStateRDD(
+                    n, view.aggregate_functions, self.partitioner,
+                    use_kernels=kernels)
+            else:
+                self.states[name] = SetRDD(n, self.partitioner)
+            self.splitters[name] = _make_splitter(view)
+            self.assemblers[name] = _make_assembler(view)
+            self.negators[name] = _make_negator(view)
+            self.fresh[name] = [[] for _ in range(n)]
+            self.two_col[name] = (view.group_positions == (0,)
+                                  and view.aggregate_positions == (1,))
+            self.routers[name] = self.make_router(
+                view.partition_key_positions)
+            if kernels and self.two_col[name]:
+                self.fold_kernels[name] = make_fold_kernel(
+                    view.aggregate_functions[0])
+        runtime = self.runtime = TermRuntime()
+        runtime.state_rows = self.state_rows
+        runtime.delta_rows = self.delta_rows
+        runtime.state_total = self.state_total
+        if kernels:
+            runtime.state_table = self.state_table
+
+    def make_router(self, key_positions: tuple[int, ...]) -> Callable:
+        """rows -> per-partition bucket lists, keyed on ``key_positions``."""
+        if self.kernels:
+            return make_router(key_positions, self.n)
+        return _reference_router(key_positions, self.partitioner)
+
+    # ------------------------------------------------------------------
+    # what the terms read (the TermRuntime accessors)
+    # ------------------------------------------------------------------
+
+    def state_rows(self, view_name: str, partition: int) -> list[tuple]:
+        state = self.states[view_name]
+        if partition == -1:
+            if isinstance(state, SetRDD):
+                return state.collect()
+            return state.collect_rows()
+        if isinstance(state, SetRDD):
+            return list(state.partitions[partition])
+        return state.partition_rows(partition)
+
+    def delta_rows(self, view_name: str, partition: int) -> list[tuple]:
+        if partition == -1:
+            out: list[tuple] = []
+            for rows in self.fresh[view_name]:
+                out.extend(rows)
+            return out
+        return self.fresh[view_name][partition]
+
+    def state_total(self, view_name: str, partition: int, key) -> tuple | None:
+        return self.states[view_name].partitions[partition].get(key)
+
+    def state_table(self, view_name: str, partition: int,
+                    key_positions: tuple[int, ...],
+                    pad: tuple[int, int] | None) -> dict:
+        """Version-validated hash table over a view's state partition.
+
+        ``pad=None`` keys *raw* state rows by relative positions (the
+        codegen path); ``pad=(offset, arity)`` keys *padded* rows by
+        absolute slots (the interpreted HashJoinStep path).  Invalidation
+        rules (see docs/INTERNALS.md):
+
+        - ``partition == -1`` (gather) always bypasses the cache: gathered
+          state spans partitions that sibling tasks of the *current* stage
+          are still mutating, so no stable version exists to validate.
+        - A cached entry is reused verbatim when the partition's
+          ``(version, row count)`` is unchanged.
+        - A SetRDD partition whose version matches but whose count grew by
+          exactly the current fresh delta is updated *incrementally* (the
+          all-relation is append-only between snapshots); anything else —
+          keyed states change values in place, restores bump the version —
+          is rebuilt from scratch.
+
+        Every outcome is tallied in :attr:`cache_counts`.
+        """
+        counts = self.cache_counts
+        if partition == -1:
+            counts["kernel_state_cache_bypass"] += 1
+            return _append_state_rows(
+                {}, self.state_rows(view_name, -1), key_positions, pad)
+
+        state = self.states[view_name]
+        version = state.versions[partition]
+        count = len(state.partitions[partition])
+        cache_key = (view_name, partition, key_positions, pad)
+        entry = self._state_tables.get(cache_key)
+        if entry is not None and entry[0] == version:
+            if entry[1] == count:
+                counts["kernel_state_cache_hits"] += 1
+                return entry[2]
+            fresh = self.fresh[view_name][partition]
+            if (isinstance(state, SetRDD)
+                    and entry[1] + len(fresh) == count):
+                # Append-only growth: exactly the fresh rows are missing.
+                _append_state_rows(entry[2], fresh, key_positions, pad)
+                entry[1] = count
+                counts["kernel_state_cache_updates"] += 1
+                return entry[2]
+        counts["kernel_state_cache_misses"] += 1
+        table = _append_state_rows(
+            {}, self.state_rows(view_name, partition), key_positions, pad)
+        self._state_tables[cache_key] = [version, count, table]
+        return table
+
+    # ------------------------------------------------------------------
+    # the step: merge (the Reduce side), derive (the Map side)
+    # ------------------------------------------------------------------
+
+    def merge(self, partition: int,
+              rows_by_view: dict[str, list[tuple]]) -> dict[str, int]:
+        """Union/aggregate one partition's incoming rows into the state.
+
+        The fresh delta ``D`` of every view is kept in :attr:`fresh` for
+        :meth:`derive`; the return value is ``|D|`` per view (views absent
+        from ``rows_by_view`` merge nothing and report 0).
+        """
+        d_by_view: dict[str, int] = {}
+        for name, state in self.states.items():
+            rows = rows_by_view.get(name, ())
+            if isinstance(state, SetRDD):
+                fresh = state.union_in_place(partition, rows)
+            elif self.two_col[name]:
+                fresh = state.merge_rows(partition, rows)
+            else:
+                splitter = self.splitters[name]
+                assembler = self.assemblers[name]
+                fresh = [assembler(key, values) for key, values
+                         in state.merge(partition,
+                                        [splitter(r) for r in rows])]
+            self.fresh[name][partition] = fresh
+            d_by_view[name] = len(fresh)
+        return d_by_view
+
+    def derive(self, partition: int,
+               naive: bool = False) -> dict[str, dict[int, list[tuple]]]:
+        """Run every term over one partition's fresh delta (the whole
+        state partition under naive evaluation); map-side combine and
+        bucket the derivations by each view's partition key."""
+        fresh = self.fresh
+        runtime = self.runtime
+        collected: dict[str, list[tuple]] = {}
+        for view, delta_view, negate, evaluate in self.terms:
+            if naive:
+                delta = self.state_rows(delta_view, partition)
+            else:
+                delta = fresh[delta_view][partition]
+            if not delta:
+                continue
+            rows = evaluate(delta, partition, runtime)
+            if negate and rows:
+                negator = self.negators[view]
+                rows = [negator(r) for r in rows]
+            collected.setdefault(view, []).extend(rows)
+        return self.aggregate_and_route(collected)
+
+    def aggregate_and_route(self, collected: dict[str, list[tuple]]
+                            ) -> dict[str, dict[int, list[tuple]]]:
+        """Map-side combine one partition's derived rows per view, then
+        bucket them by the view's partition key (empty buckets dropped)."""
+        per_view: dict[str, dict[int, list[tuple]]] = {}
+        for view_name, rows in collected.items():
+            view = self.views[view_name]
+            if view.has_aggregates and self.partial_aggregation:
+                functions = view.aggregate_functions
+                fold = self.fold_kernels.get(view_name)
+                if fold is not None:
+                    rows = fold(rows)
+                elif self.two_col[view_name]:
+                    # Fused split+combine+assemble for (key, value) heads.
+                    combine = functions[0].combine
+                    combined: dict = {}
+                    get = combined.get
+                    for key, value in rows:
+                        old = get(key)
+                        combined[key] = (value if old is None
+                                         else combine(old, value))
+                    rows = list(combined.items())
+                else:
+                    splitter = self.splitters[view_name]
+                    assembler = self.assemblers[view_name]
+                    pairs = partial_aggregate(
+                        [splitter(r) for r in rows], functions)
+                    rows = [assembler(k, v) for k, v in pairs]
+            per_view[view_name] = {
+                pid: bucket
+                for pid, bucket in enumerate(self.routers[view_name](rows))
+                if bucket}
+        return per_view

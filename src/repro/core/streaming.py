@@ -33,7 +33,7 @@ from repro.core.fixpoint import FixpointOperator
 from repro.core.logical import CliquePlan, ScanNode
 from repro.core.optimizer import optimize
 from repro.core.parser import parse
-from repro.core.physical import pad_row
+from repro.core.physical import make_slots_key, pad_row
 from repro.core.planner import gate_kernels, plan_clique
 from repro.errors import AnalysisError, PlanningError
 from repro.relation import Relation
@@ -167,21 +167,10 @@ class IncrementalView:
         self._absorb_into_join_sides(key, new_rows)
         relation.rows.extend(new_rows)
 
-        # 2. derive the new contributions.
-        outputs: dict[str, list[tuple]] = {}
-        for term in self.planned.maintenance_terms.get(key, ()):
-            derived = term.evaluate(new_rows, 0, self.operator.runtime)
-            if derived:
-                outputs.setdefault(term.view, []).extend(derived)
-
-        if not outputs:
-            return 0
-
-        # 3. run the ordinary semi-naive loop from the existing state.
-        incoming = self.operator._exchange_outputs(
-            {view: {0: rows} for view, rows in outputs.items()},
-            source_workers={0: 0})
-        iterations, _ = self.operator._run_to_fixpoint(incoming)
+        # 2. derive the new contributions and run the ordinary semi-naive
+        #    loop from the existing state.
+        iterations = self.operator.maintain(
+            self.planned.maintenance_terms.get(key, ()), new_rows)
         self.iterations += iterations
         return iterations
 
@@ -201,25 +190,14 @@ class IncrementalView:
                 if target is None:
                     continue
                 if plan.equi:
-                    from repro.core.physical import make_slots_key
-
                     key_fn = make_slots_key(plan.build_slots)
                     for row in padded:
                         target.setdefault(key_fn(row), []).append(row)
                 else:
                     target.extend(padded)
             else:  # copartition
-                from repro.core.physical import make_slots_key
-
-                key_fn = make_slots_key(plan.build_slots)
-                tables = runtime.base_partitions[plan.step_id]
-                partitions = self.operator._base_partition_objects[plan.step_id]
-                partitioner = self.operator.partitioner
-                for row in padded:
-                    pid = partitioner.partition_of(key_fn(row))
-                    tables[pid].setdefault(key_fn(row), []).append(row)
-                    partitions[pid].rows.append(row)
-                    partitions[pid]._size_bytes = None
+                self.operator.append_base_rows(
+                    plan.step_id, padded, make_slots_key(plan.build_slots))
 
     # ------------------------------------------------------------------
 
@@ -235,7 +213,7 @@ class IncrementalView:
         """
         if self._cached_result is not None:
             return self._cached_result
-        states = self.operator._relations()
+        states = self.operator.relations()
 
         def resolve(name: str) -> Relation:
             key = name.lower()
@@ -243,7 +221,7 @@ class IncrementalView:
                 return states[key]
             return self._resolve(name)
 
-        # _relations() keys by original view name; index case-insensitively.
+        # relations() keys by original view name; index case-insensitively.
         states = {name.lower(): rel for name, rel in states.items()}
         self.result_evaluations += 1
         self._cached_result = execute_select(self.final, resolve, "result")
@@ -251,7 +229,7 @@ class IncrementalView:
 
     def view_relation(self, name: str) -> Relation:
         """The current contents of one recursive view."""
-        states = self.operator._relations()
+        states = self.operator.relations()
         for view_name, relation in states.items():
             if view_name.lower() == name.lower():
                 return relation

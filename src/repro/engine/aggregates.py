@@ -179,3 +179,32 @@ def partial_aggregate(pairs: Iterable[tuple[object, tuple]],
                 agg.combine(old, agg.normalize(new))
                 for agg, old, new in zip(aggregates, current, values))
     return list(state.items())
+
+
+def aggregate_rows(view, rows: list[tuple]) -> list[tuple]:
+    """Group full head rows of ``view`` (a ``ViewPlan``) and combine their
+    aggregate columns — stratified evaluation's final stratum, applied
+    after a recursion that ran under set semantics."""
+    group = view.group_positions
+    agg_positions = view.aggregate_positions
+    functions = [view.aggregates[p] for p in agg_positions]
+    grouped: dict[tuple, list] = {}
+    for row in rows:
+        key = tuple(row[i] for i in group)
+        values = [row[p] for p in agg_positions]
+        state = grouped.get(key)
+        if state is None:
+            grouped[key] = values
+        else:
+            for i, fn in enumerate(functions):
+                state[i] = fn.combine(state[i], values[i])
+    out = []
+    arity = len(view.columns)
+    for key, values in grouped.items():
+        row = [None] * arity
+        for position, value in zip(group, key):
+            row[position] = value
+        for position, value in zip(agg_positions, values):
+            row[position] = value
+        out.append(tuple(row))
+    return out

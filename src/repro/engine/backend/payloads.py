@@ -1,15 +1,13 @@
 """Picklable wire forms of a fixpoint session for the process backend.
 
-A remote-eligible clique is *installed* once on every pool worker: the
-driver strips the planned clique down to exactly what the per-iteration
-hot path needs — view shapes, generated term sources, prebuilt base join
-structures — and each worker reconstructs live callables from it.  The
-reconstruction reuses the very same factories the driver uses
-(``repro.core.fixpoint``'s splitter/assembler/negator makers, the kernel
-routers and fold kernels, the codegen compile environment), so a worker's
-merge/derive/route round is instruction-for-instruction the code the
-simulated oracle runs — the bit-exactness argument is shared code, not
-parallel reimplementation.
+A remote-eligible clique (:func:`remote_ineligible_reason` says why one
+is not) is *installed* once on every pool worker: the driver strips the
+planned clique down to exactly what the per-iteration step needs — view
+shapes, generated term sources, prebuilt base join structures — and each
+worker builds a :class:`repro.core.iteration.CliqueStep` from it, the
+same class the driver iterates with.  A worker's merge/derive/route
+round therefore *is* the code the simulated oracle runs — the
+bit-exactness argument is one implementation, not two kept in step.
 
 Generated term functions cannot be pickled (they close over a compile
 environment), but their *source text* can: codegen stamps it on the
@@ -25,7 +23,9 @@ import hashlib
 import re
 from dataclasses import dataclass, field, replace
 
+from repro.core.physical import HashJoinStep
 from repro.engine.aggregates import BY_NAME
+from repro.engine.backend.base import SimulatedBackend
 from repro.engine.serialization import dump_payload, load_payload
 
 _NORM_REF = re.compile(r"_norm(\d+)")
@@ -37,10 +37,9 @@ BLOB_CACHE_SLOTS = 8
 
 @dataclass(frozen=True)
 class WireView:
-    """The slice of a :class:`repro.core.physical.PhysicalView` the
-    worker-side merge/aggregate/route path reads."""
+    """The slice of a :class:`repro.core.physical.PhysicalView` that
+    :class:`repro.core.iteration.CliqueStep` reads."""
 
-    name: str
     group_positions: tuple[int, ...]
     aggregate_positions: tuple[int, ...]
     #: Aggregate *names*; the live function objects are re-looked-up in
@@ -48,7 +47,6 @@ class WireView:
     #: ``is`` against the registry) keep firing.
     aggregate_names: tuple[str, ...]
     partition_key_positions: tuple[int, ...]
-    two_col: bool
     has_aggregates: bool
 
     @property
@@ -82,14 +80,108 @@ class InstallSpec:
 
     sid: str
     n: int
-    num_workers: int
     views: dict[str, WireView]
-    view_order: tuple[str, ...]
     terms: tuple[TermSpec, ...]
     base_partitions: dict[int, list] = field(default_factory=dict)
     broadcast_tables: dict[int, object] = field(default_factory=dict)
     partial_aggregation: bool = True
     max_iterations: int = 100_000
+
+
+#: ``Cluster`` injector lists that pin a clique to the simulated oracle,
+#: with the slug :func:`remote_ineligible_reason` reports for each.
+_SIMULATED_INJECTORS = (
+    ("failure_injectors", "injector:failure"),
+    ("worker_loss_injectors", "injector:worker-loss"),
+    ("memory_pressure_injectors", "injector:memory-pressure"),
+    ("corruption_injectors", "injector:corruption"),
+    ("driver_kill_injectors", "injector:driver-kill"),
+)
+
+
+def remote_ineligible_reason(operator) -> str | None:
+    """Why this clique's per-iteration work cannot ship to the process
+    pool bit-exactly — the *first* cause, as a stable slug — or ``None``
+    when it can.
+
+    The pool runs the *kernels-mode DSN combined-stage* step (and the
+    grouped/fused decomposed runners) — nothing else.  Every feature
+    that reads driver-side state mid-iteration (gather joins,
+    checkpoints, memory budgets, simulated fault injectors, sim-time
+    deadlines) keeps the query on the simulated oracle.  The answer only
+    routes *where* the work runs; results are identical either way,
+    which the ``process_backend`` differential suite enforces.
+    """
+    from repro.core.decomposed import decomposed_runner  # imports us
+
+    config = operator.config
+    cluster = operator.cluster
+    if not cluster.backend.remote_ready():
+        return "backend-not-ready"
+    if config.evaluation != "dsn":
+        return f"evaluation={config.evaluation}"
+    if not config.stage_combination:
+        return "stage_combination=off"
+    if not config.use_setrdd:
+        return "use_setrdd=off"
+    if not config.kernels:
+        return "kernels=off"
+    if operator.checkpointer is not None:
+        return "checkpointing"
+    if config.deadline_seconds is not None:
+        return "deadline"
+    if cluster.memory.budget_bytes is not None:
+        return "memory-budget"
+    for attribute, slug in _SIMULATED_INJECTORS:
+        if getattr(cluster, attribute):
+            return slug
+    for term in operator.planned.terms:
+        fn = term.codegen_fn
+        if fn is None or getattr(fn, "_generated_source", None) is None:
+            return "term-not-codegen"
+        for step in term.steps:
+            if isinstance(step, HashJoinStep) and step.gather:
+                return "gather-join"
+    if operator.planned.decomposable and decomposed_runner(operator) is None:
+        return "decomposed-no-fused-runner"
+    return None
+
+
+def remote_task_stub(*_inputs):
+    """Placeholder ``fn`` for payload-carrying tasks: the process backend
+    claims the whole batch, so this should never execute driver-side."""
+    raise RuntimeError(
+        "remote payload task executed driver-side; the process backend "
+        "should have claimed this batch")
+
+
+def open_remote_session(operator, span) -> None:
+    """On a real-process backend, install the (set-up) operator's clique
+    on every pool worker so its iterate/decompose work ships
+    (``operator.session_id``) — or record on ``span`` and in the
+    ``process_remote_ineligible`` counter why it stays on the driver, so
+    a ``backend="process"`` query never degrades silently."""
+    backend = operator.cluster.backend
+    if isinstance(backend, SimulatedBackend):
+        return
+    reason = remote_ineligible_reason(operator)
+    if reason is not None:
+        span.annotate(remote_ineligible=reason)
+        operator.cluster.metrics.inc("process_remote_ineligible")
+        return
+    sid = backend.new_session_id()
+    backend.install_session(build_install_spec(operator, sid))
+    operator.session_id = sid
+
+
+def collect_remote_states(operator) -> None:
+    """Pull final state partitions back from the pool into the driver's
+    (empty) state structures before results are read."""
+    collected = operator.cluster.backend.collect_states(operator.session_id)
+    for name, parts in collected.items():
+        state = operator.states[name]
+        for partition, data in parts.items():
+            state.replace_partition(partition, data)
 
 
 def build_install_spec(operator, sid: str) -> InstallSpec:
@@ -99,12 +191,10 @@ def build_install_spec(operator, sid: str) -> InstallSpec:
     views = {}
     for name, view in operator.planned.views.items():
         views[name] = WireView(
-            name=name,
             group_positions=tuple(view.group_positions),
             aggregate_positions=tuple(view.aggregate_positions),
             aggregate_names=tuple(fn.name for fn in view.aggregate_functions),
             partition_key_positions=tuple(view.partition_key_positions),
-            two_col=operator._two_col[name],
             has_aggregates=view.has_aggregates,
         )
     terms = []
@@ -122,9 +212,7 @@ def build_install_spec(operator, sid: str) -> InstallSpec:
     return InstallSpec(
         sid=sid,
         n=operator.n,
-        num_workers=operator.cluster.num_workers,
         views=views,
-        view_order=tuple(operator.planned.views),
         terms=tuple(terms),
         base_partitions=dict(operator.runtime.base_partitions),
         broadcast_tables=dict(operator.runtime.broadcast_tables),

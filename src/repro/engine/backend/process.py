@@ -363,11 +363,7 @@ class ProcessClusterBackend(ClusterBackend):
                 grouped.setdefault(self._route(task, assignments, pos),
                                    []).append((pos, task))
             for worker, entries in grouped.items():
-                handle = self._handles[worker]
-                if len(entries) == 1:
-                    self._dispatch_to(handle, name, *entries[0])
-                else:
-                    self._dispatch_many(handle, name, entries)
+                self._dispatch_many(self._handles[worker], name, entries)
             while len(outputs) < len(tasks):
                 self._supervise_once(name, tasks, outputs)
             return [outputs[pos] for pos in range(len(tasks))]
@@ -396,32 +392,13 @@ class ProcessClusterBackend(ClusterBackend):
                 return worker
         return cluster.worker_for_partition(task.index)
 
-    def _dispatch_to(self, handle: _WorkerHandle, name, pos: int,
-                     task) -> None:
-        blob = dump_payload(task.payload)
-        req_id = self._next_req()
-        handle.reqs[req_id] = (pos, task)
-        if not handle.inflight:
-            handle.head_since = time.monotonic()
-        handle.inflight.append((pos, task))
-        handle.send((req_id, "task", name, task.index, blob))
-        metrics = self.cluster.metrics
-        metrics.inc("process_tasks_shipped")
-        metrics.inc("process_task_messages")
-        metrics.inc("process_payload_bytes", len(blob))
-        payload = task.payload
-        if payload[0] == "iterate":
-            self._owner.setdefault(payload[1], {})[payload[2]] = \
-                handle.worker_id
-
     def _dispatch_many(self, handle: _WorkerHandle, name,
                        entries: list[tuple[int, object]]) -> None:
-        """Ship several tasks to one worker as a single ``task_batch``.
+        """Ship tasks to one worker as a single ``task_batch`` message.
 
-        Per-task bookkeeping (req ids, inflight FIFO, shipped/payload
-        counters, iterate-state ownership) is identical to
-        :meth:`_dispatch_to`; only the message framing is coalesced.
-        Crash-recovery re-dispatches stay per-task.
+        Bookkeeping is per task (req ids, inflight FIFO, shipped/payload
+        counters, iterate-state ownership); only the message framing is
+        coalesced.  A crash-recovery re-dispatch is a batch of one.
         """
         metrics = self.cluster.metrics
         if not handle.inflight:
@@ -648,8 +625,8 @@ class ProcessClusterBackend(ClusterBackend):
                 self._handles[worker] = replacement
                 self._send_rebuilds(replacement)
                 self._ship_chaos()
-                for pos, task in inflight:
-                    self._dispatch_to(replacement, name, pos, task)
+                for entry in inflight:
+                    self._dispatch_many(replacement, name, [entry])
                 return
 
         # Respawn budget exhausted (or respawn impossible): retire the
@@ -664,7 +641,7 @@ class ProcessClusterBackend(ClusterBackend):
         self._ship_chaos()
         for pos, task in inflight:
             target = self._route(task, None, pos)
-            self._dispatch_to(self._handles[target], name, pos, task)
+            self._dispatch_many(self._handles[target], name, [(pos, task)])
 
     def _send_rebuilds(self, handle: _WorkerHandle) -> None:
         """Replay committed state onto a worker for every partition that

@@ -354,18 +354,25 @@ def format_explain_analyze(trace: dict | None) -> str:
 
 
 def _format_supervision_section(trace: dict) -> list[str]:
-    """The process-backend supervision report: only rendered when the
-    run shipped tasks to (or at least spawned) real worker processes.
+    """The process-backend supervision report: rendered whenever the run
+    asked for real worker processes — it shipped tasks, the pool
+    degraded, or a clique stayed on the driver (``remote-ineligible``,
+    one line per such fixpoint with its typed reason).
 
-    Reads the root span's counter deltas plus the same
-    ``fault``/``recovery`` leaves the cluster and backend record
-    (reaps, respawns, quarantines, pool shrinks), so a trace loaded
-    from an artifact renders identically to a live one.
+    Reads the root span's counter deltas, the fixpoint spans'
+    ``remote_ineligible`` annotations, plus the same ``fault``/
+    ``recovery`` leaves the cluster and backend record (reaps, respawns,
+    quarantines, pool shrinks), so a trace loaded from an artifact
+    renders identically to a live one.
     """
     metrics = trace.get("metrics", {})
     shipped = metrics.get("process_tasks_shipped", 0)
     degradations = metrics.get("process_backend_degradations", 0)
-    if not (shipped or degradations):
+    ineligible = [
+        (fixpoint.get("name"), fixpoint["attrs"]["remote_ineligible"])
+        for fixpoint in _find_dict(trace, "fixpoint")
+        if "remote_ineligible" in fixpoint.get("attrs", {})]
+    if not (shipped or degradations or ineligible):
         return []
     beats = metrics.get("process_heartbeats", 0)
     missed = metrics.get("process_heartbeats_missed", 0)
@@ -378,6 +385,9 @@ def _format_supervision_section(trace: dict) -> list[str]:
         f"  heartbeats: {beats:.0f} received, {missed:.0f} supervision "
         f"rounds found a silent busy worker",
     ]
+    for clique, reason in ineligible:
+        lines.append(f"  remote-ineligible: {reason}  (fixpoint [{clique}] "
+                     f"ran on the driver)")
     reaps = metrics.get("process_worker_reaps", 0)
     crashes = metrics.get("process_worker_crashes", 0)
     respawns = metrics.get("process_worker_respawns", 0)

@@ -1,8 +1,7 @@
 """Seeded mixed read/insert workloads against a :class:`QueryService`.
 
-One generator feeds both the CLI (``python -m repro workload``) and the
-committed benchmark (``benchmarks/bench_serving.py``): a population of
-named client sessions issues a seeded mix of
+The generator behind the CLI's ``python -m repro workload``: a
+population of named client sessions issues a seeded mix of
 
 - **view reads** of a served incremental SSSP view (the hot path a
   serving deployment exists for — most answered from the memoized

@@ -165,11 +165,12 @@ class TestImmutableStateAblation:
 
 class TestAccountingRegressions:
     def test_iterate_return_annotations_are_tuples(self):
-        """Both iteration drivers return (datasets, delta_total) tuples."""
-        from repro.core.fixpoint import FixpointOperator
+        """Every iteration scheduler returns a (datasets, |D| per view)
+        tuple."""
+        from repro.core.schedulers import (iterate_combined, iterate_remote,
+                                           iterate_two_stage)
 
-        for fn in (FixpointOperator._iterate_combined,
-                   FixpointOperator._iterate_two_stage):
+        for fn in (iterate_combined, iterate_two_stage, iterate_remote):
             annotation = fn.__annotations__["return"]
             assert annotation.startswith("tuple["), (fn.__name__, annotation)
 

@@ -29,6 +29,7 @@ from repro.chaos import (
 from repro.core.config import ExecutionConfig
 from repro.engine.backend import ProcessConfig
 from repro.errors import NoHealthyWorkersError, PoisonTaskError
+from repro.queries.library import get_query
 from tests.integration.test_chaos import NUM_WORKERS, QUERY_SETUPS
 
 pytestmark = pytest.mark.process_backend
@@ -264,3 +265,101 @@ def test_explain_analyze_reports_supervision():
     assert "process supervision" in report
     assert "tasks shipped to pool workers" in report
     assert "heartbeats" in report
+
+
+# ----------------------------------------------------------------------
+# no silent degradation: a clique kept on the driver says why
+# ----------------------------------------------------------------------
+
+#: Joins tc with its own all-relation on a non-partition key: the
+#: gather fallback, which reads sibling partitions mid-stage.
+NONLINEAR_TC = """
+WITH recursive tc(X, Y) AS
+  (SELECT Src, Dst FROM edge) UNION
+  (SELECT a.X, b.Y FROM tc a, tc b WHERE a.Y = b.X)
+SELECT X, Y FROM tc
+"""
+
+
+def _ineligible_context(cause, backend, tmp_path):
+    """An sssp-tables context on ``backend`` with the one feature named
+    by ``cause`` switched on."""
+    from repro.engine.faults import FailureInjector
+    from repro.engine.memory import MemoryConfig
+
+    config = {
+        "evaluation=naive": {"evaluation": "naive"},
+        "stage_combination=off": {"stage_combination": False},
+        "use_setrdd=off": {"use_setrdd": False},
+        "kernels=off": {"kernels": False},
+        "checkpointing": {"checkpoint_dir": str(tmp_path / backend),
+                          "checkpoint_interval": 2},
+        "deadline": {"deadline_seconds": 1e6},
+        "term-not-codegen": {"codegen": False},
+    }.get(cause, {})
+    cluster_kwargs = {}
+    if cause == "memory-budget":
+        cluster_kwargs["memory_config"] = MemoryConfig(
+            worker_budget_bytes=1 << 30)
+    if backend == "process":
+        cluster_kwargs["process_config"] = FAST_SUPERVISION
+    ctx = RaSQLContext(num_workers=NUM_WORKERS,
+                       config=ExecutionConfig(backend=backend, **config),
+                       **cluster_kwargs)
+    for name, (columns, rows) in QUERY_SETUPS["sssp"][0]().items():
+        ctx.register_table(name, columns, rows)
+    if cause == "injector:failure":
+        ctx.inject_faults(FailureInjector("fixpoint-shufflemap", times=1))
+    return ctx
+
+
+@pytest.mark.timeout(180)
+@pytest.mark.parametrize("cause", [
+    "backend-not-ready", "evaluation=naive", "stage_combination=off",
+    "use_setrdd=off", "kernels=off", "checkpointing", "deadline",
+    "memory-budget", "injector:failure", "term-not-codegen", "gather-join",
+    "decomposed-no-fused-runner"])
+def test_remote_ineligible_cause_is_reported(cause, tmp_path, monkeypatch):
+    """Every feature that keeps a ``backend="process"`` clique on the
+    driver leaves its typed reason in the trace and in EXPLAIN ANALYZE;
+    the answer is the simulated oracle's regardless."""
+    from repro.engine.tracing import _find_dict
+
+    query = {"gather-join": NONLINEAR_TC,
+             # keyed (min) decomposed plan: only the reference local loop
+             "decomposed-no-fused-runner": get_query("apsp").sql,
+             }.get(cause) or QUERY_SETUPS["sssp"][1]()
+    if cause == "backend-not-ready":
+        from repro.engine.backend.process import ProcessClusterBackend
+
+        def cannot_spawn(self, worker):
+            raise OSError("no processes for you")
+        monkeypatch.setattr(ProcessClusterBackend, "_spawn_worker",
+                            cannot_spawn)
+    runs = {}
+    for backend in ("simulated", "process"):
+        ctx = _ineligible_context(cause, backend, tmp_path)
+        try:
+            if cause == "backend-not-ready" and backend == "process":
+                with pytest.warns(RuntimeWarning, match="falling back"):
+                    runs[backend] = (ctx.sql(query), ctx.last_run)
+            else:
+                runs[backend] = (ctx.sql(query), ctx.last_run)
+        finally:
+            ctx.close()
+    (expected, sim_run), (actual, run) = runs["simulated"], runs["process"]
+
+    assert _rows(expected) == _rows(actual)
+    assert sim_run.iterations == run.iterations
+    summary = run.supervision_summary()
+    assert summary["process_tasks_shipped"] == 0
+    assert summary["process_remote_ineligible"] == 1
+    assert [span["attrs"].get("remote_ineligible")
+            for span in _find_dict(run.trace, "fixpoint")] == [cause]
+    report = run.explain_analyze()
+    assert "process supervision" in report
+    assert f"remote-ineligible: {cause}" in report
+
+    # The simulated backend was never asked for workers: nothing to say.
+    assert sim_run.supervision_summary()["process_remote_ineligible"] == 0
+    assert "remote-ineligible" not in sim_run.explain_analyze()
