@@ -133,11 +133,10 @@ def generate_term_function(term: CompiledTerm,
     aggregate-free, non-negated, totalize-free terms.
     """
     rule: RulePlan | None = term.rule
-    if rule is None or rule.layout is None:
+    if rule is None or rule.layout is None or term.delta_arity is None:
         return None
     layout = rule.layout
-    namer = _SlotNamer(term.delta_offset,
-                       _delta_arity(term, layout))
+    namer = _SlotNamer(term.delta_offset, term.delta_arity)
 
     env: dict[str, object] = {}
     prologue: list[str] = []
@@ -147,15 +146,13 @@ def generate_term_function(term: CompiledTerm,
     def emit(line: str, level: int) -> None:
         body.append("    " * level + line)
 
-    # Delta prefilter (base rules): operates on padded rows in the
-    # interpreted path; here we inline it in raw space.
+    # Delta prefilter (the driving scan's pushed-down filter): operates on
+    # padded rows in the interpreted path; here we inline it in raw space.
     prefilter_src = None
     if term.delta_prefilter is not None:
-        scan = rule.join.inputs[0]
-        if getattr(scan, "filter", None) is not None:
-            prefilter_src = _expr_source(scan.filter, layout, namer)
-        else:
-            return None  # prefilter we cannot re-derive: fall back
+        if term.prefilter_expr is None:
+            return None  # hand-built term without its AST: not fusible
+        prefilter_src = _expr_source(term.prefilter_expr, layout, namer)
 
     join_var = 0
     has_totalize = False
@@ -181,9 +178,9 @@ def generate_term_function(term: CompiledTerm,
             emit("d = _d", indent)
             continue
         if isinstance(step, FilterStep):
-            source = _filter_source(step, layout, namer)
-            if source is None:
+            if step.expr is None:
                 return None
+            source = _expr_source(step.expr, layout, namer)
             if dedup:
                 clauses.append(f"if {source}")
                 continue
@@ -191,6 +188,8 @@ def generate_term_function(term: CompiledTerm,
             emit("    continue", indent)
             continue
         if isinstance(step, HashJoinStep):
+            if step.build_segment is None:
+                return None
             join_var += 1
             if first_join_mark is None:
                 first_join_mark = (len(body), indent)
@@ -246,11 +245,12 @@ def generate_term_function(term: CompiledTerm,
                 emit(f"if {bucket} is None:", indent)
                 emit("    continue", indent)
                 emit(f"for {var} in {bucket}:", indent)
-            namer.add_segment(_fix_hash_join_segment(step, layout),
-                              _step_arity(step, layout), var, raw)
+            namer.add_segment(*step.build_segment, var, raw)
             indent += 1
             continue
         if isinstance(step, NestedLoopStep):
+            if step.segment is None:
+                return None
             join_var += 1
             if first_join_mark is None:
                 first_join_mark = (len(body), indent)
@@ -262,15 +262,13 @@ def generate_term_function(term: CompiledTerm,
                 emit(f"for {var} in {table}:", indent)
             else:
                 clauses.append(f"for {var} in {table}")
-            offset, arity = _nested_segment(term, layout, namer)
-            namer.add_segment(offset, arity, var, raw=False)
+            namer.add_segment(*step.segment, var, raw=False)
             indent += 1
             if step.predicate is not None:
-                conjuncts = _nested_predicate_exprs(term, step)
-                if conjuncts is None:
+                if not step.conjuncts:
                     return None
                 source = " and ".join(
-                    _expr_source(c, layout, namer) for c in conjuncts)
+                    _expr_source(c, layout, namer) for c in step.conjuncts)
                 if dedup:
                     clauses.append(f"if ({source})")
                 else:
@@ -286,7 +284,7 @@ def generate_term_function(term: CompiledTerm,
     hoist = (kernels and not dedup and first_join_mark is not None
              and not has_totalize)
     delta_lo = term.delta_offset
-    delta_hi = delta_lo + _delta_arity(term, layout)
+    delta_hi = delta_lo + term.delta_arity
     hoisted: list[str] = []
     projection_parts = []
     for i, expr in enumerate(rule.projections):
@@ -354,93 +352,11 @@ def _build_state_table(rows: list[tuple], key_positions: tuple[int, ...]) -> dic
     return table
 
 
-# ---------------------------------------------------------------------------
-# step metadata recovery (the physical steps don't carry their AST origin,
-# so codegen re-derives what it needs from the rule plan)
-# ---------------------------------------------------------------------------
-
-
 def _is_delta_only(expr: ast.Expr, layout: Layout, lo: int, hi: int) -> bool:
     """True when *expr* reads at least one delta slot and nothing else."""
     slots = [layout.slot_of(node) for node in expr.walk()
              if isinstance(node, ast.ColumnRef)]
     return bool(slots) and all(lo <= s < hi for s in slots)
-
-
-def _delta_arity(term: CompiledTerm, layout: Layout) -> int:
-    for binding, columns in layout.bindings:
-        if layout.offsets[binding.lower()] == term.delta_offset:
-            return len(columns)
-    raise PlanningError("codegen: cannot locate delta segment")
-
-
-def _step_arity(step: HashJoinStep, layout: Layout) -> int:
-    # The build slots identify the segment; find the binding containing them.
-    slot = step.build_slots[0]
-    for binding, columns in layout.bindings:
-        offset = layout.offsets[binding.lower()]
-        if offset <= slot < offset + len(columns):
-            return len(columns)
-    raise PlanningError("codegen: cannot locate build segment")
-
-
-def _nested_segment(term: CompiledTerm, layout: Layout,
-                    namer: _SlotNamer) -> tuple[int, int]:
-    """The next unbound segment (a nested-loop step binds exactly one)."""
-    bound = set()
-    for span, _, _ in namer.segments:
-        bound.update(span)
-    for binding, columns in layout.bindings:
-        offset = layout.offsets[binding.lower()]
-        span = range(offset, offset + len(columns))
-        if not set(span) <= bound:
-            return offset, len(columns)
-    raise PlanningError("codegen: no unbound segment for nested loop")
-
-
-def _nested_predicate_exprs(term: CompiledTerm,
-                            step: NestedLoopStep) -> list[ast.Expr] | None:
-    """Recover the theta conjuncts fused into a nested-loop step.
-
-    The planner conjoins them into one compiled predicate; for codegen we
-    re-split from the rule's residual list: the conjuncts of a nested-loop
-    step are exactly those the interpreted planner consumed at that point.
-    Rather than replicating the consumption order, we simply take all
-    residual conjuncts of the rule — for single-nested-loop rules (the only
-    shape the corpus produces) this is identical.
-    """
-    rule = term.rule
-    nested_loops = sum(isinstance(s, NestedLoopStep) for s in term.steps)
-    filters = sum(isinstance(s, FilterStep) for s in term.steps)
-    if nested_loops != 1 or filters != 0:
-        return None
-    return list(rule.join.residual)
-
-
-def _filter_source(step: FilterStep, layout: Layout,
-                   namer: _SlotNamer) -> str | None:
-    """Recover a FilterStep's conjunct from its recorded SQL text."""
-    if not step.sql:
-        return None
-    from repro.core.parser import Parser
-
-    try:
-        expr = Parser(step.sql).parse_expr()
-    except Exception:
-        return None
-    try:
-        return _expr_source(expr, layout, namer)
-    except PlanningError:
-        return None
-
-
-def _fix_hash_join_segment(step: HashJoinStep, layout: Layout) -> int:
-    slot = step.build_slots[0]
-    for binding, columns in layout.bindings:
-        offset = layout.offsets[binding.lower()]
-        if offset <= slot < offset + len(columns):
-            return offset
-    raise PlanningError("codegen: cannot locate build segment")
 
 
 def grouped_dedup_spec(
@@ -458,7 +374,7 @@ def grouped_dedup_spec(
     build (or hash) the duplicate row tuples at all.
     """
     rule = term.rule
-    if rule is None or rule.layout is None:
+    if rule is None or rule.layout is None or term.delta_arity is None:
         return None
     if term.negate or any(a is not None for a in aggregates):
         return None
@@ -467,19 +383,17 @@ def grouped_dedup_spec(
     if len(term.steps) != 1:
         return None
     step = term.steps[0]
-    if not isinstance(step, HashJoinStep) or step.source != "broadcast":
+    if (not isinstance(step, HashJoinStep) or step.source != "broadcast"
+            or step.build_segment is None):
         return None
     layout = rule.layout
     lo = term.delta_offset
-    hi = lo + _delta_arity(term, layout)
+    hi = lo + term.delta_arity
     probe = []
     for slot in step.probe_slots:
         if not lo <= slot < hi:
             return None
         probe.append(slot - lo)
-    namer = _SlotNamer(lo, hi - lo)
-    namer.add_segment(_fix_hash_join_segment(step, layout),
-                      _step_arity(step, layout), "r", False)
     projections = rule.projections
     if not projections:
         return None
@@ -495,24 +409,27 @@ def grouped_dedup_spec(
     if not isinstance(last, ast.ColumnRef):
         return None
     last_slot = layout.slot_of(last)
-    if lo <= last_slot < hi:
+    build_offset, build_arity = step.build_segment
+    if not build_offset <= last_slot < build_offset + build_arity:
         return None
-    ref = namer.ref(last_slot)  # "r[<bucket row index>]"
+    # Broadcast buckets hold padded rows, indexed by absolute slot.
     return GroupedDedupSpec(step_id=step.step_id,
                             probe=tuple(probe),
                             prefix=tuple(prefix),
-                            build_index=int(ref[2:-1]))
+                            build_index=last_slot)
 
 
 def attach_generated_code(term: CompiledTerm,
                           aggregates: tuple[AggregateFunction | None, ...],
-                          kernels: bool = False) -> bool:
+                          kernels: bool = False,
+                          set_runners: bool = False) -> bool:
     """Try to attach a generated function to *term*; returns success.
 
-    With ``kernels`` the kernel-layer specializations are applied, and —
-    for aggregate-free, non-negated terms — the inline-dedup variant is
-    additionally generated onto ``term.codegen_dedup_fn`` (consumed by
-    the decomposed set-fixpoint driver).
+    With ``kernels`` the kernel-layer specializations are applied.
+    ``set_runners`` additionally generates what the decomposed set
+    runners (:func:`repro.core.decomposed.decomposed_runner`) consume:
+    the inline-dedup variant onto ``term.codegen_dedup_fn`` and the
+    column-decomposed shape onto ``term.grouped_spec``.
     """
     try:
         fn = generate_term_function(term, aggregates, kernels=kernels)
@@ -521,14 +438,11 @@ def attach_generated_code(term: CompiledTerm,
     if fn is None:
         return False
     term.codegen_fn = fn
-    if kernels:
+    if set_runners:
         try:
             term.codegen_dedup_fn = generate_term_function(
                 term, aggregates, kernels=True, dedup=True)
         except PlanningError:
             term.codegen_dedup_fn = None
-        try:
-            term.grouped_spec = grouped_dedup_spec(term, aggregates)
-        except PlanningError:
-            term.grouped_spec = None
+        term.grouped_spec = grouped_dedup_spec(term, aggregates)
     return True

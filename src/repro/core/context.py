@@ -312,6 +312,21 @@ class RaSQLContext:
         return optimize(analyze(parse(query), self.catalog),
                         magic_filters=effective.magic_filters)
 
+    def planning_config(self, clique: CliquePlan, config: ExecutionConfig,
+                        resolve, count_gate: bool = True) -> ExecutionConfig:
+        """The config *clique* is planned — and therefore run — under.
+
+        Durability forces the stacked plan (decomposed plans run their
+        own nested loops without a global iteration barrier, so there is
+        no consistent cut to persist); small inputs take the reference
+        loops (:func:`repro.core.planner.gate_kernels`, counted as
+        ``kernel_small_input_gate`` unless ``count_gate`` is off).
+        """
+        if config.checkpointing:
+            config = config.but(decomposed_plans=False)
+        return gate_kernels(clique, config, resolve,
+                            self.cluster.metrics if count_gate else None)
+
     def sql(self, query: str, config: ExecutionConfig | None = None,
             profile_path: str | None = None,
             query_id: str | None = None) -> Relation:
@@ -453,16 +468,10 @@ class RaSQLContext:
                             unit.name, unit.columns, rows)
                     else:
                         assert isinstance(unit, CliquePlan)
-                        clique_config = gate_kernels(
-                            unit, effective, resolve, self.cluster.metrics)
+                        clique_config = self.planning_config(
+                            unit, effective, resolve)
                         checkpointer = None
                         if store is not None:
-                            # Decomposed plans run their own nested loop
-                            # without a global iteration barrier, so there
-                            # is no consistent cut to persist; durability
-                            # forces the stacked plan.
-                            clique_config = clique_config.but(
-                                decomposed_plans=False)
                             checkpointer = CliqueCheckpointer(
                                 store, qid, unit_index,
                                 effective.checkpoint_interval, self.cluster)
@@ -620,13 +629,21 @@ class RaSQLContext:
         """Render the analyzed/optimized plan, including fixpoint physical
         plans, in the style of Figure 2."""
         effective = config or self.config
-        analyzed = optimize(analyze(parse(query), self.catalog),
-                            magic_filters=effective.magic_filters)
+        analyzed = self.analyze_query(query, effective)
+
+        def resolve(name: str) -> Relation:
+            # EXPLAIN materializes nothing: views of earlier units count
+            # as empty towards the kernel size gate.
+            if name in self.catalog:
+                return self.catalog.get(name)
+            return Relation(name, ())
+
         lines = []
         for unit in analyzed.units:
             lines.append(unit.explain())
             if isinstance(unit, CliquePlan):
-                planned = plan_clique(unit, effective)
+                planned = plan_clique(unit, self.planning_config(
+                    unit, effective, resolve, count_gate=False))
                 lines.append(planned.explain())
         lines.append(f"Final: {analyzed.final.to_sql()}")
         return "\n".join(lines)

@@ -19,6 +19,12 @@ Rows travel as *padded* tuples of the rule's full layout arity: each FROM
 binding owns a slot segment, unbound segments hold ``None``.  Joining two
 padded rows is an elementwise coalesce.  This keeps one compiled expression
 per rule valid at every pipeline position.
+
+The plan is self-describing: next to each compiled closure a step keeps the
+AST it was compiled from and the ``(offset, arity)`` slot segment it binds,
+so :mod:`repro.core.codegen` reads the planner's decisions instead of
+re-deriving them.  Those fields are optional (a hand-built step without
+them still interprets; it just does not fuse).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.core import ast_nodes as ast
 from repro.core.logical import RulePlan, ViewPlan
 from repro.engine.aggregates import AggregateFunction
 from repro.engine.joins import build_hash_table, sort_merge_join, sort_rows
@@ -113,6 +120,8 @@ class HashJoinStep(Step):
     state_offset: int = 0
     arity: int = 0
     gather: bool = False
+    #: ``(offset, arity)`` of the build input's slot segment.
+    build_segment: tuple[int, int] | None = None
 
     def __post_init__(self):
         # Extractors are specialized once per step, not once per task.
@@ -183,6 +192,10 @@ class NestedLoopStep(Step):
 
     step_id: int
     predicate: Callable[[tuple], object] | None
+    #: The theta conjuncts fused into ``predicate``, in evaluation order.
+    conjuncts: tuple[ast.Expr, ...] = ()
+    #: ``(offset, arity)`` of the slot segment this step binds.
+    segment: tuple[int, int] | None = None
 
     def apply(self, rows, partition, runtime):
         others = runtime.broadcast_tables[self.step_id]
@@ -239,6 +252,8 @@ class FilterStep(Step):
 
     predicate: Callable[[tuple], object]
     sql: str = ""
+    #: The conjunct ``predicate`` was compiled from.
+    expr: ast.Expr | None = None
 
     def apply(self, rows, partition, runtime):
         predicate = self.predicate
@@ -292,8 +307,10 @@ class CompiledTerm:
     #: code generation is enabled and the pipeline is fusible.
     codegen_fn: Callable | None = field(default=None, repr=False)
     #: Comprehension variant ``(delta, partition, runtime) -> derived``
-    #: (duplicates included) for aggregate-free terms (kernel layer); the
-    #: decomposed set-fixpoint driver dedups each round with set algebra.
+    #: (duplicates included); the decomposed set-fixpoint driver dedups
+    #: each round with set algebra.  Like ``grouped_spec``, generated only
+    #: for the recursive terms of an aggregate-free clique that will run
+    #: decomposed under the kernel layer — nothing else reads either.
     codegen_dedup_fn: Callable | None = field(default=None, repr=False)
     #: Column-decomposed fixpoint shape (kernel layer); set when the term
     #: is a single broadcast join whose projection is delta-only parts
@@ -301,6 +318,10 @@ class CompiledTerm:
     grouped_spec: "GroupedDedupSpec | None" = field(default=None, repr=False)
     #: Specialized delta padder (``kernels.make_padder``); set at plan time.
     padder: Callable[[tuple], tuple] | None = field(default=None, repr=False)
+    #: Width of the driving rows' slot segment (it starts at ``delta_offset``).
+    delta_arity: int | None = None
+    #: The scan filter ``delta_prefilter`` was compiled from.
+    prefilter_expr: ast.Expr | None = field(default=None, repr=False)
 
     def evaluate(self, delta_rows: list[tuple], partition: int,
                  runtime: TermRuntime) -> list[tuple]:

@@ -183,103 +183,103 @@ def _delta_value_mode(rule: RulePlan, delta_index: int,
     return "total" if in_filter else "increment"
 
 
-def _compile_term(ctx: _TermContext, target: PhysicalView, rule: RulePlan,
-                  delta_index: int, other_rec_sources: dict[int, str],
-                  negate: bool) -> CompiledTerm:
-    """Compile one delta-expansion term of one rule.
+def _compile_pipeline(ctx: _TermContext, target: PhysicalView, rule: RulePlan,
+                      driving: int, rec_sources: dict[int, str],
+                      driving_key: tuple[int, ...] | None = None,
+                      delta_view: str = "", prelude: tuple[Step, ...] = (),
+                      negate: bool = False) -> CompiledTerm:
+    """Compile the pipeline of *rule* driven by the rows of input ``driving``.
 
-    ``other_rec_sources`` maps non-delta recursive input positions to
-    ``"state"`` or ``"delta"`` (the latter only in δ⋈δ correction terms).
+    This is the one place a rule's join order, conjunct placement, scan
+    distribution and projection are decided; recursive terms, base rules
+    and maintenance terms differ only in the data they pass:
+
+    - ``rec_sources`` maps each non-driving recursive input to the
+      relation it joins — ``"state"`` or ``"delta"`` (δ⋈δ correction
+      terms).  An input it does not name may not be recursive.
+    - ``driving_key`` is the partition key (positions within the driving
+      rows) those rows arrive hash-partitioned on, ``None`` when they are
+      not partitioned (a base rule's scan chunks, an insert batch).  A
+      join probed by exactly that key runs partition-local: the first
+      base join co-partitioned, a recursive reference against the aligned
+      state partition.  Everything else broadcasts or gathers.
+    - ``prelude`` steps run on the driving rows before anything else.
     """
     layout = rule.layout
     arity = layout.arity
     join: JoinNode = rule.join
-    delta_node = join.inputs[delta_index]
-    assert isinstance(delta_node, RecursiveScanNode)
-    delta_view = ctx.views[delta_node.view.lower()]
-    delta_offset, delta_arity = _segment_of(rule, delta_index)
+    driving_node = join.inputs[driving]
+    segments = [_segment_of(rule, i) for i in range(len(join.inputs))]
+    driving_offset, driving_arity = segments[driving]
 
     pairs = _equi_slot_pairs(rule)
-    steps: list[Step] = []
-    bound_bindings = {delta_node.binding.lower()}
-    bound_slots = set(range(delta_offset, delta_offset + delta_arity))
-    pending = [i for i in range(len(join.inputs)) if i != delta_index]
+    bound_bindings = {driving_node.binding.lower()}
+    bound_slots = set(range(driving_offset, driving_offset + driving_arity))
+    pending = [i for i in range(len(join.inputs)) if i != driving]
+    unplaced = list(join.residual)
 
-    # Residual conjuncts, compiled lazily once their bindings are bound.
-    residual = list(join.residual)
-    consumed = [False] * len(residual)
+    def take_evaluable(bindings: set[str]) -> list[ast.Expr]:
+        """Remove and return the residual conjuncts over *bindings* only."""
+        taken, rest = [], []
+        for conjunct in unplaced:
+            evaluable = referenced_bindings(conjunct, layout) <= bindings
+            (taken if evaluable else rest).append(conjunct)
+        unplaced[:] = rest
+        return taken
 
-    def applicable_filters() -> list[FilterStep]:
-        out = []
-        for i, conjunct in enumerate(residual):
-            if consumed[i]:
-                continue
-            refs = referenced_bindings(conjunct, layout)
-            if refs <= bound_bindings:
-                out.append(FilterStep(compile_expr(conjunct, layout),
-                                      conjunct.to_sql()))
-                consumed[i] = True
-        return out
+    def filters() -> list[FilterStep]:
+        return [FilterStep(compile_expr(c, layout), c.to_sql(), c)
+                for c in take_evaluable(bound_bindings)]
 
-    # --- increment/total handling + delta-only prefilter -----------------
-    value_mode = _delta_value_mode(rule, delta_index, delta_view)
-    if value_mode == "total":
-        group_slots = tuple(delta_offset + p for p in delta_view.group_positions)
-        agg_map = tuple(
-            (delta_offset + p, i)
-            for i, p in enumerate(delta_view.aggregate_positions))
-        steps.append(TotalizeStep(delta_view.name.lower(), delta_offset,
-                                  group_slots, agg_map))
-    steps.extend(applicable_filters())
-
+    steps: list[Step] = [*prelude, *filters()]
     first_join = True
     while pending:
         # Prefer an input reachable through an equi conjunct.
-        chosen = None
-        join_pairs: list[tuple[int, int]] = []  # (probe slot, build slot)
+        chosen, join_pairs = pending[0], []  # (probe slot, build slot)
         for index in pending:
-            offset, input_arity = _segment_of(rule, index)
-            segment = range(offset, offset + input_arity)
+            offset, input_arity = segments[index]
+            slots = range(offset, offset + input_arity)
             matched = []
             for a, b in pairs:
-                if a in segment and b in bound_slots:
+                if a in slots and b in bound_slots:
                     matched.append((b, a))
-                elif b in segment and a in bound_slots:
+                elif b in slots and a in bound_slots:
                     matched.append((a, b))
             if matched:
                 chosen, join_pairs = index, sorted(matched)
                 break
-        if chosen is None:
-            chosen, join_pairs = pending[0], []
         pending.remove(chosen)
 
         node = join.inputs[chosen]
-        offset, input_arity = _segment_of(rule, chosen)
+        segment = offset, input_arity = segments[chosen]
         probe_slots = tuple(p for p, _ in join_pairs)
         build_slots = tuple(b for _, b in join_pairs)
+        # Every probe slot is a driving column and together they are the
+        # key (a slot outside the driving segment is no key position, and
+        # a partition key is never empty).
+        on_driving_key = tuple(sorted(
+            s - driving_offset for s in probe_slots)) == driving_key
 
         if isinstance(node, RecursiveScanNode):
-            source = other_rec_sources[chosen]
-            other_view = ctx.views[node.view.lower()]
+            if chosen not in rec_sources:
+                raise PlanningError(
+                    f"rule of view {rule.view!r} cannot reference recursive "
+                    f"view {node.view!r} here")
             if not join_pairs:
                 raise PlanningError(
                     f"recursive reference {node.view!r} in a rule of "
                     f"{rule.view!r} has no equi-join condition; cross "
                     f"products over recursive state are not supported")
-            # Aligned when the delta side is keyed on its partition key and
-            # the state side on its own.
-            delta_key = tuple(sorted(s - delta_offset for s in probe_slots
-                                     if delta_offset <= s < delta_offset + delta_arity))
+            # Aligned when the driving side is keyed on its partition key
+            # and the state side on its own.
             state_key = tuple(sorted(b - offset for b in build_slots))
-            aligned = (len(probe_slots) == len(join_pairs)
-                       and delta_key == delta_view.partition_key_positions
-                       and state_key == other_view.partition_key_positions
-                       and all(delta_offset <= s < delta_offset + delta_arity
-                               for s in probe_slots))
+            aligned = (on_driving_key and state_key == ctx.views[
+                node.view.lower()].partition_key_positions)
             steps.append(HashJoinStep(
-                ctx.step_ids.take(), source, probe_slots, build_slots,
-                state_view=node.view.lower(), state_offset=offset,
-                arity=arity, gather=not aligned))
+                ctx.step_ids.take(), rec_sources[chosen], probe_slots,
+                build_slots, state_view=node.view.lower(),
+                state_offset=offset, arity=arity, gather=not aligned,
+                build_segment=segment))
         else:
             assert isinstance(node, ScanNode)
             scan_filter = None
@@ -288,78 +288,88 @@ def _compile_term(ctx: _TermContext, target: PhysicalView, rule: RulePlan,
                 scan_filter = compile_expr(node.filter, layout)
                 filter_sql = node.filter.to_sql()
 
-            delta_side_key = tuple(sorted(
-                s - delta_offset for s in probe_slots
-                if delta_offset <= s < delta_offset + delta_arity))
-            can_copartition = (
-                first_join
-                and join_pairs
-                and not ctx.config.broadcast_bases
-                and not ctx.decomposed
-                and all(delta_offset <= s < delta_offset + delta_arity
-                        for s in probe_slots)
-                and delta_side_key == delta_view.partition_key_positions)
-
             step_id = ctx.step_ids.take()
-            if can_copartition:
+            mode = "broadcast"
+            if (first_join and on_driving_key
+                    and not ctx.config.broadcast_bases
+                    and not ctx.decomposed):
+                mode = "copartition"
                 if ctx.config.join_strategy == "sort_merge":
                     steps.append(SortMergeJoinStep(step_id, probe_slots,
                                                    build_slots))
                 else:
-                    steps.append(HashJoinStep(step_id, "base_partition",
-                                              probe_slots, build_slots))
-                mode = "copartition"
-                equi = True
+                    steps.append(HashJoinStep(
+                        step_id, "base_partition", probe_slots, build_slots,
+                        build_segment=segment))
             elif join_pairs:
-                steps.append(HashJoinStep(step_id, "broadcast", probe_slots,
-                                          build_slots))
-                mode = "broadcast"
-                equi = True
+                steps.append(HashJoinStep(
+                    step_id, "broadcast", probe_slots, build_slots,
+                    build_segment=segment))
             else:
-                # Theta or cross join: collect conjuncts that become
-                # evaluable exactly now and fuse them into the loop.
-                theta = []
-                future_bound = bound_bindings | {node.binding.lower()}
-                for i, conjunct in enumerate(residual):
-                    if not consumed[i] and referenced_bindings(
-                            conjunct, layout) <= future_bound:
-                        theta.append(conjunct)
-                        consumed[i] = True
+                # Theta or cross join: the conjuncts that become evaluable
+                # exactly now are fused into the loop.
+                theta = take_evaluable(bound_bindings | {node.binding.lower()})
                 predicate = (compile_expr(conjoin(theta), layout)
                              if theta else None)
-                steps.append(NestedLoopStep(step_id, predicate))
-                mode = "broadcast"
-                equi = False
+                steps.append(NestedLoopStep(step_id, predicate, tuple(theta),
+                                            segment))
             ctx.base_plans.append(BaseRelationPlan(
                 step_id, node.relation, node.binding, mode, offset, arity,
-                build_slots, scan_filter, filter_sql, equi))
+                build_slots, scan_filter, filter_sql, bool(join_pairs)))
 
         bound_bindings.add(node.binding.lower())
         bound_slots.update(range(offset, offset + input_arity))
         first_join = False
-        steps.extend(applicable_filters())
+        steps.extend(filters())
 
-    if not all(consumed):
+    if unplaced:
         raise PlanningError("internal: unconsumed residual conjuncts")
 
-    # Delta prefilter: scan filter pushed onto the recursive reference is
-    # impossible (optimizer never does it), but residuals touching only the
-    # delta were already emitted as the first FilterSteps above.
+    # A filter the optimizer pushed onto the driving scan runs on the
+    # driving rows themselves (recursive references never carry one).
+    prefilter = (driving_node.filter if isinstance(driving_node, ScanNode)
+                 else None)
     compiled_projections = [compile_expr(e, layout) for e in rule.projections]
-    project = make_projector(compiled_projections, target.aggregates)
-
     return CompiledTerm(
         view=target.name.lower(),
-        delta_view=delta_view.name.lower(),
-        delta_offset=delta_offset,
+        delta_view=delta_view,
+        delta_offset=driving_offset,
         arity=arity,
         steps=steps,
-        project=project,
+        project=make_projector(compiled_projections, target.aggregates),
+        delta_prefilter=(compile_expr(prefilter, layout)
+                         if prefilter is not None else None),
         negate=negate,
         rule=rule,
-        padder=(make_padder(delta_offset, arity, delta_arity)
+        padder=(make_padder(driving_offset, arity, driving_arity)
                 if ctx.config.kernels else None),
+        delta_arity=driving_arity,
+        prefilter_expr=prefilter,
     )
+
+
+def _compile_term(ctx: _TermContext, target: PhysicalView, rule: RulePlan,
+                  delta_index: int, other_rec_sources: dict[int, str],
+                  negate: bool) -> CompiledTerm:
+    """Compile one delta-expansion term of one rule.
+
+    ``other_rec_sources`` maps non-delta recursive input positions to
+    ``"state"`` or ``"delta"`` (the latter only in δ⋈δ correction terms).
+    """
+    delta_view = ctx.views[rule.join.inputs[delta_index].view.lower()]
+    prelude: tuple[Step, ...] = ()
+    if _delta_value_mode(rule, delta_index, delta_view) == "total":
+        delta_offset, _ = _segment_of(rule, delta_index)
+        group_slots = tuple(delta_offset + p for p in delta_view.group_positions)
+        agg_map = tuple(
+            (delta_offset + p, i)
+            for i, p in enumerate(delta_view.aggregate_positions))
+        prelude = (TotalizeStep(delta_view.name.lower(), delta_offset,
+                                group_slots, agg_map),)
+    return _compile_pipeline(
+        ctx, target, rule, delta_index, other_rec_sources,
+        driving_key=delta_view.partition_key_positions,
+        delta_view=delta_view.name.lower(), prelude=prelude, negate=negate)
 
 
 def _expand_rule(ctx: _TermContext, target: PhysicalView,
@@ -406,109 +416,15 @@ def _compile_base_rule(ctx: _TermContext, target: PhysicalView,
     """Base rules reuse the term pipeline with a scan as the driving input.
 
     Returns either a compiled term (driven by the full rows of its first
-    FROM input) or, for FROM-less rules, the normalized constant rows.
+    FROM input; ``delta_view`` stays empty, the executor feeds it the
+    scan) or, for FROM-less rules, the normalized constant rows.
     """
     if rule.join is None:
         normalize = [a.normalize if a is not None else (lambda v: v)
                      for a in target.aggregates]
         return tuple(tuple(fn(v) for fn, v in zip(normalize, row))
                      for row in rule.constant_rows)
-
-    layout = rule.layout
-    join = rule.join
-    driving = 0
-    driving_node = join.inputs[driving]
-    offset, driving_arity = _segment_of(rule, driving)
-
-    steps: list[Step] = []
-    bound_bindings = {driving_node.binding.lower()}
-    bound_slots = set(range(offset, offset + driving_arity))
-    pending = [i for i in range(len(join.inputs)) if i != driving]
-    pairs = _equi_slot_pairs(rule)
-    residual = list(join.residual)
-    consumed = [False] * len(residual)
-
-    prefilter = None
-    if isinstance(driving_node, ScanNode) and driving_node.filter is not None:
-        prefilter = compile_expr(driving_node.filter, layout)
-
-    def applicable_filters():
-        out = []
-        for i, conjunct in enumerate(residual):
-            if not consumed[i] and referenced_bindings(
-                    conjunct, layout) <= bound_bindings:
-                out.append(FilterStep(compile_expr(conjunct, layout),
-                                      conjunct.to_sql()))
-                consumed[i] = True
-        return out
-
-    steps.extend(applicable_filters())
-
-    while pending:
-        chosen = None
-        join_pairs: list[tuple[int, int]] = []
-        for index in pending:
-            o, a = _segment_of(rule, index)
-            segment = range(o, o + a)
-            matched = []
-            for x, y in pairs:
-                if x in segment and y in bound_slots:
-                    matched.append((y, x))
-                elif y in segment and x in bound_slots:
-                    matched.append((x, y))
-            if matched:
-                chosen, join_pairs = index, sorted(matched)
-                break
-        if chosen is None:
-            chosen, join_pairs = pending[0], []
-        pending.remove(chosen)
-
-        node = join.inputs[chosen]
-        if not isinstance(node, ScanNode):
-            raise PlanningError("base rule cannot reference recursive views")
-        o, a = _segment_of(rule, chosen)
-        scan_filter = (compile_expr(node.filter, layout)
-                       if node.filter is not None else None)
-        filter_sql = node.filter.to_sql() if node.filter is not None else ""
-        step_id = ctx.step_ids.take()
-        if join_pairs:
-            probe = tuple(p for p, _ in join_pairs)
-            build = tuple(b for _, b in join_pairs)
-            steps.append(HashJoinStep(step_id, "broadcast", probe, build))
-            equi = True
-        else:
-            theta = []
-            future = bound_bindings | {node.binding.lower()}
-            for i, conjunct in enumerate(residual):
-                if not consumed[i] and referenced_bindings(
-                        conjunct, layout) <= future:
-                    theta.append(conjunct)
-                    consumed[i] = True
-            predicate = compile_expr(conjoin(theta), layout) if theta else None
-            steps.append(NestedLoopStep(step_id, predicate))
-            build = ()
-            equi = False
-        ctx.base_plans.append(BaseRelationPlan(
-            step_id, node.relation, node.binding, "broadcast", o,
-            layout.arity, build, scan_filter, filter_sql, equi))
-        bound_bindings.add(node.binding.lower())
-        bound_slots.update(range(o, o + a))
-        steps.extend(applicable_filters())
-
-    compiled = [compile_expr(e, layout) for e in rule.projections]
-    project = make_projector(compiled, target.aggregates)
-    return CompiledTerm(
-        view=target.name.lower(),
-        delta_view="",  # filled from the driving scan at execution
-        delta_offset=offset,
-        arity=layout.arity,
-        steps=steps,
-        project=project,
-        delta_prefilter=prefilter,
-        rule=rule,
-        padder=(make_padder(offset, layout.arity, driving_arity)
-                if ctx.config.kernels else None),
-    )
+    return _compile_pipeline(ctx, target, rule, 0, {})
 
 
 # ---------------------------------------------------------------------------
@@ -555,106 +471,11 @@ def _compile_maintenance_term(ctx: _TermContext, target: PhysicalView,
     are running totals, which is exactly what a fresh base fact must
     combine with.
     """
-    layout = rule.layout
-    join = rule.join
-    driving = join.inputs[scan_index]
-    assert isinstance(driving, ScanNode)
-    offset, driving_arity = _segment_of(rule, scan_index)
-
-    steps: list[Step] = []
-    bound_bindings = {driving.binding.lower()}
-    bound_slots = set(range(offset, offset + driving_arity))
-    pending = [i for i in range(len(join.inputs)) if i != scan_index]
-    pairs = _equi_slot_pairs(rule)
-    residual = list(join.residual)
-    consumed = [False] * len(residual)
-
-    prefilter = (compile_expr(driving.filter, layout)
-                 if driving.filter is not None else None)
-
-    def applicable_filters():
-        out = []
-        for i, conjunct in enumerate(residual):
-            if not consumed[i] and referenced_bindings(
-                    conjunct, layout) <= bound_bindings:
-                out.append(FilterStep(compile_expr(conjunct, layout),
-                                      conjunct.to_sql()))
-                consumed[i] = True
-        return out
-
-    steps.extend(applicable_filters())
-
-    while pending:
-        chosen = None
-        join_pairs: list[tuple[int, int]] = []
-        for index in pending:
-            o, a = _segment_of(rule, index)
-            segment = range(o, o + a)
-            matched = []
-            for x, y in pairs:
-                if x in segment and y in bound_slots:
-                    matched.append((y, x))
-                elif y in segment and x in bound_slots:
-                    matched.append((x, y))
-            if matched:
-                chosen, join_pairs = index, sorted(matched)
-                break
-        if chosen is None:
-            chosen, join_pairs = pending[0], []
-        pending.remove(chosen)
-
-        node = join.inputs[chosen]
-        o, a = _segment_of(rule, chosen)
-        probe = tuple(p for p, _ in join_pairs)
-        build = tuple(b for _, b in join_pairs)
-        if isinstance(node, RecursiveScanNode):
-            if not join_pairs:
-                raise PlanningError(
-                    "maintenance terms require an equi join to every "
-                    "recursive reference")
-            steps.append(HashJoinStep(
-                ctx.step_ids.take(), "state", probe, build,
-                state_view=node.view.lower(), state_offset=o,
-                arity=layout.arity, gather=True))
-        else:
-            scan_filter = (compile_expr(node.filter, layout)
-                           if node.filter is not None else None)
-            filter_sql = node.filter.to_sql() if node.filter is not None else ""
-            step_id = ctx.step_ids.take()
-            if join_pairs:
-                steps.append(HashJoinStep(step_id, "broadcast", probe, build))
-                equi = True
-            else:
-                theta = []
-                future = bound_bindings | {node.binding.lower()}
-                for i, conjunct in enumerate(residual):
-                    if not consumed[i] and referenced_bindings(
-                            conjunct, layout) <= future:
-                        theta.append(conjunct)
-                        consumed[i] = True
-                predicate = (compile_expr(conjoin(theta), layout)
-                             if theta else None)
-                steps.append(NestedLoopStep(step_id, predicate))
-                equi = False
-            ctx.base_plans.append(BaseRelationPlan(
-                step_id, node.relation, node.binding, "broadcast", o,
-                layout.arity, build, scan_filter, filter_sql, equi))
-        bound_bindings.add(node.binding.lower())
-        bound_slots.update(range(o, o + a))
-        steps.extend(applicable_filters())
-
-    compiled = [compile_expr(e, layout) for e in rule.projections]
-    project = make_projector(compiled, target.aggregates)
-    return CompiledTerm(
-        view=target.name.lower(),
-        delta_view=f"@{driving.relation.lower()}",
-        delta_offset=offset,
-        arity=layout.arity,
-        steps=steps,
-        project=project,
-        delta_prefilter=prefilter,
-        rule=rule,
-    )
+    relation = rule.join.inputs[scan_index].relation
+    return _compile_pipeline(
+        ctx, target, rule, scan_index,
+        {i: "state" for i in rule.recursive_inputs()},
+        delta_view=f"@{relation.lower()}")
 
 
 #: Size gate of the kernel layer.  A clique whose base inputs total fewer
@@ -677,7 +498,8 @@ def gate_kernels(clique: CliquePlan, config: ExecutionConfig, resolve,
     Evaluated before :func:`plan_clique` because the kernel layer's
     costs start at plan time.  ``resolve`` maps a relation name to its
     :class:`~repro.relation.Relation`; a firing gate counts
-    ``kernel_small_input_gate`` on ``metrics``.
+    ``kernel_small_input_gate`` on ``metrics`` (``None``: a dry run such
+    as EXPLAIN, not counted).
     """
     if not config.kernels:
         return config
@@ -696,7 +518,8 @@ def gate_kernels(clique: CliquePlan, config: ExecutionConfig, resolve,
                         total += len(resolve(node.relation).rows)
     if total >= KERNEL_MIN_ROWS:
         return config
-    metrics.inc("kernel_small_input_gate")
+    if metrics is not None:
+        metrics.inc("kernel_small_input_gate")
     return config.but(kernels=False)
 
 
@@ -763,18 +586,21 @@ def plan_clique(clique: CliquePlan, config: ExecutionConfig,
     if config.codegen:
         from repro.core.codegen import attach_generated_code
 
+        # Only the recursive terms of a clique that will run decomposed
+        # can reach the set runners; nothing else reads their variants.
+        set_runners = (decomposed and config.kernels
+                       and config.evaluation == "dsn"
+                       and not any(v.has_aggregates for v in views.values()))
         for term in terms:
             attach_generated_code(term, views[term.view].aggregates,
-                                  kernels=config.kernels)
-        for base_rule in base_rules:
-            if base_rule.term is not None:
-                attach_generated_code(base_rule.term,
-                                      views[base_rule.term.view].aggregates,
-                                      kernels=config.kernels)
+                                  kernels=config.kernels,
+                                  set_runners=set_runners)
+        one_shot = [b.term for b in base_rules if b.term is not None]
         for table_terms in maintenance_terms.values():
-            for term in table_terms:
-                attach_generated_code(term, views[term.view].aggregates,
-                                      kernels=config.kernels)
+            one_shot.extend(table_terms)
+        for term in one_shot:
+            attach_generated_code(term, views[term.view].aggregates,
+                                  kernels=config.kernels)
 
     return PlannedClique(
         views=views,

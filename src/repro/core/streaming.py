@@ -27,14 +27,11 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.core.analyzer import analyze
 from repro.core.executor import execute_select
 from repro.core.fixpoint import FixpointOperator
 from repro.core.logical import CliquePlan, ScanNode
-from repro.core.optimizer import optimize
-from repro.core.parser import parse
 from repro.core.physical import make_slots_key, pad_row
-from repro.core.planner import gate_kernels, plan_clique
+from repro.core.planner import plan_clique
 from repro.errors import AnalysisError, PlanningError
 from repro.relation import Relation
 
@@ -65,16 +62,15 @@ class IncrementalView:
         if config.evaluation != "dsn":
             raise PlanningError("incremental views require DSN evaluation")
 
-        analyzed = optimize(analyze(parse(query), ctx.catalog))
+        analyzed = ctx.analyze_query(query, config)
         cliques = analyzed.cliques()
         if len(cliques) != 1 or len(analyzed.units) != 1:
             raise AnalysisError(
                 "incremental views support exactly one recursive clique")
         self.clique: CliquePlan = cliques[0]
         self.final = analyzed.final
-        self.config = gate_kernels(
-            self.clique, config.but(decomposed_plans=False),
-            ctx.catalog.get, ctx.cluster.metrics)
+        self.config = ctx.planning_config(
+            self.clique, config.but(decomposed_plans=False), ctx.catalog.get)
         self.planned = plan_clique(self.clique, self.config, maintenance=True)
         self._check_same_table_self_joins()
 

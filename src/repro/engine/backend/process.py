@@ -39,6 +39,7 @@ import multiprocessing
 import os
 import pickle
 import queue
+import re
 import signal
 import threading
 import time
@@ -664,8 +665,7 @@ class ProcessClusterBackend(ClusterBackend):
         for directive in self._chaos:
             if directive.get("times", 0) <= 0:
                 continue
-            import re as _re
-            if not _re.search(directive["stage"], name):
+            if not re.search(directive["stage"], name):
                 continue
             task = directive.get("task")
             if task is not None and task != task_index:

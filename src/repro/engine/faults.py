@@ -127,8 +127,30 @@ class FailureInjector:
         return True
 
 
+class _StageTrigger:
+    """Shared schedule of the stage-pattern injectors: strike on a stage
+    whose name matches ``stage_pattern``, after skipping ``skip_matches``
+    matching stages, at most ``times`` times.  A plain mixin (no
+    dataclass fields) so each injector keeps its own field order."""
+
+    def __post_init__(self):
+        self._regex = re.compile(self.stage_pattern)
+
+    def matches(self, stage_name: str) -> bool:
+        """True when this injector should strike at *this* stage."""
+        if self.injected >= self.times:
+            return False
+        if not self._regex.search(stage_name):
+            return False
+        self._seen += 1
+        return self._seen > self.skip_matches
+
+    def fire(self) -> None:
+        self.injected += 1
+
+
 @dataclass
-class WorkerLossInjector:
+class WorkerLossInjector(_StageTrigger):
     """Kill a worker when a matching stage reaches a chosen task.
 
     ``worker`` of ``None`` picks a victim deterministically at fire time
@@ -149,24 +171,9 @@ class WorkerLossInjector:
     injected: int = field(default=0, init=False)
     _seen: int = field(default=0, init=False)
 
-    def __post_init__(self):
-        self._regex = re.compile(self.stage_pattern)
-
-    def matches(self, stage_name: str) -> bool:
-        """True when this injector should strike during *this* stage."""
-        if self.injected >= self.times:
-            return False
-        if not self._regex.search(stage_name):
-            return False
-        self._seen += 1
-        return self._seen > self.skip_matches
-
-    def fire(self) -> None:
-        self.injected += 1
-
 
 @dataclass
-class ProcessKillInjector:
+class ProcessKillInjector(_StageTrigger):
     """Send a real signal to a live pool worker when a matching stage
     starts (process backend only).
 
@@ -192,23 +199,11 @@ class ProcessKillInjector:
             raise ValueError(
                 f"ProcessKillInjector signal must be 'kill' or 'stop', "
                 f"got {self.signal!r}")
-        self._regex = re.compile(self.stage_pattern)
-
-    def matches(self, stage_name: str) -> bool:
-        """True when this injector should strike during *this* stage."""
-        if self.injected >= self.times:
-            return False
-        if not self._regex.search(stage_name):
-            return False
-        self._seen += 1
-        return self._seen > self.skip_matches
-
-    def fire(self) -> None:
-        self.injected += 1
+        super().__post_init__()
 
 
 @dataclass
-class MemoryPressureInjector:
+class MemoryPressureInjector(_StageTrigger):
     """Shrink the per-worker memory budget when a matching stage starts.
 
     Models a noisy neighbour (another application's executors growing)
@@ -234,19 +229,7 @@ class MemoryPressureInjector:
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError(
                 f"fraction must be in (0, 1], got {self.fraction!r}")
-        self._regex = re.compile(self.stage_pattern)
-
-    def matches(self, stage_name: str) -> bool:
-        """True when this injector should strike before *this* stage."""
-        if self.injected >= self.times:
-            return False
-        if not self._regex.search(stage_name):
-            return False
-        self._seen += 1
-        return self._seen > self.skip_matches
-
-    def fire(self) -> None:
-        self.injected += 1
+        super().__post_init__()
 
 
 @dataclass
@@ -308,7 +291,7 @@ class CorruptionInjector:
 
 
 @dataclass
-class DriverKillInjector:
+class DriverKillInjector(_StageTrigger):
     """Kill the *driver* when a matching stage is about to start.
 
     Unlike every other injector, this one is unrecoverable in-process:
@@ -325,20 +308,6 @@ class DriverKillInjector:
     times: int = 1
     injected: int = field(default=0, init=False)
     _seen: int = field(default=0, init=False)
-
-    def __post_init__(self):
-        self._regex = re.compile(self.stage_pattern)
-
-    def matches(self, stage_name: str) -> bool:
-        if self.injected >= self.times:
-            return False
-        if not self._regex.search(stage_name):
-            return False
-        self._seen += 1
-        return self._seen > self.skip_matches
-
-    def fire(self) -> None:
-        self.injected += 1
 
 
 class RecoveryManager:

@@ -91,3 +91,87 @@ class TestEquivalence:
         assert interpreted == generated
         # (1,0)⋈(1,2,5) -> (2,5); (1,0)⋈(1,3,9) -> (3,9); (2,5)⋈(2,3,1) -> (3,6)
         assert interpreted == [(2, 5.0), (3, 6.0), (3, 9.0)]
+
+
+class TestSelfDescribingPlan:
+    """Codegen reads the planner's decisions off the steps; shapes the
+    old recovery heuristics gave up on (a filter next to a nested loop)
+    now fuse, and must agree with the interpreted pipeline."""
+
+    #: Interval Coalesce's theta rule plus one delta-only conjunct.
+    THETA_PLUS_RESIDUAL = get_query("interval_coalesce").sql.replace(
+        "inter.S <= coal.E", "inter.S <= coal.E AND coal.S + coal.E > 3")
+
+    def test_steps_carry_their_ast_and_segments(self):
+        from repro.core.physical import (FilterStep, HashJoinStep,
+                                         NestedLoopStep)
+        catalog = Catalog()
+        catalog.register("inter", ("S", "E"))
+        script = optimize(analyze(parse(self.THETA_PLUS_RESIDUAL), catalog))
+        (term,) = plan_clique(script.cliques()[0], ExecutionConfig()).terms
+        filter_step, loop = term.steps
+        assert isinstance(filter_step, FilterStep)
+        assert filter_step.expr.to_sql() == filter_step.sql
+        assert isinstance(loop, NestedLoopStep)
+        assert [c.to_sql() for c in loop.conjuncts] == [
+            "(coal.S <= inter.S)", "(inter.S <= coal.E)"]
+        assert loop.segment == (2, 2)
+        assert (term.delta_offset, term.delta_arity) == (0, 2)
+        assert term.codegen_fn is not None
+
+        sssp = planned("sssp", ExecutionConfig(), source=1).terms[0]
+        (join,) = sssp.steps
+        assert isinstance(join, HashJoinStep)
+        assert join.build_segment == (2, 3)
+
+    @pytest.mark.parametrize("intervals, filter_bites", [
+        ([(1, 4), (2, 5), (4, 8), (10, 12), (11, 15), (20, 21)], False),
+        # coal rows (0, 1), (0, 2) fail ``S + E > 3`` and stop extending
+        ([(0, 1), (1, 2), (0, 2), (2, 6), (5, 9), (1, 1)], True),
+    ], ids=["filter-passes-all", "filter-rejects-some"])
+    def test_theta_plus_residual_codegen_equals_interpreted(self, intervals,
+                                                            filter_bites):
+        from repro import RaSQLContext
+
+        def run(codegen, sql):
+            ctx = RaSQLContext(num_workers=2,
+                               config=ExecutionConfig(codegen=codegen))
+            ctx.register_table("inter", ["S", "E"], intervals)
+            rows = sorted(ctx.sql(sql).rows)
+            return rows, ctx.last_run.iterations
+
+        fused = run(True, self.THETA_PLUS_RESIDUAL)
+        assert fused == run(False, self.THETA_PLUS_RESIDUAL)
+        unfiltered = run(True, get_query("interval_coalesce").sql)
+        assert (fused[0] != unfiltered[0]) == filter_bites
+
+    def test_two_nested_loops_codegen_equals_interpreted(self):
+        """Each nested loop emits exactly the conjuncts it consumed (the
+        old recovery assumed a single loop had consumed them all)."""
+        from repro import RaSQLContext
+        sql = """
+        WITH recursive hop(X) AS
+          (SELECT 1) UNION
+          (SELECT b.V FROM hop, num a, num b
+           WHERE hop.X < a.V AND a.V < b.V AND b.V <= hop.X + 3)
+        SELECT X FROM hop
+        """
+
+        def run(codegen):
+            ctx = RaSQLContext(num_workers=2,
+                               config=ExecutionConfig(codegen=codegen))
+            ctx.register_table("num", ["V"], [(v,) for v in range(1, 12)])
+            rows = sorted(ctx.sql(sql).rows)
+            return rows, ctx.last_run.iterations
+
+        catalog = Catalog()
+        catalog.register("num", ("V",))
+        script = optimize(analyze(parse(sql), catalog))
+        (term,) = plan_clique(script.cliques()[0], ExecutionConfig()).terms
+        assert [s.describe() for s in term.steps] == [
+            "NestedLoopJoin", "NestedLoopJoin"]
+        assert [len(s.conjuncts) for s in term.steps] == [1, 2]
+        assert term.codegen_fn is not None
+        rows, iterations = run(True)
+        assert (rows, iterations) == run(False)
+        assert rows == [(v,) for v in (1, *range(3, 12))]

@@ -134,3 +134,22 @@ class TestExplain:
         flat = ctx.explain(tc, config=ExecutionConfig(decomposed_plans=False))
         assert "decomposable" in decomposed
         assert "decomposable" not in flat
+
+    def test_explain_plans_what_a_checkpointed_run_plans(self, tmp_path):
+        """Durability pins the stacked plan; EXPLAIN must say so instead
+        of advertising a decomposed run that will not happen — and, being
+        a dry run, must not count the kernel size gate."""
+        ctx = RaSQLContext(num_workers=2)
+        ctx.register_table("edge", ["Src", "Dst"], [(1, 2)])
+        tc = """
+        WITH recursive tc(Src, Dst) AS
+          (SELECT Src, Dst FROM edge) UNION
+          (SELECT tc.Src, edge.Dst FROM tc, edge WHERE tc.Dst = edge.Src)
+        SELECT Src, Dst FROM tc
+        """
+        durable = ExecutionConfig(checkpoint_interval=2,
+                                  checkpoint_dir=str(tmp_path))
+        assert "decomposable" in ctx.explain(tc)
+        assert "decomposable" not in ctx.explain(tc, config=durable)
+        assert ctx.metrics.get("kernel_small_input_gate") == 0
+        assert not any(tmp_path.iterdir())

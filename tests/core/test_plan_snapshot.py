@@ -1,0 +1,188 @@
+"""Plan/codegen snapshot: the planner's output is a contract.
+
+Sweeps the query library over the planning-relevant config axes and pins,
+for every recursive, base-rule and maintenance term, the step
+``describe()`` text and the generated source (or that the term is not
+fused), plus each clique's ``explain()``.  The golden
+(``fixtures/plan_snapshot.json``, one digest per entry) was cut at the
+commit *before* the three rule compilers were merged into one, so it
+proves the merge emits byte-identical code for everything that fused
+before.
+
+Regenerate (only for an intended plan change)::
+
+    PYTHONPATH=src python tests/core/test_plan_snapshot.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.core.analyzer import analyze
+from repro.core.catalog import Catalog
+from repro.core.config import ExecutionConfig
+from repro.core.optimizer import optimize
+from repro.core.parser import parse
+from repro.core.planner import plan_clique
+from repro.queries.library import ALL_QUERIES
+
+GOLDEN = Path(__file__).parent / "fixtures" / "plan_snapshot.json"
+
+CONFIGS = {
+    "default": ExecutionConfig(),
+    "kernels_off": ExecutionConfig(kernels=False),
+    "stacked": ExecutionConfig(decomposed_plans=False),
+    "sort_merge": ExecutionConfig(join_strategy="sort_merge"),
+    "broadcast_bases": ExecutionConfig(broadcast_bases=True),
+    "stratified": ExecutionConfig(evaluation="stratified"),
+}
+
+UNFUSED = "unfused"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _source(fn) -> str | None:
+    return None if fn is None else fn._generated_source
+
+
+def collect() -> tuple[dict[str, dict], dict[str, dict]]:
+    """``(digests, texts)`` keyed ``query/config/m<0|1>/c<clique>/<kind>/<index>``.
+
+    ``texts`` holds the full strings behind every digest so a mismatch
+    can print what the planner produced.
+    """
+    digests: dict[str, dict] = {}
+    texts: dict[str, dict] = {}
+
+    def record(key: str, **parts: str | None) -> None:
+        texts[key] = parts
+        digests[key] = {
+            name: (value if value is None or name in ("raises", "grouped")
+                   or value == UNFUSED else _digest(value))
+            for name, value in parts.items()}
+
+    def record_term(key: str, term) -> None:
+        record(key,
+               describe=term.describe(),
+               source=_source(term.codegen_fn) or UNFUSED,
+               dedup=_source(term.codegen_dedup_fn),
+               grouped=(None if term.grouped_spec is None
+                        else repr(term.grouped_spec)))
+
+    for spec in ALL_QUERIES:
+        catalog = Catalog()
+        for table, columns in spec.tables.items():
+            catalog.register(table, columns)
+        script = optimize(analyze(parse(spec.formatted(source=1)), catalog))
+        for config_name, config in CONFIGS.items():
+            for maintenance in (False, True):
+                for c, clique in enumerate(script.cliques()):
+                    prefix = (f"{spec.name}/{config_name}/"
+                              f"m{int(maintenance)}/c{c}")
+                    try:
+                        plan = plan_clique(clique, config,
+                                           maintenance=maintenance)
+                    except Exception as exc:  # the type is the snapshot
+                        record(f"{prefix}/plan", raises=type(exc).__name__)
+                        continue
+                    record(f"{prefix}/plan", explain=plan.explain(),
+                           base_plans="\n".join(
+                               repr((b.step_id, b.relation, b.binding, b.mode,
+                                     b.offset, b.arity, b.build_slots,
+                                     b.filter_sql, b.equi))
+                               for b in plan.base_plans))
+                    for i, term in enumerate(plan.terms):
+                        record_term(f"{prefix}/rec/{i}", term)
+                    for i, base_rule in enumerate(plan.base_rules):
+                        if base_rule.term is not None:
+                            record_term(f"{prefix}/base/{i}", base_rule.term)
+                    for table, terms in plan.maintenance_terms.items():
+                        for i, term in enumerate(terms):
+                            record_term(f"{prefix}/maint/{table}/{i}", term)
+    return digests, texts
+
+
+def _is_term(key: str) -> bool:
+    return not key.endswith("/plan")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def snapshot():
+    return collect()
+
+
+def test_sweep_shape(golden):
+    """The numbers the golden was cut with: 514 terms, the only unfused
+    ones being sort-merge pipelines (never fused by design)."""
+    terms = {k: v for k, v in golden.items() if _is_term(k)}
+    unfused = [k for k, v in terms.items() if v["source"] == UNFUSED]
+    assert len(terms) == 514
+    assert len(unfused) == 18
+    assert all("/sort_merge/" in k for k in unfused)
+
+
+def test_plans_and_generated_code_match_golden(golden, snapshot):
+    digests, texts = snapshot
+    assert sorted(digests) == sorted(golden)
+
+    problems = []
+    for key, want in golden.items():
+        got = digests[key]
+        for part in ("raises", "explain", "base_plans", "describe", "source"):
+            if want.get(part) != got.get(part):
+                problems.append(
+                    f"{key} [{part}] golden {want.get(part)!r}, now "
+                    f"{got.get(part)!r}:\n{texts[key].get(part)}")
+        # The dedup variant / grouped spec are generated only where the
+        # decomposed runner can consume them (see
+        # test_dedup_variants_only_where_consumable); wherever one is
+        # still generated it must be the golden one.
+        for part in ("dedup", "grouped"):
+            if got.get(part) is not None and want.get(part) != got[part]:
+                problems.append(
+                    f"{key} [{part}] golden {want.get(part)!r}, now "
+                    f"{got[part]!r}:\n{texts[key][part]}")
+    assert not problems, "\n\n".join(problems)
+
+
+def test_dedup_variants_only_where_consumable(golden, snapshot):
+    """``codegen_dedup_fn`` / ``grouped_spec`` exist exactly on the
+    recursive terms of a decomposable, aggregate-free clique planned with
+    kernels under DSN — the only place ``decomposed_runner`` reads them —
+    and there they are everything the golden had."""
+    digests, texts = snapshot
+    for key, got in digests.items():
+        if not _is_term(key):
+            continue
+        query, config_name, maintenance, clique, kind = key.split("/")[:5]
+        plan_text = texts[f"{query}/{config_name}/{maintenance}/{clique}/plan"]
+        config = CONFIGS[config_name]
+        consumable = (kind == "rec" and config.kernels
+                      and config.evaluation == "dsn"
+                      and "(decomposable:" in plan_text["explain"])
+        if consumable:
+            assert got["dedup"] == golden[key]["dedup"], key
+            assert got["grouped"] == golden[key]["grouped"], key
+        else:
+            assert got["dedup"] is None and got["grouped"] is None, key
+    consumed = {k.split("/")[0] for k, v in digests.items()
+                if _is_term(k) and "/default/" in k and v["dedup"]}
+    assert consumed == {"tc", "bom_stratified"}
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("{\n" + ",\n".join(
+        f"{json.dumps(key)}: {json.dumps(entry, sort_keys=True)}"
+        for key, entry in sorted(collect()[0].items())) + "\n}\n")
+    print(f"wrote {GOLDEN}")
