@@ -1,6 +1,6 @@
 """Whole-pipeline code generation (Section 7.3).
 
-The interpreted term pipeline materializes a padded-row list after every
+The interpreted term pipeline materializes a working-row list after every
 step and dispatches each expression through closure chains — the classic
 volcano-model overheads the paper's whole-stage code generation removes.
 This module collapses all operators of one term into a single generated
@@ -18,11 +18,12 @@ Structure of a generated function (SSSP's recursive rule)::
             if _b1 is None:
                 continue
             for r1 in _b1:
-                _append(((r1[2]), (d[1] + r1[4])))
+                _append(((r1[1]), (d[1] + r1[2])))
         return _out
 
-Bindings are indexed directly (``d[i]`` for the delta, ``r{k}[slot]`` for
-padded build rows), so no combined row is ever constructed.  Sort-merge
+Bindings are indexed directly (``d[i]`` for the delta, ``r{k}[i]`` for
+build rows — both the relation's or view's own tuples, indexed relative
+to the binding's segment), so no combined row is ever constructed.  Sort-merge
 terms are not fused (the paper's codegen experiments run shuffle-hash);
 generation falls back to the interpreted pipeline for them.
 """
@@ -42,8 +43,10 @@ from repro.core.physical import (
     NestedLoopStep,
     SortMergeJoinStep,
     TotalizeStep,
+    make_slots_key,
 )
 from repro.engine.aggregates import AggregateFunction
+from repro.engine.joins import build_hash_table
 from repro.errors import PlanningError
 
 _OP_MAP = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
@@ -53,29 +56,23 @@ _OP_MAP = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
 class _SlotNamer:
     """Maps absolute layout slots to generated-code references.
 
-    The delta binding's rows are raw view rows (relative indexing on
-    variable ``d``); every joined binding ``k`` holds a padded row in
-    variable ``r{k}`` indexed by absolute slot.  State/delta-source tables
-    also hold raw rows, indexed relative to their segment.
+    Every binding's variable (``d`` for the delta, ``r{k}`` for the
+    ``k``-th joined input) holds the relation's or view's own row, so a
+    slot is indexed relative to its binding's segment.
     """
 
     def __init__(self, delta_offset: int, delta_arity: int):
-        self.delta_offset = delta_offset
-        self.delta_arity = delta_arity
-        #: slot range -> (variable name, base offset to subtract)
-        self.segments: list[tuple[range, str, int]] = [
-            (range(delta_offset, delta_offset + delta_arity), "d", delta_offset)
-        ]
+        #: (slot range, variable name) per bound segment.
+        self.segments: list[tuple[range, str]] = []
+        self.add_segment(delta_offset, delta_arity, "d")
 
-    def add_segment(self, offset: int, arity: int, var: str,
-                    raw: bool) -> None:
-        base = offset if raw else 0
-        self.segments.append((range(offset, offset + arity), var, base))
+    def add_segment(self, offset: int, arity: int, var: str) -> None:
+        self.segments.append((range(offset, offset + arity), var))
 
     def ref(self, slot: int) -> str:
-        for span, var, base in self.segments:
+        for span, var in self.segments:
             if slot in span:
-                return f"{var}[{slot - base}]"
+                return f"{var}[{slot - span.start}]"
         raise PlanningError(f"codegen: slot {slot} not bound yet")
 
 
@@ -133,7 +130,7 @@ def generate_term_function(term: CompiledTerm,
     aggregate-free, non-negated, totalize-free terms.
     """
     rule: RulePlan | None = term.rule
-    if rule is None or rule.layout is None or term.delta_arity is None:
+    if rule is None or rule.layout is None:
         return None
     layout = rule.layout
     namer = _SlotNamer(term.delta_offset, term.delta_arity)
@@ -146,8 +143,7 @@ def generate_term_function(term: CompiledTerm,
     def emit(line: str, level: int) -> None:
         body.append("    " * level + line)
 
-    # Delta prefilter (the driving scan's pushed-down filter): operates on
-    # padded rows in the interpreted path; here we inline it in raw space.
+    # Delta prefilter (the driving scan's pushed-down filter), inlined.
     prefilter_src = None
     if term.delta_prefilter is not None:
         if term.prefilter_expr is None:
@@ -188,8 +184,6 @@ def generate_term_function(term: CompiledTerm,
             emit("    continue", indent)
             continue
         if isinstance(step, HashJoinStep):
-            if step.build_segment is None:
-                return None
             join_var += 1
             if first_join_mark is None:
                 first_join_mark = (len(body), indent)
@@ -198,25 +192,22 @@ def generate_term_function(term: CompiledTerm,
             if step.source == "broadcast":
                 prologue.append(
                     f"    {table} = runtime.broadcast_tables[{step.step_id}]")
-                raw = False
             elif step.source == "base_partition":
                 prologue.append(
                     f"    {table} = runtime.base_partitions"
                     f"[{step.step_id}][partition]")
-                raw = False
             else:
                 accessor = ("runtime.state_rows" if step.source == "state"
                             else "runtime.delta_rows")
                 source_partition = "-1" if step.gather else "partition"
-                positions = tuple(
-                    s - step.state_offset for s in step.build_slots)
+                positions = step.build_positions
                 if step.source == "state":
                     # Kernel layer: version-validated cached table when
                     # enabled; bit-exact rebuild otherwise.
                     prologue.append(
                         f"    {table} = (runtime.state_table("
                         f"{step.state_view!r}, {source_partition}, "
-                        f"{positions!r}, None) "
+                        f"{positions!r}) "
                         f"if runtime.state_table is not None "
                         f"else _build_state_table("
                         f"{accessor}({step.state_view!r}, "
@@ -226,7 +217,6 @@ def generate_term_function(term: CompiledTerm,
                         f"    {table} = _build_state_table("
                         f"{accessor}({step.state_view!r}, {source_partition}), "
                         f"{positions!r})")
-                raw = True
             key_refs = [namer.ref(s) for s in step.probe_slots]
             key = (f"({', '.join(key_refs)},)" if len(key_refs) > 1
                    else key_refs[0])
@@ -245,12 +235,10 @@ def generate_term_function(term: CompiledTerm,
                 emit(f"if {bucket} is None:", indent)
                 emit("    continue", indent)
                 emit(f"for {var} in {bucket}:", indent)
-            namer.add_segment(*step.build_segment, var, raw)
+            namer.add_segment(*step.build_segment, var)
             indent += 1
             continue
         if isinstance(step, NestedLoopStep):
-            if step.segment is None:
-                return None
             join_var += 1
             if first_join_mark is None:
                 first_join_mark = (len(body), indent)
@@ -262,7 +250,7 @@ def generate_term_function(term: CompiledTerm,
                 emit(f"for {var} in {table}:", indent)
             else:
                 clauses.append(f"for {var} in {table}")
-            namer.add_segment(*step.segment, var, raw=False)
+            namer.add_segment(*step.segment, var)
             indent += 1
             if step.predicate is not None:
                 if not step.conjuncts:
@@ -339,17 +327,8 @@ def generate_term_function(term: CompiledTerm,
 
 
 def _build_state_table(rows: list[tuple], key_positions: tuple[int, ...]) -> dict:
-    """Runtime helper: hash table over raw state rows for generated code."""
-    table: dict = {}
-    if len(key_positions) == 1:
-        k = key_positions[0]
-        for row in rows:
-            table.setdefault(row[k], []).append(row)
-    else:
-        for row in rows:
-            key = tuple(row[p] for p in key_positions)
-            table.setdefault(key, []).append(row)
-    return table
+    """Runtime helper: hash table over a view's own rows for generated code."""
+    return build_hash_table(rows, make_slots_key(key_positions))
 
 
 def _is_delta_only(expr: ast.Expr, layout: Layout, lo: int, hi: int) -> bool:
@@ -374,7 +353,7 @@ def grouped_dedup_spec(
     build (or hash) the duplicate row tuples at all.
     """
     rule = term.rule
-    if rule is None or rule.layout is None or term.delta_arity is None:
+    if rule is None or rule.layout is None:
         return None
     if term.negate or any(a is not None for a in aggregates):
         return None
@@ -383,8 +362,7 @@ def grouped_dedup_spec(
     if len(term.steps) != 1:
         return None
     step = term.steps[0]
-    if (not isinstance(step, HashJoinStep) or step.source != "broadcast"
-            or step.build_segment is None):
+    if not isinstance(step, HashJoinStep) or step.source != "broadcast":
         return None
     layout = rule.layout
     lo = term.delta_offset
@@ -412,11 +390,10 @@ def grouped_dedup_spec(
     build_offset, build_arity = step.build_segment
     if not build_offset <= last_slot < build_offset + build_arity:
         return None
-    # Broadcast buckets hold padded rows, indexed by absolute slot.
     return GroupedDedupSpec(step_id=step.step_id,
                             probe=tuple(probe),
                             prefix=tuple(prefix),
-                            build_index=last_slot)
+                            build_index=last_slot - build_offset)
 
 
 def attach_generated_code(term: CompiledTerm,

@@ -139,14 +139,12 @@ class RunInfo:
         """Recovery counters of the run (zeros when nothing failed).
 
         Keys: ``task_attempts``, ``task_failures``, ``workers_lost``,
-        ``workers_blacklisted``, ``speculative_tasks``,
-        ``recovery_seconds``, ``cache_invalidated_partitions``,
-        ``cache_invalidated_bytes``.
+        ``workers_blacklisted``, ``recovery_seconds``,
+        ``cache_invalidated_partitions``, ``cache_invalidated_bytes``.
         """
         keys = ("task_attempts", "task_failures", "workers_lost",
-                "workers_blacklisted", "speculative_tasks",
-                "recovery_seconds", "cache_invalidated_partitions",
-                "cache_invalidated_bytes")
+                "workers_blacklisted", "recovery_seconds",
+                "cache_invalidated_partitions", "cache_invalidated_bytes")
         return {key: self.metrics.get(key, 0) for key in keys}
 
     def supervision_summary(self) -> dict[str, float]:
@@ -450,7 +448,7 @@ class RaSQLContext:
         tracer = self.cluster.tracer
         query_span = None
         try:
-            with tracer.span("query", label) as query_span:
+            with tracer.owned_span("query", label) as query_span:
                 if admission is not None:
                     query_span.annotate(admission=dict(admission))
                 for unit_index, unit in enumerate(analyzed.units):

@@ -41,7 +41,11 @@ from typing import Callable
 from repro.core.config import ExecutionConfig
 from repro.core.decomposed import execute_decomposed
 from repro.core.iteration import CliqueStep
-from repro.core.physical import make_slots_key, pad_row
+from repro.core.physical import (
+    BaseRelationPlan,
+    append_base_side,
+    build_base_side,
+)
 from repro.core.planner import PlannedClique
 from repro.engine.aggregates import aggregate_rows
 from repro.core.schedulers import (
@@ -55,8 +59,6 @@ from repro.engine.backend.payloads import (
 )
 from repro.engine.cluster import Cluster, StageTask
 from repro.engine.dataset import Dataset, Partition
-from repro.engine.joins import build_hash_table, sort_rows
-from repro.engine.kernels import make_padder
 from repro.errors import FixpointNotReachedError, PlanningError
 from repro.relation import Relation
 
@@ -135,7 +137,9 @@ class FixpointOperator:
     # ------------------------------------------------------------------
 
     def _setup_base_relations(self) -> None:
-        """Broadcast / co-partition every base input and build join sides."""
+        """Broadcast / co-partition every base input and build join sides
+        (:func:`build_base_side`); what the cluster is charged for them
+        happens here, around the builder."""
         config = self.config
         cluster = self.cluster
 
@@ -147,37 +151,24 @@ class FixpointOperator:
         for plan in self.planned.base_plans:
             relation = self.resolve(plan.relation)
             t0 = time.perf_counter()
-            if config.kernels and relation.rows:
-                padder = make_padder(plan.offset, plan.arity,
-                                     len(relation.rows[0]))
-                padded = [padder(row) for row in relation.rows]
-            else:
-                padded = [pad_row(row, plan.offset, plan.arity)
-                          for row in relation.rows]
-            if plan.filter is not None:
-                predicate = plan.filter
-                padded = [row for row in padded if predicate(row)]
-
             if plan.mode == "broadcast":
                 charge_key = (plan.relation.lower(), plan.filter_sql)
                 if charge_key not in broadcast_charged:
                     broadcast_charged.add(charge_key)
-                    raw = [row for row in relation.rows]
                     broadcast = cluster.broadcast(
-                        raw,
+                        relation.rows,
                         compress=config.broadcast_compression,
                         ship_hash_table=not config.broadcast_compression)
                     if broadcast.memory_group:
                         self.broadcast_groups.append(broadcast.memory_group)
-                if plan.equi:
-                    table = build_hash_table(padded,
-                                             make_slots_key(plan.build_slots))
-                    self.runtime.broadcast_tables[plan.step_id] = table
-                else:
-                    self.runtime.broadcast_tables[plan.step_id] = padded
+                _, (side,) = build_base_side(plan, relation.rows)
+                self.runtime.broadcast_tables[plan.step_id] = side
             else:  # copartition
-                key_fn = make_slots_key(plan.build_slots)
-                buckets = self.step.make_router(plan.build_slots)(padded)
+                buckets, sides = build_base_side(
+                    plan, relation.rows,
+                    self.step.make_router(plan.build_key),
+                    sort_merge=config.join_strategy == "sort_merge")
+                self.runtime.base_partitions[plan.step_id] = sides
                 partitions = [
                     Partition(i, bucket, cluster.worker_for_partition(i))
                     for i, bucket in enumerate(buckets)
@@ -190,10 +181,6 @@ class FixpointOperator:
                         cluster.memory.charge(
                             "base", str(plan.step_id), partition.index,
                             partition.worker, partition.size_bytes())
-                build = (sort_rows if config.join_strategy == "sort_merge"
-                         else build_hash_table)
-                self.runtime.base_partitions[plan.step_id] = [
-                    build(bucket, key_fn) for bucket in buckets]
             build_cpu += time.perf_counter() - t0
 
         # The builds above happen on workers in parallel; charge them as
@@ -205,19 +192,23 @@ class FixpointOperator:
                 label="fixpoint-setup")
             cluster.metrics.inc("stages")
 
-    def append_base_rows(self, step_id: int, rows: list[tuple],
-                         key_fn: Callable[[tuple], object]) -> None:
-        """Append padded rows to a co-partitioned base build side
-        (incremental maintenance: cached hash tables absorb inserts)."""
-        tables = self.runtime.base_partitions[step_id]
-        blocks = self.base_blocks[step_id]
-        partition_of = self.partitioner.partition_of
-        for row in rows:
-            key = key_fn(row)
-            pid = partition_of(key)
-            tables[pid].setdefault(key, []).append(row)
-            blocks[pid].rows.append(row)
-            blocks[pid]._size_bytes = None
+    def append_base_rows(self, plan: BaseRelationPlan,
+                         rows: list[tuple]) -> None:
+        """Absorb inserted rows of ``plan``'s relation into its cached
+        build side (incremental maintenance)."""
+        if plan.mode == "broadcast":
+            append_base_side(plan, rows,
+                             [self.runtime.broadcast_tables[plan.step_id]])
+            return
+        buckets = append_base_side(
+            plan, rows, self.runtime.base_partitions[plan.step_id],
+            self.step.make_router(plan.build_key))
+        blocks = self.base_blocks[plan.step_id]
+        for i, bucket in enumerate(buckets):
+            if bucket:
+                # Re-wrapped, since a Partition memoizes its size.
+                blocks[i].rows.extend(bucket)
+                blocks[i] = Partition(i, blocks[i].rows, blocks[i].worker)
 
     # ------------------------------------------------------------------
     # base case and shuffles

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.physical import TermRuntime, make_slots_key, pad_row
+from repro.core.physical import TermRuntime
 from repro.engine.aggregates import partial_aggregate
 from repro.engine.kernels import make_fold_kernel, make_router
 from repro.engine.partitioner import HashPartitioner, make_key_fn
@@ -97,15 +97,9 @@ def _reference_router(key_positions: tuple[int, ...],
 
 
 def _append_state_rows(table: dict, rows: list[tuple],
-                       key_positions: tuple[int, ...],
-                       pad: tuple[int, int] | None) -> dict:
+                       key_positions: tuple[int, ...]) -> dict:
     """Add state rows to a build table (``{}`` builds one from scratch)."""
-    if pad is not None:
-        offset, arity = pad
-        rows = [pad_row(r, offset, arity) for r in rows]
-        key_fn = make_slots_key(key_positions)
-    else:
-        key_fn = make_key_fn(key_positions)
+    key_fn = make_key_fn(key_positions)
     for row in rows:
         table.setdefault(key_fn(row), []).append(row)
     return table
@@ -147,7 +141,7 @@ class CliqueStep:
         #: Current-iteration fresh deltas ``D``, per view, per partition.
         self.fresh: dict[str, list[list[tuple]]] = {}
         #: Cached state-side build tables:
-        #: (view, partition, key_positions, pad) -> [version, count, table].
+        #: (view, partition, key_positions) -> [version, count, table].
         self._state_tables: dict[tuple, list] = {}
         self.cache_counts: dict[str, int] = dict.fromkeys(CACHE_COUNTERS, 0)
         for name, view in views.items():
@@ -207,14 +201,10 @@ class CliqueStep:
         return self.states[view_name].partitions[partition].get(key)
 
     def state_table(self, view_name: str, partition: int,
-                    key_positions: tuple[int, ...],
-                    pad: tuple[int, int] | None) -> dict:
-        """Version-validated hash table over a view's state partition.
-
-        ``pad=None`` keys *raw* state rows by relative positions (the
-        codegen path); ``pad=(offset, arity)`` keys *padded* rows by
-        absolute slots (the interpreted HashJoinStep path).  Invalidation
-        rules (see docs/INTERNALS.md):
+                    key_positions: tuple[int, ...]) -> dict:
+        """Version-validated hash table over a view's state partition,
+        holding the view's own rows keyed on ``key_positions`` within
+        them.  Invalidation rules (see docs/INTERNALS.md):
 
         - ``partition == -1`` (gather) always bypasses the cache: gathered
           state spans partitions that sibling tasks of the *current* stage
@@ -233,12 +223,12 @@ class CliqueStep:
         if partition == -1:
             counts["kernel_state_cache_bypass"] += 1
             return _append_state_rows(
-                {}, self.state_rows(view_name, -1), key_positions, pad)
+                {}, self.state_rows(view_name, -1), key_positions)
 
         state = self.states[view_name]
         version = state.versions[partition]
         count = len(state.partitions[partition])
-        cache_key = (view_name, partition, key_positions, pad)
+        cache_key = (view_name, partition, key_positions)
         entry = self._state_tables.get(cache_key)
         if entry is not None and entry[0] == version:
             if entry[1] == count:
@@ -248,13 +238,13 @@ class CliqueStep:
             if (isinstance(state, SetRDD)
                     and entry[1] + len(fresh) == count):
                 # Append-only growth: exactly the fresh rows are missing.
-                _append_state_rows(entry[2], fresh, key_positions, pad)
+                _append_state_rows(entry[2], fresh, key_positions)
                 entry[1] = count
                 counts["kernel_state_cache_updates"] += 1
                 return entry[2]
         counts["kernel_state_cache_misses"] += 1
         table = _append_state_rows(
-            {}, self.state_rows(view_name, partition), key_positions, pad)
+            {}, self.state_rows(view_name, partition), key_positions)
         self._state_tables[cache_key] = [version, count, table]
         return table
 

@@ -15,16 +15,19 @@ are joined against it through a pipeline of steps:
 - :class:`FilterStep` / the final projection — residual predicates and the
   head expressions, with ``count()`` contribution normalization.
 
-Rows travel as *padded* tuples of the rule's full layout arity: each FROM
-binding owns a slot segment, unbound segments hold ``None``.  Joining two
-padded rows is an elementwise coalesce.  This keeps one compiled expression
-per rule valid at every pipeline position.
+The interpreted pipeline's *working row* is a tuple of the rule's full
+layout arity: each FROM binding owns a slot segment, unbound segments hold
+``None``, so one compiled expression per rule is valid at every pipeline
+position.  A row *at rest* — base build side, broadcast table, state
+table — is the relation's or view's own tuple, keyed relative to its own
+columns (:func:`build_base_side`); a join writes it into its segment of
+the working row (:func:`make_placer`), generated code indexes it directly.
 
 The plan is self-describing: next to each compiled closure a step keeps the
-AST it was compiled from and the ``(offset, arity)`` slot segment it binds,
+AST it was compiled from and the ``(offset, width)`` slot segment it binds,
 so :mod:`repro.core.codegen` reads the planner's decisions instead of
-re-deriving them.  Those fields are optional (a hand-built step without
-them still interprets; it just does not fuse).
+re-deriving them.  The ASTs are optional (a hand-built step without them
+still interprets; it just does not fuse).
 """
 
 from __future__ import annotations
@@ -35,23 +38,28 @@ from typing import Callable
 from repro.core import ast_nodes as ast
 from repro.core.logical import RulePlan, ViewPlan
 from repro.engine.aggregates import AggregateFunction
-from repro.engine.joins import build_hash_table, sort_merge_join, sort_rows
+from repro.engine.joins import (
+    build_hash_table,
+    hash_join_probe,
+    sort_merge_join,
+    sort_rows,
+)
 from repro.engine.kernels import make_extractor
 
 
-def pad_row(row: tuple, offset: int, arity: int) -> tuple:
-    """Place a source row into its segment of the combined layout."""
-    return (None,) * offset + tuple(row) + (None,) * (arity - offset - len(row))
+def make_placer(offset: int, width: int) -> Callable[[tuple, tuple], tuple]:
+    """``(working row, stored row) -> working row`` with the stored row
+    at slots ``[offset, offset + width)`` — how a join binds its build row
+    and how a term starts from a driving row (over an all-``None`` row)."""
+    end = offset + width
+    if offset == 0:
+        return lambda row, stored: stored + row[end:]
+    return lambda row, stored: row[:offset] + stored + row[end:]
 
 
-def merge_padded(left: tuple, right: tuple) -> tuple:
-    """Coalesce two padded rows with disjoint bound segments."""
-    return tuple(l if l is not None else r for l, r in zip(left, right))
-
-
-def make_slots_key(slots: tuple[int, ...]) -> Callable[[tuple], object]:
-    """Key extractor over combined-row slots (scalar for one slot)."""
-    return make_extractor(slots)
+#: Key extractor over row positions — working-row slots, or columns of a
+#: stored row (scalar for one position, tuple for several).
+make_slots_key = make_extractor
 
 
 class TermRuntime:
@@ -60,9 +68,10 @@ class TermRuntime:
     Populated by the fixpoint operator during setup and iteration:
 
     - ``broadcast_tables[step_id]`` — hash table (or row list) over the
-      padded rows of a broadcast base relation.
+      rows of a broadcast base relation.
     - ``base_partitions[step_id][p]`` — cached hash table / sorted run of
-      partition ``p`` of a co-partitioned base relation.
+      partition ``p`` of a co-partitioned base relation.  Both hold the
+      relation's own tuples (:func:`build_base_side`).
     - ``state_rows(view, p)`` — current all-relation rows of a view's
       partition ``p`` (full rows, head schema); ``p = -1`` gathers all
       partitions (the fallback when state keys are not join-aligned).
@@ -70,12 +79,11 @@ class TermRuntime:
       (for the δ⋈δ correction terms of two-recursive-reference rules).
     - ``state_total(view, p, key)`` — current aggregate values of a group
       (increment→total conversion for filters over sum/count columns).
-    - ``state_table(view, p, key_positions, pad)`` — version-validated
-      cached hash table over a view's all-relation partition (the kernel
-      layer; ``None`` when ``ExecutionConfig.kernels`` is off, in which
-      case callers rebuild from ``state_rows``).  ``pad=None`` keys raw
-      rows by relative positions (the codegen path); ``pad=(offset,
-      arity)`` keys padded rows by absolute slots (the interpreted path).
+    - ``state_table(view, p, key_positions)`` — version-validated
+      cached hash table over a view's all-relation partition, keyed on
+      positions within the view's rows (the kernel layer; ``None`` when
+      ``ExecutionConfig.kernels`` is off, in which case callers rebuild
+      from ``state_rows``).
     """
 
     def __init__(self):
@@ -85,11 +93,11 @@ class TermRuntime:
         self.delta_rows: Callable[[str, int], list[tuple]] | None = None
         self.state_total: Callable[[str, int, object], tuple | None] | None = None
         self.state_table: Callable[
-            [str, int, tuple[int, ...], tuple[int, int] | None], dict] | None = None
+            [str, int, tuple[int, ...]], dict] | None = None
 
 
 class Step:
-    """One pipeline stage: padded rows in, padded rows out."""
+    """One pipeline stage: working rows in, working rows out."""
 
     def apply(self, rows: list[tuple], partition: int,
               runtime: TermRuntime) -> list[tuple]:
@@ -101,35 +109,37 @@ class Step:
 
 @dataclass
 class HashJoinStep(Step):
-    """Probe a hash table of padded build rows with a combined-row key.
+    """Probe a hash table of stored build rows with a working-row key.
 
     ``source`` selects where the table comes from:
     ``"broadcast"`` (built once at setup), ``"base_partition"`` (built once
     per partition at setup, cached across iterations), ``"state"`` or
-    ``"delta"`` (rebuilt from the named view's partition each call — these
-    change every iteration, so the table cannot be cached; see DESIGN.md
-    for the trade-off).  ``gather=True`` reads all partitions of the state
-    instead of the aligned one (the non-co-partitioned fallback).
+    ``"delta"`` (built from the named view's partition each call — these
+    change every iteration — unless the kernel layer's version-validated
+    state-table cache serves it; see DESIGN.md for the trade-off).
+    ``gather=True`` reads all partitions of the state instead of the
+    aligned one (the non-co-partitioned fallback).
     """
 
     step_id: int
     source: str
     probe_slots: tuple[int, ...]
     build_slots: tuple[int, ...]
+    #: ``(offset, width)`` of the build input's slot segment.
+    build_segment: tuple[int, int]
     state_view: str | None = None
-    state_offset: int = 0
-    arity: int = 0
     gather: bool = False
-    #: ``(offset, arity)`` of the build input's slot segment.
-    build_segment: tuple[int, int] | None = None
 
     def __post_init__(self):
         # Extractors are specialized once per step, not once per task.
         self.probe_key = make_slots_key(self.probe_slots)
-        self.build_key = make_slots_key(self.build_slots)
+        #: The build key as positions within a stored (build-side) row.
+        self.build_positions = tuple(slot - self.build_segment[0]
+                                     for slot in self.build_slots)
+        self.build_key = make_slots_key(self.build_positions)
+        self.place = make_placer(*self.build_segment)
 
     def apply(self, rows, partition, runtime):
-        probe_key = self.probe_key
         if self.source == "broadcast":
             table = runtime.broadcast_tables[self.step_id]
         elif self.source == "base_partition":
@@ -139,25 +149,14 @@ class HashJoinStep(Step):
             if self.source == "state" and runtime.state_table is not None:
                 # Kernel layer: version-validated cached build table.
                 table = runtime.state_table(
-                    self.state_view, source_partition, self.build_slots,
-                    (self.state_offset, self.arity))
+                    self.state_view, source_partition, self.build_positions)
             else:
                 accessor = (runtime.state_rows if self.source == "state"
                             else runtime.delta_rows)
-                state = accessor(self.state_view, source_partition)
                 table = build_hash_table(
-                    (pad_row(r, self.state_offset, self.arity) for r in state),
+                    accessor(self.state_view, source_partition),
                     self.build_key)
-        out: list[tuple] = []
-        append = out.append
-        get = table.get
-        for row in rows:
-            bucket = get(probe_key(row))
-            if bucket is None:
-                continue
-            for build_row in bucket:
-                append(merge_padded(row, build_row))
-        return out
+        return hash_join_probe(rows, self.probe_key, table, self.place)
 
     def describe(self) -> str:
         return f"HashJoin[{self.source}] probe={self.probe_slots} build={self.build_slots}"
@@ -170,17 +169,21 @@ class SortMergeJoinStep(Step):
     step_id: int
     probe_slots: tuple[int, ...]
     build_slots: tuple[int, ...]
+    #: ``(offset, width)`` of the build input's slot segment.
+    build_segment: tuple[int, int]
 
     def __post_init__(self):
         self.probe_key = make_slots_key(self.probe_slots)
-        self.build_key = make_slots_key(self.build_slots)
+        self.build_key = make_slots_key(tuple(
+            slot - self.build_segment[0] for slot in self.build_slots))
+        self.place = make_placer(*self.build_segment)
 
     def apply(self, rows, partition, runtime):
         probe_key = self.probe_key
         sorted_delta = sort_rows(rows, probe_key)
         base_sorted = runtime.base_partitions[self.step_id][partition]
         return sort_merge_join(sorted_delta, base_sorted, probe_key,
-                               self.build_key, merge_padded)
+                               self.build_key, self.place)
 
     def describe(self) -> str:
         return f"SortMergeJoin probe={self.probe_slots} build={self.build_slots}"
@@ -188,23 +191,27 @@ class SortMergeJoinStep(Step):
 
 @dataclass
 class NestedLoopStep(Step):
-    """Theta/cross join against a broadcast input's padded rows."""
+    """Theta/cross join against a broadcast input's row list."""
 
     step_id: int
     predicate: Callable[[tuple], object] | None
+    #: ``(offset, width)`` of the slot segment this step binds.
+    segment: tuple[int, int]
     #: The theta conjuncts fused into ``predicate``, in evaluation order.
     conjuncts: tuple[ast.Expr, ...] = ()
-    #: ``(offset, arity)`` of the slot segment this step binds.
-    segment: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        self.place = make_placer(*self.segment)
 
     def apply(self, rows, partition, runtime):
         others = runtime.broadcast_tables[self.step_id]
         predicate = self.predicate
+        place = self.place
         out: list[tuple] = []
         append = out.append
         for row in rows:
             for other in others:
-                merged = merge_padded(row, other)
+                merged = place(row, other)
                 if predicate is None or predicate(merged):
                     append(merged)
         return out
@@ -275,7 +282,7 @@ class GroupedDedupSpec:
     C-level set algebra instead of hashing every derived row tuple.
 
     ``probe`` and ``prefix`` are positions into delta (= view) rows;
-    ``build_index`` indexes rows of the broadcast bucket list.
+    ``build_index`` is a column of the broadcast relation's own rows.
     """
 
     step_id: int
@@ -288,7 +295,7 @@ class GroupedDedupSpec:
 class CompiledTerm:
     """One delta-expansion term of one recursive rule, fully compiled.
 
-    ``project`` maps a final combined row to the head row (aggregate
+    ``project`` maps a final working row to the head row (aggregate
     contributions already normalized).  ``negate`` marks the
     inclusion-exclusion correction term of two-recursive-reference rules
     over ``sum``/``count`` (its contributions enter with flipped sign).
@@ -296,10 +303,13 @@ class CompiledTerm:
 
     view: str
     delta_view: str
+    #: The driving rows' slot segment starts here and is this wide.
     delta_offset: int
+    delta_arity: int
     arity: int
     steps: list[Step]
     project: Callable[[tuple], tuple]
+    #: The driving scan's pushed-down filter, over the rows as they arrive.
     delta_prefilter: Callable[[tuple], object] | None = None
     negate: bool = False
     rule: RulePlan | None = field(default=None, repr=False)
@@ -316,27 +326,22 @@ class CompiledTerm:
     #: is a single broadcast join whose projection is delta-only parts
     #: followed by one build column — see ``codegen.grouped_dedup_spec``.
     grouped_spec: "GroupedDedupSpec | None" = field(default=None, repr=False)
-    #: Specialized delta padder (``kernels.make_padder``); set at plan time.
-    padder: Callable[[tuple], tuple] | None = field(default=None, repr=False)
-    #: Width of the driving rows' slot segment (it starts at ``delta_offset``).
-    delta_arity: int | None = None
     #: The scan filter ``delta_prefilter`` was compiled from.
     prefilter_expr: ast.Expr | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self._place = make_placer(self.delta_offset, self.delta_arity)
+        self._unbound = (None,) * self.arity
 
     def evaluate(self, delta_rows: list[tuple], partition: int,
                  runtime: TermRuntime) -> list[tuple]:
         """Run the pipeline over one partition's delta rows."""
         if self.codegen_fn is not None:
             return self.codegen_fn(delta_rows, partition, runtime)
-        padder = self.padder
-        if padder is not None:
-            rows = [padder(r) for r in delta_rows]
-        else:
-            offset, arity = self.delta_offset, self.arity
-            rows = [pad_row(r, offset, arity) for r in delta_rows]
         if self.delta_prefilter is not None:
-            predicate = self.delta_prefilter
-            rows = [row for row in rows if predicate(row)]
+            delta_rows = filter(self.delta_prefilter, delta_rows)
+        place, unbound = self._place, self._unbound
+        rows = [place(unbound, row) for row in delta_rows]
         for step in self.steps:
             if not rows:
                 return []
@@ -412,9 +417,11 @@ class BaseRelationPlan:
 
     ``mode``: ``"copartition"`` (hash-partitioned on the build key, build
     side cached per partition — Appendix D) or ``"broadcast"``
-    (Section 7.2).  ``filter`` is the scan's pushed-down predicate,
-    compiled over the *padded* row.  ``equi=False`` means the broadcast
-    value is a plain padded-row list for a nested-loop step.
+    (Section 7.2).  ``offset``/``arity``/``build_slots`` are in the plan's
+    absolute notation (the binding's first slot, the layout arity, layout
+    slots); ``filter`` is the scan's pushed-down predicate over the
+    relation's own row.  ``equi=False`` means the broadcast value is a
+    plain row list for a nested-loop step.
     """
 
     step_id: int
@@ -427,6 +434,52 @@ class BaseRelationPlan:
     filter: Callable[[tuple], object] | None
     filter_sql: str
     equi: bool
+
+    @property
+    def build_key(self) -> tuple[int, ...]:
+        """The build key as positions within the relation's own rows."""
+        return tuple(slot - self.offset for slot in self.build_slots)
+
+
+def build_base_side(plan: BaseRelationPlan, rows: list[tuple],
+                    route: Callable | None = None,
+                    sort_merge: bool = False) -> tuple[list, list]:
+    """Filter, bucket and index one base input over the relation's own
+    tuples (never copied or padded).
+
+    ``route`` (``rows -> one bucket per partition``, keyed on
+    ``plan.build_key``) co-partitions; without it there is the one
+    broadcast bucket.  Returns index-aligned ``(buckets, sides)``: the rows
+    each partition holds and what its join step reads — a hash table on
+    the build key, a sorted run under ``sort_merge``, or (no equi key: a
+    nested loop) the row list itself.
+    """
+    if plan.filter is not None:
+        rows = [row for row in rows if plan.filter(row)]
+    buckets = route(rows) if route is not None else [rows]
+    if not plan.equi:  # the side is a row list: never the relation's own
+        return buckets, [list(bucket) for bucket in buckets]
+    key_fn = make_slots_key(plan.build_key)
+    build = sort_rows if sort_merge else build_hash_table
+    return buckets, [build(bucket, key_fn) for bucket in buckets]
+
+
+def append_base_side(plan: BaseRelationPlan, rows: list[tuple], sides: list,
+                     route: Callable | None = None) -> list[list[tuple]]:
+    """:func:`build_base_side`'s append form: insert ``rows``, filtered
+    and bucketed the same way, into existing hash-table / row-list sides
+    (a sorted run cannot absorb inserts).  Returns the buckets."""
+    if plan.filter is not None:
+        rows = [row for row in rows if plan.filter(row)]
+    buckets = route(rows) if route is not None else [rows]
+    key_fn = make_slots_key(plan.build_key)
+    for side, bucket in zip(sides, buckets):
+        if plan.equi:
+            for row in bucket:
+                side.setdefault(key_fn(row), []).append(row)
+        else:
+            side.extend(bucket)
+    return buckets
 
 
 @dataclass

@@ -32,7 +32,12 @@ from dataclasses import dataclass
 from repro.core import ast_nodes as ast
 from repro.core.config import ExecutionConfig
 from repro.core.decompose import decompose_keys
-from repro.core.expressions import compile_expr, conjoin, referenced_bindings
+from repro.core.expressions import (
+    Layout,
+    compile_expr,
+    conjoin,
+    referenced_bindings,
+)
 from repro.core.logical import (
     CliquePlan,
     JoinNode,
@@ -53,7 +58,6 @@ from repro.core.physical import (
     TotalizeStep,
     make_projector,
 )
-from repro.engine.kernels import make_padder
 from repro.errors import PlanningError
 
 
@@ -75,6 +79,14 @@ def _segment_of(rule: RulePlan, input_index: int) -> tuple[int, int]:
     node = rule.join.inputs[input_index]
     offset = rule.layout.offsets[node.binding.lower()]
     return offset, len(node.columns)
+
+
+def _compile_scan_filter(node: ScanNode, pushed: ast.Expr | None):
+    """The filter pushed onto a scan, compiled over the relation's own
+    row (the single-binding layout); ``None`` without one."""
+    if pushed is None:
+        return None
+    return compile_expr(pushed, Layout([(node.binding, node.columns)]))
 
 
 def _reference_key_candidates(view_name: str, clique: CliquePlan
@@ -277,17 +289,10 @@ def _compile_pipeline(ctx: _TermContext, target: PhysicalView, rule: RulePlan,
                 node.view.lower()].partition_key_positions)
             steps.append(HashJoinStep(
                 ctx.step_ids.take(), rec_sources[chosen], probe_slots,
-                build_slots, state_view=node.view.lower(),
-                state_offset=offset, arity=arity, gather=not aligned,
-                build_segment=segment))
+                build_slots, segment, state_view=node.view.lower(),
+                gather=not aligned))
         else:
             assert isinstance(node, ScanNode)
-            scan_filter = None
-            filter_sql = ""
-            if node.filter is not None:
-                scan_filter = compile_expr(node.filter, layout)
-                filter_sql = node.filter.to_sql()
-
             step_id = ctx.step_ids.take()
             mode = "broadcast"
             if (first_join and on_driving_key
@@ -296,26 +301,27 @@ def _compile_pipeline(ctx: _TermContext, target: PhysicalView, rule: RulePlan,
                 mode = "copartition"
                 if ctx.config.join_strategy == "sort_merge":
                     steps.append(SortMergeJoinStep(step_id, probe_slots,
-                                                   build_slots))
+                                                   build_slots, segment))
                 else:
                     steps.append(HashJoinStep(
                         step_id, "base_partition", probe_slots, build_slots,
-                        build_segment=segment))
+                        segment))
             elif join_pairs:
                 steps.append(HashJoinStep(
-                    step_id, "broadcast", probe_slots, build_slots,
-                    build_segment=segment))
+                    step_id, "broadcast", probe_slots, build_slots, segment))
             else:
                 # Theta or cross join: the conjuncts that become evaluable
                 # exactly now are fused into the loop.
                 theta = take_evaluable(bound_bindings | {node.binding.lower()})
                 predicate = (compile_expr(conjoin(theta), layout)
                              if theta else None)
-                steps.append(NestedLoopStep(step_id, predicate, tuple(theta),
-                                            segment))
+                steps.append(NestedLoopStep(step_id, predicate, segment,
+                                            tuple(theta)))
             ctx.base_plans.append(BaseRelationPlan(
                 step_id, node.relation, node.binding, mode, offset, arity,
-                build_slots, scan_filter, filter_sql, bool(join_pairs)))
+                build_slots, _compile_scan_filter(node, node.filter),
+                node.filter.to_sql() if node.filter is not None else "",
+                bool(join_pairs)))
 
         bound_bindings.add(node.binding.lower())
         bound_slots.update(range(offset, offset + input_arity))
@@ -334,16 +340,13 @@ def _compile_pipeline(ctx: _TermContext, target: PhysicalView, rule: RulePlan,
         view=target.name.lower(),
         delta_view=delta_view,
         delta_offset=driving_offset,
+        delta_arity=driving_arity,
         arity=arity,
         steps=steps,
         project=make_projector(compiled_projections, target.aggregates),
-        delta_prefilter=(compile_expr(prefilter, layout)
-                         if prefilter is not None else None),
+        delta_prefilter=_compile_scan_filter(driving_node, prefilter),
         negate=negate,
         rule=rule,
-        padder=(make_padder(driving_offset, arity, driving_arity)
-                if ctx.config.kernels else None),
-        delta_arity=driving_arity,
         prefilter_expr=prefilter,
     )
 
@@ -480,7 +483,7 @@ def _compile_maintenance_term(ctx: _TermContext, target: PhysicalView,
 
 #: Size gate of the kernel layer.  A clique whose base inputs total fewer
 #: rows than this plans and runs on the reference loops even when
-#: ``ExecutionConfig.kernels`` is on: router/padder specialization, extra
+#: ``ExecutionConfig.kernels`` is on: router specialization, extra
 #: codegen variants and state-table caching are per-query setup costs a
 #: sub-millisecond query never amortizes (BENCH_5.json:
 #: ``same_generation`` 0.75x, ``bom_stratified`` 0.68x).  Kernels are

@@ -32,7 +32,7 @@ from repro.core.analyzer import analyze
 from repro.core.catalog import Catalog
 from repro.core.config import ExecutionConfig
 from repro.core.parser import parse
-from repro.core.physical import TermRuntime
+from repro.core.physical import TermRuntime, build_base_side
 from repro.core.planner import plan_clique
 from repro.errors import AnalysisError, PreMViolationError
 
@@ -241,20 +241,9 @@ def check_prem(query: str, tables: dict[str, tuple[list[str], list]],
     planned = plan_clique(clique, config)
 
     runtime = TermRuntime()
-    from repro.core.physical import pad_row
-    from repro.engine.joins import build_hash_table
-    from repro.core.physical import make_slots_key
-
     for plan in planned.base_plans:
-        relation = catalog.get(plan.relation)
-        padded = [pad_row(r, plan.offset, plan.arity) for r in relation.rows]
-        if plan.filter is not None:
-            padded = [r for r in padded if plan.filter(r)]
-        if plan.equi:
-            runtime.broadcast_tables[plan.step_id] = build_hash_table(
-                padded, make_slots_key(plan.build_slots))
-        else:
-            runtime.broadcast_tables[plan.step_id] = padded
+        _, (side,) = build_base_side(plan, catalog.get(plan.relation).rows)
+        runtime.broadcast_tables[plan.step_id] = side
 
     group_positions = view.group_positions
     agg_positions = view.aggregate_positions

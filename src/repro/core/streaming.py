@@ -30,7 +30,6 @@ from typing import Iterable, Sequence
 from repro.core.executor import execute_select
 from repro.core.fixpoint import FixpointOperator
 from repro.core.logical import CliquePlan, ScanNode
-from repro.core.physical import make_slots_key, pad_row
 from repro.core.planner import plan_clique
 from repro.errors import AnalysisError, PlanningError
 from repro.relation import Relation
@@ -94,7 +93,9 @@ class IncrementalView:
 
         self.operator = FixpointOperator(self.planned, ctx.cluster,
                                          self.config, self._resolve)
-        initial = self.operator.execute()
+        # Outside any query, so the view owns (and drops) its own traces.
+        with ctx.cluster.tracer.owned_span("view", "materialize"):
+            initial = self.operator.execute()
         self.iterations = initial.iterations
         #: Memoized final-SELECT output; dropped by the next ``insert``.
         self._cached_result: Relation | None = None
@@ -160,40 +161,18 @@ class IncrementalView:
 
         # 1. make the new rows visible to every cached join side (before
         #    evaluating, so same-table multi-reference rules see them).
-        self._absorb_into_join_sides(key, new_rows)
+        for plan in self.planned.base_plans:
+            if plan.relation.lower() == key:
+                self.operator.append_base_rows(plan, new_rows)
         relation.rows.extend(new_rows)
 
         # 2. derive the new contributions and run the ordinary semi-naive
         #    loop from the existing state.
-        iterations = self.operator.maintain(
-            self.planned.maintenance_terms.get(key, ()), new_rows)
+        with self.ctx.cluster.tracer.owned_span("view", f"insert[{key}]"):
+            iterations = self.operator.maintain(
+                self.planned.maintenance_terms.get(key, ()), new_rows)
         self.iterations += iterations
         return iterations
-
-    def _absorb_into_join_sides(self, table_key: str,
-                                new_rows: list[tuple]) -> None:
-        runtime = self.operator.runtime
-        for plan in self.planned.base_plans:
-            if plan.relation.lower() != table_key:
-                continue
-            padded = [pad_row(r, plan.offset, plan.arity) for r in new_rows]
-            if plan.filter is not None:
-                padded = [r for r in padded if plan.filter(r)]
-            if not padded:
-                continue
-            if plan.mode == "broadcast":
-                target = runtime.broadcast_tables.get(plan.step_id)
-                if target is None:
-                    continue
-                if plan.equi:
-                    key_fn = make_slots_key(plan.build_slots)
-                    for row in padded:
-                        target.setdefault(key_fn(row), []).append(row)
-                else:
-                    target.extend(padded)
-            else:  # copartition
-                self.operator.append_base_rows(
-                    plan.step_id, padded, make_slots_key(plan.build_slots))
 
     # ------------------------------------------------------------------
 

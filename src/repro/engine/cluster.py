@@ -29,9 +29,7 @@ Fault tolerance (Section 6.1's recovery argument) lives here too:
   iterations keep their locality.
 - Workers accumulating failures are *blacklisted*
   (:class:`repro.engine.faults.RecoveryManager`) and avoided by the
-  scheduler; optional *speculation* re-launches a copy of the slowest
-  task and lets the first committer win (simulated time only — results
-  never change).
+  scheduler.
 
 Resource governance lives here too: every cached partition, shuffle
 buffer, and broadcast is charged against a per-worker budget
@@ -49,7 +47,6 @@ import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from statistics import median
 from typing import Callable, Iterable, Sequence
 
 from repro.engine.backend import ClusterBackend, ProcessConfig, SimulatedBackend
@@ -149,7 +146,7 @@ class Cluster:
         Constants of the simulated network/scheduler; see
         :class:`repro.engine.metrics.CostModel`.
     fault_config:
-        Recovery policy — retry budget, blacklisting, speculation; see
+        Recovery policy — retry budget, blacklisting; see
         :class:`repro.engine.faults.FaultToleranceConfig`.
     """
 
@@ -438,16 +435,30 @@ class Cluster:
             self.metrics.inc("task_attempts")
             busy = cpu_s + self.cost_model.task_overhead_s + fetch_time
             worker_busy[worker] += busy
-            results.append(TaskResult(task.index, output, worker, cpu_s,
-                                      remote_bytes))
-            self.tracer.leaf("task", f"{name}[{task.index}]",
-                             index=task.index, worker=worker,
-                             cpu_seconds=cpu_s, remote_bytes=remote_bytes,
-                             busy_seconds=busy)
+            results.append(self._traced_task(
+                name, TaskResult(task.index, output, worker, cpu_s,
+                                 remote_bytes), busy))
+        return self._finish_stage(name, results, worker_busy, stage_span)
+
+    def _traced_task(self, name: str, result: TaskResult,
+                     busy: float) -> TaskResult:
+        """One committed task of stage ``name``, recorded in the trace."""
+        self.tracer.leaf("task", f"{name}[{result.index}]",
+                         index=result.index, worker=result.worker,
+                         cpu_seconds=result.cpu_seconds,
+                         remote_bytes=result.remote_bytes,
+                         busy_seconds=busy)
+        return result
+
+    def _finish_stage(self, name: str, results: list[TaskResult],
+                      worker_busy: list[float],
+                      stage_span) -> list[TaskResult]:
+        """The tail of every stage, wherever its tasks ran: workers run
+        concurrently, so the stage costs the busiest one's time."""
         stage_time = self.cost_model.stage_overhead_s + max(worker_busy, default=0.0)
         self.metrics.advance(stage_time, label=f"stage:{name}")
         self.metrics.inc("stages")
-        self.metrics.inc("tasks", len(tasks))
+        self.metrics.inc("tasks", len(results))
         self.metrics.inc("task_cpu_seconds",
                          sum(r.cpu_seconds for r in results))
         stage_span.annotate(stage_seconds=stage_time)
@@ -463,7 +474,6 @@ class Cluster:
         worker_busy = [0.0] * self.num_workers
         injecting = self._injecting
         results: list[TaskResult] = []
-        task_busy: list[float] = []
 
         # Pre-stage snapshots are the last cached all-relation state: the
         # Section 6.1 "checkpoint" every recovery path replays from.
@@ -487,26 +497,8 @@ class Cluster:
             result, busy = self._run_task_attempts(
                 name, task, pos, assignments[pos], snapshots.get(pos),
                 injecting, worker_busy)
-            results.append(result)
-            task_busy.append(busy)
-            self.tracer.leaf("task", f"{name}[{task.index}]",
-                             index=task.index, worker=result.worker,
-                             cpu_seconds=result.cpu_seconds,
-                             remote_bytes=result.remote_bytes,
-                             busy_seconds=busy)
-
-        if self.fault_config.speculation:
-            self._speculate(name, tasks, results, task_busy, worker_busy)
-
-        stage_time = self.cost_model.stage_overhead_s + max(worker_busy, default=0.0)
-        self.metrics.advance(stage_time, label=f"stage:{name}")
-        self.metrics.inc("stages")
-        self.metrics.inc("tasks", len(tasks))
-        self.metrics.inc("task_cpu_seconds",
-                         sum(r.cpu_seconds for r in results))
-        stage_span.annotate(stage_seconds=stage_time)
-        self.check_deadline(name)
-        return results
+            results.append(self._traced_task(name, result, busy))
+        return self._finish_stage(name, results, worker_busy, stage_span)
 
     def _fetch_cost(self, task: StageTask,
                     worker: int) -> tuple[float, int, int]:
@@ -700,50 +692,6 @@ class Cluster:
                          invalidated_partitions=len(invalidated),
                          invalidated_bytes=invalidated_bytes)
 
-    def _speculate(self, name: str, tasks: list[StageTask],
-                   results: list[TaskResult], task_busy: list[float],
-                   worker_busy: list[float]) -> None:
-        """Straggler mitigation: re-launch the slowest task elsewhere.
-
-        The speculative copy launches when the median task finishes and
-        the first committer wins.  Only side-effect-free tasks are
-        speculated (a mutating copy would double-apply the merge), and
-        since both attempts compute the same value the simulation only
-        adjusts time: the duplicate work is charged to the copy's worker
-        and the abandoned original stops counting toward the stage's
-        critical path.
-        """
-        if len(results) < 2:
-            return
-        med = median(task_busy)
-        slow_pos = max(range(len(task_busy)), key=task_busy.__getitem__)
-        slow = task_busy[slow_pos]
-        if slow <= 0 or slow <= med * self.fault_config.speculation_multiplier:
-            return
-        task = tasks[slow_pos]
-        if task.mutating or task.snapshot is not None:
-            return
-        original = results[slow_pos].worker
-        others = [w for w in self.live_workers() if w != original]
-        if not others:
-            return
-        spec_worker = min(others, key=lambda w: worker_busy[w])
-        fetch_time, _, _ = self._fetch_cost(task, spec_worker)
-        # The copy runs at the stage's typical rate: straggling is
-        # attributed to the sick executor, not to the task's work.
-        copy_cpu = median(r.cpu_seconds for r in results)
-        copy_busy = copy_cpu + self.cost_model.task_overhead_s + fetch_time
-        copy_finish = med + copy_busy
-        if copy_finish >= slow:
-            return
-        worker_busy[spec_worker] += copy_busy
-        worker_busy[original] -= slow - copy_finish
-        self.metrics.inc("speculative_tasks")
-        self.tracer.leaf("speculation", f"{name}[{task.index}]",
-                         index=task.index, from_worker=original,
-                         to_worker=spec_worker,
-                         saved_seconds=slow - copy_finish)
-
     # ------------------------------------------------------------------
     # shuffle exchange
     # ------------------------------------------------------------------
@@ -812,37 +760,26 @@ class Cluster:
                     label="shuffle")
             span.annotate(records=total_records, bytes=total_bytes,
                           remote_bytes=remote_bytes)
-
-        parts = [Partition(i, rows, self.worker_for_partition(i))
-                 for i, rows in enumerate(gathered)]
-        dataset = Dataset(parts, partitioner, key_indices)
-        # Shuffle buffers occupy memory on the receiving workers until
-        # the consuming stage releases them (repro.core.fixpoint does,
-        # after the merge absorbs them into the cached state).
-        group = f"x{self._exchange_epoch}"
-        self._exchange_epoch += 1
-        dataset.memory_group = group
-        for part in parts:
-            if part.rows:
-                self.memory.charge("shuffle", group, part.index,
-                                   part.worker, part.size_bytes())
-        return dataset
+        return self.restore_exchange(gathered, partitioner, key_indices)
 
     def restore_exchange(self, per_partition_rows: list[list[tuple]],
                          partitioner: HashPartitioner,
                          key_indices: tuple[int, ...] | None = None) -> Dataset:
-        """Re-materialize a previously-exchanged dataset from a checkpoint.
+        """Place rows already bucketed by target partition: the tail of
+        :meth:`exchange`, and all there is to re-materializing an
+        exchanged dataset from a checkpoint.
 
-        The rows were already bucketed by target partition when the
-        checkpoint was cut, so no routing and no *network* time happens
-        here — the resume path charges the blob's disk read under the
-        ``"checkpoint"`` label instead.  Placement and shuffle-tier
-        memory charges are identical to the original :meth:`exchange`,
-        so the consuming merge stage releases the same group.
+        No routing and no *network* time happens here (the resume path
+        charges the blob's disk read under the ``"checkpoint"`` label),
+        so a restored dataset's placement and shuffle-tier memory charges
+        equal the original's and the merge stage releases the same group.
         """
         parts = [Partition(i, rows, self.worker_for_partition(i))
                  for i, rows in enumerate(per_partition_rows)]
         dataset = Dataset(parts, partitioner, key_indices)
+        # Shuffle buffers occupy memory on the receiving workers until
+        # the consuming stage releases them (repro.core.fixpoint does,
+        # after the merge absorbs them into the cached state).
         group = f"x{self._exchange_epoch}"
         self._exchange_epoch += 1
         dataset.memory_group = group

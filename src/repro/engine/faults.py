@@ -53,14 +53,6 @@ class FaultToleranceConfig:
         from scheduling (``spark.blacklist.*``).  Blacklisted workers
         keep their cached partitions — only new task placement avoids
         them — mirroring Spark's executor blacklisting.
-    speculation:
-        Re-launch a speculative copy of a straggler task and take the
-        first committer (``spark.speculation``).  Only side-effect-free
-        tasks are speculated; the copy changes simulated time, never
-        results.
-    speculation_multiplier:
-        A task is a straggler when its busy time exceeds this multiple
-        of the stage's median task time (``spark.speculation.multiplier``).
     backoff_jitter:
         Fractional jitter added on top of the exponential retry backoff:
         each backoff is multiplied by ``1 + jitter * u`` with ``u`` drawn
@@ -79,8 +71,6 @@ class FaultToleranceConfig:
 
     max_task_retries: int = 4
     blacklist_after: int = 3
-    speculation: bool = False
-    speculation_multiplier: float = 1.5
     backoff_jitter: float = 0.0
     verify_shuffle_checksums: bool = True
 

@@ -9,8 +9,6 @@ common shapes once, at plan/setup time, into tight specialized loops:
 
 - :func:`make_extractor` — ``operator.itemgetter``-based key extractors
   (C-level slot access instead of a Python lambda frame per row).
-- :func:`make_padder` — segment padding with cached prefix/suffix tuples
-  instead of two tuple multiplications per row.
 - :func:`make_router` — single-pass batched shuffle routing: one loop
   fills per-partition bucket lists, replacing a ``partition_of`` method
   call per row while preserving ``_stable_hash`` semantics bit-exactly.
@@ -50,13 +48,12 @@ __all__ = [
     "make_merge_columns_kernel",
     "make_merge_kernel",
     "make_merge_rows_kernel",
-    "make_padder",
     "make_router",
 ]
 
 
 # ---------------------------------------------------------------------------
-# key extraction / padding
+# key extraction
 # ---------------------------------------------------------------------------
 
 
@@ -72,23 +69,6 @@ def make_extractor(positions: tuple[int, ...]) -> Callable[[tuple], object]:
     if len(positions) == 1:
         return itemgetter(positions[0])
     return itemgetter(*positions)
-
-
-def make_padder(offset: int, arity: int, width: int) -> Callable[[tuple], tuple]:
-    """Specialized ``pad_row`` for rows of a known segment and width.
-
-    ``pad_row`` pays two tuple multiplications and a ``tuple()`` call per
-    row; here the ``None`` prefix/suffix are built once.
-    """
-    prefix = (None,) * offset
-    suffix = (None,) * (arity - offset - width)
-    if prefix and suffix:
-        return lambda row: prefix + row + suffix
-    if prefix:
-        return lambda row: prefix + row
-    if suffix:
-        return lambda row: row + suffix
-    return lambda row: row
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ class MetricsRegistry:
     - ``iterations`` — fixpoint iterations executed.
     - ``task_attempts``, ``task_failures`` — every attempt vs injected
       deaths (fault-tolerance subsystem; Section 6.1's recovery claim).
-    - ``workers_lost``, ``workers_blacklisted``, ``speculative_tasks``.
+    - ``workers_lost``, ``workers_blacklisted``.
     - ``recovery_seconds`` — simulated time spent on wasted attempts,
       retry backoff, loss detection and cache re-derivation.
     - ``cache_invalidated_partitions``, ``cache_invalidated_bytes`` —

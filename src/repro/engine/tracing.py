@@ -166,6 +166,18 @@ class Tracer:
         finally:
             self.end(span)
 
+    @contextmanager
+    def owned_span(self, kind: str, name: str, **attrs):
+        """A span whose opener owns the finished tree (it serializes it,
+        as ``RunInfo.trace``, or is done with it): as a root it leaves
+        :attr:`roots` on exit, so a long-lived tracer does not grow."""
+        span = self.begin(kind, name, **attrs)
+        try:
+            yield span
+        finally:
+            self.end(span)
+            self.roots[:] = [root for root in self.roots if root is not span]
+
     def leaf(self, kind: str, name: str, **attrs) -> Span:
         """Record an instantaneous child span (e.g. one task of a stage)."""
         if not self.enabled:
@@ -506,15 +518,14 @@ def _format_recovery_section(trace: dict) -> list[str]:
     """The fault-recovery report: only rendered when something failed.
 
     Reads the root span's counter deltas (``task_failures``,
-    ``workers_lost``, ...) plus the ``fault``/``recovery``/``speculation``
-    leaf spans the cluster records, so a trace loaded from a benchmark
-    artifact renders identically to a live one.
+    ``workers_lost``, ...) plus the ``fault``/``recovery`` leaf spans the
+    cluster records, so a trace loaded from a benchmark artifact renders
+    identically to a live one.
     """
     metrics = trace.get("metrics", {})
     failures = metrics.get("task_failures", 0)
     lost = metrics.get("workers_lost", 0)
-    speculated = metrics.get("speculative_tasks", 0)
-    if not (failures or lost or speculated):
+    if not (failures or lost):
         return []
     attempts = metrics.get("task_attempts", 0)
     tasks = metrics.get("tasks", 0)
@@ -532,14 +543,12 @@ def _format_recovery_section(trace: dict) -> list[str]:
     if metrics.get("workers_blacklisted", 0):
         lines.append(
             f"  workers blacklisted: {metrics['workers_blacklisted']:.0f}")
-    if speculated:
-        lines.append(f"  speculative task copies: {speculated:.0f}")
     lines.append(
         f"  recovery overhead: {metrics.get('recovery_seconds', 0.0):.4f}s "
         "simulated (wasted attempts + backoff + detection + re-derivation)")
 
     events = []
-    for kind in ("fault", "recovery", "speculation"):
+    for kind in ("fault", "recovery"):
         for span in _find_dict(trace, kind):
             events.append((span.get("start", 0.0), kind, span))
     if events:
@@ -550,10 +559,6 @@ def _format_recovery_section(trace: dict) -> list[str]:
             if kind == "recovery":
                 detail = (f"  replayed={attrs.get('replayed_tasks', [])}"
                           f" rescheduled={attrs.get('rescheduled', 0)}")
-            elif kind == "speculation":
-                detail = (f"  {attrs.get('from_worker')}"
-                          f"->{attrs.get('to_worker')}"
-                          f" saved={attrs.get('saved_seconds', 0.0):.4f}s")
             elif "failures" in attrs:
                 detail = f"  failures={attrs['failures']}"
             lines.append(

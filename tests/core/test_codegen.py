@@ -68,9 +68,7 @@ class TestEquivalence:
     check single-term outputs directly."""
 
     def test_term_outputs_match(self):
-        from repro.core.physical import TermRuntime, pad_row
-        from repro.core.physical import make_slots_key
-        from repro.engine.joins import build_hash_table
+        from repro.core.physical import TermRuntime, build_base_side
 
         plan = planned("sssp", source=1)
         term = plan.terms[0]
@@ -78,9 +76,9 @@ class TestEquivalence:
 
         edges = [(1, 2, 5.0), (2, 3, 1.0), (1, 3, 9.0)]
         base_plan = plan.base_plans[0]
-        padded = [pad_row(e, base_plan.offset, base_plan.arity)
-                  for e in edges]
-        table = build_hash_table(padded, make_slots_key(base_plan.build_slots))
+        _, (table,) = build_base_side(base_plan, edges)
+        assert all(row is edge for edge in edges
+                   for row in table[edge[0]] if row == edge)
 
         runtime = TermRuntime()
         runtime.base_partitions[base_plan.step_id] = [table]

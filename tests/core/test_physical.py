@@ -6,23 +6,28 @@ from repro.core.physical import (
     NestedLoopStep,
     TermRuntime,
     TotalizeStep,
+    make_placer,
     make_projector,
     make_slots_key,
-    merge_padded,
-    pad_row,
 )
 from repro.engine.aggregates import COUNT, MIN
 from repro.engine.joins import build_hash_table
 
 
+def working_row(row, offset, arity):
+    """A stored row placed over an all-unbound working row."""
+    return make_placer(offset, len(row))((None,) * arity, row)
+
+
 class TestPaddedRows:
     def test_pad_places_segment(self):
-        assert pad_row((1, 2), 3, 7) == (None, None, None, 1, 2, None, None)
+        assert working_row((1, 2), 3, 7) == (None, None, None, 1, 2, None, None)
 
     def test_merge_coalesces_disjoint_segments(self):
-        left = pad_row((1, 2), 0, 5)
-        right = pad_row((8, 9), 2, 5)
-        assert merge_padded(left, right) == (1, 2, 8, 9, None)
+        left = working_row((1, 2), 0, 5)
+        assert make_placer(2, 2)(left, (8, 9)) == (1, 2, 8, 9, None)
+        assert make_placer(0, 2)(working_row((8, 9), 2, 5), (1, 2)) == (
+            1, 2, 8, 9, None)
 
     def test_slots_key_scalar_and_tuple(self):
         row = (10, 20, 30)
@@ -32,18 +37,20 @@ class TestPaddedRows:
 
 class TestSteps:
     def test_hash_join_broadcast(self):
-        step = HashJoinStep(0, "broadcast", probe_slots=(0,), build_slots=(2,))
+        step = HashJoinStep(0, "broadcast", probe_slots=(0,), build_slots=(2,),
+                            build_segment=(2, 2))
         runtime = TermRuntime()
-        build_rows = [pad_row((1, "a"), 2, 4)]
+        stored = (1, "a")
         runtime.broadcast_tables[0] = build_hash_table(
-            build_rows, make_slots_key((2,)))
-        rows = [pad_row((1, "x"), 0, 4)]
+            [stored], make_slots_key((0,)))
+        rows = [working_row((1, "x"), 0, 4)]
         out = step.apply(rows, 0, runtime)
         assert out == [(1, "x", 1, "a")]
+        assert runtime.broadcast_tables[0][1][0] is stored  # never copied
 
     def test_hash_join_state_gather(self):
         step = HashJoinStep(0, "state", probe_slots=(0,), build_slots=(2,),
-                            state_view="v", state_offset=2, arity=4,
+                            build_segment=(2, 2), state_view="v",
                             gather=True)
         runtime = TermRuntime()
         calls = []
@@ -53,16 +60,16 @@ class TestSteps:
             return [(1, "s")]
 
         runtime.state_rows = state_rows
-        out = step.apply([pad_row((1, "x"), 0, 4)], 3, runtime)
+        out = step.apply([working_row((1, "x"), 0, 4)], 3, runtime)
         assert calls == [("v", -1)]  # gather reads all partitions
         assert out == [(1, "x", 1, "s")]
 
     def test_nested_loop_with_predicate(self):
-        step = NestedLoopStep(0, predicate=lambda row: row[0] <= row[2])
+        step = NestedLoopStep(0, predicate=lambda row: row[0] <= row[2],
+                              segment=(2, 2))
         runtime = TermRuntime()
-        runtime.broadcast_tables[0] = [pad_row((5, 6), 2, 4),
-                                       pad_row((0, 1), 2, 4)]
-        out = step.apply([pad_row((3, 4), 0, 4)], 0, runtime)
+        runtime.broadcast_tables[0] = [(5, 6), (0, 1)]
+        out = step.apply([working_row((3, 4), 0, 4)], 0, runtime)
         assert out == [(3, 4, 5, 6)]
 
     def test_filter_step(self):

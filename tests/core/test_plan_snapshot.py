@@ -4,10 +4,14 @@ Sweeps the query library over the planning-relevant config axes and pins,
 for every recursive, base-rule and maintenance term, the step
 ``describe()`` text and the generated source (or that the term is not
 fused), plus each clique's ``explain()``.  The golden
-(``fixtures/plan_snapshot.json``, one digest per entry) was cut at the
-commit *before* the three rule compilers were merged into one, so it
-proves the merge emits byte-identical code for everything that fused
-before.
+(``fixtures/plan_snapshot.json``, one digest per entry) was first cut at
+the commit *before* the three rule compilers were merged into one
+(ISSUE 17), and re-cut when stored rows stopped being padded (ISSUE 18):
+against the parent's full texts every ``explain()`` / ``describe()`` /
+``base_plans`` entry, exception type and fused-ness was byte-identical,
+and the generated sources differed only in the ``r<k>[i]`` index tokens
+(now relative to the binding's own row), ``GroupedDedupSpec.build_index``
+likewise, and the dropped ``pad`` argument of ``runtime.state_table``.
 
 Regenerate (only for an intended plan change)::
 

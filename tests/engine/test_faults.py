@@ -306,48 +306,6 @@ class TestBlacklisting:
         assert cluster.healthy_workers() == [0, 1]
 
 
-class TestSpeculation:
-    def make_skewed_tasks(self, straggler_loops=200_000):
-        def fast(rows):
-            return list(rows)
-
-        def slow(rows):
-            acc = 0
-            for i in range(straggler_loops):
-                acc += i
-            return list(rows)
-
-        tasks = []
-        for i in range(4):
-            part = Partition(i, [(i,)], i)
-            fn = slow if i == 3 else fast
-            tasks.append(StageTask(i, [part], fn, preferred_worker=i))
-        return tasks
-
-    def test_straggler_copy_saves_time(self):
-        spec = Cluster(num_workers=4,
-                       fault_config=FaultToleranceConfig(speculation=True))
-        spec.run_stage("work", self.make_skewed_tasks())
-        assert spec.metrics.get("speculative_tasks") == 1
-
-    def test_speculation_never_changes_results(self):
-        plain = Cluster(num_workers=4)
-        spec = Cluster(num_workers=4,
-                       fault_config=FaultToleranceConfig(speculation=True))
-        plain_results = plain.run_stage("work", self.make_skewed_tasks())
-        spec_results = spec.run_stage("work", self.make_skewed_tasks())
-        assert ([r.output for r in plain_results]
-                == [r.output for r in spec_results])
-
-    def test_mutating_tasks_never_speculated(self):
-        cluster = Cluster(num_workers=4,
-                          fault_config=FaultToleranceConfig(speculation=True))
-        tasks = self.make_skewed_tasks()
-        tasks[3].mutating = True
-        cluster.run_stage("work", tasks)
-        assert cluster.metrics.get("speculative_tasks") == 0
-
-
 class TestShuffleCorruption:
     """Checksum verification earns its keep: detected flips are
     bit-exact, unverified flips visibly diverge.

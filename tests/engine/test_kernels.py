@@ -10,7 +10,6 @@ return ``None`` so the generic dispatch keeps honouring their hooks.
 import dataclasses
 import random
 
-from repro.core.physical import pad_row
 from repro.engine.aggregates import BY_NAME, partial_aggregate
 from repro.engine.kernels import (
     hash_probe_join,
@@ -18,7 +17,6 @@ from repro.engine.kernels import (
     make_fold_kernel,
     make_merge_kernel,
     make_merge_rows_kernel,
-    make_padder,
     make_router,
 )
 from repro.engine.partitioner import HashPartitioner, key_of
@@ -46,17 +44,6 @@ class TestExtractor:
 
     def test_empty_positions(self):
         assert make_extractor(())(("x", "y")) == ()
-
-
-class TestPadder:
-    def test_matches_pad_row(self):
-        row = (1, "a", None)
-        for offset, arity in [(0, 3), (0, 5), (2, 5), (2, 7), (4, 7)]:
-            padder = make_padder(offset, arity, len(row))
-            assert padder(row) == pad_row(row, offset, arity)
-
-    def test_identity_when_full_width(self):
-        assert make_padder(0, 2, 2)((5, 6)) == (5, 6)
 
 
 class TestRouter:

@@ -6,8 +6,9 @@ test ids are tracked by name across PRs — and pins the two things the
 old suite covered that no other suite does:
 
 1. the kernels differential on the *interpreted* pipeline
-   (``codegen=False``: ``HashJoinStep``/``SortMergeJoinStep.apply``,
-   plan-time padders, the padded state-table cache), where
+   (``codegen=False``: ``HashJoinStep``/``SortMergeJoinStep.apply``
+   placing stored rows, the state-table cache they share with the
+   generated code), where
    ``tests/integration/test_kernels.py`` covers the generated one;
 2. the process backend's pickled-row wire with more partitions than
    pool workers, so task coalescing and the content-addressed install

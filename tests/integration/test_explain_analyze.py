@@ -164,3 +164,44 @@ class TestCLI:
         trace = json.loads(trace_path.read_text())
         assert trace["kind"] == "query"
         assert any(s["kind"] == "fixpoint" for s in _walk(trace))
+
+
+class TestTracerRetainsNothingPerQuery:
+    """A long-lived context (``QueryService``) must not keep every
+    query's span tree: ``RunInfo.trace`` is the serialized copy, so the
+    tracer lets go of a root once its owner is done with it."""
+
+    @staticmethod
+    def shape(span):
+        """A trace minus what differs between any two runs: span ids,
+        clock readings, measured-CPU floats, counter deltas."""
+        attrs = {key: value for key, value in span["attrs"].items()
+                 if not isinstance(value, float)}
+        return (span["kind"], span["name"], sorted(attrs.items(), key=repr),
+                [TestTracerRetainsNothingPerQuery.shape(child)
+                 for child in span["children"]])
+
+    def test_roots_stay_bounded_and_traces_stay_whole(self):
+        from repro.core.streaming import IncrementalView
+        from repro.errors import QueryDeadlineExceededError
+        from repro import ExecutionConfig
+
+        sssp = get_query("sssp").formatted(source=1)
+        ctx = sssp_ctx()
+        tracer = ctx.cluster.tracer
+        for _ in range(200):
+            ctx.sql(sssp)
+        view = IncrementalView(ctx, sssp)
+        for i in range(50):
+            view.insert("edge", [(4 + i, 5 + i, 1.0)])
+        with pytest.raises(QueryDeadlineExceededError) as aborted:
+            ctx.sql(sssp, config=ExecutionConfig(deadline_seconds=1e-9))
+        assert aborted.value.partial_trace == ctx.last_run.trace
+        assert len(tracer.roots) <= 2 and not tracer._counter_marks
+
+        ctx.sql(sssp)
+        fresh = sssp_ctx()
+        fresh.sql(sssp)
+        assert ctx.last_run.trace["children"]
+        assert (self.shape(ctx.last_run.trace)
+                == self.shape(fresh.last_run.trace))
