@@ -264,7 +264,8 @@ class CliqueCheckpointer:
               incoming: dict) -> None:
         """Persist everything iteration ``iteration + 1`` needs to run.
 
-        The payload holds the *all* relations, the shuffled deltas the
+        The payload holds the *all* relations (``dump_state``: row lists,
+        tagged ``"set"`` / ``"keyed-rows"``), the shuffled deltas the
         next iteration consumes, the iteration counter/history, and the
         scheduler's RNG state; the clock/counter snapshot is added
         *after* charging the write, so a resumed run continues from

@@ -159,19 +159,16 @@ def generate_term_function(term: CompiledTerm,
             return None  # not fused; interpreted path handles it
         if isinstance(step, TotalizeStep):
             if dedup:
-                return None  # statement-based row patching; not fusible
+                return None  # a statement, not a comprehension clause
             has_totalize = True
-            # Inline total lookup: patch a copy of the raw delta row.
+            # Inline total lookup: the group's stored row carries the
+            # totals and is, column for column, the totalised delta row.
             group_refs = ", ".join(namer.ref(s) for s in step.group_slots)
             key = f"({group_refs},)" if len(step.group_slots) > 1 else group_refs
-            emit(f"_tot = runtime.state_total({step.view!r}, partition, {key})",
+            emit(f"d = runtime.state_total({step.view!r}, partition, {key})",
                  indent)
-            emit("if _tot is None:", indent)
+            emit("if d is None:", indent)
             emit("    continue", indent)
-            emit("_d = list(d)", indent)
-            for slot, position in step.agg_slot_to_position:
-                emit(f"_d[{slot - term.delta_offset}] = _tot[{position}]", indent)
-            emit("d = _d", indent)
             continue
         if isinstance(step, FilterStep):
             if step.expr is None:
@@ -267,7 +264,7 @@ def generate_term_function(term: CompiledTerm,
 
     # Projection with normalization.  Under the kernel layer, parts that
     # read only the delta row are invariant across the join loops and are
-    # hoisted to just before the first join (totalize patches ``d``
+    # hoisted to just before the first join (totalize rebinds ``d``
     # mid-body, so its presence disables the hoist).
     hoist = (kernels and not dedup and first_join_mark is not None
              and not has_totalize)

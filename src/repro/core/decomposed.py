@@ -10,6 +10,7 @@ for any view shape and only ever runs driver-side.
 
 from __future__ import annotations
 
+from repro.core.iteration import make_state
 from repro.core.physical import (
     CompiledTerm,
     HashJoinStep,
@@ -20,7 +21,6 @@ from repro.engine.backend.payloads import remote_task_stub
 from repro.engine.cluster import StageTask
 from repro.engine.dataset import Dataset
 from repro.engine.kernels import make_extractor
-from repro.engine.setrdd import KeyedStateRDD, SetRDD
 from repro.errors import FixpointNotReachedError
 
 
@@ -156,22 +156,16 @@ def run_fused_fixpoint(dedup_fns, broadcast_tables, delta_rows,
     return members, iterations
 
 
-def run_local_fixpoint(terms, view, kernels: bool, splitter, assembler,
-                       broadcast_tables, delta_rows,
-                       max_iters: int) -> tuple[object, int]:
+def run_local_fixpoint(terms, view, kernels: bool, broadcast_tables,
+                       delta_rows, max_iters: int) -> tuple[object, int]:
     """The reference local loop: merge the delta into a private
     one-partition state, evaluate every term over the fresh rows, repeat
     until nothing new derives.  Handles aggregate heads and terms that
     read the evolving state, which the two set runners above cannot."""
+    local = make_state(view, 1, kernels)
     local_runtime = TermRuntime()
     local_runtime.broadcast_tables = broadcast_tables
-    if view.has_aggregates:
-        local = KeyedStateRDD(1, view.aggregate_functions,
-                              use_kernels=kernels)
-        local_runtime.state_rows = lambda _v, _p: local.partition_rows(0)
-    else:
-        local = SetRDD(1)
-        local_runtime.state_rows = lambda _v, _p: list(local.partitions[0])
+    local_runtime.state_rows = lambda _v, _p: local.partition_rows(0)
     local_runtime.state_total = (
         lambda _v, _p, key: local.partitions[0].get(key))
 
@@ -183,11 +177,7 @@ def run_local_fixpoint(terms, view, kernels: bool, splitter, assembler,
             raise FixpointNotReachedError(
                 "decomposed local fixpoint exceeded budget",
                 iterations - 1)
-        if isinstance(local, SetRDD):
-            fresh = local.union_in_place(0, delta)
-        else:
-            pairs = local.merge(0, [splitter(r) for r in delta])
-            fresh = [assembler(k, v) for k, v in pairs]
+        fresh = local.merge_rows(0, delta)
         delta = []
         for term in terms:
             if fresh:
@@ -249,13 +239,10 @@ def execute_decomposed(operator, incoming: dict[str, Dataset]) -> int:
             return run_fused_fixpoint(dedup_fns, tables, delta_rows,
                                       max_iters)
     else:
-        splitter = operator.step.splitters[view_name]
-        assembler = operator.step.assemblers[view_name]
-
         def run(delta_rows):
             return run_local_fixpoint(
-                terms, view, operator.config.kernels, splitter, assembler,
-                tables, delta_rows, max_iters)
+                terms, view, operator.config.kernels, tables, delta_rows,
+                max_iters)
 
     tasks = []
     for p in range(operator.n):

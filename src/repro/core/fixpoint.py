@@ -47,18 +47,19 @@ from repro.core.physical import (
     build_base_side,
 )
 from repro.core.planner import PlannedClique
-from repro.engine.aggregates import aggregate_rows
 from repro.core.schedulers import (
     iterate_combined,
     iterate_remote,
     iterate_two_stage,
 )
+from repro.engine.aggregates import partial_aggregate
 from repro.engine.backend.payloads import (
     collect_remote_states,
     open_remote_session,
 )
 from repro.engine.cluster import Cluster, StageTask
 from repro.engine.dataset import Dataset, Partition
+from repro.engine.kernels import make_extractor
 from repro.errors import FixpointNotReachedError, PlanningError
 from repro.relation import Relation
 
@@ -484,7 +485,10 @@ class FixpointOperator:
             if (self.config.evaluation == "stratified"
                     and original.has_aggregates):
                 # The final stratum: aggregate after the recursion.
-                rows = aggregate_rows(original, rows)
+                positions = original.aggregate_positions
+                rows = partial_aggregate(
+                    rows, make_extractor(original.group_positions), positions,
+                    tuple(original.aggregates[p] for p in positions))
             out[original.name] = Relation.from_tuples(
                 original.name, original.columns, rows)
         return out

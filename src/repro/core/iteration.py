@@ -23,8 +23,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.physical import TermRuntime
-from repro.engine.aggregates import partial_aggregate
-from repro.engine.kernels import make_fold_kernel, make_router
+from repro.engine.kernels import make_router
 from repro.engine.partitioner import HashPartitioner, make_key_fn
 from repro.engine.setrdd import KeyedStateRDD, SetRDD
 
@@ -34,34 +33,17 @@ CACHE_COUNTERS = ("kernel_state_cache_hits", "kernel_state_cache_updates",
                   "kernel_state_cache_misses", "kernel_state_cache_bypass")
 
 
-def _make_splitter(view) -> Callable[[tuple], tuple[object, tuple]]:
-    """head row -> (group key, aggregate values) for keyed-state merging."""
-    group = view.group_positions
-    aggs = view.aggregate_positions
-    if len(group) == 1:
-        g = group[0]
-        return lambda row: (row[g], tuple(row[a] for a in aggs))
-    return lambda row: (tuple(row[i] for i in group),
-                        tuple(row[a] for a in aggs))
-
-
-def _make_assembler(view) -> Callable[[object, tuple], tuple]:
-    """(group key, aggregate values) -> head row."""
-    group = view.group_positions
-    aggs = view.aggregate_positions
-    arity = len(group) + len(aggs)
-    single = len(group) == 1
-
-    def assemble(key, values):
-        row = [None] * arity
-        key_values = (key,) if single else key
-        for position, value in zip(group, key_values):
-            row[position] = value
-        for position, value in zip(aggs, values):
-            row[position] = value
-        return tuple(row)
-
-    return assemble
+def make_state(view, n: int, kernels: bool,
+               partitioner: HashPartitioner | None = None):
+    """The all-relation of ``view`` over ``n`` partitions: ``{group key:
+    head row}`` in the view's own layout for an aggregate head, a row set
+    otherwise."""
+    if view.has_aggregates:
+        return KeyedStateRDD(
+            n, tuple(view.aggregate_functions), partitioner,
+            use_kernels=kernels, group_positions=view.group_positions,
+            aggregate_positions=view.aggregate_positions)
+    return SetRDD(n, partitioner)
 
 
 def _make_negator(view) -> Callable[[tuple], tuple]:
@@ -124,20 +106,15 @@ class CliqueStep:
         self.terms = list(terms)
         self.n = n
         self.kernels = kernels
-        self.partial_aggregation = partial_aggregation
         self.partitioner = HashPartitioner(n)
         self.states: dict[str, KeyedStateRDD | SetRDD] = {}
-        self.splitters: dict[str, Callable] = {}
-        self.assemblers: dict[str, Callable] = {}
         self.negators: dict[str, Callable] = {}
-        #: Hot-path flag: the ubiquitous (key, value) head shape, where
-        #: rows and (key, values) pairs coincide up to 1-tuple wrapping.
-        self.two_col: dict[str, bool] = {}
         #: Per-view shuffle routers: batched kernels, or the reference
         #: per-row ``partition_of`` loop when kernels are off.
         self.routers: dict[str, Callable] = {}
-        #: Per-view fused partial-aggregation folds for two-column heads.
-        self.fold_kernels: dict[str, Callable | None] = {}
+        #: Map-side combines, ``rows -> rows``, of the aggregate views
+        #: (none when partial aggregation is ablated).
+        self.folds: dict[str, Callable] = {}
         #: Current-iteration fresh deltas ``D``, per view, per partition.
         self.fresh: dict[str, list[list[tuple]]] = {}
         #: Cached state-side build tables:
@@ -145,23 +122,14 @@ class CliqueStep:
         self._state_tables: dict[tuple, list] = {}
         self.cache_counts: dict[str, int] = dict.fromkeys(CACHE_COUNTERS, 0)
         for name, view in views.items():
-            if view.has_aggregates:
-                self.states[name] = KeyedStateRDD(
-                    n, view.aggregate_functions, self.partitioner,
-                    use_kernels=kernels)
-            else:
-                self.states[name] = SetRDD(n, self.partitioner)
-            self.splitters[name] = _make_splitter(view)
-            self.assemblers[name] = _make_assembler(view)
+            state = self.states[name] = make_state(
+                view, n, kernels, self.partitioner)
             self.negators[name] = _make_negator(view)
             self.fresh[name] = [[] for _ in range(n)]
-            self.two_col[name] = (view.group_positions == (0,)
-                                  and view.aggregate_positions == (1,))
             self.routers[name] = self.make_router(
                 view.partition_key_positions)
-            if kernels and self.two_col[name]:
-                self.fold_kernels[name] = make_fold_kernel(
-                    view.aggregate_functions[0])
+            if view.has_aggregates and partial_aggregation:
+                self.folds[name] = state.fold
         runtime = self.runtime = TermRuntime()
         runtime.state_rows = self.state_rows
         runtime.delta_rows = self.delta_rows
@@ -182,11 +150,7 @@ class CliqueStep:
     def state_rows(self, view_name: str, partition: int) -> list[tuple]:
         state = self.states[view_name]
         if partition == -1:
-            if isinstance(state, SetRDD):
-                return state.collect()
-            return state.collect_rows()
-        if isinstance(state, SetRDD):
-            return list(state.partitions[partition])
+            return state.collect()
         return state.partition_rows(partition)
 
     def delta_rows(self, view_name: str, partition: int) -> list[tuple]:
@@ -211,11 +175,11 @@ class CliqueStep:
           are still mutating, so no stable version exists to validate.
         - A cached entry is reused verbatim when the partition's
           ``(version, row count)`` is unchanged.
-        - A SetRDD partition whose version matches but whose count grew by
-          exactly the current fresh delta is updated *incrementally* (the
-          all-relation is append-only between snapshots); anything else —
-          keyed states change values in place, restores bump the version —
-          is rebuilt from scratch.
+        - An ``append_only`` (SetRDD) partition whose version matches but
+          whose count grew by exactly the current fresh delta is updated
+          *incrementally* (the all-relation is append-only between
+          snapshots); anything else — keyed states replace rows in place,
+          restores bump the version — is rebuilt from scratch.
 
         Every outcome is tallied in :attr:`cache_counts`.
         """
@@ -235,8 +199,7 @@ class CliqueStep:
                 counts["kernel_state_cache_hits"] += 1
                 return entry[2]
             fresh = self.fresh[view_name][partition]
-            if (isinstance(state, SetRDD)
-                    and entry[1] + len(fresh) == count):
+            if state.append_only and entry[1] + len(fresh) == count:
                 # Append-only growth: exactly the fresh rows are missing.
                 _append_state_rows(entry[2], fresh, key_positions)
                 entry[1] = count
@@ -262,17 +225,7 @@ class CliqueStep:
         """
         d_by_view: dict[str, int] = {}
         for name, state in self.states.items():
-            rows = rows_by_view.get(name, ())
-            if isinstance(state, SetRDD):
-                fresh = state.union_in_place(partition, rows)
-            elif self.two_col[name]:
-                fresh = state.merge_rows(partition, rows)
-            else:
-                splitter = self.splitters[name]
-                assembler = self.assemblers[name]
-                fresh = [assembler(key, values) for key, values
-                         in state.merge(partition,
-                                        [splitter(r) for r in rows])]
+            fresh = state.merge_rows(partition, rows_by_view.get(name, ()))
             self.fresh[name][partition] = fresh
             d_by_view[name] = len(fresh)
         return d_by_view
@@ -305,28 +258,9 @@ class CliqueStep:
         bucket them by the view's partition key (empty buckets dropped)."""
         per_view: dict[str, dict[int, list[tuple]]] = {}
         for view_name, rows in collected.items():
-            view = self.views[view_name]
-            if view.has_aggregates and self.partial_aggregation:
-                functions = view.aggregate_functions
-                fold = self.fold_kernels.get(view_name)
-                if fold is not None:
-                    rows = fold(rows)
-                elif self.two_col[view_name]:
-                    # Fused split+combine+assemble for (key, value) heads.
-                    combine = functions[0].combine
-                    combined: dict = {}
-                    get = combined.get
-                    for key, value in rows:
-                        old = get(key)
-                        combined[key] = (value if old is None
-                                         else combine(old, value))
-                    rows = list(combined.items())
-                else:
-                    splitter = self.splitters[view_name]
-                    assembler = self.assemblers[view_name]
-                    pairs = partial_aggregate(
-                        [splitter(r) for r in rows], functions)
-                    rows = [assembler(k, v) for k, v in pairs]
+            fold = self.folds.get(view_name)
+            if fold is not None:
+                rows = fold(rows)
             per_view[view_name] = {
                 pid: bucket
                 for pid, bucket in enumerate(self.routers[view_name](rows))

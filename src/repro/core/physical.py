@@ -77,8 +77,9 @@ class TermRuntime:
       partitions (the fallback when state keys are not join-aligned).
     - ``delta_rows(view, p)`` — the view's current-iteration delta rows
       (for the δ⋈δ correction terms of two-recursive-reference rules).
-    - ``state_total(view, p, key)`` — current aggregate values of a group
-      (increment→total conversion for filters over sum/count columns).
+    - ``state_total(view, p, key)`` — the stored row of a group, carrying
+      its current totals (increment→total conversion for filters over
+      sum/count columns).
     - ``state_table(view, p, key_positions)`` — version-validated
       cached hash table over a view's all-relation partition, keyed on
       positions within the view's rows (the kernel layer; ``None`` when
@@ -222,31 +223,33 @@ class NestedLoopStep(Step):
 
 @dataclass
 class TotalizeStep(Step):
-    """Replace a delta's increment values by the group's current totals.
+    """Replace a delta row by its group's stored row (the current totals).
 
     Used when a rule *filters or joins on* a ``sum``/``count`` column of
     its delta view (Company Control's ``Tot > 50``, Party Attendance's
     ``Ncount >= 3``): the predicate must see the accumulated total, not the
-    increment the delta carries for linear propagation.  The state is
-    co-partitioned with the delta, so the lookup is partition-local.
+    increment the delta carries for linear propagation.  Every head column
+    is a group or an aggregate column, so the totalised delta row *is* the
+    row the state holds for the group.  The state is co-partitioned with
+    the delta, so the lookup is partition-local.
     """
 
     view: str
-    offset: int
+    #: ``(offset, width)`` of the delta's slot segment.
+    segment: tuple[int, int]
     group_slots: tuple[int, ...]
-    agg_slot_to_position: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        self.group_key = make_slots_key(self.group_slots)
+        self.place = make_placer(*self.segment)
 
     def apply(self, rows, partition, runtime):
-        group_key = make_slots_key(self.group_slots)
+        group_key, place = self.group_key, self.place
         out: list[tuple] = []
         for row in rows:
-            totals = runtime.state_total(self.view, partition, group_key(row))
-            if totals is None:
-                continue  # group vanished (cannot happen under monotone merge)
-            patched = list(row)
-            for slot, position in self.agg_slot_to_position:
-                patched[slot] = totals[position]
-            out.append(tuple(patched))
+            stored = runtime.state_total(self.view, partition, group_key(row))
+            if stored is not None:  # (always, under monotone merge)
+                out.append(place(row, stored))
         return out
 
     def describe(self) -> str:

@@ -362,13 +362,11 @@ def _compile_term(ctx: _TermContext, target: PhysicalView, rule: RulePlan,
     delta_view = ctx.views[rule.join.inputs[delta_index].view.lower()]
     prelude: tuple[Step, ...] = ()
     if _delta_value_mode(rule, delta_index, delta_view) == "total":
-        delta_offset, _ = _segment_of(rule, delta_index)
-        group_slots = tuple(delta_offset + p for p in delta_view.group_positions)
-        agg_map = tuple(
-            (delta_offset + p, i)
-            for i, p in enumerate(delta_view.aggregate_positions))
-        prelude = (TotalizeStep(delta_view.name.lower(), delta_offset,
-                                group_slots, agg_map),)
+        segment = _segment_of(rule, delta_index)
+        group_slots = tuple(segment[0] + p
+                            for p in delta_view.group_positions)
+        prelude = (TotalizeStep(delta_view.name.lower(), segment,
+                                group_slots),)
     return _compile_pipeline(
         ctx, target, rule, delta_index, other_rec_sources,
         driving_key=delta_view.partition_key_positions,

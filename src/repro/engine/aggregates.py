@@ -118,93 +118,83 @@ def get_aggregate(name: str) -> AggregateFunction:
             f"(supported: {sorted(BY_NAME)})") from None
 
 
-def merge_columns(state: dict, keys: Iterable, values: Iterable,
-                  aggregate: AggregateFunction) -> list[tuple]:
-    """Generic columnar merge for one aggregate column: fresh-delta rows.
+def _patched(row: tuple, position: int, value) -> tuple:
+    """``row`` with ``value`` at ``position`` — ``row`` itself when it
+    already holds that very object, so a ``min``/``max`` delta row stays
+    the stored row through the generic loops too."""
+    if row[position] is value:
+        return row
+    return row[:position] + (value,) + row[position + 1:]
 
-    The reference twin of ``kernels.make_merge_columns_kernel`` for
-    single-aggregate states whose function is *not* one of the canonical
-    builtins (a custom clone with overridden hooks): walks the parallel
-    key/value columns, dispatching through the aggregate's own
-    ``merge``/``delta_for_insert``, and returns ``(key, delta_value)``
-    rows exactly as ``KeyedStateRDD.merge_rows`` would.
+
+def merge_rows(state: dict, rows: Iterable[tuple],
+               key_of: Callable[[tuple], object],
+               positions: tuple[int, ...],
+               aggregates: tuple[AggregateFunction, ...]) -> list[tuple]:
+    """Merge head rows into ``{group key: head row}``; return the delta rows.
+
+    The Reduce stage of Algorithm 5 over any head layout, dispatching
+    through each aggregate's own hooks: the reference loop
+    (``ExecutionConfig.kernels=False``) and the only one for
+    multi-aggregate heads and custom :class:`AggregateFunction` clones
+    (``kernels.make_merge_rows_kernel`` is its specialised twin).  A row
+    enters the delta when its group is new or at least one aggregate
+    changed; the delta row carries each aggregate's ``delta_value`` (the
+    improved total for ``min``/``max``, the increment for
+    ``sum``/``count``), the stored row the merged totals.
     """
-    merge = aggregate.merge
-    delta_for_insert = aggregate.delta_for_insert
+    layout = tuple(zip(positions, aggregates))
     fresh: list = []
     append = fresh.append
     get = state.get
-    for key, value in zip(keys, values):
+    for row in rows:
+        key = key_of(row)
         current = get(key)
+        delta = stored = row
         if current is None:
-            state[key] = (value,)
-            append((key, delta_for_insert(value)))
-        else:
-            merged, changed, delta_value = merge(current[0], value)
-            if changed:
-                state[key] = (merged,)
-                append((key, delta_value))
+            state[key] = row
+            for position, aggregate in layout:
+                delta = _patched(delta, position,
+                                aggregate.delta_for_insert(row[position]))
+            append(delta)
+            continue
+        changed = False
+        for position, aggregate in layout:
+            merged, did_change, delta_value = aggregate.merge(
+                current[position], row[position])
+            delta = _patched(delta, position, delta_value)
+            stored = _patched(stored, position, merged)
+            changed = changed or did_change
+        if changed:
+            state[key] = stored
+            append(delta)
     return fresh
 
 
-def partial_aggregate(pairs: Iterable[tuple[object, tuple]],
-                      aggregates: tuple[AggregateFunction, ...]) -> list[tuple[object, tuple]]:
-    """Map-side combine: collapse same-key contributions before the shuffle.
+def partial_aggregate(rows: Iterable[tuple],
+                      key_of: Callable[[tuple], object],
+                      positions: tuple[int, ...],
+                      aggregates: tuple[AggregateFunction, ...]) -> list[tuple]:
+    """Map-side combine: collapse same-group head rows before the shuffle.
 
     This is the ``Partial_Aggregate`` of Algorithm 5 line 5 — it reduces the
     shuffled data volume; correctness is unaffected because every aggregate
     here is associative and commutative (tested property-style in
-    ``tests/engine/test_aggregates.py``).
+    ``tests/engine/test_aggregates.py``).  Contributions are normalized
+    (idempotently — the head projection already did), so this is also the
+    final stratum of stratified evaluation, whose recursion ran without
+    aggregates.  ``kernels.make_fold_kernel`` is the specialised twin.
     """
-    if len(aggregates) == 1:
-        # Fast path: a single aggregate column (every library query) skips
-        # the zip/tuple machinery — scalar state, one dict probe per pair.
-        agg = aggregates[0]
-        normalize = agg.normalize
-        combine = agg.combine
-        state: dict = {}
-        get = state.get
-        for key, values in pairs:
-            value = normalize(values[0])
-            old = get(key)
-            state[key] = value if old is None else combine(old, value)
-        return [(key, (value,)) for key, value in state.items()]
-    state = {}
-    for key, values in pairs:
-        current = state.get(key)
-        if current is None:
-            state[key] = tuple(agg.normalize(v) for agg, v in zip(aggregates, values))
-        else:
-            state[key] = tuple(
-                agg.combine(old, agg.normalize(new))
-                for agg, old, new in zip(aggregates, current, values))
-    return list(state.items())
-
-
-def aggregate_rows(view, rows: list[tuple]) -> list[tuple]:
-    """Group full head rows of ``view`` (a ``ViewPlan``) and combine their
-    aggregate columns — stratified evaluation's final stratum, applied
-    after a recursion that ran under set semantics."""
-    group = view.group_positions
-    agg_positions = view.aggregate_positions
-    functions = [view.aggregates[p] for p in agg_positions]
-    grouped: dict[tuple, list] = {}
+    layout = tuple(zip(positions, aggregates))
+    combined: dict = {}
+    get = combined.get
     for row in rows:
-        key = tuple(row[i] for i in group)
-        values = [row[p] for p in agg_positions]
-        state = grouped.get(key)
-        if state is None:
-            grouped[key] = values
-        else:
-            for i, fn in enumerate(functions):
-                state[i] = fn.combine(state[i], values[i])
-    out = []
-    arity = len(view.columns)
-    for key, values in grouped.items():
-        row = [None] * arity
-        for position, value in zip(group, key):
-            row[position] = value
-        for position, value in zip(agg_positions, values):
-            row[position] = value
-        out.append(tuple(row))
-    return out
+        key = key_of(row)
+        old = get(key)
+        for position, aggregate in layout:
+            value = aggregate.normalize(row[position])
+            if old is not None:
+                value = aggregate.combine(old[position], value)
+            row = _patched(row, position, value)
+        combined[key] = row
+    return list(combined.values())

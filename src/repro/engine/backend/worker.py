@@ -63,7 +63,6 @@ from repro.engine.backend.payloads import (BLOB_CACHE_SLOTS, InstallSpec,
                                            assemble_install_spec,
                                            recompile_term)
 from repro.engine.serialization import load_payload
-from repro.engine.setrdd import SetRDD
 
 
 class _Heartbeat(threading.Thread):
@@ -128,8 +127,7 @@ class WorkerSession:
         """
         for partition, iterations in log.items():
             for state in self.step.states.values():
-                state.replace_partition(
-                    partition, set() if isinstance(state, SetRDD) else {})
+                state.clear_partition(partition)
             for rows_by_view in iterations:
                 self.step.merge(partition, rows_by_view)
 

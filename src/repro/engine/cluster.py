@@ -224,18 +224,24 @@ class Cluster:
         """Arm a :class:`FailureInjector`, :class:`WorkerLossInjector`,
         :class:`MemoryPressureInjector`, :class:`CorruptionInjector`,
         :class:`DriverKillInjector`, or :class:`ProcessKillInjector`."""
-        if isinstance(injector, ProcessKillInjector):
-            self.process_kill_injectors.append(injector)
-        elif isinstance(injector, WorkerLossInjector):
-            self.worker_loss_injectors.append(injector)
-        elif isinstance(injector, MemoryPressureInjector):
-            self.memory_pressure_injectors.append(injector)
-        elif isinstance(injector, CorruptionInjector):
-            self.corruption_injectors.append(injector)
-        elif isinstance(injector, DriverKillInjector):
-            self.driver_kill_injectors.append(injector)
-        else:
-            self.failure_injectors.append(injector)
+        armed_by_class = (
+            (FailureInjector, self.failure_injectors),
+            (WorkerLossInjector, self.worker_loss_injectors),
+            (MemoryPressureInjector, self.memory_pressure_injectors),
+            (CorruptionInjector, self.corruption_injectors),
+            (DriverKillInjector, self.driver_kill_injectors),
+            (ProcessKillInjector, self.process_kill_injectors),
+        )
+        for injector_class, armed in armed_by_class:
+            if isinstance(injector, injector_class):
+                armed.append(injector)
+                return
+        raise TypeError(
+            f"inject_failures() takes a "
+            f"{', '.join(c.__name__ for c, _ in armed_by_class[:-1])} or "
+            f"{armed_by_class[-1][0].__name__}, not "
+            f"{type(injector).__name__} (a ChaosSchedule is armed with "
+            f"schedule.arm(cluster))")
 
     @property
     def _injecting(self) -> bool:

@@ -3,37 +3,39 @@
 The interpreted engine pays a per-row toll on every hot loop: a lambda
 call to extract a key, a method call to pick a shuffle bucket, a closure
 dispatch per aggregate merge.  The simulated *cost model* never sees that
-toll — but the wall clock does, and the ROADMAP's north star ("as fast as
-the hardware allows") is a wall-clock claim.  This module precompiles the
-common shapes once, at plan/setup time, into tight specialized loops:
+toll — but the wall clock does.  This module precompiles the common shapes
+once, at plan/setup time, into tight specialized loops:
 
 - :func:`make_extractor` — ``operator.itemgetter``-based key extractors
   (C-level slot access instead of a Python lambda frame per row).
 - :func:`make_router` — single-pass batched shuffle routing: one loop
   fills per-partition bucket lists, replacing a ``partition_of`` method
   call per row while preserving ``_stable_hash`` semantics bit-exactly.
-- :func:`make_merge_kernel` / :func:`make_merge_rows_kernel` — unrolled
-  min/max/sum/count merge loops for :class:`~repro.engine.setrdd.
-  KeyedStateRDD`, replacing the generic ``AggregateFunction`` dispatch.
-- :func:`make_fold_kernel` — the map-side partial-aggregation fold for
-  ``(key, value)`` heads with the comparison inlined.
+- :func:`make_merge_rows_kernel` — the min/max/sum/count merge of head
+  rows into :class:`~repro.engine.setrdd.KeyedStateRDD`'s
+  ``{group key: head row}`` partitions, for any single-aggregate layout.
+- :func:`make_fold_kernel` — the map-side partial-aggregation fold over
+  the same rows and layouts.  Both are one loop template, compiled with
+  the head's column positions inlined, once per (aggregate, layout).
 - :func:`hash_probe_join` / :func:`batch_hash_probe` and
   :func:`make_merge_columns_kernel` — not on the product path; pinned
   for ``benchmarks/e2e/micro.py``.
 
-Every kernel is a drop-in replacement for a naive reference loop that
-stays in the codebase (``joins.py``, ``setrdd.py``, ``partitioner.py``);
-``ExecutionConfig.kernels=False`` routes execution through the reference
-loops, and the differential suite (``pytest -m kernels``) pins that both
-paths produce bit-exact results.  Kernels may emit join output in a
-different *order* than the reference (e.g. an incrementally-updated build
-table keeps insertion order where a rebuild follows set order); every
-consumer is an idempotent set union or a commutative monotonic aggregate,
-so results are unaffected.
+Each kernel has one naive twin: ``aggregates.merge_rows`` and
+``aggregates.partial_aggregate`` (the generic ``AggregateFunction``
+dispatch, also the only loops for multi-aggregate heads and custom
+clones) and ``iteration._reference_router``.
+``ExecutionConfig.kernels=False`` routes execution through the twins, and
+the differential suite (``pytest -m kernels``) pins that both produce
+bit-exact results.  Join output may come out in a different *order* under
+kernels (an incrementally-updated state table keeps insertion order where
+a rebuild follows set order); every consumer is an idempotent set union
+or a commutative monotonic aggregate, so results are unaffected.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable
 
@@ -46,7 +48,6 @@ __all__ = [
     "make_extractor",
     "make_fold_kernel",
     "make_merge_columns_kernel",
-    "make_merge_kernel",
     "make_merge_rows_kernel",
     "make_router",
 ]
@@ -123,275 +124,176 @@ def make_router(key_positions: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
-# KeyedStateRDD merge kernels
+# keyed-state merge and map-side fold: one loop template each, compiled per
+# (builtin aggregate, head layout)
 # ---------------------------------------------------------------------------
 
+#: ``rows`` are head rows; ``columns`` (the pinned ``merge_rows_batch``
+#: form) their parallel columns, a row being built only when it enters
+#: the state.
+_MERGE_LOOP = """\
+def merge(state, {argument}):
+    fresh = []
+    append = fresh.append
+    get = state.get
+    for {target} in {source}:
+        key = {key}
+        current = get(key)
+        if current is None or {changed}:
+            {row}state[key] = {stored}
+            append(row)
+    return fresh
+"""
 
-def make_merge_kernel(aggregates: tuple[AggregateFunction, ...]
-                      ) -> Callable[[dict, Iterable], list] | None:
-    """Unrolled ``(state, pairs) -> delta pairs`` merge loop, or ``None``.
+#: The fold keeps bare aggregate values (a comparison never dereferences
+#: a stored row) and emits freshly built, contiguous rows for the router.
+_FOLD_LOOP = """\
+def fold(rows):
+    combined = {{}}
+    get = combined.get
+    for {target} in rows:
+        key = {key}
+        old = get(key)
+        {update}
+    return {out}
+"""
 
-    Specialized for the single-aggregate column every library query uses;
-    multi-aggregate states fall back to the generic
-    ``AggregateFunction.merge`` dispatch in ``setrdd.py``.  Each kernel
-    replays Algorithm 5's Reduce semantics exactly: min/max deltas carry
-    the improved totals, sum/count deltas carry the increments, and an
-    insert always enters the delta (``delta_for_insert`` is the identity
-    for all four aggregates).
 
-    Only the canonical builtin singletons qualify: a custom
+def _tuple(items: list[str]) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def _key(columns: list[str], group: tuple[int, ...]) -> str:
+    """``make_extractor(group)`` over column references: a scalar for one
+    position, a tuple otherwise."""
+    if len(group) == 1:
+        return columns[group[0]]
+    return _tuple([columns[g] for g in group])
+
+
+def _compiled(source: str, name: str) -> Callable:
+    env: dict = {}
+    exec(compile(source, f"<rasql-kernel:{name}>", "exec"), env)
+    fn = env[name]
+    fn._generated_source = source
+    return fn
+
+
+@lru_cache(maxsize=None)
+def _merge_kernel(name: str, group: tuple[int, ...], at: int,
+                  columnar: bool) -> Callable:
+    arity = len(group) + 1
+    columns = [f"c{i}" if columnar else f"row[{i}]" for i in range(arity)]
+    if name in ("min", "max"):
+        changed = f"{columns[at]} {'<' if name == 'min' else '>'} current[{at}]"
+        stored = "row"
+    else:
+        changed = f"{columns[at]} != 0"
+        total = list(columns)
+        total[at] = f"current[{at}] + {columns[at]}"
+        stored = f"row if current is None else {_tuple(total)}"
+    return _compiled(_MERGE_LOOP.format(
+        argument="columns" if columnar else "rows",
+        target=_tuple(columns) if columnar else "row",
+        source="zip(*columns)" if columnar else "rows",
+        key=_key(columns, group), changed=changed, stored=stored,
+        row=f"row = {_tuple(columns)}\n            " if columnar else "",
+    ), "merge")
+
+
+@lru_cache(maxsize=None)
+def _fold_kernel(name: str, group: tuple[int, ...], at: int) -> Callable:
+    arity = len(group) + 1
+    columns = [f"c{i}" for i in range(arity)]
+    value = columns[at]
+    if name in ("min", "max"):
+        update = (f"if old is None or {value} {'<' if name == 'min' else '>'}"
+                  f" old:\n            combined[key] = {value}")
+    else:
+        update = f"combined[key] = {value} if old is None else old + {value}"
+    # The row back from (key, value): the key's columns around the value.
+    built = [f"key[{group.index(i)}]" if len(group) != 1 else "key"
+             for i in range(arity) if i != at]
+    built.insert(at, "value")
+    out = ("list(combined.items())" if built == ["key", "value"] else
+           f"[{_tuple(built)} for key, value in combined.items()]")
+    return _compiled(_FOLD_LOOP.format(
+        target=_tuple(columns), key=_key(columns, group), update=update,
+        out=out), "fold")
+
+
+def _shape(aggregates: tuple[AggregateFunction, ...],
+           group_positions: tuple[int, ...],
+           aggregate_positions: tuple[int, ...]) -> tuple | None:
+    """``(aggregate name, group positions, aggregate position)`` of a head
+    the templates apply to, else ``None``.
+
+    Only the canonical singletons qualify: a custom
     :class:`AggregateFunction` that borrows a builtin *name* but swaps
     any hook (``merge``/``delta_for_insert``/...) must keep flowing
-    through the generic dispatch that honours those hooks.
+    through the generic loops that honour those hooks, as must
+    multi-aggregate heads (and any layout that is not exactly the group
+    columns plus the aggregate column).
     """
     if len(aggregates) != 1 or aggregates[0] is not BY_NAME.get(
             aggregates[0].name):
         return None
-    name = aggregates[0].name
-
-    if name == "min":
-        def merge_min(state, pairs):
-            delta: list = []
-            append = delta.append
-            get = state.get
-            for key, values in pairs:
-                current = get(key)
-                value = values[0]
-                if current is None:
-                    state[key] = values
-                    append((key, (value,)))
-                elif value < current[0]:
-                    state[key] = (value,)
-                    append((key, (value,)))
-            return delta
-        return merge_min
-
-    if name == "max":
-        def merge_max(state, pairs):
-            delta: list = []
-            append = delta.append
-            get = state.get
-            for key, values in pairs:
-                current = get(key)
-                value = values[0]
-                if current is None:
-                    state[key] = values
-                    append((key, (value,)))
-                elif value > current[0]:
-                    state[key] = (value,)
-                    append((key, (value,)))
-            return delta
-        return merge_max
-
-    if name in ("sum", "count"):
-        def merge_sum(state, pairs):
-            delta: list = []
-            append = delta.append
-            get = state.get
-            for key, values in pairs:
-                current = get(key)
-                value = values[0]
-                if current is None:
-                    state[key] = values
-                    append((key, (value,)))
-                elif value != 0:
-                    state[key] = (current[0] + value,)
-                    append((key, (value,)))
-            return delta
-        return merge_sum
-
-    return None
+    if sorted(group_positions + aggregate_positions) != list(
+            range(len(group_positions) + 1)):
+        return None
+    return aggregates[0].name, group_positions, aggregate_positions[0]
 
 
-def make_merge_rows_kernel(aggregates: tuple[AggregateFunction, ...]
+def make_merge_rows_kernel(aggregates: tuple[AggregateFunction, ...],
+                           group_positions: tuple[int, ...],
+                           aggregate_positions: tuple[int, ...],
                            ) -> Callable[[dict, Iterable], list] | None:
-    """Merge loop over raw ``(key, value)`` rows, skipping pair splitting.
+    """Unrolled ``(state, head rows) -> delta rows`` merge, or ``None``.
 
-    The ubiquitous two-column head shape (SSSP, CC, BOM, ...) otherwise
-    pays two intermediate lists per merge: ``rows -> (key, values) pairs``
-    before the merge and ``delta pairs -> rows`` after.  This kernel fuses
-    all three loops; output rows are the delta in head schema.  Custom
-    aggregate clones are rejected for the same reason as in
-    :func:`make_merge_kernel`.
+    ``aggregates.merge_rows`` with the one builtin aggregate's hooks and
+    the head's column positions inlined, over ``{group key: head row}`` —
+    any single-aggregate head shape.  Algorithm 5's Reduce exactly: a
+    ``min``/``max`` row that improves its group *becomes* the stored row
+    and is the delta row; a non-zero ``sum``/``count`` row is the delta
+    (the increment) and the stored row is that row carrying the new
+    total; an insert always enters the delta (``delta_for_insert`` is the
+    identity for all four).
     """
-    if len(aggregates) != 1 or aggregates[0] is not BY_NAME.get(
-            aggregates[0].name):
-        return None
-    name = aggregates[0].name
-
-    if name == "min":
-        def merge_rows_min(state, rows):
-            fresh: list = []
-            append = fresh.append
-            get = state.get
-            for row in rows:
-                key = row[0]
-                value = row[1]
-                current = get(key)
-                if current is None:
-                    state[key] = (value,)
-                    append((key, value))
-                elif value < current[0]:
-                    state[key] = (value,)
-                    append((key, value))
-            return fresh
-        return merge_rows_min
-
-    if name == "max":
-        def merge_rows_max(state, rows):
-            fresh: list = []
-            append = fresh.append
-            get = state.get
-            for row in rows:
-                key = row[0]
-                value = row[1]
-                current = get(key)
-                if current is None:
-                    state[key] = (value,)
-                    append((key, value))
-                elif value > current[0]:
-                    state[key] = (value,)
-                    append((key, value))
-            return fresh
-        return merge_rows_max
-
-    if name in ("sum", "count"):
-        def merge_rows_sum(state, rows):
-            fresh: list = []
-            append = fresh.append
-            get = state.get
-            for row in rows:
-                key = row[0]
-                value = row[1]
-                current = get(key)
-                if current is None:
-                    state[key] = (value,)
-                    append((key, value))
-                elif value != 0:
-                    state[key] = (current[0] + value,)
-                    append((key, value))
-            return fresh
-        return merge_rows_sum
-
-    return None
+    shape = _shape(aggregates, group_positions, aggregate_positions)
+    return shape and _merge_kernel(*shape, columnar=False)
 
 
 # Unreferenced by the product path; pinned with
 # ``KeyedStateRDD.merge_rows_batch`` for benchmarks/e2e/micro.py.
-def make_merge_columns_kernel(aggregates: tuple[AggregateFunction, ...]
-                              ) -> Callable[[dict, Iterable, Iterable],
-                                            list] | None:
-    """Columnar merge: ``(state, keys, values) -> fresh rows``, or ``None``.
+def make_merge_columns_kernel(aggregates: tuple[AggregateFunction, ...],
+                              group_positions: tuple[int, ...],
+                              aggregate_positions: tuple[int, ...],
+                              ) -> Callable[[dict, list], list] | None:
+    """Columnar merge: ``(state, columns) -> fresh rows``, or ``None``.
 
-    The column-decomposed twin of :func:`make_merge_rows_kernel` for a
-    :class:`~repro.engine.columnar.ColumnBatch` whose two columns are the
-    ``(key, value)`` head — the loop walks the zipped key/value columns
-    directly instead of indexing ``row[0]``/``row[1]`` per tuple.  Same
-    eligibility rule (single canonical builtin aggregate), same state
-    transitions, same fresh-delta rows in the same order
-    (``tests/engine/test_columnar.py`` pins the equivalence).
+    The same loop as :func:`make_merge_rows_kernel` walking a
+    :class:`~repro.engine.columnar.ColumnBatch`'s zipped columns — same
+    eligibility, same state, same fresh rows in the same order
+    (``tests/engine/test_columnar.py``).
     """
-    if len(aggregates) != 1 or aggregates[0] is not BY_NAME.get(
-            aggregates[0].name):
-        return None
-    name = aggregates[0].name
-
-    if name == "min":
-        def merge_columns_min(state, keys, values):
-            fresh: list = []
-            append = fresh.append
-            get = state.get
-            for key, value in zip(keys, values):
-                current = get(key)
-                if current is None:
-                    state[key] = (value,)
-                    append((key, value))
-                elif value < current[0]:
-                    state[key] = (value,)
-                    append((key, value))
-            return fresh
-        return merge_columns_min
-
-    if name == "max":
-        def merge_columns_max(state, keys, values):
-            fresh: list = []
-            append = fresh.append
-            get = state.get
-            for key, value in zip(keys, values):
-                current = get(key)
-                if current is None:
-                    state[key] = (value,)
-                    append((key, value))
-                elif value > current[0]:
-                    state[key] = (value,)
-                    append((key, value))
-            return fresh
-        return merge_columns_max
-
-    if name in ("sum", "count"):
-        def merge_columns_sum(state, keys, values):
-            fresh: list = []
-            append = fresh.append
-            get = state.get
-            for key, value in zip(keys, values):
-                current = get(key)
-                if current is None:
-                    state[key] = (value,)
-                    append((key, value))
-                elif value != 0:
-                    state[key] = (current[0] + value,)
-                    append((key, value))
-            return fresh
-        return merge_columns_sum
-
-    return None
+    shape = _shape(aggregates, group_positions, aggregate_positions)
+    return shape and _merge_kernel(*shape, columnar=True)
 
 
-def make_fold_kernel(aggregate: AggregateFunction
+def make_fold_kernel(aggregates: tuple[AggregateFunction, ...],
+                     group_positions: tuple[int, ...],
+                     aggregate_positions: tuple[int, ...],
                      ) -> Callable[[Iterable[tuple]], list] | None:
-    """Map-side partial aggregation over ``(key, value)`` rows, inlined.
+    """Map-side partial aggregation over head rows, inlined, or ``None``.
 
-    Replaces the ``combine`` closure call per row with the comparison /
-    addition itself.  Ties resolve exactly as ``min``/``max`` builtins do
-    (keep the incumbent), matching the reference fold bit-exactly.
-    Custom aggregate clones are rejected (see :func:`make_merge_kernel`).
+    ``aggregates.partial_aggregate`` for the same shapes as
+    :func:`make_merge_rows_kernel`, with the comparison / addition itself
+    in place of the ``combine`` call (contributions arrive normalized from
+    the head projection).  Ties resolve exactly as the ``min``/``max``
+    builtins do (keep the incumbent), matching the reference fold.
     """
-    if aggregate is not BY_NAME.get(aggregate.name):
-        return None
-    name = aggregate.name
-    if name == "min":
-        def fold_min(rows):
-            combined: dict = {}
-            get = combined.get
-            for key, value in rows:
-                old = get(key)
-                if old is None or value < old:
-                    combined[key] = value
-            return list(combined.items())
-        return fold_min
-
-    if name == "max":
-        def fold_max(rows):
-            combined: dict = {}
-            get = combined.get
-            for key, value in rows:
-                old = get(key)
-                if old is None or value > old:
-                    combined[key] = value
-            return list(combined.items())
-        return fold_max
-
-    if name in ("sum", "count"):
-        def fold_sum(rows):
-            combined: dict = {}
-            get = combined.get
-            for key, value in rows:
-                old = get(key)
-                combined[key] = value if old is None else old + value
-            return list(combined.items())
-        return fold_sum
-
-    return None
+    shape = _shape(aggregates, group_positions, aggregate_positions)
+    return shape and _fold_kernel(*shape)
 
 
 # ---------------------------------------------------------------------------

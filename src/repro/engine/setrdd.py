@@ -9,13 +9,18 @@ hash set that supports in-place union.  We reproduce both flavours:
   and returns only the genuinely new rows (set difference fused with union,
   as in the Reduce stage of Algorithm 4).
 - :class:`KeyedStateRDD` for aggregates-in-recursion (CC, SSSP, BOM, ...):
-  each partition is a dict from group key to the current aggregate value
-  tuple; merging applies the monotonic aggregate logic of Algorithm 5
-  (insert new keys, improve existing ones, emit the delta).
+  each partition is a dict from group key to *the view's own head row
+  carrying the group's current totals*; merging applies the monotonic
+  aggregate logic of Algorithm 5 (insert new keys, improve existing ones,
+  emit the delta).
 
-Both structures are deliberately *not* Datasets: they are long-lived mutable
-state cached on workers for the whole fixpoint, exactly like the paper's
-cached SetRDD partitions.
+Either way a row at rest is the view's own tuple, and both classes answer
+the same calls — ``merge_rows`` (rows in, fresh delta rows out),
+``partition_rows``, ``collect``, ``clear_partition``, snapshot / restore /
+replace, ``dump_state`` / ``load_state`` — so the fixpoint never asks which
+one it holds.  Both are deliberately *not* Datasets: they are long-lived
+mutable state cached on workers for the whole fixpoint, exactly like the
+paper's cached SetRDD partitions.
 
 Both also carry a per-partition *version* counter, bumped whenever a
 partition changes other than by pure append (restore after a fault,
@@ -31,15 +36,25 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.engine.aggregates import AggregateFunction, merge_columns
-from repro.engine.kernels import (make_merge_columns_kernel,
-                                  make_merge_kernel, make_merge_rows_kernel)
+from functools import partial
+
+from repro.engine import aggregates as reference
+from repro.engine.aggregates import AggregateFunction
+from repro.engine.kernels import (make_extractor, make_fold_kernel,
+                                  make_merge_columns_kernel,
+                                  make_merge_rows_kernel)
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.serialization import rows_size
+from repro.errors import CheckpointError
 
 
 class SetRDD:
     """Per-partition hash sets with fused union+difference."""
+
+    #: Between version bumps a partition only ever grows, by exactly the
+    #: fresh rows its merges return (what lets a cached state table be
+    #: extended instead of rebuilt).
+    append_only = True
 
     def __init__(self, num_partitions: int, partitioner: HashPartitioner | None = None):
         self.partitions: list[set[tuple]] = [set() for _ in range(num_partitions)]
@@ -68,6 +83,8 @@ class SetRDD:
                 fresh.append(row)
         return fresh
 
+    merge_rows = union_in_place
+
     def contains(self, partition_index: int, row: tuple) -> bool:
         return row in self.partitions[partition_index]
 
@@ -94,6 +111,9 @@ class SetRDD:
         self.versions[partition_index] += 1
         self._size_cache[partition_index] = None
 
+    def clear_partition(self, partition_index: int) -> None:
+        self.replace_partition(partition_index, set())
+
     def dump_state(self) -> dict:
         """Whole-state dump for durable checkpoints (pickle-friendly)."""
         return {"kind": "set",
@@ -114,6 +134,9 @@ class SetRDD:
 
     def num_rows(self) -> int:
         return sum(len(p) for p in self.partitions)
+
+    def partition_rows(self, partition_index: int) -> list[tuple]:
+        return list(self.partitions[partition_index])
 
     def collect(self) -> list[tuple]:
         out: list[tuple] = []
@@ -143,36 +166,50 @@ class SetRDD:
 
 
 class KeyedStateRDD:
-    """Per-partition ``{group key: aggregate values}`` state.
+    """Per-partition ``{group key: head row}`` state.
 
-    ``aggregates`` holds one :class:`AggregateFunction` per value column.
-    A *row* of this state is ``key_columns + value_columns``; helpers exist
-    to reassemble full rows for the final result and for joins against the
-    all-relation (the cross terms of mutual recursion).
+    A stored row is the view's own head row carrying the group's current
+    totals, keyed by its columns at ``group_positions`` (a scalar for one
+    position, a tuple otherwise — :func:`~repro.engine.kernels.
+    make_extractor`); ``aggregates`` holds one :class:`AggregateFunction`
+    per column of ``aggregate_positions``.  Every head column is one or
+    the other.  The *delta* row a merge returns has the same shape: for
+    ``min``/``max`` it is the stored row itself, for ``sum``/``count`` it
+    carries the increment where the stored row carries the total.
 
-    With ``use_kernels`` (the default), single-aggregate merges run through
-    the unrolled loops of :mod:`repro.engine.kernels`; the generic
-    :class:`AggregateFunction` dispatch below remains the bit-exact
-    reference path (``ExecutionConfig.kernels=False``) and the only path
-    for multi-aggregate states.
+    With ``use_kernels`` (the default), a head with one builtin aggregate
+    merges and folds through the unrolled loops of
+    :mod:`repro.engine.kernels`; the generic :class:`AggregateFunction`
+    dispatch of :mod:`repro.engine.aggregates` is the bit-exact reference
+    (``ExecutionConfig.kernels=False``) and the only path for
+    multi-aggregate heads and custom aggregate clones.
     """
+
+    append_only = False
 
     def __init__(self, num_partitions: int,
                  aggregates: tuple[AggregateFunction, ...],
                  partitioner: HashPartitioner | None = None,
-                 use_kernels: bool = True):
+                 use_kernels: bool = True,
+                 group_positions: tuple[int, ...] = (0,),
+                 aggregate_positions: tuple[int, ...] = (1,)):
         self.partitions: list[dict] = [{} for _ in range(num_partitions)]
-        self.aggregates = aggregates
         self.partitioner = partitioner or HashPartitioner(num_partitions)
         self.versions: list[int] = [0] * num_partitions
-        self._rows_cache: list[tuple[int, list[tuple]] | None] = \
-            [None] * num_partitions
         self._size_cache: list[tuple[int, int] | None] = [None] * num_partitions
-        self._merge_kernel = make_merge_kernel(aggregates) if use_kernels else None
-        self._merge_rows_kernel = \
-            make_merge_rows_kernel(aggregates) if use_kernels else None
-        self._merge_columns_kernel = \
-            make_merge_columns_kernel(aggregates) if use_kernels else None
+        self.key_of = make_extractor(group_positions)
+        generic = dict(key_of=self.key_of, positions=aggregate_positions,
+                       aggregates=aggregates)
+        merge = fold = self._merge_columns = None
+        if use_kernels:
+            layout = (aggregates, group_positions, aggregate_positions)
+            merge = make_merge_rows_kernel(*layout)
+            fold = make_fold_kernel(*layout)
+            self._merge_columns = make_merge_columns_kernel(*layout)
+        self._merge = merge or partial(reference.merge_rows, **generic)
+        #: Map-side combine of head rows under this state's layout
+        #: (``Partial_Aggregate``, Algorithm 5 line 5): rows -> rows.
+        self.fold = fold or partial(reference.partial_aggregate, **generic)
 
     @property
     def num_partitions(self) -> int:
@@ -181,113 +218,34 @@ class KeyedStateRDD:
     def _touch(self, partition_index: int) -> None:
         """Invalidate cached derivatives after a state change."""
         self.versions[partition_index] += 1
-        self._rows_cache[partition_index] = None
         self._size_cache[partition_index] = None
-
-    def merge(self, partition_index: int,
-              pairs: Iterable[tuple[object, tuple]]) -> list[tuple[object, tuple]]:
-        """Merge ``(key, values)`` contributions; return the delta pairs.
-
-        Implements the Reduce stage of Algorithm 5 generalized to a tuple of
-        aggregate columns: a pair enters the delta when its key is new or
-        when at least one aggregate value changed.  For ``min``/``max`` the
-        delta carries the improved totals; for ``sum``/``count`` it carries
-        the *increments*, which is what downstream linear recursion must
-        propagate (see ``repro.engine.aggregates``).
-        """
-        kernel = self._merge_kernel
-        if kernel is not None:
-            delta = kernel(self.partitions[partition_index], pairs)
-            if delta:
-                self._touch(partition_index)
-            return delta
-        state = self.partitions[partition_index]
-        aggregates = self.aggregates
-        delta: list[tuple[object, tuple]] = []
-        if len(aggregates) == 1:
-            # Hot path: every library query has a single aggregate column.
-            agg_merge = aggregates[0].merge
-            agg_insert = aggregates[0].delta_for_insert
-            for key, values in pairs:
-                current = state.get(key)
-                if current is None:
-                    state[key] = values
-                    delta.append((key, (agg_insert(values[0]),)))
-                    continue
-                merged, changed, delta_value = agg_merge(current[0], values[0])
-                if changed:
-                    state[key] = (merged,)
-                    delta.append((key, (delta_value,)))
-            if delta:
-                self._touch(partition_index)
-            return delta
-        for key, values in pairs:
-            current = state.get(key)
-            if current is None:
-                state[key] = tuple(values)
-                delta.append((key, tuple(
-                    agg.delta_for_insert(v) for agg, v in zip(aggregates, values))))
-                continue
-            changed = False
-            new_state = []
-            delta_values = []
-            for agg, old, new in zip(aggregates, current, values):
-                merged, did_change, delta_value = agg.merge(old, new)
-                new_state.append(merged)
-                delta_values.append(delta_value)
-                changed = changed or did_change
-            if changed:
-                state[key] = tuple(new_state)
-                delta.append((key, tuple(delta_values)))
-        if delta:
-            self._touch(partition_index)
-        return delta
 
     def merge_rows(self, partition_index: int,
                    rows: Iterable[tuple]) -> list[tuple]:
-        """Merge two-column ``(key, value)`` head rows; return delta rows.
+        """Merge head rows into one partition; return the delta rows.
 
-        Fuses the ``rows -> pairs -> merge -> rows`` chain the fixpoint's
-        two-column fast path otherwise spells out (one intermediate list on
-        each side of :meth:`merge`).  Only valid for single-aggregate
-        states with scalar keys — the shape of every two-column head.
+        The Reduce stage of Algorithm 5: a row enters the delta when its
+        group is new or an aggregate changed.  For ``min``/``max`` the
+        delta row is the improved stored row; for ``sum``/``count`` it
+        carries the *increments*, which is what downstream linear
+        recursion must propagate (see ``repro.engine.aggregates``).
         """
-        kernel = self._merge_rows_kernel
-        if kernel is not None:
-            fresh = kernel(self.partitions[partition_index], rows)
-            if fresh:
-                self._touch(partition_index)
-            return fresh
-        delta = self.merge(partition_index,
-                           [(row[0], row[1:]) for row in rows])
-        return [(key, values[0]) for key, values in delta]
+        fresh = self._merge(self.partitions[partition_index], rows)
+        if fresh:
+            self._touch(partition_index)
+        return fresh
 
     # Unreferenced by the product path; pinned for benchmarks/e2e/micro.py.
     def merge_rows_batch(self, partition_index: int, batch) -> list[tuple]:
-        """Merge a two-column :class:`~repro.engine.columnar.ColumnBatch`.
-
-        Columnar entry point for the same contract as :meth:`merge_rows`:
-        the batch's parallel key/value columns feed the merge loop
-        directly — no per-row ``row[0]``/``row[1]`` indexing, no tuple
-        materialization for rows that do not improve the state.  Kernel
-        for the builtin aggregates, generic single-aggregate dispatch
-        otherwise, row-path fallback for shapes batches never take.
-        """
-        if batch.arity == 2:
-            keys, values = batch.columns
-            kernel = self._merge_columns_kernel
-            if kernel is not None:
-                fresh = kernel(self.partitions[partition_index], keys, values)
-                if fresh:
-                    self._touch(partition_index)
-                return fresh
-            if len(self.aggregates) == 1:
-                fresh = merge_columns(self.partitions[partition_index],
-                                      keys, values, self.aggregates[0])
-                if fresh:
-                    self._touch(partition_index)
-                return fresh
-        return self.merge_rows(partition_index, batch.to_rows())
+        """:meth:`merge_rows` over a :class:`~repro.engine.columnar.
+        ColumnBatch`, walking its parallel columns."""
+        if self._merge_columns is None:
+            return self.merge_rows(partition_index, zip(*batch.columns))
+        fresh = self._merge_columns(self.partitions[partition_index],
+                                    batch.columns)
+        if fresh:
+            self._touch(partition_index)
+        return fresh
 
     def snapshot_partition(self, partition_index: int) -> dict:
         """Copy one partition's state for fault recovery (see SetRDD)."""
@@ -303,50 +261,47 @@ class KeyedStateRDD:
         self.partitions[partition_index] = state
         self._touch(partition_index)
 
+    def clear_partition(self, partition_index: int) -> None:
+        self.replace_partition(partition_index, {})
+
     def dump_state(self) -> dict:
         """Whole-state dump for durable checkpoints (pickle-friendly).
 
-        Dict insertion order is preserved by pickling, so a restored
-        partition replays :meth:`partition_rows` in the same order as the
-        original — accumulating aggregates fold identically on resume.
+        Partitions are dumped as row lists in dict order, which
+        :meth:`load_state` re-keys in that order, so a restored partition
+        replays :meth:`partition_rows` exactly like the original —
+        accumulating aggregates fold identically on resume.
         """
-        return {"kind": "keyed",
-                "partitions": [dict(p) for p in self.partitions]}
+        return {"kind": "keyed-rows",
+                "partitions": [self.partition_rows(i)
+                               for i in range(self.num_partitions)]}
 
     def load_state(self, dumped: dict) -> None:
-        """Restore a :meth:`dump_state` payload (see ``SetRDD.load_state``)."""
-        if dumped.get("kind") != "keyed" or \
+        """Restore a :meth:`dump_state` payload (see ``SetRDD.load_state``).
+
+        The pre-row-layout ``"keyed"`` dumps held ``{key: value tuple}``
+        fragments; installing those where rows are expected would corrupt
+        the state silently, so they are refused.
+        """
+        if dumped.get("kind") == "keyed":
+            raise CheckpointError(
+                "checkpoint holds keyed state in the retired {key: values} "
+                "layout; it cannot be resumed by this version")
+        if dumped.get("kind") != "keyed-rows" or \
                 len(dumped["partitions"]) != self.num_partitions:
             raise ValueError("checkpoint state does not match this KeyedStateRDD")
-        for index, state in enumerate(dumped["partitions"]):
-            self.restore_partition(index, state)
-
-    def num_groups(self) -> int:
-        return sum(len(p) for p in self.partitions)
-
-    def collect_rows(self) -> list[tuple]:
-        """All groups as full ``key + values`` rows."""
-        out: list[tuple] = []
-        for i in range(self.num_partitions):
-            out.extend(self.partition_rows(i))
-        return out
+        key_of = self.key_of
+        for index, rows in enumerate(dumped["partitions"]):
+            self.replace_partition(index, {key_of(row): row for row in rows})
 
     def partition_rows(self, partition_index: int) -> list[tuple]:
-        """Full rows of one partition (used for all-relation cross joins).
+        """The stored rows of one partition, in dict order."""
+        return list(self.partitions[partition_index].values())
 
-        Memoized per version: joins against the all-relation re-read the
-        same quiescent partitions every iteration.  Callers must treat the
-        returned list as read-only.
-        """
-        cached = self._rows_cache[partition_index]
-        version = self.versions[partition_index]
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        out = []
-        for key, values in self.partitions[partition_index].items():
-            key_part = key if isinstance(key, tuple) else (key,)
-            out.append(key_part + tuple(values))
-        self._rows_cache[partition_index] = (version, out)
+    def collect(self) -> list[tuple]:
+        out: list[tuple] = []
+        for partition in self.partitions:
+            out.extend(partition.values())
         return out
 
     def partition_size_bytes(self, partition_index: int) -> int:
@@ -355,7 +310,7 @@ class KeyedStateRDD:
         version = self.versions[partition_index]
         if cached is not None and cached[0] == version:
             return cached[1]
-        size = rows_size(self.partition_rows(partition_index))
+        size = rows_size(self.partitions[partition_index].values())
         self._size_cache[partition_index] = (version, size)
         return size
 

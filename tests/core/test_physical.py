@@ -77,12 +77,30 @@ class TestSteps:
         assert step.apply([(1,), (2,)], 0, TermRuntime()) == [(2,)]
 
     def test_totalize_replaces_increments(self):
-        step = TotalizeStep("v", 0, group_slots=(0,),
-                            agg_slot_to_position=((1, 0),))
+        step = TotalizeStep("v", segment=(0, 2), group_slots=(0,))
         runtime = TermRuntime()
-        runtime.state_total = lambda view, p, key: (100,) if key == "a" else None
+        stored = ("a", 100)
+        runtime.state_total = lambda view, p, key: stored if key == "a" else None
         out = step.apply([("a", 5), ("b", 7)], 0, runtime)
         assert out == [("a", 100)]  # total substituted; unknown group dropped
+
+    def test_totalize_places_the_stored_row_at_the_delta_segment(self):
+        """Mid-layout delta segment, aggregate column *before* the group
+        columns: the stored row lands whole at its slots, the rest of the
+        working row is untouched."""
+        step = TotalizeStep("v", segment=(1, 3), group_slots=(2, 3))
+        runtime = TermRuntime()
+        stored = (42, "x", "y")
+        calls = []
+
+        def state_total(view, partition, key):
+            calls.append((view, partition, key))
+            return stored
+
+        runtime.state_total = state_total
+        out = step.apply([(None, 2, "x", "y", None)], 5, runtime)
+        assert calls == [("v", 5, ("x", "y"))]
+        assert out == [(None, 42, "x", "y", None)]
 
 
 class TestProjector:

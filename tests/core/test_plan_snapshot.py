@@ -12,6 +12,11 @@ against the parent's full texts every ``explain()`` / ``describe()`` /
 and the generated sources differed only in the ``r<k>[i]`` index tokens
 (now relative to the binding's own row), ``GroupedDedupSpec.build_index``
 likewise, and the dropped ``pad`` argument of ``runtime.state_table``.
+Re-cut again when keyed state became the view's own head rows (ISSUE 19):
+same comparison, ``source`` differing only for the 20 terms whose
+``describe()`` contains ``Totalize[`` (``company_control``,
+``party_attendance``) — ``d = runtime.state_total(...)`` instead of
+patching a copy of ``d`` slot by slot.
 
 Regenerate (only for an intended plan change)::
 

@@ -13,6 +13,7 @@ from repro.engine.aggregates import (
     get_aggregate,
     partial_aggregate,
 )
+from repro.engine.kernels import make_extractor
 
 
 class TestMinMax:
@@ -73,26 +74,44 @@ class TestRegistry:
             get_aggregate("avg")
 
 
+KEY0 = make_extractor((0,))
+
+
+def fold(rows, aggregates):
+    """``partial_aggregate`` over ``key + aggregate columns`` head rows."""
+    positions = tuple(range(1, 1 + len(aggregates)))
+    return partial_aggregate(rows, KEY0, positions, aggregates)
+
+
 class TestPartialAggregate:
     def test_collapses_same_keys(self):
-        pairs = [("a", (3,)), ("a", (1,)), ("b", (2,))]
-        result = dict(partial_aggregate(pairs, (MIN,)))
-        assert result == {"a": (1,), "b": (2,)}
+        rows = [("a", 3), ("a", 1), ("b", 2)]
+        assert fold(rows, (MIN,)) == [("a", 1), ("b", 2)]
 
     def test_multiple_aggregate_columns(self):
-        pairs = [("k", (3, 10)), ("k", (1, 5))]
-        result = dict(partial_aggregate(pairs, (MIN, SUM)))
-        assert result == {"k": (1, 15)}
+        rows = [("k", 3, 10), ("k", 1, 5)]
+        assert fold(rows, (MIN, SUM)) == [("k", 1, 15)]
 
     def test_empty_input(self):
-        assert partial_aggregate([], (MAX,)) == []
+        assert fold([], (MAX,)) == []
+
+    def test_normalizes_contributions(self):
+        """The stratified final stratum relies on it: ``count`` over
+        non-numeric contributions counts them, single-row groups too."""
+        rows = [("x", "b"), ("x", "a"), ("z", "c")]
+        assert fold(rows, (COUNT,)) == [("x", 2), ("z", 1)]
+
+    def test_any_layout(self):
+        rows = [(5, "g", "h"), (2, "g", "h"), (1, "g", "i")]
+        assert partial_aggregate(rows, make_extractor((1, 2)), (0,),
+                                 (SUM,)) == [(7, "g", "h"), (1, "g", "i")]
 
 
 @st.composite
 def contributions(draw):
     keys = st.integers(min_value=0, max_value=5)
     values = st.integers(min_value=-100, max_value=100)
-    return draw(st.lists(st.tuples(keys, st.tuples(values)), min_size=1, max_size=60))
+    return draw(st.lists(st.tuples(keys, values), min_size=1, max_size=60))
 
 
 class TestAlgebraicLaws:
@@ -101,24 +120,22 @@ class TestAlgebraicLaws:
 
     @pytest.mark.parametrize("agg_name", ["min", "max", "sum"])
     @given(contributions(), st.integers(min_value=0, max_value=50))
-    def test_split_invariance(self, agg_name, pairs, cut):
+    def test_split_invariance(self, agg_name, rows, cut):
         agg = get_aggregate(agg_name)
-        cut = min(cut, len(pairs))
-        whole = dict(partial_aggregate(pairs, (agg,)))
-        left = partial_aggregate(pairs[:cut], (agg,))
-        right = partial_aggregate(pairs[cut:], (agg,))
-        recombined = dict(partial_aggregate(left + right, (agg,)))
-        assert whole == recombined
+        cut = min(cut, len(rows))
+        whole = fold(rows, (agg,))
+        left = fold(rows[:cut], (agg,))
+        right = fold(rows[cut:], (agg,))
+        assert sorted(whole) == sorted(fold(left + right, (agg,)))
 
     @given(contributions())
-    def test_merge_stream_equals_partial_aggregate(self, pairs):
+    def test_merge_stream_equals_partial_aggregate(self, rows):
         """Folding one-by-one through merge == bulk partial aggregation."""
         agg = get_aggregate("max")
         state = {}
-        for key, (value,) in pairs:
+        for key, value in rows:
             if key not in state:
                 state[key] = value
             else:
                 state[key], _, _ = agg.merge(state[key], value)
-        bulk = dict(partial_aggregate(pairs, (agg,)))
-        assert state == {k: v[0] for k, v in bulk.items()}
+        assert state == dict(fold(rows, (agg,)))

@@ -18,18 +18,17 @@ import random
 
 import pytest
 
-from repro.engine.aggregates import BY_NAME, merge_columns
+from repro.engine.aggregates import BY_NAME
 from repro.engine.columnar import ColumnBatch
 from repro.engine.joins import build_hash_table, build_hash_table_columns
 from repro.engine.kernels import (
     batch_hash_probe,
     hash_probe_join,
     make_extractor,
-    make_merge_columns_kernel,
-    make_merge_rows_kernel,
     make_router,
 )
 from repro.engine.partitioner import HashPartitioner, column_partition_ids
+from repro.engine.setrdd import KeyedStateRDD
 
 MIXED_VALUES = [0, 1, -5, -(2**40), 2**63, 2**70, "node-1", "", 3.5,
                 -2.25, 10.0, float("inf"), None, True, False, ("a", 1)]
@@ -178,30 +177,30 @@ class TestMergeTwins:
     @pytest.mark.parametrize("name", ["min", "max", "sum", "count"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_merge_columns_kernel_matches_rows_kernel(self, name, seed):
+        """``merge_rows_batch`` walks the batch's columns into the very
+        loop ``merge_rows`` runs: same fresh rows, same row-layout state."""
         aggregates = (BY_NAME[name],)
-        rows_kernel = make_merge_rows_kernel(aggregates)
-        columns_kernel = make_merge_columns_kernel(aggregates)
-        assert rows_kernel is not None and columns_kernel is not None
+        by_rows = KeyedStateRDD(1, aggregates)
+        by_columns = KeyedStateRDD(1, aggregates)
         rows = int_rows(seed, count=60, lo=0, hi=9)
         batch = ColumnBatch.from_rows(rows)
-        state_rows, state_cols = {}, {}
-        fresh_rows = rows_kernel(state_rows, rows)
-        keys, values = batch.columns
-        fresh_cols = columns_kernel(state_cols, keys, values)
+        fresh_rows = by_rows.merge_rows(0, rows)
+        fresh_cols = by_columns.merge_rows_batch(0, batch)
         assert fresh_cols == fresh_rows
-        assert state_cols == state_rows
+        assert by_columns.partitions == by_rows.partitions
+        assert all(key == row[0] and len(row) == 2
+                   for key, row in by_columns.partitions[0].items())
 
     @pytest.mark.parametrize("name", ["min", "max", "sum", "count"])
     def test_generic_merge_columns_matches_kernel(self, name):
-        aggregate = BY_NAME[name]
-        rows = int_rows(11, count=60, lo=0, hi=9)
-        batch = ColumnBatch.from_rows(rows)
-        kernel = make_merge_columns_kernel((aggregate,))
-        state_a, state_b = {}, {}
-        keys, values = batch.columns
-        assert merge_columns(state_a, keys, values, aggregate) == \
-            kernel(state_b, keys, values)
-        assert state_a == state_b
+        aggregates = (BY_NAME[name],)
+        batch = ColumnBatch.from_rows(int_rows(11, count=60, lo=0, hi=9))
+        generic = KeyedStateRDD(1, aggregates, use_kernels=False)
+        kernel = KeyedStateRDD(1, aggregates, use_kernels=True)
+        assert generic.merge_rows_batch(0, batch) == \
+            kernel.merge_rows_batch(0, batch)
+        assert generic.partitions == kernel.partitions
+        assert generic.versions == kernel.versions == [1]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_columnar_hash_build_matches_row_build(self, seed):

@@ -248,6 +248,28 @@ class TestWorkerLoss:
             if i % 4 != 1:
                 assert home == i % 4  # surviving homes unchanged
 
+    def test_inject_failures_rejects_unknown_objects(self):
+        """Anything that is not one of the six injector classes used to be
+        appended to ``failure_injectors`` and die mid-query with
+        ``AttributeError: ... 'point'``; it is refused at the call."""
+        from repro.chaos import ChaosSchedule
+
+        cluster = Cluster(num_workers=2)
+        schedule = ChaosSchedule(seed=1, injectors=[FailureInjector("x")])
+        with pytest.raises(TypeError) as excinfo:
+            cluster.inject_failures(schedule)  # meant: schedule.arm(cluster)
+        message = str(excinfo.value)
+        for name in ("FailureInjector", "WorkerLossInjector",
+                     "MemoryPressureInjector", "CorruptionInjector",
+                     "DriverKillInjector", "ProcessKillInjector",
+                     "ChaosSchedule"):
+            assert name in message
+        with pytest.raises(TypeError):
+            cluster.inject_failures(None)
+        assert not cluster.failure_injectors
+        schedule.arm(cluster)
+        assert cluster.failure_injectors == schedule.injectors
+
     def test_last_worker_cannot_be_lost(self):
         cluster = Cluster(num_workers=2)
         cluster.lose_worker(0)

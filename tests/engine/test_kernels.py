@@ -11,11 +11,11 @@ import dataclasses
 import random
 
 from repro.engine.aggregates import BY_NAME, partial_aggregate
+from repro.engine.aggregates import merge_rows as generic_merge_rows
 from repro.engine.kernels import (
     hash_probe_join,
     make_extractor,
     make_fold_kernel,
-    make_merge_kernel,
     make_merge_rows_kernel,
     make_router,
 )
@@ -77,70 +77,139 @@ class TestRouter:
             assert positions == sorted(positions)
 
 
+#: (group positions, aggregate position) head layouts the kernels take:
+#: the (key, value) pair, a two-column group, aggregate first, no group.
+LAYOUTS = [((0,), 1), ((0, 1), 2), ((1,), 0), ((), 0)]
+
+
+def head_row(group, position, key, value):
+    """A head row of arity ``len(group) + 1`` with ``value`` at
+    ``position`` and every group column holding ``key``."""
+    row = [key] * (len(group) + 1)
+    row[position] = value
+    return tuple(row)
+
+
 class TestMergeKernels:
-    def _pairs(self, name):
+    def _batches(self, name, group=(0,), position=1):
         rng = random.Random(5)
         keys = list(range(6)) + ["k1", "k2"]
         batches = []
         for _ in range(4):
-            batch = [(rng.choice(keys), (rng.randint(-9, 9),))
-                     for _ in range(20)]
+            batch = [head_row(group, position, rng.choice(keys),
+                              rng.randint(-9, 9)) for _ in range(20)]
             if name in ("sum", "count"):
-                batch.append((keys[0], (0,)))  # zero increment: no delta
-            batch.append((keys[1], batch[0][1]))  # duplicate key in batch
+                # zero increment: no delta
+                batch.append(head_row(group, position, keys[0], 0))
+            # duplicate key in batch
+            batch.append(head_row(group, position, keys[1],
+                                  batch[0][position]))
             batches.append(batch)
         return batches
 
     def test_bit_exact_with_generic_dispatch(self):
         for name in ("min", "max", "sum", "count"):
-            aggregates = (BY_NAME[name],)
-            fast = KeyedStateRDD(1, aggregates, use_kernels=True)
-            reference = KeyedStateRDD(1, aggregates, use_kernels=False)
-            assert fast._merge_kernel is not None
-            for batch in self._pairs(name):
-                assert fast.merge(0, batch) == reference.merge(0, batch)
-                assert fast.partitions[0] == reference.partitions[0]
+            for group, position in LAYOUTS:
+                layout = dict(group_positions=group,
+                              aggregate_positions=(position,))
+                aggregates = (BY_NAME[name],)
+                fast = KeyedStateRDD(1, aggregates, use_kernels=True, **layout)
+                reference = KeyedStateRDD(1, aggregates, use_kernels=False,
+                                          **layout)
+                assert fast._merge._generated_source
+                assert reference._merge.func is generic_merge_rows
+                for batch in self._batches(name, group, position):
+                    assert fast.merge_rows(0, batch) == \
+                        reference.merge_rows(0, batch)
+                    assert fast.partitions[0] == reference.partitions[0]
+                    assert list(fast.partitions[0]) == \
+                        list(reference.partitions[0])  # insertion order
 
     def test_merge_rows_bit_exact(self):
+        """The bare kernel against the bare generic loop, (key, value)."""
+        key0 = make_extractor((0,))
         for name in ("min", "max", "sum", "count"):
             aggregates = (BY_NAME[name],)
-            fast = KeyedStateRDD(1, aggregates, use_kernels=True)
-            reference = KeyedStateRDD(1, aggregates, use_kernels=False)
-            for batch in self._pairs(name):
-                rows = [(k, v[0]) for k, v in batch]
-                assert fast.merge_rows(0, rows) == reference.merge_rows(0, rows)
-                assert fast.partitions[0] == reference.partitions[0]
+            kernel = make_merge_rows_kernel(aggregates, (0,), (1,))
+            fast, reference = {}, {}
+            for batch in self._batches(name):
+                assert kernel(fast, batch) == generic_merge_rows(
+                    reference, batch, key0, (1,), aggregates)
+                assert fast == reference
+
+    def test_min_max_delta_row_is_the_stored_row(self):
+        for use_kernels in (True, False):
+            for name, better in (("min", 1), ("max", 9)):
+                state = KeyedStateRDD(1, (BY_NAME[name],),
+                                      use_kernels=use_kernels)
+                first, improved = ("k", 5), ("k", better)
+                assert state.merge_rows(0, [first])[0] is first
+                (delta,) = state.merge_rows(0, [improved])
+                assert delta is improved
+                assert state.partitions[0]["k"] is improved
 
     def test_custom_clone_falls_back_to_generic(self):
         # Borrowing a builtin name while swapping a hook must NOT get the
         # specialized loop: only the canonical singletons qualify.
         custom = dataclasses.replace(
             BY_NAME["min"], delta_for_insert=lambda v: ("ins", v))
-        assert make_merge_kernel((custom,)) is None
-        assert make_merge_rows_kernel((custom,)) is None
-        assert make_fold_kernel(custom) is None
+        assert make_merge_rows_kernel((custom,), (0,), (1,)) is None
+        assert make_fold_kernel((custom,), (0,), (1,)) is None
+        state = KeyedStateRDD(1, (custom,))
+        assert state._merge.func is generic_merge_rows
+        assert state.fold.func is partial_aggregate
+        assert state.merge_rows(0, [("a", 7)]) == [("a", ("ins", 7))]
 
     def test_multi_aggregate_falls_back(self):
-        assert make_merge_kernel((BY_NAME["min"], BY_NAME["sum"])) is None
-        assert make_merge_rows_kernel((BY_NAME["min"], BY_NAME["sum"])) is None
+        both = (BY_NAME["min"], BY_NAME["sum"])
+        assert make_merge_rows_kernel(both, (0,), (1, 2)) is None
+        assert make_fold_kernel(both, (0,), (1, 2)) is None
+        state = KeyedStateRDD(1, both, aggregate_positions=(1, 2))
+        assert state._merge.func is generic_merge_rows
+        assert state.fold.func is partial_aggregate
 
 
 class TestFoldKernels:
     def test_matches_partial_aggregate(self):
         rng = random.Random(11)
-        pairs = [(rng.randrange(8), (rng.randint(-20, 20),))
-                 for _ in range(120)]
-        for name in ("min", "max", "sum", "count"):
-            aggregate = BY_NAME[name]
-            fold = make_fold_kernel(aggregate)
-            assert fold is not None
-            folded = [(k, (v,)) for k, v in fold((k, v[0]) for k, v in pairs)]
-            assert folded == partial_aggregate(pairs, (aggregate,))
+        for group, position in LAYOUTS:
+            group_key = make_extractor(group)
+            rows = [head_row(group, position, rng.randrange(8),
+                             rng.randint(-20, 20)) for _ in range(120)]
+            for name in ("min", "max", "sum", "count"):
+                aggregates = (BY_NAME[name],)
+                fold = make_fold_kernel(aggregates, group, (position,))
+                assert fold is not None
+                assert fold(iter(rows)) == partial_aggregate(
+                    rows, group_key, (position,), aggregates)
 
     def test_min_ties_keep_incumbent(self):
-        fold = make_fold_kernel(BY_NAME["min"])
+        fold = make_fold_kernel((BY_NAME["min"],), (0,), (1,))
         # 1.0 arrives first; the later equal int 1 must not replace it.
-        assert fold([("k", 1.0), ("k", 1)]) == [("k", 1.0)]
+        assert repr(fold([("k", 1.0), ("k", 1)])) == "[('k', 1.0)]"
+        assert repr(partial_aggregate([("k", 1.0), ("k", 1)],
+                                      make_extractor((0,)), (1,),
+                                      (BY_NAME["min"],))) == "[('k', 1.0)]"
+
+    def test_a_head_that_is_not_groups_plus_one_aggregate_falls_back(self):
+        # Column 1 is neither a group nor the aggregate column: the
+        # position-inlined loops do not apply, the generic ones do.
+        layout = ((BY_NAME["sum"],), (0,), (2,))
+        assert make_merge_rows_kernel(*layout) is None
+        assert make_fold_kernel(*layout) is None
+        state = KeyedStateRDD(1, layout[0], group_positions=(0,),
+                              aggregate_positions=(2,))
+        assert state.merge_rows(0, [("k", "x", 1), ("k", "y", 2)]) == \
+            [("k", "x", 1), ("k", "y", 2)]
+        assert state.partitions[0] == {"k": ("k", "y", 3)}
+
+    def test_one_compiled_loop_per_shape(self):
+        """Kernels are compiled once per (aggregate, layout) and shared:
+        they close over nothing."""
+        a = make_merge_rows_kernel((BY_NAME["min"],), (0,), (1,))
+        assert a is make_merge_rows_kernel((BY_NAME["min"],), (0,), (1,))
+        assert a is not make_merge_rows_kernel((BY_NAME["max"],), (0,), (1,))
+        assert "row[1] < current[1]" in a._generated_source
 
 
 class TestJoinBodies:

@@ -52,64 +52,99 @@ class TestSetRDD:
 
 
 class TestKeyedStateRDD:
+    """Rows in, rows out: a partition is ``{group key: head row}``."""
+
     def test_insert_then_improve_min(self):
         state = KeyedStateRDD(1, (MIN,))
-        delta = state.merge(0, [("a", (10,))])
-        assert delta == [("a", (10,))]
-        delta = state.merge(0, [("a", (5,))])
-        assert delta == [("a", (5,))]
-        assert state.partitions[0]["a"] == (5,)
+        delta = state.merge_rows(0, [("a", 10)])
+        assert delta == [("a", 10)]
+        improved = ("a", 5)
+        delta = state.merge_rows(0, [improved])
+        assert delta == [("a", 5)]
+        assert state.partitions[0]["a"] == ("a", 5)
+        # The min delta row *is* the stored row.
+        assert delta[0] is improved and state.partitions[0]["a"] is improved
 
     def test_worse_min_produces_no_delta(self):
         state = KeyedStateRDD(1, (MIN,))
-        state.merge(0, [("a", (5,))])
-        assert state.merge(0, [("a", (9,))]) == []
+        state.merge_rows(0, [("a", 5)])
+        assert state.merge_rows(0, [("a", 9)]) == []
 
     def test_sum_delta_carries_increment(self):
         state = KeyedStateRDD(1, (SUM,))
-        state.merge(0, [("a", (10,))])
-        delta = state.merge(0, [("a", (4,))])
-        assert delta == [("a", (4,))]
-        assert state.partitions[0]["a"] == (14,)
+        state.merge_rows(0, [("a", 10)])
+        delta = state.merge_rows(0, [("a", 4)])
+        assert delta == [("a", 4)]
+        assert state.partitions[0]["a"] == ("a", 14)
 
     def test_mixed_aggregate_columns(self):
-        state = KeyedStateRDD(1, (MIN, SUM))
-        state.merge(0, [("a", (10, 1))])
-        delta = state.merge(0, [("a", (12, 2))])
+        state = KeyedStateRDD(1, (MIN, SUM), aggregate_positions=(1, 2))
+        state.merge_rows(0, [("a", 10, 1)])
+        delta = state.merge_rows(0, [("a", 12, 2)])
         # min not improved (delta keeps state value), sum incremented.
-        assert delta == [("a", (10, 2))]
-        assert state.partitions[0]["a"] == (10, 3)
+        assert delta == [("a", 10, 2)]
+        assert state.partitions[0]["a"] == ("a", 10, 3)
 
     def test_collect_rows_scalar_key(self):
         state = KeyedStateRDD(1, (MIN,))
-        state.merge(0, [("a", (1,)), ("b", (2,))])
-        assert sorted(state.collect_rows()) == [("a", 1), ("b", 2)]
+        stored = [("a", 1), ("b", 2)]
+        state.merge_rows(0, stored)
+        assert sorted(state.collect()) == stored
+        # ... and they are the stored objects, not re-assembled copies.
+        assert all(a is b for a, b in zip(sorted(state.collect()), stored))
+        assert state.partition_rows(0) == stored
 
     def test_collect_rows_tuple_key(self):
-        state = KeyedStateRDD(1, (MIN,))
-        state.merge(0, [(("x", "y"), (1,))])
-        assert state.collect_rows() == [("x", "y", 1)]
+        state = KeyedStateRDD(1, (MIN,), group_positions=(0, 1),
+                              aggregate_positions=(2,))
+        state.merge_rows(0, [("x", "y", 1)])
+        assert state.partitions[0] == {("x", "y"): ("x", "y", 1)}
+        assert state.collect() == [("x", "y", 1)]
+
+    def test_aggregate_before_group_column(self):
+        """The layout is the view's, not ``key + values``."""
+        state = KeyedStateRDD(1, (SUM,), group_positions=(1,),
+                              aggregate_positions=(0,))
+        state.merge_rows(0, [(3, "k"), (4, "k")])
+        assert state.partitions[0] == {"k": (7, "k")}
+        assert state.collect() == [(7, "k")]
+
+    def test_global_aggregate_has_the_empty_key(self):
+        state = KeyedStateRDD(1, (MIN,), group_positions=(),
+                              aggregate_positions=(0,))
+        assert state.merge_rows(0, [(5,), (3,), (4,)]) == [(5,), (3,)]
+        assert state.partitions[0] == {(): (3,)}
+
+    def test_clear_partition(self):
+        for state in (KeyedStateRDD(2, (MIN,)), SetRDD(2)):
+            state.merge_rows(0, [("a", 1)])
+            state.merge_rows(1, [("b", 2)])
+            version = state.versions[0]
+            state.clear_partition(0)
+            assert state.partition_rows(0) == []
+            assert state.versions[0] > version
+            assert state.collect() == [("b", 2)]
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(-50, 50)),
                     min_size=1, max_size=80))
     def test_min_state_matches_builtin_min(self, pairs):
         state = KeyedStateRDD(1, (MIN,))
-        state.merge(0, [(k, (v,)) for k, v in pairs])
+        state.merge_rows(0, pairs)
         expected = {}
         for k, v in pairs:
             expected[k] = min(expected.get(k, v), v)
-        assert state.partitions[0] == {k: (v,) for k, v in expected.items()}
+        assert state.partitions[0] == {k: (k, v) for k, v in expected.items()}
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 50)),
                     min_size=1, max_size=80))
     def test_sum_state_matches_builtin_sum(self, pairs):
         state = KeyedStateRDD(1, (SUM,))
-        for k, v in pairs:
-            state.merge(0, [(k, (v,))])
+        for pair in pairs:
+            state.merge_rows(0, [pair])
         expected: dict = {}
         for k, v in pairs:
             expected[k] = expected.get(k, 0) + v
-        assert state.partitions[0] == {k: (v,) for k, v in expected.items()}
+        assert state.partitions[0] == {k: (k, v) for k, v in expected.items()}
 
 
 class TestInsertDeltaConsistency:
@@ -132,11 +167,11 @@ class TestInsertDeltaConsistency:
     def test_single_aggregate_path_applies_delta_for_insert(self):
         tagged = self._tagging(MIN)
         state = KeyedStateRDD(1, (tagged,))
-        delta = state.merge(0, [("a", (7,))])
-        # Pre-fix, the hot path emitted the raw values ("a", (7,)).
-        assert delta == [("a", (("ins", 7),))]
-        # The stored state is the raw value, as in the multi path.
-        assert state.partitions[0]["a"] == (7,)
+        delta = state.merge_rows(0, [("a", 7)])
+        # Pre-fix, the hot path emitted the raw row ("a", 7).
+        assert delta == [("a", ("ins", 7))]
+        # The stored state is the raw row, as in the multi path.
+        assert state.partitions[0]["a"] == ("a", 7)
 
     @pytest.mark.parametrize("name", ["sum", "count", "min", "max"])
     def test_single_and_multi_paths_agree(self, name):
@@ -146,52 +181,86 @@ class TestInsertDeltaConsistency:
         contributions = [("a", 10), ("a", 4), ("b", 3), ("b", 3), ("c", 1)]
 
         single = KeyedStateRDD(1, (agg,))
-        multi = KeyedStateRDD(1, (agg, agg))
+        multi = KeyedStateRDD(1, (agg, agg), aggregate_positions=(1, 2))
         single_deltas = []
         multi_deltas = []
         for key, value in contributions:
-            single_deltas.extend(single.merge(0, [(key, (value,))]))
-            multi_deltas.extend(multi.merge(0, [(key, (value, value))]))
+            single_deltas.extend(single.merge_rows(0, [(key, value)]))
+            multi_deltas.extend(multi.merge_rows(0, [(key, value, value)]))
 
         # Same keys enter the delta in the same order, and the first
-        # (only) column of every delta value matches column-for-column.
-        assert [(k, v[0]) for k, v in single_deltas] == \
-            [(k, v[0]) for k, v in multi_deltas]
-        assert [(k, v[0]) for k, v in multi_deltas] == \
-            [(k, v[1]) for k, v in multi_deltas]
+        # (only) aggregate column of every delta row matches
+        # column-for-column.
+        assert single_deltas == [row[:2] for row in multi_deltas]
+        assert all(row[1] == row[2] for row in multi_deltas)
         # Final states agree too.
-        assert {k: v[0] for k, v in single.partitions[0].items()} == \
-            {k: v[0] for k, v in multi.partitions[0].items()}
+        assert single.partitions[0] == \
+            {k: row[:2] for k, row in multi.partitions[0].items()}
 
 
 class TestMultiAggregateMergeDeltas:
     """Coverage for multi-aggregate-column merge deltas."""
 
     def test_insert_delta_has_one_value_per_column(self):
-        state = KeyedStateRDD(1, (MIN, SUM))
-        delta = state.merge(0, [("a", (9, 2))])
-        assert delta == [("a", (9, 2))]
+        state = KeyedStateRDD(1, (MIN, SUM), aggregate_positions=(1, 2))
+        delta = state.merge_rows(0, [("a", 9, 2)])
+        assert delta == [("a", 9, 2)]
 
     def test_partial_change_emits_state_for_unchanged_column(self):
         from repro.engine.aggregates import MAX
 
-        state = KeyedStateRDD(1, (MIN, MAX))
-        state.merge(0, [("a", (5, 5))])
-        delta = state.merge(0, [("a", (7, 9))])
+        state = KeyedStateRDD(1, (MIN, MAX), aggregate_positions=(1, 2))
+        state.merge_rows(0, [("a", 5, 5)])
+        delta = state.merge_rows(0, [("a", 7, 9)])
         # min unchanged (keeps state value 5), max improved to 9.
-        assert delta == [("a", (5, 9))]
-        assert state.partitions[0]["a"] == (5, 9)
+        assert delta == [("a", 5, 9)]
+        assert state.partitions[0]["a"] == ("a", 5, 9)
 
     def test_no_change_emits_no_delta(self):
-        state = KeyedStateRDD(1, (MIN, SUM))
-        state.merge(0, [("a", (5, 1))])
-        assert state.merge(0, [("a", (9, 0))]) == []
+        state = KeyedStateRDD(1, (MIN, SUM), aggregate_positions=(1, 2))
+        state.merge_rows(0, [("a", 5, 1)])
+        assert state.merge_rows(0, [("a", 9, 0)]) == []
 
     def test_three_column_mixed_delta(self):
         from repro.engine.aggregates import COUNT, MAX
 
-        state = KeyedStateRDD(1, (MIN, MAX, COUNT))
-        state.merge(0, [("k", (4, 4, 1))])
-        delta = state.merge(0, [("k", (3, 9, 2))])
-        assert delta == [("k", (3, 9, 2))]
-        assert state.partitions[0]["k"] == (3, 9, 3)
+        state = KeyedStateRDD(1, (MIN, MAX, COUNT),
+                              aggregate_positions=(1, 2, 3))
+        state.merge_rows(0, [("k", 4, 4, 1)])
+        delta = state.merge_rows(0, [("k", 3, 9, 2)])
+        assert delta == [("k", 3, 9, 2)]
+        assert state.partitions[0]["k"] == ("k", 3, 9, 3)
+
+
+class TestCheckpointLayout:
+    """``dump_state`` / ``load_state`` carry rows, tagged as such."""
+
+    def test_round_trip_keeps_rows_and_dict_order(self):
+        state = KeyedStateRDD(2, (SUM,))
+        state.merge_rows(0, [("b", 1), ("a", 2), ("b", 3)])
+        state.merge_rows(1, [("z", 9)])
+        dumped = state.dump_state()
+        assert dumped == {"kind": "keyed-rows",
+                          "partitions": [[("b", 4), ("a", 2)], [("z", 9)]]}
+        restored = KeyedStateRDD(2, (SUM,))
+        restored.load_state(dumped)
+        assert restored.partitions == state.partitions
+        assert [list(p) for p in restored.partitions] == \
+            [list(p) for p in state.partitions]  # insertion order too
+        assert restored.versions == [1, 1]  # kernel caches invalidate
+
+    def test_old_fragment_layout_is_refused(self):
+        from repro.errors import CheckpointError
+
+        old = {"kind": "keyed", "partitions": [{"a": (5,)}, {}]}
+        state = KeyedStateRDD(2, (MIN,))
+        with pytest.raises(CheckpointError, match="retired"):
+            state.load_state(old)
+        assert state.partitions == [{}, {}]  # nothing half-installed
+
+    def test_foreign_payloads_still_mismatch(self):
+        state = KeyedStateRDD(2, (MIN,))
+        with pytest.raises(ValueError):
+            state.load_state({"kind": "set", "partitions": [[], []]})
+        with pytest.raises(ValueError):
+            state.load_state({"kind": "keyed-rows", "partitions": [[]]})

@@ -158,3 +158,60 @@ def test_checkpointing_off_means_no_counters_and_no_files(tmp_path):
     summary = ctx.last_run.checkpoint_summary()
     assert all(v == 0 for v in summary.values())
     assert not list(tmp_path.iterdir())
+
+
+SSSP = """
+WITH recursive path(Dst, min() AS Cost) AS
+  (SELECT 0, 0) UNION
+  (SELECT edge.Dst, path.Cost + edge.Cost
+   FROM path, edge WHERE path.Dst = edge.Src)
+SELECT Dst, Cost FROM path
+"""
+
+
+@pytest.mark.timeout(60)
+def test_resume_refuses_the_retired_keyed_fragment_layout(tmp_path):
+    """Keyed state is checkpointed as the view's own rows (``kind:
+    "keyed-rows"``).  A blob in the earlier ``"keyed"`` layout — ``{key:
+    value tuple}`` fragments, hand-built here from a real blob — must be
+    refused, not installed where rows are expected (payloads carry no
+    format version)."""
+    from repro.core.checkpoint import CheckpointStore
+    from repro.engine.serialization import dump_blob, load_blob
+
+    def context():
+        ctx = RaSQLContext(num_workers=4)
+        ctx.register_table("edge", ["Src", "Dst", "Cost"],
+                           [(i, i + 1, 1) for i in range(24)])
+        return ctx
+
+    victim = context()
+    cfg = victim.config.but(checkpoint_interval=2,
+                            checkpoint_dir=str(tmp_path))
+    victim.inject_faults(DriverKillInjector("fixpoint", skip_matches=12))
+    with pytest.raises(DriverCrashError):
+        victim.sql(SSSP, config=cfg)
+
+    qid = make_query_id(SSSP)
+    store = CheckpointStore(str(tmp_path))
+    path = store.blob_path(qid, store.load_manifest(qid)["in_flight"]["file"])
+    payload = load_blob(path)
+    (dumped,) = payload["states"].values()
+    assert dumped["kind"] == "keyed-rows"
+    assert any(dumped["partitions"])
+    assert all(len(row) == 2 for rows in dumped["partitions"] for row in rows)
+    good = {"kind": dumped["kind"], "partitions": dumped["partitions"]}
+    dumped["kind"] = "keyed"
+    dumped["partitions"] = [{row[0]: row[1:] for row in rows}
+                            for rows in dumped["partitions"]]
+    dump_blob(path, payload)
+    with pytest.raises(CheckpointError, match="retired"):
+        context().resume(qid, checkpoint_dir=str(tmp_path))
+
+    # The same blob with its row layout back resumes bit-exactly.
+    dumped.update(good)
+    dump_blob(path, payload)
+    resumer = context()
+    resumed = resumer.resume(qid, checkpoint_dir=str(tmp_path))
+    assert resumer.last_run.resumed_from > 0
+    assert sorted(resumed.rows) == sorted(context().sql(SSSP).rows)

@@ -145,3 +145,40 @@ class TestSumEquivalences:
             results.append(sorted(
                 ctx.sql(get_query("count_paths").formatted(source=0)).rows))
         assert results[0] == results[1]
+
+
+COUNT_NAMES = """
+WITH recursive cnt(Name, count() AS N) AS
+  (SELECT friend.Fname, friend.Pname FROM friend)
+SELECT Name, N FROM cnt
+"""
+
+
+def run_count_names(friends, evaluation):
+    ctx = RaSQLContext(config=ExecutionConfig(evaluation=evaluation))
+    ctx.register_table("friend", ["Pname", "Fname"], friends)
+    return sorted(ctx.sql(COUNT_NAMES).rows)
+
+
+class TestStratifiedCount:
+    """``count()`` over non-numeric contributions counts facts.  Under
+    stratified evaluation the recursion runs without aggregates, so no
+    projection normalizes the contribution; the final stratum must (it
+    used to concatenate: ``('x', 'ba')``)."""
+
+    def test_counts_names_incl_a_single_contribution_group(self):
+        friends = [("a", "x"), ("b", "x"), ("c", "z")]
+        assert run_count_names(friends, "dsn") == [("x", 2), ("z", 1)]
+        assert run_count_names(friends, "stratified") == [("x", 2), ("z", 1)]
+
+    @SETTINGS
+    @given(st.sets(st.tuples(st.sampled_from("abcdef"),
+                             st.sampled_from("xyz")), min_size=1))
+    def test_dsn_equals_stratified_on_acyclic_count(self, friends):
+        friends = sorted(friends)
+        dsn = run_count_names(friends, "dsn")
+        assert dsn == run_count_names(friends, "stratified")
+        expected: dict = {}
+        for _, name in friends:
+            expected[name] = expected.get(name, 0) + 1
+        assert dsn == sorted(expected.items())

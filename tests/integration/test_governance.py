@@ -79,8 +79,11 @@ def test_query_bit_exact_under_spill(query_name):
     summary = squeezed_ctx.last_run.memory_summary()
     assert summary["spill_events"] >= 1
     assert summary["spill_bytes"] > 0
-    # Spilling costs simulated disk time, never correctness.
-    assert squeezed_ctx.last_run.sim_time >= clean_ctx.last_run.sim_time
+    # Spilling costs simulated disk time, never correctness.  (The two
+    # runs' whole clocks are not comparable: each also contains its own
+    # *measured* CPU, which jitters; the disk charge is deterministic.)
+    assert squeezed_ctx.last_run.metrics.get("spill_seconds", 0) > 0
+    assert clean_ctx.last_run.metrics.get("spill_seconds", 0) == 0
 
 
 @pytest.mark.timeout(120)
