@@ -72,6 +72,12 @@ class Catalog:
             raise AnalysisError(f"unknown table {name!r} (registered: "
                                 f"{sorted(self._tables)})") from None
 
+    def owns(self, relation: Relation) -> bool:
+        """Whether ``relation`` is the very object registered under its
+        name — the only rows whose changes :attr:`data_version` tracks, so
+        the only ones a structure derived from them can be cached for."""
+        return self._tables.get(relation.name.lower()) is relation
+
     def __contains__(self, name: str) -> bool:
         return name.lower() in self._tables
 

@@ -42,6 +42,7 @@ from repro.core.governor import QueryGovernor
 from repro.core.logical import CliquePlan, DerivedViewPlan
 from repro.core.optimizer import optimize
 from repro.core.parser import parse
+from repro.core.physical import BaseSideCache
 from repro.core.planner import gate_kernels, plan_clique
 from repro.engine.cluster import Cluster
 from repro.engine.serialization import rows_size
@@ -116,13 +117,19 @@ class RunInfo:
         ``kernel_state_cache_updates``, ``kernel_state_cache_bypass``,
         ``kernel_grouped_fixpoint_stages``, ``kernel_fused_fixpoint_stages``,
         ``kernel_small_input_gate`` (cliques the size gate routed through
-        the reference loops; see ``repro.core.planner.KERNEL_MIN_ROWS``).
+        the reference loops; see ``repro.core.planner.KERNEL_MIN_ROWS``),
+        plus how the run's base join sides were obtained (with kernels on
+        or off): ``base_side_cache_hits`` (reused from an earlier query
+        over the same table version), ``base_side_cache_misses`` (built
+        and kept) and ``base_side_cache_bypassed`` (built for this query
+        alone: the relation is not the catalog's registered object).
         """
         keys = ("kernel_state_cache_hits", "kernel_state_cache_misses",
                 "kernel_state_cache_updates", "kernel_state_cache_bypass",
                 "kernel_grouped_fixpoint_stages",
                 "kernel_fused_fixpoint_stages",
-                "kernel_small_input_gate")
+                "kernel_small_input_gate", "base_side_cache_hits",
+                "base_side_cache_misses", "base_side_cache_bypassed")
         return {key: self.metrics.get(key, 0) for key in keys}
 
     def checkpoint_summary(self) -> dict[str, float]:
@@ -163,7 +170,9 @@ class RunInfo:
         the worker-side base-partition cache), and
         ``process_remote_ineligible`` (cliques a process-backend run kept
         on the driver; each one's typed reason is the
-        ``remote_ineligible`` annotation of its ``fixpoint`` trace span).
+        ``remote_ineligible`` annotation of its ``fixpoint`` trace span),
+        and ``process_install_blob_reused`` (installs whose heavy half
+        came pickled and hashed from the base-side cache).
         """
         keys = ("process_tasks_shipped", "process_tasks_driver_local",
                 "process_heartbeats", "process_heartbeats_missed",
@@ -171,7 +180,8 @@ class RunInfo:
                 "process_worker_crashes", "process_tasks_quarantined",
                 "process_backend_degradations", "process_payload_bytes",
                 "process_task_messages", "process_install_bytes",
-                "process_payload_bytes_saved", "process_remote_ineligible")
+                "process_payload_bytes_saved", "process_remote_ineligible",
+                "process_install_blob_reused")
         return {key: self.metrics.get(key, 0) for key in keys}
 
     def profile_report(self) -> str:
@@ -220,6 +230,9 @@ class RaSQLContext:
             num_workers=num_workers, num_partitions=num_partitions,
             **cluster_kwargs)
         self.catalog = Catalog()
+        #: What fixpoints build from the registered tables, kept across
+        #: queries for as long as ``catalog.data_version`` holds still.
+        self.base_sides = BaseSideCache(self.catalog)
         self.config = config or DEFAULT_CONFIG
         self.governor = governor or QueryGovernor(
             metrics=self.cluster.metrics)
@@ -228,12 +241,14 @@ class RaSQLContext:
         self.last_run = RunInfo()
 
     def close(self) -> None:
-        """Release cluster resources (the process pool, if any).
+        """Release cluster resources (the process pool, if any) and the
+        cross-query base-side cache.
 
-        Idempotent; the simulated backend makes this a no-op, and the
-        process backend also tears itself down atexit, so calling close
-        is only required when a program creates many contexts.
+        Idempotent; the process backend also tears itself down atexit, so
+        calling close is only required when a program creates many
+        contexts.
         """
+        self.base_sides.clear()
         self.cluster.shutdown()
 
     # ------------------------------------------------------------------
@@ -442,6 +457,14 @@ class RaSQLContext:
                 return materialized[key]
             return self.catalog.get(name)
 
+        def hand_over(name: str) -> Relation:
+            # The final stratum is the last reader of the views
+            # materialized above: it is handed each one instead of sharing
+            # it, so a large intermediate is released where it is last
+            # used (and accounted), not when this frame unwinds.
+            relation = materialized.pop(name.lower(), None)
+            return self.catalog.get(name) if relation is None else relation
+
         run = RunInfo()
         run.query_id = qid
         events_before = self.cluster.metrics.event_count()
@@ -466,32 +489,11 @@ class RaSQLContext:
                             unit.name, unit.columns, rows)
                     else:
                         assert isinstance(unit, CliquePlan)
-                        clique_config = self.planning_config(
-                            unit, effective, resolve)
-                        checkpointer = None
-                        if store is not None:
-                            checkpointer = CliqueCheckpointer(
-                                store, qid, unit_index,
-                                effective.checkpoint_interval, self.cluster)
-                        planned = plan_clique(unit, clique_config)
-                        operator = FixpointOperator(planned, self.cluster,
-                                                    clique_config, resolve,
-                                                    checkpointer=checkpointer)
-                        if (resume_state is not None
-                                and resume_state["unit"] == unit_index):
-                            payload = resume_state["payload"]
-                            result = operator.execute(resume=payload)
-                            run.resumed_from = payload["iteration"]
-                        else:
-                            result = operator.execute()
-                        for view_name, relation in result.relations.items():
-                            materialized[view_name.lower()] = relation
-                        clique_key = ",".join(unit.view_names)
-                        run.clique_iterations[clique_key] = result.iterations
-                        run.delta_history[clique_key] = result.delta_history
-                        run.iterations += result.iterations
+                        materialized.update(self._run_clique(
+                            unit, unit_index, effective, resolve, store, qid,
+                            resume_state, run))
 
-                final = execute_select(analyzed.final, resolve, "result",
+                final = execute_select(analyzed.final, hand_over, "result",
                                        tracer=tracer)
                 query_span.annotate(iterations=run.iterations,
                                     result_rows=len(final.rows))
@@ -506,6 +508,35 @@ class RaSQLContext:
             raise
         self._record_run(run, events_before, query_span, tracer)
         return final
+
+    def _run_clique(self, unit: CliquePlan, unit_index: int,
+                    effective: ExecutionConfig, resolve, store, qid,
+                    resume_state: dict | None,
+                    run: RunInfo) -> dict[str, Relation]:
+        """Plan and run one recursive clique, recording its iterations on
+        ``run``.  Returns its views by lower-cased name; nothing else
+        keeps them (or the operator) alive once this frame is gone."""
+        clique_config = self.planning_config(unit, effective, resolve)
+        checkpointer = None
+        if store is not None:
+            checkpointer = CliqueCheckpointer(
+                store, qid, unit_index, effective.checkpoint_interval,
+                self.cluster)
+        operator = FixpointOperator(
+            plan_clique(unit, clique_config), self.cluster, clique_config,
+            resolve, checkpointer=checkpointer, base_sides=self.base_sides)
+        payload = None
+        if resume_state is not None and resume_state["unit"] == unit_index:
+            payload = resume_state["payload"]
+        result = operator.execute(resume=payload)
+        if payload is not None:
+            run.resumed_from = payload["iteration"]
+        clique_key = ",".join(unit.view_names)
+        run.clique_iterations[clique_key] = result.iterations
+        run.delta_history[clique_key] = result.delta_history
+        run.iterations += result.iterations
+        return {name.lower(): relation
+                for name, relation in result.relations.items()}
 
     # ------------------------------------------------------------------
     # crash recovery

@@ -109,10 +109,15 @@ def _join_from_list(query: ast.SelectQuery,
     applied at the scan, and everything else filters as soon as its
     bindings are all available.
     """
+    # Each distinct name is resolved once (a resolver may hand a relation
+    # over rather than share it: ``RaSQLContext._run_sql``'s final stratum).
+    resolved: dict[str, Relation] = {}
     sources: list[tuple[str, Relation]] = []
     for table_ref in query.from_tables:
-        relation = resolve(table_ref.name)
-        sources.append((table_ref.binding, relation))
+        key = table_ref.name.lower()
+        if key not in resolved:
+            resolved[key] = resolve(table_ref.name)
+        sources.append((table_ref.binding, resolved[key]))
 
     layout = Layout([(binding, relation.columns)
                      for binding, relation in sources])

@@ -43,6 +43,7 @@ from repro.core.decomposed import execute_decomposed
 from repro.core.iteration import CliqueStep
 from repro.core.physical import (
     BaseRelationPlan,
+    BaseSideCache,
     append_base_side,
     build_base_side,
 )
@@ -64,6 +65,15 @@ from repro.errors import FixpointNotReachedError, PlanningError
 from repro.relation import Relation
 
 
+def _distinct(relation: Relation) -> Relation:
+    """``relation`` under set semantics, first occurrences in order; the
+    relation itself when it holds no duplicate."""
+    distinct = list(dict.fromkeys(relation.rows))
+    if len(distinct) == len(relation.rows):
+        return relation
+    return Relation.from_tuples(relation.name, relation.columns, distinct)
+
+
 @dataclass
 class FixpointResult:
     """Output of one clique evaluation."""
@@ -79,7 +89,8 @@ class FixpointOperator:
     def __init__(self, planned: PlannedClique, cluster: Cluster,
                  config: ExecutionConfig,
                  resolve: Callable[[str], Relation],
-                 checkpointer=None):
+                 checkpointer=None,
+                 base_sides: BaseSideCache | None = None):
         self.planned = planned
         self.cluster = cluster
         self.config = config
@@ -87,8 +98,18 @@ class FixpointOperator:
         #: when set, the semi-naive loop persists its working set every
         #: ``checkpoint_interval`` completed iterations.
         self.checkpointer = checkpointer
+        #: The session's cross-query cache of what base setup builds
+        #: (``None``: build every time, as an incremental view must —
+        #: it appends into its sides).
+        self.base_sides = base_sides
+        #: step id -> cache key, for the base sides that came through it.
+        self.side_keys: dict[int, tuple] = {}
+        #: How this operator's base sides were obtained.
+        self.base_side_counts = {"hits": 0, "built": 0, "bypassed": 0}
         self._resolve_raw = resolve
-        self._resolved: dict[str, Relation] = {}
+        #: name -> (set-semantics relation, the registered relation it
+        #: was derived from when the cache covers it).
+        self._resolved: dict[str, tuple[Relation, Relation | None]] = {}
         self.n = cluster.num_partitions
         #: Resident state + the per-partition step; pool workers build the
         #: same class from the wire spec (``engine/backend/worker.py``).
@@ -98,7 +119,7 @@ class FixpointOperator:
              for t in planned.terms],
             self.n, config.kernels, config.partial_aggregation)
         self.states = self.step.states
-        self.runtime = self.step.runtime
+        self.runtime = self.step  # the step is its terms' runtime
         self.partitioner = self.step.partitioner
         self.base_blocks: dict[int, list[Partition]] = {}
         #: Memory-charge groups of this clique's broadcast variables.
@@ -124,23 +145,36 @@ class FixpointOperator:
         Plain (non-recursive) SQL keeps its bag semantics — only inputs
         to the fixpoint are deduplicated, order-preserving.
         """
-        relation = self._resolved.get(name)
-        if relation is None:
-            relation = self._resolve_raw(name)
-            distinct = list(dict.fromkeys(relation.rows))
-            if len(distinct) != len(relation.rows):
-                relation = Relation(relation.name, relation.columns, distinct)
-            self._resolved[name] = relation
-        return relation
+        return self._resolve_registered(name)[0]
+
+    def _resolve_registered(self, name: str
+                            ) -> tuple[Relation, Relation | None]:
+        """:meth:`resolve` plus the catalog's own relation behind it, or
+        ``None`` for one the cross-query cache must not see."""
+        found = self._resolved.get(name)
+        if found is None:
+            raw = self._resolve_raw(name)
+            cache = self.base_sides
+            if cache is not None and cache.covers(raw):
+                found = cache.get((raw, "distinct"),
+                                  lambda: _distinct(raw))[0], raw
+            else:
+                found = _distinct(raw), None
+            self._resolved[name] = found
+        return found
 
     # ------------------------------------------------------------------
     # base setup
     # ------------------------------------------------------------------
 
     def _setup_base_relations(self) -> None:
-        """Broadcast / co-partition every base input and build join sides
-        (:func:`build_base_side`); what the cluster is charged for them
-        happens here, around the builder."""
+        """Broadcast / co-partition every base input and obtain its join
+        sides — from the cross-query cache when the relation is the
+        catalog's own, else from :func:`build_base_side` directly.  What
+        the simulated cluster is charged happens here, around the
+        builder, per query: a cache hit replays the seconds the build took
+        when it ran, so a query's simulated time does not depend on which
+        queries ran before it."""
         config = self.config
         cluster = self.cluster
 
@@ -150,8 +184,11 @@ class FixpointOperator:
         build_cpu = 0.0
 
         for plan in self.planned.base_plans:
-            relation = self.resolve(plan.relation)
-            t0 = time.perf_counter()
+            relation, registered = self._resolve_registered(plan.relation)
+            buckets, sides, seconds = self._base_side(
+                plan, relation.rows, registered)
+            build_cpu += seconds
+
             if plan.mode == "broadcast":
                 charge_key = (plan.relation.lower(), plan.filter_sql)
                 if charge_key not in broadcast_charged:
@@ -162,27 +199,23 @@ class FixpointOperator:
                         ship_hash_table=not config.broadcast_compression)
                     if broadcast.memory_group:
                         self.broadcast_groups.append(broadcast.memory_group)
-                _, (side,) = build_base_side(plan, relation.rows)
-                self.runtime.broadcast_tables[plan.step_id] = side
-            else:  # copartition
-                buckets, sides = build_base_side(
-                    plan, relation.rows,
-                    self.step.make_router(plan.build_key),
-                    sort_merge=config.join_strategy == "sort_merge")
-                self.runtime.base_partitions[plan.step_id] = sides
-                partitions = [
-                    Partition(i, bucket, cluster.worker_for_partition(i))
-                    for i, bucket in enumerate(buckets)
-                ]
-                self.base_blocks[plan.step_id] = partitions
-                # Cached co-partitioned base blocks live on workers for
-                # the whole fixpoint; charge them like Spark storage.
-                for partition in partitions:
-                    if partition.rows:
-                        cluster.memory.charge(
-                            "base", str(plan.step_id), partition.index,
-                            partition.worker, partition.size_bytes())
-            build_cpu += time.perf_counter() - t0
+                self.runtime.broadcast_tables[plan.step_id] = sides[0]
+                continue
+            self.runtime.base_partitions[plan.step_id] = sides
+            # Wrapped per query: a partition's home moves when the pool
+            # shrinks, and a Partition memoizes its size.
+            partitions = [
+                Partition(i, bucket, cluster.worker_for_partition(i))
+                for i, bucket in enumerate(buckets)
+            ]
+            self.base_blocks[plan.step_id] = partitions
+            # Cached co-partitioned base blocks live on workers for
+            # the whole fixpoint; charge them like Spark storage.
+            for partition in partitions:
+                if partition.rows:
+                    cluster.memory.charge(
+                        "base", str(plan.step_id), partition.index,
+                        partition.worker, partition.size_bytes())
 
         # The builds above happen on workers in parallel; charge them as
         # one setup stage.
@@ -192,6 +225,36 @@ class FixpointOperator:
                 + build_cpu * cluster.cost_model.cpu_scale / cluster.num_workers,
                 label="fixpoint-setup")
             cluster.metrics.inc("stages")
+
+    def _base_side(self, plan: BaseRelationPlan, rows: list[tuple],
+                   registered: Relation | None) -> tuple[list, list, float]:
+        """``(buckets, sides, build seconds)`` of one base input: through
+        the cross-query cache when its rows are those of the catalog's
+        own ``registered`` relation, built for this query alone otherwise."""
+        copartition = plan.mode == "copartition"
+        sort_merge = (copartition
+                      and self.config.join_strategy == "sort_merge")
+
+        def build():
+            t0 = time.perf_counter()
+            buckets, sides = build_base_side(
+                plan, rows,
+                self.step.make_router(plan.build_key) if copartition else None,
+                sort_merge=sort_merge)
+            return buckets, sides, time.perf_counter() - t0
+
+        metrics = self.cluster.metrics
+        if registered is None:
+            self.base_side_counts["bypassed"] += 1
+            metrics.inc("base_side_cache_bypassed")
+            return build()
+        key = self.side_keys[plan.step_id] = (
+            registered, *plan.shape, self.n, sort_merge, self.config.kernels)
+        built, hit = self.base_sides.get(key, build)
+        self.base_side_counts["hits" if hit else "built"] += 1
+        metrics.inc("base_side_cache_hits" if hit
+                    else "base_side_cache_misses")
+        return built
 
     def append_base_rows(self, plan: BaseRelationPlan,
                          rows: list[tuple]) -> None:
@@ -342,7 +405,22 @@ class FixpointOperator:
     # ------------------------------------------------------------------
 
     def execute(self, resume: dict | None = None) -> FixpointResult:
-        """Run the clique to its fixpoint.
+        """:meth:`run` the clique once and hand its relations over.
+
+        The one-shot form: nothing reads the all-relation after this, so
+        the state is let go here — inside the fixpoint, where its cost is
+        accounted, and before the final stratum allocates its own rows —
+        leaving the returned relations the only owners of the rows.  (An
+        incremental view calls :meth:`run` and keeps the state.)
+        """
+        iterations, delta_history = self.run(resume)
+        result = FixpointResult(self.relations(), iterations, delta_history)
+        self.step.clear()
+        return result
+
+    def run(self, resume: dict | None = None) -> tuple[int, list[int]]:
+        """Run the clique to its fixpoint; returns ``(iterations, delta
+        history)`` and leaves the all-relation resident in :attr:`states`.
 
         ``resume`` is a verified checkpoint payload (see
         :mod:`repro.core.checkpoint`): states, next-iteration deltas,
@@ -356,6 +434,7 @@ class FixpointOperator:
         with cluster.tracer.span("fixpoint",
                                  ",".join(self.planned.views)) as span:
             self._setup_base_relations()
+            span.annotate(base_sides=dict(self.base_side_counts))
             open_remote_session(self, span)
             try:
                 start, history, notes = 0, None, {}
@@ -379,13 +458,13 @@ class FixpointOperator:
                         iterations = execute_decomposed(self, incoming)
                         span.annotate(iterations=iterations,
                                       mode="decomposed")
-                        return self._finish(iterations, [])
+                        return iterations, []
                 iterations, delta_history = self._run_to_fixpoint(
                     incoming, start, history)
                 span.annotate(iterations=iterations,
                               mode=self.config.evaluation, **notes,
                               delta_history=list(delta_history))
-                return self._finish(iterations, delta_history)
+                return iterations, delta_history
             finally:
                 if self.session_id is not None:
                     cluster.backend.release_session(self.session_id)
@@ -492,7 +571,3 @@ class FixpointOperator:
             out[original.name] = Relation.from_tuples(
                 original.name, original.columns, rows)
         return out
-
-    def _finish(self, iterations: int,
-                delta_history: list[int]) -> FixpointResult:
-        return FixpointResult(self.relations(), iterations, delta_history)

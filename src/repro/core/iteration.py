@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.physical import TermRuntime
 from repro.engine.kernels import make_router
 from repro.engine.partitioner import HashPartitioner, make_key_fn
 from repro.engine.setrdd import KeyedStateRDD, SetRDD
@@ -95,9 +94,12 @@ class CliqueStep:
     ``aggregate_functions``, ``has_aggregates``,
     ``partition_key_positions``); ``terms`` is a sequence of ``(view,
     delta_view, negate, evaluate)`` with ``evaluate(delta_rows, partition,
-    runtime) -> derived head rows``.  :attr:`runtime` is the
-    :class:`TermRuntime` those functions evaluate against; whoever builds
-    the step fills in its base join sides.
+    runtime) -> derived head rows``.  The step *is* the
+    :class:`repro.core.physical.TermRuntime` those functions evaluate
+    against — a separate object holding the step's bound accessors would
+    make every finished fixpoint cyclic garbage, freed only when the cycle
+    collector gets to it — and whoever builds the step fills in its base
+    join sides (:attr:`broadcast_tables`, :attr:`base_partitions`).
     """
 
     def __init__(self, views: dict, terms, n: int, kernels: bool,
@@ -130,12 +132,20 @@ class CliqueStep:
                 view.partition_key_positions)
             if view.has_aggregates and partial_aggregation:
                 self.folds[name] = state.fold
-        runtime = self.runtime = TermRuntime()
-        runtime.state_rows = self.state_rows
-        runtime.delta_rows = self.delta_rows
-        runtime.state_total = self.state_total
-        if kernels:
-            runtime.state_table = self.state_table
+        self.broadcast_tables: dict[int, object] = {}
+        self.base_partitions: dict[int, list] = {}
+        if not kernels:
+            #: Terms then rebuild their probe tables from ``state_rows``.
+            self.state_table = None
+
+    def clear(self) -> None:
+        """Drop every state partition, fresh delta and cached state table
+        (a one-shot fixpoint's, once its relations have been read)."""
+        for name, state in self.states.items():
+            for partition in range(self.n):
+                state.clear_partition(partition)
+            self.fresh[name] = [[] for _ in range(self.n)]
+        self._state_tables.clear()
 
     def make_router(self, key_positions: tuple[int, ...]) -> Callable:
         """rows -> per-partition bucket lists, keyed on ``key_positions``."""
@@ -236,7 +246,6 @@ class CliqueStep:
         state partition under naive evaluation); map-side combine and
         bucket the derivations by each view's partition key."""
         fresh = self.fresh
-        runtime = self.runtime
         collected: dict[str, list[tuple]] = {}
         for view, delta_view, negate, evaluate in self.terms:
             if naive:
@@ -245,7 +254,7 @@ class CliqueStep:
                 delta = fresh[delta_view][partition]
             if not delta:
                 continue
-            rows = evaluate(delta, partition, runtime)
+            rows = evaluate(delta, partition, self)
             if negate and rows:
                 negator = self.negators[view]
                 rows = [negator(r) for r in rows]

@@ -32,6 +32,7 @@ still interprets; it just does not fuse).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,7 +66,10 @@ make_slots_key = make_extractor
 class TermRuntime:
     """Mutable executor-side context a term evaluates against.
 
-    Populated by the fixpoint operator during setup and iteration:
+    The interface, and a plain holder for callers that fill in only what
+    their terms read (PreM checks, decomposed local fixpoints); a clique's
+    :class:`repro.core.iteration.CliqueStep` answers it itself.  Populated
+    by the fixpoint operator during setup and iteration:
 
     - ``broadcast_tables[step_id]`` — hash table (or row list) over the
       rows of a broadcast base relation.
@@ -443,6 +447,13 @@ class BaseRelationPlan:
         """The build key as positions within the relation's own rows."""
         return tuple(slot - self.offset for slot in self.build_slots)
 
+    @property
+    def shape(self) -> tuple:
+        """Everything :func:`build_base_side` reads of the plan, hashable:
+        this plan's share of a :class:`BaseSideCache` key (the filter is
+        over the relation's own columns, so its SQL text identifies it)."""
+        return (self.mode, self.filter_sql, self.build_key, self.equi)
+
 
 def build_base_side(plan: BaseRelationPlan, rows: list[tuple],
                     route: Callable | None = None,
@@ -483,6 +494,59 @@ def append_base_side(plan: BaseRelationPlan, rows: list[tuple], sides: list,
         else:
             side.extend(bucket)
     return buckets
+
+
+#: Entries one context's :class:`BaseSideCache` keeps (LRU): a table's
+#: de-duplicated rows, one build per plan shape, one pickled install half
+#: per clique.
+BASE_SIDE_CACHE_SLOTS = 16
+
+
+class BaseSideCache:
+    """What the fixpoint derives from a registered base table, kept across
+    queries (the paper partitions, indexes and caches each base relation
+    once, Section 6.1; DESIGN.md §19).
+
+    One LRU over three kinds of entry — a relation's de-duplicated rows,
+    :func:`build_base_side`'s ``(buckets, sides, build seconds)`` per plan
+    shape, and the process backend's pickled install half per clique —
+    valid for exactly one ``Catalog.data_version``: any visible change
+    drops them all (at the next lookup).  Only relations the catalog itself holds are
+    :meth:`covered <covers>`; a per-query materialized view or an
+    incremental view's private table copy changes without the catalog
+    knowing.  A cached value is shared by every query that hits: never
+    mutate one.
+    """
+
+    def __init__(self, catalog):
+        self.catalog = catalog
+        self._version = catalog.data_version
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
+
+    def covers(self, relation) -> bool:
+        return self.catalog.owns(relation)
+
+    def get(self, key: tuple, build: Callable[[], object]
+            ) -> tuple[object, bool]:
+        """``(value, hit)`` for ``key``, calling ``build()`` on a miss
+        (a ``build`` that raises leaves nothing behind)."""
+        entries = self._entries
+        if self._version != self.catalog.data_version:
+            entries.clear()
+            self._version = self.catalog.data_version
+        if key in entries:
+            entries.move_to_end(key)
+            return entries[key], True
+        value = entries[key] = build()
+        if len(entries) > BASE_SIDE_CACHE_SLOTS:
+            entries.popitem(last=False)
+        return value, False
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 @dataclass

@@ -95,8 +95,7 @@ class IncrementalView:
                                          self.config, self._resolve)
         # Outside any query, so the view owns (and drops) its own traces.
         with ctx.cluster.tracer.owned_span("view", "materialize"):
-            initial = self.operator.execute()
-        self.iterations = initial.iterations
+            self.iterations, _ = self.operator.run()
         #: Memoized final-SELECT output; dropped by the next ``insert``.
         self._cached_result: Relation | None = None
         #: How many times the final SELECT actually executed — repeated

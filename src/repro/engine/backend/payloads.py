@@ -170,7 +170,19 @@ def open_remote_session(operator, span) -> None:
         operator.cluster.metrics.inc("process_remote_ineligible")
         return
     sid = backend.new_session_id()
-    backend.install_session(build_install_spec(operator, sid))
+    spec = build_install_spec(operator, sid)
+    pickled = None
+    keys = operator.side_keys
+    if operator.base_sides is not None \
+            and len(keys) == len(operator.planned.base_plans):
+        # Every base side came through the cross-query cache, so the
+        # heavy half is a function of their keys: pickle and hash it once
+        # per table version, not once per query.
+        pickled, reused = operator.base_sides.get(
+            ("install", *keys.items()), lambda: pickle_heavy_half(spec))
+        if reused:
+            operator.cluster.metrics.inc("process_install_blob_reused")
+    backend.install_session(spec, pickled)
     operator.session_id = sid
 
 
@@ -221,18 +233,27 @@ def build_install_spec(operator, sid: str) -> InstallSpec:
     )
 
 
-def split_install_spec(spec: InstallSpec) -> tuple[InstallSpec, bytes, str]:
+def pickle_heavy_half(spec: InstallSpec) -> tuple[bytes, str]:
+    """``(blob, content digest)`` of a spec's heavy half: the prebuilt
+    base join structures and broadcast tables, nearly all of an install's
+    bytes."""
+    heavy = dump_payload((spec.base_partitions, spec.broadcast_tables))
+    return heavy, hashlib.sha256(heavy).hexdigest()
+
+
+def split_install_spec(spec: InstallSpec,
+                       pickled: tuple[bytes, str] | None = None
+                       ) -> tuple[InstallSpec, bytes, str]:
     """Split a spec into ``(light spec, heavy blob, blob digest)``.
 
-    The heavy part — prebuilt base join structures and broadcast tables,
-    nearly all of an install's bytes and *identical across repeated
-    queries over the same registered tables* — is pickled once and
-    content-addressed, so the driver can skip re-sending it to a worker
-    whose blob cache still holds the digest (the base-partition install
-    cache; see ``process.py``).  The light spec ships every time.
+    The heavy half (:func:`pickle_heavy_half`; ``pickled`` when the
+    caller already holds it) is *identical across repeated queries over
+    the same registered tables* and content-addressed, so the driver can
+    skip re-sending it to a worker whose blob cache still holds the digest
+    (the base-partition install cache; see ``process.py``).  The light
+    spec ships every time.
     """
-    heavy = dump_payload((spec.base_partitions, spec.broadcast_tables))
-    digest = hashlib.sha256(heavy).hexdigest()
+    heavy, digest = pickled or pickle_heavy_half(spec)
     light = replace(spec, base_partitions={}, broadcast_tables={})
     return light, heavy, digest
 

@@ -255,8 +255,11 @@ class ProcessClusterBackend(ClusterBackend):
         self._session_seq += 1
         return f"s{self._session_seq}"
 
-    def install_session(self, spec) -> None:
-        light, heavy, digest = split_install_spec(spec)
+    def install_session(self, spec, pickled=None) -> None:
+        """Install ``spec`` on every live worker; ``pickled`` is its
+        heavy half when the caller already holds it pickled and hashed
+        (``payloads.split_install_spec``)."""
+        light, heavy, digest = split_install_spec(spec, pickled)
         self._sessions[spec.sid] = (light, heavy, digest)
         self._commit_log[spec.sid] = {}
         self._owner[spec.sid] = {}

@@ -23,7 +23,10 @@ when the driver predicts this worker still caches the digest, it sends
 ``None`` instead of re-shipping megabytes of unchanged base partitions.
 The worker's blob cache follows the driver's bookkeeping FIFO exactly
 (``BLOB_CACHE_SLOTS``, insertion order, no reorder on hit), so a
-predicted hit can never miss.  Tasks only ever arrive as a ``task_batch``
+predicted hit can never miss; beside the bytes it keeps the *decoded*
+structures of the digest it installed last, so repeated queries over one
+table version unpickle them once (:class:`WorkerState`).  Tasks only ever
+arrive as a ``task_batch``
 — one worker's share of a stage in a single message, a crash-recovery
 re-dispatch being a batch of one; each entry replies individually under
 its own ``req_id``, in order.
@@ -56,6 +59,7 @@ import re
 import threading
 import time
 import traceback
+from dataclasses import replace
 
 from repro.core.decomposed import run_fused_fixpoint, run_grouped_fixpoint
 from repro.core.iteration import CliqueStep
@@ -100,8 +104,8 @@ class WorkerSession:
             [(ts.view, ts.delta_view, ts.negate,
               recompile_term(ts.source, ts.view)) for ts in spec.terms],
             spec.n, True, spec.partial_aggregation)
-        self.step.runtime.broadcast_tables = spec.broadcast_tables
-        self.step.runtime.base_partitions = spec.base_partitions
+        self.step.broadcast_tables = spec.broadcast_tables
+        self.step.base_partitions = spec.base_partitions
         self.dedup_fns = [recompile_term(ts.dedup_source, ts.view)
                           if ts.dedup_source is not None else None
                           for ts in spec.terms]
@@ -175,6 +179,63 @@ def _run_payload(sessions: dict[str, WorkerSession], payload):
     raise RuntimeError(f"unknown payload kind {kind!r}")
 
 
+class WorkerState:
+    """What a pool worker keeps between messages, and its control arms.
+
+    ``blob_cache`` holds content-addressed heavy-install blobs,
+    FIFO-evicted, following the driver's per-worker ``cached_digests``
+    bookkeeping exactly.  ``decoded`` holds the unpickled ``(base
+    partitions, broadcast tables)`` of the digest installed last — one
+    table version's worth, shared read-only by every session installed
+    from it — so only an install over a *different* heavy half pays
+    ``load_payload``.
+    """
+
+    def __init__(self, worker_id: int):
+        self.worker_id = worker_id
+        self.sessions: dict[str, WorkerSession] = {}
+        self.chaos: list[dict] = []
+        self.blob_cache: dict[str, bytes] = {}
+        self.decoded: dict[str, tuple[dict, dict]] = {}
+
+    def install(self, light: InstallSpec, digest: str,
+                heavy: bytes | None) -> None:
+        if heavy is None:
+            heavy = self.blob_cache[digest]  # driver predicted a hit
+        else:
+            self.blob_cache[digest] = heavy
+            while len(self.blob_cache) > BLOB_CACHE_SLOTS:
+                del self.blob_cache[next(iter(self.blob_cache))]
+        sides = self.decoded.get(digest)
+        if sides is None:
+            self.decoded.clear()  # before decoding: never two resident
+            spec = assemble_install_spec(light, heavy)
+            self.decoded[digest] = (spec.base_partitions,
+                                    spec.broadcast_tables)
+        else:
+            spec = replace(light, base_partitions=sides[0],
+                           broadcast_tables=sides[1])
+        self.sessions[light.sid] = WorkerSession(spec)
+
+    def control(self, message):
+        kind = message[1]
+        if kind == "ping":
+            return self.worker_id
+        if kind == "install":
+            self.install(*message[2:5])
+        elif kind == "release":
+            self.sessions.pop(message[2], None)
+        elif kind == "chaos":
+            self.chaos[:] = message[2]
+        elif kind == "rebuild":
+            self.sessions[message[2]].rebuild(message[3])
+        elif kind == "collect":
+            return self.sessions[message[2]].collect(message[3])
+        elif kind != "stop":
+            raise RuntimeError(f"unknown request kind {kind!r}")
+        return None
+
+
 def _reply(conn, lock, req_id, run) -> bool:
     """Send ``run()``'s ``(cpu_seconds, result)`` as an ``ok`` reply, or
     the exception it raised as an ``err`` reply (reply-with-error, keep
@@ -201,43 +262,13 @@ def worker_main(conn, worker_id: int, heartbeat_interval: float) -> None:
     lock = threading.Lock()
     heartbeat = _Heartbeat(conn, lock, heartbeat_interval)
     heartbeat.start()
-    sessions: dict[str, WorkerSession] = {}
-    chaos: list[dict] = []
-    #: Content-addressed heavy-install blobs, FIFO-evicted; follows the
-    #: driver's per-worker ``cached_digests`` bookkeeping exactly.
-    blob_cache: dict[str, bytes] = {}
-
-    def control(message):
-        kind = message[1]
-        if kind == "ping":
-            return worker_id
-        if kind == "install":
-            light, digest, heavy = message[2], message[3], message[4]
-            if heavy is None:
-                heavy = blob_cache[digest]  # driver predicted a hit
-            else:
-                blob_cache[digest] = heavy
-                while len(blob_cache) > BLOB_CACHE_SLOTS:
-                    del blob_cache[next(iter(blob_cache))]
-            sessions[light.sid] = WorkerSession(
-                assemble_install_spec(light, heavy))
-        elif kind == "release":
-            sessions.pop(message[2], None)
-        elif kind == "chaos":
-            chaos[:] = message[2]
-        elif kind == "rebuild":
-            sessions[message[2]].rebuild(message[3])
-        elif kind == "collect":
-            return sessions[message[2]].collect(message[3])
-        elif kind != "stop":
-            raise RuntimeError(f"unknown request kind {kind!r}")
-        return None
+    state = WorkerState(worker_id)
 
     def run_task(stage, task_index, blob):
         payload = load_payload(blob)
-        _apply_chaos(chaos, stage, task_index, heartbeat)
+        _apply_chaos(state.chaos, stage, task_index, heartbeat)
         t0 = time.perf_counter()
-        result = _run_payload(sessions, payload)
+        result = _run_payload(state.sessions, payload)
         return time.perf_counter() - t0, result
 
     while True:
@@ -258,5 +289,5 @@ def worker_main(conn, worker_id: int, heartbeat_interval: float) -> None:
                               lambda: run_task(stage, task_index, blob)):
                     return
         elif not _reply(conn, lock, req_id,
-                        lambda: (0.0, control(message))) or kind == "stop":
+                        lambda: (0.0, state.control(message))) or kind == "stop":
             return

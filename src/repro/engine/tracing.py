@@ -312,6 +312,13 @@ def format_explain_analyze(trace: dict | None) -> str:
             f"iterations={attrs.get('iterations', len(iterations))}  "
             f"mode={attrs.get('mode', 'dsn')}  "
             f"time={fixpoint.get('duration', 0.0):.4f}s")
+        sides = attrs.get("base_sides")
+        if sides and any(sides.values()):
+            # hit: reused from an earlier query over this table version;
+            # bypassed: not a registered table, built for this query only.
+            lines.append(
+                f"  base sides: {sides['hits']} hit, {sides['built']} built, "
+                f"{sides['bypassed']} bypassed")
         if not iterations:
             continue
         view_names = sorted({
@@ -418,6 +425,11 @@ def _format_supervision_section(trace: dict) -> list[str]:
         lines.append(
             f"  install blobs: {install_bytes:.0f} bytes shipped, "
             f"{saved:.0f} bytes saved by the worker blob cache")
+    if shipped:
+        reused = metrics.get("process_install_blob_reused", 0)
+        how = (f"reused pickled from the base-side cache ({reused:.0f} "
+               f"installs)" if reused else "pickled and hashed by this query")
+        lines.append(f"  install heavy half: {how}")
     quarantined = metrics.get("process_tasks_quarantined", 0)
     if quarantined:
         lines.append(f"  poison tasks quarantined: {quarantined:.0f}")

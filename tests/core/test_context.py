@@ -80,6 +80,67 @@ class TestSessionApi:
         assert result.rows == [(2,)]
 
 
+class TestFinalStratumIsHandedTheViews:
+    """``_run_sql`` hands each materialized view to the final SELECT (its
+    last reader) instead of sharing it, and a one-shot operator lets go
+    of its state inside ``execute``: the working set dies where it was
+    last used, not when the query's frame unwinds."""
+
+    TC = """
+    WITH recursive tc(X, Y) AS
+      (SELECT Src, Dst FROM edge) UNION
+      (SELECT tc.X, edge.Dst FROM tc, edge WHERE tc.Y = edge.Src)
+    """
+
+    def test_final_select_may_read_a_view_twice(self):
+        result = make_ctx().sql(
+            self.TC + "SELECT a.X, b.Y FROM tc a, tc b WHERE a.Y = b.X")
+        assert sorted(result.rows) == [(1, 3)]
+
+    def test_an_empty_view_is_still_the_view(self):
+        ctx = RaSQLContext(num_workers=2)
+        ctx.register_table("edge", ["Src", "Dst", "Cost"], [])
+        assert ctx.sql(self.TC + "SELECT X, Y FROM tc").rows == []
+
+    def test_two_cliques_and_a_derived_view_still_resolve(self):
+        script = """
+        CREATE VIEW hop(Src, Dst) AS (SELECT Src, Dst FROM edge);
+        WITH recursive tc(X, Y) AS
+          (SELECT Src, Dst FROM hop) UNION
+          (SELECT tc.X, hop.Dst FROM tc, hop WHERE tc.Y = hop.Src),
+        recursive reach(Z) AS
+          (SELECT 1) UNION
+          (SELECT tc.Y FROM reach, tc WHERE reach.Z = tc.X)
+        SELECT reach.Z, hop.Dst FROM reach, hop WHERE reach.Z = hop.Src
+        """
+        assert sorted(make_ctx().sql(script).rows) == [(1, 2), (2, 3)]
+
+    def test_one_shot_operator_hands_over_and_view_keeps_its_state(
+            self, monkeypatch):
+        from repro.core.fixpoint import FixpointOperator
+        from repro.core.streaming import IncrementalView
+
+        operators = []
+        original = FixpointOperator.execute
+
+        def execute(self, *args, **kwargs):
+            operators.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FixpointOperator, "execute", execute)
+        ctx = make_ctx()
+        result = ctx.sql(SSSP)
+        (operator,) = operators
+        assert all(not partition for state in operator.states.values()
+                   for partition in state.partitions)
+        assert len(result.rows) == 3
+        view = IncrementalView(ctx, SSSP)
+        assert len(operators) == 1  # a view runs, it does not execute
+        assert sum(len(partition)
+                   for partition in view.operator.states["path"].partitions
+                   ) == 3
+
+
 class TestProfile:
     def test_time_breakdown_recorded(self):
         ctx = make_ctx()

@@ -29,6 +29,31 @@ class TestExplainAnalyzeSSSP:
         assert run.iterations == ctx.metrics.get("iterations")
         assert f"iterations={run.iterations}" in report
 
+    def test_base_sides_line_says_built_then_hit(self):
+        ctx = sssp_ctx()
+        sssp = get_query("sssp").formatted(source=1)
+        assert "  base sides: 0 hit, 1 built, 0 bypassed" in \
+            ctx.explain_analyze(sssp).splitlines()
+        first = ctx.last_run
+        assert "  base sides: 1 hit, 0 built, 0 bypassed" in \
+            ctx.explain_analyze(sssp).splitlines()
+        second = ctx.last_run
+
+        def fixpoint_attrs(run):
+            (span,) = [child for child in run.trace["children"]
+                       if child["kind"] == "fixpoint"]
+            return span["attrs"]
+
+        assert fixpoint_attrs(first)["base_sides"] == {
+            "hits": 0, "built": 1, "bypassed": 0}
+        assert fixpoint_attrs(second)["base_sides"] == {
+            "hits": 1, "built": 0, "bypassed": 0}
+        assert first.kernels_summary()["base_side_cache_misses"] == 1
+        assert second.kernels_summary()["base_side_cache_hits"] == 1
+        # The per-query counter deltas of the trace say the same.
+        assert second.trace["metrics"]["base_side_cache_hits"] == 1
+        assert "base_side_cache_misses" not in second.trace["metrics"]
+
     def test_delta_sizes_match_delta_history(self):
         ctx = sssp_ctx()
         ctx.sql(get_query("sssp").formatted(source=1))
@@ -174,9 +199,10 @@ class TestTracerRetainsNothingPerQuery:
     @staticmethod
     def shape(span):
         """A trace minus what differs between any two runs: span ids,
-        clock readings, measured-CPU floats, counter deltas."""
+        clock readings, measured-CPU floats, counter deltas, and whether
+        the base sides were built or reused (``base_sides``)."""
         attrs = {key: value for key, value in span["attrs"].items()
-                 if not isinstance(value, float)}
+                 if not isinstance(value, float) and key != "base_sides"}
         return (span["kind"], span["name"], sorted(attrs.items(), key=repr),
                 [TestTracerRetainsNothingPerQuery.shape(child)
                  for child in span["children"]])

@@ -363,3 +363,125 @@ def test_remote_ineligible_cause_is_reported(cause, tmp_path, monkeypatch):
     # The simulated backend was never asked for workers: nothing to say.
     assert sim_run.supervision_summary()["process_remote_ineligible"] == 0
     assert "remote-ineligible" not in sim_run.explain_analyze()
+
+
+# ----------------------------------------------------------------------
+# the cross-query base-side cache reaches the install blob (DESIGN.md §19)
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def install_spies(monkeypatch):
+    """``(pickles, shipped)``: every driver-side pickling/hashing of a
+    heavy install half, and the heavy field of every install message."""
+    import types
+
+    from repro.engine.backend import payloads, process
+
+    pickles, shipped = [], []
+
+    def dump_payload(payload, _original=payloads.dump_payload):
+        pickles.append("dump_payload")
+        return _original(payload)
+
+    def sha256(data, _original=payloads.hashlib.sha256):
+        pickles.append("sha256")
+        return _original(data)
+
+    monkeypatch.setattr(payloads, "dump_payload", dump_payload)
+    monkeypatch.setattr(payloads, "hashlib",
+                        types.SimpleNamespace(sha256=sha256))
+    send = process._WorkerHandle.send
+
+    def recording_send(self, message):
+        if message[1] == "install":
+            shipped.append(message[4])
+        send(self, message)
+
+    monkeypatch.setattr(process._WorkerHandle, "send", recording_send)
+    return pickles, shipped
+
+
+def _delta(run, before, name):
+    return run.metrics.get(name, 0) - before.get(name, 0)
+
+
+@pytest.mark.timeout(180)
+def test_repeated_query_ships_no_heavy_half_and_pickles_nothing(
+        install_spies):
+    pickles, shipped = install_spies
+    _, make_query = QUERY_SETUPS["sssp"]
+    sim_ctx = make_context("sssp", "simulated")
+    ctx = make_context("sssp", "process")
+    try:
+        first = ctx.sql(make_query())
+        assert pickles == ["dump_payload", "sha256"]
+        assert len(shipped) == NUM_WORKERS and None not in shipped
+        assert ctx.last_run.supervision_summary()[
+            "process_install_blob_reused"] == 0
+        assert ("install heavy half: pickled and hashed by this query"
+                in ctx.last_run.explain_analyze())
+
+        before = dict(ctx.last_run.metrics)
+        del pickles[:], shipped[:]
+        second = ctx.sql(make_query())
+        run = ctx.last_run
+        assert pickles == [] and shipped == [None] * NUM_WORKERS
+        assert _delta(run, before, "process_install_blob_reused") == 1
+        assert _delta(run, before, "process_install_bytes") == 0
+        assert _delta(run, before, "base_side_cache_hits") == 1
+        assert _delta(run, before, "process_tasks_shipped") > 0
+        assert ("install heavy half: reused pickled from the base-side cache"
+                in run.explain_analyze())
+        assert _rows(second) == _rows(first) == _rows(sim_ctx.sql(make_query()))
+
+        # A new table version: rebuilt, re-pickled, re-shipped — and still
+        # bit-exact with the simulated twin.
+        for context in (ctx, sim_ctx):
+            context.catalog.append_rows("edge", [(0, 23, 0.5), (23, 7, 0.25)])
+        before = dict(run.metrics)
+        third = ctx.sql(make_query())
+        assert pickles == ["dump_payload", "sha256"]
+        assert len(shipped) == 2 * NUM_WORKERS and None not in shipped[-NUM_WORKERS:]
+        assert _delta(ctx.last_run, before, "base_side_cache_misses") == 1
+        expected = sim_ctx.sql(make_query())
+        assert _rows(third) == _rows(expected) != _rows(first)
+        assert ctx.last_run.iterations == sim_ctx.last_run.iterations
+        assert _rows(ctx.sql(make_query())) == _rows(expected)
+    finally:
+        ctx.close()
+
+
+@pytest.mark.timeout(180)
+def test_killed_workers_replacement_is_installed_from_the_memoised_half(
+        install_spies):
+    from repro.engine.faults import ProcessKillInjector
+
+    pickles, shipped = install_spies
+    _, make_query = QUERY_SETUPS["sssp"]
+    sim_ctx = make_context("sssp", "simulated")
+    expected = sim_ctx.sql(make_query())
+    ctx = make_context("sssp", "process")
+    try:
+        ctx.sql(make_query())
+        before = dict(ctx.last_run.metrics)
+        del pickles[:], shipped[:]
+        injector = ProcessKillInjector("fixpoint-shufflemap", signal="kill",
+                                       skip_matches=1)
+        ctx.cluster.inject_failures(injector)
+        actual = ctx.sql(make_query())
+        run = ctx.last_run
+    finally:
+        ctx.close()
+    assert injector.injected == 1
+    assert _rows(actual) == _rows(expected)
+    assert run.iterations == sim_ctx.last_run.iterations
+    assert _delta(run, before, "process_worker_respawns") == 1
+    assert _delta(run, before, "process_install_blob_reused") == 1
+    # Nothing was pickled for this query, yet the respawned worker (whose
+    # blob cache is empty) was sent the bytes: the memoised ones.
+    assert pickles == []
+    assert shipped[:NUM_WORKERS] == [None] * NUM_WORKERS
+    (resent,) = shipped[NUM_WORKERS:]
+    assert isinstance(resent, bytes)
+    assert _delta(run, before, "process_install_bytes") == len(resent)

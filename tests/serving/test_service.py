@@ -108,6 +108,33 @@ class TestCaches:
         # Schema epoch did not move: the plan was reused.
         assert service.plan_cache.hits == 1
 
+    def test_insert_between_requests_rebuilds_the_base_sides(self):
+        """The base-side cache sits under the result cache: statements
+        that differ only in a constant share one build, and an insert
+        retires it, so the next request sees the new rows."""
+        reach = get_query("reach")
+        service = make_service(scheduler="fifo")
+        session = service.session("alice")
+        metrics = service.ctx.metrics
+        first = session.sql(reach.formatted(source=1))
+        other = session.sql(reach.formatted(source=2))
+        service.drain()
+        assert other.source == "executed"
+        assert (metrics.get("base_side_cache_misses"),
+                metrics.get("base_side_cache_hits")) == (1, 1)
+        session.insert("edge", [(4, 9, 1.0), (9, 1, 1.0)])
+        second = session.sql(reach.formatted(source=1))
+        service.drain()
+        assert second.source == "executed"
+        assert metrics.get("base_side_cache_misses") == 2
+        fresh = RaSQLContext(num_workers=2)
+        fresh.register_table("edge", ["Src", "Dst", "Cost"],
+                             EDGES + [(4, 9, 1.0), (9, 1, 1.0)])
+        expected = fresh.sql(reach.formatted(source=1))
+        assert sorted(second.result().rows) == sorted(expected.rows)
+        assert (9,) in second.result().rows
+        assert (9,) not in first.result().rows
+
     def test_schema_change_invalidates_plan_cache(self):
         service = make_service()
         session = service.session("alice")
