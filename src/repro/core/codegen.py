@@ -7,18 +7,19 @@ This module collapses all operators of one term into a single generated
 Python function: one pass of nested loops with inlined key extraction,
 predicates and projection, compiled once with ``compile()`` at plan time.
 
-Structure of a generated function (SSSP's recursive rule)::
+Structure of a generated function (SSSP's recursive rule, reference
+generation — ``kernels=False``)::
 
     def _term(delta_rows, partition, runtime):
-        _tbl1 = runtime.base_partitions[1][partition]
+        _tbl0 = runtime.base_partitions[0][partition]
         _out = []
         _append = _out.append
         for d in delta_rows:
-            _b1 = _tbl1.get(d[0])
+            _b1 = _tbl0.get(d[0])
             if _b1 is None:
                 continue
             for r1 in _b1:
-                _append(((r1[1]), (d[1] + r1[2])))
+                _append((r1[1], (d[1] + r1[2]),))
         return _out
 
 Bindings are indexed directly (``d[i]`` for the delta, ``r{k}[i]`` for
@@ -26,10 +27,32 @@ build rows — both the relation's or view's own tuples, indexed relative
 to the binding's segment), so no combined row is ever constructed.  Sort-merge
 terms are not fused (the paper's codegen experiments run shuffle-hash);
 generation falls back to the interpreted pipeline for them.
+
+Under the kernel layer the same rule is the whole Map side of the
+iteration (Section 7.3's Reduce(i)+Map(i+1) in one function): the head is
+``min`` over one group column, so the term folds each derivation into the
+view's accumulator where the list variant appends a row, and ``edge`` is
+stored pruned to the columns read after the probe, ``(Dst, Cost)``::
+
+    def _term(delta_rows, partition, runtime, combined):
+        _tbl0 = runtime.base_partitions[0][partition]
+        _get1 = _tbl0.get
+        get = combined.get
+        for d in delta_rows:
+            _b1 = _get1(d[0])
+            if _b1 is None:
+                continue
+            for r1 in _b1:
+                key = r1[0]
+                value = (d[1] + r1[1])
+                old = get(key)
+                if old is None or value < old:
+                    combined[key] = value
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 from repro.core import ast_nodes as ast
@@ -47,6 +70,7 @@ from repro.core.physical import (
 )
 from repro.engine.aggregates import AggregateFunction
 from repro.engine.joins import build_hash_table
+from repro.engine.kernels import fold_update, key_source
 from repro.errors import PlanningError
 
 _OP_MAP = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
@@ -62,17 +86,24 @@ class _SlotNamer:
     """
 
     def __init__(self, delta_offset: int, delta_arity: int):
-        #: (slot range, variable name) per bound segment.
-        self.segments: list[tuple[range, str]] = []
+        #: (slot range, variable name, stored columns) per bound segment.
+        self.segments: list[tuple[range, str, tuple | None]] = []
         self.add_segment(delta_offset, delta_arity, "d")
 
-    def add_segment(self, offset: int, arity: int, var: str) -> None:
-        self.segments.append((range(offset, offset + arity), var))
+    def add_segment(self, offset: int, arity: int, var: str,
+                    read_positions: tuple[int, ...] | None = None) -> None:
+        """``read_positions``: the variable holds a pruned build side's
+        value — those columns of the row, bare when there is one."""
+        self.segments.append((range(offset, offset + arity), var,
+                              read_positions))
 
     def ref(self, slot: int) -> str:
-        for span, var in self.segments:
+        for span, var, read in self.segments:
             if slot in span:
-                return f"{var}[{slot - span.start}]"
+                if read is None:
+                    return f"{var}[{slot - span.start}]"
+                at = read.index(slot - span.start)
+                return var if len(read) == 1 else f"{var}[{at}]"
         raise PlanningError(f"codegen: slot {slot} not bound yet")
 
 
@@ -111,7 +142,8 @@ def _expr_source(expr: ast.Expr, layout: Layout, namer: _SlotNamer) -> str:
 def generate_term_function(term: CompiledTerm,
                            aggregates: tuple[AggregateFunction | None, ...],
                            kernels: bool = False,
-                           dedup: bool = False) -> Callable | None:
+                           dedup: bool = False,
+                           fold: tuple | None = None) -> Callable | None:
     """Generate the fused function for one term, or ``None`` if not fusible.
 
     ``aggregates`` are the target view's effective aggregates (for
@@ -128,6 +160,13 @@ def generate_term_function(term: CompiledTerm,
     interpreted append or membership branch — and the driver dedups the
     round in one shot with C-level set algebra.  Only valid for
     aggregate-free, non-negated, totalize-free terms.
+
+    ``fold`` (the head's ``kernels.head_shape``) emits the fold variant:
+    ``_term(delta_rows, partition, runtime, combined)`` folds every
+    derivation into ``combined[group key]`` — a bare aggregate value —
+    where the list variant appends a head row, with a negated term's sign
+    flip inlined.  It returns nothing; ``kernels.make_fold_kernel``'s
+    ``emit`` turns the accumulator into routed head rows once per view.
     """
     rule: RulePlan | None = term.rule
     if rule is None or rule.layout is None:
@@ -232,7 +271,7 @@ def generate_term_function(term: CompiledTerm,
                 emit(f"if {bucket} is None:", indent)
                 emit("    continue", indent)
                 emit(f"for {var} in {bucket}:", indent)
-            namer.add_segment(*step.build_segment, var)
+            namer.add_segment(*step.build_segment, var, step.read_positions)
             indent += 1
             continue
         if isinstance(step, NestedLoopStep):
@@ -278,6 +317,9 @@ def generate_term_function(term: CompiledTerm,
         if agg is not None and agg.name == "count":
             env[f"_norm{i}"] = agg.normalize
             source = f"_norm{i}({source})"
+        if (fold is not None and term.negate and agg is not None
+                and agg.name in ("sum", "count")):
+            source = f"-{source}"  # the δ⋈δ correction enters negated
         if hoist and _is_delta_only(expr, layout, delta_lo, delta_hi):
             name = f"_p{i}"
             hoisted.append("    " * first_join_mark[1] + f"{name} = {source}")
@@ -286,7 +328,8 @@ def generate_term_function(term: CompiledTerm,
     if hoisted:
         body[first_join_mark[0]:first_join_mark[0]] = hoisted
     if dedup:
-        if term.negate or any(a is not None for a in aggregates):
+        if (term.negate or fold is not None
+                or any(a is not None for a in aggregates)):
             return None
         # One comprehension for the whole round: the loop machinery runs
         # in C, leaving only the probe and tuple build per derived row.
@@ -301,26 +344,43 @@ def generate_term_function(term: CompiledTerm,
         lines.append(f"    return [{row} {comp}]")
         source_text = "\n".join(lines)
     else:
-        emit(f"_append(({', '.join(projection_parts)},))", indent)
-        header = ["def _term(delta_rows, partition, runtime):"]
-        header += prologue
-        header.append("    _out = []")
-        header.append("    _append = _out.append")
+        if fold is not None:
+            name, group, at = fold
+            for line in fold_update(name, key_source(projection_parts, group),
+                                    projection_parts[at]):
+                emit(line, indent)
+            header = ["def _term(delta_rows, partition, runtime, combined):"]
+            header += prologue + ["    get = combined.get"]
+            footer = []
+        else:
+            emit(f"_append(({', '.join(projection_parts)},))", indent)
+            header = ["def _term(delta_rows, partition, runtime):"]
+            header += prologue + ["    _out = []",
+                                  "    _append = _out.append"]
+            footer = ["    return _out"]
         header.append("    for d in delta_rows:")
         if prefilter_src is not None:
             header.append(f"        if not {prefilter_src}:")
             header.append("            continue")
-        source_text = "\n".join(header + body + ["    return _out"])
+        source_text = "\n".join(header + body + footer)
 
     env["_build_state_table"] = _build_state_table
     try:
-        code = compile(source_text, f"<rasql-codegen:{term.view}>", "exec")
-        exec(code, env)
+        exec(compile_term(source_text, term.view), env)
     except SyntaxError:
         return None
     fn = env["_term"]
     fn._generated_source = source_text
     return fn
+
+
+@lru_cache(maxsize=256)
+def compile_term(source_text: str, view: str):
+    """The code object of a generated term's source.  Kept per distinct
+    text: ``compile()`` is most of a small query's planning time, a served
+    statement is re-planned on every request, and a pool worker recompiles
+    what the driver generated — none of which changes the text."""
+    return compile(source_text, f"<rasql-codegen:{view}>", "exec")
 
 
 def _build_state_table(rows: list[tuple], key_positions: tuple[int, ...]) -> dict:
@@ -387,31 +447,39 @@ def grouped_dedup_spec(
     build_offset, build_arity = step.build_segment
     if not build_offset <= last_slot < build_offset + build_arity:
         return None
+    # The shape reads exactly that one build column: a pruned side
+    # stores it bare.
+    pruned = step.read_positions is not None
     return GroupedDedupSpec(step_id=step.step_id,
                             probe=tuple(probe),
                             prefix=tuple(prefix),
-                            build_index=last_slot - build_offset)
+                            build_index=(None if pruned
+                                         else last_slot - build_offset))
 
 
 def attach_generated_code(term: CompiledTerm,
                           aggregates: tuple[AggregateFunction | None, ...],
                           kernels: bool = False,
-                          set_runners: bool = False) -> bool:
+                          set_runners: bool = False,
+                          fold: tuple | None = None) -> bool:
     """Try to attach a generated function to *term*; returns success.
 
-    With ``kernels`` the kernel-layer specializations are applied.
+    With ``kernels`` the kernel-layer specializations are applied; with
+    ``fold`` the function is the fold variant and ``term.folds`` says so.
     ``set_runners`` additionally generates what the decomposed set
     runners (:func:`repro.core.decomposed.decomposed_runner`) consume:
     the inline-dedup variant onto ``term.codegen_dedup_fn`` and the
     column-decomposed shape onto ``term.grouped_spec``.
     """
     try:
-        fn = generate_term_function(term, aggregates, kernels=kernels)
+        fn = generate_term_function(term, aggregates, kernels=kernels,
+                                    fold=fold)
     except PlanningError:
         fn = None
     if fn is None:
         return False
     term.codegen_fn = fn
+    term.folds = fold is not None
     if set_runners:
         try:
             term.codegen_dedup_fn = generate_term_function(

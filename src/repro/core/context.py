@@ -118,6 +118,9 @@ class RunInfo:
         ``kernel_grouped_fixpoint_stages``, ``kernel_fused_fixpoint_stages``,
         ``kernel_small_input_gate`` (cliques the size gate routed through
         the reference loops; see ``repro.core.planner.KERNEL_MIN_ROWS``),
+        ``kernel_fused_fold_terms`` (recursive terms that fold and route
+        inside their generated probe loop) and ``kernel_pruned_sides``
+        (base join sides storing only the columns read after the probe),
         plus how the run's base join sides were obtained (with kernels on
         or off): ``base_side_cache_hits`` (reused from an earlier query
         over the same table version), ``base_side_cache_misses`` (built
@@ -128,7 +131,8 @@ class RunInfo:
                 "kernel_state_cache_updates", "kernel_state_cache_bypass",
                 "kernel_grouped_fixpoint_stages",
                 "kernel_fused_fixpoint_stages",
-                "kernel_small_input_gate", "base_side_cache_hits",
+                "kernel_small_input_gate", "kernel_fused_fold_terms",
+                "kernel_pruned_sides", "base_side_cache_hits",
                 "base_side_cache_misses", "base_side_cache_bypassed")
         return {key: self.metrics.get(key, 0) for key in keys}
 

@@ -10,7 +10,7 @@ for any view shape and only ever runs driver-side.
 
 from __future__ import annotations
 
-from repro.core.iteration import make_state
+from repro.core.iteration import CliqueStep
 from repro.core.physical import (
     CompiledTerm,
     HashJoinStep,
@@ -40,8 +40,8 @@ def run_grouped_fixpoint(grouped_specs, broadcast_tables, delta_rows,
     pair = all(len(spec.prefix) == 1 for spec in grouped_specs)
     probes = []
     for spec in grouped_specs:
-        col = spec.build_index
-        adj = {k: {r[col] for r in rows}
+        col = spec.build_index  # None: the side stores the bare column
+        adj = {k: set(rows) if col is None else {r[col] for r in rows}
                for k, rows in broadcast_tables[spec.step_id].items()}
         probes.append((make_extractor(spec.probe),
                        make_extractor(spec.prefix), adj.get))
@@ -156,19 +156,19 @@ def run_fused_fixpoint(dedup_fns, broadcast_tables, delta_rows,
     return members, iterations
 
 
-def run_local_fixpoint(terms, view, kernels: bool, broadcast_tables,
+def run_local_fixpoint(terms, view_name: str, view, kernels: bool,
+                       partial_aggregation: bool, broadcast_tables,
                        delta_rows, max_iters: int) -> tuple[object, int]:
-    """The reference local loop: merge the delta into a private
-    one-partition state, evaluate every term over the fresh rows, repeat
-    until nothing new derives.  Handles aggregate heads and terms that
-    read the evolving state, which the two set runners above cannot."""
-    local = make_state(view, 1, kernels)
-    local_runtime = TermRuntime()
-    local_runtime.broadcast_tables = broadcast_tables
-    local_runtime.state_rows = lambda _v, _p: local.partition_rows(0)
-    local_runtime.state_total = (
-        lambda _v, _p, key: local.partitions[0].get(key))
-
+    """The reference local loop: the clique's own iteration step over a
+    private one-partition state — merge the delta, derive from the fresh
+    rows, repeat until nothing new derives.  Handles aggregate heads and
+    terms that read the evolving state, which the two set runners above
+    cannot."""
+    step = CliqueStep(
+        {view_name: view},
+        [(t.view, t.delta_view, t.negate, t.evaluate, t.folds)
+         for t in terms], 1, kernels, partial_aggregation)
+    step.broadcast_tables = broadcast_tables
     delta = list(delta_rows)
     iterations = 0
     while delta:
@@ -177,12 +177,9 @@ def run_local_fixpoint(terms, view, kernels: bool, broadcast_tables,
             raise FixpointNotReachedError(
                 "decomposed local fixpoint exceeded budget",
                 iterations - 1)
-        fresh = local.merge_rows(0, delta)
-        delta = []
-        for term in terms:
-            if fresh:
-                delta.extend(term.evaluate(fresh, 0, local_runtime))
-    return local.partitions[0], iterations
+        step.merge(0, {view_name: delta})
+        delta = step.derive(0).get(view_name, {}).get(0, [])
+    return step.states[view_name].partitions[0], iterations
 
 
 def _dedup_fusable(term: CompiledTerm) -> bool:
@@ -241,7 +238,8 @@ def execute_decomposed(operator, incoming: dict[str, Dataset]) -> int:
     else:
         def run(delta_rows):
             return run_local_fixpoint(
-                terms, view, operator.config.kernels, tables, delta_rows,
+                terms, view_name, view, operator.config.kernels,
+                operator.config.partial_aggregation, tables, delta_rows,
                 max_iters)
 
     tasks = []

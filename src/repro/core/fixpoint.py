@@ -115,7 +115,7 @@ class FixpointOperator:
         #: same class from the wire spec (``engine/backend/worker.py``).
         self.step = CliqueStep(
             planned.views,
-            [(t.view, t.delta_view, t.negate, t.evaluate)
+            [(t.view, t.delta_view, t.negate, t.evaluate, t.folds)
              for t in planned.terms],
             self.n, config.kernels, config.partial_aggregation)
         self.states = self.step.states
@@ -256,6 +256,22 @@ class FixpointOperator:
                     else "base_side_cache_misses")
         return built
 
+    def _note_generated_stage(self) -> dict:
+        """Which path this fixpoint's Map side and build sides take, for
+        its trace span and the kernel counters: how many recursive terms
+        fold and route inside their probe loop, and what each base side
+        stores."""
+        planned = self.planned
+        fused = sum(term.folds for term in planned.terms)
+        pruned = sum(plan.read_positions is not None
+                     for plan in planned.base_plans)
+        self.cluster.metrics.inc("kernel_fused_fold_terms", fused)
+        self.cluster.metrics.inc("kernel_pruned_sides", pruned)
+        return {"fused_terms": [fused, len(planned.terms)],
+                "stored_sides": [
+                    plan.describe_side(self.resolve(plan.relation).columns)
+                    for plan in planned.base_plans]}
+
     def append_base_rows(self, plan: BaseRelationPlan,
                          rows: list[tuple]) -> None:
         """Absorb inserted rows of ``plan``'s relation into its cached
@@ -349,7 +365,7 @@ class FixpointOperator:
     ) -> dict[str, Dataset]:
         """Exchange ``(worker, {partition: rows})`` map outputs per view;
         iteration tasks emit them already routed
-        (:meth:`CliqueStep.aggregate_and_route`)."""
+        (:meth:`CliqueStep.derive`)."""
         incoming: dict[str, Dataset] = {}
         for name, view in self.planned.views.items():
             incoming[name] = self.cluster.exchange(
@@ -434,7 +450,8 @@ class FixpointOperator:
         with cluster.tracer.span("fixpoint",
                                  ",".join(self.planned.views)) as span:
             self._setup_base_relations()
-            span.annotate(base_sides=dict(self.base_side_counts))
+            span.annotate(base_sides=dict(self.base_side_counts),
+                          **self._note_generated_stage())
             open_remote_session(self, span)
             try:
                 start, history, notes = 0, None, {}

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.engine.kernels import make_router
+from repro.engine.kernels import make_fold_kernel, make_router
 from repro.engine.partitioner import HashPartitioner, make_key_fn
 from repro.engine.setrdd import KeyedStateRDD, SetRDD
 
@@ -93,8 +93,11 @@ class CliqueStep:
     ``WireView`` attributes (``group_positions``, ``aggregate_positions``,
     ``aggregate_functions``, ``has_aggregates``,
     ``partition_key_positions``); ``terms`` is a sequence of ``(view,
-    delta_view, negate, evaluate)`` with ``evaluate(delta_rows, partition,
-    runtime) -> derived head rows``.  The step *is* the
+    delta_view, negate, evaluate, folds)`` with ``evaluate(delta_rows,
+    partition, runtime) -> derived head rows``, or for a term that
+    ``folds`` ``evaluate(delta_rows, partition, runtime, sink)`` folding
+    its derivations into the view's sink (:meth:`_make_sink`).  The step
+    *is* the
     :class:`repro.core.physical.TermRuntime` those functions evaluate
     against — a separate object holding the step's bound accessors would
     make every finished fixpoint cyclic garbage, freed only when the cycle
@@ -110,13 +113,17 @@ class CliqueStep:
         self.kernels = kernels
         self.partitioner = HashPartitioner(n)
         self.states: dict[str, KeyedStateRDD | SetRDD] = {}
-        self.negators: dict[str, Callable] = {}
+        #: Sign flips for the negated terms that return rows (a term
+        #: that folds has its flip inlined).
+        self.negators: dict[str, Callable] = {
+            view: _make_negator(views[view])
+            for view, _, negate, _, folds in self.terms
+            if negate and not folds}
         #: Per-view shuffle routers: batched kernels, or the reference
         #: per-row ``partition_of`` loop when kernels are off.
         self.routers: dict[str, Callable] = {}
-        #: Map-side combines, ``rows -> rows``, of the aggregate views
-        #: (none when partial aggregation is ablated).
-        self.folds: dict[str, Callable] = {}
+        #: Per-view ``(new, add, emit)`` of :meth:`_make_sink`.
+        self.sinks: dict[str, tuple[Callable, Callable, Callable]] = {}
         #: Current-iteration fresh deltas ``D``, per view, per partition.
         self.fresh: dict[str, list[list[tuple]]] = {}
         #: Cached state-side build tables:
@@ -124,14 +131,13 @@ class CliqueStep:
         self._state_tables: dict[tuple, list] = {}
         self.cache_counts: dict[str, int] = dict.fromkeys(CACHE_COUNTERS, 0)
         for name, view in views.items():
-            state = self.states[name] = make_state(
-                view, n, kernels, self.partitioner)
-            self.negators[name] = _make_negator(view)
+            self.states[name] = make_state(view, n, kernels,
+                                           self.partitioner)
             self.fresh[name] = [[] for _ in range(n)]
             self.routers[name] = self.make_router(
                 view.partition_key_positions)
-            if view.has_aggregates and partial_aggregation:
-                self.folds[name] = state.fold
+            self.sinks[name] = self._make_sink(name, view,
+                                               partial_aggregation)
         self.broadcast_tables: dict[int, object] = {}
         self.base_partitions: dict[int, list] = {}
         if not kernels:
@@ -146,6 +152,35 @@ class CliqueStep:
                 state.clear_partition(partition)
             self.fresh[name] = [[] for _ in range(self.n)]
         self._state_tables.clear()
+
+    def _make_sink(self, name: str, view, partial_aggregation: bool
+                   ) -> tuple[Callable, Callable, Callable]:
+        """Where one view's derivations of one :meth:`derive` call
+        collect, as ``(new, add, emit)``: ``new()`` makes the empty sink,
+        ``add(sink, head rows)`` takes the output of a term that returns
+        rows, ``emit(sink)`` returns one shuffle bucket per partition.
+
+        A head the kernel templates cover folds map-side into ``{group
+        key: bare aggregate value}``: a term that ``folds`` was generated
+        against exactly that dict and writes into it from inside its
+        probe loop, and ``emit`` is the one pass that builds the head
+        rows, already bucketed.  Every other view collects a row list,
+        combined by the generic ``partial_aggregate`` (aggregate heads,
+        unless ablated) and bucketed by the view's router.  The planner
+        applies the same test (``kernels and partial_aggregation and
+        head_shape(view)``) to decide which variant of a term to generate.
+        """
+        router = self.routers[name]
+        if not (view.has_aggregates and partial_aggregation):
+            return list, list.extend, router
+        fold = self.kernels and make_fold_kernel(
+            tuple(view.aggregate_functions), tuple(view.group_positions),
+            tuple(view.aggregate_positions),
+            tuple(view.partition_key_positions), self.n)
+        if fold:
+            return dict, *fold
+        combine = self.states[name].fold
+        return list, list.extend, lambda rows: router(combine(rows))
 
     def make_router(self, key_positions: tuple[int, ...]) -> Callable:
         """rows -> per-partition bucket lists, keyed on ``key_positions``."""
@@ -243,35 +278,31 @@ class CliqueStep:
     def derive(self, partition: int,
                naive: bool = False) -> dict[str, dict[int, list[tuple]]]:
         """Run every term over one partition's fresh delta (the whole
-        state partition under naive evaluation); map-side combine and
-        bucket the derivations by each view's partition key."""
+        state partition under naive evaluation) into its view's sink —
+        one per view, shared by all its terms, so a multi-rule clique
+        still combines once — and emit each sink as shuffle buckets by
+        the view's partition key (empty buckets dropped)."""
         fresh = self.fresh
-        collected: dict[str, list[tuple]] = {}
-        for view, delta_view, negate, evaluate in self.terms:
+        pending: dict[str, dict | list] = {}
+        for view, delta_view, negate, evaluate, folds in self.terms:
             if naive:
                 delta = self.state_rows(delta_view, partition)
             else:
                 delta = fresh[delta_view][partition]
             if not delta:
                 continue
+            new, add, _ = self.sinks[view]
+            sink = pending.get(view)
+            if sink is None:
+                sink = pending[view] = new()
+            if folds:
+                evaluate(delta, partition, self, sink)
+                continue
             rows = evaluate(delta, partition, self)
             if negate and rows:
                 negator = self.negators[view]
                 rows = [negator(r) for r in rows]
-            collected.setdefault(view, []).extend(rows)
-        return self.aggregate_and_route(collected)
-
-    def aggregate_and_route(self, collected: dict[str, list[tuple]]
-                            ) -> dict[str, dict[int, list[tuple]]]:
-        """Map-side combine one partition's derived rows per view, then
-        bucket them by the view's partition key (empty buckets dropped)."""
-        per_view: dict[str, dict[int, list[tuple]]] = {}
-        for view_name, rows in collected.items():
-            fold = self.folds.get(view_name)
-            if fold is not None:
-                rows = fold(rows)
-            per_view[view_name] = {
-                pid: bucket
-                for pid, bucket in enumerate(self.routers[view_name](rows))
-                if bucket}
-        return per_view
+            add(sink, rows)
+        return {view: {pid: bucket for pid, bucket
+                       in enumerate(self.sinks[view][2](sink)) if bucket}
+                for view, sink in pending.items()}

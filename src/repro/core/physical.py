@@ -22,6 +22,9 @@ position.  A row *at rest* — base build side, broadcast table, state
 table — is the relation's or view's own tuple, keyed relative to its own
 columns (:func:`build_base_side`); a join writes it into its segment of
 the working row (:func:`make_placer`), generated code indexes it directly.
+A base hash side that only generated code probes is *pruned*: it stores
+the columns the pipeline reads after the probe
+(:attr:`BaseRelationPlan.read_positions`) in the row's place.
 
 The plan is self-describing: next to each compiled closure a step keeps the
 AST it was compiled from and the ``(offset, width)`` slot segment it binds,
@@ -41,6 +44,7 @@ from repro.core.logical import RulePlan, ViewPlan
 from repro.engine.aggregates import AggregateFunction
 from repro.engine.joins import (
     build_hash_table,
+    build_hash_table_columns,
     hash_join_probe,
     sort_merge_join,
     sort_rows,
@@ -75,7 +79,8 @@ class TermRuntime:
       rows of a broadcast base relation.
     - ``base_partitions[step_id][p]`` — cached hash table / sorted run of
       partition ``p`` of a co-partitioned base relation.  Both hold the
-      relation's own tuples (:func:`build_base_side`).
+      relation's own tuples, or their read columns when pruned
+      (:func:`build_base_side`).
     - ``state_rows(view, p)`` — current all-relation rows of a view's
       partition ``p`` (full rows, head schema); ``p = -1`` gathers all
       partitions (the fallback when state keys are not join-aligned).
@@ -134,6 +139,10 @@ class HashJoinStep(Step):
     build_segment: tuple[int, int]
     state_view: str | None = None
     gather: bool = False
+    #: Columns of the build row the side stores (see
+    #: :attr:`BaseRelationPlan.read_positions`); only generated code can
+    #: read a pruned side, :meth:`apply` needs ``None`` (whole rows).
+    read_positions: tuple[int, ...] | None = None
 
     def __post_init__(self):
         # Extractors are specialized once per step, not once per task.
@@ -289,13 +298,14 @@ class GroupedDedupSpec:
     C-level set algebra instead of hashing every derived row tuple.
 
     ``probe`` and ``prefix`` are positions into delta (= view) rows;
-    ``build_index`` is a column of the broadcast relation's own rows.
+    ``build_index`` is the column within the broadcast side's stored
+    values, ``None`` when they are that one column's bare values.
     """
 
     step_id: int
     probe: tuple[int, ...]
     prefix: tuple[int, ...]
-    build_index: int
+    build_index: int | None
 
 
 @dataclass
@@ -323,6 +333,11 @@ class CompiledTerm:
     #: Fused whole-pipeline function (Section 7.3); set by the planner when
     #: code generation is enabled and the pipeline is fusible.
     codegen_fn: Callable | None = field(default=None, repr=False)
+    #: ``codegen_fn`` takes a fourth argument, the view's fold accumulator
+    #: (``{group key: bare aggregate value}``), folds every derivation
+    #: into it inside the probe loop and returns nothing; without, it
+    #: returns the derived head rows as a list.
+    folds: bool = False
     #: Comprehension variant ``(delta, partition, runtime) -> derived``
     #: (duplicates included); the decomposed set-fixpoint driver dedups
     #: each round with set algebra.  Like ``grouped_spec``, generated only
@@ -341,10 +356,11 @@ class CompiledTerm:
         self._unbound = (None,) * self.arity
 
     def evaluate(self, delta_rows: list[tuple], partition: int,
-                 runtime: TermRuntime) -> list[tuple]:
-        """Run the pipeline over one partition's delta rows."""
+                 runtime: TermRuntime, *sink: dict) -> list[tuple] | None:
+        """Run the pipeline over one partition's delta rows; a term that
+        :attr:`folds` takes its accumulator as ``sink``."""
         if self.codegen_fn is not None:
-            return self.codegen_fn(delta_rows, partition, runtime)
+            return self.codegen_fn(delta_rows, partition, runtime, *sink)
         if self.delta_prefilter is not None:
             delta_rows = filter(self.delta_prefilter, delta_rows)
         place, unbound = self._place, self._unbound
@@ -428,7 +444,13 @@ class BaseRelationPlan:
     absolute notation (the binding's first slot, the layout arity, layout
     slots); ``filter`` is the scan's pushed-down predicate over the
     relation's own row.  ``equi=False`` means the broadcast value is a
-    plain row list for a nested-loop step.
+    plain row list for a nested-loop step.  ``read_positions`` are the
+    relation columns the pipeline reads once the probe has matched (later
+    join keys, residual filters, the projection): a hash side whose only
+    reader is generated code stores just those — a bare value for one
+    column — instead of the row; ``None`` keeps whole rows (the
+    interpreted pipeline, sort-merge and nested loops place the row in
+    its segment, and a side that reads every column gains nothing).
     """
 
     step_id: int
@@ -441,6 +463,7 @@ class BaseRelationPlan:
     filter: Callable[[tuple], object] | None
     filter_sql: str
     equi: bool
+    read_positions: tuple[int, ...] | None = None
 
     @property
     def build_key(self) -> tuple[int, ...]:
@@ -452,7 +475,16 @@ class BaseRelationPlan:
         """Everything :func:`build_base_side` reads of the plan, hashable:
         this plan's share of a :class:`BaseSideCache` key (the filter is
         over the relation's own columns, so its SQL text identifies it)."""
-        return (self.mode, self.filter_sql, self.build_key, self.equi)
+        return (self.mode, self.filter_sql, self.build_key, self.equi,
+                self.read_positions)
+
+    def describe_side(self, columns: tuple[str, ...]) -> str:
+        """What the side stores and is keyed on, in the relation's column
+        names: ``edge[Dst] on Src``, ``edge[*] on Src`` for whole rows."""
+        read = self.read_positions
+        stored = "*" if read is None else ", ".join(columns[p] for p in read)
+        on = ", ".join(columns[k] for k in self.build_key)
+        return f"{self.relation}[{stored}]" + (f" on {on}" if on else "")
 
 
 def build_base_side(plan: BaseRelationPlan, rows: list[tuple],
@@ -465,7 +497,8 @@ def build_base_side(plan: BaseRelationPlan, rows: list[tuple],
     ``plan.build_key``) co-partitions; without it there is the one
     broadcast bucket.  Returns index-aligned ``(buckets, sides)``: the rows
     each partition holds and what its join step reads — a hash table on
-    the build key, a sorted run under ``sort_merge``, or (no equi key: a
+    the build key (of the rows, or of their ``plan.read_positions``
+    columns), a sorted run under ``sort_merge``, or (no equi key: a
     nested loop) the row list itself.
     """
     if plan.filter is not None:
@@ -474,6 +507,11 @@ def build_base_side(plan: BaseRelationPlan, rows: list[tuple],
     if not plan.equi:  # the side is a row list: never the relation's own
         return buckets, [list(bucket) for bucket in buckets]
     key_fn = make_slots_key(plan.build_key)
+    if plan.read_positions is not None:
+        stored = make_extractor(plan.read_positions)
+        return buckets, [
+            build_hash_table_columns(map(key_fn, bucket), map(stored, bucket))
+            for bucket in buckets]
     build = sort_rows if sort_merge else build_hash_table
     return buckets, [build(bucket, key_fn) for bucket in buckets]
 
@@ -487,10 +525,13 @@ def append_base_side(plan: BaseRelationPlan, rows: list[tuple], sides: list,
         rows = [row for row in rows if plan.filter(row)]
     buckets = route(rows) if route is not None else [rows]
     key_fn = make_slots_key(plan.build_key)
+    read = plan.read_positions
     for side, bucket in zip(sides, buckets):
         if plan.equi:
-            for row in bucket:
-                side.setdefault(key_fn(row), []).append(row)
+            stored = bucket if read is None else map(make_extractor(read),
+                                                     bucket)
+            for row, value in zip(bucket, stored):
+                side.setdefault(key_fn(row), []).append(value)
         else:
             side.extend(bucket)
     return buckets

@@ -58,6 +58,7 @@ from repro.core.physical import (
     TotalizeStep,
     make_projector,
 )
+from repro.engine.kernels import head_shape
 from repro.errors import PlanningError
 
 
@@ -244,6 +245,7 @@ def _compile_pipeline(ctx: _TermContext, target: PhysicalView, rule: RulePlan,
                 for c in take_evaluable(bound_bindings)]
 
     steps: list[Step] = [*prelude, *filters()]
+    first_plan = len(ctx.base_plans)
     first_join = True
     while pending:
         # Prefer an input reachable through an equi conjunct.
@@ -330,6 +332,33 @@ def _compile_pipeline(ctx: _TermContext, target: PhysicalView, rule: RulePlan,
 
     if unplaced:
         raise PlanningError("internal: unconsumed residual conjuncts")
+
+    if (ctx.config.codegen and ctx.config.kernels and not any(
+            isinstance(step, SortMergeJoinStep) for step in steps)):
+        # Build-side column pruning (kernel layer).  The term will be
+        # generated code — without a sort-merge step a planner-built
+        # term always is: codegen supports every expression
+        # ``compile_expr`` does, and the plan snapshot pins that only
+        # sort-merge terms stay interpreted — so a base hash side stores
+        # only the columns read once its probe has matched: the
+        # projection's, the residual and theta predicates' and later
+        # joins' probe keys (its own build key is consumed by the hash
+        # table, not read).
+        read = {layout.slot_of(node)
+                for expr in (*rule.projections, *join.residual)
+                for node in expr.walk() if isinstance(node, ast.ColumnRef)}
+        plans = {plan.step_id: plan for plan in ctx.base_plans[first_plan:]}
+        for step in steps:
+            if isinstance(step, HashJoinStep):
+                read.update(step.probe_slots)
+        for step in steps:
+            if isinstance(step, HashJoinStep) and step.step_id in plans:
+                offset, width = step.build_segment
+                positions = tuple(p for p in range(width)
+                                  if offset + p in read)
+                if len(positions) < width:
+                    step.read_positions = positions
+                    plans[step.step_id].read_positions = positions
 
     # A filter the optimizer pushed onto the driving scan runs on the
     # driving rows themselves (recursive references never carry one).
@@ -592,10 +621,16 @@ def plan_clique(clique: CliquePlan, config: ExecutionConfig,
         set_runners = (decomposed and config.kernels
                        and config.evaluation == "dsn"
                        and not any(v.has_aggregates for v in views.values()))
+        # A recursive term of a template-eligible head is the whole Map
+        # side: it folds into the view's accumulator inside its probe
+        # loop.  One-shot terms keep the row-list sink (a folded base
+        # rule would change ``shuffle_records``).
+        fold = config.kernels and config.partial_aggregation
         for term in terms:
-            attach_generated_code(term, views[term.view].aggregates,
-                                  kernels=config.kernels,
-                                  set_runners=set_runners)
+            attach_generated_code(
+                term, views[term.view].aggregates, kernels=config.kernels,
+                set_runners=set_runners,
+                fold=head_shape(views[term.view]) if fold else None)
         one_shot = [b.term for b in base_rules if b.term is not None]
         for table_terms in maintenance_terms.values():
             one_shot.extend(table_terms)

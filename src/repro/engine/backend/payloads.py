@@ -62,6 +62,8 @@ class TermSpec:
     delta_view: str
     negate: bool
     source: str
+    #: ``source`` is the fold variant (``CompiledTerm.folds``).
+    folds: bool = False
     dedup_source: str | None = None
     grouped_spec: object | None = None  # frozen GroupedDedupSpec, picklable
 
@@ -217,6 +219,7 @@ def build_install_spec(operator, sid: str) -> InstallSpec:
             delta_view=term.delta_view,
             negate=term.negate,
             source=term.codegen_fn._generated_source,
+            folds=term.folds,
             dedup_source=(dedup._generated_source
                           if dedup is not None else None),
             grouped_spec=term.grouped_spec,
@@ -275,13 +278,12 @@ def recompile_term(source: str, view: str):
     registry lookup is exact).  ``_E`` is emitted inline by the dedup
     variant and needs no environment entry.
     """
-    from repro.core.codegen import _build_state_table
+    from repro.core.codegen import _build_state_table, compile_term
 
     env = {"_build_state_table": _build_state_table}
     for index in set(_NORM_REF.findall(source)):
         env[f"_norm{index}"] = BY_NAME["count"].normalize
-    code = compile(source, f"<rasql-codegen:{view}>", "exec")
-    exec(code, env)
+    exec(compile_term(source, view), env)
     fn = env["_term"]
     fn._generated_source = source
     return fn

@@ -102,7 +102,8 @@ class WorkerSession:
         self.step = CliqueStep(
             spec.views,
             [(ts.view, ts.delta_view, ts.negate,
-              recompile_term(ts.source, ts.view)) for ts in spec.terms],
+              recompile_term(ts.source, ts.view), ts.folds)
+             for ts in spec.terms],
             spec.n, True, spec.partial_aggregation)
         self.step.broadcast_tables = spec.broadcast_tables
         self.step.base_partitions = spec.base_partitions

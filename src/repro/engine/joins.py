@@ -39,13 +39,15 @@ def build_hash_table(rows: Iterable[tuple],
     return table
 
 
-# Unreferenced by the product path; pinned for benchmarks/e2e/micro.py.
-def build_hash_table_columns(keys: Iterable, rows: Iterable[tuple]) -> dict:
+def build_hash_table_columns(keys: Iterable, rows: Iterable) -> dict:
     """Columnar build: parallel key column instead of per-row ``key_fn``.
 
     ``{key: [rows]}`` with buckets in input order — entry-for-entry
     identical to :func:`build_hash_table` when ``keys`` is the column the
     key function would have extracted (e.g. ``ColumnBatch.keys(...)``).
+    ``rows`` may be any parallel sequence of values to store: a pruned
+    base side (``physical.build_base_side``) passes the columns its
+    pipeline reads instead of the rows.
     """
     table: dict = {}
     for key, row in zip(keys, rows):

@@ -14,9 +14,11 @@ once, at plan/setup time, into tight specialized loops:
 - :func:`make_merge_rows_kernel` — the min/max/sum/count merge of head
   rows into :class:`~repro.engine.setrdd.KeyedStateRDD`'s
   ``{group key: head row}`` partitions, for any single-aggregate layout.
-- :func:`make_fold_kernel` — the map-side partial-aggregation fold over
-  the same rows and layouts.  Both are one loop template, compiled with
-  the head's column positions inlined, once per (aggregate, layout).
+- :func:`make_fold_kernel` — the map-side partial aggregation of the same
+  heads: an accumulator of bare values (``fold_into``; generated terms
+  fold into it from inside their probe loop, :func:`fold_update`) and the
+  one pass that emits it as routed head rows.  All are loop templates,
+  compiled with the head's column positions inlined, once per shape.
 - :func:`hash_probe_join` / :func:`batch_hash_probe` and
   :func:`make_merge_columns_kernel` — not on the product path; pinned
   for ``benchmarks/e2e/micro.py``.
@@ -44,7 +46,10 @@ from repro.engine.partitioner import _stable_hash
 
 __all__ = [
     "batch_hash_probe",
+    "fold_update",
     "hash_probe_join",
+    "head_shape",
+    "key_source",
     "make_extractor",
     "make_fold_kernel",
     "make_merge_columns_kernel",
@@ -77,50 +82,48 @@ def make_extractor(positions: tuple[int, ...]) -> Callable[[tuple], object]:
 # ---------------------------------------------------------------------------
 
 
+#: Walk ``source`` and append each ``row`` to the bucket of its partition
+#: key — ``HashPartitioner.partition_of`` inlined: the ``type(key) is int``
+#: fast path, else ``_stable_hash`` (a multi-column key is a tuple, never
+#: an int).  The router and the fold's emit pass are this one text.
+_ROUTE_LOOP = """\
+def {name}({argument}):
+    buckets = [[] for _ in range({n})]
+    appends = [bucket.append for bucket in buckets]
+    for {target} in {source}:
+{row}        pk = {pk}
+        if type(pk) is int:
+            appends[pk % {n}](row)
+        else:
+            appends[stable_hash(pk) % {n}](row)
+    return buckets
+"""
+
+
+def _route_loop(name: str, argument: str, target: str, source: str,
+                row: str, columns: list[str],
+                key_positions: tuple[int, ...], n: int) -> Callable:
+    """Compile :data:`_ROUTE_LOOP`; ``columns`` are the source references
+    of the row's columns, ``row`` the statement building it (if any)."""
+    return _compiled(_ROUTE_LOOP.format(
+        name=name, argument=argument, n=n, target=target, source=source,
+        row=row, pk=key_source(columns, key_positions)), name)
+
+
+@lru_cache(maxsize=None)
 def make_router(key_positions: tuple[int, ...],
                 num_partitions: int) -> Callable[[Iterable[tuple]], list[list[tuple]]]:
     """Single-pass batched routing: rows -> per-partition bucket lists.
 
     Bit-exact with routing each row through
-    ``HashPartitioner.partition_of(key_of(row))``: the ``type(key) is
-    int`` fast path and the ``_stable_hash`` fallback are inlined into
-    one loop, and rows keep their relative order inside each bucket.
+    ``HashPartitioner.partition_of(key_of(row))``, and rows keep their
+    relative order inside each bucket.
     """
-    n = num_partitions
-    if n == 1:
-        def route_single(rows):
-            return [list(rows)]
-        return route_single
-
-    if len(key_positions) == 1:
-        index = key_positions[0]
-
-        def route(rows):
-            buckets: list[list[tuple]] = [[] for _ in range(n)]
-            appends = [bucket.append for bucket in buckets]
-            stable_hash = _stable_hash
-            for row in rows:
-                key = row[index]
-                if type(key) is int:
-                    appends[key % n](row)
-                else:
-                    appends[stable_hash(key) % n](row)
-            return buckets
-
-        return route
-
-    getter = itemgetter(*key_positions)
-
-    def route_multi(rows):
-        buckets: list[list[tuple]] = [[] for _ in range(n)]
-        appends = [bucket.append for bucket in buckets]
-        stable_hash = _stable_hash
-        for row in rows:
-            # Multi-column keys are tuples, never ints: always stable-hash.
-            appends[stable_hash(getter(row)) % n](row)
-        return buckets
-
-    return route_multi
+    if num_partitions == 1:
+        return lambda rows: [list(rows)]
+    columns = [f"row[{i}]" for i in range(max(key_positions) + 1)]
+    return _route_loop("route", "rows", "row", "rows", "", columns,
+                       key_positions, num_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -146,24 +149,45 @@ def merge(state, {argument}):
 """
 
 #: The fold keeps bare aggregate values (a comparison never dereferences
-#: a stored row) and emits freshly built, contiguous rows for the router.
+#: a stored row); generated terms inline the same update text inside
+#: their probe loop (:func:`fold_update`).
 _FOLD_LOOP = """\
-def fold(rows):
-    combined = {{}}
+def fold_into(combined, rows):
     get = combined.get
     for {target} in rows:
-        key = {key}
-        old = get(key)
         {update}
-    return {out}
+    return combined
 """
+
+
+def fold_update(name: str, key: str, value: str) -> list[str]:
+    """The statements folding one ``value`` into ``combined[key]`` for the
+    builtin aggregate ``name``, given ``get = combined.get``.  ``key`` and
+    ``value`` are source fragments; each is evaluated once (bound to a
+    local first unless it already is a name).  Ties keep the incumbent,
+    as the ``min``/``max`` builtins do."""
+    lines = []
+    if not key.isidentifier():
+        lines.append(f"key = {key}")
+        key = "key"
+    if not value.isidentifier():
+        lines.append(f"value = {value}")
+        value = "value"
+    lines.append(f"old = get({key})")
+    if name in ("min", "max"):
+        lines += [f"if old is None or {value} {'<' if name == 'min' else '>'}"
+                  f" old:", f"    combined[{key}] = {value}"]
+    else:
+        lines.append(f"combined[{key}] = {value} if old is None "
+                     f"else old + {value}")
+    return lines
 
 
 def _tuple(items: list[str]) -> str:
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
 
-def _key(columns: list[str], group: tuple[int, ...]) -> str:
+def key_source(columns: list[str], group: tuple[int, ...]) -> str:
     """``make_extractor(group)`` over column references: a scalar for one
     position, a tuple otherwise."""
     if len(group) == 1:
@@ -172,7 +196,7 @@ def _key(columns: list[str], group: tuple[int, ...]) -> str:
 
 
 def _compiled(source: str, name: str) -> Callable:
-    env: dict = {}
+    env: dict = {"stable_hash": _stable_hash}
     exec(compile(source, f"<rasql-kernel:{name}>", "exec"), env)
     fn = env[name]
     fn._generated_source = source
@@ -196,30 +220,37 @@ def _merge_kernel(name: str, group: tuple[int, ...], at: int,
         argument="columns" if columnar else "rows",
         target=_tuple(columns) if columnar else "row",
         source="zip(*columns)" if columnar else "rows",
-        key=_key(columns, group), changed=changed, stored=stored,
+        key=key_source(columns, group), changed=changed, stored=stored,
         row=f"row = {_tuple(columns)}\n            " if columnar else "",
     ), "merge")
 
 
 @lru_cache(maxsize=None)
-def _fold_kernel(name: str, group: tuple[int, ...], at: int) -> Callable:
-    arity = len(group) + 1
-    columns = [f"c{i}" for i in range(arity)]
-    value = columns[at]
-    if name in ("min", "max"):
-        update = (f"if old is None or {value} {'<' if name == 'min' else '>'}"
-                  f" old:\n            combined[key] = {value}")
-    else:
-        update = f"combined[key] = {value} if old is None else old + {value}"
+def _fold_into_kernel(name: str, group: tuple[int, ...], at: int) -> Callable:
+    columns = [f"c{i}" for i in range(len(group) + 1)]
+    update = fold_update(name, key_source(columns, group), columns[at])
+    return _compiled(_FOLD_LOOP.format(
+        target=_tuple(columns), update="\n        ".join(update)),
+        "fold_into")
+
+
+@lru_cache(maxsize=None)
+def _fold_emit_kernel(group: tuple[int, ...], at: int,
+                      key_positions: tuple[int, ...], n: int) -> Callable:
     # The row back from (key, value): the key's columns around the value.
     built = [f"key[{group.index(i)}]" if len(group) != 1 else "key"
-             for i in range(arity) if i != at]
+             for i in range(len(group) + 1) if i != at]
     built.insert(at, "value")
-    out = ("list(combined.items())" if built == ["key", "value"] else
-           f"[{_tuple(built)} for key, value in combined.items()]")
-    return _compiled(_FOLD_LOOP.format(
-        target=_tuple(columns), key=_key(columns, group), update=update,
-        out=out), "fold")
+    pairs = built == ["key", "value"]  # items() already holds the rows
+    if n == 1:
+        rows = ("list(combined.items())" if pairs else
+                f"[{_tuple(built)} for key, value in combined.items()]")
+        return _compiled(f"def emit(combined):\n    return [{rows}]\n",
+                         "emit")
+    return _route_loop(
+        "emit", "combined", "row" if pairs else "key, value",
+        "combined.items()", "" if pairs else f"        row = {_tuple(built)}\n",
+        ["row[0]", "row[1]"] if pairs else built, key_positions, n)
 
 
 def _shape(aggregates: tuple[AggregateFunction, ...],
@@ -283,17 +314,32 @@ def make_merge_columns_kernel(aggregates: tuple[AggregateFunction, ...],
 def make_fold_kernel(aggregates: tuple[AggregateFunction, ...],
                      group_positions: tuple[int, ...],
                      aggregate_positions: tuple[int, ...],
-                     ) -> Callable[[Iterable[tuple]], list] | None:
-    """Map-side partial aggregation over head rows, inlined, or ``None``.
+                     key_positions: tuple[int, ...] = (), num_partitions=1,
+                     ) -> tuple[Callable, Callable] | None:
+    """Map-side partial aggregation as an accumulator and its one emit
+    pass, or ``None`` (same shapes as :func:`make_merge_rows_kernel`).
 
-    ``aggregates.partial_aggregate`` for the same shapes as
-    :func:`make_merge_rows_kernel`, with the comparison / addition itself
-    in place of the ``combine`` call (contributions arrive normalized from
-    the head projection).  Ties resolve exactly as the ``min``/``max``
-    builtins do (keep the incumbent), matching the reference fold.
+    ``fold_into(combined, head rows) -> combined`` folds into ``{group
+    key: bare aggregate value}`` — ``aggregates.partial_aggregate`` with
+    the comparison / addition itself in place of the ``combine`` call
+    (contributions arrive normalized from the head projection); a
+    generated term of such a head folds into the same dict from inside its
+    probe loop (:func:`fold_update`).  ``emit(combined) -> one bucket per
+    partition`` builds each head row once and appends it to the bucket of
+    its ``key_positions`` columns — the reference fold followed by
+    :func:`make_router`, first-seen group order preserved per bucket.
     """
     shape = _shape(aggregates, group_positions, aggregate_positions)
-    return shape and _fold_kernel(*shape)
+    return shape and (_fold_into_kernel(*shape), _fold_emit_kernel(
+        *shape[1:], key_positions, num_partitions))
+
+
+def head_shape(view) -> tuple | None:
+    """:func:`_shape` of a ``PhysicalView`` / ``WireView``: non-``None``
+    when the view's derivations can fold through the templates."""
+    return _shape(tuple(view.aggregate_functions),
+                  tuple(view.group_positions),
+                  tuple(view.aggregate_positions))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ def _stable_hash(value) -> int:
 
     Determinism matters for reproducible benchmarks and for the
     property-based tests that re-run partitioning across processes.
+
+    Keys a dict treats as one key must land in one partition, or a group
+    straddles two: an ``int``, ``bool`` or integer-valued ``float`` hashes
+    to its *unmasked* integer value, so ``h % n`` is the ``key % n`` of
+    ``partition_of``'s int fast path for every ``n`` (``-1`` and ``-1.0``,
+    ``True`` and ``1``).  A tuple masks after mixing each item in.
     """
     if isinstance(value, tuple):
         h = 0x345678
@@ -24,13 +30,11 @@ def _stable_hash(value) -> int:
             h = (h * 1000003) ^ _stable_hash(item)
             h &= 0xFFFFFFFFFFFFFFFF
         return h
-    if value is True or value is False:
-        return int(value) + 0x9E3779B9
     if isinstance(value, int):
-        return value & 0xFFFFFFFFFFFFFFFF
+        return int(value)
     if isinstance(value, float):
         if value.is_integer():
-            return int(value) & 0xFFFFFFFFFFFFFFFF
+            return int(value)
         return hash(value) & 0xFFFFFFFFFFFFFFFF
     if isinstance(value, str):
         h = 5381

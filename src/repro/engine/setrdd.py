@@ -40,8 +40,7 @@ from functools import partial
 
 from repro.engine import aggregates as reference
 from repro.engine.aggregates import AggregateFunction
-from repro.engine.kernels import (make_extractor, make_fold_kernel,
-                                  make_merge_columns_kernel,
+from repro.engine.kernels import (make_extractor, make_merge_columns_kernel,
                                   make_merge_rows_kernel)
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.serialization import rows_size
@@ -178,7 +177,7 @@ class KeyedStateRDD:
     carries the increment where the stored row carries the total.
 
     With ``use_kernels`` (the default), a head with one builtin aggregate
-    merges and folds through the unrolled loops of
+    merges through the unrolled loop of
     :mod:`repro.engine.kernels`; the generic :class:`AggregateFunction`
     dispatch of :mod:`repro.engine.aggregates` is the bit-exact reference
     (``ExecutionConfig.kernels=False``) and the only path for
@@ -200,16 +199,17 @@ class KeyedStateRDD:
         self.key_of = make_extractor(group_positions)
         generic = dict(key_of=self.key_of, positions=aggregate_positions,
                        aggregates=aggregates)
-        merge = fold = self._merge_columns = None
+        merge = self._merge_columns = None
         if use_kernels:
             layout = (aggregates, group_positions, aggregate_positions)
             merge = make_merge_rows_kernel(*layout)
-            fold = make_fold_kernel(*layout)
             self._merge_columns = make_merge_columns_kernel(*layout)
         self._merge = merge or partial(reference.merge_rows, **generic)
-        #: Map-side combine of head rows under this state's layout
-        #: (``Partial_Aggregate``, Algorithm 5 line 5): rows -> rows.
-        self.fold = fold or partial(reference.partial_aggregate, **generic)
+        #: The generic map-side combine of head rows under this state's
+        #: layout (``Partial_Aggregate``, Algorithm 5 line 5): rows ->
+        #: rows.  Heads the templates cover fold through
+        #: ``kernels.make_fold_kernel`` instead (``iteration.make_sink``).
+        self.fold = partial(reference.partial_aggregate, **generic)
 
     @property
     def num_partitions(self) -> int:

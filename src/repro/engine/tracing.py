@@ -316,9 +316,11 @@ def format_explain_analyze(trace: dict | None) -> str:
         if sides and any(sides.values()):
             # hit: reused from an earlier query over this table version;
             # bypassed: not a registered table, built for this query only.
+            stored = "; ".join(attrs.get("stored_sides", ()))
             lines.append(
                 f"  base sides: {sides['hits']} hit, {sides['built']} built, "
-                f"{sides['bypassed']} bypassed")
+                f"{sides['bypassed']} bypassed"
+                + (f"  ({stored})" if stored else ""))
         if not iterations:
             continue
         view_names = sorted({
@@ -454,9 +456,16 @@ def _format_kernels_section(trace: dict) -> list[str]:
     bypass = metrics.get("kernel_state_cache_bypass", 0)
     grouped = metrics.get("kernel_grouped_fixpoint_stages", 0)
     fused = metrics.get("kernel_fused_fixpoint_stages", 0)
-    if not (hits or misses or updates or bypass or grouped or fused):
+    derive = [span["attrs"]["fused_terms"]
+              for span in _find_dict(trace, "fixpoint")
+              if span.get("attrs", {}).get("fused_terms", [0])[0]]
+    if not (hits or misses or updates or bypass or grouped or fused
+            or derive):
         return []
     lines = ["kernels"]
+    for folding, terms in derive:
+        lines.append(f"  derive: probe·project·fold·route fused "
+                     f"({folding} of {terms} terms)")
     if grouped:
         lines.append(
             f"  decomposed fixpoint: column-decomposed set kernel "

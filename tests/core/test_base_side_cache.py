@@ -224,8 +224,15 @@ def test_distinct_shapes_get_distinct_entries(operators):
     assert run(ctx, SSSP, ExecutionConfig(kernels=False))[1] == (0, 1, 0)
     assert run(ctx, SSSP)[1] == (1, 0, 0)
     assert len(_side_keys(ctx)) == 4
-    # reach reads edge on the same key, unfiltered: sssp's entry serves it.
-    assert run(ctx, get_query("reach").formatted(source=0))[1] == (1, 0, 0)
+    # A plan that reads the same columns of edge on the same key shares
+    # sssp's entry ...
+    assert run(ctx, get_query("sssp").formatted(source=3))[1] == (1, 0, 0)
+    # ... reach reads only Dst where sssp reads (Dst, Cost): the stored
+    # columns are part of the shape, so it builds (once) its own.
+    reach = get_query("reach").formatted(source=0)
+    assert run(ctx, reach)[1] == (0, 1, 0)
+    assert run(ctx, reach)[1] == (1, 0, 0)
+    assert {key[5] for key in _side_keys(ctx)} == {(1, 2), (1,), None}
 
     # Another partition count (a second cluster on the same cache).
     from repro.core.analyzer import analyze
@@ -326,6 +333,15 @@ def test_incremental_view_never_shares_an_entry():
         # The catalog's table did not change: still a hit, same answer.
         assert outcome == (1, 0, 0) and rows == baseline
     assert len(view.result().rows) == len(baseline) + 20
+    # The (pruned) sides the 20 appends grew deep-equal a fresh build.
+    assert all(plan.read_positions == (1, 2)
+               for plan in view.planned.base_plans)
+    inserted = [(i % 7, 100 + i, 1.0) for i in range(20)]
+    fresh = IncrementalView(make_ctx(
+        {"edge": (("Src", "Dst", "Cost"), EDGES + inserted)}), SSSP)
+    assert view_sides == fresh.operator.runtime.base_partitions
+    assert (view.operator.runtime.broadcast_tables
+            == fresh.operator.runtime.broadcast_tables)
     for entry in ctx.base_sides._entries.values():
         if isinstance(entry, tuple):
             assert all(sides is not entry[1]

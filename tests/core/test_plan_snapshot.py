@@ -17,6 +17,18 @@ same comparison, ``source`` differing only for the 20 terms whose
 ``describe()`` contains ``Totalize[`` (``company_control``,
 ``party_attendance``) — ``d = runtime.state_total(...)`` instead of
 patching a copy of ``d`` slot by slot.
+Re-cut when the generated term became the whole Map side and base sides
+were pruned to the columns read (ISSUE 21): against the parent's texts
+every ``explain()`` / ``describe()`` / exception type / fused-ness entry
+byte-identical; ``base_plans`` differing only by the ``read_positions``
+element appended to the recorded tuple (149 of the 216 base plans are
+pruned, in 109 of the 174 plan entries); ``source`` differing for 173 of
+the 514 terms — the 84 that fold into their view's accumulator instead of
+appending to ``_out``, and the 139 that index a pruned side (``r1`` /
+``r1[k]`` within the stored columns; 50 do both); ``dedup`` for the 12
+set-runner variants over a pruned side and
+``GroupedDedupSpec.build_index`` (now ``None``: the side stores the bare
+column) for 6.  No term under ``kernels_off`` moved.
 
 Regenerate (only for an intended plan change)::
 
@@ -103,7 +115,7 @@ def collect() -> tuple[dict[str, dict], dict[str, dict]]:
                            base_plans="\n".join(
                                repr((b.step_id, b.relation, b.binding, b.mode,
                                      b.offset, b.arity, b.build_slots,
-                                     b.filter_sql, b.equi))
+                                     b.filter_sql, b.equi, b.read_positions))
                                for b in plan.base_plans))
                     for i, term in enumerate(plan.terms):
                         record_term(f"{prefix}/rec/{i}", term)

@@ -1,12 +1,17 @@
-"""Rows at rest are the relation's own tuples (DESIGN.md §17).
+"""Rows at rest are the relation's own tuples (DESIGN.md §17, §20).
 
 Three pins on the stored-row invariant:
 
-- *identity*: after base setup every row reachable from a build side —
-  ``runtime.base_partitions``, ``runtime.broadcast_tables``, the
-  operator's ``base_blocks`` — **is** (same object) a row of the resolved
-  relation, for every library query under every planning axis; likewise
-  after ``IncrementalView.insert`` and inside ``check_prem``;
+- *identity*: after base setup every value reachable from a build side —
+  ``runtime.base_partitions``, ``runtime.broadcast_tables`` — **is** (same
+  object) a row of the resolved relation, or, for a hash side only
+  generated code reads, ``make_extractor(plan.read_positions)`` of one, in
+  the row's place (a bare value for one column); the operator's
+  ``base_blocks`` always hold the rows themselves.  For every library
+  query under every planning axis; likewise after
+  ``IncrementalView.insert`` and inside ``check_prem``.  Sort-merge,
+  nested-loop, ``codegen=False``, ``kernels=False`` and ``check_prem``
+  sides stay whole rows;
 - *differential*: codegen on/off × kernels on/off × both join strategies
   agree on rows and iteration counts where the invariant has teeth — a
   pushed-down filter on the non-driving scan over duplicate rows and
@@ -24,6 +29,7 @@ from repro.core import prem
 from repro.core.fixpoint import FixpointOperator
 from repro.core.physical import TermRuntime
 from repro.core.streaming import IncrementalView
+from repro.engine.kernels import make_extractor
 from repro.queries.library import get_query
 from tests.integration.test_chaos import QUERY_SETUPS
 
@@ -44,9 +50,22 @@ def stored_rows(side):
     return list(side)
 
 
+def _reader(planned, step_id):
+    """The term whose pipeline probes base side ``step_id``."""
+    terms = list(planned.terms)
+    terms += [rule.term for rule in planned.base_rules if rule.term]
+    for table_terms in (planned.maintenance_terms or {}).values():
+        terms += table_terms
+    (term,) = [t for t in terms
+               if any(getattr(s, "step_id", None) == step_id
+                      for s in t.steps)]
+    return term
+
+
 def assert_rows_at_rest(operator):
     """Every base side of ``operator`` holds exactly the relation's own
-    (filtered) rows, by identity.  Returns how many sides were checked."""
+    (filtered) rows by identity — or, pruned, exactly their read columns,
+    key by key and in order.  Returns how many sides were checked."""
     runtime = operator.runtime
     plans = operator.planned.base_plans
     assert (set(runtime.broadcast_tables) | set(runtime.base_partitions)
@@ -54,18 +73,35 @@ def assert_rows_at_rest(operator):
     checked = 0
     for plan in plans:
         relation = operator.resolve(plan.relation)
-        own = {id(row) for row in relation.rows}
-        kept = sum(1 for row in relation.rows
-                   if plan.filter is None or plan.filter(row))
+        kept = [row for row in relation.rows
+                if plan.filter is None or plan.filter(row)]
+        own = {id(row) for row in kept}
         if plan.mode == "broadcast":
             holders = [[runtime.broadcast_tables[plan.step_id]]]
         else:
             holders = [runtime.base_partitions[plan.step_id],
                        [block.rows for block in
                         operator.base_blocks[plan.step_id]]]
+        read = plan.read_positions
+        if read is not None:
+            # Only generated code may read a pruned side, and pruning
+            # always drops something.
+            assert _reader(operator.planned, plan.step_id).codegen_fn
+            assert plan.equi and len(read) < len(relation.columns)
+            extract = make_extractor(read)
+            key_of = make_extractor(plan.build_key)
+            expected = {}
+            for row in kept:
+                expected.setdefault(key_of(row), []).append(extract(row))
+            stored = {}
+            for side in holders.pop(0):
+                assert not stored.keys() & side.keys()
+                stored.update(side)
+            assert stored == expected, (plan.relation, read)
+            checked += 1
         for sides in holders:
             rows = [row for side in sides for row in stored_rows(side)]
-            assert len(rows) == kept, (plan.relation, plan.mode)
+            assert len(rows) == len(kept), (plan.relation, plan.mode)
             for row in rows:
                 assert id(row) in own, (plan.relation, row)
                 assert len(row) == len(relation.columns)
@@ -103,8 +139,15 @@ def test_base_sides_hold_the_relations_own_rows(query_name, config_name,
     ctx, query = make_context(query_name, CONFIGS[config_name])
     ctx.sql(query)
     assert operators
+    pruned = 0
     for operator, checked in operators:  # no plan is skipped silently
         assert checked >= len(operator.planned.base_plans)
+        pruned += sum(plan.read_positions is not None
+                      for plan in operator.planned.base_plans)
+    if config_name in ("codegen_off", "kernels_off"):
+        assert not pruned  # interpreted / reference code place whole rows
+    elif config_name != "sort_merge" and query_name in ("cc", "sssp", "tc"):
+        assert pruned  # edge.Dst / (Dst, Cost), not the edge row
 
 
 @pytest.mark.parametrize("query_name, table, new_rows", [
@@ -149,7 +192,7 @@ def test_check_prem_builds_over_the_tables_own_rows(monkeypatch):
     own = {id(row) for row in edges}
     sides = list(runtime.broadcast_tables.values())
     assert sides and not runtime.base_partitions
-    for side in sides:
+    for side in sides:  # whole rows: check_prem interprets its terms
         rows = stored_rows(side)
         assert len(rows) == len(edges)
         assert all(id(row) in own for row in rows)

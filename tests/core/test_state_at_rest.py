@@ -34,7 +34,7 @@ from repro.engine import aggregates as reference
 from repro.engine.aggregates import BY_NAME
 from repro.engine.backend import ProcessConfig
 from repro.engine.faults import DriverKillInjector
-from repro.engine.kernels import make_extractor
+from repro.engine.kernels import make_extractor, make_fold_kernel
 from repro.engine.setrdd import KeyedStateRDD
 from repro.errors import DriverCrashError
 from tests.engine.test_kernels import LAYOUTS
@@ -221,12 +221,13 @@ def test_specialised_loops_match_generic_dispatch(name, group, position,
     layout = dict(group_positions=group, aggregate_positions=(position,))
     fast = KeyedStateRDD(1, aggregates, use_kernels=True, **layout)
     generic = KeyedStateRDD(1, aggregates, use_kernels=False, **layout)
-    assert fast._merge._generated_source and fast.fold._generated_source
+    fold_into, emit = make_fold_kernel(aggregates, group, (position,))
+    assert fast._merge._generated_source and fold_into._generated_source
     assert generic._merge.func is reference.merge_rows
     assert generic.fold.func is reference.partial_aggregate
     for _ in range(3):  # later batches meet a populated state
         rows = data.draw(head_rows(group, position))
-        assert fast.fold(rows) == generic.fold(rows)
+        assert emit(fold_into({}, rows)) == [generic.fold(rows)]
         assert fast.merge_rows(0, rows) == generic.merge_rows(0, rows)
         assert fast.partitions[0] == generic.partitions[0]
         assert list(fast.partitions[0]) == list(generic.partitions[0])

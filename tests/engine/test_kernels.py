@@ -178,15 +178,16 @@ class TestFoldKernels:
                              rng.randint(-20, 20)) for _ in range(120)]
             for name in ("min", "max", "sum", "count"):
                 aggregates = (BY_NAME[name],)
-                fold = make_fold_kernel(aggregates, group, (position,))
-                assert fold is not None
-                assert fold(iter(rows)) == partial_aggregate(
-                    rows, group_key, (position,), aggregates)
+                fold_into, emit = make_fold_kernel(aggregates, group,
+                                                   (position,))
+                assert emit(fold_into({}, iter(rows))) == [partial_aggregate(
+                    rows, group_key, (position,), aggregates)]
 
     def test_min_ties_keep_incumbent(self):
-        fold = make_fold_kernel((BY_NAME["min"],), (0,), (1,))
+        fold_into, emit = make_fold_kernel((BY_NAME["min"],), (0,), (1,))
         # 1.0 arrives first; the later equal int 1 must not replace it.
-        assert repr(fold([("k", 1.0), ("k", 1)])) == "[('k', 1.0)]"
+        assert repr(emit(fold_into({}, [("k", 1.0), ("k", 1)]))) \
+            == "[[('k', 1.0)]]"
         assert repr(partial_aggregate([("k", 1.0), ("k", 1)],
                                       make_extractor((0,)), (1,),
                                       (BY_NAME["min"],))) == "[('k', 1.0)]"

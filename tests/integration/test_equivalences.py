@@ -5,6 +5,7 @@ stratified ≡ decomposed ≡ codegen ≡ interpreted, across random graphs —
 the equivalences Sections 3 and 6 prove and the engine must preserve.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -182,3 +183,30 @@ class TestStratifiedCount:
         for _, name in friends:
             expected[name] = expected.get(name, 0) + 1
         assert dsn == sorted(expected.items())
+
+
+MIN_OVER_MIXED_KEYS = """
+WITH recursive m(K, min() AS V) AS
+  (SELECT K, V FROM t) UNION
+  (SELECT e.B, m.V FROM m, e WHERE m.K = e.A)
+SELECT K, V FROM m
+"""
+
+
+class TestDictEqualKeysColocate:
+    """``-1`` and ``-1.0`` are one group key to a dict, so they must be
+    one partition to the shuffle: ``_stable_hash`` used to send ``-1.0``
+    to ``(2**64 - 1) % n`` while the int fast path sends ``-1`` to
+    ``-1 % n``, splitting the group on three partitions."""
+
+    @pytest.mark.parametrize("kernels", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_one_min_group_on_any_partition_count(self, workers, kernels,
+                                                  ungated_kernels):
+        ctx = RaSQLContext(num_workers=workers,
+                           config=ExecutionConfig(kernels=kernels))
+        ctx.register_table("t", ["K", "V"], [(-1, 5), (-1.0, 3), (7, 1)])
+        ctx.register_table("e", ["A", "B"], [(7, -1.0), (7, -1)])
+        rows = sorted(ctx.sql(MIN_OVER_MIXED_KEYS).rows)
+        assert rows == [(-1.0, 1), (7, 1)]
+        assert repr(rows) == "[(-1.0, 1), (7, 1)]"

@@ -29,15 +29,18 @@ class TestExplainAnalyzeSSSP:
         assert run.iterations == ctx.metrics.get("iterations")
         assert f"iterations={run.iterations}" in report
 
-    def test_base_sides_line_says_built_then_hit(self):
+    def test_base_sides_line_says_built_then_hit(self, ungated_kernels):
         ctx = sssp_ctx()
         sssp = get_query("sssp").formatted(source=1)
-        assert "  base sides: 0 hit, 1 built, 0 bypassed" in \
+        # ... and names what the side stores: two of edge's three columns.
+        stored = "  (edge[Dst, Cost] on Src)"
+        assert "  base sides: 0 hit, 1 built, 0 bypassed" + stored in \
             ctx.explain_analyze(sssp).splitlines()
         first = ctx.last_run
-        assert "  base sides: 1 hit, 0 built, 0 bypassed" in \
+        assert "  base sides: 1 hit, 0 built, 0 bypassed" + stored in \
             ctx.explain_analyze(sssp).splitlines()
         second = ctx.last_run
+        assert first.kernels_summary()["kernel_pruned_sides"] == 1
 
         def fixpoint_attrs(run):
             (span,) = [child for child in run.trace["children"]
@@ -53,6 +56,13 @@ class TestExplainAnalyzeSSSP:
         # The per-query counter deltas of the trace say the same.
         assert second.trace["metrics"]["base_side_cache_hits"] == 1
         assert "base_side_cache_misses" not in second.trace["metrics"]
+
+    def test_kernels_section_says_the_stage_is_fused(self, ungated_kernels):
+        ctx = sssp_ctx()
+        report = ctx.explain_analyze(get_query("sssp").formatted(source=1))
+        assert ("  derive: probe·project·fold·route fused (1 of 1 terms)"
+                in report.splitlines())
+        assert ctx.last_run.kernels_summary()["kernel_fused_fold_terms"] == 1
 
     def test_delta_sizes_match_delta_history(self):
         ctx = sssp_ctx()

@@ -485,3 +485,65 @@ def test_killed_workers_replacement_is_installed_from_the_memoised_half(
     (resent,) = shipped[NUM_WORKERS:]
     assert isinstance(resent, bytes)
     assert _delta(run, before, "process_install_bytes") == len(resent)
+    # ... and they are the pruned sides: (Dst, Cost), not edge rows.
+    assert _stored_widths(resent) == {2}
+
+
+def _stored_widths(heavy: bytes) -> set:
+    """Tuple widths (0: a bare value) of every value the co-partitioned
+    sides of a pickled heavy install half store."""
+    from repro.engine.serialization import load_payload
+
+    base_partitions, _ = load_payload(heavy)
+    return {len(value) if isinstance(value, tuple) else 0
+            for sides in base_partitions.values() for side in sides
+            for bucket in side.values() for value in bucket}
+
+
+@pytest.mark.timeout(180)
+@pytest.mark.parametrize("query_name, widths", [("sssp", {2}), ("cc", {0})])
+def test_two_workers_on_pruned_sides_match_the_simulated_twin(
+        query_name, widths, install_spies):
+    """The pool probes the same pruned sides the driver built — sssp's
+    ``(Dst, Cost)`` of the 3-column edge, cc's bare ``Dst`` — bit-exactly,
+    and ships fewer install bytes than whole rows would take."""
+    from dataclasses import replace
+
+    from repro.core.analyzer import analyze
+    from repro.core.optimizer import optimize
+    from repro.core.parser import parse
+    from repro.core.physical import build_base_side
+    from repro.core.planner import plan_clique
+    from repro.engine.kernels import make_router
+    from repro.engine.serialization import dump_payload
+
+    _, shipped = install_spies
+    _, make_query = QUERY_SETUPS[query_name]
+    sim_ctx = make_context(query_name, "simulated", num_workers=2)
+    expected = sim_ctx.sql(make_query())
+    ctx = make_context(query_name, "process", num_workers=2)
+    try:
+        actual = ctx.sql(make_query())
+        run = ctx.last_run
+    finally:
+        ctx.close()
+    assert _rows(actual) == _rows(expected)
+    assert run.iterations == sim_ctx.last_run.iterations
+    assert run.delta_history == sim_ctx.last_run.delta_history
+    summary = run.supervision_summary()
+    assert summary["process_tasks_shipped"] > 0
+    assert summary["process_backend_degradations"] == 0
+
+    assert len(shipped) == 2 and shipped[0] == shipped[1]
+    assert _stored_widths(shipped[0]) == widths
+    assert summary["process_install_bytes"] == 2 * len(shipped[0])
+    # What the same install weighed before pruning: whole edge rows.
+    clique = optimize(analyze(parse(make_query()), ctx.catalog)).cliques()[0]
+    (plan,) = plan_clique(clique, ExecutionConfig(
+        decomposed_plans=False)).base_plans
+    assert plan.read_positions is not None
+    rows = list(dict.fromkeys(ctx.catalog.get("edge").rows))
+    _, sides = build_base_side(replace(plan, read_positions=None), rows,
+                               make_router(plan.build_key, 2))
+    whole = dump_payload(({plan.step_id: sides}, {}))
+    assert len(shipped[0]) < len(whole)
