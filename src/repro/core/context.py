@@ -123,9 +123,10 @@ class RunInfo:
         (base join sides storing only the columns read after the probe),
         plus how the run's base join sides were obtained (with kernels on
         or off): ``base_side_cache_hits`` (reused from an earlier query
-        over the same table version), ``base_side_cache_misses`` (built
-        and kept) and ``base_side_cache_bypassed`` (built for this query
-        alone: the relation is not the catalog's registered object).
+        over the same table epoch), ``base_side_cache_appended`` (reused
+        after absorbing the rows inserted since), ``base_side_cache_misses``
+        (built and kept) and ``base_side_cache_bypassed`` (built for this
+        query alone: the relation is not the catalog's registered object).
         """
         keys = ("kernel_state_cache_hits", "kernel_state_cache_misses",
                 "kernel_state_cache_updates", "kernel_state_cache_bypass",
@@ -133,7 +134,8 @@ class RunInfo:
                 "kernel_fused_fixpoint_stages",
                 "kernel_small_input_gate", "kernel_fused_fold_terms",
                 "kernel_pruned_sides", "base_side_cache_hits",
-                "base_side_cache_misses", "base_side_cache_bypassed")
+                "base_side_cache_appended", "base_side_cache_misses",
+                "base_side_cache_bypassed")
         return {key: self.metrics.get(key, 0) for key in keys}
 
     def checkpoint_summary(self) -> dict[str, float]:
@@ -235,7 +237,7 @@ class RaSQLContext:
             **cluster_kwargs)
         self.catalog = Catalog()
         #: What fixpoints build from the registered tables, kept across
-        #: queries for as long as ``catalog.data_version`` holds still.
+        #: queries and grown with them (``Catalog.epoch``).
         self.base_sides = BaseSideCache(self.catalog)
         self.config = config or DEFAULT_CONFIG
         self.governor = governor or QueryGovernor(
@@ -471,11 +473,11 @@ class RaSQLContext:
 
         run = RunInfo()
         run.query_id = qid
-        events_before = self.cluster.metrics.event_count()
         tracer = self.cluster.tracer
         query_span = None
         try:
-            with tracer.owned_span("query", label) as query_span:
+            with self.cluster.metrics.attributing(run.time_breakdown), \
+                    tracer.owned_span("query", label) as query_span:
                 if admission is not None:
                     query_span.annotate(admission=dict(admission))
                 for unit_index, unit in enumerate(analyzed.units):
@@ -507,10 +509,10 @@ class RaSQLContext:
             # The span closed (its ``finally`` ran), so the partial trace
             # is complete up to the aborting stage (deadline) or the
             # quarantining batch (poison pill).
-            self._record_run(run, events_before, query_span, tracer)
+            self._record_run(run, query_span, tracer)
             exc.partial_trace = run.trace
             raise
-        self._record_run(run, events_before, query_span, tracer)
+        self._record_run(run, query_span, tracer)
         return final
 
     def _run_clique(self, unit: CliquePlan, unit_index: int,
@@ -635,13 +637,9 @@ class RaSQLContext:
                                      query_id=query_id,
                                      resume_state=resume_state)
 
-    def _record_run(self, run: RunInfo, events_before: int,
-                    query_span, tracer) -> None:
+    def _record_run(self, run: RunInfo, query_span, tracer) -> None:
         run.sim_time = self.cluster.metrics.sim_time
         run.metrics = self.cluster.metrics.snapshot()
-        for event in self.cluster.metrics.events_since(events_before):
-            run.time_breakdown[event.label] = (
-                run.time_breakdown.get(event.label, 0.0) + event.seconds)
         if tracer.enabled and query_span is not None:
             run.trace = query_span.to_dict()
         self.last_run = run

@@ -65,13 +65,30 @@ from repro.errors import FixpointNotReachedError, PlanningError
 from repro.relation import Relation
 
 
-def _distinct(relation: Relation) -> Relation:
+def _distinct(relation: Relation, own: bool = False) -> Relation:
     """``relation`` under set semantics, first occurrences in order; the
-    relation itself when it holds no duplicate."""
+    relation itself when it holds no duplicate, unless the caller must
+    ``own`` the row list (it will append to it)."""
     distinct = list(dict.fromkeys(relation.rows))
-    if len(distinct) == len(relation.rows):
+    if len(distinct) == len(relation.rows) and not own:
         return relation
     return Relation.from_tuples(relation.name, relation.columns, distinct)
+
+
+def _extend_distinct(value: tuple[Relation, set], rows: list[tuple]
+                     ) -> tuple[Relation, set]:
+    """:func:`_distinct`'s append form over ``(an owned distinct relation,
+    its membership set)``: the relation gains the ``rows`` it does not
+    hold, each once.  The set costs what the table costs again, so it is
+    filled at the first append and kept — a re-inserted row must never
+    enter twice."""
+    distinct, seen = value
+    if not seen:
+        seen.update(distinct.rows)
+    add = seen.add
+    distinct.rows.extend(row for row in rows
+                         if not (row in seen or add(row)))
+    return value
 
 
 @dataclass
@@ -102,14 +119,17 @@ class FixpointOperator:
         #: (``None``: build every time, as an incremental view must —
         #: it appends into its sides).
         self.base_sides = base_sides
-        #: step id -> cache key, for the base sides that came through it.
+        #: step id -> (cache key, epoch), for the base sides that came
+        #: through the cache.
         self.side_keys: dict[int, tuple] = {}
         #: How this operator's base sides were obtained.
-        self.base_side_counts = {"hits": 0, "built": 0, "bypassed": 0}
+        self.base_side_counts = {"hits": 0, "appended": 0, "built": 0,
+                                 "bypassed": 0}
         self._resolve_raw = resolve
-        #: name -> (set-semantics relation, the registered relation it
-        #: was derived from when the cache covers it).
-        self._resolved: dict[str, tuple[Relation, Relation | None]] = {}
+        #: name -> (set-semantics relation, the generation of the
+        #: registered relation it was derived from when the cache covers
+        #: it).
+        self._resolved: dict[str, tuple[Relation, int | None]] = {}
         self.n = cluster.num_partitions
         #: Resident state + the per-partition step; pool workers build the
         #: same class from the wire spec (``engine/backend/worker.py``).
@@ -147,17 +167,22 @@ class FixpointOperator:
         """
         return self._resolve_registered(name)[0]
 
-    def _resolve_registered(self, name: str
-                            ) -> tuple[Relation, Relation | None]:
-        """:meth:`resolve` plus the catalog's own relation behind it, or
-        ``None`` for one the cross-query cache must not see."""
+    def _resolve_registered(self, name: str) -> tuple[Relation, int | None]:
+        """:meth:`resolve` plus the generation of the catalog's own
+        relation behind it, or ``None`` for one the cross-query cache
+        must not see."""
         found = self._resolved.get(name)
         if found is None:
             raw = self._resolve_raw(name)
             cache = self.base_sides
             if cache is not None and cache.covers(raw):
-                found = cache.get((raw, "distinct"),
-                                  lambda: _distinct(raw))[0], raw
+                epoch = cache.catalog.epoch(raw.name)
+                (distinct, _), _ = cache.get(
+                    (raw.name.lower(), "distinct"), epoch,
+                    lambda: (_distinct(raw, own=True), set()),
+                    lambda value, held: _extend_distinct(value,
+                                                         raw.rows[held:]))
+                found = distinct, epoch[0]
             else:
                 found = _distinct(raw), None
             self._resolved[name] = found
@@ -184,9 +209,9 @@ class FixpointOperator:
         build_cpu = 0.0
 
         for plan in self.planned.base_plans:
-            relation, registered = self._resolve_registered(plan.relation)
+            relation, generation = self._resolve_registered(plan.relation)
             buckets, sides, seconds = self._base_side(
-                plan, relation.rows, registered)
+                plan, relation.rows, generation)
             build_cpu += seconds
 
             if plan.mode == "broadcast":
@@ -227,33 +252,53 @@ class FixpointOperator:
             cluster.metrics.inc("stages")
 
     def _base_side(self, plan: BaseRelationPlan, rows: list[tuple],
-                   registered: Relation | None) -> tuple[list, list, float]:
-        """``(buckets, sides, build seconds)`` of one base input: through
-        the cross-query cache when its rows are those of the catalog's
-        own ``registered`` relation, built for this query alone otherwise."""
+                   generation: int | None) -> tuple[list, list, float]:
+        """``(buckets, sides, build seconds)`` of one base input over the
+        distinct ``rows``: through the cross-query cache when they are
+        those of the catalog's own relation, at ``generation`` (a side
+        built under it absorbs the rows it does not hold yet), built for
+        this query alone (``None``) otherwise."""
         copartition = plan.mode == "copartition"
         sort_merge = (copartition
                       and self.config.join_strategy == "sort_merge")
 
+        def router():
+            return (self.step.make_router(plan.build_key) if copartition
+                    else None)
+
         def build():
             t0 = time.perf_counter()
-            buckets, sides = build_base_side(
-                plan, rows,
-                self.step.make_router(plan.build_key) if copartition else None,
-                sort_merge=sort_merge)
+            buckets, sides = build_base_side(plan, rows, router(),
+                                             sort_merge=sort_merge)
             return buckets, sides, time.perf_counter() - t0
 
+        def absorb(built, held):
+            buckets, sides, seconds = built
+            t0 = time.perf_counter()
+            for bucket, new in zip(buckets, append_base_side(
+                    plan, rows[held:], sides, router())):
+                # An unfiltered broadcast bucket *is* the distinct list,
+                # which has the new rows already.
+                if bucket is not rows:
+                    bucket.extend(new)
+            return buckets, sides, seconds + time.perf_counter() - t0
+
         metrics = self.cluster.metrics
-        if registered is None:
+        if generation is None:
             self.base_side_counts["bypassed"] += 1
             metrics.inc("base_side_cache_bypassed")
             return build()
-        key = self.side_keys[plan.step_id] = (
-            registered, *plan.shape, self.n, sort_merge, self.config.kernels)
-        built, hit = self.base_sides.get(key, build)
-        self.base_side_counts["hits" if hit else "built"] += 1
-        metrics.inc("base_side_cache_hits" if hit
-                    else "base_side_cache_misses")
+        key = (plan.relation.lower(), *plan.shape, self.n, sort_merge,
+               self.config.kernels)
+        # A side's epoch counts the distinct rows it holds.
+        epoch = generation, len(rows)
+        self.side_keys[plan.step_id] = key, epoch
+        # A sorted run cannot absorb inserts: it rebuilds.
+        built, outcome = self.base_sides.get(
+            key, epoch, build, None if sort_merge else absorb)
+        self.base_side_counts[outcome] += 1
+        metrics.inc("base_side_cache_"
+                    + ("misses" if outcome == "built" else outcome))
         return built
 
     def _note_generated_stage(self) -> dict:

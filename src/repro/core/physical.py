@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core import ast_nodes as ast
+from repro.core.catalog import only_grew
 from repro.core.logical import RulePlan, ViewPlan
 from repro.engine.aggregates import AggregateFunction
 from repro.engine.joins import (
@@ -546,42 +547,56 @@ BASE_SIDE_CACHE_SLOTS = 16
 class BaseSideCache:
     """What the fixpoint derives from a registered base table, kept across
     queries (the paper partitions, indexes and caches each base relation
-    once, Section 6.1; DESIGN.md §19).
+    once and only ever appends, Section 6.1; DESIGN.md §19).
 
     One LRU over three kinds of entry — a relation's de-duplicated rows,
     :func:`build_base_side`'s ``(buckets, sides, build seconds)`` per plan
     shape, and the process backend's pickled install half per clique —
-    valid for exactly one ``Catalog.data_version``: any visible change
-    drops them all (at the next lookup).  Only relations the catalog itself holds are
+    each stored with the epoch of what it was derived from: a
+    ``(generation, count)`` pair shaped like :meth:`Catalog.epoch
+    <repro.core.catalog.Catalog.epoch>` (the install half: the epochs of
+    all its sides).  :meth:`get` applies the one validity rule: the same
+    epoch is a hit; an epoch that :func:`~repro.core.catalog.only_grew`
+    lets an entry that can *absorb* the new rows do so, in place; anything
+    else rebuilds.  Only relations the catalog itself holds are
     :meth:`covered <covers>`; a per-query materialized view or an
     incremental view's private table copy changes without the catalog
-    knowing.  A cached value is shared by every query that hits: never
-    mutate one.
+    knowing.  A cached value is shared by every query that hits, and
+    grows only here, between queries: never mutate one.
     """
 
     def __init__(self, catalog):
         self.catalog = catalog
-        self._version = catalog.data_version
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
+        #: key -> (value, the epoch it is valid for)
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
 
     def covers(self, relation) -> bool:
         return self.catalog.owns(relation)
 
-    def get(self, key: tuple, build: Callable[[], object]
-            ) -> tuple[object, bool]:
-        """``(value, hit)`` for ``key``, calling ``build()`` on a miss
-        (a ``build`` that raises leaves nothing behind)."""
+    def get(self, key: tuple, epoch: tuple, build: Callable[[], object],
+            absorb: Callable | None = None) -> tuple[object, str]:
+        """``(value, outcome)`` for ``key`` at ``epoch``: the stored value
+        when that is the stored epoch (``"hits"``); ``absorb(value, the
+        stored count)`` — which extends the value in place and returns
+        what to store — when the epoch only grew (``"appended"``); else
+        ``build()`` (``"built"``).  A ``build`` or ``absorb`` that raises
+        leaves no entry behind."""
         entries = self._entries
-        if self._version != self.catalog.data_version:
-            entries.clear()
-            self._version = self.catalog.data_version
-        if key in entries:
-            entries.move_to_end(key)
-            return entries[key], True
-        value = entries[key] = build()
+        found = entries.pop(key, None)
+        if found is not None:
+            value, stored = found
+            if stored == epoch:
+                entries[key] = found
+                return value, "hits"
+            if absorb is not None and only_grew(stored, epoch):
+                value = absorb(value, stored[1])
+                entries[key] = value, epoch
+                return value, "appended"
+        value = build()
+        entries[key] = value, epoch
         if len(entries) > BASE_SIDE_CACHE_SLOTS:
             entries.popitem(last=False)
-        return value, False
+        return value, "built"
 
     def clear(self) -> None:
         self._entries.clear()

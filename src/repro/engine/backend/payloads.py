@@ -174,15 +174,18 @@ def open_remote_session(operator, span) -> None:
     sid = backend.new_session_id()
     spec = build_install_spec(operator, sid)
     pickled = None
-    keys = operator.side_keys
+    sides = operator.side_keys
     if operator.base_sides is not None \
-            and len(keys) == len(operator.planned.base_plans):
+            and len(sides) == len(operator.planned.base_plans):
         # Every base side came through the cross-query cache, so the
-        # heavy half is a function of their keys: pickle and hash it once
-        # per table version, not once per query.
-        pickled, reused = operator.base_sides.get(
-            ("install", *keys.items()), lambda: pickle_heavy_half(spec))
-        if reused:
+        # heavy half is a function of their keys and epochs: pickle and
+        # hash it once per epoch of its tables, not once per query.  (The
+        # bytes of a grown table are pickled anew — a blob cannot absorb.)
+        pickled, outcome = operator.base_sides.get(
+            ("install", *((step, key) for step, (key, _) in sides.items())),
+            tuple(epoch for _, epoch in sides.values()),
+            lambda: pickle_heavy_half(spec))
+        if outcome == "hits":
             operator.cluster.metrics.inc("process_install_blob_reused")
     backend.install_session(spec, pickled)
     operator.session_id = sid

@@ -24,8 +24,8 @@ when the driver predicts this worker still caches the digest, it sends
 The worker's blob cache follows the driver's bookkeeping FIFO exactly
 (``BLOB_CACHE_SLOTS``, insertion order, no reorder on hit), so a
 predicted hit can never miss; beside the bytes it keeps the *decoded*
-structures of the digest it installed last, so repeated queries over one
-table version unpickle them once (:class:`WorkerState`).  Tasks only ever
+structures of the digest it installed last, so repeated queries over the
+same table epochs unpickle them once (:class:`WorkerState`).  Tasks only ever
 arrive as a ``task_batch``
 — one worker's share of a stage in a single message, a crash-recovery
 re-dispatch being a batch of one; each entry replies individually under
@@ -186,10 +186,12 @@ class WorkerState:
     ``blob_cache`` holds content-addressed heavy-install blobs,
     FIFO-evicted, following the driver's per-worker ``cached_digests``
     bookkeeping exactly.  ``decoded`` holds the unpickled ``(base
-    partitions, broadcast tables)`` of the digest installed last — one
-    table version's worth, shared read-only by every session installed
-    from it — so only an install over a *different* heavy half pays
-    ``load_payload``.
+    partitions, broadcast tables)`` of the digest installed last —
+    shared read-only by every session installed from it — so only an
+    install over a *different* heavy half pays ``load_payload``.  It has
+    no validity check of its own: the digest is the content of the
+    driver's install half, which lives by the one epoch rule
+    (``BaseSideCache``, DESIGN.md §19).
     """
 
     def __init__(self, worker_id: int):

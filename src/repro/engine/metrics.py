@@ -17,6 +17,7 @@ reports simulated time; wall time is kept as a sanity cross-check.
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -108,10 +109,20 @@ class MetricsRegistry:
       admission control (``repro.core.governor``).
     """
 
+    #: Labelled advances the event log keeps: the recent past, for
+    #: debugging cost attribution.  Nothing's correctness reads the log
+    #: (a query sums its own advances through :meth:`attributing`), so a
+    #: registry that lives as long as a service does not grow with it.
+    EVENT_LOG_DEPTH = 1024
+
     def __init__(self):
         self.counters: dict[str, float] = defaultdict(float)
         self.sim_time: float = 0.0
         self._events: list[ClockEvent] = []
+        #: Events that fell off the front of the log.
+        self._events_dropped = 0
+        #: Open :meth:`attributing` windows, outermost first.
+        self._attributing: list[dict[str, float]] = []
         #: Optional :class:`repro.engine.tracing.Tracer`; when attached,
         #: labelled advances are also attributed to its open spans.
         self.tracer = None
@@ -132,7 +143,25 @@ class MetricsRegistry:
             if self.tracer is not None:
                 span_id = self.tracer.current_span_id
                 self.tracer.record_time(label, seconds)
-            self._events.append(ClockEvent(label, seconds, span_id))
+            for sums in self._attributing:
+                sums[label] = sums.get(label, 0.0) + seconds
+            events = self._events
+            events.append(ClockEvent(label, seconds, span_id))
+            if len(events) > self.EVENT_LOG_DEPTH:
+                overflow = len(events) - self.EVENT_LOG_DEPTH
+                del events[:overflow]
+                self._events_dropped += overflow
+
+    @contextmanager
+    def attributing(self, sums: dict[str, float]):
+        """While open, every labelled advance also adds its seconds to
+        ``sums[label]`` — how one query of a long-lived registry gets its
+        own time breakdown, whatever the event log has kept."""
+        self._attributing.append(sums)
+        try:
+            yield sums
+        finally:
+            self._attributing.pop()
 
     def snapshot(self) -> dict[str, float]:
         """A plain-dict copy of all counters plus the simulated clock."""
@@ -144,20 +173,22 @@ class MetricsRegistry:
         self.counters.clear()
         self.sim_time = 0.0
         self._events.clear()
+        self._events_dropped = 0
 
     def events(self) -> list[ClockEvent]:
-        """Labelled clock advances, for debugging cost attribution."""
+        """The most recent labelled clock advances (at most
+        :attr:`EVENT_LOG_DEPTH`), for debugging cost attribution."""
         return list(self._events)
 
     def event_count(self) -> int:
-        """How many labelled advances exist; pair with :meth:`events_since`."""
-        return len(self._events)
+        """How many labelled advances were ever recorded (not how many
+        the log still holds); pair with :meth:`events_since`."""
+        return self._events_dropped + len(self._events)
 
     def events_since(self, start: int) -> list[ClockEvent]:
-        """The advances recorded after the first ``start`` — copies only
-        that tail, so a per-query reader on a long-lived registry does
-        not pay for every event since the context was created."""
-        return self._events[start:]
+        """The advances recorded after the first ``start``, as far back
+        as the log still holds them — copies only that tail."""
+        return self._events[max(0, start - self._events_dropped):]
 
     def scoped(self, scope: str) -> "ScopedCounters":
         """A counter view that namespaces every name under ``<scope>.``.

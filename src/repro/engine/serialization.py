@@ -26,6 +26,7 @@ import os
 import pickle
 import zlib
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from repro.errors import CheckpointCorruptionError, CheckpointError
 
@@ -63,21 +64,34 @@ def row_size(row: tuple) -> int:
 _SAMPLE_THRESHOLD = 64
 
 
+def _sized(rows) -> int:
+    """Summed :func:`row_size` of a few rows; rows of plain numbers (the
+    common case, and this sits on the shuffle accounting hot path) are
+    sized from their widths alone."""
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        return sum(map(row_size, rows))
+    return (_ROW_OVERHEAD * len(rows)
+            + (_FIELD_OVERHEAD + _NUMERIC_BYTES) * sum(map(len, rows)))
+
+
 def rows_size(rows) -> int:
     """Wire-size estimate of a collection of rows in bytes.
 
     Exact for small collections; for large ones the estimate samples 64
-    evenly spaced rows and extrapolates — this function sits on the
-    shuffle accounting hot path and the model only needs byte counts, not
-    byte-perfect sums.
+    evenly spaced rows (in iteration order, for a set or a dict view) and
+    extrapolates — the model only needs byte counts, not byte-perfect
+    sums.
     """
-    if not isinstance(rows, (list, tuple)):
+    if not hasattr(rows, "__len__"):
         rows = list(rows)
     n = len(rows)
+    sliceable = isinstance(rows, (list, tuple))
     if n <= _SAMPLE_THRESHOLD:
-        return sum(row_size(row) for row in rows)
+        return _sized(rows if sliceable else list(rows))
     step = n // _SAMPLE_THRESHOLD
-    sampled = sum(row_size(rows[i]) for i in range(0, step * _SAMPLE_THRESHOLD, step))
+    stop = step * _SAMPLE_THRESHOLD
+    sampled = _sized(rows[:stop:step] if sliceable
+                     else list(islice(rows, 0, stop, step)))
     return int(sampled * (n / _SAMPLE_THRESHOLD))
 
 

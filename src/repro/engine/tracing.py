@@ -314,12 +314,14 @@ def format_explain_analyze(trace: dict | None) -> str:
             f"time={fixpoint.get('duration', 0.0):.4f}s")
         sides = attrs.get("base_sides")
         if sides and any(sides.values()):
-            # hit: reused from an earlier query over this table version;
+            # hit: reused from an earlier query over this table epoch;
+            # appended: reused after absorbing the rows inserted since;
             # bypassed: not a registered table, built for this query only.
             stored = "; ".join(attrs.get("stored_sides", ()))
             lines.append(
-                f"  base sides: {sides['hits']} hit, {sides['built']} built, "
-                f"{sides['bypassed']} bypassed"
+                f"  base sides: {sides['hits']} hit, "
+                f"{sides['appended']} appended, "
+                f"{sides['built']} built, {sides['bypassed']} bypassed"
                 + (f"  ({stored})" if stored else ""))
         if not iterations:
             continue

@@ -12,9 +12,13 @@ separately:
   it), and the config knobs that change planning (``magic_filters``).
   Row inserts leave plans valid.
 - :class:`ResultCache` keeps the final SELECT's relation, keyed on the
-  normalized text, the catalog's **data epoch** (``data_version`` — any
-  visible change invalidates), and the full execution config.  Between
-  mutations, repeated reads are served without touching the cluster.
+  normalized text, the **data epochs of the tables the statement can
+  read** (:meth:`repro.core.catalog.Catalog.epochs` of the registered
+  names among its identifiers — a superset of what it reads, which is
+  safe), and the full execution config.  Between mutations of those
+  tables, repeated reads are served without touching the cluster; an
+  insert into a table the statement does not mention leaves its entry
+  reachable.
 
 Both caches are bounded LRU (mutation-heavy workloads would otherwise
 accumulate dead epochs) and count their traffic into the session
@@ -28,6 +32,9 @@ import re
 from collections import OrderedDict
 
 _WHITESPACE = re.compile(r"\s+")
+#: Every identifier the lexer can produce (a letter or ``_``, then word
+#: characters), plus words inside literals and comments: a superset.
+_IDENTIFIER = re.compile(r"[^\W\d]\w*")
 
 
 def _segments(sql: str):
@@ -156,8 +163,14 @@ class PlanCache(_LRUCache):
 
 
 class ResultCache(_LRUCache):
-    """Final-relation cache: any catalog mutation invalidates via the key.
+    """Final-relation cache: a mutation of a table the statement mentions
+    invalidates via the key (the one validity rule of DESIGN.md §19: a
+    result is valid while the epochs of the tables it read hold still).
 
+    A statement reaches a table only by naming it, and the lexer has no
+    quoted identifiers, so the registered names among the statement's
+    words cover every table it reads.  The schema epoch stays in the key:
+    a newly registered table may capture a name that resolved elsewhere.
     The config enters the key through its ``repr`` — the frozen dataclass
     renders every knob, and two configs answer identically exactly when
     all knobs match (kernels on/off etc. are bit-exact by contract, but
@@ -169,5 +182,6 @@ class ResultCache(_LRUCache):
                          "result_cache_misses")
 
     def key(self, sql: str, catalog, config) -> tuple:
-        return (normalize_sql(sql), catalog.version, catalog.data_version,
-                repr(config))
+        text = normalize_sql(sql)
+        return (text, catalog.version,
+                catalog.epochs(_IDENTIFIER.findall(text)), repr(config))

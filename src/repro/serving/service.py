@@ -36,11 +36,13 @@ Caching
 
 SQL statements pass through the shared :class:`~repro.serving.cache.
 PlanCache` (normalized text + catalog schema epoch) and
-:class:`~repro.serving.cache.ResultCache` (… + data epoch + config);
-served views memoize their final SELECT between inserts.  An insert
-submitted through the service appends to the session catalog (bumping
-``Catalog.data_version``, which invalidates result-cache entries by
-key) and fans out to every served view reading that table.
+:class:`~repro.serving.cache.ResultCache` (… + the data epochs of the
+tables the statement names + config); served views memoize their final
+SELECT between inserts.  An insert submitted through the service appends
+to the session catalog (growing that table's epoch, which retires the
+result-cache entries that could have read it, by key, and is absorbed by
+the context's cached base sides at their next lookup) and fans out to
+every served view reading that table.
 """
 
 from __future__ import annotations
@@ -466,8 +468,9 @@ class QueryService:
 
     def _run_insert(self, request: _Request) -> tuple[int, str]:
         table, rows = request.table, request.rows
-        # Catalog first: append_rows validates the schema and bumps
-        # data_version, which retires every result-cache entry by key.
+        # Catalog first: append_rows validates the schema and grows the
+        # table's epoch, which retires by key every result-cache entry
+        # of a statement naming the table.
         appended = self.ctx.catalog.append_rows(table, rows)
         self.metrics.inc("serving_inserts")
         self.metrics.inc("serving_rows_inserted", appended)

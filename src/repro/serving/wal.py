@@ -7,9 +7,10 @@ can rebuild all of it (:meth:`QueryService.recover`): every submission
 is logged **before** admission, every completion after, and view DDL
 when it lands.  Replay then re-creates the views, re-applies the
 completed inserts in their original completion order (with strict
-``Catalog.data_version`` checks — a divergent epoch means the base
-catalog was not restored to its bootstrap state, and continuing would
-mix data epochs), and re-admits everything in flight.
+``Catalog.data_version`` checks — the sum of the tables' epochs: a
+divergent one means the base catalog was not restored to its bootstrap
+state, and continuing would mix data epochs), and re-admits everything
+in flight.
 
 Format: JSON lines, one record per line, each wrapped with a content
 hash::

@@ -11,6 +11,8 @@ population of named client sessions issues a seeded mix of
   catalog's data epoch),
 - **pooled SQL** drawn from a larger statement pool shared across
   sessions (exercises the plan cache at a lower result-cache hit rate),
+- **cold SQL** (absent from the default mix) drawn from more distinct
+  statements than the plan and result caches hold, so both evict,
 - **inserts** of fresh edges (invalidate caches, repair the served view
   incrementally).
 
@@ -61,14 +63,15 @@ def build_service(num_workers: int = 4, seed: int = 7,
     return service
 
 
-def _statement_pools() -> tuple[list[str], list[str]]:
+def _statement_pools() -> tuple[list[str], list[str], list[str]]:
     hot = [
         "SELECT count(*) FROM edge",
         get_query("reach").formatted(source=0),
         get_query("sssp").formatted(source=0),
     ]
     pooled = [get_query("reach").formatted(source=s) for s in range(1, 9)]
-    return hot, pooled
+    cold = [get_query("reach").formatted(source=s) for s in range(512)]
+    return hot, pooled, cold
 
 
 def generate_ops(clients: int, requests: int, seed: int,
@@ -76,7 +79,7 @@ def generate_ops(clients: int, requests: int, seed: int,
     """The op stream: ``(client_name, kind, payload)`` tuples."""
     mix = mix or DEFAULT_MIX
     rng = random.Random(seed)
-    hot, pooled = _statement_pools()
+    hot, pooled, cold = _statement_pools()
     kinds = list(mix)
     weights = [mix[k] for k in kinds]
     ops: list[tuple] = []
@@ -90,6 +93,8 @@ def generate_ops(clients: int, requests: int, seed: int,
             ops.append((client, "sql", rng.choice(hot)))
         elif kind == "pooled_sql":
             ops.append((client, "sql", rng.choice(pooled)))
+        elif kind == "cold_sql":
+            ops.append((client, "sql", rng.choice(cold)))
         else:
             rows = [(rng.randrange(0, 64), next_node,
                      float(rng.randint(1, 10)))]

@@ -2,13 +2,17 @@
 
 One invariant: what a fixpoint builds from a *registered* base table —
 its de-duplicated rows and each ``(buckets, sides)`` of a plan shape — is
-built once per ``Catalog.data_version`` and shared, read-only, by every
-query of the session; everything the simulated cluster is charged stays
-per query.  These tests pin the hit path (same objects, no builder call),
-every invalidator for every library query on six config axes, the key
-(distinct shapes, LRU bound), the bypasses (per-query materialized
-relations, incremental views), the simulated clock's independence from
-cache history, and that no exit path leaves a half-built entry.
+built once per generation of the table (``Catalog.epoch``), absorbs the
+rows appended since, and is shared by every query of the session;
+everything the simulated cluster is charged stays per query.  These tests
+pin the hit path (same objects, no builder call), the append path (an
+insert into a table the query does not read is a hit; one into a table it
+reads grows the cached rows, buckets and sides to exactly what a fresh
+build holds, duplicates never entering twice), every invalidator for
+every library query on six config axes, the key (distinct shapes, LRU
+bound), the bypasses (per-query materialized relations, incremental
+views), the simulated clock's independence from cache history, and that
+no exit path leaves a half-built entry.
 
 Also here, because the cache would otherwise hide it: a finished
 fixpoint is freed by reference counting (no cycle through the terms'
@@ -29,6 +33,7 @@ from repro.core.streaming import IncrementalView
 from repro.engine.cluster import Cluster
 from repro.engine.memory import MemoryConfig
 from repro.errors import (
+    AnalysisError,
     MemoryBudgetExceededError,
     QueryDeadlineExceededError,
 )
@@ -47,8 +52,8 @@ AXES = {
     "magic_off": ExecutionConfig(magic_filters=False),
     "stacked": ExecutionConfig(decomposed_plans=False),
 }
-COUNTERS = ("base_side_cache_hits", "base_side_cache_misses",
-            "base_side_cache_bypassed")
+COUNTERS = ("base_side_cache_hits", "base_side_cache_appended",
+            "base_side_cache_misses", "base_side_cache_bypassed")
 SSSP = get_query("sssp").formatted(source=0)
 EDGES = QUERY_SETUPS["sssp"][0]()["edge"][1]
 
@@ -66,7 +71,7 @@ def sssp_ctx(config=None, **kwargs) -> RaSQLContext:
 
 
 def run(ctx, sql, config=None):
-    """``(sorted rows, (hits, misses, bypassed) of this run)``."""
+    """``(sorted rows, (hits, appended, built, bypassed) of this run)``."""
     before = [ctx.metrics.get(name) for name in COUNTERS]
     rows = sorted(ctx.sql(sql, config=config).rows, key=repr)
     return rows, tuple(int(ctx.metrics.get(name) - was)
@@ -110,12 +115,12 @@ def test_second_query_gets_the_same_sides_and_builds_nothing(
         operators, builder_calls):
     ctx = sssp_ctx()
     first, outcome = run(ctx, SSSP)
-    assert outcome == (0, 1, 0)
+    assert outcome == (0, 0, 1, 0)
     assert sorted(builder_calls) == ["_distinct", "build_base_side"]
     del builder_calls[:]
 
     second, outcome = run(ctx, SSSP)
-    assert outcome == (1, 0, 0) and second == first
+    assert outcome == (1, 0, 0, 0) and second == first
     assert builder_calls == []
     cold, warm = operators
     (step_id,) = cold.runtime.base_partitions
@@ -150,6 +155,18 @@ def test_deduplicated_copy_holds_the_catalogs_own_tuples_in_order():
 # ----------------------------------------------------------------------
 
 
+def has_side_over(ctx, name: str) -> bool:
+    """Whether a cached side is built over table ``name`` (a table only a
+    base rule scans has its distinct rows cached, nothing else)."""
+    return any(key[0] == name.lower() for key in _side_keys(ctx))
+
+
+def changing_table(tables: dict) -> str:
+    """The table a differential grows or shrinks: the largest one (a
+    subset of valid input stays valid — DAGs, forests)."""
+    return max(tables, key=lambda table: len(tables[table][1]))
+
+
 @pytest.mark.parametrize("axis", sorted(AXES))
 @pytest.mark.parametrize("query_name", sorted(QUERY_SETUPS))
 def test_every_invalidator_rebuilds_and_matches_a_fresh_context(
@@ -157,9 +174,7 @@ def test_every_invalidator_rebuilds_and_matches_a_fresh_context(
     build_tables, make_query = QUERY_SETUPS[query_name]
     config, sql = AXES[axis], make_query()
     full = build_tables()
-    # The table that changes: the largest one, with and without its last
-    # row (a subset of valid input stays valid — DAGs, forests).
-    name = max(full, key=lambda table: len(full[table][1]))
+    name = changing_table(full)
     columns, rows = full[name]
     short = {**full, name: (columns, rows[:-1])}
     expected = {id(tables): run(make_ctx(tables, config), sql)[0]
@@ -169,18 +184,32 @@ def test_every_invalidator_rebuilds_and_matches_a_fresh_context(
     # the entry, so even a cold run may count hits.
     ctx = make_ctx(short, config)
     answer, cold = run(ctx, sql)
-    hits, built, bypassed = cold
+    hits, appended, built, bypassed = cold
     assert answer == expected[id(short)]
-    assert built or hits == 0
-    warm = (hits + built, 0, bypassed)
+    assert appended == 0 and (built or hits == 0)
+    warm = (hits + built, 0, 0, bypassed)
+    assert run(ctx, sql) == (answer, warm)
+
+    # An append is not an invalidator: the sides over the table absorb
+    # the row (a sorted run cannot, and rebuilds), the others hit.
+    ctx.catalog.append_rows(name, [rows[-1]])
+    answer, (hits, appended, built, _) = run(ctx, sql)
+    assert answer == expected[id(full)]
+    assert hits + appended + built == sum(warm[:3])
+    assert (appended + built > 0) == has_side_over(ctx, name)
+    assert built == 0 or axis == "sort_merge"
     assert run(ctx, sql) == (answer, warm)
 
     def invalidated_by(mutate, tables):
+        # Exactly the sides over the table rebuild; another table's hit.
+        over = {key for key in _side_keys(ctx) if key[0] == name.lower()}
         mutate()
-        assert run(ctx, sql) == (expected[id(tables)], cold)
+        answer, (hits, appended, built, _) = run(ctx, sql)
+        assert answer == expected[id(tables)]
+        assert (appended, built) == (0, len(over))
+        assert hits + built == sum(warm[:3])
         assert run(ctx, sql) == (expected[id(tables)], warm)
 
-    invalidated_by(lambda: ctx.catalog.append_rows(name, [rows[-1]]), full)
     invalidated_by(lambda: ctx.register_table(name, columns, rows[:-1]),
                    short)
     invalidated_by(lambda: ctx.catalog.register_relation(
@@ -188,9 +217,178 @@ def test_every_invalidator_rebuilds_and_matches_a_fresh_context(
 
     def mutate_in_place():
         ctx.catalog.get(name).rows.pop()
-        ctx.catalog.note_mutation()
+        ctx.catalog.note_mutation(name)
 
     invalidated_by(mutate_in_place, short)
+    # An unattributed mutation retires what was derived from any table.
+    ctx.catalog.note_mutation()
+    assert run(ctx, sql) == (expected[id(short)],
+                             (warm[0] - cold[2], 0, cold[2], bypassed))
+
+
+# ----------------------------------------------------------------------
+# an insert appends to what is cached
+# ----------------------------------------------------------------------
+
+
+def cached(ctx) -> dict:
+    """Every cached value by key, in a form ``==`` compares deeply *and*
+    in order: distinct rows as a list, ``(buckets, sides)`` with each hash
+    side as its item list (the recorded seconds are wall time)."""
+    out = {}
+    for key, (value, _) in ctx.base_sides._entries.items():
+        if key[-1] == "distinct":
+            out[key] = value[0].rows
+        elif key[0] != "install":
+            buckets, sides, _ = value
+            out[key] = buckets, [list(side.items())
+                                 if isinstance(side, dict) else side
+                                 for side in sides]
+    return out
+
+
+@pytest.mark.parametrize("axis", sorted(AXES))
+@pytest.mark.parametrize("query_name", sorted(QUERY_SETUPS))
+def test_insert_appends_to_what_is_cached(query_name, axis, builder_calls):
+    build_tables, make_query = QUERY_SETUPS[query_name]
+    config, sql = AXES[axis], make_query()
+    full = build_tables()
+    name = changing_table(full)
+    columns, rows = full[name]
+    ctx = make_ctx({**full, name: (columns, rows[:-2]),
+                    "bystander": (("A", "B"), [(1, 2)])}, config)
+    _, (hits, _, built, bypassed) = run(ctx, sql)
+    warm = (hits + built, 0, 0, bypassed)
+
+    def builds():
+        """Builder calls since the last look, bar the per-query ones of
+        bypassed sides."""
+        count = builder_calls.count("build_base_side") - bypassed
+        del builder_calls[:]
+        return count
+
+    # Into a table the query does not read: every side is a hit.
+    ctx.catalog.append_rows("bystander", [(3, 4)])
+    builds()
+    assert run(ctx, sql)[1] == warm and builds() == 0
+
+    # Into one it reads, a duplicate riding along: the cached rows,
+    # buckets and sides become exactly what a fresh context builds.
+    ctx.catalog.append_rows(name, [rows[0], *rows[-2:], rows[-1]])
+    answer, (_, appended, built, _) = run(ctx, sql)
+    assert (appended + built > 0) == has_side_over(ctx, name)
+    if axis != "sort_merge":
+        assert built == 0 and builds() == 0
+    fresh = make_ctx({**full, name: (columns, rows + [rows[0], rows[-1]])},
+                     config)
+    assert answer == run(fresh, sql)[0]
+    grown = cached(ctx)
+    assert grown and grown == cached(fresh)
+    assert run(ctx, sql) == (answer, warm)
+
+
+def _edge_batches(edges):
+    """Insert batches over ``edges``' vertices that re-insert rows the
+    table (or the batch itself) already holds."""
+    from hypothesis import strategies as st
+
+    vertices = sorted({v for edge in edges for v in edge[:2]})
+    fresh = st.tuples(st.sampled_from(vertices),
+                      st.integers(min(vertices), max(vertices) + 6))
+    pad = edges[0][2:]  # sssp edges carry a cost
+    row = st.one_of(st.sampled_from(edges), fresh.map(lambda e: e + pad))
+    return st.lists(st.lists(row, min_size=1, max_size=6), min_size=1,
+                    max_size=5)
+
+
+@pytest.mark.parametrize("query_name", ["count_paths", "sssp"])
+def test_a_stream_of_inserts_with_duplicates_is_absorbed(query_name):
+    from hypothesis import given, settings
+
+    build_tables, make_query = QUERY_SETUPS[query_name]
+    sql, tables = make_query(), build_tables()
+    (name, (columns, edges)), = tables.items()
+    if query_name == "count_paths":
+        # Paths are only countable in a DAG: keep inserted edges forward.
+        order = {v: i for i, v in enumerate(sorted(
+            {v for edge in edges for v in edge}))}
+        forward = lambda batch: [e for e in batch
+                                 if order.get(e[1], e[1]) > order[e[0]]]
+    else:
+        forward = lambda batch: batch
+
+    @settings(max_examples=25, deadline=None)
+    @given(_edge_batches(edges))
+    def check(batches):
+        ctx = make_ctx(tables)
+        run(ctx, sql)
+        so_far = list(edges)
+        for batch in filter(None, map(forward, batches)):
+            ctx.catalog.append_rows(name, batch)
+            so_far += batch
+            # (A batch of nothing but duplicates leaves the sides a hit.)
+            answer, (hits, appended, built, _) = run(ctx, sql)
+            assert hits + appended > 0 and built == 0
+            fresh = make_ctx({name: (columns, so_far)})
+            # A row that entered a side twice would double a count / sum.
+            assert answer == run(fresh, sql)[0]
+            assert cached(ctx) == cached(fresh)
+
+    check()
+
+
+def test_a_sorted_run_rebuilds_on_insert(builder_calls):
+    sort_merge = ExecutionConfig(join_strategy="sort_merge")
+    ctx = sssp_ctx(sort_merge)
+    run(ctx, SSSP)
+    del builder_calls[:]
+    ctx.catalog.append_rows("edge", [(0, 99, 1.0)])
+    answer, outcome = run(ctx, SSSP)
+    # The distinct rows absorbed the insert; the run was sorted anew.
+    assert outcome == (0, 0, 1, 0) and builder_calls == ["build_base_side"]
+    fresh = make_ctx({"edge": (("Src", "Dst", "Cost"),
+                               EDGES + [(0, 99, 1.0)])}, sort_merge)
+    assert answer == run(fresh, SSSP)[0] and cached(ctx) == cached(fresh)
+
+
+def test_appended_sides_are_the_same_objects_and_replay_more_seconds(
+        operators):
+    ctx = sssp_ctx()
+    run(ctx, SSSP)
+    before = ctx.last_run.time_breakdown["fixpoint-setup"]
+    ctx.catalog.append_rows("edge", [(0, 99, 1.0), (0, 99, 1.0)])
+    assert run(ctx, SSSP)[1] == (0, 1, 0, 0)
+    assert ("base sides: 0 hit, 1 appended, 0 built, 0 bypassed"
+            in ctx.last_run.explain_analyze())
+    # Build + append seconds, replayed by every later hit.
+    after = ctx.last_run.time_breakdown["fixpoint-setup"]
+    assert after > before
+    assert run(ctx, SSSP)[1] == (1, 0, 0, 0)
+    assert ctx.last_run.time_breakdown["fixpoint-setup"] == after
+    cold, grown, warm = operators
+    (step_id,) = cold.runtime.base_partitions
+    assert (cold.runtime.base_partitions[step_id]
+            is grown.runtime.base_partitions[step_id]
+            is warm.runtime.base_partitions[step_id])
+    assert cold.resolve("edge") is warm.resolve("edge")
+    assert cold.resolve("edge").rows[-1] == (0, 99, 1.0)
+    assert len(cold.resolve("edge").rows) == len(set(EDGES)) + 1
+
+
+def test_a_failing_absorb_leaves_no_entry_behind():
+    ctx = sssp_ctx()
+    filtered = SSSP.replace("WHERE path.Dst = edge.Src",
+                            "WHERE path.Dst = edge.Src AND 10 / edge.Cost > 1")
+    expected, _ = run(ctx, filtered)
+    entries = len(ctx.base_sides)
+    ctx.catalog.append_rows("edge", [(0, 99, 0)])
+    with pytest.raises(ZeroDivisionError):
+        ctx.sql(filtered)
+    # The half-extended side is gone; the distinct rows absorbed fine.
+    assert len(ctx.base_sides) == entries - 1
+    ctx.catalog.get("edge").rows.pop()
+    ctx.catalog.note_mutation("edge")
+    assert run(ctx, filtered) == (expected, (0, 0, 1, 0))
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +405,7 @@ def test_distinct_shapes_get_distinct_entries(operators):
     ctx = sssp_ctx()
     run(ctx, SSSP)
     assert run(ctx, SSSP, ExecutionConfig(join_strategy="sort_merge"))[1] \
-        == (0, 1, 0)
+        == (0, 0, 1, 0)
     hashed, sorted_run = (op.runtime.base_partitions for op in operators)
     assert all(isinstance(side, dict) for sides in hashed.values()
                for side in sides)
@@ -218,20 +416,20 @@ def test_distinct_shapes_get_distinct_entries(operators):
     filtered = SSSP.replace("WHERE path.Dst = edge.Src",
                             "WHERE path.Dst = edge.Src AND edge.Cost < 4")
     assert filtered != SSSP
-    assert run(ctx, filtered)[1] == (0, 1, 0)
-    assert run(ctx, filtered)[1] == (1, 0, 0)
+    assert run(ctx, filtered)[1] == (0, 0, 1, 0)
+    assert run(ctx, filtered)[1] == (1, 0, 0, 0)
     # The reference router and the kernel router do not share buckets.
-    assert run(ctx, SSSP, ExecutionConfig(kernels=False))[1] == (0, 1, 0)
-    assert run(ctx, SSSP)[1] == (1, 0, 0)
+    assert run(ctx, SSSP, ExecutionConfig(kernels=False))[1] == (0, 0, 1, 0)
+    assert run(ctx, SSSP)[1] == (1, 0, 0, 0)
     assert len(_side_keys(ctx)) == 4
     # A plan that reads the same columns of edge on the same key shares
     # sssp's entry ...
-    assert run(ctx, get_query("sssp").formatted(source=3))[1] == (1, 0, 0)
+    assert run(ctx, get_query("sssp").formatted(source=3))[1] == (1, 0, 0, 0)
     # ... reach reads only Dst where sssp reads (Dst, Cost): the stored
     # columns are part of the shape, so it builds (once) its own.
     reach = get_query("reach").formatted(source=0)
-    assert run(ctx, reach)[1] == (0, 1, 0)
-    assert run(ctx, reach)[1] == (1, 0, 0)
+    assert run(ctx, reach)[1] == (0, 0, 1, 0)
+    assert run(ctx, reach)[1] == (1, 0, 0, 0)
     assert {key[5] for key in _side_keys(ctx)} == {(1, 2), (1,), None}
 
     # Another partition count (a second cluster on the same cache).
@@ -261,31 +459,88 @@ def test_lru_evicts_at_the_constant():
                             f"WHERE path.Dst = edge.Src AND edge.Cost < {i}")
 
     for i in range(BASE_SIDE_CACHE_SLOTS + 3):
-        assert run(ctx, shape(i))[1] == (0, 1, 0)
+        assert run(ctx, shape(i))[1] == (0, 0, 1, 0)
         assert len(ctx.base_sides) <= BASE_SIDE_CACHE_SLOTS
     assert len(ctx.base_sides) == BASE_SIDE_CACHE_SLOTS
     # The latest shape is resident, the first was evicted.
-    assert run(ctx, shape(BASE_SIDE_CACHE_SLOTS + 2))[1] == (1, 0, 0)
-    assert run(ctx, shape(0))[1] == (0, 1, 0)
+    assert run(ctx, shape(BASE_SIDE_CACHE_SLOTS + 2))[1] == (1, 0, 0, 0)
+    assert run(ctx, shape(0))[1] == (0, 0, 1, 0)
 
 
 def test_get_is_lru_and_a_failing_build_caches_nothing():
     ctx = RaSQLContext(num_workers=1)
+    ctx.register_table("t", ("A",), [(1,)])
     cache = BaseSideCache(ctx.catalog)
+
+    def at():
+        return ctx.catalog.epoch("t")
+
     with pytest.raises(ZeroDivisionError):
-        cache.get(("k",), lambda: 1 / 0)
+        cache.get(("k",), at(), lambda: 1 / 0)
     assert len(cache) == 0
-    assert cache.get(("k",), lambda: "built") == ("built", False)
-    assert cache.get(("k",), lambda: "again") == ("built", True)
+    assert cache.get(("k",), at(), lambda: "built") == ("built", "built")
+    assert cache.get(("k",), at(), lambda: "again") == ("built", "hits")
     for i in range(BASE_SIDE_CACHE_SLOTS - 1):
-        cache.get((i,), lambda: i)
-    cache.get(("k",), None)            # touch: now the youngest
-    cache.get(("one more",), lambda: 0)
-    assert cache.get(("k",), None) == ("built", True)
-    assert cache.get((0,), lambda: "rebuilt") == ("rebuilt", False)
-    ctx.catalog.note_mutation()
-    assert cache.get(("k",), lambda: "new epoch") == ("new epoch", False)
-    assert len(cache) == 1
+        cache.get((i,), at(), lambda: i)
+    cache.get(("k",), at(), None)            # touch: now the youngest
+    cache.get(("one more",), at(), lambda: 0)
+    assert cache.get(("k",), at(), None) == ("built", "hits")
+    assert cache.get((0,), at(), lambda: "rebuilt") == ("rebuilt", "built")
+
+    # The one rule: the same epochs hit; epochs that only grew let an
+    # entry that can absorb do so (one that cannot rebuilds); a moved
+    # generation rebuilds, in the entry's own slot.
+    ctx.catalog.append_rows("t", [(2,), (3,)])
+    seen = []
+
+    def absorb(value, held):
+        seen.append(held)
+        return value + "+2"
+
+    assert cache.get(("k",), at(), None, absorb) == ("built+2", "appended")
+    assert seen == [1] and at() == (1, 3)
+    assert cache.get(("k",), at(), None, absorb) == ("built+2", "hits")
+    assert cache.get((1,), at(), lambda: "no absorb") \
+        == ("no absorb", "built")
+    ctx.catalog.append_rows("t", [(4,)])
+    with pytest.raises(ZeroDivisionError):
+        cache.get(("k",), at(), None, lambda value, held: 1 / 0)
+    assert cache.get(("k",), at(), lambda: "anew") == ("anew", "built")
+    size = len(cache)
+    ctx.catalog.note_mutation("t")
+    assert cache.get(("k",), at(), lambda: "new epoch", absorb) \
+        == ("new epoch", "built")
+    ctx.register_table("t", ("A",), [(1,)])
+    assert at() == (3, 1)
+    assert cache.get(("k",), at(), lambda: "replaced", absorb) \
+        == ("replaced", "built")
+    assert len(cache) == size and len(seen) == 1
+
+
+def test_data_version_is_the_sum_of_the_epochs():
+    ctx = RaSQLContext(num_workers=1)
+    catalog = ctx.catalog
+    assert catalog.data_version == 0
+    catalog.register("a", ("X",), [(1,), (2,)])
+    catalog.register("b", ("Y",))
+    assert (catalog.epoch("A"), catalog.epoch("b")) == ((1, 2), (1, 0))
+    assert catalog.data_version == 4
+    assert catalog.append_rows("b", [(7,), (7,)]) == 2
+    assert catalog.append_rows("b", []) == 0
+    assert (catalog.epoch("a"), catalog.epoch("b")) == ((1, 2), (1, 2))
+    catalog.note_mutation("a")
+    assert (catalog.epoch("a"), catalog.epoch("b")) == ((2, 2), (1, 2))
+    catalog.note_mutation()
+    assert (catalog.epoch("a"), catalog.epoch("b")) == ((3, 2), (2, 2))
+    assert catalog.data_version == 9
+    # What a statement can read, from the words in it (any case).
+    assert catalog.epochs(["select", "B", "from", "nowhere"]) \
+        == (("b", 2, 2),)
+    assert catalog.epochs(["a", "b", "a"]) == (("a", 3, 2), ("b", 2, 2))
+    with pytest.raises(AnalysisError):
+        catalog.epoch("nowhere")
+    with pytest.raises(AnalysisError):
+        catalog.note_mutation("nowhere")
 
 
 # ----------------------------------------------------------------------
@@ -305,23 +560,23 @@ def test_per_query_materialized_relation_bypasses_the_cache():
     """
     ctx = sssp_ctx()
     first, outcome = run(ctx, script)
-    assert outcome == (0, 0, 1) and len(ctx.base_sides) == 0
+    assert outcome == (0, 0, 0, 1) and len(ctx.base_sides) == 0
     again, outcome = run(ctx, script)
-    assert outcome == (0, 0, 1) and again == first
+    assert outcome == (0, 0, 0, 1) and again == first
     filtered = SSSP.replace("WHERE path.Dst = edge.Src",
                             "WHERE path.Dst = edge.Src AND edge.Cost < 4")
     assert first == run(ctx, filtered)[0]
     report = ctx.last_run.explain_analyze()
-    assert "base sides: 0 hit, 1 built, 0 bypassed" in report
+    assert "base sides: 0 hit, 0 appended, 1 built, 0 bypassed" in report
     ctx.sql(script)
-    assert ("base sides: 0 hit, 0 built, 1 bypassed"
+    assert ("base sides: 0 hit, 0 appended, 0 built, 1 bypassed"
             in ctx.last_run.explain_analyze())
 
 
 def test_incremental_view_never_shares_an_entry():
     ctx = sssp_ctx()
     baseline, _ = run(ctx, SSSP)
-    cached = copy.deepcopy(list(ctx.base_sides._entries.values()))
+    before = copy.deepcopy(cached(ctx))
     bypassed = ctx.metrics.get("base_side_cache_bypassed")
     view = IncrementalView(ctx, SSSP)
     assert ctx.metrics.get("base_side_cache_bypassed") == bypassed + 1
@@ -331,7 +586,7 @@ def test_incremental_view_never_shares_an_entry():
         view.insert("edge", [(i % 7, 100 + i, 1.0)])
         rows, outcome = run(ctx, SSSP)
         # The catalog's table did not change: still a hit, same answer.
-        assert outcome == (1, 0, 0) and rows == baseline
+        assert outcome == (1, 0, 0, 0) and rows == baseline
     assert len(view.result().rows) == len(baseline) + 20
     # The (pruned) sides the 20 appends grew deep-equal a fresh build.
     assert all(plan.read_positions == (1, 2)
@@ -342,18 +597,11 @@ def test_incremental_view_never_shares_an_entry():
     assert view_sides == fresh.operator.runtime.base_partitions
     assert (view.operator.runtime.broadcast_tables
             == fresh.operator.runtime.broadcast_tables)
-    for entry in ctx.base_sides._entries.values():
-        if isinstance(entry, tuple):
-            assert all(sides is not entry[1]
-                       for sides in view_sides.values())
+    for key in _side_keys(ctx):
+        (_, sides, _), _ = ctx.base_sides._entries[key]
+        assert all(sides is not own for own in view_sides.values())
     # Deep-equal before and after the view's 20 in-place appends.
-    after = list(ctx.base_sides._entries.values())
-    assert len(after) == len(cached)
-    for was, now in zip(cached, after):
-        if isinstance(was, Relation):
-            assert was.rows == now.rows
-        else:
-            assert was[:2] == now[:2]
+    assert cached(ctx) == before
 
 
 # ----------------------------------------------------------------------
@@ -398,13 +646,13 @@ def test_deadline_abort_leaves_the_cache_usable():
     expected, _ = run(sssp_ctx(), SSSP)
     with pytest.raises(QueryDeadlineExceededError):
         ctx.sql(SSSP, config=ExecutionConfig(deadline_seconds=1e-9))
-    for entry in ctx.base_sides._entries.values():
-        assert isinstance(entry, Relation) or len(entry) == 3
+    for key in _side_keys(ctx):
+        assert len(ctx.base_sides._entries[key][0]) == 3
     assert run(ctx, SSSP)[0] == expected
     with pytest.raises(QueryDeadlineExceededError):
         ctx.sql(SSSP, config=ExecutionConfig(deadline_seconds=1e-9))
     rows, outcome = run(ctx, SSSP)
-    assert rows == expected and outcome == (1, 0, 0)
+    assert rows == expected and outcome == (1, 0, 0, 0)
 
 
 def test_memory_budget_abort_leaves_the_cache_usable():
@@ -416,7 +664,7 @@ def test_memory_budget_abort_leaves_the_cache_usable():
     ctx.cluster.memory.config = MemoryConfig()
     ctx.cluster.memory.reset_budget()
     rows, outcome = run(ctx, SSSP)
-    assert rows == run(sssp_ctx(), SSSP)[0] and outcome == (1, 0, 0)
+    assert rows == run(sssp_ctx(), SSSP)[0] and outcome == (1, 0, 0, 0)
 
 
 def test_checkpoint_resume_uses_and_keeps_the_cache(tmp_path):
@@ -431,11 +679,11 @@ def test_checkpoint_resume_uses_and_keeps_the_cache(tmp_path):
     assert sorted(resumed.rows, key=repr) == expected
     # The resumed operator re-set-up its base relations from the cache
     # (the counters themselves are restored from the checkpoint).
-    assert ("base sides: 1 hit, 0 built, 0 bypassed"
+    assert ("base sides: 1 hit, 0 appended, 0 built, 0 bypassed"
             in ctx.last_run.explain_analyze())
     # Checkpointed runs plan stacked; the plain query shares the entry.
     rows, outcome = run(ctx, SSSP)
-    assert rows == expected and outcome == (1, 0, 0)
+    assert rows == expected and outcome == (1, 0, 0, 0)
 
 
 def test_close_drops_the_cache():
@@ -445,7 +693,7 @@ def test_close_drops_the_cache():
     ctx.close()
     assert len(ctx.base_sides) == 0
     # Closing is not terminal for a simulated context.
-    assert run(ctx, SSSP)[1] == (0, 1, 0)
+    assert run(ctx, SSSP)[1] == (0, 0, 1, 0)
 
 
 # ----------------------------------------------------------------------

@@ -110,6 +110,47 @@ class TestEventAttribution:
         assert metrics.events_since(metrics.event_count()) == []
 
 
+class TestBoundedEventLog:
+    def test_the_log_keeps_the_recent_past_and_counts_everything(self):
+        metrics = MetricsRegistry()
+        depth = metrics.EVENT_LOG_DEPTH
+        for i in range(depth + 10):
+            metrics.advance(1, label=f"e{i}")
+        assert metrics.event_count() == depth + 10
+        events = metrics.events()
+        assert len(events) == depth
+        assert (events[0].label, events[-1].label) \
+            == ("e10", f"e{depth + 9}")
+        # Marks are absolute: a tail reads the same before and after the
+        # front fell off; a mark older than the log reads what is left.
+        assert [e.label for e in metrics.events_since(depth + 8)] \
+            == [f"e{depth + 8}", f"e{depth + 9}"]
+        assert metrics.events_since(3) == events
+        assert metrics.sim_time == depth + 10
+        metrics.reset()
+        assert metrics.event_count() == 0 and metrics.events() == []
+
+    def test_attributing_sums_a_window_whatever_the_log_kept(self):
+        metrics = MetricsRegistry()
+        metrics.advance(1, label="before")
+        outer, inner = {}, {}
+        with metrics.attributing(outer):
+            for _ in range(metrics.EVENT_LOG_DEPTH):
+                metrics.advance(0.5, label="stage")
+            with metrics.attributing(inner):
+                metrics.advance(2, label="shuffle")
+            metrics.advance(3)  # unlabelled: clock only
+            with pytest.raises(ZeroDivisionError):
+                with metrics.attributing({}):
+                    1 / 0
+            metrics.advance(0.5, label="stage")
+        metrics.advance(1, label="after")
+        assert inner == {"shuffle": 2}
+        assert outer == {"stage": 0.5 * (metrics.EVENT_LOG_DEPTH + 1),
+                         "shuffle": 2}
+        assert metrics._attributing == []
+
+
 class _TailOnlyList(list):
     """An event log that may be appended to, measured and tail-sliced,
     but never walked from the start — which is what copying it does."""

@@ -34,12 +34,16 @@ class TestExplainAnalyzeSSSP:
         sssp = get_query("sssp").formatted(source=1)
         # ... and names what the side stores: two of edge's three columns.
         stored = "  (edge[Dst, Cost] on Src)"
-        assert "  base sides: 0 hit, 1 built, 0 bypassed" + stored in \
-            ctx.explain_analyze(sssp).splitlines()
+        assert ("  base sides: 0 hit, 0 appended, 1 built, 0 bypassed"
+                + stored) in ctx.explain_analyze(sssp).splitlines()
         first = ctx.last_run
-        assert "  base sides: 1 hit, 0 built, 0 bypassed" + stored in \
-            ctx.explain_analyze(sssp).splitlines()
+        assert ("  base sides: 1 hit, 0 appended, 0 built, 0 bypassed"
+                + stored) in ctx.explain_analyze(sssp).splitlines()
         second = ctx.last_run
+        ctx.catalog.append_rows("edge", [(1, 77, 1.0)])
+        assert ("  base sides: 0 hit, 1 appended, 0 built, 0 bypassed"
+                + stored) in ctx.explain_analyze(sssp).splitlines()
+        third = ctx.last_run
         assert first.kernels_summary()["kernel_pruned_sides"] == 1
 
         def fixpoint_attrs(run):
@@ -48,11 +52,14 @@ class TestExplainAnalyzeSSSP:
             return span["attrs"]
 
         assert fixpoint_attrs(first)["base_sides"] == {
-            "hits": 0, "built": 1, "bypassed": 0}
+            "hits": 0, "appended": 0, "built": 1, "bypassed": 0}
         assert fixpoint_attrs(second)["base_sides"] == {
-            "hits": 1, "built": 0, "bypassed": 0}
+            "hits": 1, "appended": 0, "built": 0, "bypassed": 0}
+        assert fixpoint_attrs(third)["base_sides"] == {
+            "hits": 0, "appended": 1, "built": 0, "bypassed": 0}
         assert first.kernels_summary()["base_side_cache_misses"] == 1
         assert second.kernels_summary()["base_side_cache_hits"] == 1
+        assert third.kernels_summary()["base_side_cache_appended"] == 1
         # The per-query counter deltas of the trace say the same.
         assert second.trace["metrics"]["base_side_cache_hits"] == 1
         assert "base_side_cache_misses" not in second.trace["metrics"]
@@ -108,7 +115,7 @@ class TestExplainAnalyzeSSSP:
 
     def test_event_span_ids_resolve_into_trace(self):
         ctx = sssp_ctx()
-        events_before = len(ctx.metrics.events())
+        events_before = ctx.metrics.event_count()
         ctx.sql(get_query("sssp").formatted(source=1))
         trace = ctx.last_run.trace
 
@@ -118,7 +125,7 @@ class TestExplainAnalyzeSSSP:
                 yield from span_ids(child)
 
         known = set(span_ids(trace))
-        events = ctx.metrics.events()[events_before:]
+        events = ctx.metrics.events_since(events_before)
         assert events
         assert all(e.span_id in known for e in events)
 

@@ -435,15 +435,17 @@ def test_repeated_query_ships_no_heavy_half_and_pickles_nothing(
                 in run.explain_analyze())
         assert _rows(second) == _rows(first) == _rows(sim_ctx.sql(make_query()))
 
-        # A new table version: rebuilt, re-pickled, re-shipped — and still
-        # bit-exact with the simulated twin.
+        # A grown table: the driver's sides absorb the rows (nothing is
+        # rebuilt), the heavy half is re-pickled and re-shipped once — and
+        # still bit-exact with the simulated twin.
         for context in (ctx, sim_ctx):
             context.catalog.append_rows("edge", [(0, 23, 0.5), (23, 7, 0.25)])
         before = dict(run.metrics)
         third = ctx.sql(make_query())
         assert pickles == ["dump_payload", "sha256"]
         assert len(shipped) == 2 * NUM_WORKERS and None not in shipped[-NUM_WORKERS:]
-        assert _delta(ctx.last_run, before, "base_side_cache_misses") == 1
+        assert _delta(ctx.last_run, before, "base_side_cache_misses") == 0
+        assert _delta(ctx.last_run, before, "base_side_cache_appended") == 1
         expected = sim_ctx.sql(make_query())
         assert _rows(third) == _rows(expected) != _rows(first)
         assert ctx.last_run.iterations == sim_ctx.last_run.iterations

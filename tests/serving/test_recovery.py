@@ -239,13 +239,15 @@ class TestRetries:
 
     def test_transient_exhaustion_is_retried_then_surfaced(self):
         ctx, service = self._service_with_persistent_failure()
+        events_before = ctx.metrics.event_count()
         future = service.submit(service.session("a"), TC)
         service.drain()
         # Both service-level retries consumed, original error surfaced.
         assert ctx.metrics.snapshot()["serving_retries"] == 2
         with pytest.raises(TaskRetryExhaustedError):
             future.result()
-        breakdown = [e.label for e in ctx.metrics.events()]
+        breakdown = [e.label
+                     for e in ctx.metrics.events_since(events_before)]
         assert "retry-backoff" in breakdown
 
     def test_retry_backoff_draws_are_seeded_and_replayable(self):

@@ -111,22 +111,29 @@ class TestCaches:
     def test_insert_between_requests_rebuilds_the_base_sides(self):
         """The base-side cache sits under the result cache: statements
         that differ only in a constant share one build, and an insert
-        retires it, so the next request sees the new rows."""
+        *appends* to it — nothing is rebuilt — so the next request sees
+        the new rows.  (The id predates the append; the counts are the
+        contract.)"""
         reach = get_query("reach")
         service = make_service(scheduler="fifo")
         session = service.session("alice")
         metrics = service.ctx.metrics
+
+        def counts():
+            return tuple(metrics.get("base_side_cache_" + name) for name in
+                         ("hits", "appended", "misses", "bypassed"))
+
         first = session.sql(reach.formatted(source=1))
         other = session.sql(reach.formatted(source=2))
         service.drain()
         assert other.source == "executed"
-        assert (metrics.get("base_side_cache_misses"),
-                metrics.get("base_side_cache_hits")) == (1, 1)
-        session.insert("edge", [(4, 9, 1.0), (9, 1, 1.0)])
+        assert counts() == (1, 0, 1, 0)
+        session.insert("edge", [(4, 9, 1.0), (9, 1, 1.0), (4, 9, 1.0)])
         second = session.sql(reach.formatted(source=1))
         service.drain()
         assert second.source == "executed"
-        assert metrics.get("base_side_cache_misses") == 2
+        assert counts() == (1, 1, 1, 0)
+        assert "1 appended, 0 built" in service.ctx.last_run.explain_analyze()
         fresh = RaSQLContext(num_workers=2)
         fresh.register_table("edge", ["Src", "Dst", "Cost"],
                              EDGES + [(4, 9, 1.0), (9, 1, 1.0)])
@@ -134,6 +141,38 @@ class TestCaches:
         assert sorted(second.result().rows) == sorted(expected.rows)
         assert (9,) in second.result().rows
         assert (9,) not in first.result().rows
+        third = session.sql(reach.formatted(source=2))
+        service.drain()
+        assert third.source == "executed" and counts() == (2, 1, 1, 0)
+
+    def test_insert_into_an_unrelated_table_keeps_the_cached_result(self):
+        """The result key holds the epochs of the tables the statement
+        names: another table's insert leaves the entry reachable, the
+        statement's own table's insert does not."""
+        service = make_service(scheduler="fifo")
+        service.ctx.register_table("audit", ["Who", "What"], [("a", "b")])
+        session = service.session("alice")
+        first = session.sql(SSSP)
+        log = session.sql("SELECT count(*) FROM audit")
+        service.drain()
+        session.insert("audit", [("c", "d")])
+        again = session.sql(SSSP)
+        log_again = session.sql("SELECT count(*) FROM audit")
+        service.drain()
+        assert again.source == "result_cache"
+        assert again.result() is first.result()
+        assert log_again.source == "executed"
+        assert (log.result().rows, log_again.result().rows) \
+            == ([(1,)], [(2,)])
+        session.insert("edge", [(4, 9, 1.0)])
+        after = session.sql(SSSP)
+        log_after = session.sql("select count(*) from AUDIT")
+        service.drain()
+        assert after.source == "executed"
+        assert log_after.source == "executed"  # another text, same epochs
+        assert session.sql("SELECT count(*) FROM audit") is not None
+        service.drain()
+        assert service.result_cache.hits == 2
 
     def test_schema_change_invalidates_plan_cache(self):
         service = make_service()
