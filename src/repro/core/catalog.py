@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Sequence
 
 from repro.errors import AnalysisError
@@ -9,6 +10,10 @@ from repro.relation import Relation
 
 #: A relation's data epoch: ``(generation, row count)``.
 Epoch = tuple[int, int]
+
+#: Every identifier the lexer can produce (a letter or ``_``, then word
+#: characters), plus words inside literals and comments: a superset.
+_WORD = re.compile(r"[^\W\d]\w*")
 
 
 def only_grew(then: Epoch, now: Epoch) -> bool:
@@ -97,6 +102,13 @@ class Catalog:
         """The data epoch of table ``name``: ``(generation, row count)``."""
         key = self._key(name)
         return self._generations[key], len(self._tables[key].rows)
+
+    def tables_named(self, text: str) -> list[str]:
+        """The registered tables named by a word of ``text``, sorted: a
+        statement reaches a table only by naming it (the lexer has no
+        quoted identifiers), so a cheap pre-parse superset of its reads."""
+        return sorted(self._tables.keys()
+                      & {word.lower() for word in _WORD.findall(text)})
 
     def epochs(self, names: Iterable[str]) -> tuple[tuple[str, int, int], ...]:
         """``(name, generation, row count)`` of every registered table

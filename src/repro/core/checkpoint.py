@@ -323,7 +323,12 @@ class CliqueCheckpointer:
             rng.setstate(rng_state)
         # Clock/counters jump to the checkpoint's snapshot (taken after
         # the write charge), then the restore read is charged on top.
+        # The jump goes through ``inc`` as differences, so the open spans
+        # carry the restored counters; the registry itself then lands on
+        # the snapshot exactly (``a + (b - a)`` may round).
         metrics.sim_time = payload["sim_time"]
+        for name, value in payload["counters"].items():
+            metrics.inc(name, value - metrics.get(name))
         metrics.counters.clear()
         metrics.counters.update(payload["counters"])
         est_bytes = self._working_set_bytes(states, incoming)

@@ -23,7 +23,6 @@ time) are kept on :attr:`last_run`.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -302,20 +301,12 @@ class RaSQLContext:
     # ------------------------------------------------------------------
 
     def _estimate_query_bytes(self, query: str) -> int:
-        """Admission-time memory estimate: sizes of referenced base tables.
-
-        A deliberately cheap, pre-parse heuristic (Spark's resource
-        profiles likewise reserve from static estimates): any registered
-        table whose name appears as a word in the query text counts at
-        its full sampled size.
-        """
-        words = {w.lower() for w in re.findall(r"[A-Za-z_][A-Za-z_0-9]*",
-                                               query)}
-        total = 0
-        for name in self.catalog.names():
-            if name in words:
-                total += rows_size(self.catalog.get(name).rows)
-        return total
+        """Admission-time memory estimate, a deliberately cheap pre-parse
+        heuristic (Spark's resource profiles likewise reserve from static
+        estimates): every registered table the text names counts at its
+        full sampled size."""
+        return sum(rows_size(self.catalog.get(name).rows)
+                   for name in self.catalog.tables_named(query))
 
     def analyze_query(self, query: str,
                       config: ExecutionConfig | None = None):

@@ -512,8 +512,8 @@ def _compile_maintenance_term(ctx: _TermContext, target: PhysicalView,
 #: rows than this plans and runs on the reference loops even when
 #: ``ExecutionConfig.kernels`` is on: router specialization, extra
 #: codegen variants and state-table caching are per-query setup costs a
-#: sub-millisecond query never amortizes (BENCH_5.json:
-#: ``same_generation`` 0.75x, ``bom_stratified`` 0.68x).  Kernels are
+#: sub-millisecond query never amortizes (measured when the gate was
+#: set: ``same_generation`` 0.75x, ``bom_stratified`` 0.68x).  Kernels are
 #: bit-exact with the reference loops, iteration counts included, so the
 #: gate only moves wall-clock time.
 KERNEL_MIN_ROWS = 256

@@ -350,11 +350,11 @@ class ProcessClusterBackend(ClusterBackend):
         try:
             # Coalesce the initial dispatch per worker: one pipe message
             # per worker instead of one per task cuts an n-partition
-            # iteration from n sends to |workers| sends (the 96-/256-task
-            # storms of BENCH_7).  Entry order inside each batch is task
-            # order, so every inflight FIFO invariant the supervisor
-            # relies on (head suspect, per-attempt deadline) holds as if
-            # the tasks had been sent individually.
+            # iteration from n sends to |workers| sends.  Entry order
+            # inside each batch is task order, so every inflight FIFO
+            # invariant the supervisor relies on (head suspect,
+            # per-attempt deadline) holds as if the tasks had been sent
+            # individually.
             grouped: dict[int, list[tuple[int, object]]] = {}
             for pos, task in enumerate(tasks):
                 key = self._poison_key(name, task)

@@ -411,14 +411,11 @@ class Cluster:
         assignments = self.scheduler.assign(specs, self.num_workers,
                                             healthy=self.healthy_workers())
 
-        stage_span = self.tracer.begin("stage", name, tasks=len(tasks))
-        try:
+        with self.tracer.span("stage", name, tasks=len(tasks)) as stage_span:
             if self.backend.wants_batch(tasks):
                 raw = self.backend.run_batch(name, tasks, assignments)
                 return self._finish_batch(name, tasks, raw, stage_span)
             return self._run_stage_body(name, tasks, assignments, stage_span)
-        finally:
-            self.tracer.end(stage_span)
 
     def _finish_batch(self, name: str, tasks: list[StageTask],
                       raw: list[tuple], stage_span) -> list[TaskResult]:

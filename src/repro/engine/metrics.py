@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 
@@ -111,7 +112,7 @@ class MetricsRegistry:
 
     #: Labelled advances the event log keeps: the recent past, for
     #: debugging cost attribution.  Nothing's correctness reads the log
-    #: (a query sums its own advances through :meth:`attributing`), so a
+    #: (a query sums its own advances through an open window), so a
     #: registry that lives as long as a service does not grow with it.
     EVENT_LOG_DEPTH = 1024
 
@@ -121,14 +122,22 @@ class MetricsRegistry:
         self._events: list[ClockEvent] = []
         #: Events that fell off the front of the log.
         self._events_dropped = 0
-        #: Open :meth:`attributing` windows, outermost first.
-        self._attributing: list[dict[str, float]] = []
+        #: The open attribution windows, outermost first — the only such
+        #: list.  A window is anything with a ``metrics`` and a
+        #: ``time_by_label`` dict (an open tracing ``Span``, or the bare
+        #: one of :meth:`attributing`); each hears every :meth:`inc` and
+        #: labelled :meth:`advance` as it happens.
+        self.windows: list = []
         #: Optional :class:`repro.engine.tracing.Tracer`; when attached,
-        #: labelled advances are also attributed to its open spans.
+        #: its innermost open span stamps the event log.
         self.tracer = None
 
     def inc(self, name: str, amount: float = 1) -> None:
         self.counters[name] += amount
+        if amount:
+            for window in self.windows:
+                heard = window.metrics
+                heard[name] = heard.get(name, 0.0) + amount
 
     def get(self, name: str) -> float:
         return self.counters.get(name, 0)
@@ -139,14 +148,12 @@ class MetricsRegistry:
             raise ValueError(f"cannot advance clock by {seconds}")
         self.sim_time += seconds
         if label:
-            span_id = None
-            if self.tracer is not None:
-                span_id = self.tracer.current_span_id
-                self.tracer.record_time(label, seconds)
-            for sums in self._attributing:
+            for window in self.windows:
+                sums = window.time_by_label
                 sums[label] = sums.get(label, 0.0) + seconds
+            span = self.tracer.current if self.tracer is not None else None
             events = self._events
-            events.append(ClockEvent(label, seconds, span_id))
+            events.append(ClockEvent(label, seconds, span and span.span_id))
             if len(events) > self.EVENT_LOG_DEPTH:
                 overflow = len(events) - self.EVENT_LOG_DEPTH
                 del events[:overflow]
@@ -157,11 +164,11 @@ class MetricsRegistry:
         """While open, every labelled advance also adds its seconds to
         ``sums[label]`` — how one query of a long-lived registry gets its
         own time breakdown, whatever the event log has kept."""
-        self._attributing.append(sums)
+        self.windows.append(SimpleNamespace(metrics={}, time_by_label=sums))
         try:
             yield sums
         finally:
-            self._attributing.pop()
+            self.windows.pop()
 
     def snapshot(self) -> dict[str, float]:
         """A plain-dict copy of all counters plus the simulated clock."""
@@ -210,7 +217,8 @@ class ScopedCounters:
     """A prefix-namespaced window onto a :class:`MetricsRegistry`.
 
     ``inc``/``get`` address ``<scope>.<name>`` in the underlying
-    registry; :meth:`snapshot` returns only this scope's counters with
+    registry; :meth:`snapshot` returns the counters incremented through
+    this scope (it remembers their names: no scan of the registry) with
     the prefix stripped.  Obtained via :meth:`MetricsRegistry.scoped`.
     """
 
@@ -218,17 +226,20 @@ class ScopedCounters:
         self.registry = registry
         self.scope = scope
         self._prefix = scope + "."
+        #: name -> registry key of every counter incremented through here.
+        self._keys: dict[str, str] = {}
 
     def inc(self, name: str, amount: float = 1) -> None:
-        self.registry.inc(self._prefix + name, amount)
+        self.registry.inc(
+            self._keys.setdefault(name, self._prefix + name), amount)
 
     def get(self, name: str) -> float:
         return self.registry.get(self._prefix + name)
 
     def snapshot(self) -> dict[str, float]:
-        return {key[len(self._prefix):]: value
-                for key, value in self.registry.counters.items()
-                if key.startswith(self._prefix)}
+        counters = self.registry.counters
+        return {name: counters[key] for name, key in self._keys.items()
+                if key in counters}
 
     def __repr__(self) -> str:
         return f"ScopedCounters({self.scope!r}, {self.snapshot()})"

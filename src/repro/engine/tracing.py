@@ -11,15 +11,16 @@ module adds a hierarchical layer on top of them:
                       \\-> exchange / broadcast
           \\-> select (the final stratum / derived views)
 
-A :class:`Span` brackets a region of execution.  On entry it snapshots
-the registry's simulated clock and counters; on exit it records the
-deltas, so every span carries — with no extra bookkeeping at the
-instrumentation sites — its inclusive simulated duration and the
-counter traffic (shuffle/remote/broadcast bytes, task CPU seconds, ...)
-that happened inside it.  Labelled clock advances are additionally
-attributed to every open span (``Span.time_by_label``), which is what
-lets EXPLAIN ANALYZE split an iteration into stage time vs. shuffle
-time.
+A :class:`Span` brackets a region of execution.  Between entry and exit
+it is one of the registry's open attribution windows
+(:attr:`MetricsRegistry.windows`): it reads the simulated clock — and an
+enabled tracer the host's monotonic one (``Span.wall_s``) — at both ends
+and *hears* every ``inc`` and labelled ``advance`` in between.  So every
+span carries, with no bookkeeping at the instrumentation sites, its
+inclusive duration, the counter traffic inside it (``Span.metrics``:
+shuffle/remote/broadcast bytes, task CPU seconds, ...) and its time by
+label (``Span.time_by_label``: stage vs. shuffle time in EXPLAIN
+ANALYZE), and costs what it touched, whatever the registry holds.
 
 Spans serialize to plain dicts (:meth:`Span.to_dict`), which is the
 trace JSON schema documented in DESIGN.md; the renderers at the bottom
@@ -32,6 +33,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from time import perf_counter_ns
 from typing import Iterator
 
 __all__ = [
@@ -48,7 +50,9 @@ class Span:
 
     ``start``/``end`` are simulated-clock readings; ``duration`` is
     therefore inclusive simulated time (children are not subtracted).
-    ``metrics`` holds counter deltas observed between entry and exit;
+    ``wall_*_ns`` are ``perf_counter_ns`` readings of the same two
+    moments (``wall_s``: zero for a leaf, instantaneous on both clocks).
+    ``metrics`` holds the non-zero counter increments heard in between;
     ``time_by_label`` splits the duration by clock-advance label.
     """
 
@@ -56,6 +60,8 @@ class Span:
     name: str
     start: float = 0.0
     end: float | None = None
+    wall_start_ns: int = 0
+    wall_end_ns: int = 0
     span_id: int = 0
     attrs: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
@@ -67,6 +73,10 @@ class Span:
         if self.end is None:
             return 0.0
         return self.end - self.start
+
+    @property
+    def wall_s(self) -> float:
+        return max(0, self.wall_end_ns - self.wall_start_ns) / 1e9
 
     def annotate(self, **attrs) -> "Span":
         self.attrs.update(attrs)
@@ -87,6 +97,7 @@ class Span:
             "start": self.start,
             "end": self.end,
             "duration": self.duration,
+            "wall_s": self.wall_s,
             "attrs": dict(self.attrs),
             "metrics": dict(self.metrics),
             "time_by_label": dict(self.time_by_label),
@@ -102,11 +113,11 @@ _NULL_SPAN = Span(kind="null", name="null")
 class Tracer:
     """Builds the span tree for one simulated cluster.
 
-    The tracer wraps a :class:`MetricsRegistry`: span boundaries read the
-    registry's clock and counters, and the registry calls back
-    :meth:`record_time` on every labelled advance so open spans can
-    attribute time by label.  Disabled tracers keep the full API but
-    record nothing.
+    The tracer wraps a :class:`MetricsRegistry`: :meth:`begin` pushes the
+    span onto the registry's open windows and :meth:`end` pops it, so the
+    registry itself delivers every increment and labelled advance to the
+    open spans; the tracer keeps no stack and no marks.  Disabled tracers
+    keep the full API but record nothing.
     """
 
     def __init__(self, metrics, enabled: bool = True):
@@ -114,8 +125,6 @@ class Tracer:
         self.enabled = enabled
         metrics.tracer = self
         self.roots: list[Span] = []
-        self._stack: list[Span] = []
-        self._counter_marks: dict[int, dict[str, float]] = {}
         self._next_id = 1
 
     # ------------------------------------------------------------------
@@ -124,39 +133,41 @@ class Tracer:
 
     @property
     def current(self) -> Span | None:
-        return self._stack[-1] if self._stack else None
+        """The innermost open span (bare windows are looked through)."""
+        for window in reversed(self.metrics.windows):
+            if isinstance(window, Span):
+                return window
+        return None
 
-    @property
-    def current_span_id(self) -> int | None:
-        return self._stack[-1].span_id if self._stack else None
+    def _new_span(self, kind: str, name: str, attrs: dict) -> Span:
+        """A span starting now, attached under the innermost open one."""
+        span = Span(kind=kind, name=name, start=self.metrics.sim_time,
+                    span_id=self._next_id, attrs=attrs)
+        self._next_id += 1
+        parent = self.current
+        (parent.children if parent is not None else self.roots).append(span)
+        return span
 
     def begin(self, kind: str, name: str, **attrs) -> Span:
         if not self.enabled:
             return _NULL_SPAN
-        span = Span(kind=kind, name=name, start=self.metrics.sim_time,
-                    span_id=self._next_id, attrs=dict(attrs))
-        self._next_id += 1
-        self._counter_marks[span.span_id] = dict(self.metrics.counters)
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
-        self._stack.append(span)
+        span = self._new_span(kind, name, attrs)
+        self.metrics.windows.append(span)
+        span.wall_start_ns = perf_counter_ns()
         return span
 
     def end(self, span: Span) -> None:
         if not self.enabled or span is _NULL_SPAN:
             return
-        if not self._stack or self._stack[-1] is not span:
+        wall_end_ns = perf_counter_ns()
+        windows = self.metrics.windows
+        # By identity: ``Span`` is a dataclass, ``==`` compares trees.
+        if not windows or windows[-1] is not span:
             raise RuntimeError(
                 f"span {span.kind}:{span.name} is not the innermost open span")
-        self._stack.pop()
+        windows.pop()
         span.end = self.metrics.sim_time
-        mark = self._counter_marks.pop(span.span_id, {})
-        for counter, value in self.metrics.counters.items():
-            delta = value - mark.get(counter, 0.0)
-            if delta:
-                span.metrics[counter] = delta
+        span.wall_end_ns = wall_end_ns
 
     @contextmanager
     def span(self, kind: str, name: str, **attrs):
@@ -171,37 +182,19 @@ class Tracer:
         """A span whose opener owns the finished tree (it serializes it,
         as ``RunInfo.trace``, or is done with it): as a root it leaves
         :attr:`roots` on exit, so a long-lived tracer does not grow."""
-        span = self.begin(kind, name, **attrs)
-        try:
-            yield span
-        finally:
-            self.end(span)
-            self.roots[:] = [root for root in self.roots if root is not span]
+        with self.span(kind, name, **attrs) as span:
+            try:
+                yield span
+            finally:
+                self.roots[:] = [r for r in self.roots if r is not span]
 
     def leaf(self, kind: str, name: str, **attrs) -> Span:
         """Record an instantaneous child span (e.g. one task of a stage)."""
         if not self.enabled:
             return _NULL_SPAN
-        now = self.metrics.sim_time
-        span = Span(kind=kind, name=name, start=now, end=now,
-                    span_id=self._next_id, attrs=dict(attrs))
-        self._next_id += 1
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
+        span = self._new_span(kind, name, attrs)
+        span.end = span.start
         return span
-
-    # ------------------------------------------------------------------
-    # clock attribution (called by MetricsRegistry.advance)
-    # ------------------------------------------------------------------
-
-    def record_time(self, label: str, seconds: float) -> None:
-        if not self.enabled:
-            return
-        for span in self._stack:
-            span.time_by_label[label] = (
-                span.time_by_label.get(label, 0.0) + seconds)
 
     # ------------------------------------------------------------------
     # export
@@ -209,8 +202,6 @@ class Tracer:
 
     def reset(self) -> None:
         self.roots.clear()
-        self._stack.clear()
-        self._counter_marks.clear()
 
     def to_dict(self) -> dict:
         return {"spans": [span.to_dict() for span in self.roots]}
@@ -290,6 +281,8 @@ def format_explain_analyze(trace: dict | None) -> str:
     total = trace.get("duration", 0.0)
     lines.append(f"EXPLAIN ANALYZE  [{trace.get('name', 'query')}]")
     lines.append(f"total simulated time: {total:.4f}s")
+    if "wall_s" in trace:
+        lines.append(f"total wall time: {trace['wall_s']:.4f}s")
 
     admission = trace.get("attrs", {}).get("admission")
     if admission:
@@ -354,25 +347,12 @@ def format_explain_analyze(trace: dict | None) -> str:
                 f"select [{span.get('name')}]  "
                 f"rows={span.get('attrs', {}).get('output_rows', '?')}")
 
-    kernels = _format_kernels_section(trace)
-    if kernels:
-        lines.append("")
-        lines.extend(kernels)
-
-    memory = _format_memory_section(trace)
-    if memory:
-        lines.append("")
-        lines.extend(memory)
-
-    recovery = _format_recovery_section(trace)
-    if recovery:
-        lines.append("")
-        lines.extend(recovery)
-
-    supervision = _format_supervision_section(trace)
-    if supervision:
-        lines.append("")
-        lines.extend(supervision)
+    for section in (_format_kernels_section, _format_memory_section,
+                    _format_recovery_section, _format_supervision_section):
+        body = section(trace)
+        if body:
+            lines.append("")
+            lines.extend(body)
     return "\n".join(lines)
 
 

@@ -32,9 +32,6 @@ import re
 from collections import OrderedDict
 
 _WHITESPACE = re.compile(r"\s+")
-#: Every identifier the lexer can produce (a letter or ``_``, then word
-#: characters), plus words inside literals and comments: a superset.
-_IDENTIFIER = re.compile(r"[^\W\d]\w*")
 
 
 def _segments(sql: str):
@@ -127,15 +124,15 @@ class _LRUCache:
             self.metrics.inc(self.miss_counter)
         return False, None
 
+    def key(self, sql: str, catalog, config) -> tuple:
+        return self.normalized_key(normalize_sql(sql), catalog, config)
+
     def store(self, key, value) -> None:
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -158,8 +155,10 @@ class PlanCache(_LRUCache):
         super().__init__(capacity, metrics, "plan_cache_hits",
                          "plan_cache_misses")
 
-    def key(self, sql: str, catalog, config) -> tuple:
-        return (normalize_sql(sql), catalog.version, config.magic_filters)
+    def normalized_key(self, text: str, catalog, config) -> tuple:
+        """:meth:`key` of a statement already through :func:`normalize_sql`
+        (the service normalizes once per request)."""
+        return (text, catalog.version, config.magic_filters)
 
 
 class ResultCache(_LRUCache):
@@ -181,7 +180,6 @@ class ResultCache(_LRUCache):
         super().__init__(capacity, metrics, "result_cache_hits",
                          "result_cache_misses")
 
-    def key(self, sql: str, catalog, config) -> tuple:
-        text = normalize_sql(sql)
+    def normalized_key(self, text: str, catalog, config) -> tuple:
         return (text, catalog.version,
-                catalog.epochs(_IDENTIFIER.findall(text)), repr(config))
+                catalog.epochs(catalog.tables_named(text)), repr(config))

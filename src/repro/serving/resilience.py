@@ -98,37 +98,33 @@ class CircuitBreaker:
             raise ValueError(f"cooldown_s must be >= 0, got "
                              f"{self.cooldown_s}")
 
-    def _shape(self, key: str) -> _Shape:
-        if key not in self._shapes:
-            self._shapes[key] = _Shape()
-        return self._shapes[key]
-
     def check(self, key: str, now: float) -> None:
         """Gate one request; raises :class:`CircuitOpenError` when shedding.
 
         Called with the simulated clock.  An open shape whose cooldown
         has elapsed transitions to half-open and lets this request
-        through as the probe.
+        through as the probe.  A shape is tracked only while it has
+        failures or is not closed, so a healthy statement costs a lookup
+        and leaves nothing behind.
         """
-        shape = self._shape(key)
-        if shape.state == "open":
-            if now >= shape.open_until:
-                shape.state = "half_open"
-                return
-            raise CircuitOpenError(
-                f"circuit open for query shape {key[:60]!r}: "
-                f"{shape.failures} consecutive failures; next probe in "
-                f"{shape.open_until - now:.2f}s (simulated)",
-                shape=key, failures=shape.failures,
-                retry_after_s=shape.open_until - now)
+        shape = self._shapes.get(key)
+        if shape is None or shape.state != "open":
+            return
+        if now >= shape.open_until:
+            shape.state = "half_open"
+            return
+        raise CircuitOpenError(
+            f"circuit open for query shape {key[:60]!r}: "
+            f"{shape.failures} consecutive failures; next probe in "
+            f"{shape.open_until - now:.2f}s (simulated)",
+            shape=key, failures=shape.failures,
+            retry_after_s=shape.open_until - now)
 
     def record_success(self, key: str) -> None:
-        shape = self._shape(key)
-        shape.failures = 0
-        shape.state = "closed"
+        self._shapes.pop(key, None)  # closed, no failures: nothing to keep
 
     def record_failure(self, key: str, now: float) -> None:
-        shape = self._shape(key)
+        shape = self._shapes.setdefault(key, _Shape())
         shape.failures += 1
         if (shape.state == "half_open"
                 or shape.failures >= self.failure_threshold):
@@ -140,5 +136,4 @@ class CircuitBreaker:
 
     def report(self) -> dict:
         return {key: {"state": shape.state, "failures": shape.failures}
-                for key, shape in sorted(self._shapes.items())
-                if shape.failures or shape.state != "closed"}
+                for key, shape in sorted(self._shapes.items())}

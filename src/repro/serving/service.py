@@ -71,6 +71,11 @@ from repro.serving.session import Session
 from repro.serving.views import ServedView
 from repro.serving.wal import WriteAheadLog
 
+#: How many finished futures (each with its result relation) and
+#: execution-order ids a service keeps — the recent past, which is what
+#: the interleaving differentials and the post-recovery replay read; the
+#: total is counted, so a service does not grow with what it answered.
+COMPLETED_WINDOW = 256
 
 @dataclass
 class QueryFuture:
@@ -162,10 +167,13 @@ class QueryService:
         self._sessions: dict[str, Session] = {}
         self._views: dict[str, ServedView] = {}
         self._pending: list[_Request] = []
-        self._completed: list[QueryFuture] = []
+        #: The last :data:`COMPLETED_WINDOW` finished futures, and how
+        #: many ever finished.
+        self.completed: list[QueryFuture] = []
+        self.completed_total = 0
         self._next_request_id = 1
-        #: Execution order of completed requests (request ids), which the
-        #: interleaving differential replays serially.
+        #: Execution order of the completed requests still in the window
+        #: (request ids), which the interleaving differential replays.
         self.execution_order: list[int] = []
         self.retry_policy = retry_policy or RetryPolicy()
         if self.retry_policy.rng is None:
@@ -357,6 +365,7 @@ class QueryService:
             self.metrics.advance(self.service_overhead_s,
                                  label="serving-overhead")
         self.execution_order.append(future.request_id)
+        del self.execution_order[:-COMPLETED_WINDOW]
         try:
             while True:
                 try:
@@ -398,27 +407,28 @@ class QueryService:
             self.ctx.governor.release(request.ticket)
 
     def _run_sql_request(self, request: _Request) -> tuple[Relation, str]:
-        sql = request.sql
-        shape = normalize_sql(sql)
+        # Normalized once: the breaker's shape and both cache keys.
+        text = normalize_sql(request.sql)
         try:
-            self.breaker.check(shape, self.metrics.sim_time)
+            self.breaker.check(text, self.metrics.sim_time)
         except CircuitOpenError:
             self.metrics.inc("serving_circuit_shed")
             request.session.counters.inc("circuit_shed")
             raise
         try:
-            value, source = self._run_sql_inner(request)
+            value, source = self._run_sql_inner(request, text)
         except RaSQLError:
-            self.breaker.record_failure(shape, self.metrics.sim_time)
+            self.breaker.record_failure(text, self.metrics.sim_time)
             raise
-        self.breaker.record_success(shape)
+        self.breaker.record_success(text)
         return value, source
 
-    def _run_sql_inner(self, request: _Request) -> tuple[Relation, str]:
+    def _run_sql_inner(self, request: _Request,
+                       text: str) -> tuple[Relation, str]:
         session, sql = request.session, request.sql
         config = request.config or self.ctx.config
         catalog = self.ctx.catalog
-        result_key = self.result_cache.key(sql, catalog, config)
+        result_key = self.result_cache.normalized_key(text, catalog, config)
         found, cached = self.result_cache.lookup(result_key)
         if found:
             session.counters.inc("result_cache_hits")
@@ -441,7 +451,7 @@ class QueryService:
             # Crashed before its first checkpoint: plain re-execution.
             request.resume_checkpoint = False
 
-        plan_key = self.plan_cache.key(sql, catalog, config)
+        plan_key = self.plan_cache.normalized_key(text, catalog, config)
         plan_found, analyzed = self.plan_cache.lookup(plan_key)
         if plan_found:
             session.counters.inc("plan_cache_hits")
@@ -488,7 +498,9 @@ class QueryService:
         future.source = source
         future.finished_at = self.metrics.sim_time
         future.done = True
-        self._completed.append(future)
+        self.completed.append(future)
+        del self.completed[:-COMPLETED_WINDOW]
+        self.completed_total += 1
         session.counters.inc("failed" if error is not None else "completed")
         session.counters.inc("latency_s", future.latency_s)
         self._log({"type": "complete", "request_id": future.request_id,
@@ -565,6 +577,7 @@ class QueryService:
                         f"tail")
                 if rec.get("source") != "rejected":
                     self.execution_order.append(rid)
+                    del self.execution_order[:-COMPLETED_WINDOW]
                 if sub["kind"] == "insert" and rec["ok"]:
                     rows = [tuple(r) for r in sub["rows"]]
                     appended = self.ctx.catalog.append_rows(
@@ -622,15 +635,11 @@ class QueryService:
     # observability
     # ------------------------------------------------------------------
 
-    @property
-    def completed(self) -> list[QueryFuture]:
-        return list(self._completed)
-
     def report(self) -> dict:
         """Service-wide gauges: governor, caches, views, sessions."""
         return {
             "pending": len(self._pending),
-            "completed": len(self._completed),
+            "completed": self.completed_total,
             "governor": self.ctx.governor.report(),
             "circuit_breaker": self.breaker.report(),
             "plan_cache": self.plan_cache.report(),

@@ -110,6 +110,30 @@ class TestEventAttribution:
         assert metrics.events_since(metrics.event_count()) == []
 
 
+class TestScopedCounters:
+    def test_snapshot_reads_its_own_names_not_the_registry(self):
+        metrics = MetricsRegistry()
+        bob, eve = metrics.scoped("session.bob"), metrics.scoped("session.eve")
+        bob.inc("submitted")
+        bob.inc("latency_s", 0.25)
+        eve.inc("submitted", 3)
+        metrics.inc("tasks", 7)
+        assert metrics.get("session.bob.submitted") == bob.get("submitted") == 1
+        assert bob.snapshot() == {"submitted": 1, "latency_s": 0.25}
+        assert eve.snapshot() == {"submitted": 3}
+
+        class NoScans(dict):
+            def items(self):
+                raise AssertionError("the registry was scanned")
+
+            keys = values = __iter__ = items
+
+        metrics.counters = NoScans(metrics.counters)
+        assert bob.snapshot() == {"submitted": 1, "latency_s": 0.25}
+        metrics.reset()
+        assert bob.snapshot() == {}
+
+
 class TestBoundedEventLog:
     def test_the_log_keeps_the_recent_past_and_counts_everything(self):
         metrics = MetricsRegistry()
@@ -148,7 +172,7 @@ class TestBoundedEventLog:
         assert inner == {"shuffle": 2}
         assert outer == {"stage": 0.5 * (metrics.EVENT_LOG_DEPTH + 1),
                          "shuffle": 2}
-        assert metrics._attributing == []
+        assert metrics.windows == []
 
 
 class _TailOnlyList(list):

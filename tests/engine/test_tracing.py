@@ -1,15 +1,24 @@
 """Unit tests for the tracing span tree (EXPLAIN ANALYZE's backbone)."""
 
+import dataclasses
 import json
+from collections import defaultdict
 
 import pytest
 
+from repro.chaos import make_schedule, run_with_kill_resume
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.tracing import (
     Span,
     Tracer,
+    _find_dict,
     format_explain_analyze,
     iteration_timeline,
+)
+from tests.integration.test_chaos import (
+    NUM_WORKERS,
+    QUERY_SETUPS,
+    make_context_factory,
 )
 
 
@@ -150,3 +159,198 @@ class TestRendering:
     def test_span_find_includes_self(self):
         span = Span(kind="fixpoint", name="f")
         assert list(span.find("fixpoint")) == [span]
+
+
+class TestWindows:
+    def test_a_zero_increment_adds_no_key(self):
+        metrics, tracer = make_tracer()
+        sums = {}
+        with metrics.attributing(sums), tracer.span("stage", "s") as span:
+            metrics.inc("spill_bytes", 0)
+            metrics.inc("tasks")
+        assert span.metrics == {"tasks": 1}
+        assert metrics.windows == [] and sums == {}
+
+    def test_an_exception_leaves_no_window_open(self):
+        metrics, tracer = make_tracer()
+        with pytest.raises(ZeroDivisionError):
+            with tracer.span("query", "q"):
+                with metrics.attributing({}):
+                    with tracer.span("stage", "s"):
+                        with metrics.attributing({}):
+                            1 / 0
+        assert metrics.windows == [] and tracer.current is None
+
+    def test_spans_nest_through_a_bare_window_and_close_by_identity(self):
+        metrics, tracer = make_tracer()
+        with tracer.span("query", "q") as query:
+            with metrics.attributing({}):
+                first = tracer.begin("stage", "s")
+                assert tracer.current is first
+                tracer.end(first)
+                second = tracer.begin("stage", "s")
+                # Equal as a dataclass, but not the open window.
+                twin = dataclasses.replace(second)
+                assert twin == second
+                with pytest.raises(RuntimeError):
+                    tracer.end(twin)
+                tracer.end(second)
+        assert query.children == [first, second]
+        assert metrics.windows == []
+
+    def test_a_disabled_tracer_opens_no_window_and_attributing_still_sums(self):
+        metrics = MetricsRegistry()
+        tracer = Tracer(metrics, enabled=False)
+        sums = {}
+        with metrics.attributing(sums), tracer.span("query", "q") as span:
+            assert len(metrics.windows) == 1
+            metrics.inc("tasks", 2)
+            metrics.advance(0.25, label="shuffle")
+        assert sums == {"shuffle": 0.25}
+        assert span.metrics == {} and span.time_by_label == {}
+
+    def test_spans_carry_wall_time_and_leaves_none(self):
+        _, tracer = make_tracer()
+        with tracer.span("query", "q") as outer:
+            with tracer.span("stage", "s") as inner:
+                leaf = tracer.leaf("task", "t")
+        assert 0 < inner.wall_s <= outer.wall_s
+        assert leaf.wall_s == 0 and leaf.to_dict()["wall_s"] == 0
+        assert outer.to_dict()["wall_s"] == outer.wall_s
+        report = format_explain_analyze(outer.to_dict())
+        assert f"total wall time: {outer.wall_s:.4f}s" in report
+
+
+# ----------------------------------------------------------------------
+# The snapshot-and-diff the tracer used to do per span, kept as the
+# oracle: every span of every library query must carry exactly what a
+# copy of the registry at its begin, diffed against one at its end, says.
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    """Wrap ``Tracer.begin`` / ``end`` to copy the whole registry and mark
+    a complete log of labelled advances at both ends of every span;
+    yields the closed spans as ``(span, counter diff, per-label sums)``."""
+    begin, end, advance = Tracer.begin, Tracer.end, MetricsRegistry.advance
+    advances, marks, closed = [], {}, []
+
+    def logged_advance(self, seconds, label=""):
+        advance(self, seconds, label)
+        if label:
+            advances.append((self, label, seconds))
+
+    def marked_begin(self, kind, name, **attrs):
+        span = begin(self, kind, name, **attrs)
+        marks[id(span)] = (span, dict(self.metrics.counters), len(advances))
+        return span
+
+    def diffed_end(self, span):
+        end(self, span)
+        _, before, mark = marks.pop(id(span))
+        diff = {}
+        for counter, value in dict(self.metrics.counters).items():
+            delta = value - before.get(counter, 0.0)
+            if delta:
+                diff[counter] = delta
+        sums = {}
+        for registry, label, seconds in advances[mark:]:
+            if registry is self.metrics:
+                sums[label] = sums.get(label, 0.0) + seconds
+        closed.append((span, diff, sums))
+
+    monkeypatch.setattr(MetricsRegistry, "advance", logged_advance)
+    monkeypatch.setattr(Tracer, "begin", marked_begin)
+    monkeypatch.setattr(Tracer, "end", diffed_end)
+    yield closed
+    assert not marks, "a span was begun and never ended"
+
+
+def assert_spans_match_reference(closed):
+    assert closed
+    for span, diff, sums in closed:
+        where = f"{span.kind}:{span.name}"
+        assert span.metrics.keys() == diff.keys(), where
+        for counter, delta in diff.items():
+            heard = span.metrics[counter]
+            if float(delta).is_integer():
+                assert heard == delta, (where, counter)
+            else:  # a difference of sums rounds; a sum of parts does not
+                assert heard == pytest.approx(delta, rel=1e-9, abs=1e-12), \
+                    (where, counter)
+        # Same additions in the same order: bit-equal, key order included.
+        assert list(span.time_by_label.items()) == list(sums.items()), where
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("axis", ["clean", "chaos", "kill_resume"])
+@pytest.mark.parametrize("query_name", sorted(QUERY_SETUPS))
+def test_every_span_equals_the_snapshot_and_diff_reference(
+        query_name, axis, reference, tmp_path):
+    _, make_query = QUERY_SETUPS[query_name]
+    factory = make_context_factory(query_name)
+    if axis == "kill_resume":
+        # Every kill lands; most resumes restore a mid-run checkpoint,
+        # whose counters reach the open spans through ``inc``.
+        report = run_with_kill_resume(make_query(), factory, str(tmp_path),
+                                      seed=3, checkpoint_interval=1)
+        assert report.exact and report.killed, report.summary()
+    else:
+        ctx = factory()
+        if axis == "chaos":
+            make_schedule(29, num_workers=NUM_WORKERS).arm(ctx.cluster)
+        ctx.sql(make_query())
+        root = ctx.last_run.trace
+        # A fresh registry's root span heard every addition the registry
+        # made since admission, in the same order: bit-equal to the
+        # snapshot.
+        snapshot = {name: value for name, value in ctx.last_run.metrics.items()
+                    if value and name not in ("sim_time", "queries_admitted")}
+        assert root["metrics"] == snapshot
+        assert root["time_by_label"] == ctx.last_run.time_breakdown
+    assert_spans_match_reference(reference)
+    assert len({id(span) for span, _, _ in reference}) == len(reference)
+
+
+class _CountsWholeReads(defaultdict):
+    """A counter dict that counts every read of *all* of itself — the
+    copy and the walk a per-span snapshot-and-diff needs."""
+
+    whole_reads = 0
+
+    def _whole(self, read):
+        self.whole_reads += 1
+        return read()
+
+    def items(self):
+        return self._whole(super().items)
+
+    def keys(self):  # what ``dict(counters)`` calls on a subclass
+        return self._whole(super().keys)
+
+    def values(self):
+        return self._whole(super().values)
+
+    def copy(self):
+        return self._whole(super().copy)
+
+    def __iter__(self):
+        return self._whole(super().__iter__)
+
+
+def test_a_query_reads_the_whole_registry_once_however_many_spans():
+    _, make_query = QUERY_SETUPS["sssp"]
+    ctx = make_context_factory("sssp")()
+    counters = ctx.metrics.counters = _CountsWholeReads(float)
+    for i in range(20_000):
+        counters[f"session.c{i}.submitted"] = 1.0
+    ctx.sql(make_query())
+    spans = sum(1 for kind in ("query", "fixpoint", "iteration", "stage")
+                for _ in _find_dict(ctx.last_run.trace, kind))
+    assert spans > 10
+    # ... the ``RunInfo.metrics`` snapshot, and nothing per span.
+    assert counters.whole_reads == 1
+    assert len(ctx.last_run.metrics) > 20_000
+    assert not any(name.startswith("session.")
+                   for name in ctx.last_run.trace["metrics"])

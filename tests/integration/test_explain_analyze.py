@@ -240,7 +240,7 @@ class TestTracerRetainsNothingPerQuery:
         with pytest.raises(QueryDeadlineExceededError) as aborted:
             ctx.sql(sssp, config=ExecutionConfig(deadline_seconds=1e-9))
         assert aborted.value.partial_trace == ctx.last_run.trace
-        assert len(tracer.roots) <= 2 and not tracer._counter_marks
+        assert len(tracer.roots) <= 2 and not ctx.metrics.windows
 
         ctx.sql(sssp)
         fresh = sssp_ctx()

@@ -10,13 +10,16 @@ reads, hot / pooled / cold SQL, single-row inserts — DESIGN.md §19):
   before inserts appended);
 - over a 5,000-request soak nothing that should be bounded grows between
   the first and the last decile: tracer roots, the registry's event log,
-  the entries of every cache.
+  the entries of every cache, the finished futures (and their results)
+  and execution-order ids the service holds, the circuit breaker's
+  shapes.
 """
 
 import pytest
 
 from repro.core.physical import BASE_SIDE_CACHE_SLOTS, BaseSideCache
 from repro.serving.cache import PlanCache, ResultCache
+from repro.serving.service import COMPLETED_WINDOW
 from repro.serving.workload import build_service, generate_ops, submit_op
 
 pytestmark = [pytest.mark.serving, pytest.mark.usefixtures("ungated_kernels")]
@@ -76,7 +79,10 @@ def test_a_5000_request_soak_does_not_age():
                 "base sides": len(ctx.base_sides),
                 "plan cache": len(service.plan_cache),
                 "result cache": len(service.result_cache),
-                "attribution windows": len(ctx.metrics._attributing)}
+                "attribution windows": len(ctx.metrics.windows),
+                "completed futures": len(service.completed),
+                "execution order": len(service.execution_order),
+                "breaker shapes": len(service.breaker._shapes)}
 
     for op in ops[:decile]:
         serve(service, op)
@@ -92,6 +98,14 @@ def test_a_5000_request_soak_does_not_age():
     assert early["base sides"] <= BASE_SIDE_CACHE_SLOTS
     assert early["plan cache"] == service.plan_cache.capacity
     assert early["result cache"] == service.result_cache.capacity
+    assert (early["completed futures"] == early["execution order"]
+            == COMPLETED_WINDOW)
+    assert early["breaker shapes"] == 0
+    # The windows hold the recent past; the totals count everything.
+    assert service.report()["completed"] == len(ops)
+    assert service.execution_order == [f.request_id
+                                       for f in service.completed]
+    assert service.completed[-1].request_id == len(ops)
     assert ctx.metrics.event_count() > 10 * ctx.metrics.EVENT_LOG_DEPTH
     # The log kept the recent past: the tail still reads through.
     mark = ctx.metrics.event_count() - 5

@@ -89,6 +89,34 @@ class TestCacheKeys:
                 != ResultCache().key(narrow, catalog, config))
 
 
+    def test_a_request_normalizes_its_statement_once(self, monkeypatch):
+        from repro.serving import cache, service as service_module
+
+        calls = []
+
+        def counting(sql):
+            calls.append(sql)
+            return normalize_sql(sql)
+
+        monkeypatch.setattr(cache, "normalize_sql", counting)
+        monkeypatch.setattr(service_module, "normalize_sql", counting)
+        ctx = RaSQLContext(num_workers=2)
+        ctx.register_table("t", ["Name"], [("a",), ("b",)])
+        service = QueryService(ctx, scheduler="fifo")
+        session = service.session("alice")
+        statement = "SELECT  Name FROM t ;"
+        first, second = session.sql(statement), session.sql(statement)
+        service.drain()
+        assert (first.source, second.source) == ("executed", "result_cache")
+        # One scan per request — breaker shape, result key and plan key
+        # share it — and the keys are the ones ``key(sql, ...)`` builds.
+        assert calls == [statement, statement]
+        assert (service.result_cache.key(statement, ctx.catalog, ctx.config)
+                in service.result_cache._entries)
+        assert (service.plan_cache.key(statement, ctx.catalog, ctx.config)
+                in service.plan_cache._entries)
+
+
 class TestEndToEnd:
     """The user-visible symptom: the service served the wrong rows."""
 

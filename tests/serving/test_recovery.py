@@ -315,6 +315,18 @@ class TestCircuitBreaker:
         assert breaker.state("q") == "closed"
         assert breaker.report() == {}
 
+    def test_a_shape_exists_only_while_failing_or_not_closed(self):
+        breaker = CircuitBreaker(failure_threshold=2, cooldown_s=10.0)
+        for i in range(100):
+            breaker.check(f"healthy-{i}", now=0.0)
+            breaker.record_success(f"healthy-{i}")
+        assert breaker._shapes == {}
+        breaker.record_failure("flaky", now=0.0)
+        assert breaker.report() == {"flaky": {"state": "closed",
+                                              "failures": 1}}
+        breaker.record_success("flaky")
+        assert breaker._shapes == {}
+
     def test_failing_shape_is_shed_then_probed(self):
         ctx = make_context()
         service = QueryService(

@@ -1,5 +1,6 @@
 """Unit tests for file IO and the CLI."""
 
+import json
 import subprocess
 import sys
 
@@ -135,3 +136,23 @@ class TestCli:
     def test_bad_table_spec_errors(self):
         proc = self.run_cli("--table", "nopath", "-q", "SELECT 1")
         assert proc.returncode != 0
+
+    def test_workload_scorecard(self, capsys):
+        # In process (``main`` is what ``python -m repro`` calls), so a
+        # call trace of the suite sees the serving workload run.
+        from repro.__main__ import main
+
+        argv = ["workload", "--clients", "8", "--requests", "40", "--quick"]
+        assert main(argv + ["--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["clients"], summary["requests"]) == (8, 40)
+        assert summary["completed"] == 40 and summary["failed"] == 0
+        assert summary["latency"]["overall"]["count"] == 40
+        assert summary["latency"]["view_read"]["p50_s"] > 0
+        assert 0 < summary["cache"]["view_snapshot_hit_rate"] <= 1
+        assert summary["sim_time_s"] > 0
+
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "workload: 40 requests from 8 sessions (40 ok" in text
+        assert "caches: plan hit rate" in text
