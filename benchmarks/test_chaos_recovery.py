@@ -16,28 +16,30 @@ import pytest
 
 from harness import NUM_WORKERS, dump_trace, once, report, rmat_tables
 from repro import RaSQLContext
-from repro.chaos import ChaosSchedule, make_schedule, run_with_chaos
+from repro.chaos import make_schedule, run_differential
 from repro.engine.faults import FailureInjector, WorkerLossInjector
 from repro.queries import get_query
 
 GRAPH_SIZE = 2_000
 SEED = 23
 
-#: (label, schedule builder) — increasing failure rates.
+
+def task_deaths(count):
+    return [FailureInjector("fixpoint", task_index=i % NUM_WORKERS, times=1,
+                            point="after" if i % 2 else "before")
+            for i in range(count)]
+
+
+#: (label, injector-list builder) — increasing failure rates.
 SWEEP = [
-    ("no faults", lambda: ChaosSchedule(seed=SEED)),
+    ("no faults", list),
     ("2 task deaths", lambda: make_schedule(
-        SEED, num_workers=NUM_WORKERS, task_deaths=2, worker_losses=0)),
-    ("6 task deaths", lambda: ChaosSchedule(seed=SEED, injectors=[
-        FailureInjector("fixpoint", task_index=i % NUM_WORKERS, times=1,
-                        point="after" if i % 2 else "before")
-        for i in range(6)])),
-    ("6 deaths + worker loss", lambda: ChaosSchedule(seed=SEED, injectors=[
-        FailureInjector("fixpoint", task_index=i % NUM_WORKERS, times=1,
-                        point="after" if i % 2 else "before")
-        for i in range(6)
-    ] + [WorkerLossInjector("fixpoint", worker=None, at_task=1,
-                            skip_matches=2)])),
+        SEED, num_workers=NUM_WORKERS, task_deaths=2,
+        worker_losses=0).injectors),
+    ("6 task deaths", lambda: task_deaths(6)),
+    ("6 deaths + worker loss", lambda: task_deaths(6) + [
+        WorkerLossInjector("fixpoint", worker=None, at_task=1,
+                           skip_matches=2)]),
 ]
 
 
@@ -55,17 +57,20 @@ def test_recovery_overhead_vs_failure_rate(benchmark):
     def run():
         rows = []
         last_trace = None
-        for label, build_schedule in SWEEP:
-            result = run_with_chaos(query, make_context, build_schedule())
-            assert result.matches, f"{label}: chaos run diverged"
-            task_fired, losses_fired = result.schedule.injected_counts()
+        for label, build_faults in SWEEP:
+            faults = build_faults()
+            result = run_differential(query, make_context, faults=faults)
+            assert result.exact, f"{label}: {result.summary()}"
             rows.append([
                 label,
-                task_fired + losses_fired,
+                # crash faults only: the seeded schedule's memory squeeze
+                # degrades the run but kills nothing
+                sum(f.injected for f in faults if isinstance(
+                    f, (FailureInjector, WorkerLossInjector))),
                 result.counters["task_attempts"],
                 result.counters["cache_invalidated_partitions"],
-                result.chaos_sim_time,
-                result.overhead_seconds,
+                result.subject_run.sim_time,
+                result.subject_run.sim_time - result.oracle_run.sim_time,
                 result.counters["recovery_seconds"],
             ])
             last_trace = result.trace

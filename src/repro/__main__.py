@@ -167,17 +167,17 @@ def make_context(args, config: ExecutionConfig) -> RaSQLContext:
 
 
 def run_chaos(args, query: str, config: ExecutionConfig) -> int:
-    from repro.chaos import make_schedule, run_with_chaos
+    from repro.chaos import make_schedule, run_differential
     from repro.engine.tracing import format_explain_analyze
 
     schedule = make_schedule(args.chaos, num_workers=args.workers)
-    report = run_with_chaos(query, lambda: make_context(args, config),
-                            schedule)
-    print(report.summary())
+    report = run_differential(query, lambda: make_context(args, config),
+                              faults=schedule.injectors)
+    print(f"chaos[seed={schedule.seed}] {report.summary()}")
     if args.explain_analyze:
         print()
         print(format_explain_analyze(report.trace))
-    if not report.matches:
+    if not report.exact:
         print("error: chaos run diverged from the clean run",
               file=sys.stderr)
         return 1
@@ -424,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
 
     ctx = make_context(args, config)
     if args.faults:
-        from repro.chaos import parse_fault_spec
+        from repro.engine.faults import parse_fault_spec
 
         try:
             ctx.inject_faults(*(parse_fault_spec(s) for s in args.faults))

@@ -1,30 +1,33 @@
-"""Chaos-test harness: seeded fault schedules, verified against a clean run.
+"""The differential harness: run an oracle, run a subject, compare.
 
 Section 6.1 claims the cached all-relation partitions make recovery cheap
 *and* exact: a failure only replays the current stage, and the replayed
-stage recomputes the same deltas.  This module turns that claim into a
-repeatable experiment:
-
-1. :func:`make_schedule` derives a deterministic fault schedule (task
-   deaths + worker losses, random stages/tasks/points) from a seed.
-2. :func:`run_with_chaos` runs a query twice on fresh clusters — once
-   clean, once under the schedule — and reports whether the results are
-   bit-exact, what the recovery counters recorded, and how much simulated
-   time the faults cost.
+stage recomputes the same deltas.  Every such claim here — recovery, kill
++ resume, real signals against worker processes, spilling, kernels on vs
+off, a killed and recovered service — is checked one way:
+:func:`run_differential` runs the query on a fresh *oracle* context and on
+a fresh *subject* one (another config or backend, and/or fault injectors),
+and one :class:`DifferentialReport` says whether rows, iteration count and
+convergence verdict agree, what fired, what the subject's counters
+recorded, and what the contexts left behind.  A new axis is a new
+``subject=`` / ``faults=`` argument, not a new driver.
 
 Everything is seeded, so a failing ``(query, seed)`` pair reproduces
-exactly.  The CLI exposes the harness as ``python -m repro --chaos SEED``
-and the lower-level ``--faults SPEC`` (see :func:`parse_fault_spec`).
+exactly.  The CLI exposes the harness as ``python -m repro --chaos SEED``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
 import os
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.checkpoint import make_query_id
+from repro.core.config import DEFAULT_CHECKPOINT_INTERVAL, DEFAULT_CONFIG
 from repro.engine.faults import (
     CorruptionInjector,
     DriverKillInjector,
@@ -32,27 +35,19 @@ from repro.engine.faults import (
     MemoryPressureInjector,
     ProcessKillInjector,
     WorkerLossInjector,
+    injector_kind,
 )
-from repro.errors import DriverCrashError
+from repro.engine.memory import MemoryConfig
+from repro.errors import DriverCrashError, RaSQLError
 
-__all__ = [
-    "ChaosReport",
-    "ChaosSchedule",
-    "KillResumeReport",
-    "RealKillReport",
-    "ServiceChaosReport",
-    "ServiceOp",
-    "make_real_kill_schedule",
-    "make_schedule",
-    "make_service_schedule",
-    "parse_fault_spec",
-    "run_service_with_chaos",
-    "run_with_chaos",
-    "run_with_kill_resume",
-    "run_with_real_kills",
-]
 
-_FAILURE_POINTS = ("before", "after")
+def _describe(fault) -> str:
+    if isinstance(fault, dict):  # a worker-side directive (poison / hang)
+        return f"worker-{fault['kind']}[{fault['stage']}]"
+    options = " ".join(f"{f.name}={getattr(fault, f.name)}"
+                       for f in dataclasses.fields(fault)
+                       if f.init and getattr(fault, f.name) != f.default)
+    return f"{injector_kind(fault)}[{options}]"
 
 
 @dataclass
@@ -67,37 +62,17 @@ class ChaosSchedule:
         for injector in self.injectors:
             cluster.inject_failures(injector)
 
-    @property
-    def task_injectors(self) -> list[FailureInjector]:
-        return [i for i in self.injectors if isinstance(i, FailureInjector)]
-
-    @property
-    def loss_injectors(self) -> list[WorkerLossInjector]:
-        return [i for i in self.injectors if isinstance(i, WorkerLossInjector)]
-
-    @property
-    def pressure_injectors(self) -> list[MemoryPressureInjector]:
-        return [i for i in self.injectors
-                if isinstance(i, MemoryPressureInjector)]
-
-    def injected_counts(self) -> tuple[int, int]:
-        """(task failures fired, worker losses fired) after a run."""
-        return (sum(i.injected for i in self.task_injectors),
-                sum(i.injected for i in self.loss_injectors))
+    def fired(self) -> Counter:
+        """Strikes that landed so far, per fault kind
+        (:data:`repro.engine.faults.INJECTOR_KINDS`)."""
+        counts: Counter = Counter()
+        for injector in self.injectors:
+            counts[injector_kind(injector)] += injector.injected
+        return counts
 
     def describe(self) -> str:
-        parts = []
-        for i in self.task_injectors:
-            parts.append(f"task-death[{i.stage_pattern} task={i.task_index} "
-                         f"point={i.point} times={i.times}]")
-        for i in self.loss_injectors:
-            victim = "auto" if i.worker is None else i.worker
-            parts.append(f"worker-loss[{i.stage_pattern} worker={victim} "
-                         f"at_task={i.at_task} skip={i.skip_matches}]")
-        for i in self.pressure_injectors:
-            parts.append(f"memory-pressure[{i.stage_pattern} "
-                         f"fraction={i.fraction:.2f} skip={i.skip_matches}]")
-        return f"seed={self.seed}: " + ("; ".join(parts) or "no faults")
+        return f"seed={self.seed}: " + (
+            "; ".join(map(_describe, self.injectors)) or "no faults")
 
 
 def make_schedule(seed: int, num_workers: int = 4,
@@ -117,228 +92,18 @@ def make_schedule(seed: int, num_workers: int = 4,
     """
     rng = random.Random(seed)
     n = num_partitions or num_workers
-    injectors: list = []
-    for _ in range(task_deaths):
-        injectors.append(FailureInjector(
-            stage_pattern,
-            task_index=rng.randrange(n),
-            times=1,
-            point=rng.choice(_FAILURE_POINTS)))
-    for _ in range(worker_losses):
-        injectors.append(WorkerLossInjector(
-            stage_pattern,
-            worker=None,
-            at_task=rng.randrange(n),
-            skip_matches=rng.randrange(3),
-            times=1))
-    for _ in range(memory_pressure):
-        injectors.append(MemoryPressureInjector(
-            stage_pattern,
-            fraction=rng.uniform(0.3, 0.7),
-            skip_matches=rng.randrange(3),
-            times=1))
-    return ChaosSchedule(seed=seed, injectors=injectors)
-
-
-def parse_fault_spec(spec: str):
-    """Parse a CLI ``--faults`` spec into an injector.
-
-    Grammar (colon-separated)::
-
-        task:PATTERN[:key=value ...]            -> FailureInjector
-        worker-loss:PATTERN[:key=value ...]     -> WorkerLossInjector
-        memory-pressure:PATTERN[:key=value ...] -> MemoryPressureInjector
-
-    Examples::
-
-        task:fixpoint:task_index=1:point=after:times=2
-        task:fixpoint-map:task_index=any:persistent=true
-        worker-loss:fixpoint:worker=2:at_task=1:skip_matches=3
-        memory-pressure:fixpoint:fraction=0.4:skip_matches=1
-
-    Two durability-layer kinds ride the same grammar::
-
-        driver-kill:PATTERN[:key=value ...]     -> DriverKillInjector
-        corruption[:key=value ...]              -> CorruptionInjector
-
-    And one process-backend kind (real signals against pool workers)::
-
-        process-kill:PATTERN[:key=value ...]    -> ProcessKillInjector
-
-    e.g. ``process-kill:fixpoint:signal=stop:skip_matches=2``.
-
-    ``corruption`` takes no stage pattern (it strikes exchanges, counted
-    by ``skip_matches``): ``corruption:skip_matches=2:seed=7``.
-
-    ``task_index=any`` targets every task of a matching stage.
-    """
-    parts = spec.split(":")
-    if parts and parts[0] == "corruption":
-        # Pattern-less grammar: every remaining part is an option.
-        parts = ["corruption", ""] + parts[1:]
-    if len(parts) < 2:
-        raise ValueError(
-            f"bad fault spec {spec!r}: expected 'task:PATTERN[...]' or "
-            "'worker-loss:PATTERN[...]'")
-    kind, pattern, *options = parts
-    kwargs: dict = {}
-    for option in options:
-        key, sep, value = option.partition("=")
-        if not sep:
-            raise ValueError(f"bad fault option {option!r} in {spec!r} "
-                             "(expected key=value)")
-        if key in ("point", "signal"):
-            kwargs[key] = value
-        elif key in ("persistent",):
-            kwargs[key] = value.lower() in ("1", "true", "yes")
-        elif key == "task_index" and value.lower() in ("any", "none", "*"):
-            kwargs[key] = None
-        elif key == "worker" and value.lower() in ("auto", "none", "*"):
-            kwargs[key] = None
-        elif key == "fraction":
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise ValueError(
-                    f"bad fault option {option!r} in {spec!r}") from None
-        else:
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"bad fault option {option!r} in {spec!r}") from None
-    if kind == "task":
-        return FailureInjector(pattern, **kwargs)
-    if kind == "worker-loss":
-        return WorkerLossInjector(pattern, **kwargs)
-    if kind == "memory-pressure":
-        return MemoryPressureInjector(pattern, **kwargs)
-    if kind == "driver-kill":
-        return DriverKillInjector(pattern, **kwargs)
-    if kind == "process-kill":
-        return ProcessKillInjector(pattern, **kwargs)
-    if kind == "corruption":
-        return CorruptionInjector(**kwargs)
-    raise ValueError(f"unknown fault kind {kind!r} in {spec!r} "
-                     "(expected 'task', 'worker-loss', "
-                     "'memory-pressure', 'driver-kill', 'process-kill', "
-                     "or 'corruption')")
-
-
-def _sorted_rows(rows: Sequence[tuple]) -> list[tuple]:
-    # repr-keyed sort tolerates mixed-type columns (ints vs strings).
-    return sorted(rows, key=repr)
-
-
-@dataclass
-class ChaosReport:
-    """Outcome of one clean-vs-chaos comparison run."""
-
-    schedule: ChaosSchedule
-    matches: bool
-    baseline_rows: int
-    chaos_rows: int
-    baseline_sim_time: float
-    chaos_sim_time: float
-    #: Recovery counters of the chaos run (``RunInfo.fault_summary``).
-    counters: dict[str, float]
-    #: The chaos run's span tree, for EXPLAIN ANALYZE rendering.
-    trace: dict | None = None
-
-    @property
-    def overhead_seconds(self) -> float:
-        return self.chaos_sim_time - self.baseline_sim_time
-
-    @property
-    def failures_injected(self) -> int:
-        task_fired, loss_fired = self.schedule.injected_counts()
-        return task_fired + loss_fired
-
-    def summary(self) -> str:
-        verdict = "EXACT" if self.matches else "MISMATCH"
-        return (
-            f"chaos[{self.schedule.describe()}] -> {verdict}: "
-            f"{self.chaos_rows} rows (clean {self.baseline_rows}); "
-            f"sim {self.baseline_sim_time:.4f}s -> {self.chaos_sim_time:.4f}s "
-            f"(+{self.overhead_seconds:.4f}s recovery); "
-            f"failures={self.counters.get('task_failures', 0):.0f} "
-            f"lost={self.counters.get('workers_lost', 0):.0f} "
-            f"attempts={self.counters.get('task_attempts', 0):.0f}")
-
-
-def run_with_chaos(query: str, make_context: Callable[[], "object"],
-                   schedule: ChaosSchedule) -> ChaosReport:
-    """Run a query clean and under a fault schedule; compare bit-exactly.
-
-    ``make_context`` must return a *fresh* :class:`repro.RaSQLContext`
-    (tables registered, deterministic data) on every call — the two runs
-    must not share cluster state, or the comparison is meaningless.
-    """
-    baseline_ctx = make_context()
-    baseline = baseline_ctx.sql(query)
-    baseline_time = baseline_ctx.last_run.sim_time
-
-    chaos_ctx = make_context()
-    schedule.arm(chaos_ctx.cluster)
-    chaotic = chaos_ctx.sql(query)
-    run = chaos_ctx.last_run
-
-    return ChaosReport(
-        schedule=schedule,
-        matches=_sorted_rows(baseline.rows) == _sorted_rows(chaotic.rows),
-        baseline_rows=len(baseline.rows),
-        chaos_rows=len(chaotic.rows),
-        baseline_sim_time=baseline_time,
-        chaos_sim_time=run.sim_time,
-        counters=run.fault_summary(),
-        trace=run.trace,
-    )
-
-
-# ----------------------------------------------------------------------
-# process-backend chaos: real signals against real worker processes
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class RealKillReport:
-    """Outcome of one clean-simulated-vs-killed-process differential.
-
-    The baseline is the *simulated* backend (the deterministic oracle);
-    the chaos run executes on real worker processes while injectors
-    SIGKILL/SIGSTOP them mid-query.  Exactness asks for identical result
-    rows, identical iteration counts, and an identical convergence
-    verdict — recovery must not change what the query computes.
-    """
-
-    seed: int
-    matches: bool
-    iterations_match: bool
-    converged_match: bool
-    baseline_rows: int
-    chaos_rows: int
-    baseline_iterations: int
-    chaos_iterations: int
-    kills_fired: int
-    #: Supervision counters of the chaos run
-    #: (``RunInfo.supervision_summary``).
-    counters: dict[str, float] = field(default_factory=dict)
-    trace: dict | None = None
-
-    @property
-    def exact(self) -> bool:
-        return self.matches and self.iterations_match and self.converged_match
-
-    def summary(self) -> str:
-        verdict = "EXACT" if self.exact else "MISMATCH"
-        return (
-            f"real-kills[seed={self.seed} fired={self.kills_fired}] -> "
-            f"{verdict}: {self.chaos_rows} rows (clean "
-            f"{self.baseline_rows}), iter {self.chaos_iterations} (clean "
-            f"{self.baseline_iterations}); "
-            f"crashes={self.counters.get('process_worker_crashes', 0):.0f} "
-            f"reaps={self.counters.get('process_worker_reaps', 0):.0f} "
-            f"respawns={self.counters.get('process_worker_respawns', 0):.0f}")
+    deaths = [FailureInjector(stage_pattern, task_index=rng.randrange(n),
+                              times=1, point=rng.choice(("before", "after")))
+              for _ in range(task_deaths)]
+    losses = [WorkerLossInjector(stage_pattern, worker=None,
+                                 at_task=rng.randrange(n),
+                                 skip_matches=rng.randrange(3), times=1)
+              for _ in range(worker_losses)]
+    squeezes = [MemoryPressureInjector(stage_pattern,
+                                       fraction=rng.uniform(0.3, 0.7),
+                                       skip_matches=rng.randrange(3), times=1)
+                for _ in range(memory_pressure)]
+    return ChaosSchedule(seed=seed, injectors=deaths + losses + squeezes)
 
 
 def make_real_kill_schedule(seed: int, kills: int = 1,
@@ -355,329 +120,331 @@ def make_real_kill_schedule(seed: int, kills: int = 1,
             for _ in range(kills)]
 
 
-def run_with_real_kills(query: str, make_context: Callable[[], "object"],
-                        injectors: Sequence[ProcessKillInjector],
-                        seed: int = 0) -> RealKillReport:
-    """Run a query on the simulated oracle and on the process backend
-    under real signal injection; compare bit-exactly.
-
-    ``make_context`` must accept a ``backend`` keyword and return a
-    fresh :class:`repro.RaSQLContext` on that backend with identical
-    deterministic tables each call.  The process context is closed
-    (pool torn down) before returning.
-    """
-    baseline_ctx = make_context(backend="simulated")
-    baseline = baseline_ctx.sql(query)
-    baseline_run = baseline_ctx.last_run
-
-    chaos_ctx = make_context(backend="process")
-    for injector in injectors:
-        chaos_ctx.cluster.inject_failures(injector)
-    try:
-        chaotic = chaos_ctx.sql(query)
-        run = chaos_ctx.last_run
-    finally:
-        chaos_ctx.close()
-
-    return RealKillReport(
-        seed=seed,
-        matches=_sorted_rows(baseline.rows) == _sorted_rows(chaotic.rows),
-        iterations_match=baseline_run.iterations == run.iterations,
-        converged_match=_converged(baseline_run) == _converged(run),
-        baseline_rows=len(baseline.rows),
-        chaos_rows=len(chaotic.rows),
-        baseline_iterations=baseline_run.iterations,
-        chaos_iterations=run.iterations,
-        kills_fired=sum(i.injected for i in injectors),
-        counters=run.supervision_summary(),
-        trace=run.trace,
-    )
+def driver_kill(seed: int) -> Callable[[object], list[DriverKillInjector]]:
+    """``faults=`` of a kill-resume differential: one driver kill whose
+    strike position is drawn from ``seed`` using the *oracle's* iteration
+    count (at least one matching stage per iteration), so across seeds it
+    lands early, mid-run and near convergence — and sometimes past the
+    end, exercising the query-completed-anyway path."""
+    rng = random.Random(seed)
+    return lambda oracle_run: [DriverKillInjector(
+        "fixpoint",
+        skip_matches=rng.randrange(max(1, oracle_run.iterations + 2)))]
 
 
-# ----------------------------------------------------------------------
-# durability chaos: driver kills against checkpoints and the WAL
-# ----------------------------------------------------------------------
+def sorted_rows(rows) -> list[tuple]:
+    """A relation's (or a row list's) rows in a canonical order; the
+    repr-keyed sort tolerates mixed-type columns (ints vs strings)."""
+    return sorted(getattr(rows, "rows", rows), key=repr)
 
 
-@dataclass
-class KillResumeReport:
-    """Outcome of one clean-vs-(kill+resume) differential."""
-
-    seed: int
-    #: Whether the injected driver kill actually fired (a skip count past
-    #: the end of the run means the query simply completed — the
-    #: comparison is then clean-vs-clean and must still match).
-    killed: bool
-    matches: bool
-    iterations_match: bool
-    converged_match: bool
-    clean_rows: int
-    resumed_rows: int
-    clean_iterations: int
-    resumed_iterations: int
-    #: The checkpointed iteration the resumed run continued from
-    #: (0 = crashed before the first checkpoint, resumed from scratch).
-    resumed_from: int
-
-    @property
-    def exact(self) -> bool:
-        return self.matches and self.iterations_match and self.converged_match
-
-    def summary(self) -> str:
-        verdict = "EXACT" if self.exact else "MISMATCH"
-        return (f"kill-resume[seed={self.seed} killed={self.killed} "
-                f"from_iter={self.resumed_from}] -> {verdict}: "
-                f"{self.resumed_rows} rows (clean {self.clean_rows}), "
-                f"iter {self.resumed_iterations} (clean "
-                f"{self.clean_iterations})")
-
-
-def _converged(run) -> bool:
+def converged(run) -> bool:
     """Did every clique's delta history drain to zero?"""
     return all(history[-1] == 0
                for history in run.delta_history.values() if history)
 
 
-def run_with_kill_resume(query: str, make_context: Callable[[], "object"],
-                         checkpoint_dir: str, seed: int = 0,
-                         checkpoint_interval: int | None = None
-                         ) -> KillResumeReport:
-    """Kill a checkpointed query mid-fixpoint, resume it, diff vs clean.
-
-    Three fresh contexts (``make_context`` must rebuild identical
-    deterministic state each call):
-
-    1. **clean** — the full uninterrupted run, checkpointing on (same
-       config as the victim, so plan choices are identical), writing
-       into a sibling directory;
-    2. **victim** — same config, with a :class:`DriverKillInjector`
-       whose strike position is drawn from ``seed`` using the clean
-       run's iteration count, so across seeds the kill lands early,
-       mid-run, and near convergence;
-    3. **resume** — a restarted driver continuing the victim via
-       :meth:`repro.RaSQLContext.resume`.
-
-    Exactness asks for identical result rows, identical total iteration
-    count, and an identical convergence verdict.
-    """
-    from repro.core.config import DEFAULT_CHECKPOINT_INTERVAL
-
-    interval = checkpoint_interval or DEFAULT_CHECKPOINT_INTERVAL
-    clean_ctx = make_context()
-    clean_cfg = clean_ctx.config.but(
-        checkpoint_interval=interval,
-        checkpoint_dir=os.path.join(checkpoint_dir, "clean"))
-    clean = clean_ctx.sql(query, config=clean_cfg)
-    clean_run = clean_ctx.last_run
-
-    rng = random.Random(seed)
-    # At least one matching stage per iteration; capping the skip by the
-    # iteration count keeps most seeds lethal while letting some overrun
-    # (exercising the query-completed-anyway path).
-    skip = rng.randrange(max(1, clean_run.iterations + 2))
-    chaos_dir = os.path.join(checkpoint_dir, "chaos")
-    victim_ctx = make_context()
-    victim_cfg = victim_ctx.config.but(checkpoint_interval=interval,
-                                       checkpoint_dir=chaos_dir)
-    victim_ctx.inject_faults(DriverKillInjector("fixpoint",
-                                                skip_matches=skip))
-    killed = False
-    try:
-        resumed = victim_ctx.sql(query, config=victim_cfg)
-        final_run = victim_ctx.last_run
-    except DriverCrashError:
-        killed = True
-        resume_ctx = make_context()
-        resumed = resume_ctx.resume(make_query_id(query),
-                                    checkpoint_dir=chaos_dir)
-        final_run = resume_ctx.last_run
-
-    return KillResumeReport(
-        seed=seed,
-        killed=killed,
-        matches=_sorted_rows(clean.rows) == _sorted_rows(resumed.rows),
-        iterations_match=clean_run.iterations == final_run.iterations,
-        converged_match=_converged(clean_run) == _converged(final_run),
-        clean_rows=len(clean.rows),
-        resumed_rows=len(resumed.rows),
-        clean_iterations=clean_run.iterations,
-        resumed_iterations=final_run.iterations,
-        resumed_from=final_run.resumed_from,
-    )
-
-
-# ----------------------------------------------------------------------
-# serving-layer chaos: kill a live service, recover it, diff vs serial
-# ----------------------------------------------------------------------
-
-
 @dataclass
-class ServiceOp:
-    """One client operation in a service chaos schedule."""
+class DifferentialReport:
+    """Outcome of one oracle-vs-subject comparison."""
 
-    kind: str  # "sql" | "view_read" | "insert"
-    session: str
-    sql: str | None = None
-    view_name: str | None = None
-    table: str | None = None
-    rows: list = field(default_factory=list)
+    #: Canonically ordered result rows of each side (a service
+    #: differential: ``(request id, answer)`` per compared request);
+    #: the subject's are ``None`` when its query raised ``error``.
+    oracle_rows: list
+    subject_rows: list | None
+    #: Each side's ``RunInfo`` (the subject's is the resumed run when a
+    #: kill fired); ``None`` for a service differential.
+    oracle_run: object = None
+    subject_run: object = None
+    #: The faults armed on the subject.
+    faults: list = field(default_factory=list)
+    #: A driver kill fired (and, under ``resume=True``, was resumed).
+    killed: bool = False
+    error: RaSQLError | None = None
+    #: What the contexts left behind (see :func:`_leaks`).
+    leaks: list[str] = field(default_factory=list)
+    #: Axis-specific extras (the service differential's phase counts).
+    details: dict = field(default_factory=dict)
 
+    @property
+    def exact(self) -> bool:
+        """Same rows, same iteration count, same convergence verdict —
+        and nothing leaked."""
+        if self.subject_rows != self.oracle_rows or self.leaks:
+            return False
+        a, b = self.oracle_run, self.subject_run
+        return a is None or (a.iterations == b.iterations
+                             and converged(a) == converged(b))
 
-def make_service_schedule(seed: int, queries: Sequence[str],
-                          view_name: str, insert_table: str,
-                          insert_rows: Sequence[Sequence],
-                          num_ops: int = 10) -> list[ServiceOp]:
-    """A seeded mixed op stream: SQL, served-view reads, inserts.
+    @property
+    def fired(self) -> int:
+        """Strikes of the armed injectors that landed."""
+        return sum(getattr(fault, "injected", 0) for fault in self.faults)
 
-    Insert rows are dealt from ``insert_rows`` round-robin (each row
-    submitted at most once, so replays of the schedule are idempotent at
-    the catalog level); sessions alternate between two tenants.
-    """
-    rng = random.Random(seed)
-    ops: list[ServiceOp] = []
-    deck = list(insert_rows)
-    for index in range(num_ops):
-        session = ("alice", "bob")[index % 2]
-        kind = rng.choice(("sql", "view_read", "insert"))
-        if kind == "insert" and not deck:
-            kind = "view_read"
-        if kind == "sql":
-            ops.append(ServiceOp("sql", session, sql=rng.choice(list(queries))))
-        elif kind == "view_read":
-            ops.append(ServiceOp("view_read", session, view_name=view_name))
-        else:
-            ops.append(ServiceOp("insert", session, table=insert_table,
-                                 rows=[tuple(deck.pop(0))]))
-    return ops
+    @property
+    def counters(self) -> dict[str, float]:
+        """The subject run's counters (absent reads as 0)."""
+        return defaultdict(float, self.subject_run.metrics)
 
-
-@dataclass
-class ServiceChaosReport:
-    """Outcome of one killed-service-vs-serial-replay differential."""
-
-    seed: int
-    killed: bool
-    matches: bool
-    mismatched_requests: list = field(default_factory=list)
-    completed_before_crash: int = 0
-    readmitted: int = 0
-    compared: int = 0
-    corruption_detected: int = 0
-    execution_order: list = field(default_factory=list)
+    @property
+    def trace(self) -> dict | None:
+        """The subject run's span tree, for EXPLAIN ANALYZE rendering."""
+        return self.subject_run.trace
 
     def summary(self) -> str:
-        verdict = "EXACT" if self.matches else "MISMATCH"
-        return (f"service-chaos[seed={self.seed} killed={self.killed}] -> "
-                f"{verdict}: {self.compared} post-recovery results compared "
-                f"(pre-crash {self.completed_before_crash}, re-admitted "
-                f"{self.readmitted}, corruption detected "
-                f"{self.corruption_detected})")
+        faults = "; ".join(map(_describe, self.faults)) or "no faults"
+        got = (type(self.error).__name__ if self.error
+               else f"{len(self.subject_rows)} rows")
+        text = (f"differential[{faults}] -> "
+                f"{'EXACT' if self.exact else 'MISMATCH'}: {got} (oracle "
+                f"{len(self.oracle_rows)}); fired={self.fired} "
+                f"killed={self.killed}")
+        if self.subject_run is not None:
+            a, b, count = self.oracle_run, self.subject_run, self.counters
+            text += (
+                f" from_iter={b.resumed_from}; iter {b.iterations} (oracle "
+                f"{a.iterations}); sim {a.sim_time:.4f}s -> {b.sim_time:.4f}s;"
+                + "".join(f" {name}={count[name]:.0f}" for name in (
+                    "task_failures", "workers_lost", "task_attempts",
+                    "process_worker_crashes", "process_worker_reaps",
+                    "process_worker_respawns") if count[name]))
+        text += "".join(f" {k}={v}" for k, v in self.details.items())
+        return text + ("; LEAKED: " + "; ".join(self.leaks)
+                       if self.leaks else "")
 
 
-def _submit_op(service, op: ServiceOp, sql_config):
-    session = service.session(op.session)
-    if op.kind == "sql":
-        return service.submit(session, op.sql, config=sql_config)
-    if op.kind == "view_read":
-        return service.submit_view_read(session, op.view_name)
-    return service.submit_insert(session, op.table, op.rows)
+def _leaks(contexts: Sequence, dead: Sequence = (),
+           checkpoint_dirs: Sequence[str] = (),
+           completed: bool = True) -> list[str]:
+    """What the closed ``contexts`` left behind: open attribution windows,
+    kept tracer roots, held governor tickets (a ``dead`` context models a
+    crashed driver, whose tickets died with it), live child processes,
+    and checkpoint files — a ``.tmp`` always, a blob once its query
+    ``completed``.  (The spill tier is simulated and owns no files.)"""
+    leaks = []
+    for index, ctx in enumerate(contexts):
+        governor = ctx.governor.report()
+        for what, left in (
+                ("open attribution windows", ctx.metrics.windows),
+                ("tracer roots", ctx.cluster.tracer.roots),
+                ("governor tickets", ctx not in dead and (
+                    governor["active"] or governor["waiting"]
+                    or governor["reserved_bytes"]))):
+            if left:
+                leaks.append(f"context {index}: {what}: {left}")
+    for directory in checkpoint_dirs:
+        for root, _, files in os.walk(directory):
+            leaks.extend(
+                f"checkpoint file {os.path.join(root, name)}" for name in files
+                if name.endswith((".tmp", ".ckpt") if completed else ".tmp"))
+    leaks.extend(f"child process {child.name}"
+                 for child in multiprocessing.active_children())
+    return leaks
 
 
-def run_service_with_chaos(make_context: Callable[[], "object"],
-                           ops: Sequence[ServiceOp], *,
-                           view_name: str, view_sql: str,
-                           wal_path: str, checkpoint_dir: str,
-                           seed: int = 0,
-                           kill_after_requests: int = 2,
-                           corruptions: int = 0) -> ServiceChaosReport:
+def squeezed(ctx) -> dict:
+    """``subject=`` of a spill differential: a hard per-worker budget that
+    makes the query the (oracle) ``ctx`` just ran spill when run again —
+    above its largest single segment (so the budget cannot abort) but at
+    60% of its peak resident set."""
+    memory = ctx.cluster.memory
+    peak = max(memory.high_water_bytes(worker)
+               for worker in range(ctx.cluster.num_workers))
+    return {"memory_config": MemoryConfig(worker_budget_bytes=max(
+        memory.max_segment_bytes() + 1, int(0.6 * peak)))}
+
+
+def checkpoint_sides(directory: str, interval: int | None = None) -> dict:
+    """``oracle=`` / ``subject=`` of a kill-resume differential: both
+    sides checkpoint (same config, so plan choices are identical) into
+    sibling directories under ``directory``."""
+    return {side: {"config": DEFAULT_CONFIG.but(
+        checkpoint_interval=interval or DEFAULT_CHECKPOINT_INTERVAL,
+        checkpoint_dir=os.path.join(directory, side))}
+        for side in ("oracle", "subject")}
+
+
+def run_differential(query: str, make_context: Callable[..., object], *,
+                     oracle: dict | None = None,
+                     subject: dict | Callable[[object], dict] | None = None,
+                     faults=(), resume: bool = False) -> DifferentialReport:
+    """Run ``query`` on an oracle and on a subject; compare bit-exactly.
+
+    ``make_context(**side)`` must return a *fresh*
+    :class:`repro.RaSQLContext` (tables registered, deterministic data)
+    each call — runs sharing cluster state compare nothing — whose
+    ``config`` the query runs under.  ``oracle`` / ``subject`` are the
+    keywords of the two calls: whatever differs between the sides
+    (``config=``, ``memory_config=``, ...; default: nothing).  ``subject``
+    may be a function of the finished oracle context (:func:`squeezed`).
+
+    ``faults`` are armed on the subject only: injectors, worker-side
+    directive dicts (``ProcessClusterBackend.add_chaos``), or a function
+    of the oracle's ``RunInfo`` returning them (:func:`driver_kill`).
+
+    ``resume=True`` is the one control-flow difference: a
+    :class:`DriverCrashError` out of the subject is the modelled crash,
+    and the query continues on another fresh subject context via
+    :meth:`repro.RaSQLContext.resume`.  A typed :class:`RaSQLError` lands
+    on ``report.error``.  Every context is closed (the process pool torn
+    down) on every path, then checked for leaks.
+    """
+    contexts, dead = [], []
+
+    def fresh(side):
+        contexts.append(make_context(**(side or {})))
+        return contexts[-1]
+
+    killed, error, actual = False, None, None
+    try:
+        oracle_ctx = fresh(oracle)
+        expected = oracle_ctx.sql(query)
+        if callable(subject):
+            subject = subject(oracle_ctx)
+        if callable(faults):
+            faults = faults(oracle_ctx.last_run)
+        faults = list(faults)
+        ctx = fresh(subject)
+        directives = [f for f in faults if isinstance(f, dict)]
+        ctx.inject_faults(*(f for f in faults if not isinstance(f, dict)))
+        if directives:
+            ctx.cluster.backend.add_chaos(directives)
+        try:
+            actual = ctx.sql(query)
+        except DriverCrashError:
+            if not resume:
+                raise
+            killed = True
+            dead.append(ctx)
+            ctx = fresh(subject)
+            actual = ctx.resume(make_query_id(query))
+        except RaSQLError as exc:
+            error = exc
+    finally:
+        for context in contexts:
+            context.close()
+    return DifferentialReport(
+        oracle_rows=sorted_rows(expected),
+        subject_rows=None if error else sorted_rows(actual),
+        oracle_run=oracle_ctx.last_run, subject_run=ctx.last_run,
+        faults=faults, killed=killed, error=error,
+        leaks=_leaks(contexts, dead,
+                     {c.config.checkpoint_dir for c in contexts} - {None},
+                     completed=error is None))
+
+
+def future_answer(future):
+    """A finished future's comparable answer: sorted rows, an insert's
+    appended-row count, or the name of the error it failed with."""
+    if not future.ok:
+        return type(future.error).__name__
+    value = future.value
+    return value if future.kind == "insert" else sorted_rows(value)
+
+
+def serial_replay(ctx, ops: dict[int, tuple], execution_order: Sequence[int],
+                  views: dict[str, str]) -> dict[int, object]:
+    """The serial witness of a service run: replay its recorded
+    ``execution_order`` one request at a time on the fresh ``ctx`` — plain
+    ``ctx.sql`` (a view read re-runs the view's statement from ``views``),
+    ``catalog.append_rows`` for inserts; no service, no caches, no
+    incremental maintenance.  ``ops`` maps request ids to
+    :mod:`repro.serving.workload` op tuples; returns ``{request id:
+    answer}`` in :func:`future_answer`'s form."""
+    answers: dict[int, object] = {}
+    for request_id in execution_order:
+        _, kind, payload = ops[request_id]
+        if kind == "insert":
+            answers[request_id] = ctx.catalog.append_rows(*payload)
+        else:
+            answers[request_id] = sorted_rows(
+                ctx.sql(payload if kind == "sql" else views[payload]))
+    return answers
+
+
+def run_service_differential(make_context: Callable[..., object],
+                             ops: Sequence[tuple], *,
+                             views: dict[str, str],
+                             wal_path: str, checkpoint_dir: str,
+                             oracle: dict | None = None,
+                             subject: dict | None = None,
+                             seed: int = 0, kill_after_requests: int = 2,
+                             corruptions: int = 0) -> DifferentialReport:
     """Kill a live :class:`repro.serving.QueryService` under load; verify.
 
-    Phase 1 boots a WAL-logged service, creates the served view, submits
-    the whole op stream up front (op *i* is request id ``i + 1``), steps
-    ``kill_after_requests`` requests, then arms a seeded
-    :class:`DriverKillInjector` and drains until the driver dies (or the
-    backlog ends — some seeds survive; the differential must still
-    match).  Phase 2 recovers a fresh service from the WAL on a
-    bootstrap-state context and drains the re-admitted backlog.  Phase 3
-    replays the recovered service's ``execution_order`` serially —
-    one op at a time on a fresh context, no service, no caches, no
-    checkpoints — and diffs every post-recovery result against it.
+    ``ops`` are :func:`repro.serving.workload.generate_ops` tuples;
+    ``views`` maps each served view they read to its statement; the
+    killed and the recovered service run on ``make_context(**subject)``,
+    the serial witness on ``make_context(**oracle)``.  Phase 1
+    boots a WAL-logged service, creates the views, submits the whole
+    stream (op *i* is request id ``i + 1``), steps ``kill_after_requests``
+    requests, then arms a seeded :class:`DriverKillInjector` and drains
+    until the driver dies (or the backlog ends — some seeds survive; the
+    differential must still match).  Phase 2 recovers a fresh service
+    from the WAL on a bootstrap-state context and drains the re-admitted
+    backlog.  Phase 3 is :func:`serial_replay` of the recovered service's
+    ``execution_order``; every post-recovery answer is diffed against it.
     """
     from repro.serving import QueryService
+    from repro.serving.workload import submit_op
 
-    ctx = make_context()
-    service = QueryService(ctx, scheduler="seeded", seed=seed,
-                           wal_path=wal_path)
-    service.create_view(view_name, view_sql)
-    rng = random.Random(seed)
-    sql_config = ctx.config.but(
-        checkpoint_interval=3, checkpoint_dir=checkpoint_dir)
-    for op in ops:
-        _submit_op(service, op, sql_config)
-    for index in range(corruptions):
-        ctx.cluster.inject_failures(CorruptionInjector(
-            skip_matches=rng.randrange(4), seed=seed * 31 + index))
-
+    contexts = [make_context(**side or {})
+                for side in (subject, subject, oracle)]
+    ctx, recovered_ctx, serial_ctx = contexts
+    services: list = []
     killed = False
-    completed_before_crash = 0
     try:
-        for _ in range(kill_after_requests):
-            if service.step() is None:
-                break
-            completed_before_crash += 1
-        # Arm the kill only now: the view DDL and warm-up requests run
-        # unharmed, so the crash lands mid-backlog.
-        ctx.inject_faults(DriverKillInjector("fixpoint",
-                                             skip_matches=rng.randrange(6)))
-        while service.step() is not None:
-            completed_before_crash += 1
-    except DriverCrashError:
-        killed = True
-
-    # -- restart: bootstrap-state context, WAL replay, drain ------------
-    recovered_ctx = make_context()
-    recovered = QueryService.recover(recovered_ctx, wal_path)
-    recovered.drain()
-    by_id = {future.request_id: future for future in recovered.completed}
-
-    # -- serial replay of the recovered execution order ------------------
-    serial_ctx = make_context()
-    serial_cfg = serial_ctx.config  # no checkpoints, no caches, no service
-    mismatched: list = []
-    compared = 0
-    for request_id in recovered.execution_order:
-        op = ops[request_id - 1]
-        if op.kind == "insert":
-            serial_ctx.catalog.append_rows(op.table, op.rows)
-            expected: object = len(op.rows)
-        elif op.kind == "sql":
-            expected = serial_ctx.sql(op.sql, config=serial_cfg)
-        else:
-            expected = serial_ctx.sql(view_sql, config=serial_cfg)
-        future = by_id.get(request_id)
-        if future is None or not future.ok:
-            continue  # pre-crash completion: result died with the driver
-        compared += 1
-        actual = future.value
-        if op.kind == "insert":
-            same = actual == expected
-        else:
-            same = (_sorted_rows(actual.rows)
-                    == _sorted_rows(expected.rows))
-        if not same:
-            mismatched.append(request_id)
-
-    detected = recovered_ctx.metrics.snapshot().get(
-        "shuffle_corruption_detected", 0)
-    detected += ctx.metrics.snapshot().get("shuffle_corruption_detected", 0)
-    return ServiceChaosReport(
-        seed=seed,
-        killed=killed,
-        matches=not mismatched,
-        mismatched_requests=mismatched,
-        completed_before_crash=completed_before_crash,
-        readmitted=len(recovered.recovered_futures),
-        compared=compared,
-        corruption_detected=int(detected),
-        execution_order=list(recovered.execution_order),
-    )
+        service = QueryService(ctx, scheduler="seeded", seed=seed,
+                               wal_path=wal_path)
+        services.append(service)
+        for name, sql in views.items():
+            service.create_view(name, sql)
+        rng = random.Random(seed)
+        sql_config = ctx.config.but(
+            checkpoint_interval=3, checkpoint_dir=checkpoint_dir)
+        for op in ops:
+            submit_op(service, op, config=sql_config)
+        faults = [CorruptionInjector(skip_matches=rng.randrange(4),
+                                     seed=seed * 31 + index)
+                  for index in range(corruptions)]
+        ctx.inject_faults(*faults)
+        try:
+            for _ in range(kill_after_requests):
+                service.step()
+            # Arm the kill only now: the view DDL and warm-up requests run
+            # unharmed, so the crash lands mid-backlog.
+            faults.append(DriverKillInjector(
+                "fixpoint", skip_matches=rng.randrange(6)))
+            ctx.inject_faults(faults[-1])
+            service.drain()
+        except DriverCrashError:
+            killed = True
+        recovered = QueryService.recover(recovered_ctx, wal_path)
+        services.append(recovered)
+        recovered.drain()
+        expected = serial_replay(
+            serial_ctx, dict(enumerate(ops, start=1)),
+            recovered.execution_order, views)
+    finally:
+        for service in services:
+            service.wal.close()
+        for context in contexts:
+            context.close()
+    # A pre-crash completion's result died with the driver: only what the
+    # recovered service answered is compared.
+    answered = {future.request_id: future_answer(future)
+                for future in recovered.completed}
+    compared = [rid for rid in recovered.execution_order if rid in answered]
+    return DifferentialReport(
+        oracle_rows=[(rid, expected[rid]) for rid in compared],
+        subject_rows=[(rid, answered[rid]) for rid in compared],
+        faults=faults, killed=killed,
+        leaks=_leaks(contexts, [ctx] if killed else (), [checkpoint_dir]),
+        details={"compared": len(compared),
+                 "readmitted": len(recovered.recovered_futures),
+                 "corruption_detected": int(sum(
+                     c.metrics.get("shuffle_corruption_detected")
+                     for c in (ctx, recovered_ctx))),
+                 "stale_checkpoints": int(recovered_ctx.metrics.get(
+                     "serving_checkpoint_stale"))})

@@ -35,6 +35,7 @@ from repro.core.checkpoint import (
     make_query_id,
 )
 from repro.core.config import DEFAULT_CONFIG, ExecutionConfig
+from repro.core.decompose import decompose_keys
 from repro.core.executor import execute_select
 from repro.core.fixpoint import FixpointOperator
 from repro.core.governor import QueryGovernor
@@ -328,7 +329,9 @@ class RaSQLContext:
 
         Durability forces the stacked plan (decomposed plans run their
         own nested loops without a global iteration barrier, so there is
-        no consistent cut to persist); small inputs take the reference
+        no consistent cut to persist; a decomposable clique run this way
+        says so as ``decomposed_ineligible`` on its ``fixpoint`` span and
+        in EXPLAIN ANALYZE); small inputs take the reference
         loops (:func:`repro.core.planner.gate_kernels`, counted as
         ``kernel_small_input_gate`` unless ``count_gate`` is off).
         """
@@ -522,6 +525,10 @@ class RaSQLContext:
         operator = FixpointOperator(
             plan_clique(unit, clique_config), self.cluster, clique_config,
             resolve, checkpointer=checkpointer, base_sides=self.base_sides)
+        if (effective.decomposed_plans and not clique_config.decomposed_plans
+                and decompose_keys(unit) is not None):
+            # No silent degradation: the clique would have run decomposed.
+            operator.decomposed_ineligible = "checkpointing"
         payload = None
         if resume_state is not None and resume_state["unit"] == unit_index:
             payload = resume_state["payload"]

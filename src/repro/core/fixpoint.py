@@ -148,6 +148,9 @@ class FixpointOperator:
         #: to the worker pool (the all-relation state then lives
         #: worker-side until collected); ``None`` on the driver-local path.
         self.session_id: str | None = None
+        #: Why a decomposable clique was planned stacked (a typed slug the
+        #: session sets; annotated on the ``fixpoint`` span), or ``None``.
+        self.decomposed_ineligible: str | None = None
         if config.evaluation == "naive":
             for view in planned.views.values():
                 if any(a is not None and a.name in ("sum", "count")
@@ -497,6 +500,9 @@ class FixpointOperator:
             self._setup_base_relations()
             span.annotate(base_sides=dict(self.base_side_counts),
                           **self._note_generated_stage())
+            if self.decomposed_ineligible:
+                span.annotate(
+                    decomposed_ineligible=self.decomposed_ineligible)
             open_remote_session(self, span)
             try:
                 start, history, notes = 0, None, {}

@@ -28,7 +28,11 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.core.executor import execute_select
-from repro.core.fixpoint import FixpointOperator
+from repro.core.fixpoint import (
+    FixpointOperator,
+    _distinct,
+    _extend_distinct,
+)
 from repro.core.logical import CliquePlan, ScanNode
 from repro.core.planner import plan_clique
 from repro.errors import AnalysisError, PlanningError
@@ -91,8 +95,15 @@ class IncrementalView:
                     self._tables[key] = Relation(
                         original.name, original.columns, list(original.rows))
 
-        self.operator = FixpointOperator(self.planned, ctx.cluster,
-                                         self.config, self._resolve)
+        #: table -> (its distinct rows — the *facts* the fixpoint resolves
+        #: and joins over — and their membership set, filled at the first
+        #: insert and kept): what :meth:`insert` tells a new fact from a
+        #: re-submitted row with.
+        self._facts = {key: (_distinct(table, own=True), set())
+                       for key, table in self._tables.items()}
+        self.operator = FixpointOperator(
+            self.planned, ctx.cluster, self.config,
+            lambda name: self._resolve(name, facts=True))
         # Outside any query, so the view owns (and drops) its own traces.
         with ctx.cluster.tracer.owned_span("view", "materialize"):
             self.iterations, _ = self.operator.run()
@@ -124,10 +135,12 @@ class IncrementalView:
                         f"{view.name!r} with a self-joined base table "
                         f"{sorted(duplicated)} would double-count")
 
-    def _resolve(self, name: str) -> Relation:
+    def _resolve(self, name: str, facts: bool = False) -> Relation:
+        """The view's copy of a table it reads — as submitted (a bag), or
+        its distinct ``facts`` — else the session catalog's."""
         key = name.lower()
         if key in self._tables:
-            return self._tables[key]
+            return self._facts[key][0] if facts else self._tables[key]
         return self.ctx.catalog.get(name)
 
     # ------------------------------------------------------------------
@@ -158,18 +171,30 @@ class IncrementalView:
         # final stratum may scan the base table directly).
         self._cached_result = None
 
-        # 1. make the new rows visible to every cached join side (before
+        # Recursion evaluates over *facts* (``FixpointOperator.resolve``):
+        # a row the table already holds, or one repeated inside the batch,
+        # must not reach a join side or the maintenance terms again, or it
+        # inflates sum/count heads.  The table itself keeps every
+        # submitted row: the final stratum scans it as a bag.
+        facts = self._facts[key][0].rows
+        held = len(facts)
+        _extend_distinct(self._facts[key], new_rows)
+        new_facts = facts[held:]
+        relation.rows.extend(new_rows)
+        if not new_facts:
+            return 0
+
+        # 1. make the new facts visible to every cached join side (before
         #    evaluating, so same-table multi-reference rules see them).
         for plan in self.planned.base_plans:
             if plan.relation.lower() == key:
-                self.operator.append_base_rows(plan, new_rows)
-        relation.rows.extend(new_rows)
+                self.operator.append_base_rows(plan, new_facts)
 
         # 2. derive the new contributions and run the ordinary semi-naive
         #    loop from the existing state.
         with self.ctx.cluster.tracer.owned_span("view", f"insert[{key}]"):
             iterations = self.operator.maintain(
-                self.planned.maintenance_terms.get(key, ()), new_rows)
+                self.planned.maintenance_terms.get(key, ()), new_facts)
         self.iterations += iterations
         return iterations
 

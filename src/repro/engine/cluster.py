@@ -52,14 +52,11 @@ from typing import Callable, Iterable, Sequence
 from repro.engine.backend import ClusterBackend, ProcessConfig, SimulatedBackend
 from repro.engine.dataset import Dataset, Partition
 from repro.engine.faults import (
-    CorruptionInjector,
-    DriverKillInjector,
-    FailureInjector,
+    INJECTOR_KINDS,
     FaultToleranceConfig,
-    MemoryPressureInjector,
-    ProcessKillInjector,
     RecoveryManager,
     WorkerLossInjector,
+    injector_kind,
 )
 from repro.engine.memory import MemoryConfig, MemoryManager
 from repro.engine.metrics import CostModel, MetricsRegistry
@@ -189,15 +186,18 @@ class Cluster:
         #: (``None`` = no deadline); set by ``RaSQLContext.sql``.
         self.deadline: float | None = None
         self.lost_workers: set[int] = set()
-        self.failure_injectors: list[FailureInjector] = []
-        self.worker_loss_injectors: list[WorkerLossInjector] = []
-        self.memory_pressure_injectors: list[MemoryPressureInjector] = []
-        self.corruption_injectors: list[CorruptionInjector] = []
-        self.driver_kill_injectors: list[DriverKillInjector] = []
+        #: Armed injectors by fault kind (``faults.INJECTOR_KINDS``); the
+        #: named lists below are the same objects.
+        self.armed: dict[str, list] = {kind: [] for kind in INJECTOR_KINDS}
+        self.failure_injectors = self.armed["task"]
+        self.worker_loss_injectors = self.armed["worker-loss"]
+        self.memory_pressure_injectors = self.armed["memory-pressure"]
+        self.corruption_injectors = self.armed["corruption"]
+        self.driver_kill_injectors = self.armed["driver-kill"]
         #: Real-signal chaos for the process backend; deliberately NOT
         #: part of ``_injecting`` — these strike OS processes, not the
         #: simulated attempt loop, and must not disable remote batches.
-        self.process_kill_injectors: list[ProcessKillInjector] = []
+        self.process_kill_injectors = self.armed["process-kill"]
         if isinstance(backend, ClusterBackend):
             self.backend = backend
         elif backend == "process":
@@ -221,27 +221,9 @@ class Cluster:
     # ------------------------------------------------------------------
 
     def inject_failures(self, injector) -> None:
-        """Arm a :class:`FailureInjector`, :class:`WorkerLossInjector`,
-        :class:`MemoryPressureInjector`, :class:`CorruptionInjector`,
-        :class:`DriverKillInjector`, or :class:`ProcessKillInjector`."""
-        armed_by_class = (
-            (FailureInjector, self.failure_injectors),
-            (WorkerLossInjector, self.worker_loss_injectors),
-            (MemoryPressureInjector, self.memory_pressure_injectors),
-            (CorruptionInjector, self.corruption_injectors),
-            (DriverKillInjector, self.driver_kill_injectors),
-            (ProcessKillInjector, self.process_kill_injectors),
-        )
-        for injector_class, armed in armed_by_class:
-            if isinstance(injector, injector_class):
-                armed.append(injector)
-                return
-        raise TypeError(
-            f"inject_failures() takes a "
-            f"{', '.join(c.__name__ for c, _ in armed_by_class[:-1])} or "
-            f"{armed_by_class[-1][0].__name__}, not "
-            f"{type(injector).__name__} (a ChaosSchedule is armed with "
-            f"schedule.arm(cluster))")
+        """Arm an injector of any :data:`repro.engine.faults.INJECTOR_KINDS`
+        class; anything else is a ``TypeError`` here, not mid-query."""
+        self.armed[injector_kind(injector)].append(injector)
 
     @property
     def _injecting(self) -> bool:

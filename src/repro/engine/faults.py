@@ -300,6 +300,80 @@ class DriverKillInjector(_StageTrigger):
     _seen: int = field(default=0, init=False)
 
 
+#: Fault kind -> injector class: the first word of a ``--faults`` spec
+#: (:func:`parse_fault_spec`) and the key of the list
+#: ``Cluster.inject_failures`` arms an injector on (``Cluster.armed``).
+INJECTOR_KINDS = {
+    "task": FailureInjector,
+    "worker-loss": WorkerLossInjector,
+    "memory-pressure": MemoryPressureInjector,
+    "corruption": CorruptionInjector,
+    "driver-kill": DriverKillInjector,
+    "process-kill": ProcessKillInjector,
+}
+
+#: How a spec option's value is read when it is not an int.
+_OPTION_TYPES = {
+    "point": str, "signal": str, "fraction": float,
+    "persistent": lambda value: value.lower() in ("1", "true", "yes"),
+}
+
+
+def injector_kind(injector) -> str:
+    """The :data:`INJECTOR_KINDS` key of an injector instance."""
+    for kind, injector_class in INJECTOR_KINDS.items():
+        if isinstance(injector, injector_class):
+            return kind
+    names = [c.__name__ for c in INJECTOR_KINDS.values()]
+    raise TypeError(
+        f"expected a {', '.join(names[:-1])} or {names[-1]}, not "
+        f"{type(injector).__name__} (a ChaosSchedule is armed with "
+        f"schedule.arm(cluster))")
+
+
+def parse_fault_spec(spec: str):
+    """Parse a CLI ``--faults`` spec into an injector.
+
+    Grammar: ``KIND:PATTERN[:key=value ...]`` with ``KIND`` a key of
+    :data:`INJECTOR_KINDS`, ``PATTERN`` the stage regex and the options
+    the injector's fields; ``corruption[:key=value ...]`` takes no pattern
+    (it strikes exchanges, counted by ``skip_matches``)::
+
+        task:fixpoint:task_index=1:point=after:times=2
+        task:fixpoint-map:task_index=any:persistent=true
+        worker-loss:fixpoint:worker=auto:at_task=1:skip_matches=3
+        memory-pressure:fixpoint:fraction=0.4:skip_matches=1
+        process-kill:fixpoint:signal=stop:skip_matches=2
+        corruption:skip_matches=2:seed=7
+
+    ``task_index=any`` targets every task of a matching stage;
+    ``worker=auto`` picks the victim at fire time.
+    """
+    kind, *parts = spec.split(":")
+    injector_class = INJECTOR_KINDS.get(kind)
+    if injector_class is None or not (parts or kind == "corruption"):
+        raise ValueError(
+            f"bad fault spec {spec!r}: expected KIND:PATTERN[:key=value ...] "
+            f"with KIND one of {', '.join(INJECTOR_KINDS)}")
+    args = [] if kind == "corruption" else [parts.pop(0)]
+    kwargs: dict = {}
+    for option in parts:
+        key, sep, value = option.partition("=")
+        if not sep:
+            raise ValueError(f"bad fault option {option!r} in {spec!r} "
+                             "(expected key=value)")
+        if key in ("task_index", "worker") and value.lower() in (
+                "any", "auto", "none", "*"):
+            kwargs[key] = None
+            continue
+        try:
+            kwargs[key] = _OPTION_TYPES.get(key, int)(value)
+        except ValueError:
+            raise ValueError(
+                f"bad fault option {option!r} in {spec!r}") from None
+    return injector_class(*args, **kwargs)
+
+
 class RecoveryManager:
     """Retry budget, backoff, and worker blacklisting for one cluster.
 

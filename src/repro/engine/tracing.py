@@ -316,6 +316,10 @@ def format_explain_analyze(trace: dict | None) -> str:
                 f"{sides['appended']} appended, "
                 f"{sides['built']} built, {sides['bypassed']} bypassed"
                 + (f"  ({stored})" if stored else ""))
+        if "decomposed_ineligible" in attrs:
+            lines.append(
+                f"  decomposed-ineligible: {attrs['decomposed_ineligible']}"
+                f"  (a decomposable clique, planned stacked)")
         if not iterations:
             continue
         view_names = sorted({

@@ -60,6 +60,7 @@ from repro.engine.serialization import rows_size
 from repro.errors import (
     AdmissionRejectedError,
     AnalysisError,
+    CheckpointError,
     CircuitOpenError,
     RaSQLError,
     WALError,
@@ -440,16 +441,24 @@ class QueryService:
                      "session": session.name}
 
         if request.resume_checkpoint and config.checkpointing:
+            request.resume_checkpoint = False
             qid = make_query_id(sql)
             if CheckpointStore(config.checkpoint_dir).has_resumable(qid):
-                result = self.ctx.resume_admitted(
-                    qid, config, label=request.future.label,
-                    admission=admission)
-                self.metrics.inc("serving_checkpoint_resumes")
-                self.result_cache.store(result_key, result)
-                return result, "resumed"
-            # Crashed before its first checkpoint: plain re-execution.
-            request.resume_checkpoint = False
+                try:
+                    result = self.ctx.resume_admitted(
+                        qid, config, label=request.future.label,
+                        admission=admission)
+                except CheckpointError:
+                    # Unusable — typically cut over data a re-admitted
+                    # insert, scheduled first, has since changed.  The
+                    # request is not lost to it: the plain re-execution
+                    # below supersedes the manifest and collects the blob.
+                    self.metrics.inc("serving_checkpoint_stale")
+                else:
+                    self.metrics.inc("serving_checkpoint_resumes")
+                    self.result_cache.store(result_key, result)
+                    return result, "resumed"
+            # (Or crashed before its first checkpoint.)
 
         plan_key = self.plan_cache.normalized_key(text, catalog, config)
         plan_found, analyzed = self.plan_cache.lookup(plan_key)
@@ -477,19 +486,24 @@ class QueryService:
         return relation, "view_evaluated"
 
     def _run_insert(self, request: _Request) -> tuple[int, str]:
-        table, rows = request.table, request.rows
-        # Catalog first: append_rows validates the schema and grows the
-        # table's epoch, which retires by key every result-cache entry
-        # of a statement naming the table.
-        appended = self.ctx.catalog.append_rows(table, rows)
+        appended = self._apply_insert(request.table, request.rows)
         self.metrics.inc("serving_inserts")
         self.metrics.inc("serving_rows_inserted", appended)
+        return appended, "applied"
+
+    def _apply_insert(self, table: str, rows: list[tuple]) -> int:
+        """Append to the catalog, then maintain every served view over
+        that table — a live insert and a replayed one alike.  Catalog
+        first: ``append_rows`` validates the schema and grows the table's
+        epoch, which retires by key every result-cache entry of a
+        statement naming the table."""
+        appended = self.ctx.catalog.append_rows(table, rows)
         if appended:
             key = table.lower()
             for served in self._views.values():
                 if key in served.tables:
                     served.maintain(table, rows)
-        return appended, "applied"
+        return appended
 
     def _finish(self, future: QueryFuture, session: Session, value=None,
                 error=None, source=None) -> None:
@@ -579,14 +593,8 @@ class QueryService:
                     self.execution_order.append(rid)
                     del self.execution_order[:-COMPLETED_WINDOW]
                 if sub["kind"] == "insert" and rec["ok"]:
-                    rows = [tuple(r) for r in sub["rows"]]
-                    appended = self.ctx.catalog.append_rows(
-                        sub["table"], rows)
-                    if appended:
-                        key = sub["table"].lower()
-                        for served in self._views.values():
-                            if key in served.tables:
-                                served.maintain(sub["table"], rows)
+                    self._apply_insert(sub["table"],
+                                       [tuple(r) for r in sub["rows"]])
                     self.metrics.inc("wal_replayed_inserts")
                     logged = rec.get("data_version")
                     if (logged is not None

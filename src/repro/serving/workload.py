@@ -14,7 +14,8 @@ population of named client sessions issues a seeded mix of
 - **cold SQL** (absent from the default mix) drawn from more distinct
   statements than the plan and result caches hold, so both evict,
 - **inserts** of fresh edges (invalidate caches, repair the served view
-  incrementally).
+  incrementally) — or, with ``generate_ops(reinsert=p)``, of an edge the
+  stream already inserted.
 
 Submission happens in bursts sized to the governor's capacity
 (slots + queue), each burst drained before the next, so the admission
@@ -75,15 +76,23 @@ def _statement_pools() -> tuple[list[str], list[str], list[str]]:
 
 
 def generate_ops(clients: int, requests: int, seed: int,
-                 mix: dict | None = None) -> list[tuple]:
-    """The op stream: ``(client_name, kind, payload)`` tuples."""
+                 mix: dict | None = None,
+                 reinsert: float = 0.0) -> list[tuple]:
+    """The op stream: ``(client_name, kind, payload)`` tuples.
+
+    With probability ``reinsert`` an insert re-submits a row an earlier
+    insert of the stream already added (a duplicate *fact*: served views
+    and ad-hoc SQL must keep agreeing) instead of a fresh edge.  At the
+    default 0 no draw is made, so the stream of a seed is what it always
+    was."""
     mix = mix or DEFAULT_MIX
     rng = random.Random(seed)
     hot, pooled, cold = _statement_pools()
     kinds = list(mix)
     weights = [mix[k] for k in kinds]
     ops: list[tuple] = []
-    next_node = 10_000  # insert edges from fresh node ids: no duplicates
+    next_node = 10_000  # fresh edges come from fresh node ids
+    inserted: list[tuple] = []
     for i in range(requests):
         client = f"c{i % clients}"  # every client gets traffic
         kind = rng.choices(kinds, weights=weights)[0]
@@ -95,21 +104,25 @@ def generate_ops(clients: int, requests: int, seed: int,
             ops.append((client, "sql", rng.choice(pooled)))
         elif kind == "cold_sql":
             ops.append((client, "sql", rng.choice(cold)))
+        elif reinsert and inserted and rng.random() < reinsert:
+            ops.append((client, "insert", ("edge", [rng.choice(inserted)])))
         else:
-            rows = [(rng.randrange(0, 64), next_node,
-                     float(rng.randint(1, 10)))]
+            row = (rng.randrange(0, 64), next_node,
+                   float(rng.randint(1, 10)))
             next_node += 1
-            ops.append((client, "insert", ("edge", rows)))
+            inserted.append(row)
+            ops.append((client, "insert", ("edge", [row])))
     return ops
 
 
-def submit_op(service: QueryService, op: tuple):
+def submit_op(service: QueryService, op: tuple, config=None):
+    """Submit one op tuple; ``config`` overrides the SQL ops' config."""
     client, kind, payload = op
     session = service.session(client)
     if kind == "view_read":
         return session.read_view(payload)
     if kind == "sql":
-        return session.sql(payload)
+        return session.sql(payload, config=config)
     table, rows = payload
     return session.insert(table, rows)
 

@@ -6,9 +6,18 @@ Test graphs are tiny, so a suite that claims to exercise kernels must
 lift the gate or it silently compares reference with reference.
 """
 
+import os
+
 import pytest
 
 from repro.core import planner
+
+
+def seeds(default: str) -> list[int]:
+    """A seeded suite's seeds: ``RASQL_SEEDS`` (comma-separated; the one
+    knob, CI's ``marker-suites`` rows set it) or the suite's ``default``."""
+    return [int(s) for s in os.environ.get("RASQL_SEEDS", default).split(",")]
+
 
 #: Marker suites whose tests all run with the gate lifted.
 UNGATED_MARKERS = ("kernels", "process_backend")

@@ -55,13 +55,13 @@ COUNTERS = ("iterations", "stages", "tasks", "shuffle_records",
 
 
 def run_library_query(query_name: str, config: ExecutionConfig) -> dict:
-    from tests.integration.test_chaos import QUERY_SETUPS
+    from tests.integration.test_chaos import (
+        QUERY_SETUPS,
+        make_context_factory,
+    )
 
-    build_tables, make_query = QUERY_SETUPS[query_name]
-    ctx = RaSQLContext(num_workers=3, config=config)
-    for name, (columns, rows) in build_tables().items():
-        ctx.register_table(name, columns, rows)
-    rows = ctx.sql(make_query()).rows
+    ctx = make_context_factory(query_name, num_workers=3)(config=config)
+    rows = ctx.sql(QUERY_SETUPS[query_name][1]()).rows
     run = ctx.last_run
     return {
         "rows": sorted(map(repr, rows)),

@@ -31,7 +31,7 @@ from repro.core.physical import TermRuntime
 from repro.core.streaming import IncrementalView
 from repro.engine.kernels import make_extractor
 from repro.queries.library import get_query
-from tests.integration.test_chaos import QUERY_SETUPS
+from tests.integration.test_chaos import QUERY_SETUPS, make_context_factory
 
 CONFIGS = {
     "default": ExecutionConfig(),
@@ -125,11 +125,8 @@ def operators(monkeypatch):
 
 
 def make_context(query_name, config):
-    build_tables, make_query = QUERY_SETUPS[query_name]
-    ctx = RaSQLContext(num_workers=3, config=config)
-    for name, (columns, rows) in build_tables().items():
-        ctx.register_table(name, columns, rows)
-    return ctx, make_query()
+    return (make_context_factory(query_name, num_workers=3)(config=config),
+            QUERY_SETUPS[query_name][1]())
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
@@ -163,10 +160,13 @@ def test_inserted_rows_enter_the_sides_as_themselves(query_name, table,
                                                      ungated_kernels):
     ctx, query = make_context(query_name, ExecutionConfig())
     view = IncrementalView(ctx, query)
+    present = set(ctx.catalog.get(table).rows)
     view.insert(table, new_rows)
-    # resolve() now ends with the inserted tuples, so this also proves
-    # they entered every side as themselves
-    assert view.operator.resolve(table).rows[-len(new_rows):] == new_rows
+    # resolve() now ends with the inserted tuples — bar sssp's (0, 23, 1),
+    # a fact the table already held — so this also proves they entered
+    # every side as themselves, once
+    facts = [row for row in new_rows if row not in present]
+    assert view.operator.resolve(table).rows[-len(facts):] == facts
     assert assert_rows_at_rest(view.operator) > 0
     # the appended blocks are sized as the rows they now hold
     for blocks in view.operator.base_blocks.values():

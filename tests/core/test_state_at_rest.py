@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ExecutionConfig, RaSQLContext
+from repro import ExecutionConfig
 from repro.core.checkpoint import make_query_id
 from repro.core.fixpoint import FixpointOperator
 from repro.core.iteration import CliqueStep
@@ -38,7 +38,7 @@ from repro.engine.kernels import make_extractor, make_fold_kernel
 from repro.engine.setrdd import KeyedStateRDD
 from repro.errors import DriverCrashError
 from tests.engine.test_kernels import LAYOUTS
-from tests.integration.test_chaos import QUERY_SETUPS
+from tests.integration.test_chaos import QUERY_SETUPS, make_context_factory
 
 CONFIGS = {
     "default": ExecutionConfig(),
@@ -117,11 +117,9 @@ def checked(monkeypatch):
 
 
 def make_context(query_name, config, num_workers=3, **kwargs):
-    build_tables, make_query = QUERY_SETUPS[query_name]
-    ctx = RaSQLContext(num_workers=num_workers, config=config, **kwargs)
-    for name, (columns, rows) in build_tables().items():
-        ctx.register_table(name, columns, rows)
-    return ctx, make_query()
+    factory = make_context_factory(query_name, num_workers=num_workers,
+                                   **kwargs)
+    return factory(config=config), QUERY_SETUPS[query_name][1]()
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))

@@ -75,6 +75,24 @@ class TestOtherSemantics:
         assert view.result().to_dict() == {k: v for k, v in expected.items()
                                            if v}
 
+    def test_reinserted_fact_does_not_inflate_count_paths(self):
+        """A fact is a fact once: re-inserting a present edge — or
+        repeating one inside a batch — leaves a sum head where a fresh
+        context over the concatenated table puts it."""
+        query = get_query("count_paths").formatted(source=0)
+        dag = [(0, 1), (1, 2), (0, 2), (2, 3)]
+        view = make_view(query, {"edge": (["Src", "Dst"], list(dag))})
+        view.insert("edge", [(2, 3)])
+        assert view.result().to_dict()[3] == 2  # not 4
+        view.insert("edge", [(3, 4), (3, 4), (0, 1)])
+        ctx = RaSQLContext(num_workers=2)
+        ctx.register_table("edge", ["Src", "Dst"],
+                           dag + [(2, 3), (3, 4), (3, 4), (0, 1)])
+        assert view.result().to_dict() == ctx.sql(query).to_dict()
+        # The view's own table keeps every submitted row (bag semantics
+        # for a final stratum that scans it).
+        assert len(view._tables["edge"].rows) == len(dag) + 4
+
     def test_tc_set_semantics(self):
         view = make_view(get_query("tc").sql,
                          {"edge": (["Src", "Dst"], [(1, 2)])})
@@ -271,3 +289,32 @@ class TestBatchEquivalenceProperty:
         ctx.register_table("edge", ["Src", "Dst", "Cost"], edges)
         batch = ctx.sql(get_query("sssp").formatted(source=0))
         assert view.result().to_dict() == batch.to_dict()
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(["count_paths", "management"]),
+           st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
+               lambda pair: pair[0] != pair[1]),
+               min_size=1, max_size=16, unique=True),
+           st.data())
+    def test_sum_and_count_heads_any_split_with_reinserts(self, name, pairs,
+                                                          data):
+        """... including a stream that re-inserts rows already present."""
+        if name == "count_paths":  # sum head, over a DAG
+            table, columns = "edge", ["Src", "Dst"]
+            rows = sorted({(min(p), max(p)) for p in pairs})
+            query = get_query(name).formatted(source=0)
+        else:  # count head, over a forest: one manager per employee
+            table, columns = "report", ["Emp", "Mgr"]
+            rows = list({max(p): (max(p), min(p)) for p in pairs}.values())
+            query = get_query(name).sql
+        cut = data.draw(st.integers(min_value=1, max_value=len(rows)))
+        stream = data.draw(st.permutations(rows[cut:] + data.draw(
+            st.lists(st.sampled_from(rows), max_size=6))))
+        view = make_view(query, {table: (columns, rows[:cut])})
+        for row in stream:
+            view.insert(table, [row])
+
+        ctx = RaSQLContext(num_workers=2)
+        ctx.register_table(table, columns, rows[:cut] + list(stream))
+        assert view.result().to_dict() == ctx.sql(query).to_dict()

@@ -6,7 +6,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.chaos import make_schedule, run_with_kill_resume
+from repro.chaos import checkpoint_sides, driver_kill, make_schedule
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.tracing import (
     Span,
@@ -18,6 +18,7 @@ from repro.engine.tracing import (
 from tests.integration.test_chaos import (
     NUM_WORKERS,
     QUERY_SETUPS,
+    differential,
     make_context_factory,
 )
 
@@ -289,15 +290,15 @@ def assert_spans_match_reference(closed):
 def test_every_span_equals_the_snapshot_and_diff_reference(
         query_name, axis, reference, tmp_path):
     _, make_query = QUERY_SETUPS[query_name]
-    factory = make_context_factory(query_name)
     if axis == "kill_resume":
         # Every kill lands; most resumes restore a mid-run checkpoint,
         # whose counters reach the open spans through ``inc``.
-        report = run_with_kill_resume(make_query(), factory, str(tmp_path),
-                                      seed=3, checkpoint_interval=1)
+        report = differential(
+            query_name, **checkpoint_sides(str(tmp_path), interval=1),
+            faults=driver_kill(3), resume=True)
         assert report.exact and report.killed, report.summary()
     else:
-        ctx = factory()
+        ctx = make_context_factory(query_name)()
         if axis == "chaos":
             make_schedule(29, num_workers=NUM_WORKERS).arm(ctx.cluster)
         ctx.sql(make_query())

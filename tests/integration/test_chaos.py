@@ -6,25 +6,29 @@ mid-fixpoint), every query of the library must produce the *bit-exact*
 result of a fault-free run, with the injected schedule fully accounted
 for in the recovery counters and only bounded simulated-time overhead.
 
-Seeds come from ``RASQL_CHAOS_SEEDS`` (comma-separated; CI sweeps
+Seeds come from ``RASQL_SEEDS`` (``tests/conftest.py``; CI sweeps
 several), so a failing ``(query, seed)`` pair is reproducible locally::
 
-    RASQL_CHAOS_SEEDS=29 pytest tests/integration/test_chaos.py -k sssp
+    RASQL_SEEDS=29 pytest tests/integration/test_chaos.py -k sssp
+
+This module also owns what every other differential suite shares: the
+per-query tables (``QUERY_SETUPS``) and the context factory
+:func:`repro.chaos.run_differential` calls for each side.
 """
 
-import os
 import random
 
 import pytest
 
 from repro import RaSQLContext
-from repro.chaos import make_schedule, run_with_chaos
+from repro.chaos import make_schedule, run_differential
+from repro.engine.backend import ProcessConfig
 from repro.queries.library import ALL_QUERIES, get_query
+from tests.conftest import seeds
 
 pytestmark = pytest.mark.chaos
 
-SEEDS = [int(s) for s in
-         os.environ.get("RASQL_CHAOS_SEEDS", "11,29,47").split(",")]
+SEEDS = seeds("11,29,47")
 NUM_WORKERS = 4
 
 
@@ -118,16 +122,54 @@ def test_every_library_query_is_covered():
     assert set(QUERY_SETUPS) == {q.name for q in ALL_QUERIES}
 
 
-def make_context_factory(query_name):
-    build_tables, _ = QUERY_SETUPS[query_name]
+#: Tight supervision constants so process-backend fault tests run in
+#: seconds: a worker silent for 1s is reaped, crash backoff is near-zero.
+FAST_SUPERVISION = ProcessConfig(heartbeat_interval=0.05,
+                                 liveness_timeout=1.0,
+                                 task_deadline_s=20.0,
+                                 backoff_base_s=0.01)
 
-    def factory():
-        ctx = RaSQLContext(num_workers=NUM_WORKERS)
-        for name, (columns, rows) in build_tables().items():
+
+def make_context_factory(query_name, tables=None, warm=False, **fixed):
+    """``make_context`` of a differential over ``query_name``'s tables (or
+    ``tables()``): each side's keywords (``config=``, ``memory_config=``,
+    ...) go to :class:`RaSQLContext` on top of the ``fixed`` ones.  A
+    ``warm`` context has run the query once already (under another
+    checkpoint id, so a victim's manifest is left alone): the compared
+    run finds every base side in the ``BaseSideCache``."""
+    build_tables, make_query = QUERY_SETUPS[query_name]
+    fixed = {"num_workers": NUM_WORKERS, "process_config": FAST_SUPERVISION,
+             **fixed}
+
+    def factory(**side):
+        ctx = RaSQLContext(**{**fixed, **side})
+        for name, (columns, rows) in (tables or build_tables)().items():
             ctx.register_table(name, columns, rows)
+        if warm:
+            ctx.sql(make_query(), query_id="warm-up")
         return ctx
 
     return factory
+
+
+def differential(query_name, *, oracle=None, subject=None, faults=(),
+                 resume=False, **factory):
+    """:func:`run_differential` of a library query over a
+    :func:`make_context_factory` of the remaining keywords."""
+    return run_differential(
+        QUERY_SETUPS[query_name][1](),
+        make_context_factory(query_name, **factory),
+        oracle=oracle, subject=subject, faults=faults, resume=resume)
+
+
+def base_sides(report):
+    """``(reused, built or grown)`` base sides of the subject's fixpoints."""
+    from repro.engine.tracing import _find_dict
+
+    sides = [span["attrs"]["base_sides"]
+             for span in _find_dict(report.trace, "fixpoint")]
+    return (sum(s["hits"] for s in sides),
+            sum(s["built"] + s["appended"] for s in sides))
 
 
 @pytest.mark.timeout(120)
@@ -135,25 +177,38 @@ def make_context_factory(query_name):
 @pytest.mark.parametrize("query_name", sorted(QUERY_SETUPS))
 def test_query_deterministic_under_chaos(query_name, seed):
     schedule = make_schedule(seed, num_workers=NUM_WORKERS)
-    _, make_query = QUERY_SETUPS[query_name]
-    report = run_with_chaos(make_query(), make_context_factory(query_name),
-                            schedule)
-
-    assert report.matches, (
+    report = differential(query_name, faults=schedule.injectors)
+    assert report.exact, (
         f"{query_name} diverged under {schedule.describe()}: "
         f"{report.summary()}")
+    # ... in every iteration, not only at the end.
+    assert (report.subject_run.delta_history
+            == report.oracle_run.delta_history)
 
     # The injected schedule is fully accounted for in the counters.
-    task_fired, losses_fired = schedule.injected_counts()
-    assert report.counters["task_failures"] == task_fired
-    assert report.counters["workers_lost"] == losses_fired
-    if task_fired or losses_fired:
+    fired = schedule.fired()
+    assert report.counters["task_failures"] == fired["task"]
+    assert report.counters["workers_lost"] == fired["worker-loss"]
+    if fired["task"] or fired["worker-loss"]:
         assert report.counters["recovery_seconds"] > 0
 
     # Recovery overhead is bounded: replaying the current stage from
     # cached state must not balloon the run (loose bound — small graphs
     # have tiny baselines, so allow a constant term too).
-    assert report.chaos_sim_time <= report.baseline_sim_time * 10 + 5.0
+    assert (report.subject_run.sim_time
+            <= report.oracle_run.sim_time * 10 + 5.0)
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("query_name", ["sssp", "tc", "count_paths"])
+def test_warm_base_side_cache_is_exact_under_chaos(query_name):
+    """Composition: a fault schedule over sides an earlier query built."""
+    report = differential(
+        query_name, warm=True,
+        faults=make_schedule(SEEDS[0], num_workers=NUM_WORKERS).injectors)
+    assert report.exact and report.fired, report.summary()
+    reused, built = base_sides(report)
+    assert reused and not built
 
 
 @pytest.mark.timeout(120)
@@ -164,17 +219,12 @@ def test_chaos_run_is_reproducible(seed):
     Only the *discrete* counters are compared exactly: the simulated
     clock folds in measured task CPU time, which jitters between runs.
     """
-    first = run_with_chaos(get_query("sssp").formatted(source=0),
-                           make_context_factory("sssp"),
-                           make_schedule(seed, num_workers=NUM_WORKERS))
-    second = run_with_chaos(get_query("sssp").formatted(source=0),
-                            make_context_factory("sssp"),
-                            make_schedule(seed, num_workers=NUM_WORKERS))
-    assert first.schedule.describe() == second.schedule.describe()
+    def run():
+        schedule = make_schedule(seed, num_workers=NUM_WORKERS)
+        report = differential("sssp", faults=schedule.injectors)
+        assert report.exact
+        return schedule.describe(), {
+            k: v for k, v in report.subject_run.fault_summary().items()
+            if k != "recovery_seconds"}
 
-    def discrete(report):
-        return {k: v for k, v in report.counters.items()
-                if k != "recovery_seconds"}
-
-    assert discrete(first) == discrete(second)
-    assert first.matches and second.matches
+    assert run() == run()

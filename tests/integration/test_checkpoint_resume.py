@@ -7,18 +7,21 @@ the library, a run killed mid-fixpoint by a :class:`DriverKillInjector`
 and resumed in a fresh context must reproduce the uninterrupted run's
 result rows, total iteration count, and convergence verdict exactly.
 
-Seeds come from ``RASQL_RESILIENCE_SEEDS`` (comma-separated), so a
-failing ``(query, seed)`` pair reproduces locally::
+Seeds come from ``RASQL_SEEDS`` (``tests/conftest.py``), so a failing
+``(query, seed)`` pair reproduces locally::
 
-    RASQL_RESILIENCE_SEEDS=3 pytest tests/integration/test_checkpoint_resume.py -k sssp
+    RASQL_SEEDS=3 pytest tests/integration/test_checkpoint_resume.py -k sssp
 """
-
-import os
 
 import pytest
 
 from repro import RaSQLContext
-from repro.chaos import run_with_kill_resume
+from repro.chaos import (
+    checkpoint_sides,
+    driver_kill,
+    run_differential,
+    sorted_rows,
+)
 from repro.core.checkpoint import make_query_id
 from repro.engine.faults import DriverKillInjector
 from repro.errors import (
@@ -27,12 +30,16 @@ from repro.errors import (
     DriverCrashError,
     QueryDeadlineExceededError,
 )
-from tests.integration.test_chaos import QUERY_SETUPS, make_context_factory
+from tests.conftest import seeds
+from tests.integration.test_chaos import (
+    QUERY_SETUPS,
+    base_sides,
+    differential,
+)
 
 pytestmark = pytest.mark.resilience
 
-SEEDS = [int(s) for s in
-         os.environ.get("RASQL_RESILIENCE_SEEDS", "3").split(",")]
+SEEDS = seeds("3")
 
 TC = """
 WITH recursive tc(Src, Dst) AS
@@ -42,8 +49,8 @@ SELECT Src, Dst FROM tc
 """
 
 
-def _edge_context(rows=None):
-    ctx = RaSQLContext(num_workers=4)
+def _edge_context(rows=None, **side):
+    ctx = RaSQLContext(num_workers=4, **side)
     ctx.register_table("edge", ["Src", "Dst"],
                        rows or [(i, i + 1) for i in range(24)] + [(5, 2)])
     return ctx
@@ -53,38 +60,40 @@ def _edge_context(rows=None):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("query_name", sorted(QUERY_SETUPS))
 def test_kill_resume_bit_exact(query_name, seed, tmp_path):
-    _, make_query = QUERY_SETUPS[query_name]
-    report = run_with_kill_resume(make_query(),
-                                  make_context_factory(query_name),
-                                  str(tmp_path), seed=seed)
+    report = differential(query_name, **checkpoint_sides(str(tmp_path)),
+                          faults=driver_kill(seed), resume=True)
     assert report.exact, f"{query_name}: {report.summary()}"
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("query_name", ["sssp", "tc", "count_paths"])
+def test_warm_base_side_cache_survives_kill_resume(query_name, tmp_path):
+    """Composition: the victim dies over sides an earlier query built, and
+    the restarted driver (warm too) resumes over its own."""
+    report = differential(
+        query_name, warm=True, **checkpoint_sides(str(tmp_path), interval=1),
+        faults=[DriverKillInjector("fixpoint", skip_matches=3)],
+        resume=True)
+    assert report.exact and report.killed, report.summary()
+    reused, built = base_sides(report)
+    assert reused and not built
 
 
 @pytest.mark.timeout(60)
 def test_resume_from_mid_run_checkpoint(tmp_path):
     """A kill that lands after several checkpoints restores, not reruns."""
-    cfg_dir = str(tmp_path)
-    clean_ctx = _edge_context()
-    cfg = clean_ctx.config.but(checkpoint_interval=4,
-                               checkpoint_dir=cfg_dir)
-    clean = clean_ctx.sql(TC, config=cfg)
-    clean_iters = clean_ctx.last_run.iterations
-
-    victim = _edge_context()
-    victim.inject_faults(DriverKillInjector("fixpoint", skip_matches=18))
-    with pytest.raises(DriverCrashError):
-        victim.sql(TC, config=cfg)
-
-    resumer = _edge_context()
-    resumed = resumer.resume(make_query_id(TC), checkpoint_dir=cfg_dir)
-    run = resumer.last_run
-    assert run.resumed_from > 0
-    assert run.checkpoint_summary()["checkpoint_restores"] == 1
-    assert sorted(resumed.rows) == sorted(clean.rows)
-    assert run.iterations == clean_iters
+    report = run_differential(
+        TC, _edge_context,
+        **checkpoint_sides(str(tmp_path), interval=4),
+        faults=[DriverKillInjector("fixpoint", skip_matches=18)],
+        resume=True)
+    assert report.exact and report.killed, report.summary()
+    assert report.subject_run.resumed_from > 0
+    assert report.counters["checkpoint_restores"] == 1
     # Completion garbage-collects: a second resume has nothing to do.
     with pytest.raises(CheckpointNotFoundError):
-        resumer.resume(make_query_id(TC), checkpoint_dir=cfg_dir)
+        _edge_context().resume(make_query_id(TC),
+                               checkpoint_dir=str(tmp_path / "subject"))
 
 
 @pytest.mark.timeout(60)
@@ -107,24 +116,18 @@ def test_deadline_killed_query_resumes_with_fresh_window(tmp_path):
     resumed = resumer.resume(qid, checkpoint_dir=str(tmp_path),
                              config=cfg.but(deadline_seconds=None))
     assert resumer.last_run.resumed_from > 0
-    assert sorted(resumed.rows) == sorted(clean.rows)
+    assert sorted_rows(resumed) == sorted_rows(clean)
 
 
 @pytest.mark.timeout(60)
 def test_crash_before_first_checkpoint_resumes_from_scratch(tmp_path):
-    ctx = _edge_context()
-    cfg = ctx.config.but(checkpoint_interval=1000,  # never due
-                         checkpoint_dir=str(tmp_path))
-    ctx.inject_faults(DriverKillInjector("fixpoint", skip_matches=3))
-    with pytest.raises(DriverCrashError):
-        ctx.sql(TC, config=cfg)
-
-    resumer = _edge_context()
-    resumed = resumer.resume(make_query_id(TC),
-                             checkpoint_dir=str(tmp_path))
-    assert resumer.last_run.resumed_from == 0
-    clean = _edge_context().sql(TC)
-    assert sorted(resumed.rows) == sorted(clean.rows)
+    report = run_differential(
+        TC, _edge_context,
+        **checkpoint_sides(str(tmp_path), interval=1000),  # never due
+        faults=[DriverKillInjector("fixpoint", skip_matches=3)],
+        resume=True)
+    assert report.exact and report.killed, report.summary()
+    assert report.subject_run.resumed_from == 0
 
 
 @pytest.mark.timeout(60)
@@ -214,4 +217,4 @@ def test_resume_refuses_the_retired_keyed_fragment_layout(tmp_path):
     resumer = context()
     resumed = resumer.resume(qid, checkpoint_dir=str(tmp_path))
     assert resumer.last_run.resumed_from > 0
-    assert sorted(resumed.rows) == sorted(context().sql(SSSP).rows)
+    assert sorted_rows(resumed) == sorted_rows(context().sql(SSSP))

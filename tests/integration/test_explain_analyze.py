@@ -160,6 +160,28 @@ class TestExplainAnalyzeOtherShapes:
         assert fixpoints[0]["attrs"]["iterations"] == ctx.last_run.iterations
         assert fixpoints[0]["attrs"]["local_iterations"]
 
+    def test_checkpointing_says_it_kept_a_decomposable_clique_stacked(
+            self, tmp_path):
+        """No silent degradation: tc runs decomposed — unless checkpoints
+        are on, and then the fixpoint span and the report say why not.
+        A clique that was never decomposable (sssp) has nothing to say."""
+        line = ("  decomposed-ineligible: checkpointing  "
+                "(a decomposable clique, planned stacked)")
+        durable = RaSQLContext().config.but(checkpoint_interval=2,
+                                            checkpoint_dir=str(tmp_path))
+        tc, sssp = get_query("tc").sql, get_query("sssp").formatted(source=1)
+        for query, config, expected in ((tc, None, None),
+                                        (tc, durable, "checkpointing"),
+                                        (sssp, durable, None)):
+            ctx = sssp_ctx(config=config)
+            report = ctx.explain_analyze(query)
+            (fixpoint,) = [s for s in _walk(ctx.last_run.trace)
+                           if s["kind"] == "fixpoint"]
+            assert fixpoint["attrs"].get("decomposed_ineligible") == expected
+            assert (line in report.splitlines()) == (expected is not None)
+            assert (fixpoint["attrs"]["mode"] == "decomposed") == (
+                config is None)
+
     def test_tracing_can_be_disabled(self):
         ctx = sssp_ctx(trace=False)
         ctx.sql(get_query("sssp").formatted(source=1))

@@ -4,8 +4,8 @@ Three claims, verified end to end over the full query library:
 
 1. **Spilling is invisible to correctness** — every library query returns
    bit-exact results when the per-worker budget is squeezed until cached
-   partitions spill to the simulated disk tier (the analog of
-   ``repro.chaos``'s clean-vs-faulted comparison, for memory pressure).
+   partitions spill to the simulated disk tier (``repro.chaos``'s
+   differential with a memory budget as the subject's side).
 2. **Deadlines abort cooperatively, with evidence** — a query past its
    simulated deadline raises with the partial trace attached.
 3. **Admission control bounds the session** — the governor queues and
@@ -14,12 +14,15 @@ Three claims, verified end to end over the full query library:
 Run with ``pytest -m governance``; the CI job mirrors the chaos matrix.
 """
 
-import os
-
 import pytest
 
-from repro import ExecutionConfig, MemoryConfig, QueryGovernor, RaSQLContext
-from repro.chaos import make_schedule, run_with_chaos
+from repro import ExecutionConfig, MemoryConfig, QueryGovernor
+from repro.chaos import (
+    checkpoint_sides,
+    driver_kill,
+    make_schedule,
+    squeezed,
+)
 from repro.engine.faults import MemoryPressureInjector
 from repro.errors import (
     AdmissionRejectedError,
@@ -27,24 +30,21 @@ from repro.errors import (
     QueryDeadlineExceededError,
 )
 
-from tests.integration.test_chaos import NUM_WORKERS, QUERY_SETUPS
+from tests.conftest import seeds
+from tests.integration.test_chaos import (
+    NUM_WORKERS,
+    QUERY_SETUPS,
+    differential,
+    make_context_factory,
+)
 
 pytestmark = pytest.mark.governance
 
-SEEDS = [int(s) for s in
-         os.environ.get("RASQL_GOVERNANCE_SEEDS", "23").split(",")]
+SEEDS = seeds("23")
 
 
-def _sorted(rows):
-    return sorted(rows, key=repr)
-
-
-def make_context(query_name, **context_kwargs):
-    build_tables, _ = QUERY_SETUPS[query_name]
-    ctx = RaSQLContext(num_workers=NUM_WORKERS, **context_kwargs)
-    for name, (columns, rows) in build_tables().items():
-        ctx.register_table(name, columns, rows)
-    return ctx
+make_context = make_context_factory("sssp")
+SSSP = QUERY_SETUPS["sssp"][1]()
 
 
 # ----------------------------------------------------------------------
@@ -54,36 +54,16 @@ def make_context(query_name, **context_kwargs):
 @pytest.mark.timeout(120)
 @pytest.mark.parametrize("query_name", sorted(QUERY_SETUPS))
 def test_query_bit_exact_under_spill(query_name):
-    """Squeeze the budget until partitions spill; results must not move.
-
-    The budget is derived from the unconstrained run: above the largest
-    single segment (so the hard budget cannot abort) but below the peak
-    resident set (so at least one spill must happen).
-    """
-    _, make_query = QUERY_SETUPS[query_name]
-    query = make_query()
-
-    clean_ctx = make_context(query_name)
-    clean = clean_ctx.sql(query)
-    memory = clean_ctx.cluster.memory
-    peak = max(memory.high_water_bytes(w) for w in range(NUM_WORKERS))
-    budget = max(memory.max_segment_bytes() + 1, int(0.6 * peak))
-    assert budget < peak, "budget heuristic must force spilling"
-
-    squeezed_ctx = make_context(
-        query_name,
-        memory_config=MemoryConfig(worker_budget_bytes=budget))
-    squeezed = squeezed_ctx.sql(query)
-
-    assert _sorted(squeezed.rows) == _sorted(clean.rows)
-    summary = squeezed_ctx.last_run.memory_summary()
-    assert summary["spill_events"] >= 1
-    assert summary["spill_bytes"] > 0
+    """Squeeze the budget until partitions spill; results must not move."""
+    report = differential(query_name, subject=squeezed)
+    assert report.exact, report.summary()
+    assert report.counters["spill_events"] >= 1
+    assert report.counters["spill_bytes"] > 0
     # Spilling costs simulated disk time, never correctness.  (The two
     # runs' whole clocks are not comparable: each also contains its own
     # *measured* CPU, which jitters; the disk charge is deterministic.)
-    assert squeezed_ctx.last_run.metrics.get("spill_seconds", 0) > 0
-    assert clean_ctx.last_run.metrics.get("spill_seconds", 0) == 0
+    assert report.counters["spill_seconds"] > 0
+    assert report.oracle_run.metrics.get("spill_seconds", 0) == 0
 
 
 @pytest.mark.timeout(120)
@@ -92,22 +72,25 @@ def test_query_bit_exact_under_spill(query_name):
 def test_spill_composes_with_chaos_schedule(query_name, seed):
     """Seeded chaos (task deaths + worker loss + memory pressure) over a
     budget-constrained cluster still reproduces the clean result."""
-    _, make_query = QUERY_SETUPS[query_name]
+    report = differential(
+        query_name, subject=squeezed,
+        faults=make_schedule(seed, num_workers=NUM_WORKERS).injectors)
+    assert report.exact, report.summary()
 
-    probe = make_context(query_name)
-    probe.sql(make_query())
-    memory = probe.cluster.memory
-    peak = max(memory.high_water_bytes(w) for w in range(NUM_WORKERS))
-    budget = max(memory.max_segment_bytes() + 1, int(0.6 * peak))
 
-    schedule = make_schedule(seed, num_workers=NUM_WORKERS)
-    report = run_with_chaos(
-        make_query(),
-        lambda: make_context(
-            query_name,
-            memory_config=MemoryConfig(worker_budget_bytes=budget)),
-        schedule)
-    assert report.matches, report.summary()
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("query_name", ["sssp", "tc"])
+def test_spill_composes_with_kill_resume(query_name, seed, tmp_path):
+    """Composition: a squeezed, checkpointed run killed mid-fixpoint and
+    resumed (on an equally squeezed restart) is still the clean answer."""
+    sides = checkpoint_sides(str(tmp_path), interval=1)
+    report = differential(
+        query_name, oracle=sides["oracle"],
+        subject=lambda clean: {**sides["subject"], **squeezed(clean)},
+        faults=driver_kill(seed), resume=True)
+    assert report.exact, report.summary()
+    assert report.counters["spill_events"] >= 1
 
 
 @pytest.mark.timeout(120)
@@ -115,29 +98,19 @@ def test_spill_composes_with_chaos_schedule(query_name, seed):
 def test_memory_pressure_injection_is_result_neutral(query_name):
     """A mid-fixpoint budget squeeze (soft enforcement) degrades the run
     without changing results or raising."""
-    _, make_query = QUERY_SETUPS[query_name]
-    query = make_query()
-
-    clean = make_context(query_name).sql(query)
-
-    ctx = make_context(query_name)
-    ctx.inject_faults(MemoryPressureInjector(
-        "fixpoint", fraction=0.3, skip_matches=1))
-    pressured = ctx.sql(query)
-
-    assert _sorted(pressured.rows) == _sorted(clean.rows)
-    summary = ctx.last_run.memory_summary()
-    assert summary["memory_pressure_events"] == 1
-    assert summary["spill_events"] >= 1
+    report = differential(query_name, faults=[MemoryPressureInjector(
+        "fixpoint", fraction=0.3, skip_matches=1)])
+    assert report.exact, report.summary()
+    assert report.counters["memory_pressure_events"] == 1
+    assert report.counters["spill_events"] >= 1
 
 
 def test_pressure_budget_does_not_leak_into_next_query():
-    ctx = make_context("sssp")
-    _, make_query = QUERY_SETUPS["sssp"]
+    ctx = make_context()
     ctx.inject_faults(MemoryPressureInjector("fixpoint", fraction=0.3))
-    ctx.sql(make_query())
+    ctx.sql(SSSP)
     assert ctx.cluster.memory.soft
-    ctx.sql(make_query())  # fresh query resets to the configured budget
+    ctx.sql(SSSP)  # fresh query resets to the configured budget
     assert not ctx.cluster.memory.soft
     assert ctx.cluster.memory.budget_bytes is None
 
@@ -148,25 +121,15 @@ def test_pressure_budget_does_not_leak_into_next_query():
 
 @pytest.mark.timeout(60)
 def test_explain_analyze_reports_memory_section():
-    _, make_query = QUERY_SETUPS["sssp"]
-    query = make_query()
-
-    probe = make_context("sssp")
-    probe.sql(query)
-    memory = probe.cluster.memory
-    peak = max(memory.high_water_bytes(w) for w in range(NUM_WORKERS))
-    budget = max(memory.max_segment_bytes() + 1, int(0.6 * peak))
-
-    ctx = make_context(
-        "sssp", memory_config=MemoryConfig(worker_budget_bytes=budget))
-    report = ctx.explain_analyze(query)
+    squeezed_run = differential("sssp", subject=squeezed).subject_run
+    report = squeezed_run.explain_analyze()
     assert "memory" in report
     for worker in range(NUM_WORKERS):
         assert f"worker {worker} high-water:" in report
     assert "spills:" in report
     assert "mem_peak_B" in report  # per-iteration peak column
 
-    timeline = ctx.last_run.iteration_timeline()
+    timeline = squeezed_run.iteration_timeline()
     assert timeline and all(
         row["memory_peak_bytes"] > 0 for row in timeline)
 
@@ -177,35 +140,31 @@ def test_explain_analyze_reports_memory_section():
 
 @pytest.mark.timeout(60)
 def test_deadline_aborts_with_partial_trace():
-    _, make_query = QUERY_SETUPS["sssp"]
-    query = make_query()
-
-    probe = make_context("sssp")
-    probe.sql(query)
-    full_time = probe.last_run.sim_time
-
-    ctx = make_context("sssp")
-    with pytest.raises(QueryDeadlineExceededError) as info:
-        ctx.sql(query, config=ExecutionConfig(
-            deadline_seconds=full_time / 2))
-    error = info.value
+    report = differential("sssp", subject=lambda clean: {
+        "config": ExecutionConfig(
+            deadline_seconds=clean.last_run.sim_time / 2)})
+    error = report.error
+    assert isinstance(error, QueryDeadlineExceededError)
     assert error.partial_trace is not None
     assert error.partial_trace["children"], "partial trace must be non-empty"
     assert error.sim_time > error.deadline_seconds >= 0
-    assert ctx.last_run.trace == error.partial_trace
-    assert ctx.last_run.metrics.get("deadline_aborts") == 1
+    assert report.trace == error.partial_trace
+    assert report.counters["deadline_aborts"] == 1
+    assert not report.leaks, report.summary()
+
     # The deadline is per-query: the next call runs to completion.
-    result = ctx.sql(query)
+    ctx = make_context()
+    with pytest.raises(QueryDeadlineExceededError):
+        ctx.sql(SSSP, config=ExecutionConfig(deadline_seconds=1e-9))
+    result = ctx.sql(SSSP)
     assert len(result.rows) > 0
     assert ctx.cluster.deadline is None
 
 
 @pytest.mark.timeout(60)
 def test_generous_deadline_does_not_fire():
-    _, make_query = QUERY_SETUPS["sssp"]
-    ctx = make_context("sssp")
-    result = ctx.sql(make_query(),
-                     config=ExecutionConfig(deadline_seconds=1e9))
+    ctx = make_context()
+    result = ctx.sql(SSSP, config=ExecutionConfig(deadline_seconds=1e9))
     assert len(result.rows) > 0
 
 
@@ -214,35 +173,29 @@ def test_generous_deadline_does_not_fire():
 # ----------------------------------------------------------------------
 
 def test_governor_queues_then_rejects_held_tickets():
-    ctx = make_context(
-        "sssp", governor=QueryGovernor(max_concurrent=1, max_queue=1))
-    _, make_query = QUERY_SETUPS["sssp"]
+    ctx = make_context(governor=QueryGovernor(max_concurrent=1, max_queue=1))
     # Hold a slot open, as a long-running session would.
     ctx.governor.admit("held")
     before = ctx.metrics.sim_time
-    ctx.sql(make_query())  # queued behind the held ticket, then runs
+    ctx.sql(SSSP)  # queued behind the held ticket, then runs
     assert ctx.metrics.get("queries_queued") == 1
     assert ctx.metrics.sim_time > before
     ctx.governor.admit("held-2")  # now 1 held + 1 held = queue full
     with pytest.raises(AdmissionRejectedError):
-        ctx.sql(make_query())
+        ctx.sql(SSSP)
     assert ctx.metrics.get("queries_rejected") == 1
 
 
 def test_governor_rejects_on_reserved_memory():
-    ctx = make_context(
-        "sssp", governor=QueryGovernor(max_reserved_bytes=1))
-    _, make_query = QUERY_SETUPS["sssp"]
+    ctx = make_context(governor=QueryGovernor(max_reserved_bytes=1))
     with pytest.raises(AdmissionRejectedError) as info:
-        ctx.sql(make_query())  # the edge table alone estimates > 1 byte
+        ctx.sql(SSSP)  # the edge table alone estimates > 1 byte
     assert info.value.reason == "memory"
 
 
 def test_rejected_query_leaves_no_ticket_behind():
-    ctx = make_context(
-        "sssp", governor=QueryGovernor(max_concurrent=1, max_queue=0))
-    _, make_query = QUERY_SETUPS["sssp"]
-    ctx.sql(make_query())
+    ctx = make_context(governor=QueryGovernor(max_concurrent=1, max_queue=0))
+    ctx.sql(SSSP)
     assert len(ctx.governor.active) == 0
 
 
@@ -251,12 +204,11 @@ def test_rejected_query_leaves_no_ticket_behind():
 # ----------------------------------------------------------------------
 
 def test_impossible_budget_raises_structured_error():
-    ctx = make_context(
-        "sssp", memory_config=MemoryConfig(worker_budget_bytes=8))
-    _, make_query = QUERY_SETUPS["sssp"]
-    with pytest.raises(MemoryBudgetExceededError) as info:
-        ctx.sql(make_query())
-    error = info.value
+    report = differential("sssp", subject={
+        "memory_config": MemoryConfig(worker_budget_bytes=8)})
+    error = report.error
+    assert isinstance(error, MemoryBudgetExceededError)
     assert error.budget_bytes == 8
     assert error.requested_bytes > 8
     assert 0 <= error.worker < NUM_WORKERS
+    assert not report.leaks, report.summary()

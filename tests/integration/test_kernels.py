@@ -10,28 +10,27 @@ The test graphs sit far below the kernel size gate, so the whole marker
 suite runs with the gate lifted (``tests/conftest.py``); the gate's own
 tests put it back.
 
-Run with ``pytest -m kernels``; extra graph seeds via
-``RASQL_KERNELS_SEEDS`` (comma-separated).
+Run with ``pytest -m kernels``; extra graph seeds via ``RASQL_SEEDS``
+(comma-separated, ``tests/conftest.py``).
 """
-
-import os
 
 import pytest
 
-from repro import ExecutionConfig, MemoryConfig, RaSQLContext
-from repro.chaos import make_schedule, run_with_chaos
+from repro import ExecutionConfig, RaSQLContext
+from repro.chaos import make_schedule, run_differential, squeezed
 from repro.core import planner
 
+from tests.conftest import seeds
 from tests.integration.test_chaos import (
     NUM_WORKERS,
     QUERY_SETUPS,
+    make_context_factory,
     random_graph,
 )
 
 pytestmark = pytest.mark.kernels
 
-SEEDS = [int(s) for s in
-         os.environ.get("RASQL_KERNELS_SEEDS", "5,13").split(",")]
+SEEDS = seeds("5,13")
 
 REFERENCE = ExecutionConfig(kernels=False)
 
@@ -65,13 +64,31 @@ def tables_for(query_name, seed):
     return build_tables()
 
 
-def run_query(query_name, seed, config=None, **context_kwargs):
+def factory(query_name, seed=None, **fixed):
+    """``make_context`` over ``query_name``'s tables at a graph seed."""
+    seed = SEEDS[0] if seed is None else seed
+    return make_context_factory(
+        query_name, tables=lambda: tables_for(query_name, seed), **fixed)
+
+
+def differential(query_name, seed=None, *, oracle=REFERENCE, subject=None,
+                 **harness):
+    """Kernels on — or the ``subject`` config, or a function of the
+    finished oracle returning the subject's side — against the ``oracle``
+    config, by default the reference loops."""
     _, make_query = QUERY_SETUPS[query_name]
-    ctx = RaSQLContext(num_workers=NUM_WORKERS, **context_kwargs)
-    for name, (columns, rows) in tables_for(query_name, seed).items():
-        ctx.register_table(name, columns, rows)
-    result = ctx.sql(make_query(), config=config)
-    return sorted(result.rows, key=repr), ctx
+    return run_differential(
+        make_query(), factory(query_name, seed), oracle={"config": oracle},
+        subject=subject if callable(subject) else {"config": subject},
+        **harness)
+
+
+def run_query(query_name, seed, config=None):
+    """One run; the finished context."""
+    _, make_query = QUERY_SETUPS[query_name]
+    ctx = factory(query_name, seed)()
+    ctx.sql(make_query(), config=config)
+    return ctx
 
 
 # ----------------------------------------------------------------------
@@ -82,15 +99,11 @@ def run_query(query_name, seed, config=None, **context_kwargs):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("query_name", sorted(QUERY_SETUPS))
 def test_query_bit_exact_and_iteration_parity(query_name, seed):
-    fast_rows, fast_ctx = run_query(query_name, seed)
-    reference_rows, reference_ctx = run_query(query_name, seed,
-                                              config=REFERENCE)
-    assert fast_rows == reference_rows
-    assert (fast_ctx.last_run.iterations
-            == reference_ctx.last_run.iterations)
+    report = differential(query_name, seed)
+    assert report.exact, report.summary()
     # The kernels side really ran kernels: a gated run would make this a
     # reference-vs-reference comparison.
-    assert fast_ctx.last_run.kernels_summary()["kernel_small_input_gate"] == 0
+    assert report.counters["kernel_small_input_gate"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -101,13 +114,11 @@ def test_query_bit_exact_and_iteration_parity(query_name, seed):
 @pytest.mark.parametrize("query_name", ["sssp", "cc", "tc", "bom",
                                         "company_control"])
 def test_bit_exact_under_sort_merge_strategy(query_name):
-    seed = SEEDS[0]
-    fast_rows, _ = run_query(
-        query_name, seed, config=ExecutionConfig(join_strategy="sort_merge"))
-    reference_rows, _ = run_query(
-        query_name, seed,
-        config=ExecutionConfig(join_strategy="sort_merge", kernels=False))
-    assert fast_rows == reference_rows
+    report = differential(
+        query_name,
+        oracle=ExecutionConfig(join_strategy="sort_merge", kernels=False),
+        subject=ExecutionConfig(join_strategy="sort_merge"))
+    assert report.exact, report.summary()
 
 
 # ----------------------------------------------------------------------
@@ -116,20 +127,19 @@ def test_bit_exact_under_sort_merge_strategy(query_name):
 
 @pytest.mark.timeout(120)
 def test_state_cache_counters_fire_on_company_control():
-    _, ctx = run_query("company_control", SEEDS[0])
-    summary = ctx.last_run.kernels_summary()
+    summary = run_query("company_control",
+                        SEEDS[0]).last_run.kernels_summary()
     assert (summary["kernel_state_cache_hits"]
             + summary["kernel_state_cache_updates"]) > 0
 
 
 @pytest.mark.timeout(120)
 def test_grouped_fixpoint_kernel_engages_on_tc():
-    _, ctx = run_query("tc", SEEDS[0])
-    summary = ctx.last_run.kernels_summary()
+    summary = run_query("tc", SEEDS[0]).last_run.kernels_summary()
     assert summary["kernel_grouped_fixpoint_stages"] > 0
     # ... and never off the kernel path.
-    _, reference_ctx = run_query("tc", SEEDS[0], config=REFERENCE)
-    reference_summary = reference_ctx.last_run.kernels_summary()
+    reference_summary = run_query(
+        "tc", SEEDS[0], config=REFERENCE).last_run.kernels_summary()
     assert reference_summary["kernel_grouped_fixpoint_stages"] == 0
 
 
@@ -171,33 +181,35 @@ def test_gate_does_not_engage_above_threshold(monkeypatch):
 @pytest.mark.timeout(120)
 def test_small_input_gate_is_bit_exact_with_ungated_kernels(monkeypatch):
     for query_name in ("sssp", "tc", "company_control", "bom"):
-        ungated_rows, ungated_ctx = run_query(query_name, SEEDS[0])
-        with monkeypatch.context() as gate:
-            gate.setattr(planner, "KERNEL_MIN_ROWS", DEFAULT_GATE)
-            gated_rows, gated_ctx = run_query(query_name, SEEDS[0])
-        assert gated_ctx.last_run.kernels_summary()[
-            "kernel_small_input_gate"] == 1
-        assert gated_rows == ungated_rows
-        assert (gated_ctx.last_run.iterations
-                == ungated_ctx.last_run.iterations)
+        make_context = factory(query_name)
+
+        def gated(gate=0, **side):
+            # The gate is read when a clique is planned: the oracle has
+            # finished by the time the subject's context is made.
+            monkeypatch.setattr(planner, "KERNEL_MIN_ROWS", gate)
+            return make_context(**side)
+
+        _, make_query = QUERY_SETUPS[query_name]
+        report = run_differential(make_query(), gated,
+                                  subject={"gate": DEFAULT_GATE})
+        assert report.exact, report.summary()
+        assert report.counters["kernel_small_input_gate"] == 1
+        assert report.oracle_run.kernels_summary()[
+            "kernel_small_input_gate"] == 0
 
 
 @pytest.mark.timeout(120)
 def test_explain_analyze_reports_kernels_section():
-    _, make_query = QUERY_SETUPS["company_control"]
-    ctx = RaSQLContext(num_workers=NUM_WORKERS)
-    for name, (columns, rows) in tables_for("company_control",
-                                            SEEDS[0]).items():
-        ctx.register_table(name, columns, rows)
-    report = ctx.explain_analyze(make_query())
+    report = run_query("company_control",
+                       SEEDS[0]).last_run.explain_analyze()
     assert "kernels" in report
     assert "state build-table cache" in report
 
 
 @pytest.mark.timeout(120)
 def test_kernels_off_run_reports_no_kernel_counters():
-    _, ctx = run_query("sssp", SEEDS[0], config=REFERENCE)
-    summary = ctx.last_run.kernels_summary()
+    summary = run_query("sssp", SEEDS[0],
+                        config=REFERENCE).last_run.kernels_summary()
     assert all(value == 0 for key, value in summary.items()
                if key.startswith("kernel_"))
     # How the base sides were obtained is reported on either path.
@@ -212,35 +224,17 @@ def test_kernels_off_run_reports_no_kernel_counters():
 @pytest.mark.parametrize("query_name", ["sssp", "cc", "tc", "bom"])
 def test_kernels_bit_exact_under_chaos(query_name):
     """Kernels on (the default context) + a seeded fault schedule."""
-    _, make_query = QUERY_SETUPS[query_name]
-
-    def factory():
-        ctx = RaSQLContext(num_workers=NUM_WORKERS)
-        for name, (columns, rows) in tables_for(query_name,
-                                                SEEDS[0]).items():
-            ctx.register_table(name, columns, rows)
-        return ctx
-
-    report = run_with_chaos(make_query(), factory,
-                            make_schedule(29, num_workers=NUM_WORKERS))
-    assert report.matches, report.summary()
+    report = differential(
+        query_name, oracle=None,
+        faults=make_schedule(29, num_workers=NUM_WORKERS).injectors)
+    assert report.exact, report.summary()
 
 
 @pytest.mark.timeout(120)
 @pytest.mark.parametrize("query_name", ["sssp", "tc"])
 def test_kernels_bit_exact_under_spill(query_name):
-    """Budget squeezed until spilling: kernels must not change results,
-    and the squeezed kernel run must still match the kernels-off run."""
-    clean_rows, clean_ctx = run_query(query_name, SEEDS[0])
-    memory = clean_ctx.cluster.memory
-    peak = max(memory.high_water_bytes(w) for w in range(NUM_WORKERS))
-    budget = max(memory.max_segment_bytes() + 1, int(0.6 * peak))
-
-    squeezed_rows, squeezed_ctx = run_query(
-        query_name, SEEDS[0],
-        memory_config=MemoryConfig(worker_budget_bytes=budget))
-    assert squeezed_rows == clean_rows
-    assert squeezed_ctx.last_run.memory_summary()["spill_events"] >= 1
-
-    reference_rows, _ = run_query(query_name, SEEDS[0], config=REFERENCE)
-    assert squeezed_rows == reference_rows
+    """Budget squeezed until spilling: the kernel run must still match
+    the (unsqueezed) kernels-off run."""
+    report = differential(query_name, subject=squeezed)
+    assert report.exact, report.summary()
+    assert report.counters["spill_events"] >= 1

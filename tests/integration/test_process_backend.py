@@ -16,45 +16,58 @@ The marker suite runs with the kernel size gate lifted
 remote-eligible kernel paths.
 """
 
+import functools
 import time
 
 import pytest
 
-from repro import RaSQLContext
 from repro.chaos import (
-    _converged,
     make_real_kill_schedule,
-    run_with_real_kills,
+    make_schedule,
+    run_differential,
+    sorted_rows,
+    squeezed,
 )
 from repro.core.config import ExecutionConfig
 from repro.engine.backend import ProcessConfig
+from repro.engine.faults import DriverKillInjector
+from repro.engine.tracing import _find_dict
 from repro.errors import NoHealthyWorkersError, PoisonTaskError
 from repro.queries.library import get_query
-from tests.integration.test_chaos import NUM_WORKERS, QUERY_SETUPS
+from tests.integration.test_chaos import (
+    FAST_SUPERVISION,
+    NUM_WORKERS,
+    QUERY_SETUPS,
+    base_sides,
+    differential,
+    make_context_factory,
+)
 
 pytestmark = pytest.mark.process_backend
 
-#: Tight supervision constants so fault tests run in seconds: a worker
-#: silent for 1s is reaped, crash backoff is near-zero.
-FAST_SUPERVISION = ProcessConfig(heartbeat_interval=0.05,
-                                 liveness_timeout=1.0,
-                                 task_deadline_s=20.0,
-                                 backoff_base_s=0.01)
+PROCESS = ExecutionConfig(backend="process")
+SSSP = QUERY_SETUPS["sssp"][1]()
 
 
-def make_context(query_name, backend, process_config=FAST_SUPERVISION,
-                 num_workers=NUM_WORKERS):
-    build_tables, _ = QUERY_SETUPS[query_name]
-    config = ExecutionConfig(backend=backend)
-    kwargs = {"process_config": process_config} if backend == "process" else {}
-    ctx = RaSQLContext(num_workers=num_workers, config=config, **kwargs)
-    for name, (columns, rows) in build_tables().items():
-        ctx.register_table(name, columns, rows)
-    return ctx
+def make_context(query_name, backend):
+    return make_context_factory(query_name)(
+        config=ExecutionConfig(backend=backend))
 
 
-def _rows(relation):
-    return sorted(relation.rows, key=repr)
+def process_differential(query_name, **harness):
+    """``query_name`` on the simulated oracle vs real worker processes."""
+    harness.setdefault("subject", {"config": PROCESS})
+    return differential(query_name, **harness)
+
+
+#: ... with no faults, run once per query however many tests read it.
+clean_differential = functools.lru_cache(maxsize=None)(process_differential)
+
+
+def ineligible(report):
+    """The typed ``remote_ineligible`` slug of each subject fixpoint."""
+    return [span["attrs"].get("remote_ineligible")
+            for span in _find_dict(report.trace, "fixpoint")]
 
 
 # ----------------------------------------------------------------------
@@ -65,23 +78,10 @@ def _rows(relation):
 @pytest.mark.timeout(180)
 @pytest.mark.parametrize("query_name", sorted(QUERY_SETUPS))
 def test_clean_differential(query_name):
-    _, make_query = QUERY_SETUPS[query_name]
-    sim_ctx = make_context(query_name, "simulated")
-    expected = sim_ctx.sql(make_query())
-    sim_run = sim_ctx.last_run
-
-    proc_ctx = make_context(query_name, "process")
-    try:
-        actual = proc_ctx.sql(make_query())
-        run = proc_ctx.last_run
-    finally:
-        proc_ctx.close()
-
-    assert _rows(expected) == _rows(actual)
-    assert sim_run.iterations == run.iterations
-    assert _converged(sim_run) == _converged(run)
+    report = clean_differential(query_name)
+    assert report.exact, report.summary()
     # The process run must not have silently degraded to the oracle.
-    assert run.supervision_summary()["process_backend_degradations"] == 0
+    assert report.counters["process_backend_degradations"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -94,20 +94,14 @@ def test_clean_differential(query_name):
 def test_differential_under_real_kills(query_name):
     index = sorted(QUERY_SETUPS).index(query_name)
     seed = 101 + index  # per-query seed: strikes land in varied spots
-    _, make_query = QUERY_SETUPS[query_name]
-
-    def factory(backend):
-        return make_context(query_name, backend)
-
-    report = run_with_real_kills(
-        make_query(), factory, make_real_kill_schedule(seed, kills=1),
-        seed=seed)
-    assert report.exact, report.summary()
+    report = process_differential(
+        query_name, faults=make_real_kill_schedule(seed, kills=1))
+    assert report.exact, f"seed={seed}: {report.summary()}"
     # A fired kill must be fully accounted in the supervision counters.
-    if report.kills_fired:
+    if report.fired:
         counters = report.counters
         assert (counters["process_worker_crashes"]
-                + counters["process_worker_reaps"]) >= report.kills_fired
+                + counters["process_worker_reaps"]) >= report.fired
 
 
 # ----------------------------------------------------------------------
@@ -120,27 +114,26 @@ def test_hung_worker_reaped_within_liveness_timeout():
     """A SIGSTOP-style hang (heartbeats cease) is detected and reaped
     within the configured liveness timeout plus scheduling slack."""
     config = FAST_SUPERVISION
-    ctx = make_context("sssp", "process", config)
-    _, make_query = QUERY_SETUPS["sssp"]
+    ctx = make_context("sssp", "process")
     try:
         backend = ctx.cluster.backend
         assert backend.remote_ready()
 
         # Warm run: pool spawned, imports done, query path exercised.
         t0 = time.monotonic()
-        clean = ctx.sql(make_query())
+        clean = ctx.sql(SSSP)
         clean_wall = time.monotonic() - t0
 
         backend.add_chaos([{"kind": "hang", "stage": "fixpoint",
                             "task": None, "times": 1}])
         t0 = time.monotonic()
-        chaotic = ctx.sql(make_query())
+        chaotic = ctx.sql(SSSP)
         chaos_wall = time.monotonic() - t0
 
         supervision = ctx.last_run.supervision_summary()
         assert supervision["process_worker_reaps"] >= 1
         assert supervision["process_worker_respawns"] >= 1
-        assert _rows(clean) == _rows(chaotic)
+        assert sorted_rows(clean) == sorted_rows(chaotic)
 
         overhead = chaos_wall - clean_wall
         # The reaper must wait out the liveness timeout (the hang keeps
@@ -153,29 +146,26 @@ def test_hung_worker_reaped_within_liveness_timeout():
         ctx.close()
 
 
+def poison(task, times):
+    """A worker-side directive: the task kills whichever worker runs it."""
+    return {"kind": "poison", "stage": "fixpoint", "task": task,
+            "times": times}
+
+
 @pytest.mark.timeout(120)
 def test_poison_task_quarantined_with_partial_trace():
     """A task that keeps killing its worker is quarantined after
     ``poison_threshold`` kills and fails the query typed."""
-    ctx = make_context("sssp", "process")
-    _, make_query = QUERY_SETUPS["sssp"]
-    try:
-        backend = ctx.cluster.backend
-        assert backend.remote_ready()
-        backend.add_chaos([{"kind": "poison", "stage": "fixpoint",
-                            "task": 1, "times": 10}])
-        with pytest.raises(PoisonTaskError) as excinfo:
-            ctx.sql(make_query())
-        exc = excinfo.value
-        assert exc.task_index == 1
-        assert exc.worker_kills == backend.config.poison_threshold
-        assert exc.partial_trace is not None
-        supervision = ctx.last_run.supervision_summary()
-        assert supervision["process_tasks_quarantined"] == 1
-        # The first kills were respawned before the quarantine tripped.
-        assert supervision["process_worker_respawns"] >= 1
-    finally:
-        ctx.close()
+    report = process_differential("sssp", faults=[poison(1, 10)])
+    exc = report.error
+    assert isinstance(exc, PoisonTaskError)
+    assert exc.task_index == 1
+    assert exc.worker_kills == FAST_SUPERVISION.poison_threshold
+    assert exc.partial_trace is not None
+    assert report.counters["process_tasks_quarantined"] == 1
+    # The first kills were respawned before the quarantine tripped.
+    assert report.counters["process_worker_respawns"] >= 1
+    assert not report.leaks, report.summary()
 
 
 @pytest.mark.timeout(120)
@@ -185,14 +175,12 @@ def test_poison_surfaces_through_query_future():
     from repro.serving import QueryService
 
     ctx = make_context("sssp", "process")
-    _, make_query = QUERY_SETUPS["sssp"]
     try:
         backend = ctx.cluster.backend
         assert backend.remote_ready()
-        backend.add_chaos([{"kind": "poison", "stage": "fixpoint",
-                            "task": 1, "times": 20}])
+        backend.add_chaos([poison(1, 20)])
         service = QueryService(ctx)
-        future = service.submit(service.session("alice"), make_query())
+        future = service.submit(service.session("alice"), SSSP)
         service.drain()
         assert future.done and not future.ok
         with pytest.raises(PoisonTaskError) as excinfo:
@@ -202,66 +190,39 @@ def test_poison_surfaces_through_query_future():
         ctx.close()
 
 
+NO_RESPAWN = ProcessConfig(heartbeat_interval=0.05, liveness_timeout=1.0,
+                           task_deadline_s=20.0, backoff_base_s=0.01,
+                           respawn_budget=0)
+
+
 @pytest.mark.timeout(120)
 def test_pool_exhaustion_raises_no_healthy_workers():
     """Killing every worker with no respawn budget fails typed, not by
     hanging or indexing into an empty pool."""
-    config = ProcessConfig(heartbeat_interval=0.05, liveness_timeout=1.0,
-                           task_deadline_s=20.0, backoff_base_s=0.01,
-                           respawn_budget=0)
-    ctx = make_context("sssp", "process", config, num_workers=2)
-    _, make_query = QUERY_SETUPS["sssp"]
-    try:
-        backend = ctx.cluster.backend
-        assert backend.remote_ready()
-        backend.add_chaos([{"kind": "poison", "stage": "fixpoint",
-                            "task": None, "times": 20}])
-        with pytest.raises(NoHealthyWorkersError):
-            ctx.sql(make_query())
-    finally:
-        ctx.close()
+    report = process_differential("sssp", faults=[poison(None, 20)],
+                                  process_config=NO_RESPAWN, num_workers=2)
+    assert isinstance(report.error, NoHealthyWorkersError)
+    assert not report.leaks, report.summary()
 
 
 @pytest.mark.timeout(120)
 def test_pool_shrinks_to_survivors_and_stays_exact():
     """With no respawn budget the pool degrades gracefully: partitions
     re-home onto survivors and the result stays bit-exact."""
-    sim_ctx = make_context("cc", "simulated")
-    _, make_query = QUERY_SETUPS["cc"]
-    expected = sim_ctx.sql(make_query())
-    sim_run = sim_ctx.last_run
-
-    config = ProcessConfig(heartbeat_interval=0.05, liveness_timeout=1.0,
-                           task_deadline_s=20.0, backoff_base_s=0.01,
-                           respawn_budget=0)
-    ctx = make_context("cc", "process", config)
-    try:
-        backend = ctx.cluster.backend
-        assert backend.remote_ready()
-        backend.add_chaos([{"kind": "poison", "stage": "fixpoint",
-                            "task": 2, "times": 1}])
-        actual = ctx.sql(make_query())
-        run = ctx.last_run
-        supervision = run.supervision_summary()
-        assert supervision["process_worker_crashes"] >= 1
-        assert supervision["process_worker_respawns"] == 0
-        assert supervision["process_backend_degradations"] >= 1
-        assert len(ctx.cluster.lost_workers) == 1
-    finally:
-        ctx.close()
-    assert _rows(expected) == _rows(actual)
-    assert sim_run.iterations == run.iterations
+    report = process_differential("cc", faults=[poison(2, 1)],
+                                  process_config=NO_RESPAWN)
+    assert report.exact, report.summary()
+    assert report.counters["process_worker_crashes"] >= 1
+    assert report.counters["process_worker_respawns"] == 0
+    assert report.counters["process_backend_degradations"] >= 1
+    assert report.counters["workers_lost"] == 1
 
 
 @pytest.mark.timeout(120)
 def test_explain_analyze_reports_supervision():
-    ctx = make_context("sssp", "process")
-    _, make_query = QUERY_SETUPS["sssp"]
-    try:
-        ctx.sql(make_query())
-        report = ctx.last_run.explain_analyze()
-    finally:
-        ctx.close()
+    from repro.engine.tracing import format_explain_analyze
+
+    report = format_explain_analyze(clean_differential("sssp").trace)
     assert "process supervision" in report
     assert "tasks shipped to pool workers" in report
     assert "heartbeats" in report
@@ -281,38 +242,6 @@ SELECT X, Y FROM tc
 """
 
 
-def _ineligible_context(cause, backend, tmp_path):
-    """An sssp-tables context on ``backend`` with the one feature named
-    by ``cause`` switched on."""
-    from repro.engine.faults import FailureInjector
-    from repro.engine.memory import MemoryConfig
-
-    config = {
-        "evaluation=naive": {"evaluation": "naive"},
-        "stage_combination=off": {"stage_combination": False},
-        "use_setrdd=off": {"use_setrdd": False},
-        "kernels=off": {"kernels": False},
-        "checkpointing": {"checkpoint_dir": str(tmp_path / backend),
-                          "checkpoint_interval": 2},
-        "deadline": {"deadline_seconds": 1e6},
-        "term-not-codegen": {"codegen": False},
-    }.get(cause, {})
-    cluster_kwargs = {}
-    if cause == "memory-budget":
-        cluster_kwargs["memory_config"] = MemoryConfig(
-            worker_budget_bytes=1 << 30)
-    if backend == "process":
-        cluster_kwargs["process_config"] = FAST_SUPERVISION
-    ctx = RaSQLContext(num_workers=NUM_WORKERS,
-                       config=ExecutionConfig(backend=backend, **config),
-                       **cluster_kwargs)
-    for name, (columns, rows) in QUERY_SETUPS["sssp"][0]().items():
-        ctx.register_table(name, columns, rows)
-    if cause == "injector:failure":
-        ctx.inject_faults(FailureInjector("fixpoint-shufflemap", times=1))
-    return ctx
-
-
 @pytest.mark.timeout(180)
 @pytest.mark.parametrize("cause", [
     "backend-not-ready", "evaluation=naive", "stage_combination=off",
@@ -322,13 +251,17 @@ def _ineligible_context(cause, backend, tmp_path):
 def test_remote_ineligible_cause_is_reported(cause, tmp_path, monkeypatch):
     """Every feature that keeps a ``backend="process"`` clique on the
     driver leaves its typed reason in the trace and in EXPLAIN ANALYZE;
-    the answer is the simulated oracle's regardless."""
-    from repro.engine.tracing import _find_dict
+    the answer is the simulated oracle's (same feature on) regardless.
+    Checkpoints, budgets and injectors are composed for real: a kill and
+    a resume, a budget that spills, the whole seeded schedule.  (A pool
+    of two: it is spawned to be asked, and nothing ships.)"""
+    import contextlib
 
     query = {"gather-join": NONLINEAR_TC,
              # keyed (min) decomposed plan: only the reference local loop
              "decomposed-no-fused-runner": get_query("apsp").sql,
-             }.get(cause) or QUERY_SETUPS["sssp"][1]()
+             }.get(cause) or SSSP
+    warns = contextlib.nullcontext()
     if cause == "backend-not-ready":
         from repro.engine.backend.process import ProcessClusterBackend
 
@@ -336,31 +269,48 @@ def test_remote_ineligible_cause_is_reported(cause, tmp_path, monkeypatch):
             raise OSError("no processes for you")
         monkeypatch.setattr(ProcessClusterBackend, "_spawn_worker",
                             cannot_spawn)
-    runs = {}
-    for backend in ("simulated", "process"):
-        ctx = _ineligible_context(cause, backend, tmp_path)
-        try:
-            if cause == "backend-not-ready" and backend == "process":
-                with pytest.warns(RuntimeWarning, match="falling back"):
-                    runs[backend] = (ctx.sql(query), ctx.last_run)
-            else:
-                runs[backend] = (ctx.sql(query), ctx.last_run)
-        finally:
-            ctx.close()
-    (expected, sim_run), (actual, run) = runs["simulated"], runs["process"]
+        warns = pytest.warns(RuntimeWarning, match="falling back")
+    feature = {
+        "evaluation=naive": {"evaluation": "naive"},
+        "stage_combination=off": {"stage_combination": False},
+        "use_setrdd=off": {"use_setrdd": False},
+        "kernels=off": {"kernels": False},
+        "checkpointing": {"checkpoint_interval": 1},
+        "deadline": {"deadline_seconds": 1e6},
+        "term-not-codegen": {"codegen": False},
+    }.get(cause, {})
+    faults = {
+        "checkpointing": [DriverKillInjector("fixpoint", skip_matches=3)],
+        "injector:failure": make_schedule(29, num_workers=2).injectors,
+    }.get(cause, ())
 
-    assert _rows(expected) == _rows(actual)
-    assert sim_run.iterations == run.iterations
-    summary = run.supervision_summary()
-    assert summary["process_tasks_shipped"] == 0
-    assert summary["process_remote_ineligible"] == 1
-    assert [span["attrs"].get("remote_ineligible")
-            for span in _find_dict(run.trace, "fixpoint")] == [cause]
-    report = run.explain_analyze()
-    assert "process supervision" in report
-    assert f"remote-ineligible: {cause}" in report
+    def side(backend, clean=None):
+        directory = (str(tmp_path / backend) if cause == "checkpointing"
+                     else None)
+        budget = squeezed(clean) if clean and cause == "memory-budget" else {}
+        return {"config": ExecutionConfig(
+            backend=backend, checkpoint_dir=directory, **feature), **budget}
+
+    with warns:
+        report = run_differential(
+            query, make_context_factory("sssp", num_workers=2),
+            oracle=side("simulated"),
+            subject=lambda clean: side("process", clean), faults=faults,
+            resume=cause == "checkpointing")
+
+    assert report.exact, report.summary()
+    assert report.counters["process_tasks_shipped"] == 0
+    assert report.counters["process_remote_ineligible"] == 1
+    assert ineligible(report) == [cause]
+    assert bool(report.fired) == bool(faults)
+    assert report.killed == (cause == "checkpointing")
+    assert report.counters["spill_events"] or cause != "memory-budget"
+    rendered = report.subject_run.explain_analyze()
+    assert "process supervision" in rendered
+    assert f"remote-ineligible: {cause}" in rendered
 
     # The simulated backend was never asked for workers: nothing to say.
+    sim_run = report.oracle_run
     assert sim_run.supervision_summary()["process_remote_ineligible"] == 0
     assert "remote-ineligible" not in sim_run.explain_analyze()
 
@@ -410,11 +360,10 @@ def _delta(run, before, name):
 def test_repeated_query_ships_no_heavy_half_and_pickles_nothing(
         install_spies):
     pickles, shipped = install_spies
-    _, make_query = QUERY_SETUPS["sssp"]
     sim_ctx = make_context("sssp", "simulated")
     ctx = make_context("sssp", "process")
     try:
-        first = ctx.sql(make_query())
+        first = ctx.sql(SSSP)
         assert pickles == ["dump_payload", "sha256"]
         assert len(shipped) == NUM_WORKERS and None not in shipped
         assert ctx.last_run.supervision_summary()[
@@ -424,7 +373,7 @@ def test_repeated_query_ships_no_heavy_half_and_pickles_nothing(
 
         before = dict(ctx.last_run.metrics)
         del pickles[:], shipped[:]
-        second = ctx.sql(make_query())
+        second = ctx.sql(SSSP)
         run = ctx.last_run
         assert pickles == [] and shipped == [None] * NUM_WORKERS
         assert _delta(run, before, "process_install_blob_reused") == 1
@@ -433,7 +382,8 @@ def test_repeated_query_ships_no_heavy_half_and_pickles_nothing(
         assert _delta(run, before, "process_tasks_shipped") > 0
         assert ("install heavy half: reused pickled from the base-side cache"
                 in run.explain_analyze())
-        assert _rows(second) == _rows(first) == _rows(sim_ctx.sql(make_query()))
+        assert (sorted_rows(second) == sorted_rows(first)
+                == sorted_rows(sim_ctx.sql(SSSP)))
 
         # A grown table: the driver's sides absorb the rows (nothing is
         # rebuilt), the heavy half is re-pickled and re-shipped once — and
@@ -441,15 +391,15 @@ def test_repeated_query_ships_no_heavy_half_and_pickles_nothing(
         for context in (ctx, sim_ctx):
             context.catalog.append_rows("edge", [(0, 23, 0.5), (23, 7, 0.25)])
         before = dict(run.metrics)
-        third = ctx.sql(make_query())
+        third = ctx.sql(SSSP)
         assert pickles == ["dump_payload", "sha256"]
         assert len(shipped) == 2 * NUM_WORKERS and None not in shipped[-NUM_WORKERS:]
         assert _delta(ctx.last_run, before, "base_side_cache_misses") == 0
         assert _delta(ctx.last_run, before, "base_side_cache_appended") == 1
-        expected = sim_ctx.sql(make_query())
-        assert _rows(third) == _rows(expected) != _rows(first)
+        expected = sim_ctx.sql(SSSP)
+        assert sorted_rows(third) == sorted_rows(expected) != sorted_rows(first)
         assert ctx.last_run.iterations == sim_ctx.last_run.iterations
-        assert _rows(ctx.sql(make_query())) == _rows(expected)
+        assert sorted_rows(ctx.sql(SSSP)) == sorted_rows(expected)
     finally:
         ctx.close()
 
@@ -457,36 +407,27 @@ def test_repeated_query_ships_no_heavy_half_and_pickles_nothing(
 @pytest.mark.timeout(180)
 def test_killed_workers_replacement_is_installed_from_the_memoised_half(
         install_spies):
+    """Composition: a warm base-side cache x a real SIGKILL."""
     from repro.engine.faults import ProcessKillInjector
 
     pickles, shipped = install_spies
-    _, make_query = QUERY_SETUPS["sssp"]
-    sim_ctx = make_context("sssp", "simulated")
-    expected = sim_ctx.sql(make_query())
-    ctx = make_context("sssp", "process")
-    try:
-        ctx.sql(make_query())
-        before = dict(ctx.last_run.metrics)
-        del pickles[:], shipped[:]
-        injector = ProcessKillInjector("fixpoint-shufflemap", signal="kill",
-                                       skip_matches=1)
-        ctx.cluster.inject_failures(injector)
-        actual = ctx.sql(make_query())
-        run = ctx.last_run
-    finally:
-        ctx.close()
-    assert injector.injected == 1
-    assert _rows(actual) == _rows(expected)
-    assert run.iterations == sim_ctx.last_run.iterations
-    assert _delta(run, before, "process_worker_respawns") == 1
-    assert _delta(run, before, "process_install_blob_reused") == 1
-    # Nothing was pickled for this query, yet the respawned worker (whose
-    # blob cache is empty) was sent the bytes: the memoised ones.
-    assert pickles == []
-    assert shipped[:NUM_WORKERS] == [None] * NUM_WORKERS
-    (resent,) = shipped[NUM_WORKERS:]
-    assert isinstance(resent, bytes)
-    assert _delta(run, before, "process_install_bytes") == len(resent)
+    report = process_differential("sssp", warm=True, faults=[
+        ProcessKillInjector("fixpoint-shufflemap", signal="kill",
+                            skip_matches=1)])
+    assert report.exact and report.fired == 1, report.summary()
+    assert base_sides(report) == (1, 0)
+    assert report.counters["process_worker_respawns"] == 1
+    assert report.counters["process_install_blob_reused"] == 1
+    # Only the warm-up pickled.  The killed run shipped no heavy half, yet
+    # the respawned worker (whose blob cache is empty) was sent the
+    # bytes: the memoised ones.
+    assert pickles == ["dump_payload", "sha256"]
+    warm, again, (resent,) = (shipped[:NUM_WORKERS],
+                              shipped[NUM_WORKERS:2 * NUM_WORKERS],
+                              shipped[2 * NUM_WORKERS:])
+    assert again == [None] * NUM_WORKERS and resent == warm[0]
+    assert (report.counters["process_install_bytes"]
+            == (NUM_WORKERS + 1) * len(resent))
     # ... and they are the pruned sides: (Dst, Cost), not edge rows.
     assert _stored_widths(resent) == {2}
 
@@ -521,20 +462,14 @@ def test_two_workers_on_pruned_sides_match_the_simulated_twin(
 
     _, shipped = install_spies
     _, make_query = QUERY_SETUPS[query_name]
-    sim_ctx = make_context(query_name, "simulated", num_workers=2)
-    expected = sim_ctx.sql(make_query())
-    ctx = make_context(query_name, "process", num_workers=2)
-    try:
-        actual = ctx.sql(make_query())
-        run = ctx.last_run
-    finally:
-        ctx.close()
-    assert _rows(actual) == _rows(expected)
-    assert run.iterations == sim_ctx.last_run.iterations
-    assert run.delta_history == sim_ctx.last_run.delta_history
-    summary = run.supervision_summary()
+    report = process_differential(query_name, num_workers=2)
+    assert report.exact, report.summary()
+    assert (report.subject_run.delta_history
+            == report.oracle_run.delta_history)
+    summary = report.counters
     assert summary["process_tasks_shipped"] > 0
     assert summary["process_backend_degradations"] == 0
+    ctx = make_context(query_name, "simulated")  # for its catalog
 
     assert len(shipped) == 2 and shipped[0] == shipped[1]
     assert _stored_widths(shipped[0]) == widths

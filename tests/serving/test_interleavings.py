@@ -1,24 +1,26 @@
 """Interleaving differentials: concurrent sessions vs serial replay.
 
 The serving driver is cooperative and its interleaving is chosen by a
-seeded scheduler, so every concurrent run has a *serial witness*: replay
-the recorded ``execution_order`` one request at a time on a fresh
-context (plain ``ctx.sql`` for statements, ``catalog.append_rows`` plus
-a fresh ``IncrementalView.insert`` for inserts, ``view.result()`` for
-reads) and every answer must be bit-exact with what the service handed
-its clients — caches, snapshots and admission queueing must be
-semantically invisible.  The error-path tests interleave admission
-rejections and deadline aborts into the mix and check the governor ends
-idle, i.e. no completion path leaks its ticket.
+seeded scheduler, so every concurrent run has a *serial witness*:
+:func:`repro.chaos.serial_replay` re-runs the recorded ``execution_order``
+one request at a time on a fresh context (plain ``ctx.sql`` for
+statements *and* for view reads, ``catalog.append_rows`` for inserts —
+no service, no incremental view) and every answer must be bit-exact with
+what the service handed its clients — caches, snapshots, view maintenance
+and admission queueing must be semantically invisible.  The error-path
+tests interleave admission rejections and deadline aborts into the mix
+and check the governor ends idle, i.e. no completion path leaks its
+ticket.
 """
 
 import pytest
 
 from repro import ExecutionConfig, QueryGovernor, RaSQLContext
-from repro.core.streaming import IncrementalView
+from repro.chaos import future_answer, serial_replay
 from repro.errors import AdmissionRejectedError, QueryDeadlineExceededError
 from repro.queries import get_query
 from repro.serving import QueryService
+from repro.serving.workload import submit_op
 
 pytestmark = pytest.mark.serving
 
@@ -26,21 +28,23 @@ EDGES = [(1, 2, 4.0), (2, 3, 2.0), (1, 3, 9.0), (3, 4, 1.0), (4, 6, 5.0)]
 SSSP = get_query("sssp").formatted(source=1)
 TC = get_query("tc").sql
 REACH = get_query("reach").formatted(source=1)
+VIEWS = {"dist": SSSP}
 
-#: A mixed workload: view reads racing inserts racing ad-hoc SQL, spread
-#: round-robin over three sessions by ``submit_ops``.
-OPS = [
+#: A mixed workload (``repro.serving.workload`` op tuples): view reads
+#: racing inserts — one of them re-submitting a row already there —
+#: racing ad-hoc SQL, spread round-robin over three sessions.
+OPS = [(f"s{i % 3}", kind, payload) for i, (kind, payload) in enumerate([
     ("view_read", "dist"),
     ("sql", SSSP),
     ("sql", TC),
-    ("insert", "edge", [(4, 5, 1.0)]),
+    ("insert", ("edge", [(4, 5, 1.0)])),
     ("view_read", "dist"),
     ("sql", SSSP),
-    ("insert", "edge", [(5, 6, 2.0), (6, 7, 3.0)]),
+    ("insert", ("edge", [(5, 6, 2.0), (6, 7, 3.0), (4, 5, 1.0)])),
     ("view_read", "dist"),
     ("sql", REACH),
     ("sql", TC),
-]
+])]
 
 
 def fresh_context(**kwargs):
@@ -59,75 +63,39 @@ def make_service(scheduler="seeded", seed=0):
     return service
 
 
-def submit_ops(service, ops):
-    futures = []
-    for i, op in enumerate(ops):
-        session = service.session(f"s{i % 3}")
-        if op[0] == "sql":
-            futures.append(session.sql(op[1]))
-        elif op[0] == "view_read":
-            futures.append(session.read_view(op[1]))
-        else:
-            futures.append(session.insert(op[1], op[2]))
-    return futures
-
-
-def serial_replay(ops, futures, execution_order):
-    """Replay the recorded interleaving serially; {request_id: answer}."""
-    ctx = fresh_context()
-    view = IncrementalView(ctx, SSSP)
-    by_id = {f.request_id: op for op, f in zip(ops, futures)}
-    answers = {}
-    for request_id in execution_order:
-        op = by_id[request_id]
-        if op[0] == "sql":
-            answers[request_id] = sorted(ctx.sql(op[1]).rows)
-        elif op[0] == "view_read":
-            answers[request_id] = sorted(view.result().rows)
-        else:
-            table, rows = op[1], op[2]
-            ctx.catalog.append_rows(table, rows)
-            view.insert(table, rows)
-            answers[request_id] = len(rows)
-    return answers
+def assert_matches_serial_replay(futures, execution_order):
+    """Every finished future of ``OPS`` answers what the serial replay of
+    ``execution_order`` answers."""
+    expected = serial_replay(
+        fresh_context(), {f.request_id: op for op, f in zip(OPS, futures)},
+        execution_order, VIEWS)
+    for future in futures:
+        assert future_answer(future) == expected[future.request_id], (
+            f"request #{future.request_id} {future.label!r} "
+            f"(source={future.source}) diverged from serial replay")
 
 
 class TestSerialReplayDifferential:
     @pytest.mark.parametrize("seed", [0, 1, 7, 13])
     def test_seeded_interleaving_matches_serial_replay(self, seed):
         service = make_service(seed=seed)
-        futures = submit_ops(service, OPS)
+        futures = [submit_op(service, op) for op in OPS]
         service.drain()
         assert all(f.ok for f in futures)
         assert len(service.execution_order) == len(OPS)
-
-        expected = serial_replay(OPS, futures, service.execution_order)
-        for op, future in zip(OPS, futures):
-            want = expected[future.request_id]
-            if op[0] == "insert":
-                assert future.result() == want
-            else:
-                assert sorted(future.result().rows) == want, (
-                    f"request #{future.request_id} {future.label!r} "
-                    f"(source={future.source}) diverged from serial replay")
+        assert_matches_serial_replay(futures, service.execution_order)
 
     def test_fifo_matches_serial_replay_too(self):
         service = make_service(scheduler="fifo")
-        futures = submit_ops(service, OPS)
+        futures = [submit_op(service, op) for op in OPS]
         service.drain()
-        expected = serial_replay(OPS, futures, service.execution_order)
-        for op, future in zip(OPS, futures):
-            if op[0] == "insert":
-                assert future.result() == expected[future.request_id]
-            else:
-                assert (sorted(future.result().rows)
-                        == expected[future.request_id])
+        assert_matches_serial_replay(futures, service.execution_order)
 
 
 class TestSchedulerDeterminism:
     def run_once(self, scheduler, seed):
         service = make_service(scheduler=scheduler, seed=seed)
-        futures = submit_ops(service, OPS)
+        futures = [submit_op(service, op) for op in OPS]
         service.drain()
         return service, futures
 
@@ -137,11 +105,8 @@ class TestSchedulerDeterminism:
         assert first.execution_order == second.execution_order
         assert ([f.source for f in first_futures]
                 == [f.source for f in second_futures])
-        for a, b in zip(first_futures, second_futures):
-            if a.kind == "insert":
-                assert a.result() == b.result()
-            else:
-                assert sorted(a.result().rows) == sorted(b.result().rows)
+        assert (list(map(future_answer, first_futures))
+                == list(map(future_answer, second_futures)))
 
     def test_seeds_actually_permute_the_backlog(self):
         orders = {tuple(self.run_once("seeded", seed)[0].execution_order)
@@ -196,7 +161,7 @@ class TestErrorPathsUnderInterleaving:
             governor=QueryGovernor(max_concurrent=8, max_queue=8))
         service = QueryService(ctx, scheduler="seeded", seed=3)
         service.create_view("dist", SSSP)
-        futures = submit_ops(service, OPS)
+        futures = [submit_op(service, op) for op in OPS]
         strict = ExecutionConfig(deadline_seconds=1e-9)
         doomed = service.session("s0").sql(TC, config=strict)
         service.drain()
@@ -204,11 +169,5 @@ class TestErrorPathsUnderInterleaving:
         assert isinstance(doomed.error, QueryDeadlineExceededError)
         survivors = [rid for rid in service.execution_order
                      if rid != doomed.request_id]
-        expected = serial_replay(OPS, futures, survivors)
-        for op, future in zip(OPS, futures):
-            if op[0] == "insert":
-                assert future.result() == expected[future.request_id]
-            else:
-                assert (sorted(future.result().rows)
-                        == expected[future.request_id])
+        assert_matches_serial_replay(futures, survivors)
         assert self.governor_is_idle(service)

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro import ExecutionConfig, MemoryConfig, QueryGovernor, RaSQLContext
-from repro.chaos import make_service_schedule, run_service_with_chaos
+from repro.chaos import run_service_differential, sorted_rows
 from repro.engine.faults import FailureInjector, FaultToleranceConfig, RecoveryManager
 from repro.errors import (
     AdmissionRejectedError,
@@ -24,7 +24,9 @@ from repro.errors import (
     TaskRetryExhaustedError,
     WALError,
 )
+from repro.queries import get_query
 from repro.serving import CircuitBreaker, QueryService, RetryPolicy, WriteAheadLog
+from repro.serving.workload import VIEW_NAME, generate_ops
 
 pytestmark = [pytest.mark.serving, pytest.mark.resilience]
 
@@ -107,18 +109,54 @@ class TestWriteAheadLog:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.timeout(180)
-@pytest.mark.parametrize("seed", [1, 8])
-def test_killed_service_matches_serial_replay(tmp_path, seed):
-    ops = make_service_schedule(seed, [TC, CNT], "reach", "edge", SPARE,
-                                num_ops=8)
-    report = run_service_with_chaos(
-        make_context, ops, view_name="reach", view_sql=TC,
+def make_workload_context(num_workers=4, **kwargs):
+    """The ``serving.workload`` schema: a weighted edge table (and room
+    for the whole op stream in the governor's backlog)."""
+    ctx = RaSQLContext(num_workers=num_workers, seed=13, governor=QueryGovernor(
+        max_concurrent=8, max_queue=8), **kwargs)
+    ctx.register_table("edge", ["Src", "Dst", "Cost"],
+                       [(a, b, 1.0) for a, b in EDGES])
+    return ctx
+
+
+def killed_service_differential(tmp_path, seed, subject=None):
+    """View reads, repeated and distinct SQL, and inserts — half of them
+    re-inserting a row the stream already added — in equal parts, under
+    one corruption and a driver kill."""
+    ops = generate_ops(clients=2, requests=10, seed=seed, reinsert=0.5,
+                       mix={"view_read": 1, "hot_sql": 1, "pooled_sql": 1,
+                            "insert": 1})
+    return run_service_differential(
+        make_workload_context, ops, subject=subject,
+        views={VIEW_NAME: get_query("sssp").formatted(source=0)},
         wal_path=str(tmp_path / "svc.wal"),
         checkpoint_dir=str(tmp_path / "ckpt"),
         seed=seed, kill_after_requests=2, corruptions=1)
-    assert report.matches, report.summary()
-    assert report.compared > 0
+
+
+@pytest.mark.timeout(180)
+@pytest.mark.parametrize("seed", [1, 8])
+def test_killed_service_matches_serial_replay(tmp_path, seed):
+    report = killed_service_differential(tmp_path, seed)
+    assert report.exact and report.killed, report.summary()
+    assert report.details["compared"] > 0
+    # Seed 1's scheduler runs a re-admitted insert before the killed
+    # statement: its checkpoint is stale, and it is re-executed — not
+    # failed with CheckpointError, its blob not left behind.
+    assert report.details["stale_checkpoints"] == (seed == 1)
+
+
+@pytest.mark.process_backend
+@pytest.mark.timeout(180)
+def test_killed_service_on_the_process_backend_matches_serial_replay(
+        tmp_path):
+    """Composition: the killed and the recovered service over (two) real
+    worker processes, against the simulated serial witness."""
+    report = killed_service_differential(
+        tmp_path, 8, subject={"config": ExecutionConfig(backend="process"),
+                              "num_workers": 2})
+    assert report.exact and report.killed, report.summary()
+    assert report.details["compared"] > 0
 
 
 @pytest.mark.timeout(120)
@@ -147,10 +185,10 @@ def test_recover_replays_views_inserts_and_backlog(tmp_path):
     # Differential: the recovered answers equal a clean serial run.
     serial = make_context()
     serial.catalog.append_rows("edge", [SPARE[0]])
-    assert (sorted(recovered.recovered_futures[2].result().rows)
-            == sorted(serial.sql(CNT).rows))
-    assert (sorted(recovered.recovered_futures[3].result().rows)
-            == sorted(serial.sql(TC).rows))
+    assert (sorted_rows(recovered.recovered_futures[2].result())
+            == sorted_rows(serial.sql(CNT)))
+    assert (sorted_rows(recovered.recovered_futures[3].result())
+            == sorted_rows(serial.sql(TC)))
     # The futures the dead process handed out are still undrainable —
     # recovery resolves the *recovered* futures, not the old objects.
     assert not pending_sql.done and not pending_read.done

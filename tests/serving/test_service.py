@@ -331,6 +331,27 @@ class TestServedViews:
         assert after.result() is not before.result()
         assert service.view("dist").maintenance_inserts == 1
 
+    def test_duplicate_insert_keeps_view_adhoc_sql_and_fresh_context_equal(
+            self):
+        """Re-inserting a present edge is not a new fact: the served sum
+        view, the service's own ad-hoc SQL and a fresh context over the
+        concatenated table all count paths the same."""
+        query = get_query("count_paths").formatted(source=1)
+        service = make_service(scheduler="fifo")
+        service.create_view("paths", query)
+        writer = service.session("w")
+        writer.insert("edge", [(3, 4, 1.0)])              # already present
+        writer.insert("edge", [(4, 5, 1.0), (4, 5, 1.0)])  # repeated in-batch
+        read, adhoc = writer.read_view("paths"), writer.sql(query)
+        service.drain()
+        fresh = RaSQLContext(num_workers=2)
+        fresh.register_table(
+            "edge", ["Src", "Dst", "Cost"],
+            EDGES + [(3, 4, 1.0), (4, 5, 1.0), (4, 5, 1.0)])
+        assert (read.result().to_dict() == adhoc.result().to_dict()
+                == fresh.sql(query).to_dict())
+        assert read.result().to_dict()[5] == 2  # 1-2-3-4-5 and 1-3-4-5
+
     def test_unknown_view_rejected_at_submit(self):
         service = self.make_served()
         with pytest.raises(AnalysisError, match="no served view"):

@@ -13,7 +13,9 @@ below also proves snapshot isolation, not just eventual agreement.
 import pytest
 
 from repro import QueryGovernor, RaSQLContext
+from repro.chaos import future_answer, serial_replay
 from repro.serving import QueryService
+from repro.serving.workload import submit_op
 
 pytestmark = [pytest.mark.serving, pytest.mark.resilience]
 
@@ -44,65 +46,38 @@ def make_service(seed):
     return service
 
 
-def epoch_ladder(service, ops, futures):
-    """Walk ``execution_order`` serially; the scheduler may have run the
-    inserts in any order, so the ladder is built from the *recorded*
-    interleaving: per read request the expected rows at its epoch, plus
-    the full set of rungs that existed at any point of the run."""
-    by_id = {f.request_id: op for op, f in zip(ops, futures)}
-    ctx = fresh_context()
-    expected, rungs, memo = {}, [], {}
-
-    def rung():
-        version = ctx.catalog.data_version
-        if version not in memo:
-            memo[version] = sorted(ctx.sql(TC).rows)
-            rungs.append(memo[version])
-        return memo[version]
-
-    rung()
-    for request_id in service.execution_order:
-        op = by_id[request_id]
-        if op[0] == "insert":
-            ctx.catalog.append_rows("edge", op[1])
-        else:
-            expected[request_id] = rung()
-    rung()
-    return expected, rungs
-
-
 def run_workload(seed):
-    """Interleave reads with the insert ladder under a seeded scheduler."""
+    """Interleave reads with the insert ladder under a seeded scheduler;
+    returns the finished futures and their serial witness — the scheduler
+    may have run the inserts in any order, so the ladder is walked along
+    the *recorded* ``execution_order`` (:func:`repro.chaos.serial_replay`):
+    per request, the answer at the epoch it ran in."""
     service = make_service(seed)
-    ops, futures = [], []
+    ops = []
     deck = list(INSERTS)
     for i in range(9):
-        session = service.session(f"s{i % 2}")
         if i % 3 == 2 and deck:
-            rows = deck.pop(0)
-            ops.append(("insert", rows))
-            futures.append(session.insert("edge", rows))
+            kind, payload = "insert", ("edge", deck.pop(0))
         elif i % 2 == 0:
-            ops.append(("view_read", None))
-            futures.append(session.read_view("reach"))
+            kind, payload = "view_read", "reach"
         else:
-            ops.append(("sql", TC))
-            futures.append(session.sql(TC))
+            kind, payload = "sql", TC
+        ops.append((f"s{i % 2}", kind, payload))
+    futures = [submit_op(service, op) for op in ops]
     service.drain()
     assert all(f.ok for f in futures), [f.error for f in futures]
-    return service, ops, futures
+    expected = serial_replay(
+        fresh_context(), {f.request_id: op for op, f in zip(ops, futures)},
+        service.execution_order, {"reach": TC})
+    return futures, expected
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_every_read_lands_on_exactly_its_epoch(seed):
-    service, ops, futures = run_workload(seed)
-    expected, _ = epoch_ladder(service, ops, futures)
-    for op, future in zip(ops, futures):
-        if op[0] == "insert":
-            continue
-        got = sorted(future.result().rows)
-        assert got == expected[future.request_id], (
-            f"request #{future.request_id} ({op[0]}, source="
+    futures, expected = run_workload(seed)
+    for future in futures:
+        assert future_answer(future) == expected[future.request_id], (
+            f"request #{future.request_id} ({future.kind}, source="
             f"{future.source}) answered from the wrong epoch — or from "
             f"a torn mix matching no epoch at all")
 
@@ -110,12 +85,12 @@ def test_every_read_lands_on_exactly_its_epoch(seed):
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_no_answer_is_torn(seed):
     """Weaker but direct: every observed answer is *some* rung."""
-    service, ops, futures = run_workload(seed)
-    _, rungs = epoch_ladder(service, ops, futures)
-    rung_set = {tuple(r) for r in rungs}
-    for op, future in zip(ops, futures):
-        if op[0] != "insert":
-            assert tuple(sorted(future.result().rows)) in rung_set
+    futures, expected = run_workload(seed)
+    rungs = [answer for answer in expected.values()
+             if isinstance(answer, list)]
+    for future in futures:
+        if future.kind != "insert":
+            assert future_answer(future) in rungs
 
 
 def test_result_cache_is_epoch_keyed():

@@ -3,13 +3,12 @@
 import pytest
 
 from repro import RaSQLContext
-from repro.chaos import (
-    ChaosSchedule,
-    make_schedule,
+from repro.chaos import make_schedule, run_differential
+from repro.engine.faults import (
+    FailureInjector,
+    WorkerLossInjector,
     parse_fault_spec,
-    run_with_chaos,
 )
-from repro.engine.faults import FailureInjector, WorkerLossInjector
 
 
 class TestMakeSchedule:
@@ -23,9 +22,12 @@ class TestMakeSchedule:
 
     def test_composition(self):
         schedule = make_schedule(7, task_deaths=3, worker_losses=2)
-        assert len(schedule.task_injectors) == 3
-        assert len(schedule.loss_injectors) == 2
-        for injector in schedule.task_injectors:
+        deaths = [i for i in schedule.injectors
+                  if isinstance(i, FailureInjector)]
+        assert len(deaths) == 3
+        assert sum(isinstance(i, WorkerLossInjector)
+                   for i in schedule.injectors) == 2
+        for injector in deaths:
             assert injector.point in ("before", "after")
 
     def test_arm_installs_on_cluster(self):
@@ -83,40 +85,47 @@ class TestRunWithChaos:
         SELECT Dst, Cost FROM path
     """
 
-    def make_context(self):
-        ctx = RaSQLContext(num_workers=4)
-        ctx.register_table("edge", ["Src", "Dst", "Cost"], self.EDGES)
+    def make_context(self, extra=(), **side):
+        ctx = RaSQLContext(num_workers=4, **side)
+        ctx.register_table("edge", ["Src", "Dst", "Cost"],
+                           self.EDGES + list(extra))
         return ctx
 
     def test_exact_match_and_counters(self):
-        report = run_with_chaos(self.QUERY, self.make_context,
-                                make_schedule(11, num_workers=4))
-        assert report.matches
-        assert report.baseline_rows == report.chaos_rows
-        task_fired, losses_fired = report.schedule.injected_counts()
-        assert report.counters["task_failures"] == task_fired
-        assert report.counters["workers_lost"] == losses_fired
-        assert report.overhead_seconds >= 0
+        schedule = make_schedule(11, num_workers=4)
+        report = run_differential(self.QUERY, self.make_context,
+                                  faults=schedule.injectors)
+        assert report.exact and not report.leaks
+        assert len(report.oracle_rows) == len(report.subject_rows)
+        fired = schedule.fired()
+        assert report.fired == sum(fired.values())
+        assert report.counters["task_failures"] == fired["task"]
+        assert report.counters["workers_lost"] == fired["worker-loss"]
+        assert report.subject_run.sim_time >= report.oracle_run.sim_time
         assert "EXACT" in report.summary()
 
     def test_empty_schedule_is_free(self):
-        report = run_with_chaos(self.QUERY, self.make_context,
-                                ChaosSchedule(seed=0))
-        assert report.matches
+        report = run_differential(self.QUERY, self.make_context)
+        assert report.exact
         assert report.counters["task_failures"] == 0
         assert report.counters["recovery_seconds"] == 0
         # The two runs do the same work; only measured-CPU jitter differs.
-        assert abs(report.overhead_seconds) < \
-            0.2 * report.baseline_sim_time + 0.01
+        clean, again = report.oracle_run.sim_time, report.subject_run.sim_time
+        assert abs(again - clean) < 0.2 * clean + 0.01
 
     def test_trace_shows_recovery(self):
         from repro.engine.tracing import format_explain_analyze
 
-        report = run_with_chaos(
+        report = run_differential(
             self.QUERY, self.make_context,
-            ChaosSchedule(seed=0, injectors=[
-                WorkerLossInjector("fixpoint", worker=1, at_task=1)]))
-        assert report.matches
+            faults=[WorkerLossInjector("fixpoint", worker=1, at_task=1)])
+        assert report.exact
         rendered = format_explain_analyze(report.trace)
         assert "fault recovery" in rendered
         assert "workers lost: 1" in rendered
+
+    def test_a_diverging_subject_is_a_mismatch(self):
+        """The harness can fail: a subject over other data is not exact."""
+        report = run_differential(self.QUERY, self.make_context,
+                                  subject={"extra": [(4, 5, 1.0)]})
+        assert not report.exact and "MISMATCH" in report.summary()
