@@ -116,8 +116,7 @@ class FixpointOperator:
         #: ``checkpoint_interval`` completed iterations.
         self.checkpointer = checkpointer
         #: The session's cross-query cache of what base setup builds
-        #: (``None``: build every time, as an incremental view must —
-        #: it appends into its sides).
+        #: (``None``: build every time).
         self.base_sides = base_sides
         #: step id -> (cache key, epoch), for the base sides that came
         #: through the cache.
@@ -216,6 +215,7 @@ class FixpointOperator:
             buckets, sides, seconds = self._base_side(
                 plan, relation.rows, generation)
             build_cpu += seconds
+            self._bind_base_side(plan, buckets, sides)
 
             if plan.mode == "broadcast":
                 charge_key = (plan.relation.lower(), plan.filter_sql)
@@ -227,19 +227,10 @@ class FixpointOperator:
                         ship_hash_table=not config.broadcast_compression)
                     if broadcast.memory_group:
                         self.broadcast_groups.append(broadcast.memory_group)
-                self.runtime.broadcast_tables[plan.step_id] = sides[0]
                 continue
-            self.runtime.base_partitions[plan.step_id] = sides
-            # Wrapped per query: a partition's home moves when the pool
-            # shrinks, and a Partition memoizes its size.
-            partitions = [
-                Partition(i, bucket, cluster.worker_for_partition(i))
-                for i, bucket in enumerate(buckets)
-            ]
-            self.base_blocks[plan.step_id] = partitions
             # Cached co-partitioned base blocks live on workers for
             # the whole fixpoint; charge them like Spark storage.
-            for partition in partitions:
+            for partition in self.base_blocks[plan.step_id]:
                 if partition.rows:
                     cluster.memory.charge(
                         "base", str(plan.step_id), partition.index,
@@ -253,6 +244,19 @@ class FixpointOperator:
                 + build_cpu * cluster.cost_model.cpu_scale / cluster.num_workers,
                 label="fixpoint-setup")
             cluster.metrics.inc("stages")
+
+    def _bind_base_side(self, plan: BaseRelationPlan, buckets: list,
+                        sides: list) -> None:
+        """Point the step's join at one base input's sides (a co-partitioned
+        one also gets its blocks, wrapped anew: a partition's home moves
+        when the pool shrinks, and a Partition memoizes its size)."""
+        if plan.mode == "broadcast":
+            self.runtime.broadcast_tables[plan.step_id] = sides[0]
+            return
+        self.runtime.base_partitions[plan.step_id] = sides
+        self.base_blocks[plan.step_id] = [
+            Partition(i, bucket, self.cluster.worker_for_partition(i))
+            for i, bucket in enumerate(buckets)]
 
     def _base_side(self, plan: BaseRelationPlan, rows: list[tuple],
                    generation: int | None) -> tuple[list, list, float]:
@@ -320,23 +324,25 @@ class FixpointOperator:
                     plan.describe_side(self.resolve(plan.relation).columns)
                     for plan in planned.base_plans]}
 
-    def append_base_rows(self, plan: BaseRelationPlan,
-                         rows: list[tuple]) -> None:
-        """Absorb inserted rows of ``plan``'s relation into its cached
-        build side (incremental maintenance)."""
-        if plan.mode == "broadcast":
-            append_base_side(plan, rows,
-                             [self.runtime.broadcast_tables[plan.step_id]])
-            return
-        buckets = append_base_side(
-            plan, rows, self.runtime.base_partitions[plan.step_id],
-            self.step.make_router(plan.build_key))
-        blocks = self.base_blocks[plan.step_id]
-        for i, bucket in enumerate(buckets):
-            if bucket:
-                # Re-wrapped, since a Partition memoizes its size.
-                blocks[i].rows.extend(bucket)
-                blocks[i] = Partition(i, blocks[i].rows, blocks[i].worker)
+    def catch_up(self, table: str, held: int) -> list[tuple]:
+        """The facts of base ``table`` past its first ``held`` — what was
+        appended since the state covered ``held`` of them — with ``table``
+        and every side over it read again the way base set-up reads them,
+        so the cross-query cache absorbs the rows (incremental
+        maintenance: the sides grow only inside ``BaseSideCache.get``).
+        Call it before evaluating the table's maintenance terms: a rule
+        that reads the table twice must meet the new facts on both
+        sides."""
+        key = table.lower()
+        for name in [name for name in self._resolved if name.lower() == key]:
+            del self._resolved[name]
+        for plan in self.planned.base_plans:
+            if plan.relation.lower() == key:
+                relation, generation = self._resolve_registered(plan.relation)
+                buckets, sides, _ = self._base_side(plan, relation.rows,
+                                                    generation)
+                self._bind_base_side(plan, buckets, sides)
+        return self.resolve(table).rows[held:]
 
     # ------------------------------------------------------------------
     # base case and shuffles

@@ -559,10 +559,10 @@ class BaseSideCache:
     epoch is a hit; an epoch that :func:`~repro.core.catalog.only_grew`
     lets an entry that can *absorb* the new rows do so, in place; anything
     else rebuilds.  Only relations the catalog itself holds are
-    :meth:`covered <covers>`; a per-query materialized view or an
-    incremental view's private table copy changes without the catalog
-    knowing.  A cached value is shared by every query that hits, and
-    grows only here, between queries: never mutate one.
+    :meth:`covered <covers>`; a per-query materialized view changes
+    without the catalog knowing.  A cached value is shared by every query
+    that hits and every incremental view over the table, and grows only
+    here, between queries and catch-ups: never mutate one.
     """
 
     def __init__(self, catalog):

@@ -12,8 +12,12 @@ rows is just *more delta*:
 2. the resulting contributions feed the ordinary semi-naive loop, which
    runs to quiescence from wherever the state already is.
 
+A view reads the session's own tables through the base-side cache every
+``ctx.sql`` uses (DESIGN.md §19), and there is one insert path,
+``Catalog.append_rows``: the view catches up at its next read.
 Deletions and updates are out of scope (they would require non-monotone
-view maintenance, e.g. DRed); ``insert`` is the only mutation.
+view maintenance, e.g. DRed): a replaced or mutated table re-materializes
+the view.
 
 Example::
 
@@ -27,12 +31,9 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro.core.catalog import only_grew
 from repro.core.executor import execute_select
-from repro.core.fixpoint import (
-    FixpointOperator,
-    _distinct,
-    _extend_distinct,
-)
+from repro.core.fixpoint import FixpointOperator
 from repro.core.logical import CliquePlan, ScanNode
 from repro.core.planner import plan_clique
 from repro.errors import AnalysisError, PlanningError
@@ -40,7 +41,8 @@ from repro.relation import Relation
 
 
 class IncrementalView:
-    """A continuously maintained RaSQL query over growing base tables.
+    """A continuously maintained RaSQL query over the session's growing
+    base tables.
 
     Restrictions (checked at construction):
 
@@ -75,54 +77,42 @@ class IncrementalView:
         self.config = ctx.planning_config(
             self.clique, config.but(decomposed_plans=False), ctx.catalog.get)
         self.planned = plan_clique(self.clique, self.config, maintenance=True)
-        self._check_same_table_self_joins()
+        self._accumulates = self._check_same_table_self_joins()
 
-        # Mutable copies of the base tables this view reads, so inserts
-        # are visible to the final stratum without touching the session
-        # catalog.
-        self._tables: dict[str, Relation] = {}
-        for plan in self.planned.base_plans:
-            key = plan.relation.lower()
-            if key not in self._tables:
-                original = ctx.catalog.get(plan.relation)
-                self._tables[key] = Relation(original.name, original.columns,
-                                             list(original.rows))
-        for base_rule in self.planned.base_rules:
-            if base_rule.driving_relation:
-                key = base_rule.driving_relation.lower()
-                if key not in self._tables:
-                    original = ctx.catalog.get(base_rule.driving_relation)
-                    self._tables[key] = Relation(
-                        original.name, original.columns, list(original.rows))
-
-        #: table -> (its distinct rows — the *facts* the fixpoint resolves
-        #: and joins over — and their membership set, filled at the first
-        #: insert and kept): what :meth:`insert` tells a new fact from a
-        #: re-submitted row with.
-        self._facts = {key: (_distinct(table, own=True), set())
-                       for key, table in self._tables.items()}
-        self.operator = FixpointOperator(
-            self.planned, ctx.cluster, self.config,
-            lambda name: self._resolve(name, facts=True))
-        # Outside any query, so the view owns (and drops) its own traces.
-        with ctx.cluster.tracer.owned_span("view", "materialize"):
-            self.iterations, _ = self.operator.run()
-        #: Memoized final-SELECT output; dropped by the next ``insert``.
+        #: The base tables the recursion reads, lower-cased: the ones
+        #: :meth:`insert` accepts and the view maintains itself over.
+        self.tables = frozenset(
+            [plan.relation.lower() for plan in self.planned.base_plans]
+            + [rule.driving_relation.lower()
+               for rule in self.planned.base_rules if rule.driving_relation])
+        #: Every registered table the statement names — the recursion's
+        #: and any the final SELECT scans — whose epochs the state and the
+        #: memoized result are valid for.
+        self._named = ctx.catalog.tables_named(query)
+        #: Catch-ups that found a table moved, and the fixpoint iterations
+        #: they took (the serving layer reports both).
+        self.repairs = 0
+        self.repair_iterations = 0
+        #: Memoized final-SELECT output; dropped when a named table moves.
         self._cached_result: Relation | None = None
         #: How many times the final SELECT actually executed — repeated
         #: ``result()`` calls between inserts must not grow this (the
         #: serving layer reads it as the view's snapshot-hit telemetry).
         self.result_evaluations = 0
+        self.iterations = self._materialize()
 
     # ------------------------------------------------------------------
 
-    def _check_same_table_self_joins(self) -> None:
+    def _check_same_table_self_joins(self) -> bool:
+        """Reject a self-joined base table under a ``sum``/``count`` head;
+        returns whether the clique has such a head at all."""
+        accumulates = False
         for view in self.clique.views:
             target = self.planned.views[view.name.lower()]
-            accumulating = any(a is not None and a.name in ("sum", "count")
-                               for a in target.aggregates)
-            if not accumulating:
+            if not any(a is not None and a.name in ("sum", "count")
+                       for a in target.aggregates):
                 continue
+            accumulates = True
             for rule in view.recursive_rules + view.base_rules:
                 if rule.join is None:
                     continue
@@ -134,102 +124,120 @@ class IncrementalView:
                         f"incremental maintenance of sum/count view "
                         f"{view.name!r} with a self-joined base table "
                         f"{sorted(duplicated)} would double-count")
+        return accumulates
 
-    def _resolve(self, name: str, facts: bool = False) -> Relation:
-        """The view's copy of a table it reads — as submitted (a bag), or
-        its distinct ``facts`` — else the session catalog's."""
-        key = name.lower()
-        if key in self._tables:
-            return self._facts[key][0] if facts else self._tables[key]
-        return self.ctx.catalog.get(name)
+    def _epochs(self) -> list[tuple[int, int]]:
+        catalog = self.ctx.catalog
+        return [catalog.epoch(name) for name in self._named]
 
-    # ------------------------------------------------------------------
-
-    def insert(self, table: str, rows: Iterable[Sequence]) -> int:
-        """Insert rows into a base table and repair the view.
-
-        Returns the number of fixpoint iterations the repair took (0 when
-        the insertion derived nothing new).
-        """
-        key = table.lower()
-        new_rows = [tuple(r) for r in rows]
-        if not new_rows:
-            return 0
-        if key not in self._tables:
-            raise AnalysisError(
-                f"table {table!r} is not read by this view "
-                f"(tables: {sorted(self._tables)})")
-        relation = self._tables[key]
-        for row in new_rows:
-            if len(row) != len(relation.columns):
-                raise AnalysisError(
-                    f"row {row!r} does not match {table!r} schema "
-                    f"{relation.columns}")
-
-        # The base table is about to change, so the memoized final SELECT
-        # goes stale even if the repair below derives nothing new (the
-        # final stratum may scan the base table directly).
-        self._cached_result = None
-
-        # Recursion evaluates over *facts* (``FixpointOperator.resolve``):
-        # a row the table already holds, or one repeated inside the batch,
-        # must not reach a join side or the maintenance terms again, or it
-        # inflates sum/count heads.  The table itself keeps every
-        # submitted row: the final stratum scans it as a bag.
-        facts = self._facts[key][0].rows
-        held = len(facts)
-        _extend_distinct(self._facts[key], new_rows)
-        new_facts = facts[held:]
-        relation.rows.extend(new_rows)
-        if not new_facts:
-            return 0
-
-        # 1. make the new facts visible to every cached join side (before
-        #    evaluating, so same-table multi-reference rules see them).
-        for plan in self.planned.base_plans:
-            if plan.relation.lower() == key:
-                self.operator.append_base_rows(plan, new_facts)
-
-        # 2. derive the new contributions and run the ordinary semi-naive
-        #    loop from the existing state.
-        with self.ctx.cluster.tracer.owned_span("view", f"insert[{key}]"):
-            iterations = self.operator.maintain(
-                self.planned.maintenance_terms.get(key, ()), new_facts)
-        self.iterations += iterations
+    def _materialize(self) -> int:
+        """Run the clique from scratch over the session's tables; returns
+        its iterations."""
+        ctx = self.ctx
+        self.operator = FixpointOperator(
+            self.planned, ctx.cluster, self.config, ctx.catalog.get,
+            base_sides=ctx.base_sides)
+        # Outside any query, so the view owns (and drops) its own traces.
+        with ctx.cluster.tracer.owned_span("view", "materialize"):
+            iterations, _ = self.operator.run()
+        self._stamp = self._epochs()
+        #: table -> how many of its distinct facts the state covers.
+        self._held = {table: len(self.operator.resolve(table).rows)
+                      for table in self.tables}
         return iterations
 
     # ------------------------------------------------------------------
 
-    def result(self) -> Relation:
-        """The final SELECT evaluated over the current state.
+    def refresh(self) -> int:
+        """Catch up with the session's tables; returns the fixpoint
+        iterations that took.
 
-        Memoized until the next :meth:`insert`: between mutations the
-        view's state is frozen, so repeated reads — the dominant access
-        pattern once the view is served to many clients — return the
-        cached relation without re-running the final stratum.  All
-        readers between two inserts therefore observe the *same*
+        The one validity rule (DESIGN.md §19) per table the recursion
+        reads: an equal epoch needs nothing; a table that only grew is
+        maintained over its facts past the ones the state covers (a
+        re-submitted row is no new fact); anything else re-materializes
+        the view — so do two grown tables under a ``sum``/``count`` head,
+        since once another query has absorbed both, a derivation through
+        new rows of each would be counted once per table.  Any named
+        table that moved drops the memoized result.
+        """
+        stamp = self._epochs()
+        if stamp == self._stamp:
+            return 0
+        self._cached_result = None
+        moved = [(name, then, now)
+                 for name, then, now in zip(self._named, self._stamp, stamp)
+                 if then != now and name in self.tables]
+        if (any(not only_grew(then, now) for _, then, now in moved)
+                or (self._accumulates and len(moved) > 1)):
+            iterations = self._materialize()
+            self.ctx.metrics.inc("view_rematerialized")
+        else:
+            iterations = 0
+            for name, _, _ in moved:
+                new_facts = self.operator.catch_up(name, self._held[name])
+                self._held[name] += len(new_facts)
+                if new_facts:
+                    with self.ctx.cluster.tracer.owned_span(
+                            "view", f"maintain[{name}]"):
+                        iterations += self.operator.maintain(
+                            self.planned.maintenance_terms.get(name, ()),
+                            new_facts)
+            self._stamp = stamp
+        if moved:
+            self.repairs += 1
+            self.repair_iterations += iterations
+        self.iterations += iterations
+        return iterations
+
+    def insert(self, table: str, rows: Iterable[Sequence]) -> int:
+        """Append rows to the session's table ``table`` and repair the
+        view now — ``ctx.catalog.append_rows`` then :meth:`refresh`; rows
+        appended any other way are caught up with at the next read.
+
+        Returns the number of fixpoint iterations the repair took (0 when
+        the insertion derived nothing new).
+        """
+        if table.lower() not in self.tables:
+            raise AnalysisError(
+                f"table {table!r} is not read by this view "
+                f"(tables: {sorted(self.tables)})")
+        self.ctx.catalog.append_rows(table, rows)
+        return self.refresh()
+
+    # ------------------------------------------------------------------
+
+    def result(self) -> Relation:
+        """The final SELECT evaluated over the current state, caught up
+        with the session's tables first (:meth:`refresh`).
+
+        Memoized until a table the statement names moves: between
+        mutations the view's state is frozen, so repeated reads — the
+        dominant access pattern once the view is served to many clients —
+        return the cached relation without re-running the final stratum.
+        All readers between two inserts therefore observe the *same*
         snapshot object.
         """
+        self.refresh()
         if self._cached_result is not None:
             return self._cached_result
-        states = self.operator.relations()
+        # relations() keys by original view name; index case-insensitively.
+        states = {name.lower(): relation for name, relation
+                  in self.operator.relations().items()}
+        catalog = self.ctx.catalog
 
         def resolve(name: str) -> Relation:
             key = name.lower()
-            if key in states:
-                return states[key]
-            return self._resolve(name)
+            return states[key] if key in states else catalog.get(name)
 
-        # relations() keys by original view name; index case-insensitively.
-        states = {name.lower(): rel for name, rel in states.items()}
         self.result_evaluations += 1
         self._cached_result = execute_select(self.final, resolve, "result")
         return self._cached_result
 
     def view_relation(self, name: str) -> Relation:
         """The current contents of one recursive view."""
-        states = self.operator.relations()
-        for view_name, relation in states.items():
+        self.refresh()
+        for view_name, relation in self.operator.relations().items():
             if view_name.lower() == name.lower():
                 return relation
         raise KeyError(name)

@@ -38,11 +38,11 @@ SQL statements pass through the shared :class:`~repro.serving.cache.
 PlanCache` (normalized text + catalog schema epoch) and
 :class:`~repro.serving.cache.ResultCache` (… + the data epochs of the
 tables the statement names + config); served views memoize their final
-SELECT between inserts.  An insert submitted through the service appends
-to the session catalog (growing that table's epoch, which retires the
-result-cache entries that could have read it, by key, and is absorbed by
-the context's cached base sides at their next lookup) and fans out to
-every served view reading that table.
+SELECT between inserts.  An insert submitted through the service is one
+``Catalog.append_rows`` and nothing else: the grown epoch retires the
+result-cache entries that could have read the table, by key, and the
+context's cached base sides absorb the rows at their next lookup — a
+served view's among them, at its next read.
 """
 
 from __future__ import annotations
@@ -280,7 +280,8 @@ class QueryService:
 
     def submit_insert(self, session: Session, table: str,
                       rows: Iterable[Sequence]) -> QueryFuture:
-        """Submit a base-table insert; maintains every affected view."""
+        """Submit a base-table insert (served views over the table catch
+        up with it at their next read)."""
         rows = [tuple(r) for r in rows]
         future = self._new_future(session, "insert",
                                   f"insert {len(rows)} rows into {table}")
@@ -486,24 +487,12 @@ class QueryService:
         return relation, "view_evaluated"
 
     def _run_insert(self, request: _Request) -> tuple[int, str]:
-        appended = self._apply_insert(request.table, request.rows)
+        # The whole insert: what is derived from the table — served views
+        # included — catches up with the grown epoch when next read.
+        appended = self.ctx.catalog.append_rows(request.table, request.rows)
         self.metrics.inc("serving_inserts")
         self.metrics.inc("serving_rows_inserted", appended)
         return appended, "applied"
-
-    def _apply_insert(self, table: str, rows: list[tuple]) -> int:
-        """Append to the catalog, then maintain every served view over
-        that table — a live insert and a replayed one alike.  Catalog
-        first: ``append_rows`` validates the schema and grows the table's
-        epoch, which retires by key every result-cache entry of a
-        statement naming the table."""
-        appended = self.ctx.catalog.append_rows(table, rows)
-        if appended:
-            key = table.lower()
-            for served in self._views.values():
-                if key in served.tables:
-                    served.maintain(table, rows)
-        return appended
 
     def _finish(self, future: QueryFuture, session: Session, value=None,
                 error=None, source=None) -> None:
@@ -593,8 +582,7 @@ class QueryService:
                     self.execution_order.append(rid)
                     del self.execution_order[:-COMPLETED_WINDOW]
                 if sub["kind"] == "insert" and rec["ok"]:
-                    self._apply_insert(sub["table"],
-                                       [tuple(r) for r in sub["rows"]])
+                    self.ctx.catalog.append_rows(sub["table"], sub["rows"])
                     self.metrics.inc("wal_replayed_inserts")
                     logged = rec.get("data_version")
                     if (logged is not None

@@ -2,16 +2,18 @@
 
 :class:`repro.core.streaming.IncrementalView` does the heavy lifting
 (monotone insert-only maintenance through the fixpoint's maintenance
-terms); :class:`ServedView` is the thin service-facing wrapper that
+terms, caught up with the session's tables at each read);
+:class:`ServedView` is the thin service-facing wrapper that
 
 - registers the view under a *name* clients address,
-- routes inserts submitted through the service into the view's repair
-  path (and records how many),
 - serves ``read()`` to many concurrent clients **snapshot-consistently**:
   between two inserts every reader gets the *same* memoized relation
   object (``IncrementalView.result`` caches the final SELECT and drops
-  the memo on insert), and the wrapper counts how many reads were
-  answered from that snapshot without executor work.
+  the memo when a table it names moves), and the wrapper counts how many
+  reads were answered from that snapshot without executor work.
+
+Inserts do not pass through here: the service appends to the catalog,
+and the view absorbs the rows at its next read.
 """
 
 from __future__ import annotations
@@ -26,13 +28,8 @@ class ServedView:
     def __init__(self, name: str, view: IncrementalView):
         self.name = name
         self.view = view
-        #: Lower-cased base tables the view maintains itself over; the
-        #: service consults this to fan an insert out to affected views.
-        self.tables = frozenset(view._tables)
         self.reads = 0
         self.snapshot_hits = 0
-        self.maintenance_inserts = 0
-        self.maintenance_iterations = 0
 
     def read(self) -> Relation:
         """The view's current result; memoized between inserts."""
@@ -43,21 +40,15 @@ class ServedView:
             self.snapshot_hits += 1
         return relation
 
-    def maintain(self, table: str, rows) -> int:
-        """Apply an insert to the view; returns repair iterations."""
-        iterations = self.view.insert(table, rows)
-        self.maintenance_inserts += 1
-        self.maintenance_iterations += iterations
-        return iterations
-
     def report(self) -> dict:
+        view = self.view
         return {
             "name": self.name,
-            "tables": sorted(self.tables),
+            "tables": sorted(view.tables),
             "reads": self.reads,
             "snapshot_hits": self.snapshot_hits,
             "snapshot_hit_rate": round(self.snapshot_hits / self.reads, 4)
                                  if self.reads else 0.0,
-            "maintenance_inserts": self.maintenance_inserts,
-            "maintenance_iterations": self.maintenance_iterations,
+            "repairs": view.repairs,
+            "repair_iterations": view.repair_iterations,
         }

@@ -13,9 +13,9 @@ population of named client sessions issues a seeded mix of
   sessions (exercises the plan cache at a lower result-cache hit rate),
 - **cold SQL** (absent from the default mix) drawn from more distinct
   statements than the plan and result caches hold, so both evict,
-- **inserts** of fresh edges (invalidate caches, repair the served view
-  incrementally) — or, with ``generate_ops(reinsert=p)``, of an edge the
-  stream already inserted.
+- **inserts** of fresh edges (invalidate results; the served view
+  repairs itself incrementally at its next read) — or, with
+  ``generate_ops(reinsert=p)``, of an edge the stream already inserted.
 
 Submission happens in bursts sized to the governor's capacity
 (slots + queue), each burst drained before the next, so the admission

@@ -10,16 +10,16 @@ insert into a table the query does not read is a hit; one into a table it
 reads grows the cached rows, buckets and sides to exactly what a fresh
 build holds, duplicates never entering twice), every invalidator for
 every library query on six config axes, the key (distinct shapes, LRU
-bound), the bypasses (per-query materialized relations, incremental
-views), the simulated clock's independence from cache history, and that
-no exit path leaves a half-built entry.
+bound), the bypass (per-query materialized relations), incremental views
+reading the very entries ad-hoc SQL does (across an eviction and a
+cleared cache too), the simulated clock's independence from cache
+history, and that no exit path leaves a half-built entry.
 
 Also here, because the cache would otherwise hide it: a finished
 fixpoint is freed by reference counting (no cycle through the terms'
 runtime), checked with the collector disabled.
 """
 
-import copy
 import gc
 import weakref
 
@@ -573,35 +573,64 @@ def test_per_query_materialized_relation_bypasses_the_cache():
             in ctx.last_run.explain_analyze())
 
 
-def test_incremental_view_never_shares_an_entry():
+def test_incremental_view_shares_the_sessions_entries():
+    """A view reads the session's tables through the cache: its sides are
+    the entries ad-hoc SQL hits, an insert through either is absorbed
+    once, by whichever reads first, and both answer as a fresh context."""
     ctx = sssp_ctx()
-    baseline, _ = run(ctx, SSSP)
-    before = copy.deepcopy(cached(ctx))
-    bypassed = ctx.metrics.get("base_side_cache_bypassed")
+    run(ctx, SSSP)
     view = IncrementalView(ctx, SSSP)
-    assert ctx.metrics.get("base_side_cache_bypassed") == bypassed + 1
-    assert view.operator.base_sides is None
-    view_sides = view.operator.runtime.base_partitions
-    for i in range(20):
-        view.insert("edge", [(i % 7, 100 + i, 1.0)])
-        rows, outcome = run(ctx, SSSP)
-        # The catalog's table did not change: still a hit, same answer.
-        assert outcome == (1, 0, 0, 0) and rows == baseline
-    assert len(view.result().rows) == len(baseline) + 20
-    # The (pruned) sides the 20 appends grew deep-equal a fresh build.
-    assert all(plan.read_positions == (1, 2)
-               for plan in view.planned.base_plans)
-    inserted = [(i % 7, 100 + i, 1.0) for i in range(20)]
-    fresh = IncrementalView(make_ctx(
-        {"edge": (("Src", "Dst", "Cost"), EDGES + inserted)}), SSSP)
-    assert view_sides == fresh.operator.runtime.base_partitions
-    assert (view.operator.runtime.broadcast_tables
-            == fresh.operator.runtime.broadcast_tables)
-    for key in _side_keys(ctx):
+    assert view.operator.base_side_counts == {
+        "hits": 1, "appended": 0, "built": 0, "bypassed": 0}
+    (key,) = _side_keys(ctx)
+
+    def shared():
         (_, sides, _), _ = ctx.base_sides._entries[key]
-        assert all(sides is not own for own in view_sides.values())
-    # Deep-equal before and after the view's 20 in-place appends.
-    assert cached(ctx) == before
+        return all(sides is own
+                   for own in view.operator.runtime.base_partitions.values())
+
+    assert shared()
+    inserted = []
+    for i in range(20):
+        row = (i % 7, 100 + i, 1.0)
+        inserted.append(row)
+        if i % 2:  # through the view: it absorbs, the next query hits
+            view.insert("edge", [row])
+            rows, outcome = run(ctx, SSSP)
+            assert outcome == (1, 0, 0, 0)
+        else:  # through the catalog: the query absorbs, the view hits
+            ctx.catalog.append_rows("edge", [row])
+            rows, outcome = run(ctx, SSSP)
+            assert outcome == (0, 1, 0, 0)
+        assert sorted(view.result().rows, key=repr) == rows
+        assert shared()
+    assert view.repairs == 20
+    assert view.operator.base_side_counts["built"] == 0
+    fresh = make_ctx({"edge": (("Src", "Dst", "Cost"), EDGES + inserted)})
+    assert rows == run(fresh, SSSP)[0]
+    # The one copy of the sides both grew deep-equals a fresh build.
+    assert cached(ctx) == cached(fresh)
+
+
+def test_incremental_view_outlives_eviction_and_a_cleared_cache():
+    """The entries a view's sides came from may be evicted, or the cache
+    cleared (``ctx.close()``): its next catch-up reads the rebuilt ones —
+    the distinct list is prefix-stable, so the facts past the ones the
+    state covers are still exactly the new ones."""
+    ctx = sssp_ctx()
+    view = IncrementalView(ctx, SSSP)
+    inserted = [(0, 300, 1.0), (300, 301, 2.0), (0, 300, 1.0), (2, 302, 0.5)]
+    ctx.base_sides.clear()
+    view.insert("edge", inserted[:2])
+    for i in range(BASE_SIDE_CACHE_SLOTS + 1):  # evicts every entry
+        ctx.sql(SSSP.replace("WHERE path.Dst = edge.Src",
+                             f"WHERE path.Dst = edge.Src AND edge.Cost < {i}"))
+    ctx.catalog.append_rows("edge", inserted[2:])
+    fresh = make_ctx({"edge": (("Src", "Dst", "Cost"), EDGES + inserted)})
+    assert sorted(view.result().rows, key=repr) == run(fresh, SSSP)[0]
+    # Built at creation, after the clear and after the eviction.
+    assert view.operator.base_side_counts["built"] == 3
+    assert view.repairs == 2
 
 
 # ----------------------------------------------------------------------

@@ -257,8 +257,9 @@ class TestTracerRetainsNothingPerQuery:
         for _ in range(200):
             ctx.sql(sssp)
         view = IncrementalView(ctx, sssp)
-        for i in range(50):
-            view.insert("edge", [(4 + i, 5 + i, 1.0)])
+        inserted = [(4 + i, 5 + i, 1.0) for i in range(50)]
+        for row in inserted:
+            view.insert("edge", [row])
         with pytest.raises(QueryDeadlineExceededError) as aborted:
             ctx.sql(sssp, config=ExecutionConfig(deadline_seconds=1e-9))
         assert aborted.value.partial_trace == ctx.last_run.trace
@@ -266,6 +267,7 @@ class TestTracerRetainsNothingPerQuery:
 
         ctx.sql(sssp)
         fresh = sssp_ctx()
+        fresh.catalog.append_rows("edge", inserted)  # what the view added
         fresh.sql(sssp)
         assert ctx.last_run.trace["children"]
         assert (self.shape(ctx.last_run.trace)

@@ -104,16 +104,19 @@ class TestSessionInvariants:
         ctx.sql(SSSP)
         assert ctx.catalog.get("edge").rows == rows
 
-    def test_incremental_view_does_not_mutate_catalog(self):
+    def test_incremental_view_appends_to_catalog(self):
         ctx = RaSQLContext(num_workers=2)
-        rows = [(1, 2, 1.0)]
-        ctx.register_table("edge", ["Src", "Dst", "Cost"], rows)
+        ctx.register_table("edge", ["Src", "Dst", "Cost"], [(1, 2, 1.0)])
         view = IncrementalView(ctx, SSSP)
         view.insert("edge", [(2, 3, 1.0)])
-        # The session catalog still holds the original registration; the
-        # view keeps its own growing copy.
-        assert ctx.catalog.get("edge").rows == rows
-        assert len(view.result()) == 3
+        # One insert path: the view appended to the session's own table,
+        # so ad-hoc SQL reads what the view reads ...
+        assert ctx.catalog.get("edge").rows == [(1, 2, 1.0), (2, 3, 1.0)]
+        assert sorted(view.result().rows) == sorted(ctx.sql(SSSP).rows)
+        # ... and a row appended by anyone reaches the view at its next read.
+        ctx.catalog.append_rows("edge", [(3, 4, 1.0)])
+        assert sorted(view.result().rows) == sorted(ctx.sql(SSSP).rows)
+        assert len(view.result()) == 4
 
     def test_repeated_queries_deterministic(self):
         ctx = RaSQLContext(num_workers=3)

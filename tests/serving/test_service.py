@@ -329,7 +329,7 @@ class TestServedViews:
         assert after.result().to_dict() == serial.sssp(
             EDGES + [(4, 5, 1.0)], 1)
         assert after.result() is not before.result()
-        assert service.view("dist").maintenance_inserts == 1
+        assert service.report()["views"]["dist"]["repairs"] == 1
 
     def test_duplicate_insert_keeps_view_adhoc_sql_and_fresh_context_equal(
             self):
@@ -351,6 +351,33 @@ class TestServedViews:
         assert (read.result().to_dict() == adhoc.result().to_dict()
                 == fresh.sql(query).to_dict())
         assert read.result().to_dict()[5] == 2  # 1-2-3-4-5 and 1-3-4-5
+
+    def test_an_insert_is_one_catalog_append_and_views_catch_up_on_read(
+            self):
+        """No fan-out: an insert request touches no served view; each view
+        absorbs what was appended — any number of inserts — at its next
+        read, exactly as a fresh context over the grown table answers."""
+        service = self.make_served(scheduler="fifo")
+        service.create_view("paths", get_query("count_paths").formatted(
+            source=1))
+        writer = service.session("w")
+        batches = [[(4, 5, 1.0)], [(5, 6, 1.0), (3, 5, 1.0)], [(4, 5, 1.0)]]
+        for batch in batches:
+            writer.insert("edge", batch)
+        service.drain()
+        views = [service.view(name).view for name in ("dist", "paths")]
+        assert [view.repairs for view in views] == [0, 0]
+        reads = [writer.read_view(name) for name in ("dist", "paths")]
+        service.drain()
+        fresh = RaSQLContext(num_workers=2)
+        fresh.register_table("edge", ["Src", "Dst", "Cost"],
+                             EDGES + [row for batch in batches
+                                      for row in batch])
+        assert reads[0].result().to_dict() == serial.sssp(
+            fresh.catalog.get("edge").rows, 1)
+        assert reads[1].result().to_dict() == fresh.sql(
+            get_query("count_paths").formatted(source=1)).to_dict()
+        assert [view.repairs for view in views] == [1, 1]
 
     def test_unknown_view_rejected_at_submit(self):
         service = self.make_served()
