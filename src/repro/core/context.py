@@ -119,7 +119,8 @@ class RunInfo:
         ``kernel_small_input_gate`` (cliques the size gate routed through
         the reference loops; see ``repro.core.planner.KERNEL_MIN_ROWS``),
         ``kernel_fused_fold_terms`` (recursive terms that fold and route
-        inside their generated probe loop) and ``kernel_pruned_sides``
+        inside their generated probe loop), ``kernel_fused_fold_base_rules``
+        (scan-driven base rules that do the same) and ``kernel_pruned_sides``
         (base join sides storing only the columns read after the probe),
         plus how the run's base join sides were obtained (with kernels on
         or off): ``base_side_cache_hits`` (reused from an earlier query
@@ -133,6 +134,7 @@ class RunInfo:
                 "kernel_grouped_fixpoint_stages",
                 "kernel_fused_fixpoint_stages",
                 "kernel_small_input_gate", "kernel_fused_fold_terms",
+                "kernel_fused_fold_base_rules",
                 "kernel_pruned_sides", "base_side_cache_hits",
                 "base_side_cache_appended", "base_side_cache_misses",
                 "base_side_cache_bypassed")

@@ -40,7 +40,7 @@ from typing import Callable
 
 from repro.core.config import ExecutionConfig
 from repro.core.decomposed import execute_decomposed
-from repro.core.iteration import CliqueStep
+from repro.core.iteration import CliqueStep, nonempty
 from repro.core.physical import (
     BaseRelationPlan,
     BaseSideCache,
@@ -91,6 +91,11 @@ def _extend_distinct(value: tuple[Relation, set], rows: list[tuple]
     return value
 
 
+def _step_term(term) -> tuple:
+    """A compiled term as a :attr:`CliqueStep.terms` entry."""
+    return term.view, term.delta_view, term.negate, term.evaluate, term.folds
+
+
 @dataclass
 class FixpointResult:
     """Output of one clique evaluation."""
@@ -133,9 +138,7 @@ class FixpointOperator:
         #: Resident state + the per-partition step; pool workers build the
         #: same class from the wire spec (``engine/backend/worker.py``).
         self.step = CliqueStep(
-            planned.views,
-            [(t.view, t.delta_view, t.negate, t.evaluate, t.folds)
-             for t in planned.terms],
+            planned.views, [_step_term(t) for t in planned.terms],
             self.n, config.kernels, config.partial_aggregation)
         self.states = self.step.states
         self.runtime = self.step  # the step is its terms' runtime
@@ -311,15 +314,19 @@ class FixpointOperator:
     def _note_generated_stage(self) -> dict:
         """Which path this fixpoint's Map side and build sides take, for
         its trace span and the kernel counters: how many recursive terms
-        fold and route inside their probe loop, and what each base side
-        stores."""
+        and scan-driven base rules fold and route inside their probe loop,
+        and what each base side stores."""
         planned = self.planned
         fused = sum(term.folds for term in planned.terms)
+        scans = [rule.term for rule in planned.base_rules if rule.term]
+        fused_base = sum(term.folds for term in scans)
         pruned = sum(plan.read_positions is not None
                      for plan in planned.base_plans)
         self.cluster.metrics.inc("kernel_fused_fold_terms", fused)
+        self.cluster.metrics.inc("kernel_fused_fold_base_rules", fused_base)
         self.cluster.metrics.inc("kernel_pruned_sides", pruned)
         return {"fused_terms": [fused, len(planned.terms)],
+                "fused_base_rules": [fused_base, len(scans)],
                 "stored_sides": [
                     plan.describe_side(self.resolve(plan.relation).columns)
                     for plan in planned.base_plans]}
@@ -348,34 +355,33 @@ class FixpointOperator:
     # base case and shuffles
     # ------------------------------------------------------------------
 
-    #: Synthetic shuffle-source id for constant base rows, which are
-    #: emitted by the driver rather than by any ``fixpoint-base`` task.
-    _DRIVER_SOURCE = -1
-
     def _evaluate_base_rules(self) -> dict[str, Dataset]:
         """Run every base rule once and shuffle results into initial deltas.
 
-        Each ``fixpoint-base`` task is its own shuffle source, attributed
-        to the worker that actually ran it, so the initial exchange
-        charges ``shuffle_remote_bytes`` per producing worker instead of
-        pretending every base delta originated on worker 0.
+        Each ``fixpoint-base`` task evaluates one chunk of its driving
+        relation through a fresh sink of its view
+        (:meth:`CliqueStep.derive_once`: folded and routed like a
+        recursive term's derivations) and is its own shuffle source,
+        attributed to the worker that actually ran it, so the initial
+        exchange charges ``shuffle_remote_bytes`` per producing worker
+        instead of pretending every base delta originated on worker 0.  A
+        view's constant (FROM-less) rows share one more sink, shipped from
+        the driver (worker 0) ahead of the chunks.
         """
-        outputs: dict[str, dict[int, list[tuple]]] = defaultdict(
-            lambda: defaultdict(list))
-        source_workers: dict[int, int] = {}
+        step = self.step
+        outputs: dict[str, list[tuple[int, dict]]] = defaultdict(list)
+        constants: dict[str, list[tuple]] = defaultdict(list)
         tasks: list[StageTask] = []
         chunk_views: list[str] = []
 
         for base_rule in self.planned.base_rules:
+            view = base_rule.view
             if base_rule.term is None:
-                outputs[base_rule.view][self._DRIVER_SOURCE].extend(
-                    base_rule.constant_rows)
-                source_workers[self._DRIVER_SOURCE] = 0
+                constants[view].extend(base_rule.constant_rows)
                 continue
-            relation = self.resolve(base_rule.driving_relation)
-            rows = relation.rows
+            rows = self.resolve(base_rule.driving_relation).rows
             chunk = max(1, -(-len(rows) // self.n))
-            term = base_rule.term
+            term = _step_term(base_rule.term)
             for i in range(self.n):
                 piece = rows[i * chunk:(i + 1) * chunk]
                 if not piece:
@@ -384,42 +390,24 @@ class FixpointOperator:
                     len(tasks),
                     [Partition(len(tasks), piece,
                                self.cluster.worker_for_partition(i))],
-                    (lambda p, t=term: t.evaluate(p, 0, self.runtime)),
+                    (lambda p, v=view, t=term: step.derive_once(v, p, t)),
                     preferred_worker=self.cluster.worker_for_partition(i)))
-                chunk_views.append(base_rule.view)
+                chunk_views.append(view)
 
+        for view, rows in constants.items():
+            outputs[view].append((0, step.derive_once(view, rows)))
         if tasks:
             results = self.cluster.run_stage("fixpoint-base", tasks)
             for result, view in zip(results, chunk_views):
-                outputs[view][result.index].extend(result.output)
-                source_workers[result.index] = result.worker
-
-        return self._exchange_outputs(outputs, source_workers)
-
-    def _exchange_outputs(self, per_view_rows: dict[str, dict[int, list[tuple]]],
-                          source_workers: dict[int, int]
-                          ) -> dict[str, Dataset]:
-        """Bucket rows by each view's partition key and exchange them.
-
-        ``per_view_rows`` maps view -> {source id -> rows} and
-        ``source_workers`` each source id to the worker that produced it.
-        """
-        outputs: dict[str, list[tuple[int, dict]]] = {}
-        for name, by_source in per_view_rows.items():
-            router = self.step.routers[name]
-            outputs[name] = [
-                (source_workers[source],
-                 {pid: bucket for pid, bucket in enumerate(router(rows))
-                  if bucket})
-                for source, rows in by_source.items()]
+                outputs[view].append((result.worker, result.output))
         return self.exchange_prebucketed(outputs)
 
     def exchange_prebucketed(
             self, per_view_outputs: dict[str, list[tuple[int, dict]]]
     ) -> dict[str, Dataset]:
         """Exchange ``(worker, {partition: rows})`` map outputs per view;
-        iteration tasks emit them already routed
-        (:meth:`CliqueStep.derive`)."""
+        base and iteration tasks emit them already routed
+        (:meth:`CliqueStep.derive_once`, :meth:`CliqueStep.derive`)."""
         incoming: dict[str, Dataset] = {}
         for name, view in self.planned.views.items():
             incoming[name] = self.cluster.exchange(
@@ -549,15 +537,17 @@ class FixpointOperator:
         the maintenance ``terms`` (δbase ⋈ R_all) over ``new_rows``
         against the current state and run the semi-naive loop from
         there.  Returns the iterations taken (0: nothing new derived)."""
-        outputs: dict[str, dict[int, list[tuple]]] = {}
+        outputs: dict[str, list[tuple]] = {}
         for term in terms:
             derived = term.evaluate(new_rows, 0, self.runtime)
             if derived:
-                outputs.setdefault(term.view, {0: []})[0].extend(derived)
+                outputs.setdefault(term.view, []).extend(derived)
         self.fold_cache_counts()
         if not outputs:
             return 0
-        incoming = self._exchange_outputs(outputs, source_workers={0: 0})
+        incoming = self.exchange_prebucketed({
+            view: [(0, nonempty(self.step.routers[view](rows)))]
+            for view, rows in outputs.items()})
         return self._run_to_fixpoint(incoming)[0]
 
     def _run_to_fixpoint(self, incoming: dict[str, Dataset],

@@ -155,8 +155,9 @@ class CliqueStep:
 
     def _make_sink(self, name: str, view, partial_aggregation: bool
                    ) -> tuple[Callable, Callable, Callable]:
-        """Where one view's derivations of one :meth:`derive` call
-        collect, as ``(new, add, emit)``: ``new()`` makes the empty sink,
+        """Where one view's derivations of one :meth:`derive` call (or
+        one base-rule chunk, :meth:`derive_once`) collect, as ``(new,
+        add, emit)``: ``new()`` makes the empty sink,
         ``add(sink, head rows)`` takes the output of a term that returns
         rows, ``emit(sink)`` returns one shuffle bucket per partition.
 
@@ -168,7 +169,8 @@ class CliqueStep:
         combined by the generic ``partial_aggregate`` (aggregate heads,
         unless ablated) and bucketed by the view's router.  The planner
         applies the same test (``kernels and partial_aggregation and
-        head_shape(view)``) to decide which variant of a term to generate.
+        head_shape(view)``) to decide which variant of a recursive or base
+        term to generate.
         """
         router = self.routers[name]
         if not (view.has_aggregates and partial_aggregation):
@@ -284,25 +286,57 @@ class CliqueStep:
         the view's partition key (empty buckets dropped)."""
         fresh = self.fresh
         pending: dict[str, dict | list] = {}
-        for view, delta_view, negate, evaluate, folds in self.terms:
+        for term in self.terms:
+            view, delta_view = term[0], term[1]
             if naive:
                 delta = self.state_rows(delta_view, partition)
             else:
                 delta = fresh[delta_view][partition]
             if not delta:
                 continue
-            new, add, _ = self.sinks[view]
             sink = pending.get(view)
             if sink is None:
-                sink = pending[view] = new()
-            if folds:
-                evaluate(delta, partition, self, sink)
-                continue
-            rows = evaluate(delta, partition, self)
-            if negate and rows:
-                negator = self.negators[view]
-                rows = [negator(r) for r in rows]
+                sink = pending[view] = self.sinks[view][0]()
+            self.evaluate_into(sink, term, delta, partition)
+        return {view: self.emit(view, sink) for view, sink in pending.items()}
+
+    def derive_once(self, view: str, rows: list[tuple],
+                    term=None) -> dict[int, list[tuple]]:
+        """One base-rule chunk as shuffle buckets: ``term`` (shaped like a
+        :attr:`terms` entry) over the scanned ``rows`` — or, without one,
+        a FROM-less rule's constant head ``rows`` — through a fresh sink
+        of ``view``, so the base case folds exactly like a recursive
+        term."""
+        new, add, _ = self.sinks[view]
+        sink = new()
+        if term is None:
             add(sink, rows)
-        return {view: {pid: bucket for pid, bucket
-                       in enumerate(self.sinks[view][2](sink)) if bucket}
-                for view, sink in pending.items()}
+        else:
+            self.evaluate_into(sink, term, rows, 0)
+        return self.emit(view, sink)
+
+    def evaluate_into(self, sink, term, rows: list[tuple],
+                      partition: int) -> None:
+        """Evaluate one ``term`` over ``rows`` into ``sink``, a sink of
+        its view: a term that ``folds`` writes into it from inside its
+        probe loop, any other's head rows are added (sign-flipped first
+        when the term is negated)."""
+        view, _, negate, evaluate, folds = term
+        if folds:
+            evaluate(rows, partition, self, sink)
+            return
+        derived = evaluate(rows, partition, self)
+        if negate and derived:
+            negator = self.negators[view]
+            derived = [negator(r) for r in derived]
+        self.sinks[view][1](sink, derived)
+
+    def emit(self, view: str, sink) -> dict[int, list[tuple]]:
+        """``sink`` as shuffle buckets by ``view``'s partition key, empty
+        buckets dropped."""
+        return nonempty(self.sinks[view][2](sink))
+
+
+def nonempty(buckets: list[list[tuple]]) -> dict[int, list[tuple]]:
+    """``{partition: bucket}`` of the non-empty buckets of a routing."""
+    return {pid: bucket for pid, bucket in enumerate(buckets) if bucket}

@@ -621,22 +621,24 @@ def plan_clique(clique: CliquePlan, config: ExecutionConfig,
         set_runners = (decomposed and config.kernels
                        and config.evaluation == "dsn"
                        and not any(v.has_aggregates for v in views.values()))
-        # A recursive term of a template-eligible head is the whole Map
-        # side: it folds into the view's accumulator inside its probe
-        # loop.  One-shot terms keep the row-list sink (a folded base
-        # rule would change ``shuffle_records``).
+        # A recursive or base term of a template-eligible head is the
+        # whole Map side: it folds into the view's accumulator inside its
+        # probe loop.
         fold = config.kernels and config.partial_aggregation
-        for term in terms:
+        base_terms = [b.term for b in base_rules if b.term is not None]
+        for term, runners in ([(t, set_runners) for t in terms]
+                              + [(t, False) for t in base_terms]):
             attach_generated_code(
                 term, views[term.view].aggregates, kernels=config.kernels,
-                set_runners=set_runners,
+                set_runners=runners,
                 fold=head_shape(views[term.view]) if fold else None)
-        one_shot = [b.term for b in base_rules if b.term is not None]
+        # Maintenance terms keep the row-list sink on purpose: their rows
+        # meet a grown state, where ``sum``/``count`` heads are exposed to
+        # double counts (DESIGN §19), so they reach the merge as derived.
         for table_terms in maintenance_terms.values():
-            one_shot.extend(table_terms)
-        for term in one_shot:
-            attach_generated_code(term, views[term.view].aggregates,
-                                  kernels=config.kernels)
+            for term in table_terms:
+                attach_generated_code(term, views[term.view].aggregates,
+                                      kernels=config.kernels)
 
     return PlannedClique(
         views=views,

@@ -442,16 +442,19 @@ def _format_kernels_section(trace: dict) -> list[str]:
     bypass = metrics.get("kernel_state_cache_bypass", 0)
     grouped = metrics.get("kernel_grouped_fixpoint_stages", 0)
     fused = metrics.get("kernel_fused_fixpoint_stages", 0)
-    derive = [span["attrs"]["fused_terms"]
-              for span in _find_dict(trace, "fixpoint")
-              if span.get("attrs", {}).get("fused_terms", [0])[0]]
+    stage_lines = []
+    for span in _find_dict(trace, "fixpoint"):
+        attrs = span.get("attrs", {})
+        for key, path, unit in (("fused_terms", "derive: probe", "terms"),
+                                ("fused_base_rules", "base: scan", "rules")):
+            folding, total = attrs.get(key, (0, 0))
+            if folding:
+                stage_lines.append(f"  {path}·project·fold·route fused "
+                                   f"({folding} of {total} {unit})")
     if not (hits or misses or updates or bypass or grouped or fused
-            or derive):
+            or stage_lines):
         return []
-    lines = ["kernels"]
-    for folding, terms in derive:
-        lines.append(f"  derive: probe·project·fold·route fused "
-                     f"({folding} of {terms} terms)")
+    lines = ["kernels", *stage_lines]
     if grouped:
         lines.append(
             f"  decomposed fixpoint: column-decomposed set kernel "

@@ -180,45 +180,40 @@ class TestAccountingRegressions:
         from repro.core.fixpoint import FixpointOperator
 
         captured = {}
-        original = FixpointOperator._exchange_outputs
+        original = FixpointOperator.exchange_prebucketed
 
-        def spy(self, per_view_buckets, source_workers=None):
-            if "base" not in captured:
-                captured["base"] = (
-                    {view: dict(buckets)
-                     for view, buckets in per_view_buckets.items()},
-                    dict(source_workers or {}))
-            return original(self, per_view_buckets, source_workers)
+        def spy(self, per_view_outputs):
+            captured.setdefault("base", {view: list(outputs) for view, outputs
+                                         in per_view_outputs.items()})
+            return original(self, per_view_outputs)
 
-        monkeypatch.setattr(FixpointOperator, "_exchange_outputs", spy)
+        monkeypatch.setattr(FixpointOperator, "exchange_prebucketed", spy)
         ctx = RaSQLContext(num_workers=4)
         ctx.register_table("edge", ["Src", "Dst"],
                            [(i, i + 1) for i in range(8)])
         ctx.sql(get_query("cc_labels").sql)
 
-        buckets, workers = captured["base"]
-        # Pre-fix: every view funneled through {0: 0}.
-        assert len(workers) >= 2
-        assert set(workers.values()) != {0}
-        # One shuffle source per base task, each on its scheduled worker.
-        for view_buckets in buckets.values():
-            for source in view_buckets:
-                assert source in workers
+        # Pre-fix: every view funneled through one worker-0 source.
+        for outputs in captured["base"].values():
+            workers = [worker for worker, _ in outputs]
+            # One shuffle source per base task, each on its scheduled worker.
+            assert len(workers) >= 2
+            assert set(workers) != {0}
 
     def test_constant_base_rows_attributed_to_driver(self, monkeypatch):
         """Constant base rules (SELECT 1, 0) ship from the driver source."""
         from repro.core.fixpoint import FixpointOperator
 
         captured = {}
-        original = FixpointOperator._exchange_outputs
+        original = FixpointOperator.exchange_prebucketed
 
-        def spy(self, per_view_buckets, source_workers=None):
-            if "base" not in captured:
-                captured["base"] = dict(source_workers or {})
-            return original(self, per_view_buckets, source_workers)
+        def spy(self, per_view_outputs):
+            captured.setdefault("base", dict(per_view_outputs))
+            return original(self, per_view_outputs)
 
-        monkeypatch.setattr(FixpointOperator, "_exchange_outputs", spy)
+        monkeypatch.setattr(FixpointOperator, "exchange_prebucketed", spy)
         ctx = sssp_ctx()
         ctx.sql(get_query("sssp").formatted(source=1))
-        workers = captured["base"]
-        assert workers.get(FixpointOperator._DRIVER_SOURCE) == 0
+        ((worker, buckets),) = captured["base"]["path"]
+        assert worker == 0
+        assert list(buckets.values()) == [[(1, 0)]]

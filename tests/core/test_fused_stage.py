@@ -1,33 +1,43 @@
 """One generated stage per iteration (DESIGN.md §20).
 
-A recursive term of a template-eligible head folds its derivations into
-the view's accumulator from inside its probe loop, and one emit pass turns
-the accumulator into routed head rows.  Three pins:
+A recursive or base term of a template-eligible head folds its
+derivations into the view's accumulator from inside its probe loop, and
+one emit pass turns the accumulator into routed head rows.  Four pins:
 
 - *property*: the fused sink + emit is, bucket for bucket and in order,
   the list body → reference fold → router it replaced — for every builtin
   aggregate, head layout and partition count, over duplicate-heavy rows
   with ``None``, negative, float and string keys, with two terms sharing
   one accumulator and with a negated ``sum`` term;
+- *base-case property*: generated base rules with duplicate groups
+  (negative values, ``sum`` groups cancelling to 0, constant rows) give
+  the ``partial_aggregation=False`` rows and iteration counts, and their
+  exchange ships one row per group per ``fixpoint-base`` chunk;
 - *differential*: the 15 library queries on seven config axes agree on
   rows and iteration counts, and every discrete counter the simulated
   cluster keeps (iterations, per-iteration delta sizes, stages, tasks,
   shuffle records and bytes, broadcast bytes, per-worker memory high-water
   marks) is JSON-identical to a dump cut at the commit *before* the stage
-  was fused (``fixtures/fused_stage_parent.json``);
-- a generated recursive term of a foldable view builds no ``_out`` list.
+  was fused (``fixtures/fused_stage_parent.json``).  Re-cut once, when
+  base rules started folding: against the previous dump only
+  ``shuffle_records``, ``shuffle_bytes`` and ``memory_hwm_bytes_w*`` of
+  ``cc`` and ``cc_labels`` moved (their ``SELECT Src, Src`` base case
+  repeats a group per edge), on every axis but
+  ``partial_aggregation_off``; rows, iterations and delta sizes did not;
+- a generated recursive or base term of a foldable view builds no
+  ``_out`` list; a maintenance term always does.
 
 Regenerate the dump (only when the engine's accounting is meant to
 change)::
 
-    PYTHONPATH=src python tests/core/test_fused_stage.py
+    PYTHONPATH=src:. python tests/core/test_fused_stage.py
 """
 
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import ExecutionConfig, RaSQLContext
@@ -37,6 +47,7 @@ from repro.engine.aggregates import BY_NAME, partial_aggregate
 from repro.engine.backend.payloads import WireView
 from repro.engine.kernels import make_extractor, make_router
 from repro.engine.partitioner import HashPartitioner
+from repro.engine.tracing import _find_dict
 from repro.errors import PlanningError
 
 PARENT_DUMP = Path(__file__).parent / "fixtures" / "fused_stage_parent.json"
@@ -133,7 +144,7 @@ def test_a_foldable_recursive_term_builds_no_row_list():
     from repro.core.parser import parse
     from repro.queries.library import ALL_QUERIES
 
-    folding = 0
+    folding = folding_base = 0
     for spec in ALL_QUERIES:
         catalog = Catalog()
         for table, columns in spec.tables.items():
@@ -145,7 +156,10 @@ def test_a_foldable_recursive_term_builds_no_row_list():
                                            maintenance=True)
             except PlanningError:  # a theta rule has no maintenance plan
                 plan = planner.plan_clique(clique, ExecutionConfig())
-            for term in plan.terms:
+            base = [rule.term for rule in plan.base_rules if rule.term]
+            # recursive and base terms fold exactly when their view can
+            for term, is_base in ([(t, False) for t in plan.terms]
+                                  + [(t, True) for t in base]):
                 view = plan.views[term.view]
                 foldable = (len(view.aggregate_functions) == 1
                             and view.has_aggregates)
@@ -153,12 +167,15 @@ def test_a_foldable_recursive_term_builds_no_row_list():
                 source = term.codegen_fn._generated_source
                 assert ("_out" in source) != foldable
                 folding += foldable
-            one_shot = [rule.term for rule in plan.base_rules if rule.term]
+                folding_base += foldable and is_base
+            # maintenance terms never do: their rows reach the merge as
+            # derived
             for terms in plan.maintenance_terms.values():
-                one_shot += terms
-            # base rules and maintenance terms keep the list sink
-            assert not any(term.folds for term in one_shot)
+                assert not any(term.folds for term in terms)
+                assert all("_out" in term.codegen_fn._generated_source
+                           for term in terms)
     assert folding >= 10
+    assert folding_base >= 5
 
 
 # ----------------------------------------------------------------------
@@ -271,6 +288,104 @@ def test_fused_sink_and_emit_match_fold_then_route(name, group, at, n, data):
         assert fused == expected
         assert repr(fused) == repr(expected)  # 1 vs 1.0 vs True, and order
         assert repr(mixed) == repr(expected)
+
+
+# ----------------------------------------------------------------------
+# property: the base case folds per chunk before its exchange
+# ----------------------------------------------------------------------
+
+
+def base_case_query(name, constants):
+    """Two scanned base rules, the constant rules, and one recursive rule
+    that moves each group ``K < 10`` to ``K + 10`` (so every group is
+    reached from exactly one other and the recursion stops)."""
+    rules = ["(SELECT K, V FROM t)", "(SELECT K, V FROM u)"]
+    rules += [f"(SELECT {k}, {v})" for k, v in constants]
+    return (f"WITH recursive v(K, {name}() AS V) AS\n  "
+            + " UNION ".join(rules)
+            + " UNION\n  (SELECT v.K + 10, v.V FROM v WHERE v.K < 10)\n"
+            "SELECT K, V FROM v")
+
+
+@st.composite
+def base_case(draw, name):
+    """``(t rows, u rows, constant rows, one value per group)`` over six
+    groups: duplicate groups are the common case.  A third column keeps
+    duplicate-group rows distinct facts; with ``one_value`` every group's
+    rows agree on its value (``cc``'s ``SELECT Src, Src``)."""
+    one_value = draw(st.booleans())
+    values = st.integers(0 if name == "count" or one_value else -5, 5)
+    per_key = [draw(values) for _ in range(6)]
+
+    def table():
+        rows = []
+        for tag in range(draw(st.integers(0, 12))):
+            key = draw(st.integers(0, 5))
+            rows.append((key, per_key[key] if one_value else draw(values),
+                         tag))
+        return rows
+
+    t, u = table(), table()
+    if name == "sum" and draw(st.booleans()):  # contributions cancel to 0
+        t += [(5, 4, 100), (5, -4, 101)]
+    keys = draw(st.lists(st.integers(0, 5), max_size=3))
+    constants = [(k, per_key[k] if one_value else draw(st.integers(0, 5)))
+                 for k in keys]
+    return t, u, constants, one_value
+
+
+def chunk_groups(rows, n):
+    """Distinct group keys per ``fixpoint-base`` chunk of ``rows``."""
+    chunk = max(1, -(-len(rows) // n))
+    return sum(len({row[0] for row in rows[i:i + chunk]})
+               for i in range(0, len(rows), chunk))
+
+
+def run_base_case(name, case, n, partial_aggregation):
+    t, u, constants, _ = case
+    ctx = RaSQLContext(num_workers=n, config=ExecutionConfig(
+        partial_aggregation=partial_aggregation))
+    ctx.register_table("t", ["K", "V", "W"], t)
+    ctx.register_table("u", ["K", "V", "W"], u)
+    rows = ctx.sql(base_case_query(name, constants)).rows
+    run = ctx.last_run
+    (fixpoint,) = [child for child in run.trace["children"]
+                   if child["kind"] == "fixpoint"]
+    base_exchange = next(_find_dict(fixpoint, "exchange"))
+    return (sorted(rows), run.iterations, run.delta_history.get("v", []),
+            base_exchange["attrs"]["records"], fixpoint["attrs"])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("name", ["min", "max", "sum", "count"])
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_base_rules_fold_per_chunk_before_their_exchange(
+        name, n, data, ungated_kernels):
+    case = data.draw(base_case(name))
+    rows, iterations, deltas, records, attrs = run_base_case(
+        name, case, n, True)
+    (rows_off, iterations_off, deltas_off, _,
+     attrs_off) = run_base_case(name, case, n, False)
+
+    assert rows == rows_off
+    assert iterations == iterations_off
+    if name in ("min", "max"):
+        # A chunk's fold keeps one row per group, so the first merge sees
+        # no improving duplicate; the state after every merge is the
+        # same, only duplicates that improve on one another count twice
+        # unfolded.
+        assert all(a <= b for a, b in zip(deltas, deltas_off))
+        if case[3]:
+            assert deltas == deltas_off
+    # The base exchange ships one row per group per chunk (the constant
+    # rows are one more chunk, the driver's).
+    t, u, constants, _ = case
+    assert records == (chunk_groups(t, n) + chunk_groups(u, n)
+                       + len({k for k, _ in constants}))
+    assert attrs["fused_base_rules"] == [2, 2]
+    assert attrs_off["fused_base_rules"] == [0, 2]
 
 
 if __name__ == "__main__":

@@ -29,6 +29,16 @@ appending to ``_out``, and the 139 that index a pruned side (``r1`` /
 set-runner variants over a pruned side and
 ``GroupedDedupSpec.build_index`` (now ``None``: the side stores the bare
 column) for 6.  No term under ``kernels_off`` moved.
+Re-cut when base rules started folding like recursive terms: against the
+parent's texts only ``source`` moved, for 60 of the 694 entries — every
+one a scan-driven base rule of a ``min``/``max``/``sum``/``count`` view
+(``apsp``, ``bom``, ``cc``, ``cc_labels``, ``company_control``,
+``interval_coalesce``, ``management``, ``mlm_bonus``) under the
+``default``, ``stacked``, ``sort_merge`` and ``broadcast_bases`` axes,
+now the fold variant; every ``explain()`` / ``describe()`` /
+``base_plans`` / exception / ``dedup`` / ``grouped`` entry byte-identical,
+no recursive or maintenance term and nothing under ``kernels_off`` or
+``stratified`` moved.
 
 Regenerate (only for an intended plan change)::
 

@@ -71,6 +71,27 @@ class TestExplainAnalyzeSSSP:
                 in report.splitlines())
         assert ctx.last_run.kernels_summary()["kernel_fused_fold_terms"] == 1
 
+    @pytest.mark.parametrize("query, line, attr", [
+        ("cc", "  base: scan·project·fold·route fused (1 of 1 rules)", [1, 1]),
+        ("tc", None, [0, 1]),
+    ])
+    def test_kernels_section_says_which_base_rules_fold(
+            self, query, line, attr, ungated_kernels):
+        """``cc``'s ``SELECT Src, Src`` folds per chunk before the base
+        exchange; ``tc``'s set view ships its base rows as they are."""
+        ctx = RaSQLContext(num_workers=2)
+        ctx.register_table("edge", ["Src", "Dst"],
+                           [(i, (i * 7 + 3) % 40) for i in range(40)])
+        lines = ctx.explain_analyze(get_query(query).sql).splitlines()
+        run = ctx.last_run
+        (span,) = [child for child in run.trace["children"]
+                   if child["kind"] == "fixpoint"]
+        assert span["attrs"]["fused_base_rules"] == attr
+        assert (run.kernels_summary()["kernel_fused_fold_base_rules"]
+                == attr[0])
+        base_lines = [text for text in lines if text.startswith("  base: ")]
+        assert base_lines == ([line] if line else [])
+
     def test_delta_sizes_match_delta_history(self):
         ctx = sssp_ctx()
         ctx.sql(get_query("sssp").formatted(source=1))
