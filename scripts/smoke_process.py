@@ -19,7 +19,6 @@ import sys
 import time
 
 from repro import RaSQLContext
-from repro.core import planner
 from repro.core.config import ExecutionConfig
 from repro.datagen import rmat_graph
 from repro.queries.library import get_query
@@ -159,8 +158,4 @@ def repeated() -> int:
 
 
 if __name__ == "__main__":
-    # 60 edges sit under the kernel size gate, which would keep the query
-    # off the remote-eligible kernel paths; the gate is evaluated
-    # driver-side, so lifting it here covers the worker pool too.
-    planner.KERNEL_MIN_ROWS = 0
     sys.exit(repeated() if "--repeat" in sys.argv[1:] else single())

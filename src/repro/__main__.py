@@ -79,11 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(repeatable)")
     parser.add_argument("--no-codegen", action="store_true")
     parser.add_argument("--no-stage-combination", action="store_true")
-    parser.add_argument("--no-kernels", action="store_true",
-                        help="run the fixpoint through the naive reference "
-                             "loops instead of the specialized kernels "
-                             "(wall-clock only; results are bit-exact "
-                             "either way)")
     parser.add_argument("--profile", metavar="PATH",
                         help="profile the query's execution with cProfile "
                              "and write pstats output here (inspect with "
@@ -290,9 +285,6 @@ def _compile_parser(mode: str) -> argparse.ArgumentParser:
                             choices=["sqlite", "duckdb"],
                             help="executing oracle backend (default sqlite; "
                                  "duckdb requires the optional package)")
-        parser.add_argument("--no-kernels", action="store_true",
-                            help="run the engine side through the reference "
-                                 "loops instead of the specialized kernels")
         parser.add_argument("--show-sql", action="store_true",
                             help="print the emitted SQL even when the "
                                  "results match")
@@ -324,9 +316,7 @@ def run_compile_command(argv: list[str], mode: str) -> int:
     else:
         query = read_query(args)
 
-    config = ExecutionConfig(
-        magic_filters=not args.no_magic_filters,
-        kernels=not getattr(args, "no_kernels", False))
+    config = ExecutionConfig(magic_filters=not args.no_magic_filters)
     ctx = RaSQLContext(num_workers=args.workers, config=config)
     provided = set()
     for table_spec in args.table:
@@ -410,7 +400,6 @@ def main(argv: list[str] | None = None) -> int:
         config = ExecutionConfig(
             codegen=not args.no_codegen,
             stage_combination=not args.no_stage_combination,
-            kernels=not args.no_kernels,
             evaluation=args.evaluation,
             deadline_seconds=args.timeout,
             backend=args.backend,

@@ -3,8 +3,9 @@
 Section 6.1 claims the cached all-relation partitions make recovery cheap
 *and* exact: a failure only replays the current stage, and the replayed
 stage recomputes the same deltas.  Every such claim here — recovery, kill
-+ resume, real signals against worker processes, spilling, kernels on vs
-off, a killed and recovered service — is checked one way:
++ resume, real signals against worker processes, spilling, the
+generated kernel path vs the interpreted pipeline, a killed and
+recovered service — is checked one way:
 :func:`run_differential` runs the query on a fresh *oracle* context and on
 a fresh *subject* one (another config or backend, and/or fault injectors),
 and one :class:`DifferentialReport` says whether rows, iteration count and

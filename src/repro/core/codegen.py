@@ -7,19 +7,20 @@ This module collapses all operators of one term into a single generated
 Python function: one pass of nested loops with inlined key extraction,
 predicates and projection, compiled once with ``compile()`` at plan time.
 
-Structure of a generated function (SSSP's recursive rule, reference
-generation — ``kernels=False``)::
+Structure of a generated function (SSSP's recursive rule, the list
+variant — what ``partial_aggregation=False`` generates)::
 
     def _term(delta_rows, partition, runtime):
         _tbl0 = runtime.base_partitions[0][partition]
+        _get1 = _tbl0.get
         _out = []
         _append = _out.append
         for d in delta_rows:
-            _b1 = _tbl0.get(d[0])
+            _b1 = _get1(d[0])
             if _b1 is None:
                 continue
             for r1 in _b1:
-                _append((r1[1], (d[1] + r1[2]),))
+                _append((r1[0], (d[1] + r1[1]),))
         return _out
 
 Bindings are indexed directly (``d[i]`` for the delta, ``r{k}[i]`` for
@@ -28,10 +29,10 @@ to the binding's segment), so no combined row is ever constructed.  Sort-merge
 terms are not fused (the paper's codegen experiments run shuffle-hash);
 generation falls back to the interpreted pipeline for them.
 
-Under the kernel layer the same rule is the whole Map side of the
-iteration (Section 7.3's Reduce(i)+Map(i+1) in one function): the head is
-``min`` over one group column, so the term folds each derivation into the
-view's accumulator where the list variant appends a row, and ``edge`` is
+By default the same rule is the whole Map side of the iteration
+(Section 7.3's Reduce(i)+Map(i+1) in one function): the head is ``min``
+over one group column, so the term folds each derivation into the view's
+accumulator where the list variant appends a row.  In both, ``edge`` is
 stored pruned to the columns read after the probe, ``(Dst, Cost)``::
 
     def _term(delta_rows, partition, runtime, combined):
@@ -141,17 +142,12 @@ def _expr_source(expr: ast.Expr, layout: Layout, namer: _SlotNamer) -> str:
 
 def generate_term_function(term: CompiledTerm,
                            aggregates: tuple[AggregateFunction | None, ...],
-                           kernels: bool = False,
                            dedup: bool = False,
                            fold: tuple | None = None) -> Callable | None:
     """Generate the fused function for one term, or ``None`` if not fusible.
 
     ``aggregates`` are the target view's effective aggregates (for
     contribution normalization in the projection).
-
-    ``kernels`` applies the kernel-layer micro-specializations (hoisted
-    bound ``dict.get`` probes); off, the emitted code matches the seed's
-    reference generation exactly.
 
     ``dedup`` emits the set-fixpoint variant: a single list
     comprehension ``_term(delta_rows, partition, runtime) -> derived``
@@ -233,41 +229,30 @@ def generate_term_function(term: CompiledTerm,
                     f"    {table} = runtime.base_partitions"
                     f"[{step.step_id}][partition]")
             else:
-                accessor = ("runtime.state_rows" if step.source == "state"
-                            else "runtime.delta_rows")
                 source_partition = "-1" if step.gather else "partition"
                 positions = step.build_positions
                 if step.source == "state":
-                    # Kernel layer: version-validated cached table when
-                    # enabled; bit-exact rebuild otherwise.
+                    # The step's version-validated cached table.
                     prologue.append(
-                        f"    {table} = (runtime.state_table("
+                        f"    {table} = runtime.state_table("
                         f"{step.state_view!r}, {source_partition}, "
-                        f"{positions!r}) "
-                        f"if runtime.state_table is not None "
-                        f"else _build_state_table("
-                        f"{accessor}({step.state_view!r}, "
-                        f"{source_partition}), {positions!r}))")
+                        f"{positions!r})")
                 else:
                     prologue.append(
                         f"    {table} = _build_state_table("
-                        f"{accessor}({step.state_view!r}, {source_partition}), "
-                        f"{positions!r})")
+                        f"runtime.delta_rows({step.state_view!r}, "
+                        f"{source_partition}), {positions!r})")
             key_refs = [namer.ref(s) for s in step.probe_slots]
             key = (f"({', '.join(key_refs)},)" if len(key_refs) > 1
                    else key_refs[0])
             bucket = f"_b{join_var}"
-            if kernels or dedup:
-                prologue.append(f"    _get{join_var} = {table}.get")
+            prologue.append(f"    _get{join_var} = {table}.get")
             if dedup:
                 # ``.get`` with an empty-tuple default makes a missed
                 # probe a zero-iteration inner loop.
                 clauses.append(f"for {var} in _get{join_var}({key}, _E)")
-            elif kernels:
-                emit(f"{bucket} = _get{join_var}({key})", indent)
             else:
-                emit(f"{bucket} = {table}.get({key})", indent)
-            if not dedup:
+                emit(f"{bucket} = _get{join_var}({key})", indent)
                 emit(f"if {bucket} is None:", indent)
                 emit("    continue", indent)
                 emit(f"for {var} in {bucket}:", indent)
@@ -301,12 +286,11 @@ def generate_term_function(term: CompiledTerm,
             continue
         return None  # unknown step kind
 
-    # Projection with normalization.  Under the kernel layer, parts that
-    # read only the delta row are invariant across the join loops and are
-    # hoisted to just before the first join (totalize rebinds ``d``
-    # mid-body, so its presence disables the hoist).
-    hoist = (kernels and not dedup and first_join_mark is not None
-             and not has_totalize)
+    # Projection with normalization.  Parts that read only the delta row
+    # are invariant across the join loops and are hoisted to just before
+    # the first join (totalize rebinds ``d`` mid-body, so its presence
+    # disables the hoist).
+    hoist = not dedup and first_join_mark is not None and not has_totalize
     delta_lo = term.delta_offset
     delta_hi = delta_lo + term.delta_arity
     hoisted: list[str] = []
@@ -459,21 +443,19 @@ def grouped_dedup_spec(
 
 def attach_generated_code(term: CompiledTerm,
                           aggregates: tuple[AggregateFunction | None, ...],
-                          kernels: bool = False,
                           set_runners: bool = False,
                           fold: tuple | None = None) -> bool:
     """Try to attach a generated function to *term*; returns success.
 
-    With ``kernels`` the kernel-layer specializations are applied; with
-    ``fold`` the function is the fold variant and ``term.folds`` says so.
+    With ``fold`` the function is the fold variant and ``term.folds``
+    says so.
     ``set_runners`` additionally generates what the decomposed set
     runners (:func:`repro.core.decomposed.decomposed_runner`) consume:
     the inline-dedup variant onto ``term.codegen_dedup_fn`` and the
     column-decomposed shape onto ``term.grouped_spec``.
     """
     try:
-        fn = generate_term_function(term, aggregates, kernels=kernels,
-                                    fold=fold)
+        fn = generate_term_function(term, aggregates, fold=fold)
     except PlanningError:
         fn = None
     if fn is None:
@@ -483,7 +465,7 @@ def attach_generated_code(term: CompiledTerm,
     if set_runners:
         try:
             term.codegen_dedup_fn = generate_term_function(
-                term, aggregates, kernels=True, dedup=True)
+                term, aggregates, dedup=True)
         except PlanningError:
             term.codegen_dedup_fn = None
         term.grouped_spec = grouped_dedup_spec(term, aggregates)

@@ -56,6 +56,10 @@ class ExecutionConfig:
     codegen:
         Fuse each rule pipeline into one generated Python function
         (Section 7.3, Figure 7) instead of interpreting closure chains.
+        The fixpoint hot path has one implementation (the specialised
+        loops of :mod:`repro.engine.kernels`) whatever the input size;
+        ``False`` is also the oracle the ``kernels`` differential suite
+        compares the generated path against.
     partial_aggregation:
         Map-side combine before the shuffle (Algorithm 5 line 5).
     use_setrdd:
@@ -66,16 +70,6 @@ class ExecutionConfig:
         Seed the recursion with the final SELECT's equality constants on
         delta-preserved columns (a lightweight magic-sets rewrite; see
         :func:`repro.core.optimizer.magic_filter_pushdown`).
-    kernels:
-        Run the fixpoint hot path through the precompiled specialized
-        kernels of :mod:`repro.engine.kernels` (itemgetter key extractors,
-        batched shuffle routing, cached state build tables, unrolled
-        aggregate merges).  ``False`` routes everything through the naive
-        reference loops — the bit-exact baseline the differential suite
-        (``pytest -m kernels``) compares against.  Wall-clock only: the
-        simulated cost model is identical either way.  Cliques over fewer
-        than :data:`repro.core.planner.KERNEL_MIN_ROWS` base rows take
-        the reference loops regardless (setup costs never amortize).
     max_iterations:
         Safety budget; exceeding it raises
         :class:`repro.errors.FixpointNotReachedError`.  Also bounds the
@@ -126,7 +120,6 @@ class ExecutionConfig:
     partial_aggregation: bool = True
     use_setrdd: bool = True
     magic_filters: bool = True
-    kernels: bool = True
     max_iterations: int = 100_000
     deadline_seconds: float | None = None
     checkpoint_interval: int = 0

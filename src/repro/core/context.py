@@ -43,7 +43,7 @@ from repro.core.logical import CliquePlan, DerivedViewPlan
 from repro.core.optimizer import optimize
 from repro.core.parser import parse
 from repro.core.physical import BaseSideCache
-from repro.core.planner import gate_kernels, plan_clique
+from repro.core.planner import plan_clique
 from repro.engine.cluster import Cluster
 from repro.engine.serialization import rows_size
 from repro.errors import (
@@ -111,19 +111,17 @@ class RunInfo:
         return out
 
     def kernels_summary(self) -> dict[str, float]:
-        """Kernel-layer counters of the run (zeros when kernels are off).
+        """Kernel-layer counters of the run.
 
         Keys: ``kernel_state_cache_hits``, ``kernel_state_cache_misses``,
         ``kernel_state_cache_updates``, ``kernel_state_cache_bypass``,
         ``kernel_grouped_fixpoint_stages``, ``kernel_fused_fixpoint_stages``,
-        ``kernel_small_input_gate`` (cliques the size gate routed through
-        the reference loops; see ``repro.core.planner.KERNEL_MIN_ROWS``),
         ``kernel_fused_fold_terms`` (recursive terms that fold and route
         inside their generated probe loop), ``kernel_fused_fold_base_rules``
         (scan-driven base rules that do the same) and ``kernel_pruned_sides``
         (base join sides storing only the columns read after the probe),
-        plus how the run's base join sides were obtained (with kernels on
-        or off): ``base_side_cache_hits`` (reused from an earlier query
+        plus how the run's base join sides were obtained:
+        ``base_side_cache_hits`` (reused from an earlier query
         over the same table epoch), ``base_side_cache_appended`` (reused
         after absorbing the rows inserted since), ``base_side_cache_misses``
         (built and kept) and ``base_side_cache_bypassed`` (built for this
@@ -133,7 +131,7 @@ class RunInfo:
                 "kernel_state_cache_updates", "kernel_state_cache_bypass",
                 "kernel_grouped_fixpoint_stages",
                 "kernel_fused_fixpoint_stages",
-                "kernel_small_input_gate", "kernel_fused_fold_terms",
+                "kernel_fused_fold_terms",
                 "kernel_fused_fold_base_rules",
                 "kernel_pruned_sides", "base_side_cache_hits",
                 "base_side_cache_appended", "base_side_cache_misses",
@@ -325,22 +323,19 @@ class RaSQLContext:
         return optimize(analyze(parse(query), self.catalog),
                         magic_filters=effective.magic_filters)
 
-    def planning_config(self, clique: CliquePlan, config: ExecutionConfig,
-                        resolve, count_gate: bool = True) -> ExecutionConfig:
-        """The config *clique* is planned — and therefore run — under.
+    @staticmethod
+    def planning_config(config: ExecutionConfig) -> ExecutionConfig:
+        """The config a clique is planned — and therefore run — under.
 
-        Durability forces the stacked plan (decomposed plans run their
+        Durability forces the stacked plan: decomposed plans run their
         own nested loops without a global iteration barrier, so there is
         no consistent cut to persist; a decomposable clique run this way
         says so as ``decomposed_ineligible`` on its ``fixpoint`` span and
-        in EXPLAIN ANALYZE); small inputs take the reference
-        loops (:func:`repro.core.planner.gate_kernels`, counted as
-        ``kernel_small_input_gate`` unless ``count_gate`` is off).
+        in EXPLAIN ANALYZE.
         """
         if config.checkpointing:
-            config = config.but(decomposed_plans=False)
-        return gate_kernels(clique, config, resolve,
-                            self.cluster.metrics if count_gate else None)
+            return config.but(decomposed_plans=False)
+        return config
 
     def sql(self, query: str, config: ExecutionConfig | None = None,
             profile_path: str | None = None,
@@ -518,7 +513,7 @@ class RaSQLContext:
         """Plan and run one recursive clique, recording its iterations on
         ``run``.  Returns its views by lower-cased name; nothing else
         keeps them (or the operator) alive once this frame is gone."""
-        clique_config = self.planning_config(unit, effective, resolve)
+        clique_config = self.planning_config(effective)
         checkpointer = None
         if store is not None:
             checkpointer = CliqueCheckpointer(
@@ -661,20 +656,11 @@ class RaSQLContext:
         plans, in the style of Figure 2."""
         effective = config or self.config
         analyzed = self.analyze_query(query, effective)
-
-        def resolve(name: str) -> Relation:
-            # EXPLAIN materializes nothing: views of earlier units count
-            # as empty towards the kernel size gate.
-            if name in self.catalog:
-                return self.catalog.get(name)
-            return Relation(name, ())
-
         lines = []
         for unit in analyzed.units:
             lines.append(unit.explain())
             if isinstance(unit, CliquePlan):
-                planned = plan_clique(unit, self.planning_config(
-                    unit, effective, resolve, count_gate=False))
+                planned = plan_clique(unit, self.planning_config(effective))
                 lines.append(planned.explain())
         lines.append(f"Final: {analyzed.final.to_sql()}")
         return "\n".join(lines)

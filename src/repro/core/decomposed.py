@@ -156,7 +156,7 @@ def run_fused_fixpoint(dedup_fns, broadcast_tables, delta_rows,
     return members, iterations
 
 
-def run_local_fixpoint(terms, view_name: str, view, kernels: bool,
+def run_local_fixpoint(terms, view_name: str, view,
                        partial_aggregation: bool, broadcast_tables,
                        delta_rows, max_iters: int) -> tuple[object, int]:
     """The reference local loop: the clique's own iteration step over a
@@ -167,7 +167,7 @@ def run_local_fixpoint(terms, view_name: str, view, kernels: bool,
     step = CliqueStep(
         {view_name: view},
         [(t.view, t.delta_view, t.negate, t.evaluate, t.folds)
-         for t in terms], 1, kernels, partial_aggregation)
+         for t in terms], 1, partial_aggregation)
     step.broadcast_tables = broadcast_tables
     delta = list(delta_rows)
     iterations = 0
@@ -202,7 +202,7 @@ def decomposed_runner(operator) -> str | None:
     ``"grouped"``, ``"fused"``, or ``None`` for the reference loop."""
     (view,) = operator.planned.views.values()
     terms = operator.planned.terms
-    if not operator.config.kernels or view.has_aggregates:
+    if view.has_aggregates:
         return None
     if all(t.grouped_spec is not None for t in terms):
         return "grouped"
@@ -238,9 +238,8 @@ def execute_decomposed(operator, incoming: dict[str, Dataset]) -> int:
     else:
         def run(delta_rows):
             return run_local_fixpoint(
-                terms, view_name, view, operator.config.kernels,
-                operator.config.partial_aggregation, tables, delta_rows,
-                max_iters)
+                terms, view_name, view, operator.config.partial_aggregation,
+                tables, delta_rows, max_iters)
 
     tasks = []
     for p in range(operator.n):

@@ -60,7 +60,7 @@ from repro.engine.backend.payloads import (
 )
 from repro.engine.cluster import Cluster, StageTask
 from repro.engine.dataset import Dataset, Partition
-from repro.engine.kernels import make_extractor
+from repro.engine.kernels import make_extractor, make_router
 from repro.errors import FixpointNotReachedError, PlanningError
 from repro.relation import Relation
 
@@ -139,7 +139,7 @@ class FixpointOperator:
         #: same class from the wire spec (``engine/backend/worker.py``).
         self.step = CliqueStep(
             planned.views, [_step_term(t) for t in planned.terms],
-            self.n, config.kernels, config.partial_aggregation)
+            self.n, config.partial_aggregation)
         self.states = self.step.states
         self.runtime = self.step  # the step is its terms' runtime
         self.partitioner = self.step.partitioner
@@ -273,8 +273,7 @@ class FixpointOperator:
                       and self.config.join_strategy == "sort_merge")
 
         def router():
-            return (self.step.make_router(plan.build_key) if copartition
-                    else None)
+            return make_router(plan.build_key, self.n) if copartition else None
 
         def build():
             t0 = time.perf_counter()
@@ -298,8 +297,7 @@ class FixpointOperator:
             self.base_side_counts["bypassed"] += 1
             metrics.inc("base_side_cache_bypassed")
             return build()
-        key = (plan.relation.lower(), *plan.shape, self.n, sort_merge,
-               self.config.kernels)
+        key = (plan.relation.lower(), *plan.shape, self.n, sort_merge)
         # A side's epoch counts the distinct rows it holds.
         epoch = generation, len(rows)
         self.side_keys[plan.step_id] = key, epoch

@@ -32,15 +32,14 @@ CACHE_COUNTERS = ("kernel_state_cache_hits", "kernel_state_cache_updates",
                   "kernel_state_cache_misses", "kernel_state_cache_bypass")
 
 
-def make_state(view, n: int, kernels: bool,
-               partitioner: HashPartitioner | None = None):
+def make_state(view, n: int, partitioner: HashPartitioner | None = None):
     """The all-relation of ``view`` over ``n`` partitions: ``{group key:
     head row}`` in the view's own layout for an aggregate head, a row set
     otherwise."""
     if view.has_aggregates:
         return KeyedStateRDD(
             n, tuple(view.aggregate_functions), partitioner,
-            use_kernels=kernels, group_positions=view.group_positions,
+            group_positions=view.group_positions,
             aggregate_positions=view.aggregate_positions)
     return SetRDD(n, partitioner)
 
@@ -58,23 +57,6 @@ def _make_negator(view) -> Callable[[tuple], tuple]:
         return tuple(out)
 
     return negate
-
-
-def _reference_router(key_positions: tuple[int, ...],
-                      partitioner: HashPartitioner) -> Callable:
-    """``kernels.make_router``'s naive twin (``kernels=False``): one
-    ``partition_of`` call per row, same bucket lists."""
-    key_fn = make_key_fn(key_positions)
-    partition_of = partitioner.partition_of
-    n = partitioner.num_partitions
-
-    def route(rows):
-        buckets: list[list[tuple]] = [[] for _ in range(n)]
-        for row in rows:
-            buckets[partition_of(key_fn(row))].append(row)
-        return buckets
-
-    return route
 
 
 def _append_state_rows(table: dict, rows: list[tuple],
@@ -105,12 +87,11 @@ class CliqueStep:
     join sides (:attr:`broadcast_tables`, :attr:`base_partitions`).
     """
 
-    def __init__(self, views: dict, terms, n: int, kernels: bool,
+    def __init__(self, views: dict, terms, n: int,
                  partial_aggregation: bool):
         self.views = views
         self.terms = list(terms)
         self.n = n
-        self.kernels = kernels
         self.partitioner = HashPartitioner(n)
         self.states: dict[str, KeyedStateRDD | SetRDD] = {}
         #: Sign flips for the negated terms that return rows (a term
@@ -119,8 +100,7 @@ class CliqueStep:
             view: _make_negator(views[view])
             for view, _, negate, _, folds in self.terms
             if negate and not folds}
-        #: Per-view shuffle routers: batched kernels, or the reference
-        #: per-row ``partition_of`` loop when kernels are off.
+        #: Per-view shuffle routers (``kernels.make_router``).
         self.routers: dict[str, Callable] = {}
         #: Per-view ``(new, add, emit)`` of :meth:`_make_sink`.
         self.sinks: dict[str, tuple[Callable, Callable, Callable]] = {}
@@ -131,18 +111,13 @@ class CliqueStep:
         self._state_tables: dict[tuple, list] = {}
         self.cache_counts: dict[str, int] = dict.fromkeys(CACHE_COUNTERS, 0)
         for name, view in views.items():
-            self.states[name] = make_state(view, n, kernels,
-                                           self.partitioner)
+            self.states[name] = make_state(view, n, self.partitioner)
             self.fresh[name] = [[] for _ in range(n)]
-            self.routers[name] = self.make_router(
-                view.partition_key_positions)
+            self.routers[name] = make_router(view.partition_key_positions, n)
             self.sinks[name] = self._make_sink(name, view,
                                                partial_aggregation)
         self.broadcast_tables: dict[int, object] = {}
         self.base_partitions: dict[int, list] = {}
-        if not kernels:
-            #: Terms then rebuild their probe tables from ``state_rows``.
-            self.state_table = None
 
     def clear(self) -> None:
         """Drop every state partition, fresh delta and cached state table
@@ -168,14 +143,14 @@ class CliqueStep:
         rows, already bucketed.  Every other view collects a row list,
         combined by the generic ``partial_aggregate`` (aggregate heads,
         unless ablated) and bucketed by the view's router.  The planner
-        applies the same test (``kernels and partial_aggregation and
+        applies the same test (``partial_aggregation and
         head_shape(view)``) to decide which variant of a recursive or base
         term to generate.
         """
         router = self.routers[name]
         if not (view.has_aggregates and partial_aggregation):
             return list, list.extend, router
-        fold = self.kernels and make_fold_kernel(
+        fold = make_fold_kernel(
             tuple(view.aggregate_functions), tuple(view.group_positions),
             tuple(view.aggregate_positions),
             tuple(view.partition_key_positions), self.n)
@@ -183,12 +158,6 @@ class CliqueStep:
             return dict, *fold
         combine = self.states[name].fold
         return list, list.extend, lambda rows: router(combine(rows))
-
-    def make_router(self, key_positions: tuple[int, ...]) -> Callable:
-        """rows -> per-partition bucket lists, keyed on ``key_positions``."""
-        if self.kernels:
-            return make_router(key_positions, self.n)
-        return _reference_router(key_positions, self.partitioner)
 
     # ------------------------------------------------------------------
     # what the terms read (the TermRuntime accessors)

@@ -92,9 +92,8 @@ class TermRuntime:
       sum/count columns).
     - ``state_table(view, p, key_positions)`` — version-validated
       cached hash table over a view's all-relation partition, keyed on
-      positions within the view's rows (the kernel layer; ``None`` when
-      ``ExecutionConfig.kernels`` is off, in which case callers rebuild
-      from ``state_rows``).
+      positions within the view's rows (``None`` in a plain holder, whose
+      interpreted steps rebuild the table from ``state_rows``).
     """
 
     def __init__(self):
@@ -126,7 +125,7 @@ class HashJoinStep(Step):
     ``"broadcast"`` (built once at setup), ``"base_partition"`` (built once
     per partition at setup, cached across iterations), ``"state"`` or
     ``"delta"`` (built from the named view's partition each call — these
-    change every iteration — unless the kernel layer's version-validated
+    change every iteration — unless the runtime's version-validated
     state-table cache serves it; see DESIGN.md for the trade-off).
     ``gather=True`` reads all partitions of the state instead of the
     aligned one (the non-co-partitioned fallback).
@@ -162,7 +161,6 @@ class HashJoinStep(Step):
         else:  # state or delta
             source_partition = -1 if self.gather else partition
             if self.source == "state" and runtime.state_table is not None:
-                # Kernel layer: version-validated cached build table.
                 table = runtime.state_table(
                     self.state_view, source_partition, self.build_positions)
             else:

@@ -333,9 +333,9 @@ def _compile_pipeline(ctx: _TermContext, target: PhysicalView, rule: RulePlan,
     if unplaced:
         raise PlanningError("internal: unconsumed residual conjuncts")
 
-    if (ctx.config.codegen and ctx.config.kernels and not any(
-            isinstance(step, SortMergeJoinStep) for step in steps)):
-        # Build-side column pruning (kernel layer).  The term will be
+    if ctx.config.codegen and not any(
+            isinstance(step, SortMergeJoinStep) for step in steps):
+        # Build-side column pruning.  The term will be
         # generated code — without a sort-merge step a planner-built
         # term always is: codegen supports every expression
         # ``compile_expr`` does, and the plan snapshot pins that only
@@ -508,51 +508,6 @@ def _compile_maintenance_term(ctx: _TermContext, target: PhysicalView,
         delta_view=f"@{relation.lower()}")
 
 
-#: Size gate of the kernel layer.  A clique whose base inputs total fewer
-#: rows than this plans and runs on the reference loops even when
-#: ``ExecutionConfig.kernels`` is on: router specialization, extra
-#: codegen variants and state-table caching are per-query setup costs a
-#: sub-millisecond query never amortizes (measured when the gate was
-#: set: ``same_generation`` 0.75x, ``bom_stratified`` 0.68x).  Kernels are
-#: bit-exact with the reference loops, iteration counts included, so the
-#: gate only moves wall-clock time.
-KERNEL_MIN_ROWS = 256
-
-
-def gate_kernels(clique: CliquePlan, config: ExecutionConfig, resolve,
-                 metrics) -> ExecutionConfig:
-    """The config to plan *and* run ``clique`` under: ``config`` itself,
-    or its ``kernels=False`` twin when the base tables the clique scans
-    (each counted once) hold fewer than :data:`KERNEL_MIN_ROWS` rows.
-
-    Evaluated before :func:`plan_clique` because the kernel layer's
-    costs start at plan time.  ``resolve`` maps a relation name to its
-    :class:`~repro.relation.Relation`; a firing gate counts
-    ``kernel_small_input_gate`` on ``metrics`` (``None``: a dry run such
-    as EXPLAIN, not counted).
-    """
-    if not config.kernels:
-        return config
-    clique_views = {name.lower() for name in clique.view_names}
-    seen: set[str] = set()
-    total = 0
-    for view in clique.views:
-        for rule in view.base_rules + view.recursive_rules:
-            if rule.join is None:
-                continue
-            for node in rule.join.inputs:
-                if isinstance(node, ScanNode):
-                    key = node.relation.lower()
-                    if key not in clique_views and key not in seen:
-                        seen.add(key)
-                        total += len(resolve(node.relation).rows)
-    if total >= KERNEL_MIN_ROWS:
-        return config
-    if metrics is not None:
-        metrics.inc("kernel_small_input_gate")
-    return config.but(kernels=False)
-
-
 def plan_clique(clique: CliquePlan, config: ExecutionConfig,
                 maintenance: bool = False) -> PlannedClique:
     """Compile one recursive clique under *config*.
@@ -618,27 +573,24 @@ def plan_clique(clique: CliquePlan, config: ExecutionConfig,
 
         # Only the recursive terms of a clique that will run decomposed
         # can reach the set runners; nothing else reads their variants.
-        set_runners = (decomposed and config.kernels
-                       and config.evaluation == "dsn"
+        set_runners = (decomposed and config.evaluation == "dsn"
                        and not any(v.has_aggregates for v in views.values()))
         # A recursive or base term of a template-eligible head is the
         # whole Map side: it folds into the view's accumulator inside its
         # probe loop.
-        fold = config.kernels and config.partial_aggregation
         base_terms = [b.term for b in base_rules if b.term is not None]
         for term, runners in ([(t, set_runners) for t in terms]
                               + [(t, False) for t in base_terms]):
+            view = views[term.view]
             attach_generated_code(
-                term, views[term.view].aggregates, kernels=config.kernels,
-                set_runners=runners,
-                fold=head_shape(views[term.view]) if fold else None)
+                term, view.aggregates, set_runners=runners,
+                fold=head_shape(view) if config.partial_aggregation else None)
         # Maintenance terms keep the row-list sink on purpose: their rows
         # meet a grown state, where ``sum``/``count`` heads are exposed to
         # double counts (DESIGN §19), so they reach the merge as derived.
         for table_terms in maintenance_terms.values():
             for term in table_terms:
-                attach_generated_code(term, views[term.view].aggregates,
-                                      kernels=config.kernels)
+                attach_generated_code(term, views[term.view].aggregates)
 
     return PlannedClique(
         views=views,

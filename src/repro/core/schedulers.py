@@ -102,8 +102,7 @@ def _derive(operator, partition: int,
     for group in operator.broadcast_groups:
         memory.touch("broadcast", group, home)
     buckets = operator.step.derive(partition, naive)
-    if operator.config.kernels:  # the only mode with a state-table cache
-        operator.fold_cache_counts()
+    operator.fold_cache_counts()
     return buckets
 
 

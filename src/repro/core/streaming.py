@@ -74,8 +74,7 @@ class IncrementalView:
                 "incremental views support exactly one recursive clique")
         self.clique: CliquePlan = cliques[0]
         self.final = analyzed.final
-        self.config = ctx.planning_config(
-            self.clique, config.but(decomposed_plans=False), ctx.catalog.get)
+        self.config = config.but(decomposed_plans=False)
         self.planned = plan_clique(self.clique, self.config, maintenance=True)
         self._accumulates = self._check_same_table_self_joins()
 

@@ -134,10 +134,9 @@ def merge_rows(state: dict, rows: Iterable[tuple],
     """Merge head rows into ``{group key: head row}``; return the delta rows.
 
     The Reduce stage of Algorithm 5 over any head layout, dispatching
-    through each aggregate's own hooks: the reference loop
-    (``ExecutionConfig.kernels=False``) and the only one for
-    multi-aggregate heads and custom :class:`AggregateFunction` clones
-    (``kernels.make_merge_rows_kernel`` is its specialised twin).  A row
+    through each aggregate's own hooks: the only loop for multi-aggregate
+    heads and custom :class:`AggregateFunction` clones, and the reference
+    ``kernels.make_merge_rows_kernel`` is tested against.  A row
     enters the delta when its group is new or at least one aggregate
     changed; the delta row carries each aggregate's ``delta_value`` (the
     improved total for ``min``/``max``, the increment for
@@ -183,7 +182,8 @@ def partial_aggregate(rows: Iterable[tuple],
     ``tests/engine/test_aggregates.py``).  Contributions are normalized
     (idempotently — the head projection already did), so this is also the
     final stratum of stratified evaluation, whose recursion ran without
-    aggregates.  ``kernels.make_fold_kernel`` is the specialised twin.
+    aggregates.  ``kernels.make_fold_kernel`` is the specialised loop for
+    the heads its templates cover, tested against this one.
     """
     layout = tuple(zip(positions, aggregates))
     combined: dict = {}

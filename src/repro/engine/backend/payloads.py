@@ -106,8 +106,8 @@ def remote_ineligible_reason(operator) -> str | None:
     pool bit-exactly — the *first* cause, as a stable slug — or ``None``
     when it can.
 
-    The pool runs the *kernels-mode DSN combined-stage* step (and the
-    grouped/fused decomposed runners) — nothing else.  Every feature
+    The pool runs the *DSN combined-stage* step (and the grouped/fused
+    decomposed runners) — nothing else.  Every feature
     that reads driver-side state mid-iteration (gather joins,
     checkpoints, memory budgets, simulated fault injectors, sim-time
     deadlines) keeps the query on the simulated oracle.  The answer only
@@ -126,8 +126,6 @@ def remote_ineligible_reason(operator) -> str | None:
         return "stage_combination=off"
     if not config.use_setrdd:
         return "use_setrdd=off"
-    if not config.kernels:
-        return "kernels=off"
     if operator.checkpointer is not None:
         return "checkpointing"
     if config.deadline_seconds is not None:

@@ -104,7 +104,7 @@ class WorkerSession:
             [(ts.view, ts.delta_view, ts.negate,
               recompile_term(ts.source, ts.view), ts.folds)
              for ts in spec.terms],
-            spec.n, True, spec.partial_aggregation)
+            spec.n, spec.partial_aggregation)
         self.step.broadcast_tables = spec.broadcast_tables
         self.step.base_partitions = spec.base_partitions
         self.dedup_fns = [recompile_term(ts.dedup_source, ts.view)

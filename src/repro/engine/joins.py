@@ -14,10 +14,9 @@ kernels mirror the paper's join menu:
 - *nested-loop join* — the fallback for non-equi predicates (Interval
   Coalesce joins on ``coal.S <= inter.S AND inter.S <= coal.E``).
 
-These are also the *reference* kernels for the specialized hot-path loops
-in :mod:`repro.engine.kernels`: ``ExecutionConfig.kernels=False`` routes
-every join through the functions below, and the differential suite
-(``pytest -m kernels``) pins both paths to bit-exact results.
+The interpreted pipeline (``ExecutionConfig.codegen=False``) joins
+through the functions below; generated terms inline the same probe, and
+the ``kernels`` differential suite pins the two to bit-exact results.
 """
 
 from __future__ import annotations

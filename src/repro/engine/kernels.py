@@ -23,16 +23,14 @@ once, at plan/setup time, into tight specialized loops:
   :func:`make_merge_columns_kernel` — not on the product path; pinned
   for ``benchmarks/e2e/micro.py``.
 
-Each kernel has one naive twin: ``aggregates.merge_rows`` and
-``aggregates.partial_aggregate`` (the generic ``AggregateFunction``
-dispatch, also the only loops for multi-aggregate heads and custom
-clones) and ``iteration._reference_router``.
-``ExecutionConfig.kernels=False`` routes execution through the twins, and
-the differential suite (``pytest -m kernels``) pins that both produce
-bit-exact results.  Join output may come out in a different *order* under
-kernels (an incrementally-updated state table keeps insertion order where
-a rebuild follows set order); every consumer is an idempotent set union
-or a commutative monotonic aggregate, so results are unaffected.
+These loops are the fixpoint's only hot path, whatever the input size.
+The generic ``AggregateFunction`` dispatch (``aggregates.merge_rows`` and
+``aggregates.partial_aggregate``) stays as the loop for the heads the
+templates do not cover — multi-aggregate heads and custom clones — and
+``tests/engine/test_kernels.py`` pins each template against it, and the
+router against a per-row ``partition_of`` loop.  The ``kernels``
+differential suite (``pytest -m kernels``) pins whole queries against the
+interpreted pipeline (``codegen=False``) and the sqlite lowering.
 """
 
 from __future__ import annotations

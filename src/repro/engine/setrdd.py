@@ -176,12 +176,11 @@ class KeyedStateRDD:
     ``min``/``max`` it is the stored row itself, for ``sum``/``count`` it
     carries the increment where the stored row carries the total.
 
-    With ``use_kernels`` (the default), a head with one builtin aggregate
-    merges through the unrolled loop of
-    :mod:`repro.engine.kernels`; the generic :class:`AggregateFunction`
-    dispatch of :mod:`repro.engine.aggregates` is the bit-exact reference
-    (``ExecutionConfig.kernels=False``) and the only path for
-    multi-aggregate heads and custom aggregate clones.
+    A head with one builtin aggregate merges through the unrolled loop
+    of :mod:`repro.engine.kernels`; the generic
+    :class:`AggregateFunction` dispatch of :mod:`repro.engine.aggregates`
+    is the only path for multi-aggregate heads and custom aggregate
+    clones.
     """
 
     append_only = False
@@ -189,7 +188,6 @@ class KeyedStateRDD:
     def __init__(self, num_partitions: int,
                  aggregates: tuple[AggregateFunction, ...],
                  partitioner: HashPartitioner | None = None,
-                 use_kernels: bool = True,
                  group_positions: tuple[int, ...] = (0,),
                  aggregate_positions: tuple[int, ...] = (1,)):
         self.partitions: list[dict] = [{} for _ in range(num_partitions)]
@@ -199,12 +197,10 @@ class KeyedStateRDD:
         self.key_of = make_extractor(group_positions)
         generic = dict(key_of=self.key_of, positions=aggregate_positions,
                        aggregates=aggregates)
-        merge = self._merge_columns = None
-        if use_kernels:
-            layout = (aggregates, group_positions, aggregate_positions)
-            merge = make_merge_rows_kernel(*layout)
-            self._merge_columns = make_merge_columns_kernel(*layout)
-        self._merge = merge or partial(reference.merge_rows, **generic)
+        layout = (aggregates, group_positions, aggregate_positions)
+        self._merge_columns = make_merge_columns_kernel(*layout)
+        self._merge = (make_merge_rows_kernel(*layout)
+                       or partial(reference.merge_rows, **generic))
         #: The generic map-side combine of head rows under this state's
         #: layout (``Partial_Aggregate``, Algorithm 5 line 5): rows ->
         #: rows.  Heads the templates cover fold through

@@ -432,7 +432,6 @@ def _format_kernels_section(trace: dict) -> list[str]:
     """The kernel-layer report: state-cache traffic + decomposed kernels.
 
     Reads the root span's counter deltas; only rendered when the query
-    ran through the specialized kernels (``ExecutionConfig.kernels``) and
     touched the state-table cache or a decomposed-fixpoint kernel.
     """
     metrics = trace.get("metrics", {})

@@ -172,7 +172,7 @@ class ResultCache(_LRUCache):
     a newly registered table may capture a name that resolved elsewhere.
     The config enters the key through its ``repr`` — the frozen dataclass
     renders every knob, and two configs answer identically exactly when
-    all knobs match (kernels on/off etc. are bit-exact by contract, but
+    all knobs match (codegen on/off etc. are bit-exact by contract, but
     e.g. ``max_iterations`` is not).
     """
 

@@ -20,6 +20,7 @@ from repro.compile import (
 )
 from repro.errors import InexpressibleQueryError
 from repro.queries.library import ALL_QUERIES, get_query
+from tests.conftest import generic_loops
 from tests.integration.test_chaos import QUERY_SETUPS, make_context_factory
 
 pytestmark = pytest.mark.differential
@@ -36,14 +37,16 @@ INEXPRESSIBLE = {
 EXPRESSIBLE = sorted(set(QUERY_SETUPS) - set(INEXPRESSIBLE))
 
 #: The config axes the oracle sweeps: each one swaps a different layer of
-#: the engine (kernel fast paths, plan decomposition, join algorithm)
-#: whose bugs an internal-only test could inherit on both sides of its
-#: own comparison.  ``evaluation="naive"`` is deliberately absent: the
-#: engine rejects it for sum/count aggregates (it would double-count),
-#: so it cannot sweep the library.
+#: the engine (kernel templates vs the generic loops, plan decomposition,
+#: join algorithm) whose bugs an internal-only test could inherit on both
+#: sides of its own comparison.  ``kernels_off`` runs the default config
+#: with the kernel templates off (``tests/conftest.generic_loops``).
+#: ``evaluation="naive"`` is deliberately absent: the engine rejects it
+#: for sum/count aggregates (it would double-count), so it cannot sweep
+#: the library.
 CONFIGS = {
     "default": ExecutionConfig(),
-    "kernels_off": ExecutionConfig(kernels=False),
+    "kernels_off": ExecutionConfig(),
     "decomposed_off": ExecutionConfig(decomposed_plans=False),
     "sort_merge": ExecutionConfig(join_strategy="sort_merge"),
 }
@@ -65,7 +68,9 @@ def test_library_partition_is_total():
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("query_name", EXPRESSIBLE)
-def test_sqlite_oracle_agrees(query_name, config_name):
+def test_sqlite_oracle_agrees(query_name, config_name, monkeypatch):
+    if config_name == "kernels_off":
+        generic_loops(monkeypatch)
     ctx, sql = setup_for(query_name)
     report = diff_query(ctx, sql, config=CONFIGS[config_name],
                         label=query_name)

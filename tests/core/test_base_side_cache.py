@@ -39,16 +39,17 @@ from repro.errors import (
 )
 from repro.queries.library import get_query
 from repro.relation import Relation
+from tests.conftest import generic_loops
 from tests.integration.test_chaos import QUERY_SETUPS
 
-pytestmark = pytest.mark.usefixtures("ungated_kernels")
-
 NUM_WORKERS = 3
+#: ``kernels_off`` runs the default config with the kernel templates off
+#: (``tests/conftest.generic_loops``).
 AXES = {
     "default": ExecutionConfig(),
     "sort_merge": ExecutionConfig(join_strategy="sort_merge"),
     "broadcast": ExecutionConfig(broadcast_bases=True),
-    "kernels_off": ExecutionConfig(kernels=False),
+    "kernels_off": ExecutionConfig(),
     "magic_off": ExecutionConfig(magic_filters=False),
     "stacked": ExecutionConfig(decomposed_plans=False),
 }
@@ -170,7 +171,9 @@ def changing_table(tables: dict) -> str:
 @pytest.mark.parametrize("axis", sorted(AXES))
 @pytest.mark.parametrize("query_name", sorted(QUERY_SETUPS))
 def test_every_invalidator_rebuilds_and_matches_a_fresh_context(
-        query_name, axis):
+        query_name, axis, monkeypatch):
+    if axis == "kernels_off":
+        generic_loops(monkeypatch)
     build_tables, make_query = QUERY_SETUPS[query_name]
     config, sql = AXES[axis], make_query()
     full = build_tables()
@@ -249,7 +252,10 @@ def cached(ctx) -> dict:
 
 @pytest.mark.parametrize("axis", sorted(AXES))
 @pytest.mark.parametrize("query_name", sorted(QUERY_SETUPS))
-def test_insert_appends_to_what_is_cached(query_name, axis, builder_calls):
+def test_insert_appends_to_what_is_cached(query_name, axis, builder_calls,
+                                          monkeypatch):
+    if axis == "kernels_off":
+        generic_loops(monkeypatch)
     build_tables, make_query = QUERY_SETUPS[query_name]
     config, sql = AXES[axis], make_query()
     full = build_tables()
@@ -418,10 +424,7 @@ def test_distinct_shapes_get_distinct_entries(operators):
     assert filtered != SSSP
     assert run(ctx, filtered)[1] == (0, 0, 1, 0)
     assert run(ctx, filtered)[1] == (1, 0, 0, 0)
-    # The reference router and the kernel router do not share buckets.
-    assert run(ctx, SSSP, ExecutionConfig(kernels=False))[1] == (0, 0, 1, 0)
-    assert run(ctx, SSSP)[1] == (1, 0, 0, 0)
-    assert len(_side_keys(ctx)) == 4
+    assert len(_side_keys(ctx)) == 3
     # A plan that reads the same columns of edge on the same key shares
     # sssp's entry ...
     assert run(ctx, get_query("sssp").formatted(source=3))[1] == (1, 0, 0, 0)
@@ -751,7 +754,7 @@ def test_finished_step_is_freed_without_the_cycle_collector(
 
     monkeypatch.setattr(FixpointOperator, "execute", execute)
     ctx = sssp_ctx()
-    for config in (None, ExecutionConfig(kernels=False),
+    for config in (None, ExecutionConfig(codegen=False),
                    ExecutionConfig(stage_combination=False)):
         result = ctx.sql(SSSP, config=config)
         assert steps.pop()() is None

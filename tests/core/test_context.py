@@ -198,8 +198,7 @@ class TestExplain:
 
     def test_explain_plans_what_a_checkpointed_run_plans(self, tmp_path):
         """Durability pins the stacked plan; EXPLAIN must say so instead
-        of advertising a decomposed run that will not happen — and, being
-        a dry run, must not count the kernel size gate."""
+        of advertising a decomposed run that will not happen."""
         ctx = RaSQLContext(num_workers=2)
         ctx.register_table("edge", ["Src", "Dst"], [(1, 2)])
         tc = """
@@ -212,5 +211,4 @@ class TestExplain:
                                   checkpoint_dir=str(tmp_path))
         assert "decomposable" in ctx.explain(tc)
         assert "decomposable" not in ctx.explain(tc, config=durable)
-        assert ctx.metrics.get("kernel_small_input_gate") == 0
         assert not any(tmp_path.iterdir())

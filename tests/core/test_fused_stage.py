@@ -13,7 +13,7 @@ one emit pass turns the accumulator into routed head rows.  Four pins:
   (negative values, ``sum`` groups cancelling to 0, constant rows) give
   the ``partial_aggregation=False`` rows and iteration counts, and their
   exchange ships one row per group per ``fixpoint-base`` chunk;
-- *differential*: the 15 library queries on seven config axes agree on
+- *differential*: the 15 library queries on six config axes agree on
   rows and iteration counts, and every discrete counter the simulated
   cluster keeps (iterations, per-iteration delta sizes, stages, tasks,
   shuffle records and bytes, broadcast bytes, per-worker memory high-water
@@ -23,7 +23,9 @@ one emit pass turns the accumulator into routed head rows.  Four pins:
   ``shuffle_records``, ``shuffle_bytes`` and ``memory_hwm_bytes_w*`` of
   ``cc`` and ``cc_labels`` moved (their ``SELECT Src, Src`` base case
   repeats a group per edge), on every axis but
-  ``partial_aggregation_off``; rows, iterations and delta sizes did not;
+  ``partial_aggregation_off``; rows, iterations and delta sizes did not.
+  Cut again when the kernels-off reference path was deleted: its
+  ``kernels_off`` entries went, every other entry byte-identical;
 - a generated recursive or base term of a foldable view builds no
   ``_out`` list; a maintenance term always does.
 
@@ -42,19 +44,18 @@ from hypothesis import strategies as st
 
 from repro import ExecutionConfig, RaSQLContext
 from repro.core import planner
-from repro.core.iteration import CliqueStep, _reference_router
+from repro.core.iteration import CliqueStep
 from repro.engine.aggregates import BY_NAME, partial_aggregate
 from repro.engine.backend.payloads import WireView
 from repro.engine.kernels import make_extractor, make_router
-from repro.engine.partitioner import HashPartitioner
 from repro.engine.tracing import _find_dict
 from repro.errors import PlanningError
+from tests.conftest import reference_router
 
 PARENT_DUMP = Path(__file__).parent / "fixtures" / "fused_stage_parent.json"
 
 CONFIGS = {
     "default": ExecutionConfig(),
-    "kernels_off": ExecutionConfig(kernels=False),
     "codegen_off": ExecutionConfig(codegen=False),
     "partial_aggregation_off": ExecutionConfig(partial_aggregation=False),
     "two_stage": ExecutionConfig(stage_combination=False),
@@ -87,7 +88,6 @@ def run_library_query(query_name: str, config: ExecutionConfig) -> dict:
 def collect() -> dict[str, dict]:
     from tests.integration.test_chaos import QUERY_SETUPS
 
-    planner.KERNEL_MIN_ROWS = 0  # tiny inputs must reach the kernel layer
     return {f"{query_name}/{config_name}":
             run_library_query(query_name, config)
             for query_name in sorted(QUERY_SETUPS)
@@ -112,7 +112,7 @@ def _library_queries():
 
 @pytest.mark.parametrize("query_name", _library_queries())
 def test_rows_iterations_and_counters_match_the_unfused_parent(
-        query_name, parent_dump, ungated_kernels):
+        query_name, parent_dump):
     outcomes = {name: run_library_query(query_name, config)
                 for name, config in CONFIGS.items()}
     for name, outcome in outcomes.items():
@@ -123,7 +123,7 @@ def test_rows_iterations_and_counters_match_the_unfused_parent(
     assert len({json.dumps(o["rows"]) for o in outcomes.values()}) == 1
 
 
-def test_the_default_axis_fuses_and_the_ablations_do_not(ungated_kernels):
+def test_the_default_axis_fuses_and_the_ablations_do_not():
     fused = {}
     for name, config in CONFIGS.items():
         ctx = RaSQLContext(num_workers=3, config=config)
@@ -132,7 +132,7 @@ def test_the_default_axis_fuses_and_the_ablations_do_not(ungated_kernels):
         from repro.queries.library import get_query
         ctx.sql(get_query("cc").sql)
         fused[name] = ctx.last_run.kernels_summary()["kernel_fused_fold_terms"]
-    assert fused == {"default": 1, "kernels_off": 0, "codegen_off": 0,
+    assert fused == {"default": 1, "codegen_off": 0,
                      "partial_aggregation_off": 0, "two_stage": 1,
                      "stacked": 1, "broadcast_bases": 1}
 
@@ -247,7 +247,7 @@ def fold_then_rows(rows, name, group, at):
 
 
 def derive_once(view, terms, n):
-    step = CliqueStep({"v": view}, terms, n, True, True)
+    step = CliqueStep({"v": view}, terms, n, True)
     step.fresh["v"][0] = [("delta",)]  # non-empty: every term runs
     return step.derive(0)
 
@@ -282,7 +282,7 @@ def test_fused_sink_and_emit_match_fold_then_route(name, group, at, n, data):
     assert folded == partial_aggregate(
         first + flipped, make_extractor(group), (at,), (BY_NAME[name],))
     for route in (make_router(group or (0,), n),
-                  _reference_router(group or (0,), HashPartitioner(n))):
+                  reference_router(group or (0,), n)):
         expected = {"v": {pid: bucket for pid, bucket
                           in enumerate(route(folded)) if bucket}}
         assert fused == expected
@@ -362,7 +362,7 @@ def run_base_case(name, case, n, partial_aggregation):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_base_rules_fold_per_chunk_before_their_exchange(
-        name, n, data, ungated_kernels):
+        name, n, data):
     case = data.draw(base_case(name))
     rows, iterations, deltas, records, attrs = run_base_case(
         name, case, n, True)

@@ -39,6 +39,12 @@ now the fold variant; every ``explain()`` / ``describe()`` /
 ``base_plans`` / exception / ``dedup`` / ``grouped`` entry byte-identical,
 no recursive or maintenance term and nothing under ``kernels_off`` or
 ``stratified`` moved.
+Re-cut when the kernels-off reference path was deleted: the 116
+``kernels_off`` entries went; of the other 578, only ``source`` moved,
+for the 90 terms with a state-side join (20 recursive, 70 maintenance,
+in 14 of the 15 queries) — ``runtime.state_table(...)`` without the
+``if runtime.state_table is not None else _build_state_table(...)``
+fallback; everything else byte-identical.
 
 Regenerate (only for an intended plan change)::
 
@@ -63,7 +69,6 @@ GOLDEN = Path(__file__).parent / "fixtures" / "plan_snapshot.json"
 
 CONFIGS = {
     "default": ExecutionConfig(),
-    "kernels_off": ExecutionConfig(kernels=False),
     "stacked": ExecutionConfig(decomposed_plans=False),
     "sort_merge": ExecutionConfig(join_strategy="sort_merge"),
     "broadcast_bases": ExecutionConfig(broadcast_bases=True),
@@ -153,11 +158,11 @@ def snapshot():
 
 
 def test_sweep_shape(golden):
-    """The numbers the golden was cut with: 514 terms, the only unfused
+    """The numbers the golden was cut with: 428 terms, the only unfused
     ones being sort-merge pipelines (never fused by design)."""
     terms = {k: v for k, v in golden.items() if _is_term(k)}
     unfused = [k for k, v in terms.items() if v["source"] == UNFUSED]
-    assert len(terms) == 514
+    assert len(terms) == 428
     assert len(unfused) == 18
     assert all("/sort_merge/" in k for k in unfused)
 
@@ -188,9 +193,9 @@ def test_plans_and_generated_code_match_golden(golden, snapshot):
 
 def test_dedup_variants_only_where_consumable(golden, snapshot):
     """``codegen_dedup_fn`` / ``grouped_spec`` exist exactly on the
-    recursive terms of a decomposable, aggregate-free clique planned with
-    kernels under DSN — the only place ``decomposed_runner`` reads them —
-    and there they are everything the golden had."""
+    recursive terms of a decomposable, aggregate-free clique planned
+    under DSN — the only place ``decomposed_runner`` reads them — and
+    there they are everything the golden had."""
     digests, texts = snapshot
     for key, got in digests.items():
         if not _is_term(key):
@@ -198,8 +203,7 @@ def test_dedup_variants_only_where_consumable(golden, snapshot):
         query, config_name, maintenance, clique, kind = key.split("/")[:5]
         plan_text = texts[f"{query}/{config_name}/{maintenance}/{clique}/plan"]
         config = CONFIGS[config_name]
-        consumable = (kind == "rec" and config.kernels
-                      and config.evaluation == "dsn"
+        consumable = (kind == "rec" and config.evaluation == "dsn"
                       and "(decomposable:" in plan_text["explain"])
         if consumable:
             assert got["dedup"] == golden[key]["dedup"], key

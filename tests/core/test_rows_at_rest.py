@@ -10,9 +10,10 @@ Three pins on the stored-row invariant:
   ``base_blocks`` always hold the rows themselves.  For every library
   query under every planning axis; likewise after
   ``IncrementalView.insert`` and inside ``check_prem``.  Sort-merge,
-  nested-loop, ``codegen=False``, ``kernels=False`` and ``check_prem``
-  sides stay whole rows;
-- *differential*: codegen on/off × kernels on/off × both join strategies
+  nested-loop, ``codegen=False`` and ``check_prem`` sides stay whole
+  rows;
+- *differential*: codegen on/off × kernel templates on/off
+  (``tests/conftest.generic_loops``) × both join strategies
   agree on rows and iteration counts where the invariant has teeth — a
   pushed-down filter on the non-driving scan over duplicate rows and
   ``NULL``s in non-key columns, a theta rule, a δ⋈δ rule;
@@ -31,11 +32,14 @@ from repro.core.physical import TermRuntime
 from repro.core.streaming import IncrementalView
 from repro.engine.kernels import make_extractor
 from repro.queries.library import get_query
+from tests.conftest import generic_loops
 from tests.integration.test_chaos import QUERY_SETUPS, make_context_factory
 
+#: ``kernels_off`` runs the default config with the kernel templates off
+#: (``tests/conftest.generic_loops``).
 CONFIGS = {
     "default": ExecutionConfig(),
-    "kernels_off": ExecutionConfig(kernels=False),
+    "kernels_off": ExecutionConfig(),
     "codegen_off": ExecutionConfig(codegen=False),
     "sort_merge": ExecutionConfig(join_strategy="sort_merge"),
     "broadcast_bases": ExecutionConfig(broadcast_bases=True),
@@ -132,7 +136,9 @@ def make_context(query_name, config):
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("query_name", sorted(QUERY_SETUPS))
 def test_base_sides_hold_the_relations_own_rows(query_name, config_name,
-                                                operators, ungated_kernels):
+                                                operators, monkeypatch):
+    if config_name == "kernels_off":
+        generic_loops(monkeypatch)
     ctx, query = make_context(query_name, CONFIGS[config_name])
     ctx.sql(query)
     assert operators
@@ -141,8 +147,8 @@ def test_base_sides_hold_the_relations_own_rows(query_name, config_name,
         assert checked >= len(operator.planned.base_plans)
         pruned += sum(plan.read_positions is not None
                       for plan in operator.planned.base_plans)
-    if config_name in ("codegen_off", "kernels_off"):
-        assert not pruned  # interpreted / reference code place whole rows
+    if config_name == "codegen_off":
+        assert not pruned  # the interpreted pipeline places whole rows
     elif config_name != "sort_merge" and query_name in ("cc", "sssp", "tc"):
         assert pruned  # edge.Dst / (Dst, Cost), not the edge row
 
@@ -156,8 +162,7 @@ def test_base_sides_hold_the_relations_own_rows(query_name, config_name,
                                     ("cat", "fay")]),
 ])
 def test_inserted_rows_enter_the_sides_as_themselves(query_name, table,
-                                                     new_rows, operators,
-                                                     ungated_kernels):
+                                                     new_rows, operators):
     ctx, query = make_context(query_name, ExecutionConfig())
     view = IncrementalView(ctx, query)
     present = set(ctx.catalog.get(table).rows)
@@ -218,26 +223,28 @@ TAGGED_EDGES = [
     (6, 7, 10, "edge-of-filter"), (6, 8, 0, "c"), (8, 2, 5, None),
 ]
 
-AXES = [ExecutionConfig(codegen=codegen, kernels=kernels,
-                        join_strategy=strategy)
-        for codegen, kernels, strategy in itertools.product(
-            (True, False), (True, False), ("shuffle_hash", "sort_merge"))]
+#: ``(config, kernel templates off)``.
+AXES = [(ExecutionConfig(codegen=codegen, join_strategy=strategy), generic)
+        for codegen, generic, strategy in itertools.product(
+            (True, False), (False, True), ("shuffle_hash", "sort_merge"))]
 
 
 def run_all_axes(sql, tables):
     """``{(rows, iterations)}`` over the eight codegen/kernels/join axes."""
     outcomes = set()
-    for config in AXES:
-        ctx = RaSQLContext(num_workers=3, config=config)
-        for name, (columns, rows) in tables.items():
-            ctx.register_table(name, columns, rows)
-        rows = ctx.sql(sql).rows
+    for config, generic in AXES:
+        with pytest.MonkeyPatch.context() as patch:
+            if generic:
+                generic_loops(patch)
+            ctx = RaSQLContext(num_workers=3, config=config)
+            for name, (columns, rows) in tables.items():
+                ctx.register_table(name, columns, rows)
+            rows = ctx.sql(sql).rows
         outcomes.add((tuple(sorted(rows, key=repr)), ctx.last_run.iterations))
     return outcomes
 
 
-def test_filtered_scan_with_duplicates_and_nulls_agrees_on_every_axis(
-        ungated_kernels):
+def test_filtered_scan_with_duplicates_and_nulls_agrees_on_every_axis():
     ctx = RaSQLContext(num_workers=3)
     ctx.register_table("edge", ["Src", "Dst", "Cost", "Tag"], TAGGED_EDGES)
     assert "Scan edge AS edge [(edge.Cost < 10)]" in ctx.explain(FILTERED_HOP)
@@ -251,15 +258,13 @@ def test_filtered_scan_with_duplicates_and_nulls_agrees_on_every_axis(
 
 @pytest.mark.parametrize("query_name", ["interval_coalesce",
                                         "same_generation"])
-def test_theta_and_delta_delta_rules_agree_on_every_axis(query_name,
-                                                         ungated_kernels):
+def test_theta_and_delta_delta_rules_agree_on_every_axis(query_name):
     build_tables, make_query = QUERY_SETUPS[query_name]
     (outcome,) = run_all_axes(make_query(), build_tables())
     assert outcome[0]
 
 
-def test_incremental_view_over_filtered_scan_matches_from_scratch(
-        ungated_kernels):
+def test_incremental_view_over_filtered_scan_matches_from_scratch():
     inserts = [[(4, 9, 2, None), (9, 3, 70, "dropped")],
                [(7, 10, 1, "late"), (7, 10, 1, "late")],
                [(3, 4, 8, None)]]

@@ -37,12 +37,15 @@ from repro.engine.faults import DriverKillInjector
 from repro.engine.kernels import make_extractor, make_fold_kernel
 from repro.engine.setrdd import KeyedStateRDD
 from repro.errors import DriverCrashError
+from tests.conftest import generic_loops, generic_state
 from tests.engine.test_kernels import LAYOUTS
 from tests.integration.test_chaos import QUERY_SETUPS, make_context_factory
 
+#: ``kernels_off`` runs the default config with the kernel templates off
+#: (``tests/conftest.generic_loops``).
 CONFIGS = {
     "default": ExecutionConfig(),
-    "kernels_off": ExecutionConfig(kernels=False),
+    "kernels_off": ExecutionConfig(),
     "codegen_off": ExecutionConfig(codegen=False),
     "partial_aggregation_off": ExecutionConfig(partial_aggregation=False),
     "two_stage": ExecutionConfig(stage_combination=False),
@@ -125,7 +128,9 @@ def make_context(query_name, config, num_workers=3, **kwargs):
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("query_name", sorted(QUERY_SETUPS))
 def test_states_hold_the_views_own_rows(query_name, config_name, checked,
-                                        ungated_kernels):
+                                        monkeypatch):
+    if config_name == "kernels_off":
+        generic_loops(monkeypatch)
     ctx, query = make_context(query_name, CONFIGS[config_name])
     ctx.sql(query)
     assert checked  # every clique's state was read through the check
@@ -144,7 +149,7 @@ def test_states_hold_the_views_own_rows(query_name, config_name, checked,
                                     ("cat", "fay")]),
 ])
 def test_states_after_incremental_insert(query_name, table, new_rows,
-                                         checked, ungated_kernels):
+                                         checked):
     ctx, query = make_context(query_name, ExecutionConfig())
     view = IncrementalView(ctx, query)
     before = len(checked)
@@ -217,8 +222,8 @@ def test_specialised_loops_match_generic_dispatch(name, group, position,
                                                   data):
     aggregates = (BY_NAME[name],)
     layout = dict(group_positions=group, aggregate_positions=(position,))
-    fast = KeyedStateRDD(1, aggregates, use_kernels=True, **layout)
-    generic = KeyedStateRDD(1, aggregates, use_kernels=False, **layout)
+    fast = KeyedStateRDD(1, aggregates, **layout)
+    generic = generic_state(1, aggregates, **layout)
     fold_into, emit = make_fold_kernel(aggregates, group, (position,))
     assert fast._merge._generated_source and fold_into._generated_source
     assert generic._merge.func is reference.merge_rows

@@ -29,6 +29,7 @@ from repro.engine.kernels import (
 )
 from repro.engine.partitioner import HashPartitioner, column_partition_ids
 from repro.engine.setrdd import KeyedStateRDD
+from tests.conftest import generic_state
 
 MIXED_VALUES = [0, 1, -5, -(2**40), 2**63, 2**70, "node-1", "", 3.5,
                 -2.25, 10.0, float("inf"), None, True, False, ("a", 1)]
@@ -195,8 +196,8 @@ class TestMergeTwins:
     def test_generic_merge_columns_matches_kernel(self, name):
         aggregates = (BY_NAME[name],)
         batch = ColumnBatch.from_rows(int_rows(11, count=60, lo=0, hi=9))
-        generic = KeyedStateRDD(1, aggregates, use_kernels=False)
-        kernel = KeyedStateRDD(1, aggregates, use_kernels=True)
+        generic = generic_state(1, aggregates)
+        kernel = KeyedStateRDD(1, aggregates)
         assert generic.merge_rows_batch(0, batch) == \
             kernel.merge_rows_batch(0, batch)
         assert generic.partitions == kernel.partitions

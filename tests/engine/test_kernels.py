@@ -1,14 +1,21 @@
 """Unit tests for the specialized fixpoint kernels.
 
-Every kernel has a naive reference loop that stays in the codebase; these
-tests pin each kernel to its reference bit-exactly on adversarial inputs
-(negative ints, floats, strings, tuples, None, bools), and pin the
-fallback rules: custom aggregate clones and unsupported shapes must
-return ``None`` so the generic dispatch keeps honouring their hooks.
+The kernels are the fixpoint's only hot path.  These tests pin each one
+bit-exactly to its naive twin on adversarial inputs (negative ints,
+floats, strings, tuples, None, bools): the merge and fold templates to
+the generic ``AggregateFunction`` dispatch the product keeps for the
+heads the templates do not cover (``aggregates.merge_rows`` /
+``partial_aggregate``), the router to a per-row ``partition_of`` loop
+kept under ``tests/`` (``tests.conftest.reference_router``).  They also
+pin the fallback rules: custom aggregate clones and unsupported shapes
+must return ``None`` so the generic dispatch keeps honouring their hooks.
 """
 
 import dataclasses
 import random
+
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.engine.aggregates import BY_NAME, partial_aggregate
 from repro.engine.aggregates import merge_rows as generic_merge_rows
@@ -19,8 +26,10 @@ from repro.engine.kernels import (
     make_merge_rows_kernel,
     make_router,
 )
-from repro.engine.partitioner import HashPartitioner, key_of
+from repro.engine.partitioner import key_of
 from repro.engine.setrdd import KeyedStateRDD
+from tests.conftest import generic_state, reference_router
+from tests.engine.test_partitioner import KEYS
 
 MIXED_KEYS = [0, 1, -5, -(2**40), 2**63, "node-1", "", 3.5, -2.25, 10.0,
               None, True, False, ("a", 1), (None, -3)]
@@ -46,24 +55,27 @@ class TestExtractor:
         assert make_extractor(())(("x", "y")) == ()
 
 
+#: Rows over mixed int / float / str / ``None`` / tuple keys, ``-1`` next
+#: to ``-1.0`` (the pair ``_stable_hash`` once split across partitions).
+ROWS = st.lists(st.tuples(st.one_of(KEYS, st.text(max_size=4), st.none()),
+                          st.integers(-50, 50),
+                          st.one_of(KEYS, st.none())), max_size=60)
+PARTITIONS = st.integers(min_value=1, max_value=9)
+
+
 class TestRouter:
-    def _reference(self, rows, positions, n):
-        partitioner = HashPartitioner(n)
-        buckets = [[] for _ in range(n)]
-        for row in rows:
-            buckets[partitioner.partition_of(key_of(row, positions))].append(row)
-        return buckets
+    @given(ROWS, PARTITIONS)
+    @example(mixed_rows(), 7)
+    @example([(-1, 0, None), (-1.0, 1, None), ((-1, "a"), 2, -1.0)], 5)
+    def test_single_key_matches_partition_of(self, rows, n):
+        assert make_router((0,), n)(rows) == reference_router((0,), n)(rows)
 
-    def test_single_key_matches_partition_of(self):
-        rows = mixed_rows()
-        for n in (2, 4, 7):
-            assert make_router((0,), n)(rows) == self._reference(rows, (0,), n)
-
-    def test_multi_key_matches_partition_of(self):
-        rows = mixed_rows()
-        for n in (2, 5):
-            route = make_router((0, 2), n)
-            assert route(rows) == self._reference(rows, (0, 2), n)
+    @given(ROWS, PARTITIONS)
+    @example(mixed_rows(), 5)
+    @example([(-1, 0, -1.0), (-1.0, 1, -1), (None, 2, "x")], 3)
+    def test_multi_key_matches_partition_of(self, rows, n):
+        route = make_router((0, 2), n)
+        assert route(rows) == reference_router((0, 2), n)(rows)
 
     def test_single_partition_collects_everything(self):
         rows = mixed_rows()
@@ -113,9 +125,8 @@ class TestMergeKernels:
                 layout = dict(group_positions=group,
                               aggregate_positions=(position,))
                 aggregates = (BY_NAME[name],)
-                fast = KeyedStateRDD(1, aggregates, use_kernels=True, **layout)
-                reference = KeyedStateRDD(1, aggregates, use_kernels=False,
-                                          **layout)
+                fast = KeyedStateRDD(1, aggregates, **layout)
+                reference = generic_state(1, aggregates, **layout)
                 assert fast._merge._generated_source
                 assert reference._merge.func is generic_merge_rows
                 for batch in self._batches(name, group, position):
@@ -138,10 +149,9 @@ class TestMergeKernels:
                 assert fast == reference
 
     def test_min_max_delta_row_is_the_stored_row(self):
-        for use_kernels in (True, False):
+        for make_state in (KeyedStateRDD, generic_state):
             for name, better in (("min", 1), ("max", 9)):
-                state = KeyedStateRDD(1, (BY_NAME[name],),
-                                      use_kernels=use_kernels)
+                state = make_state(1, (BY_NAME[name],))
                 first, improved = ("k", 5), ("k", better)
                 assert state.merge_rows(0, [first])[0] is first
                 (delta,) = state.merge_rows(0, [improved])

@@ -81,8 +81,8 @@ class TestDictEqualKeysColocate:
 
     @given(KEYS)
     def test_every_routing_path_agrees_on_dict_equal_keys(self, key):
-        from repro.core.iteration import _reference_router
         from repro.engine.kernels import make_fold_kernel, make_router
+        from tests.conftest import reference_router
 
         twins = self.twins(key)
         rows = [(twin, i) for i, twin in enumerate(twins)]
@@ -91,7 +91,7 @@ class TestDictEqualKeysColocate:
             (home,) = {partitioner.partition_of(twin) for twin in twins}
             assert 0 <= home < n
             for route in (make_router((0,), n),
-                          _reference_router((0,), partitioner)):
+                          reference_router((0,), n)):
                 buckets = route(rows)
                 assert buckets[home] == rows and sum(map(len, buckets)) \
                     == len(rows)

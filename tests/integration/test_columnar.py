@@ -5,17 +5,17 @@ on/off behaviour this file used to compare.  The module keeps its name —
 test ids are tracked by name across PRs — and pins the two things the
 old suite covered that no other suite does:
 
-1. the kernels differential on the *interpreted* pipeline
-   (``codegen=False``: ``HashJoinStep``/``SortMergeJoinStep.apply``
-   placing stored rows, the state-table cache they share with the
-   generated code), where
-   ``tests/integration/test_kernels.py`` covers the generated one;
+1. the kernel templates against the generic loops
+   (``tests/conftest.generic_loops``), both on the *interpreted*
+   pipeline (``codegen=False``: ``HashJoinStep``/``SortMergeJoinStep.
+   apply`` placing stored rows, the state-table cache they share with
+   the generated code), where ``tests/integration/test_kernels.py``
+   pins the generated path against the interpreted one;
 2. the process backend's pickled-row wire with more partitions than
    pool workers, so task coalescing and the content-addressed install
    cache have something to do.
 
-Run with ``pytest -m kernels`` (the suite runs with the kernel size gate
-lifted, see ``tests/conftest.py``); extra graph seeds via ``RASQL_SEEDS``.
+Run with ``pytest -m kernels``; extra graph seeds via ``RASQL_SEEDS``.
 """
 
 import functools
@@ -31,13 +31,23 @@ from repro.chaos import (
 )
 
 from tests.integration.test_chaos import NUM_WORKERS, QUERY_SETUPS
-from tests.integration.test_kernels import SEEDS, differential, factory
+from tests.integration.test_kernels import SEEDS, factory
 
 pytestmark = pytest.mark.kernels
 
-#: Kernels vs reference loops, both on the interpreted pipeline.
+#: The interpreted pipeline.
 ON = ExecutionConfig(codegen=False)
-OFF = ExecutionConfig(codegen=False, kernels=False)
+
+
+def differential(query_name, generic_side, seed=None, *, config=ON,
+                 subject=None, **harness):
+    """``config`` on the kernel templates — or the ``subject`` side —
+    against ``config`` on the generic loops."""
+    _, make_query = QUERY_SETUPS[query_name]
+    return run_differential(
+        make_query(), generic_side(factory(query_name, seed)),
+        oracle={"config": config, "generic": True},
+        subject=subject or {"config": config}, **harness)
 
 
 # ----------------------------------------------------------------------
@@ -47,10 +57,10 @@ OFF = ExecutionConfig(codegen=False, kernels=False)
 @pytest.mark.timeout(120)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("query_name", sorted(QUERY_SETUPS))
-def test_query_bit_exact_and_iteration_parity(query_name, seed):
-    report = differential(query_name, seed, oracle=OFF, subject=ON)
+def test_query_bit_exact_and_iteration_parity(query_name, seed,
+                                              generic_side):
+    report = differential(query_name, generic_side, seed)
     assert report.exact, report.summary()
-    assert report.counters["kernel_small_input_gate"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -59,26 +69,25 @@ def test_query_bit_exact_and_iteration_parity(query_name, seed):
 
 @pytest.mark.timeout(120)
 @pytest.mark.parametrize("query_name", ["sssp", "cc", "tc", "bom"])
-def test_bit_exact_under_sort_merge_strategy(query_name):
-    report = differential(query_name,
-                          oracle=OFF.but(join_strategy="sort_merge"),
-                          subject=ON.but(join_strategy="sort_merge"))
+def test_bit_exact_under_sort_merge_strategy(query_name, generic_side):
+    report = differential(query_name, generic_side,
+                          config=ON.but(join_strategy="sort_merge"))
     assert report.exact, report.summary()
 
 
 @pytest.mark.timeout(120)
 @pytest.mark.parametrize("query_name", ["sssp", "cc", "tc"])
-def test_bit_exact_under_chaos(query_name):
+def test_bit_exact_under_chaos(query_name, generic_side):
     report = differential(
-        query_name, oracle=ON, subject=ON,
+        query_name, generic_side,
         faults=make_schedule(31, num_workers=NUM_WORKERS).injectors)
     assert report.exact, report.summary()
 
 
 @pytest.mark.timeout(120)
 @pytest.mark.parametrize("query_name", ["sssp", "tc"])
-def test_bit_exact_under_spill(query_name):
-    report = differential(query_name, oracle=OFF, subject=lambda clean: {
+def test_bit_exact_under_spill(query_name, generic_side):
+    report = differential(query_name, generic_side, subject=lambda clean: {
         "config": ON, **squeezed(clean)})
     assert report.exact, report.summary()
     assert report.counters["spill_events"] >= 1

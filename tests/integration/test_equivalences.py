@@ -199,12 +199,9 @@ class TestDictEqualKeysColocate:
     to ``(2**64 - 1) % n`` while the int fast path sends ``-1`` to
     ``-1 % n``, splitting the group on three partitions."""
 
-    @pytest.mark.parametrize("kernels", [False, True])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_one_min_group_on_any_partition_count(self, workers, kernels,
-                                                  ungated_kernels):
-        ctx = RaSQLContext(num_workers=workers,
-                           config=ExecutionConfig(kernels=kernels))
+    def test_one_min_group_on_any_partition_count(self, workers):
+        ctx = RaSQLContext(num_workers=workers)
         ctx.register_table("t", ["K", "V"], [(-1, 5), (-1.0, 3), (7, 1)])
         ctx.register_table("e", ["A", "B"], [(7, -1.0), (7, -1)])
         rows = sorted(ctx.sql(MIN_OVER_MIXED_KEYS).rows)

@@ -29,7 +29,7 @@ class TestExplainAnalyzeSSSP:
         assert run.iterations == ctx.metrics.get("iterations")
         assert f"iterations={run.iterations}" in report
 
-    def test_base_sides_line_says_built_then_hit(self, ungated_kernels):
+    def test_base_sides_line_says_built_then_hit(self):
         ctx = sssp_ctx()
         sssp = get_query("sssp").formatted(source=1)
         # ... and names what the side stores: two of edge's three columns.
@@ -64,7 +64,7 @@ class TestExplainAnalyzeSSSP:
         assert second.trace["metrics"]["base_side_cache_hits"] == 1
         assert "base_side_cache_misses" not in second.trace["metrics"]
 
-    def test_kernels_section_says_the_stage_is_fused(self, ungated_kernels):
+    def test_kernels_section_says_the_stage_is_fused(self):
         ctx = sssp_ctx()
         report = ctx.explain_analyze(get_query("sssp").formatted(source=1))
         assert ("  derive: probe·project·fold·route fused (1 of 1 terms)"
@@ -76,7 +76,7 @@ class TestExplainAnalyzeSSSP:
         ("tc", None, [0, 1]),
     ])
     def test_kernels_section_says_which_base_rules_fold(
-            self, query, line, attr, ungated_kernels):
+            self, query, line, attr):
         """``cc``'s ``SELECT Src, Src`` folds per chunk before the base
         exchange; ``tc``'s set view ships its base rows as they are."""
         ctx = RaSQLContext(num_workers=2)

@@ -1,14 +1,16 @@
-"""Kernel-layer differential suite: kernels on vs off, bit for bit.
+"""Kernel-layer differential suite: the kernel path vs the interpreted
+pipeline, bit for bit.
 
 The kernel layer (``repro.engine.kernels`` + the generated fast paths in
-``repro.core.codegen``/``fixpoint``) claims pure wall-clock wins: same
-rows, same iteration counts, only faster.  This suite pins that claim
-across the whole query library and under composition with the other
-subsystems (sort-merge planning, fault injection, memory pressure).
-
-The test graphs sit far below the kernel size gate, so the whole marker
-suite runs with the gate lifted (``tests/conftest.py``); the gate's own
-tests put it back.
+``repro.core.codegen``/``fixpoint``) is the fixpoint's one hot path,
+whatever the input size.  This suite pins it — same rows, same iteration
+counts — against the oracles that know nothing of it: the interpreted
+pipeline (``codegen=False``: no generated term, no fold variant, no set
+runner) and, where ``repro.compile`` can lower the query, sqlite.  It
+does so across the whole query library, under composition with the
+other subsystems (sort-merge planning, fault injection, memory
+pressure), and for the inputs a size gate once kept off this path: a
+view grown from a tiny table and a tiny clique on the process backend.
 
 Run with ``pytest -m kernels``; extra graph seeds via ``RASQL_SEEDS``
 (comma-separated, ``tests/conftest.py``).
@@ -18,8 +20,12 @@ import pytest
 
 from repro import ExecutionConfig, RaSQLContext
 from repro.chaos import make_schedule, run_differential, squeezed
-from repro.core import planner
+from repro.compile import diff_query
+from repro.core.context import RunInfo
+from repro.core.streaming import IncrementalView
+from repro.engine.tracing import format_explain_analyze
 
+from tests.compile.test_differential import INEXPRESSIBLE
 from tests.conftest import seeds
 from tests.integration.test_chaos import (
     NUM_WORKERS,
@@ -32,11 +38,8 @@ pytestmark = pytest.mark.kernels
 
 SEEDS = seeds("5,13")
 
-REFERENCE = ExecutionConfig(kernels=False)
-
-#: The shipped threshold, read at import time — before the suite's
-#: autouse fixture lifts the gate.
-DEFAULT_GATE = planner.KERNEL_MIN_ROWS
+#: The oracle: the interpreted pipeline (no generated term).
+REFERENCE = ExecutionConfig(codegen=False)
 
 #: Queries whose input is a generated graph: rebuilt per seed so the
 #: differential covers several shapes.  Fixed-data queries (BOM, MLM,
@@ -73,14 +76,25 @@ def factory(query_name, seed=None, **fixed):
 
 def differential(query_name, seed=None, *, oracle=REFERENCE, subject=None,
                  **harness):
-    """Kernels on — or the ``subject`` config, or a function of the
-    finished oracle returning the subject's side — against the ``oracle``
-    config, by default the reference loops."""
+    """The default config — or the ``subject`` config, or a function of
+    the finished oracle returning the subject's side — against the
+    ``oracle`` config, by default the interpreted pipeline."""
     _, make_query = QUERY_SETUPS[query_name]
     return run_differential(
         make_query(), factory(query_name, seed), oracle={"config": oracle},
         subject=subject if callable(subject) else {"config": subject},
         **harness)
+
+
+def assert_sqlite_agrees(query_name, seed=None, config=None):
+    """The kernel path against the sqlite lowering of the query, where
+    ``repro.compile`` can lower it."""
+    if query_name in INEXPRESSIBLE:
+        return
+    _, make_query = QUERY_SETUPS[query_name]
+    report = diff_query(factory(query_name, seed)(), make_query(),
+                        config=config, label=query_name)
+    assert report.equal, report.summary()
 
 
 def run_query(query_name, seed, config=None):
@@ -92,7 +106,8 @@ def run_query(query_name, seed, config=None):
 
 
 # ----------------------------------------------------------------------
-# 1. every library query, kernels on vs off: same rows, same iterations
+# 1. every library query, kernel path vs interpreted pipeline (and
+#    sqlite): same rows, same iterations
 # ----------------------------------------------------------------------
 
 @pytest.mark.timeout(120)
@@ -101,9 +116,7 @@ def run_query(query_name, seed, config=None):
 def test_query_bit_exact_and_iteration_parity(query_name, seed):
     report = differential(query_name, seed)
     assert report.exact, report.summary()
-    # The kernels side really ran kernels: a gated run would make this a
-    # reference-vs-reference comparison.
-    assert report.counters["kernel_small_input_gate"] == 0
+    assert_sqlite_agrees(query_name, seed)
 
 
 # ----------------------------------------------------------------------
@@ -114,11 +127,11 @@ def test_query_bit_exact_and_iteration_parity(query_name, seed):
 @pytest.mark.parametrize("query_name", ["sssp", "cc", "tc", "bom",
                                         "company_control"])
 def test_bit_exact_under_sort_merge_strategy(query_name):
-    report = differential(
-        query_name,
-        oracle=ExecutionConfig(join_strategy="sort_merge", kernels=False),
-        subject=ExecutionConfig(join_strategy="sort_merge"))
+    sort_merge = ExecutionConfig(join_strategy="sort_merge")
+    report = differential(query_name, oracle=REFERENCE.but(
+        join_strategy="sort_merge"), subject=sort_merge)
     assert report.exact, report.summary()
+    assert_sqlite_agrees(query_name, config=sort_merge)
 
 
 # ----------------------------------------------------------------------
@@ -137,65 +150,64 @@ def test_state_cache_counters_fire_on_company_control():
 def test_grouped_fixpoint_kernel_engages_on_tc():
     summary = run_query("tc", SEEDS[0]).last_run.kernels_summary()
     assert summary["kernel_grouped_fixpoint_stages"] > 0
-    # ... and never off the kernel path.
+    # ... and never on the interpreted pipeline.
     reference_summary = run_query(
         "tc", SEEDS[0], config=REFERENCE).last_run.kernels_summary()
     assert reference_summary["kernel_grouped_fixpoint_stages"] == 0
 
 
 # ----------------------------------------------------------------------
-# 4. the small-input dispatch gate (repro.core.planner.KERNEL_MIN_ROWS)
+# 4. one hot path whatever the input size: a view grown from a tiny
+#    table, a tiny clique on the process backend
 # ----------------------------------------------------------------------
 
-def run_tc_over(num_edges):
+def kernel_counters(ctx):
+    """The session's cumulative kernel counters."""
+    return RunInfo(metrics=ctx.metrics.snapshot()).kernels_summary()
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("query_name", ["sssp", "cc"])
+def test_a_view_grown_from_80_rows_runs_the_kernel_path(query_name):
+    weighted = GRAPH_QUERIES[query_name].get("weighted", False)
+    columns = ("Src", "Dst") + (("Cost",) if weighted else ())
+    edges = random_graph(2_000, 20_080, seed=SEEDS[0], weighted=weighted)
+    _, make_query = QUERY_SETUPS[query_name]
     ctx = RaSQLContext(num_workers=NUM_WORKERS)
-    ctx.register_table("edge", ["Src", "Dst"],
-                       random_graph(60, num_edges, seed=SEEDS[0]))
-    _, make_query = QUERY_SETUPS["tc"]
-    ctx.sql(make_query())
-    return ctx.last_run.kernels_summary()
+    ctx.register_table("edge", columns, edges[:80])
+    view = IncrementalView(ctx, make_query())
+    # The recursive terms fold inside their probe loop, however small
+    # the table the view was planned over ...
+    assert all(term.folds for term in view.planned.terms)
+    ctx.catalog.append_rows("edge", edges[80:])
+    before = kernel_counters(ctx)
+    rows = sorted(view.result().rows, key=repr)
+    after = kernel_counters(ctx)
+    # ... and the catch-up's maintenance terms probe the state through
+    # the step's cached state tables.
+    assert sum(after[key] - before[key] for key in after
+               if key.startswith("kernel_state_cache_")) > 0
+    fresh = RaSQLContext(num_workers=NUM_WORKERS)
+    fresh.register_table("edge", columns, edges)
+    assert rows == sorted(fresh.sql(make_query()).rows, key=repr)
 
 
-@pytest.mark.timeout(120)
-def test_small_input_gate_routes_through_reference_loops(monkeypatch):
-    # One row under the shipped threshold: the gate engages and no
-    # kernel machinery runs, even though kernels are on in the config.
-    assert DEFAULT_GATE == 256
-    monkeypatch.setattr(planner, "KERNEL_MIN_ROWS", DEFAULT_GATE)
-    summary = run_tc_over(DEFAULT_GATE - 1)
-    assert summary["kernel_small_input_gate"] == 1
-    assert summary["kernel_grouped_fixpoint_stages"] == 0
-    assert summary["kernel_state_cache_hits"] == 0
-    assert summary["kernel_state_cache_misses"] == 0
-
-
-@pytest.mark.timeout(120)
-def test_gate_does_not_engage_above_threshold(monkeypatch):
-    # Exactly at the threshold (and so anywhere above it) kernels run.
-    monkeypatch.setattr(planner, "KERNEL_MIN_ROWS", DEFAULT_GATE)
-    summary = run_tc_over(DEFAULT_GATE)
-    assert summary["kernel_small_input_gate"] == 0
-    assert summary["kernel_grouped_fixpoint_stages"] > 0
-
-
-@pytest.mark.timeout(120)
-def test_small_input_gate_is_bit_exact_with_ungated_kernels(monkeypatch):
-    for query_name in ("sssp", "tc", "company_control", "bom"):
-        make_context = factory(query_name)
-
-        def gated(gate=0, **side):
-            # The gate is read when a clique is planned: the oracle has
-            # finished by the time the subject's context is made.
-            monkeypatch.setattr(planner, "KERNEL_MIN_ROWS", gate)
-            return make_context(**side)
-
-        _, make_query = QUERY_SETUPS[query_name]
-        report = run_differential(make_query(), gated,
-                                  subject={"gate": DEFAULT_GATE})
-        assert report.exact, report.summary()
-        assert report.counters["kernel_small_input_gate"] == 1
-        assert report.oracle_run.kernels_summary()[
-            "kernel_small_input_gate"] == 0
+@pytest.mark.process_backend
+@pytest.mark.timeout(180)
+@pytest.mark.parametrize("query_name", ["sssp", "cc"])
+def test_a_100_row_process_clique_ships_its_work(query_name):
+    weighted = GRAPH_QUERIES[query_name].get("weighted", False)
+    edges = random_graph(40, 100, seed=SEEDS[0], weighted=weighted)
+    columns = ("Src", "Dst") + (("Cost",) if weighted else ())
+    _, make_query = QUERY_SETUPS[query_name]
+    report = run_differential(
+        make_query(), make_context_factory(
+            query_name, tables=lambda: {"edge": (columns, edges)},
+            num_workers=2),
+        subject={"config": ExecutionConfig(backend="process")})
+    assert report.exact, report.summary()
+    assert report.counters["process_tasks_shipped"] > 0
+    assert "remote-ineligible" not in format_explain_analyze(report.trace)
 
 
 @pytest.mark.timeout(120)
@@ -206,16 +218,6 @@ def test_explain_analyze_reports_kernels_section():
     assert "state build-table cache" in report
 
 
-@pytest.mark.timeout(120)
-def test_kernels_off_run_reports_no_kernel_counters():
-    summary = run_query("sssp", SEEDS[0],
-                        config=REFERENCE).last_run.kernels_summary()
-    assert all(value == 0 for key, value in summary.items()
-               if key.startswith("kernel_"))
-    # How the base sides were obtained is reported on either path.
-    assert summary["base_side_cache_misses"] > 0
-
-
 # ----------------------------------------------------------------------
 # 5. composition: kernels under fault injection and memory pressure
 # ----------------------------------------------------------------------
@@ -223,7 +225,7 @@ def test_kernels_off_run_reports_no_kernel_counters():
 @pytest.mark.timeout(120)
 @pytest.mark.parametrize("query_name", ["sssp", "cc", "tc", "bom"])
 def test_kernels_bit_exact_under_chaos(query_name):
-    """Kernels on (the default context) + a seeded fault schedule."""
+    """The kernel path (the default context) + a seeded fault schedule."""
     report = differential(
         query_name, oracle=None,
         faults=make_schedule(29, num_workers=NUM_WORKERS).injectors)
@@ -234,7 +236,7 @@ def test_kernels_bit_exact_under_chaos(query_name):
 @pytest.mark.parametrize("query_name", ["sssp", "tc"])
 def test_kernels_bit_exact_under_spill(query_name):
     """Budget squeezed until spilling: the kernel run must still match
-    the (unsqueezed) kernels-off run."""
+    the (unsqueezed) interpreted run."""
     report = differential(query_name, subject=squeezed)
     assert report.exact, report.summary()
     assert report.counters["spill_events"] >= 1

@@ -11,9 +11,6 @@ poison tasks fail typed (with a partial trace) instead of crash-looping,
 and an exhausted pool surfaces :class:`NoHealthyWorkersError`.
 
 Run with ``pytest -m process_backend``; each test tears its pool down.
-The marker suite runs with the kernel size gate lifted
-(``tests/conftest.py``) so the tiny test graphs still take the
-remote-eligible kernel paths.
 """
 
 import functools
@@ -245,7 +242,7 @@ SELECT X, Y FROM tc
 @pytest.mark.timeout(180)
 @pytest.mark.parametrize("cause", [
     "backend-not-ready", "evaluation=naive", "stage_combination=off",
-    "use_setrdd=off", "kernels=off", "checkpointing", "deadline",
+    "use_setrdd=off", "checkpointing", "deadline",
     "memory-budget", "injector:failure", "term-not-codegen", "gather-join",
     "decomposed-no-fused-runner"])
 def test_remote_ineligible_cause_is_reported(cause, tmp_path, monkeypatch):
@@ -274,7 +271,6 @@ def test_remote_ineligible_cause_is_reported(cause, tmp_path, monkeypatch):
         "evaluation=naive": {"evaluation": "naive"},
         "stage_combination=off": {"stage_combination": False},
         "use_setrdd=off": {"use_setrdd": False},
-        "kernels=off": {"kernels": False},
         "checkpointing": {"checkpoint_interval": 1},
         "deadline": {"deadline_seconds": 1e6},
         "term-not-codegen": {"codegen": False},

@@ -22,7 +22,7 @@ from repro.serving.cache import PlanCache, ResultCache
 from repro.serving.service import COMPLETED_WINDOW
 from repro.serving.workload import build_service, generate_ops, submit_op
 
-pytestmark = [pytest.mark.serving, pytest.mark.usefixtures("ungated_kernels")]
+pytestmark = pytest.mark.serving
 
 #: The benchmark's ``serve_mix`` shares (benchmarks/e2e/workloads.py).
 SERVE_MIX = {"view_read": 0.65, "hot_sql": 0.12, "pooled_sql": 0.08,

@@ -41,7 +41,6 @@ FLIP_VALUES = {
     "partial_aggregation": False,
     "use_setrdd": False,
     "magic_filters": False,
-    "kernels": False,
     "max_iterations": 7,
     "deadline_seconds": 123.0,
     "checkpoint_interval": 4,
