@@ -142,20 +142,11 @@ def _expr_source(expr: ast.Expr, layout: Layout, namer: _SlotNamer) -> str:
 
 def generate_term_function(term: CompiledTerm,
                            aggregates: tuple[AggregateFunction | None, ...],
-                           dedup: bool = False,
                            fold: tuple | None = None) -> Callable | None:
     """Generate the fused function for one term, or ``None`` if not fusible.
 
     ``aggregates`` are the target view's effective aggregates (for
     contribution normalization in the projection).
-
-    ``dedup`` emits the set-fixpoint variant: a single list
-    comprehension ``_term(delta_rows, partition, runtime) -> derived``
-    returning the round's derived rows *including duplicates*.  The
-    whole probe loop runs inside one comprehension frame — no per-row
-    interpreted append or membership branch — and the driver dedups the
-    round in one shot with C-level set algebra.  Only valid for
-    aggregate-free, non-negated, totalize-free terms.
 
     ``fold`` (the head's ``kernels.head_shape``) emits the fold variant:
     ``_term(delta_rows, partition, runtime, combined)`` folds every
@@ -188,13 +179,10 @@ def generate_term_function(term: CompiledTerm,
     join_var = 0
     has_totalize = False
     first_join_mark: tuple[int, int] | None = None
-    clauses: list[str] = []  # comprehension clauses for the dedup variant
     for step in term.steps:
         if isinstance(step, SortMergeJoinStep):
             return None  # not fused; interpreted path handles it
         if isinstance(step, TotalizeStep):
-            if dedup:
-                return None  # a statement, not a comprehension clause
             has_totalize = True
             # Inline total lookup: the group's stored row carries the
             # totals and is, column for column, the totalised delta row.
@@ -209,9 +197,6 @@ def generate_term_function(term: CompiledTerm,
             if step.expr is None:
                 return None
             source = _expr_source(step.expr, layout, namer)
-            if dedup:
-                clauses.append(f"if {source}")
-                continue
             emit(f"if not {source}:", indent)
             emit("    continue", indent)
             continue
@@ -247,15 +232,10 @@ def generate_term_function(term: CompiledTerm,
                    else key_refs[0])
             bucket = f"_b{join_var}"
             prologue.append(f"    _get{join_var} = {table}.get")
-            if dedup:
-                # ``.get`` with an empty-tuple default makes a missed
-                # probe a zero-iteration inner loop.
-                clauses.append(f"for {var} in _get{join_var}({key}, _E)")
-            else:
-                emit(f"{bucket} = _get{join_var}({key})", indent)
-                emit(f"if {bucket} is None:", indent)
-                emit("    continue", indent)
-                emit(f"for {var} in {bucket}:", indent)
+            emit(f"{bucket} = _get{join_var}({key})", indent)
+            emit(f"if {bucket} is None:", indent)
+            emit("    continue", indent)
+            emit(f"for {var} in {bucket}:", indent)
             namer.add_segment(*step.build_segment, var, step.read_positions)
             indent += 1
             continue
@@ -267,10 +247,7 @@ def generate_term_function(term: CompiledTerm,
             table = f"_tbl{step.step_id}"
             prologue.append(
                 f"    {table} = runtime.broadcast_tables[{step.step_id}]")
-            if not dedup:
-                emit(f"for {var} in {table}:", indent)
-            else:
-                clauses.append(f"for {var} in {table}")
+            emit(f"for {var} in {table}:", indent)
             namer.add_segment(*step.segment, var)
             indent += 1
             if step.predicate is not None:
@@ -278,11 +255,8 @@ def generate_term_function(term: CompiledTerm,
                     return None
                 source = " and ".join(
                     _expr_source(c, layout, namer) for c in step.conjuncts)
-                if dedup:
-                    clauses.append(f"if ({source})")
-                else:
-                    emit(f"if not ({source}):", indent)
-                    emit("    continue", indent)
+                emit(f"if not ({source}):", indent)
+                emit("    continue", indent)
             continue
         return None  # unknown step kind
 
@@ -290,7 +264,7 @@ def generate_term_function(term: CompiledTerm,
     # are invariant across the join loops and are hoisted to just before
     # the first join (totalize rebinds ``d`` mid-body, so its presence
     # disables the hoist).
-    hoist = not dedup and first_join_mark is not None and not has_totalize
+    hoist = first_join_mark is not None and not has_totalize
     delta_lo = term.delta_offset
     delta_hi = delta_lo + term.delta_arity
     hoisted: list[str] = []
@@ -311,42 +285,25 @@ def generate_term_function(term: CompiledTerm,
         projection_parts.append(source)
     if hoisted:
         body[first_join_mark[0]:first_join_mark[0]] = hoisted
-    if dedup:
-        if (term.negate or fold is not None
-                or any(a is not None for a in aggregates)):
-            return None
-        # One comprehension for the whole round: the loop machinery runs
-        # in C, leaving only the probe and tuple build per derived row.
-        row = f"({', '.join(projection_parts)},)"
-        comp = " ".join(
-            ["for d in delta_rows"]
-            + ([f"if {prefilter_src}"] if prefilter_src is not None else [])
-            + clauses)
-        lines = ["def _term(delta_rows, partition, runtime):"]
-        lines += prologue
-        lines.append("    _E = ()")
-        lines.append(f"    return [{row} {comp}]")
-        source_text = "\n".join(lines)
+    if fold is not None:
+        name, group, at = fold
+        for line in fold_update(name, key_source(projection_parts, group),
+                                projection_parts[at]):
+            emit(line, indent)
+        header = ["def _term(delta_rows, partition, runtime, combined):"]
+        header += prologue + ["    get = combined.get"]
+        footer = []
     else:
-        if fold is not None:
-            name, group, at = fold
-            for line in fold_update(name, key_source(projection_parts, group),
-                                    projection_parts[at]):
-                emit(line, indent)
-            header = ["def _term(delta_rows, partition, runtime, combined):"]
-            header += prologue + ["    get = combined.get"]
-            footer = []
-        else:
-            emit(f"_append(({', '.join(projection_parts)},))", indent)
-            header = ["def _term(delta_rows, partition, runtime):"]
-            header += prologue + ["    _out = []",
-                                  "    _append = _out.append"]
-            footer = ["    return _out"]
-        header.append("    for d in delta_rows:")
-        if prefilter_src is not None:
-            header.append(f"        if not {prefilter_src}:")
-            header.append("            continue")
-        source_text = "\n".join(header + body + footer)
+        emit(f"_append(({', '.join(projection_parts)},))", indent)
+        header = ["def _term(delta_rows, partition, runtime):"]
+        header += prologue + ["    _out = []",
+                              "    _append = _out.append"]
+        footer = ["    return _out"]
+    header.append("    for d in delta_rows:")
+    if prefilter_src is not None:
+        header.append(f"        if not {prefilter_src}:")
+        header.append("            continue")
+    source_text = "\n".join(header + body + footer)
 
     env["_build_state_table"] = _build_state_table
     try:
@@ -449,10 +406,9 @@ def attach_generated_code(term: CompiledTerm,
 
     With ``fold`` the function is the fold variant and ``term.folds``
     says so.
-    ``set_runners`` additionally generates what the decomposed set
-    runners (:func:`repro.core.decomposed.decomposed_runner`) consume:
-    the inline-dedup variant onto ``term.codegen_dedup_fn`` and the
-    column-decomposed shape onto ``term.grouped_spec``.
+    ``set_runners`` additionally recognizes the column-decomposed shape
+    the decomposed set kernel consumes onto ``term.grouped_spec``
+    (:func:`repro.core.decomposed.decomposed_runner`).
     """
     try:
         fn = generate_term_function(term, aggregates, fold=fold)
@@ -463,10 +419,5 @@ def attach_generated_code(term: CompiledTerm,
     term.codegen_fn = fn
     term.folds = fold is not None
     if set_runners:
-        try:
-            term.codegen_dedup_fn = generate_term_function(
-                term, aggregates, dedup=True)
-        except PlanningError:
-            term.codegen_dedup_fn = None
         term.grouped_spec = grouped_dedup_spec(term, aggregates)
     return True

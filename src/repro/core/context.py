@@ -115,11 +115,11 @@ class RunInfo:
 
         Keys: ``kernel_state_cache_hits``, ``kernel_state_cache_misses``,
         ``kernel_state_cache_updates``, ``kernel_state_cache_bypass``,
-        ``kernel_grouped_fixpoint_stages``, ``kernel_fused_fixpoint_stages``,
-        ``kernel_fused_fold_terms`` (recursive terms that fold and route
-        inside their generated probe loop), ``kernel_fused_fold_base_rules``
-        (scan-driven base rules that do the same) and ``kernel_pruned_sides``
-        (base join sides storing only the columns read after the probe),
+        ``kernel_grouped_fixpoint_stages``, ``kernel_fused_fold_terms``
+        (recursive terms that fold and route inside their generated probe
+        loop), ``kernel_fused_fold_base_rules`` (scan-driven base rules
+        that do the same) and ``kernel_pruned_sides`` (base join sides
+        storing only the columns read after the probe),
         plus how the run's base join sides were obtained:
         ``base_side_cache_hits`` (reused from an earlier query
         over the same table epoch), ``base_side_cache_appended`` (reused
@@ -130,7 +130,6 @@ class RunInfo:
         keys = ("kernel_state_cache_hits", "kernel_state_cache_misses",
                 "kernel_state_cache_updates", "kernel_state_cache_bypass",
                 "kernel_grouped_fixpoint_stages",
-                "kernel_fused_fixpoint_stages",
                 "kernel_fused_fold_terms",
                 "kernel_fused_fold_base_rules",
                 "kernel_pruned_sides", "base_side_cache_hits",

@@ -1,22 +1,16 @@
 """Decomposed execution (Section 7.2): independent per-partition fixpoints.
 
 For decomposable plans each partition runs its own local fixpoint against
-broadcast bases with no shuffle and no synchronization.  Three runners
-exist for that local fixpoint: the column-decomposed and the fused set
-fixpoints (stateless, so the process backend ships them whole — the pool
-worker calls the very same functions), and the reference loop that works
-for any view shape and only ever runs driver-side.
+broadcast bases with no shuffle and no synchronization.  Two runners
+exist for that local fixpoint, both stateless, so the process backend
+ships them whole and the pool worker calls the very same functions: the
+column-decomposed set kernel for transitive closure's shape, and the
+clique's own iteration step over one partition for every other shape.
 """
 
 from __future__ import annotations
 
 from repro.core.iteration import CliqueStep
-from repro.core.physical import (
-    CompiledTerm,
-    HashJoinStep,
-    TermRuntime,
-    TotalizeStep,
-)
 from repro.engine.backend.payloads import remote_task_stub
 from repro.engine.cluster import StageTask
 from repro.engine.dataset import Dataset
@@ -33,8 +27,8 @@ def run_grouped_fixpoint(grouped_specs, broadcast_tables, delta_rows,
     the already-known values — all C-level set algebra over bare column
     values.  Duplicate derivations (the bulk of a transitive closure's
     work) are collapsed before any row tuple is built or hashed.
-    ``derived_any`` mirrors the reference loop's accounting: a final
-    round that derives only duplicates still counts.  Shared verbatim by
+    ``derived_any`` mirrors the local loop's accounting: a final round
+    that derives only duplicates still counts.  Shared verbatim by
     the driver's decomposed path and the process-backend worker.
     """
     pair = all(len(spec.prefix) == 1 for spec in grouped_specs)
@@ -96,8 +90,8 @@ def run_grouped_fixpoint(grouped_specs, broadcast_tables, delta_rows,
             else:
                 extend(key + (y,) for y in fresh)
     if derived_any:
-        # The reference loop runs one more (all-duplicate) round before
-        # its union comes back empty.
+        # The local loop runs one more (all-duplicate) round before its
+        # merge comes back empty.
         iterations += 1
         if iterations > max_iters:
             raise FixpointNotReachedError(
@@ -110,64 +104,16 @@ def run_grouped_fixpoint(grouped_specs, broadcast_tables, delta_rows,
     return rows, iterations
 
 
-def run_fused_fixpoint(dedup_fns, broadcast_tables, delta_rows,
-                       max_iters: int) -> tuple[set, int]:
-    """Set-view fast path: each generated term emits the round's derived
-    rows (duplicates included) from one comprehension, and the union pass
-    collapses to C-level set algebra.  The first occurrence of a new row
-    counts as fresh and every other derived occurrence as a duplicate —
-    exactly the reference loop's accounting — so ``dups`` reproduces its
-    iteration count: a final round that derives only duplicates still
-    counts there.  Shared verbatim by the driver's decomposed path and
-    the process-backend worker.
-    """
-    local_runtime = TermRuntime()
-    local_runtime.broadcast_tables = broadcast_tables
-    members = set(delta_rows)
-    delta = list(members)
-    single = dedup_fns[0] if len(dedup_fns) == 1 else None
-    iterations = 0
-    dups = 0
-    while delta:
-        iterations += 1
-        if iterations > max_iters:
-            raise FixpointNotReachedError(
-                "decomposed local fixpoint exceeded budget",
-                iterations - 1)
-        if single is not None:
-            derived = single(delta, 0, local_runtime)
-        else:
-            derived = []
-            for fn in dedup_fns:
-                derived.extend(fn(delta, 0, local_runtime))
-        fresh = set(derived)
-        fresh.difference_update(members)
-        dups = len(derived) - len(fresh)
-        members.update(fresh)
-        delta = list(fresh)
-    if dups:
-        # The reference loop runs one more (all-duplicate) round before
-        # its union comes back empty.
-        iterations += 1
-        if iterations > max_iters:
-            raise FixpointNotReachedError(
-                "decomposed local fixpoint exceeded budget",
-                iterations - 1)
-    return members, iterations
-
-
 def run_local_fixpoint(terms, view_name: str, view,
                        partial_aggregation: bool, broadcast_tables,
                        delta_rows, max_iters: int) -> tuple[object, int]:
-    """The reference local loop: the clique's own iteration step over a
-    private one-partition state — merge the delta, derive from the fresh
-    rows, repeat until nothing new derives.  Handles aggregate heads and
-    terms that read the evolving state, which the two set runners above
-    cannot."""
-    step = CliqueStep(
-        {view_name: view},
-        [(t.view, t.delta_view, t.negate, t.evaluate, t.folds)
-         for t in terms], 1, partial_aggregation)
+    """The clique's own iteration step over a private one-partition
+    state — merge the delta, derive from the fresh rows, repeat until
+    nothing new derives.  ``terms`` are :attr:`CliqueStep.terms` entries,
+    so any view shape runs here: aggregate heads, negated terms and terms
+    that read the evolving state.  Shared verbatim by the driver's
+    decomposed path and the process-backend worker."""
+    step = CliqueStep({view_name: view}, terms, 1, partial_aggregation)
     step.broadcast_tables = broadcast_tables
     delta = list(delta_rows)
     iterations = 0
@@ -182,33 +128,12 @@ def run_local_fixpoint(terms, view_name: str, view,
     return step.states[view_name].partitions[0], iterations
 
 
-def _dedup_fusable(term: CompiledTerm) -> bool:
-    """Fused dedup must not read evolving state mid-round: its inline
-    adds would be visible where the reference path's union defers them
-    to the next round."""
-    if term.codegen_dedup_fn is None:
-        return False
-    for step in term.steps:
-        if isinstance(step, TotalizeStep):
-            return False
-        if (isinstance(step, HashJoinStep)
-                and step.source in ("state", "delta")):
-            return False
-    return True
-
-
-def decomposed_runner(operator) -> str | None:
-    """Which stateless set runner this clique's local fixpoints can use:
-    ``"grouped"``, ``"fused"``, or ``None`` for the reference loop."""
-    (view,) = operator.planned.views.values()
-    terms = operator.planned.terms
-    if view.has_aggregates:
-        return None
-    if all(t.grouped_spec is not None for t in terms):
+def decomposed_runner(operator) -> str:
+    """Which runner this clique's local fixpoints use: ``"grouped"``
+    when every term has the column-decomposed shape, else ``"local"``."""
+    if all(t.grouped_spec is not None for t in operator.planned.terms):
         return "grouped"
-    if all(_dedup_fusable(t) for t in terms):
-        return "fused"
-    return None
+    return "local"
 
 
 def execute_decomposed(operator, incoming: dict[str, Dataset]) -> int:
@@ -228,18 +153,12 @@ def execute_decomposed(operator, incoming: dict[str, Dataset]) -> int:
 
         def run(delta_rows):
             return run_grouped_fixpoint(specs, tables, delta_rows, max_iters)
-    elif runner == "fused":
-        dedup_fns = [term.codegen_dedup_fn for term in terms]
-        cluster.metrics.inc("kernel_fused_fixpoint_stages")
-
-        def run(delta_rows):
-            return run_fused_fixpoint(dedup_fns, tables, delta_rows,
-                                      max_iters)
     else:
         def run(delta_rows):
             return run_local_fixpoint(
-                terms, view_name, view, operator.config.partial_aggregation,
-                tables, delta_rows, max_iters)
+                operator.step.terms, view_name, view,
+                operator.config.partial_aggregation, tables, delta_rows,
+                max_iters)
 
     tasks = []
     for p in range(operator.n):
@@ -271,6 +190,7 @@ def execute_decomposed(operator, incoming: dict[str, Dataset]) -> int:
     span = cluster.tracer.current
     if span is not None:
         # Decomposed fixpoints have no global iteration barrier; record
-        # each partition's local iteration count on the enclosing span.
-        span.annotate(local_iterations=per_partition)
+        # each partition's local iteration count on the enclosing span,
+        # and which runner counted them.
+        span.annotate(local_iterations=per_partition, runner=runner)
     return iterations

@@ -337,15 +337,11 @@ class CompiledTerm:
     #: into it inside the probe loop and returns nothing; without, it
     #: returns the derived head rows as a list.
     folds: bool = False
-    #: Comprehension variant ``(delta, partition, runtime) -> derived``
-    #: (duplicates included); the decomposed set-fixpoint driver dedups
-    #: each round with set algebra.  Like ``grouped_spec``, generated only
+    #: Column-decomposed fixpoint shape; set when the term is a single
+    #: broadcast join whose projection is delta-only parts followed by one
+    #: build column — see ``codegen.grouped_dedup_spec``.  Recognized only
     #: for the recursive terms of an aggregate-free clique that will run
-    #: decomposed under the kernel layer — nothing else reads either.
-    codegen_dedup_fn: Callable | None = field(default=None, repr=False)
-    #: Column-decomposed fixpoint shape (kernel layer); set when the term
-    #: is a single broadcast join whose projection is delta-only parts
-    #: followed by one build column — see ``codegen.grouped_dedup_spec``.
+    #: decomposed — nothing else reads it.
     grouped_spec: "GroupedDedupSpec | None" = field(default=None, repr=False)
     #: The scan filter ``delta_prefilter`` was compiled from.
     prefilter_expr: ast.Expr | None = field(default=None, repr=False)

@@ -572,7 +572,7 @@ def plan_clique(clique: CliquePlan, config: ExecutionConfig,
         from repro.core.codegen import attach_generated_code
 
         # Only the recursive terms of a clique that will run decomposed
-        # can reach the set runners; nothing else reads their variants.
+        # can reach the grouped set kernel; nothing else reads its shape.
         set_runners = (decomposed and config.evaluation == "dsn"
                        and not any(v.has_aggregates for v in views.values()))
         # A recursive or base term of a template-eligible head is the

@@ -64,7 +64,6 @@ class TermSpec:
     source: str
     #: ``source`` is the fold variant (``CompiledTerm.folds``).
     folds: bool = False
-    dedup_source: str | None = None
     grouped_spec: object | None = None  # frozen GroupedDedupSpec, picklable
 
 
@@ -106,16 +105,14 @@ def remote_ineligible_reason(operator) -> str | None:
     pool bit-exactly — the *first* cause, as a stable slug — or ``None``
     when it can.
 
-    The pool runs the *DSN combined-stage* step (and the grouped/fused
-    decomposed runners) — nothing else.  Every feature
+    The pool runs the *DSN combined-stage* step and both decomposed
+    runners (grouped and local) — nothing else.  Every feature
     that reads driver-side state mid-iteration (gather joins,
     checkpoints, memory budgets, simulated fault injectors, sim-time
     deadlines) keeps the query on the simulated oracle.  The answer only
     routes *where* the work runs; results are identical either way,
     which the ``process_backend`` differential suite enforces.
     """
-    from repro.core.decomposed import decomposed_runner  # imports us
-
     config = operator.config
     cluster = operator.cluster
     if not cluster.backend.remote_ready():
@@ -142,8 +139,6 @@ def remote_ineligible_reason(operator) -> str | None:
         for step in term.steps:
             if isinstance(step, HashJoinStep) and step.gather:
                 return "gather-join"
-    if operator.planned.decomposable and decomposed_runner(operator) is None:
-        return "decomposed-no-fused-runner"
     return None
 
 
@@ -214,15 +209,12 @@ def build_install_spec(operator, sid: str) -> InstallSpec:
         )
     terms = []
     for term in operator.planned.terms:
-        dedup = getattr(term, "codegen_dedup_fn", None)
         terms.append(TermSpec(
             view=term.view,
             delta_view=term.delta_view,
             negate=term.negate,
             source=term.codegen_fn._generated_source,
             folds=term.folds,
-            dedup_source=(dedup._generated_source
-                          if dedup is not None else None),
             grouped_spec=term.grouped_spec,
         ))
     return InstallSpec(
@@ -276,8 +268,7 @@ def recompile_term(source: str, view: str):
     The emitter references at most two kinds of free names:
     ``_build_state_table`` (state-side probe tables) and ``_norm<i>``
     (count normalization — only ``count`` aggregates ever get one, so the
-    registry lookup is exact).  ``_E`` is emitted inline by the dedup
-    variant and needs no environment entry.
+    registry lookup is exact).
     """
     from repro.core.codegen import _build_state_table, compile_term
 

@@ -39,9 +39,11 @@ Worker -> driver::
 
 The derivation code *is* the simulated oracle's, not a second copy of it:
 an ``iterate`` task runs the same :meth:`CliqueStep.merge` /
-:meth:`CliqueStep.derive` the driver's schedulers call, decomposed
-fixpoints go through ``run_grouped_fixpoint``/``run_fused_fixpoint``, and
-term functions are recompiled from the very source the driver generated.
+:meth:`CliqueStep.derive` the driver's schedulers call, a ``decompose``
+task the same ``run_grouped_fixpoint`` / ``run_local_fixpoint`` the
+driver's decomposed path calls (the latter over the session step's own
+terms), and term functions are recompiled from the very source the
+driver generated.
 
 Chaos directives (``{"kind": "poison"|"hang", "stage": regex,
 "task": index-or-None, "times": n}``) are checked before a task runs:
@@ -61,7 +63,7 @@ import time
 import traceback
 from dataclasses import replace
 
-from repro.core.decomposed import run_fused_fixpoint, run_grouped_fixpoint
+from repro.core.decomposed import run_grouped_fixpoint, run_local_fixpoint
 from repro.core.iteration import CliqueStep
 from repro.engine.backend.payloads import (BLOB_CACHE_SLOTS, InstallSpec,
                                            assemble_install_spec,
@@ -107,20 +109,18 @@ class WorkerSession:
             spec.n, spec.partial_aggregation)
         self.step.broadcast_tables = spec.broadcast_tables
         self.step.base_partitions = spec.base_partitions
-        self.dedup_fns = [recompile_term(ts.dedup_source, ts.view)
-                          if ts.dedup_source is not None else None
-                          for ts in spec.terms]
 
     def decompose(self, partition: int, mode: str, delta_rows: list):
         """Stateless per-partition fixpoint via the shared runners."""
+        spec = self.spec
         if mode == "grouped":
             return run_grouped_fixpoint(
-                [ts.grouped_spec for ts in self.spec.terms],
-                self.spec.broadcast_tables, delta_rows,
-                self.spec.max_iterations)
-        return run_fused_fixpoint(
-            self.dedup_fns, self.spec.broadcast_tables, delta_rows,
-            self.spec.max_iterations)
+                [ts.grouped_spec for ts in spec.terms],
+                spec.broadcast_tables, delta_rows, spec.max_iterations)
+        (view_name, view), = spec.views.items()
+        return run_local_fixpoint(
+            self.step.terms, view_name, view, spec.partial_aggregation,
+            spec.broadcast_tables, delta_rows, spec.max_iterations)
 
     def rebuild(self, log: dict[int, list]) -> None:
         """Replay committed iterations from the driver's replay log.

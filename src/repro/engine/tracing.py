@@ -428,19 +428,23 @@ def _format_supervision_section(trace: dict) -> list[str]:
     return lines
 
 
-def _format_kernels_section(trace: dict) -> list[str]:
-    """The kernel-layer report: state-cache traffic + decomposed kernels.
+#: EXPLAIN ANALYZE's name for each ``decomposed.decomposed_runner``.
+_RUNNERS = {"grouped": "grouped set kernel",
+            "local": "clique step (local loop)"}
 
-    Reads the root span's counter deltas; only rendered when the query
-    touched the state-table cache or a decomposed-fixpoint kernel.
+
+def _format_kernels_section(trace: dict) -> list[str]:
+    """The kernel-layer report: fused stages, decomposed-fixpoint
+    runners and state-cache traffic.
+
+    Reads the fixpoint spans' attributes and the root span's counter
+    deltas; only rendered when there is something to report.
     """
     metrics = trace.get("metrics", {})
     hits = metrics.get("kernel_state_cache_hits", 0)
     misses = metrics.get("kernel_state_cache_misses", 0)
     updates = metrics.get("kernel_state_cache_updates", 0)
     bypass = metrics.get("kernel_state_cache_bypass", 0)
-    grouped = metrics.get("kernel_grouped_fixpoint_stages", 0)
-    fused = metrics.get("kernel_fused_fixpoint_stages", 0)
     stage_lines = []
     for span in _find_dict(trace, "fixpoint"):
         attrs = span.get("attrs", {})
@@ -450,18 +454,12 @@ def _format_kernels_section(trace: dict) -> list[str]:
             if folding:
                 stage_lines.append(f"  {path}·project·fold·route fused "
                                    f"({folding} of {total} {unit})")
-    if not (hits or misses or updates or bypass or grouped or fused
-            or stage_lines):
+        runner = attrs.get("runner")
+        if runner is not None:
+            stage_lines.append(f"  decomposed fixpoint: {_RUNNERS[runner]}")
+    if not (hits or misses or updates or bypass or stage_lines):
         return []
     lines = ["kernels", *stage_lines]
-    if grouped:
-        lines.append(
-            f"  decomposed fixpoint: column-decomposed set kernel "
-            f"({grouped:.0f} stages)")
-    elif fused:
-        lines.append(
-            f"  decomposed fixpoint: fused dedup comprehension "
-            f"({fused:.0f} stages)")
     if hits or misses or updates or bypass:
         lookups = hits + misses + updates
         rate = 100.0 * (hits + updates) / lookups if lookups else 0.0

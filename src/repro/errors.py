@@ -8,9 +8,21 @@ analysis (reference resolution), planning, and fixpoint execution.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class RaSQLError(Exception):
-    """Base class for all errors raised by the ``repro`` package."""
+    """Base class for all errors raised by the ``repro`` package.
+
+    Pickles by value: sub-classes take extra required ``__init__``
+    arguments, which the default ``(type, args)`` reduction cannot
+    supply, so an instance is rebuilt from its ``args`` and attribute
+    dict without calling ``__init__`` — a worker-raised error reaches the
+    driver with its type and fields intact.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ParseError(RaSQLError):

@@ -45,6 +45,11 @@ for the 90 terms with a state-side join (20 recursive, 70 maintenance,
 in 14 of the 15 queries) — ``runtime.state_table(...)`` without the
 ``if runtime.state_table is not None else _build_state_table(...)``
 fallback; everything else byte-identical.
+Re-cut when the fused set runner and its dedup codegen variant were
+deleted: the ``dedup`` part left every term entry; against the parent's
+golden every ``explain`` / ``describe`` / ``source`` / ``base_plans`` /
+``grouped`` / exception entry is byte-identical, and the key set (578
+entries) is unchanged.
 
 Regenerate (only for an intended plan change)::
 
@@ -106,7 +111,6 @@ def collect() -> tuple[dict[str, dict], dict[str, dict]]:
         record(key,
                describe=term.describe(),
                source=_source(term.codegen_fn) or UNFUSED,
-               dedup=_source(term.codegen_dedup_fn),
                grouped=(None if term.grouped_spec is None
                         else repr(term.grouped_spec)))
 
@@ -179,23 +183,22 @@ def test_plans_and_generated_code_match_golden(golden, snapshot):
                 problems.append(
                     f"{key} [{part}] golden {want.get(part)!r}, now "
                     f"{got.get(part)!r}:\n{texts[key].get(part)}")
-        # The dedup variant / grouped spec are generated only where the
-        # decomposed runner can consume them (see
-        # test_dedup_variants_only_where_consumable); wherever one is
-        # still generated it must be the golden one.
-        for part in ("dedup", "grouped"):
-            if got.get(part) is not None and want.get(part) != got[part]:
-                problems.append(
-                    f"{key} [{part}] golden {want.get(part)!r}, now "
-                    f"{got[part]!r}:\n{texts[key][part]}")
+        # The grouped spec is recognized only where the decomposed runner
+        # can consume it (see test_dedup_variants_only_where_consumable);
+        # wherever it is, it must be the golden one.
+        if got.get("grouped") is not None \
+                and want.get("grouped") != got["grouped"]:
+            problems.append(
+                f"{key} [grouped] golden {want.get('grouped')!r}, now "
+                f"{got['grouped']!r}")
     assert not problems, "\n\n".join(problems)
 
 
 def test_dedup_variants_only_where_consumable(golden, snapshot):
-    """``codegen_dedup_fn`` / ``grouped_spec`` exist exactly on the
-    recursive terms of a decomposable, aggregate-free clique planned
-    under DSN — the only place ``decomposed_runner`` reads them — and
-    there they are everything the golden had."""
+    """``grouped_spec`` exists only on the recursive terms of a
+    decomposable, aggregate-free clique planned under DSN — the only
+    place ``decomposed_runner`` reads it — and there it is what the
+    golden has.  Under the default config only ``tc`` consumes it."""
     digests, texts = snapshot
     for key, got in digests.items():
         if not _is_term(key):
@@ -206,13 +209,12 @@ def test_dedup_variants_only_where_consumable(golden, snapshot):
         consumable = (kind == "rec" and config.evaluation == "dsn"
                       and "(decomposable:" in plan_text["explain"])
         if consumable:
-            assert got["dedup"] == golden[key]["dedup"], key
             assert got["grouped"] == golden[key]["grouped"], key
         else:
-            assert got["dedup"] is None and got["grouped"] is None, key
+            assert got["grouped"] is None, key
     consumed = {k.split("/")[0] for k, v in digests.items()
-                if _is_term(k) and "/default/" in k and v["dedup"]}
-    assert consumed == {"tc", "bom_stratified"}
+                if _is_term(k) and "/default/" in k and v["grouped"]}
+    assert consumed == {"tc"}
 
 
 if __name__ == "__main__":

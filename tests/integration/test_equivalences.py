@@ -55,6 +55,48 @@ def run_tc(edges, config):
     return sorted(ctx.sql(get_query("tc").sql).rows)
 
 
+#: Transitive closure extended on the left: its last column comes from
+#: the delta, so it is not the grouped kernel's shape.
+REVERSE_TC = """
+WITH recursive tc(Src, Dst) AS
+  (SELECT Src, Dst FROM edge) UNION
+  (SELECT edge.Src, tc.Dst FROM edge, tc
+   WHERE edge.Dst = tc.Src)
+SELECT Src, Dst FROM tc
+"""
+
+
+def local_runner_case(case, data):
+    """``(query, tables)`` of one shape the decomposed plan runs on the
+    clique's own step, over drawn inputs."""
+    if case == "reverse_tc":
+        return REVERSE_TC, {"edge": (("Src", "Dst"), data.draw(dags()))}
+    if case == "apsp":
+        return get_query("apsp").sql, {
+            "edge": (("Src", "Dst", "Cost"), data.draw(weighted_graphs()))}
+    assbl = data.draw(dags())
+    parts = {p for edge in assbl for p in edge} - {a for a, _ in assbl}
+    basic = [(p, data.draw(st.integers(min_value=1, max_value=9)))
+             for p in sorted(parts)]
+    return get_query("bom_stratified").sql, {
+        "assbl": (("Part", "SPart"), assbl), "basic": (("Part", "Days"), basic)}
+
+
+def run_decomposable(query, tables, config):
+    ctx = RaSQLContext(config=config)
+    for name, (columns, rows) in tables.items():
+        ctx.register_table(name, columns, rows)
+    rows = sorted(ctx.sql(query).rows)
+    if config.decomposed_plans:
+        # It really is the local runner under test.
+        run = ctx.last_run
+        (fixpoint,) = [span for span in run.trace["children"]
+                       if span["kind"] == "fixpoint"]
+        assert fixpoint["attrs"]["runner"] == "local"
+        assert run.kernels_summary()["kernel_grouped_fixpoint_stages"] == 0
+    return rows
+
+
 class TestModeEquivalence:
     @SETTINGS
     @given(weighted_graphs())
@@ -86,6 +128,17 @@ class TestModeEquivalence:
     def test_decomposed_equals_global_tc(self, edges):
         decomposed = run_tc(edges, ExecutionConfig(decomposed_plans=True))
         global_plan = run_tc(edges, ExecutionConfig(decomposed_plans=False))
+        assert decomposed == global_plan
+
+    @pytest.mark.parametrize("case", ["reverse_tc", "bom_stratified", "apsp"])
+    @SETTINGS
+    @given(data=st.data())
+    def test_decomposed_local_runner_equals_global(self, case, data):
+        query, tables = local_runner_case(case, data)
+        decomposed = run_decomposable(
+            query, tables, ExecutionConfig(decomposed_plans=True))
+        global_plan = run_decomposable(
+            query, tables, ExecutionConfig(decomposed_plans=False))
         assert decomposed == global_plan
 
     @SETTINGS

@@ -181,6 +181,23 @@ class TestExplainAnalyzeOtherShapes:
         assert fixpoints[0]["attrs"]["iterations"] == ctx.last_run.iterations
         assert fixpoints[0]["attrs"]["local_iterations"]
 
+    @pytest.mark.parametrize("query, runner", [("tc", "grouped"),
+                                               ("apsp", "local")])
+    def test_kernels_section_names_the_decomposed_runner(self, query, runner):
+        """Every decomposed clique says which runner took its local
+        fixpoints: ``tc``'s shape takes the grouped set kernel, ``apsp``'s
+        ``min`` head the clique's own step."""
+        ctx = sssp_ctx()
+        lines = ctx.explain_analyze(get_query(query).sql).splitlines()
+        (fixpoint,) = [s for s in _walk(ctx.last_run.trace)
+                       if s["kind"] == "fixpoint"]
+        assert fixpoint["attrs"]["mode"] == "decomposed"
+        assert fixpoint["attrs"]["runner"] == runner
+        line = {"grouped": "  decomposed fixpoint: grouped set kernel",
+                "local": "  decomposed fixpoint: clique step (local loop)"}
+        assert [text for text in lines
+                if text.startswith("  decomposed fixpoint:")] == [line[runner]]
+
     def test_checkpointing_says_it_kept_a_decomposable_clique_stacked(
             self, tmp_path):
         """No silent degradation: tc runs decomposed — unless checkpoints

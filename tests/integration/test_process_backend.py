@@ -29,7 +29,11 @@ from repro.core.config import ExecutionConfig
 from repro.engine.backend import ProcessConfig
 from repro.engine.faults import DriverKillInjector
 from repro.engine.tracing import _find_dict
-from repro.errors import NoHealthyWorkersError, PoisonTaskError
+from repro.errors import (
+    FixpointNotReachedError,
+    NoHealthyWorkersError,
+    PoisonTaskError,
+)
 from repro.queries.library import get_query
 from tests.integration.test_chaos import (
     FAST_SUPERVISION,
@@ -77,8 +81,11 @@ def ineligible(report):
 def test_clean_differential(query_name):
     report = clean_differential(query_name)
     assert report.exact, report.summary()
-    # The process run must not have silently degraded to the oracle.
+    # The process run must not have silently degraded to the oracle, and
+    # under the default config every library query ships its work.
     assert report.counters["process_backend_degradations"] == 0
+    assert report.counters["process_remote_ineligible"] == 0
+    assert report.counters["process_tasks_shipped"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +223,27 @@ def test_pool_shrinks_to_survivors_and_stays_exact():
 
 
 @pytest.mark.timeout(120)
+def test_worker_raised_error_keeps_its_type():
+    """A typed error raised inside a pool worker reaches the caller as
+    that type with its fields, exactly as on the simulated oracle: ``tc``
+    over a 31-vertex chain needs 30 local rounds, the budget is 5."""
+    chain = [(i, i + 1) for i in range(30)]
+    factory = make_context_factory(
+        "tc", tables=lambda: {"edge": (("Src", "Dst"), chain)})
+    for backend in ("simulated", "process"):
+        ctx = factory(config=ExecutionConfig(backend=backend,
+                                             max_iterations=5))
+        try:
+            with pytest.raises(FixpointNotReachedError) as info:
+                ctx.sql(get_query("tc").sql)
+            shipped = ctx.cluster.metrics.get("process_tasks_shipped")
+        finally:
+            ctx.close()
+        assert info.value.iterations == 5, backend
+        assert (shipped > 0) == (backend == "process")
+
+
+@pytest.mark.timeout(120)
 def test_explain_analyze_reports_supervision():
     from repro.engine.tracing import format_explain_analyze
 
@@ -243,8 +271,7 @@ SELECT X, Y FROM tc
 @pytest.mark.parametrize("cause", [
     "backend-not-ready", "evaluation=naive", "stage_combination=off",
     "use_setrdd=off", "checkpointing", "deadline",
-    "memory-budget", "injector:failure", "term-not-codegen", "gather-join",
-    "decomposed-no-fused-runner"])
+    "memory-budget", "injector:failure", "term-not-codegen", "gather-join"])
 def test_remote_ineligible_cause_is_reported(cause, tmp_path, monkeypatch):
     """Every feature that keeps a ``backend="process"`` clique on the
     driver leaves its typed reason in the trace and in EXPLAIN ANALYZE;
@@ -254,10 +281,7 @@ def test_remote_ineligible_cause_is_reported(cause, tmp_path, monkeypatch):
     of two: it is spawned to be asked, and nothing ships.)"""
     import contextlib
 
-    query = {"gather-join": NONLINEAR_TC,
-             # keyed (min) decomposed plan: only the reference local loop
-             "decomposed-no-fused-runner": get_query("apsp").sql,
-             }.get(cause) or SSSP
+    query = NONLINEAR_TC if cause == "gather-join" else SSSP
     warns = contextlib.nullcontext()
     if cause == "backend-not-ready":
         from repro.engine.backend.process import ProcessClusterBackend

@@ -7,8 +7,12 @@ actionable context — the attributes and message fragments an operator
 would need to fix the problem without reading engine source.
 """
 
+import inspect
+import pickle
+
 import pytest
 
+from repro import errors
 from repro import ExecutionConfig, MemoryConfig, QueryGovernor, RaSQLContext
 from repro.__main__ import main as cli_main
 from repro.baselines.sql_loop import SQLLoopEngine
@@ -222,6 +226,37 @@ class TestPreMViolationError:
                        {"edge": (["Src", "Dst", "Cost"], EDGES)},
                        raise_on_violation=True)
         assert info.value.iteration >= 0
+
+
+def _error_classes():
+    return [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+            if issubclass(cls, BaseException)
+            and cls.__module__ == errors.__name__]
+
+
+def _instance(cls):
+    """``cls`` built with a value for every parameter, required or not:
+    the message first, then distinct ints."""
+    try:
+        params = inspect.signature(cls).parameters
+    except ValueError:  # the builtin ``__init__``: the message alone
+        params = {"message": None}
+    return cls(f"{cls.__name__} failed", *range(3, 2 + len(params)))
+
+
+class TestPickling:
+    """A worker-raised error crosses the process backend's pipe pickled;
+    it must come back as the same type with the same fields."""
+
+    @pytest.mark.parametrize("error_class", _error_classes(),
+                             ids=lambda cls: cls.__name__)
+    def test_round_trip(self, error_class):
+        error = _instance(error_class)
+        error.partial_trace = {"kind": "query"}  # attached after raising
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is error_class
+        assert copy.args == error.args and str(copy) == str(error)
+        assert vars(copy) == vars(error)
 
 
 class TestContextValidation:
