@@ -14,11 +14,7 @@ Public API:
 - :mod:`repro.baselines` — Giraph/GraphX/BigDatalog/Myria/serial analogs.
 """
 
-from repro.core.config import (
-    DEFAULT_CONFIG,
-    ExecutionConfig,
-    FaultToleranceConfig,
-)
+from repro.core.config import DEFAULT_CONFIG, ExecutionConfig
 from repro.core.context import RaSQLContext
 from repro.core.governor import QueryGovernor
 from repro.core.streaming import IncrementalView
@@ -30,7 +26,6 @@ __version__ = "1.0.0"
 __all__ = [
     "DEFAULT_CONFIG",
     "ExecutionConfig",
-    "FaultToleranceConfig",
     "IncrementalView",
     "MemoryConfig",
     "QueryGovernor",

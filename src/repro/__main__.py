@@ -69,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--chaos", type=int, metavar="SEED",
                         help="run the query twice — clean, then under a "
                              "seeded random fault schedule (task deaths + "
-                             "worker loss) — and verify the results match "
-                             "bit-exactly")
+                             "worker loss + a memory-pressure squeeze) — "
+                             "and verify the results match bit-exactly")
     parser.add_argument("--faults", action="append", default=[],
                         metavar="SPEC",
                         help="arm a fault injector for the run, e.g. "
@@ -128,27 +128,29 @@ def read_query(args) -> str:
     raise SystemExit("error: provide a query file, '-', or -q TEXT")
 
 
-def make_context(args, config: ExecutionConfig) -> RaSQLContext:
-    """A fresh session with the CLI's tables registered (chaos runs need
-    two of these, so the clean and faulted clusters share no state)."""
+def cluster_options(args) -> dict:
+    """The ``Cluster`` keywords the CLI's flags set; the configs validate
+    here, so a bad value raises ``ValueError`` before any worker starts."""
     cluster_kwargs = {}
     if args.memory_budget is not None:
         from repro.engine.memory import MemoryConfig
 
         cluster_kwargs["memory_config"] = MemoryConfig(
             worker_budget_bytes=args.memory_budget)
-    if (getattr(args, "liveness_timeout", None) is not None
-            or getattr(args, "task_deadline", None) is not None):
+    supervision = {key: value for key, value in (
+        ("liveness_timeout", args.liveness_timeout),
+        ("task_deadline_s", args.task_deadline)) if value is not None}
+    if supervision:
         from repro.engine.backend import ProcessConfig
 
-        defaults = ProcessConfig()
-        cluster_kwargs["process_config"] = ProcessConfig(
-            liveness_timeout=(args.liveness_timeout
-                              if args.liveness_timeout is not None
-                              else defaults.liveness_timeout),
-            task_deadline_s=(args.task_deadline
-                             if args.task_deadline is not None
-                             else defaults.task_deadline_s))
+        cluster_kwargs["process_config"] = ProcessConfig(**supervision)
+    return cluster_kwargs
+
+
+def make_context(args, config: ExecutionConfig,
+                 cluster_kwargs: dict) -> RaSQLContext:
+    """A fresh session with the CLI's tables registered (chaos runs need
+    two of these, so the clean and faulted clusters share no state)."""
     ctx = RaSQLContext(num_workers=args.workers, config=config,
                        **cluster_kwargs)
     for spec in args.table:
@@ -161,13 +163,15 @@ def make_context(args, config: ExecutionConfig) -> RaSQLContext:
     return ctx
 
 
-def run_chaos(args, query: str, config: ExecutionConfig) -> int:
+def run_chaos(args, query: str, config: ExecutionConfig,
+              cluster_kwargs: dict) -> int:
     from repro.chaos import make_schedule, run_differential
     from repro.engine.tracing import format_explain_analyze
 
     schedule = make_schedule(args.chaos, num_workers=args.workers)
-    report = run_differential(query, lambda: make_context(args, config),
-                              faults=schedule.injectors)
+    report = run_differential(
+        query, lambda: make_context(args, config, cluster_kwargs),
+        faults=schedule.injectors)
     print(f"chaos[seed={schedule.seed}] {report.summary()}")
     if args.explain_analyze:
         print()
@@ -405,13 +409,14 @@ def main(argv: list[str] | None = None) -> int:
             backend=args.backend,
             **config_kwargs,
         )
+        cluster_kwargs = cluster_options(args)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 
     if args.chaos is not None:
-        return run_chaos(args, query, config)
+        return run_chaos(args, query, config, cluster_kwargs)
 
-    ctx = make_context(args, config)
+    ctx = make_context(args, config, cluster_kwargs)
     if args.faults:
         from repro.engine.faults import parse_fault_spec
 
@@ -420,29 +425,28 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
 
-    if args.explain:
-        print(ctx.explain(query))
-        return 0
-
-    if args.check_prem:
-        from repro.core.prem import check_prem
-
-        tables = {name: (list(ctx.catalog.get(name).columns),
-                         ctx.catalog.get(name).rows)
-                  for name in ctx.catalog.names()}
-        prem_report = check_prem(query, tables)
-        print(prem_report)
-        print(prem_report.format_trace())
-        return 0 if prem_report.holds else 1
-
     from repro.errors import (
         AdmissionRejectedError,
         CheckpointError,
         MemoryBudgetExceededError,
         QueryDeadlineExceededError,
+        RaSQLError,
     )
 
     try:
+        if args.explain:
+            print(ctx.explain(query))
+            return 0
+        if args.check_prem:
+            from repro.core.prem import check_prem
+
+            tables = {name: (list(ctx.catalog.get(name).columns),
+                             ctx.catalog.get(name).rows)
+                      for name in ctx.catalog.names()}
+            prem_report = check_prem(query, tables)
+            print(prem_report)
+            print(prem_report.format_trace())
+            return 0 if prem_report.holds else 1
         if args.resume:
             # Forward the CLI-built config: flags on the resume command
             # line win over the manifest's replayed ones, so a run that
@@ -476,6 +480,9 @@ def main(argv: list[str] | None = None) -> int:
     except AdmissionRejectedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except RaSQLError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(result.sorted().show(limit=args.limit))
     stats = ctx.last_run
     print(f"-- {len(result)} rows; {stats.iterations} fixpoint iterations; "

@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-# Re-exported here so callers configuring a session can import every knob
-# from one place; the class lives in the engine layer (which must not
-# import core) next to the injectors it governs.
-from repro.engine.faults import FaultToleranceConfig
-
-__all__ = ["DEFAULT_CHECKPOINT_INTERVAL", "DEFAULT_CONFIG", "ExecutionConfig",
-           "FaultToleranceConfig"]
+__all__ = ["DEFAULT_CHECKPOINT_INTERVAL", "DEFAULT_CONFIG", "ExecutionConfig"]
 
 #: The interval the CLI's bare ``--checkpoint DIR`` (no explicit
 #: ``--checkpoint-interval``) uses, and the one the overhead benchmark's

@@ -25,19 +25,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+#: Seconds between a worker's heartbeat messages; also the supervisor's
+#: poll granularity.
+HEARTBEAT_INTERVAL_S = 0.05
+
+
 @dataclass(frozen=True)
 class ProcessConfig:
     """Supervision knobs of the process backend (cluster-level, not
     per-query plan knobs — they never affect results, only liveness).
 
-    heartbeat_interval:
-        Seconds between a worker's heartbeat messages; also the
-        supervisor's poll granularity.
     liveness_timeout:
         A worker silent (no heartbeat, no reply) for longer than this is
         presumed frozen (SIGSTOP, hard livelock) and reaped with SIGKILL.
         Generous by default: heartbeats come from a daemon thread that a
-        CPU-bound task can starve for whole GIL quanta.
+        CPU-bound task can starve for whole GIL quanta.  Must exceed
+        :data:`HEARTBEAT_INTERVAL_S`, or every healthy worker is reaped.
     task_deadline_s:
         Wall-clock budget per task attempt.  A task still unfinished past
         it is hung (its worker may well keep heartbeating — an infinite
@@ -47,21 +50,24 @@ class ProcessConfig:
         Reaps/crashes absorbed per stage batch before the backend stops
         respawning and instead retires the slot (the pool shrinks to
         survivors, partitions re-home via ``worker_for_partition``).
-    backoff_base_s:
-        Base of the exponential respawn backoff
-        (``backoff_base_s * 2**(respawns - 1)``).
-    poison_threshold:
-        A task that killed its worker this many times is quarantined and
-        the query fails with :class:`repro.errors.PoisonTaskError`
-        instead of crash-looping the pool.
     """
 
-    heartbeat_interval: float = 0.05
     liveness_timeout: float = 5.0
     task_deadline_s: float = 30.0
     respawn_budget: int = 3
-    backoff_base_s: float = 0.05
-    poison_threshold: int = 3
+
+    def __post_init__(self):
+        if not self.liveness_timeout > HEARTBEAT_INTERVAL_S:
+            raise ValueError(
+                f"liveness_timeout must exceed the {HEARTBEAT_INTERVAL_S}s "
+                f"heartbeat interval, got {self.liveness_timeout!r}")
+        if not self.task_deadline_s > 0:
+            raise ValueError(
+                f"task_deadline_s must be positive, got "
+                f"{self.task_deadline_s!r}")
+        if self.respawn_budget < 0:
+            raise ValueError(
+                f"respawn_budget must be >= 0, got {self.respawn_budget!r}")
 
 
 class ClusterBackend:

@@ -89,14 +89,14 @@ class InstallSpec:
     max_iterations: int = 100_000
 
 
-#: ``Cluster`` injector lists that pin a clique to the simulated oracle,
+#: ``Cluster.armed`` kinds that pin a clique to the simulated oracle,
 #: with the slug :func:`remote_ineligible_reason` reports for each.
 _SIMULATED_INJECTORS = (
-    ("failure_injectors", "injector:failure"),
-    ("worker_loss_injectors", "injector:worker-loss"),
-    ("memory_pressure_injectors", "injector:memory-pressure"),
-    ("corruption_injectors", "injector:corruption"),
-    ("driver_kill_injectors", "injector:driver-kill"),
+    ("task", "injector:failure"),
+    ("worker-loss", "injector:worker-loss"),
+    ("memory-pressure", "injector:memory-pressure"),
+    ("corruption", "injector:corruption"),
+    ("driver-kill", "injector:driver-kill"),
 )
 
 
@@ -129,8 +129,8 @@ def remote_ineligible_reason(operator) -> str | None:
         return "deadline"
     if cluster.memory.budget_bytes is not None:
         return "memory-budget"
-    for attribute, slug in _SIMULATED_INJECTORS:
-        if getattr(cluster, attribute):
+    for kind, slug in _SIMULATED_INJECTORS:
+        if cluster.armed[kind]:
             return slug
     for term in operator.planned.terms:
         fn = term.codegen_fn

@@ -4,7 +4,7 @@
 of spawn-started OS worker processes (one per live simulated worker) and
 supervises them:
 
-- **Heartbeats** — each worker beats every ``heartbeat_interval`` from a
+- **Heartbeats** — each worker beats every ``HEARTBEAT_INTERVAL_S`` from a
   daemon thread; the supervisor's poll loop wakes at the same cadence.
   A worker silent past ``liveness_timeout`` (SIGSTOP, hard livelock —
   the heartbeat thread itself is frozen) is reaped with SIGKILL.
@@ -20,7 +20,7 @@ supervises them:
   input rows.  Failure bookkeeping goes through the cluster's existing
   :class:`repro.engine.faults.RecoveryManager`.
 - **Poison quarantine** — a task that kills its worker
-  ``poison_threshold`` times is quarantined and the query fails with a
+  :data:`POISON_THRESHOLD` times is quarantined and the query fails with a
   typed :class:`repro.errors.PoisonTaskError` instead of crash-looping.
 - **Graceful degradation** — reaps past ``respawn_budget`` per batch
   retire the slot: the pool shrinks to survivors and partitions re-home.
@@ -46,7 +46,11 @@ import time
 import warnings
 from multiprocessing import connection as mp_connection
 
-from repro.engine.backend.base import ClusterBackend, ProcessConfig
+from repro.engine.backend.base import (
+    HEARTBEAT_INTERVAL_S,
+    ClusterBackend,
+    ProcessConfig,
+)
 from repro.engine.backend.payloads import BLOB_CACHE_SLOTS, split_install_spec
 from repro.engine.serialization import dump_payload
 from repro.errors import (
@@ -57,6 +61,15 @@ from repro.errors import (
 
 #: Wall-clock ceiling for a worker to come up (import + install + ping).
 _SPAWN_TIMEOUT_S = 60.0
+
+#: A task that killed its worker this many times is quarantined and the
+#: query fails with :class:`repro.errors.PoisonTaskError` instead of
+#: crash-looping the pool.
+POISON_THRESHOLD = 3
+
+#: Base of the exponential respawn backoff
+#: (``RESPAWN_BACKOFF_BASE_S * 2**(respawns - 1)`` wall seconds).
+RESPAWN_BACKOFF_BASE_S = 0.05
 
 
 class _WorkerHandle:
@@ -203,7 +216,7 @@ class ProcessClusterBackend(ClusterBackend):
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=worker_main,
-            args=(child_conn, worker, self.config.heartbeat_interval),
+            args=(child_conn, worker),
             daemon=True, name=f"rasql-worker-{worker}")
         proc.start()
         child_conn.close()
@@ -439,7 +452,7 @@ class ProcessClusterBackend(ClusterBackend):
             conn_map[handle.conn] = handle
             wait_on.append(handle.proc.sentinel)
             sentinel_map[handle.proc.sentinel] = handle
-        ready = mp_connection.wait(wait_on, timeout=config.heartbeat_interval)
+        ready = mp_connection.wait(wait_on, timeout=HEARTBEAT_INTERVAL_S)
 
         crashed: list[_WorkerHandle] = []
         for obj in ready:
@@ -470,7 +483,7 @@ class ProcessClusterBackend(ClusterBackend):
                                           reason="crash")
                 continue
             silent = now - handle.last_heartbeat
-            if silent > 2 * config.heartbeat_interval and handle.inflight:
+            if silent > 2 * HEARTBEAT_INTERVAL_S and handle.inflight:
                 metrics.inc("process_heartbeats_missed")
             if silent > config.liveness_timeout:
                 self._reap(name, tasks, handle, outputs, reason="liveness")
@@ -592,7 +605,7 @@ class ProcessClusterBackend(ClusterBackend):
             self._kill_counts[key] = kills
             self._consume_chaos(name, suspect.index)
             metrics.inc("task_failures")
-            if kills >= self.config.poison_threshold:
+            if kills >= POISON_THRESHOLD:
                 self._quarantined.add(key)
                 metrics.inc("process_tasks_quarantined")
                 cluster.tracer.leaf(
@@ -600,8 +613,8 @@ class ProcessClusterBackend(ClusterBackend):
                     worker=worker, stage=name, kills=kills)
                 raise PoisonTaskError(
                     f"task {suspect.index} of stage {name!r} killed its "
-                    f"worker {kills} times (poison_threshold="
-                    f"{self.config.poison_threshold}); quarantined",
+                    f"worker {kills} times (POISON_THRESHOLD="
+                    f"{POISON_THRESHOLD}); quarantined",
                     stage=name, task_index=suspect.index, worker_kills=kills)
             cluster.recovery.check_retry_budget(name, suspect.index, kills)
             if cluster.recovery.record_failure(worker):
@@ -610,7 +623,7 @@ class ProcessClusterBackend(ClusterBackend):
         if self._respawns_left > 0:
             self._respawns_left -= 1
             used = self.config.respawn_budget - self._respawns_left
-            backoff = self.config.backoff_base_s * (2 ** (used - 1))
+            backoff = RESPAWN_BACKOFF_BASE_S * (2 ** (used - 1))
             time.sleep(backoff)
             metrics.advance(backoff, label="recovery")
             metrics.inc("recovery_seconds", backoff)
@@ -685,7 +698,7 @@ class ProcessClusterBackend(ClusterBackend):
     # -- chaos: real signals --
 
     def _fire_kill_injectors(self, name) -> None:
-        for injector in getattr(self.cluster, "process_kill_injectors", ()):
+        for injector in self.cluster.armed["process-kill"]:
             if not injector.matches(name):
                 continue
             handles = self._live_handles()

@@ -65,6 +65,7 @@ from dataclasses import replace
 
 from repro.core.decomposed import run_grouped_fixpoint, run_local_fixpoint
 from repro.core.iteration import CliqueStep
+from repro.engine.backend.base import HEARTBEAT_INTERVAL_S
 from repro.engine.backend.payloads import (BLOB_CACHE_SLOTS, InstallSpec,
                                            assemble_install_spec,
                                            recompile_term)
@@ -260,10 +261,10 @@ def _reply(conn, lock, req_id, run) -> bool:
     return True
 
 
-def worker_main(conn, worker_id: int, heartbeat_interval: float) -> None:
+def worker_main(conn, worker_id: int) -> None:
     """Entry point of a pool worker process."""
     lock = threading.Lock()
-    heartbeat = _Heartbeat(conn, lock, heartbeat_interval)
+    heartbeat = _Heartbeat(conn, lock, HEARTBEAT_INTERVAL_S)
     heartbeat.start()
     state = WorkerState(worker_id)
 

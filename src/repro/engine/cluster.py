@@ -43,17 +43,15 @@ mid-run for chaos testing.
 
 from __future__ import annotations
 
-import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from repro.engine.backend import ClusterBackend, ProcessConfig, SimulatedBackend
+from repro.engine.backend import ProcessConfig, SimulatedBackend
 from repro.engine.dataset import Dataset, Partition
 from repro.engine.faults import (
     INJECTOR_KINDS,
-    FaultToleranceConfig,
     RecoveryManager,
     WorkerLossInjector,
     injector_kind,
@@ -61,12 +59,7 @@ from repro.engine.faults import (
 from repro.engine.memory import MemoryConfig, MemoryManager
 from repro.engine.metrics import CostModel, MetricsRegistry
 from repro.engine.partitioner import HashPartitioner, make_key_fn
-from repro.engine.scheduler import (
-    SchedulingPolicy,
-    TaskSpec,
-    fallback_worker,
-    make_policy,
-)
+from repro.engine.scheduler import TaskSpec, fallback_worker, make_policy
 from repro.engine.serialization import CompressionCodec, rows_checksum, rows_size
 from repro.engine.tracing import Tracer
 from repro.errors import (
@@ -142,19 +135,14 @@ class Cluster:
     cost_model:
         Constants of the simulated network/scheduler; see
         :class:`repro.engine.metrics.CostModel`.
-    fault_config:
-        Recovery policy — retry budget, blacklisting; see
-        :class:`repro.engine.faults.FaultToleranceConfig`.
     """
 
     def __init__(self, num_workers: int = 4, num_partitions: int | None = None,
-                 scheduler: str | SchedulingPolicy = "partition_aware",
+                 scheduler: str = "partition_aware",
                  cost_model: CostModel | None = None,
-                 codec: CompressionCodec | None = None,
                  seed: int = 17, trace: bool = True,
-                 fault_config: FaultToleranceConfig | None = None,
                  memory_config: MemoryConfig | None = None,
-                 backend: str | ClusterBackend = "simulated",
+                 backend: str = "simulated",
                  process_config: ProcessConfig | None = None):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -164,20 +152,12 @@ class Cluster:
                 f"worker), got {num_partitions!r}")
         self.num_workers = num_workers
         self.num_partitions = num_partitions or num_workers
-        if isinstance(scheduler, SchedulingPolicy):
-            self.scheduler = scheduler
-        else:
-            self.scheduler = make_policy(scheduler, seed=seed)
+        self.scheduler = make_policy(scheduler, seed=seed)
         self.cost_model = cost_model or CostModel()
-        self.codec = codec or CompressionCodec()
+        self.codec = CompressionCodec()
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(self.metrics, enabled=trace)
-        self.fault_config = fault_config or FaultToleranceConfig()
-        # The recovery manager's jitter source is seeded from the cluster
-        # seed (never wall-clock entropy): same seed, same fault schedule
-        # -> bit-identical backoff charges on replay.
-        self.recovery = RecoveryManager(
-            self.fault_config, rng=random.Random((seed * 2654435761 + 41) % 2**32))
+        self.recovery = RecoveryManager()
         self.memory = MemoryManager(num_workers,
                                     memory_config or MemoryConfig(),
                                     self.metrics, self.cost_model,
@@ -186,21 +166,13 @@ class Cluster:
         #: (``None`` = no deadline); set by ``RaSQLContext.sql``.
         self.deadline: float | None = None
         self.lost_workers: set[int] = set()
-        #: Armed injectors by fault kind (``faults.INJECTOR_KINDS``); the
-        #: named lists below are the same objects.
+        #: Armed injectors by fault kind (``faults.INJECTOR_KINDS``).
+        #: ``"process-kill"`` (real signals, process backend only) is
+        #: deliberately NOT part of ``_injecting``: it strikes OS
+        #: processes, not the simulated attempt loop, and must not
+        #: disable remote batches.
         self.armed: dict[str, list] = {kind: [] for kind in INJECTOR_KINDS}
-        self.failure_injectors = self.armed["task"]
-        self.worker_loss_injectors = self.armed["worker-loss"]
-        self.memory_pressure_injectors = self.armed["memory-pressure"]
-        self.corruption_injectors = self.armed["corruption"]
-        self.driver_kill_injectors = self.armed["driver-kill"]
-        #: Real-signal chaos for the process backend; deliberately NOT
-        #: part of ``_injecting`` — these strike OS processes, not the
-        #: simulated attempt loop, and must not disable remote batches.
-        self.process_kill_injectors = self.armed["process-kill"]
-        if isinstance(backend, ClusterBackend):
-            self.backend = backend
-        elif backend == "process":
+        if backend == "process":
             # Imported lazily: backend.process pulls in worker/payload
             # modules that import back into the engine.
             from repro.engine.backend.process import ProcessClusterBackend
@@ -209,8 +181,8 @@ class Cluster:
             self.backend = SimulatedBackend()
         else:
             raise ValueError(
-                f"unknown backend {backend!r}: expected 'simulated', "
-                f"'process', or a ClusterBackend instance")
+                f"unknown backend {backend!r}: expected 'simulated' or "
+                f"'process'")
         # Monotonic ids naming shuffle/broadcast memory-charge groups, so
         # consumers can release a whole exchange or broadcast at once.
         self._exchange_epoch = 0
@@ -227,7 +199,7 @@ class Cluster:
 
     @property
     def _injecting(self) -> bool:
-        return bool(self.failure_injectors or self.worker_loss_injectors)
+        return bool(self.armed["task"] or self.armed["worker-loss"])
 
     def live_workers(self) -> list[int]:
         """Workers still alive, in canonical order."""
@@ -373,14 +345,14 @@ class Cluster:
         different worker than the task ran on) are counted and charged.
         """
         self.check_deadline(name)
-        for injector in self.driver_kill_injectors:
+        for injector in self.armed["driver-kill"]:
             if injector.matches(name):
                 injector.fire()
                 self.metrics.inc("driver_kills")
                 raise DriverCrashError(
                     f"injected driver crash before stage {name!r} "
                     f"(simulated time {self.metrics.sim_time:.4f}s)")
-        for injector in self.memory_pressure_injectors:
+        for injector in self.armed["memory-pressure"]:
             if injector.matches(name):
                 injector.fire()
                 self.memory.apply_pressure(injector.fraction, stage=name)
@@ -469,7 +441,7 @@ class Cluster:
                 if task.snapshot is not None:
                     snapshots[pos] = task.snapshot()
             if tasks:
-                for injector in self.worker_loss_injectors:
+                for injector in self.armed["worker-loss"]:
                     if injector.matches(name):
                         strike = min(max(injector.at_task, 0), len(tasks) - 1)
                         loss_at[strike].append(injector)
@@ -503,7 +475,7 @@ class Cluster:
     def _attempt_fails(self, stage_name: str, task: StageTask, point: str,
                        fired: set[int]) -> bool:
         """Consult injectors for one attempt; transient ones fire once."""
-        for injector in self.failure_injectors:
+        for injector in self.armed["task"]:
             if injector.point != point:
                 continue
             if not injector.persistent and id(injector) in fired:
@@ -702,8 +674,7 @@ class Cluster:
         # the pristine bucket, the reduce side hashes what arrived, and a
         # mismatch triggers a charged re-fetch of the pristine rows.  No
         # injector armed -> zero extra work on the clean hot path.
-        corruptors = [c for c in self.corruption_injectors if c.matches()]
-        verify = self.fault_config.verify_shuffle_checksums
+        corruptors = [c for c in self.armed["corruption"] if c.matches()]
         for source_worker, buckets in map_outputs:
             for pid, rows in buckets.items():
                 if not rows:
@@ -715,7 +686,7 @@ class Cluster:
                     if mangled is None:
                         continue
                     self.metrics.inc("shuffle_corruption_injected")
-                    if verify and rows_checksum(mangled) != rows_checksum(rows):
+                    if rows_checksum(mangled) != rows_checksum(rows):
                         refetch = self.cost_model.transfer_seconds(nbytes, 1)
                         self.metrics.advance(refetch, label="corruption-recovery")
                         self.metrics.inc("recovery_seconds", refetch)
@@ -725,8 +696,8 @@ class Cluster:
                         self.tracer.leaf("fault", "shuffle-corruption",
                                          partition=pid, bytes=nbytes)
                     else:
-                        # Verification off (or an astronomically unlikely
-                        # hash collision): the mangled bucket flows through.
+                        # An astronomically unlikely hash collision: the
+                        # mangled bucket flows through.
                         self.metrics.inc("shuffle_corruption_undetected")
                         delivered = mangled
                 gathered[pid].extend(delivered)

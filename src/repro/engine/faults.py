@@ -26,9 +26,9 @@ Two failure points are modeled for task deaths:
   restore hook raises :class:`repro.errors.FaultInjectionError` instead
   of silently corrupting the result.
 
-:class:`RecoveryManager` holds the recovery *policy* — retry budget,
-exponential backoff, and worker blacklisting after repeated failures —
-configured by :class:`FaultToleranceConfig`.
+:class:`RecoveryManager` holds the recovery *policy* — retry budget
+(:data:`MAX_TASK_RETRIES`), exponential backoff, and worker blacklisting
+after :data:`BLACKLIST_AFTER` failures.
 """
 
 from __future__ import annotations
@@ -40,44 +40,15 @@ from dataclasses import dataclass, field
 from repro.errors import TaskRetryExhaustedError
 
 
-@dataclass(frozen=True)
-class FaultToleranceConfig:
-    """Recovery knobs of the simulated cluster (Spark analogs in parens).
+#: Failed attempts tolerated per task before the stage aborts with
+#: :class:`repro.errors.TaskRetryExhaustedError` (Spark's
+#: ``spark.task.maxFailures`` minus one).
+MAX_TASK_RETRIES = 4
 
-    max_task_retries:
-        Failed attempts tolerated per task before the stage aborts with
-        :class:`repro.errors.TaskRetryExhaustedError`
-        (``spark.task.maxFailures`` minus one).
-    blacklist_after:
-        Task failures attributed to one worker before it is excluded
-        from scheduling (``spark.blacklist.*``).  Blacklisted workers
-        keep their cached partitions — only new task placement avoids
-        them — mirroring Spark's executor blacklisting.
-    backoff_jitter:
-        Fractional jitter added on top of the exponential retry backoff:
-        each backoff is multiplied by ``1 + jitter * u`` with ``u`` drawn
-        from the cluster's *seeded* RNG — never wall-clock entropy — so
-        two runs with the same seed and fault schedule charge identical
-        backoffs and chaos replays stay deterministic.  ``0.0`` (the
-        default) reproduces the pure exponential schedule bit-for-bit.
-    verify_shuffle_checksums:
-        Verify shuffle buckets against their map-side content hash on
-        the reduce side and recover (re-fetch, charged to the network)
-        on mismatch.  Checksums are only computed while a
-        :class:`CorruptionInjector` is armed, so clean runs pay nothing.
-        ``False`` lets injected corruption through — for tests proving
-        the verification matters.
-    """
-
-    max_task_retries: int = 4
-    blacklist_after: int = 3
-    backoff_jitter: float = 0.0
-    verify_shuffle_checksums: bool = True
-
-    def __post_init__(self):
-        if self.backoff_jitter < 0:
-            raise ValueError(
-                f"backoff_jitter must be >= 0, got {self.backoff_jitter!r}")
+#: Task failures attributed to one worker before it is excluded from
+#: scheduling (``spark.blacklist.*``).  Blacklisted workers keep their
+#: cached partitions — only new task placement avoids them.
+BLACKLIST_AFTER = 3
 
 
 @dataclass
@@ -228,11 +199,9 @@ class CorruptionInjector:
 
     Models an in-flight bit flip / torn frame on the wire: the reduce
     side receives a bucket whose content no longer matches what the map
-    side hashed.  With ``verify_shuffle_checksums`` on (the default) the
-    cluster detects the mismatch, charges a re-fetch, and delivers the
-    pristine rows — results stay bit-exact; with verification off the
-    mangled rows flow through and the run diverges (which is the test
-    that the checksums earn their keep).
+    side hashed.  The cluster always verifies: it detects the mismatch,
+    charges a re-fetch, and delivers the pristine rows, so results stay
+    bit-exact.
 
     The victim bucket/row/column are drawn from a ``seed``-derived RNG,
     never wall-clock entropy, so chaos schedules replay identically.
@@ -379,18 +348,12 @@ class RecoveryManager:
 
     The cluster consults this on every task failure; the manager only
     tracks *policy state* (per-worker failure tallies, the blacklist) —
-    the cluster owns execution and cost accounting.  ``rng`` is the
-    cluster's seeded random source; backoff jitter
-    (``FaultToleranceConfig.backoff_jitter``) draws from it exclusively,
-    keeping replays deterministic.
+    the cluster owns execution and cost accounting.
     """
 
-    def __init__(self, config: FaultToleranceConfig | None = None,
-                 rng: random.Random | None = None):
-        self.config = config or FaultToleranceConfig()
+    def __init__(self):
         self.failures_by_worker: dict[int, int] = {}
         self.blacklisted: set[int] = set()
-        self._rng = rng
 
     def record_failure(self, worker: int) -> bool:
         """Attribute one task failure to a worker.
@@ -400,31 +363,22 @@ class RecoveryManager:
         """
         count = self.failures_by_worker.get(worker, 0) + 1
         self.failures_by_worker[worker] = count
-        if worker not in self.blacklisted and count >= self.config.blacklist_after:
+        if worker not in self.blacklisted and count >= BLACKLIST_AFTER:
             self.blacklisted.add(worker)
             return True
         return False
 
-    def check_retry_budget(self, stage: str, task_index: int,
+    @staticmethod
+    def check_retry_budget(stage: str, task_index: int,
                            failures: int) -> None:
         """Raise when a task has failed more times than the budget allows."""
-        if failures > self.config.max_task_retries:
+        if failures > MAX_TASK_RETRIES:
             raise TaskRetryExhaustedError(
                 f"task {task_index} of stage {stage!r} failed {failures} "
-                f"times, exceeding max_task_retries="
-                f"{self.config.max_task_retries}",
+                f"times, exceeding MAX_TASK_RETRIES={MAX_TASK_RETRIES}",
                 stage=stage, task_index=task_index, attempts=failures)
 
-    def backoff_seconds(self, base: float, failures: int) -> float:
-        """Exponential retry backoff charged to the simulated clock.
-
-        With ``backoff_jitter`` configured, the backoff is stretched by
-        up to that fraction using the seeded RNG (decorrelating retry
-        storms the way wall-clock jitter would, without the
-        nondeterminism).
-        """
-        backoff = base * (2 ** max(0, failures - 1))
-        jitter = self.config.backoff_jitter
-        if jitter and self._rng is not None:
-            backoff *= 1.0 + jitter * self._rng.random()
-        return backoff
+    @staticmethod
+    def backoff_seconds(base: float, failures: int) -> float:
+        """Exponential retry backoff charged to the simulated clock."""
+        return base * (2 ** max(0, failures - 1))

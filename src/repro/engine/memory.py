@@ -47,13 +47,9 @@ class MemoryConfig:
         Resident-memory budget per simulated worker; ``None`` (the
         default) means unbounded — accounting and high-water marks are
         still recorded, but nothing ever spills.
-    spill_enabled:
-        When ``False`` the manager never spills: exceeding a budget
-        raises immediately (the "no disk tier" ablation).
     """
 
     worker_budget_bytes: int | None = None
-    spill_enabled: bool = True
 
     def __post_init__(self):
         if (self.worker_budget_bytes is not None
@@ -251,8 +247,6 @@ class MemoryManager:
             self._spill(victim)
 
     def _pick_victim(self, worker: int, keep: tuple | None):
-        if not self.config.spill_enabled:
-            return None
         victim = None
         for key, segment in self._segments.items():
             if (segment.worker != worker or segment.spilled

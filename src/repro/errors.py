@@ -203,7 +203,7 @@ class TaskRetryExhaustedError(ExecutionError):
     """Raised when a task keeps failing past the per-task retry budget.
 
     Mirrors Spark's ``spark.task.maxFailures`` abort: after
-    ``max_task_retries`` failed attempts the stage — and the query — is
+    ``faults.MAX_TASK_RETRIES`` failed attempts the stage — and the query — is
     given up rather than retried forever.
     """
 
@@ -222,8 +222,8 @@ class NoHealthyWorkersError(ExecutionError):
 class PoisonTaskError(ExecutionError):
     """Raised when a task keeps killing its worker process (process backend).
 
-    A task whose execution crashes the hosting OS worker ``poison_threshold``
-    times (SIGKILL'd for hanging counts too) is quarantined instead of
+    A task whose execution crashes the hosting OS worker
+    ``process.POISON_THRESHOLD`` times (SIGKILL'd for hanging counts too) is quarantined instead of
     respawn-looping the pool — the Spark/YARN "poison pill" abort.  Like
     :class:`QueryDeadlineExceededError`, ``partial_trace`` carries the span
     tree recorded up to the abort (attached at the API boundary), so the

@@ -7,27 +7,26 @@ Two standard service patterns, adapted to the simulated clock:
   workers) are retried a bounded number of times with exponential
   backoff plus jitter.  The jitter draws from a **seeded** RNG handed in
   by the service — never wall-clock entropy — so a replay of the same
-  workload backs off by the same simulated amounts and stays bit-exact
-  (the same discipline as ``RecoveryManager.backoff_seconds``).
+  workload backs off by the same simulated amounts and stays bit-exact.
 - :class:`CircuitBreaker` — a query *shape* (whitespace-normalized
   statement text) that keeps failing gets its traffic shed at the
   service door with :class:`repro.errors.CircuitOpenError` instead of
   burning cluster time on a query that will fail again.  Classic
-  closed → open → half-open: after ``failure_threshold`` consecutive
-  failures the shape opens for ``cooldown_s`` simulated seconds; the
-  first request after cooldown is the half-open probe — success closes
-  the breaker, failure re-opens it for a fresh cooldown.
+  closed → open → half-open: after ``BREAKER_THRESHOLD`` consecutive
+  failures the shape opens for ``BREAKER_COOLDOWN_S`` simulated seconds;
+  the first request after cooldown is the half-open probe — success
+  closes the breaker, failure re-opens it for a fresh cooldown.
 
 Typed errors that represent the *caller's* problem (analysis errors,
-deadline overruns, memory overflows) are neither retried nor counted by
-default — retrying them wastes cluster time and shedding them hides the
+deadline overruns, memory overflows) are neither retried nor counted —
+retrying them wastes cluster time and shedding them hides the
 actionable error payload the client needs.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import (
     CircuitOpenError,
@@ -41,37 +40,34 @@ __all__ = ["CircuitBreaker", "RetryPolicy"]
 #: re-execution against the same inputs can legitimately succeed.
 RETRYABLE_ERRORS = (TaskRetryExhaustedError, NoHealthyWorkersError)
 
+#: Re-executions of one request after a retryable error.
+RETRY_MAX = 2
+
+#: Backoff before re-attempt ``n`` is ``RETRY_BASE_BACKOFF_S * 2**n``,
+#: stretched by ``1 + RETRY_JITTER * U[0, 1)``.
+RETRY_BASE_BACKOFF_S = 0.05
+RETRY_JITTER = 0.5
+
 
 @dataclass
 class RetryPolicy:
-    """Bounded seeded-jitter exponential backoff for transient failures."""
+    """Bounded seeded-jitter exponential backoff for transient failures.
 
-    max_retries: int = 2
-    base_backoff_s: float = 0.05
-    #: Jitter fraction: each backoff is scaled by ``1 + jitter * U[0,1)``
-    #: drawn from ``rng`` (seeded by the service — determinism contract).
-    jitter: float = 0.5
-    retryable: tuple = RETRYABLE_ERRORS
-    rng: random.Random | None = None
+    ``rng`` is the service's seeded random source, the only draw behind
+    the jitter (determinism contract).
+    """
 
-    def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-        if self.base_backoff_s < 0 or self.jitter < 0:
-            raise ValueError("base_backoff_s and jitter must be >= 0")
+    rng: random.Random
 
-    def should_retry(self, error: Exception, attempt: int) -> bool:
+    @staticmethod
+    def should_retry(error: Exception, attempt: int) -> bool:
         """Retry *attempt* (0-based count of failures so far)?"""
-        return (attempt < self.max_retries
-                and isinstance(error, self.retryable))
+        return attempt < RETRY_MAX and isinstance(error, RETRYABLE_ERRORS)
 
     def backoff_s(self, attempt: int) -> float:
         """Simulated seconds to back off before re-attempt *attempt*."""
-        backoff = self.base_backoff_s * (2.0 ** attempt)
-        if self.jitter and self.rng is not None:
-            backoff *= 1.0 + self.jitter * self.rng.random()
-        return backoff
+        return (RETRY_BASE_BACKOFF_S * (2.0 ** attempt)
+                * (1.0 + RETRY_JITTER * self.rng.random()))
 
 
 @dataclass
@@ -81,22 +77,19 @@ class _Shape:
     open_until: float = 0.0
 
 
-@dataclass
+#: Consecutive failures of one query shape that open its circuit.
+BREAKER_THRESHOLD = 5
+
+#: Simulated seconds an open circuit sheds its shape before the
+#: half-open probe.
+BREAKER_COOLDOWN_S = 60.0
+
+
 class CircuitBreaker:
     """Per-query-shape failure tracker with open/half-open shedding."""
 
-    failure_threshold: int = 5
-    cooldown_s: float = 60.0
-    _shapes: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got "
-                f"{self.failure_threshold}")
-        if self.cooldown_s < 0:
-            raise ValueError(f"cooldown_s must be >= 0, got "
-                             f"{self.cooldown_s}")
+    def __init__(self):
+        self._shapes: dict[str, _Shape] = {}
 
     def check(self, key: str, now: float) -> None:
         """Gate one request; raises :class:`CircuitOpenError` when shedding.
@@ -127,9 +120,9 @@ class CircuitBreaker:
         shape = self._shapes.setdefault(key, _Shape())
         shape.failures += 1
         if (shape.state == "half_open"
-                or shape.failures >= self.failure_threshold):
+                or shape.failures >= BREAKER_THRESHOLD):
             shape.state = "open"
-            shape.open_until = now + self.cooldown_s
+            shape.open_until = now + BREAKER_COOLDOWN_S
 
     def state(self, key: str) -> str:
         return self._shapes.get(key, _Shape()).state

@@ -78,6 +78,10 @@ from repro.serving.wal import WriteAheadLog
 #: total is counted, so a service does not grow with what it answered.
 COMPLETED_WINDOW = 256
 
+#: Simulated seconds the front end charges per executed request (parse,
+#: dispatch, reply), under the ``serving-overhead`` label.
+SERVICE_OVERHEAD_S = 0.0005
+
 @dataclass
 class QueryFuture:
     """Handle to one submitted request; resolved by the driver.
@@ -146,24 +150,16 @@ class QueryService:
     """A served, cached, admission-controlled front end to one context."""
 
     def __init__(self, ctx, scheduler: str = "seeded", seed: int = 0,
-                 service_overhead_s: float = 0.0005,
-                 plan_cache_size: int = 128, result_cache_size: int = 256,
-                 wal_path: str | None = None,
-                 retry_policy: RetryPolicy | None = None,
-                 circuit_breaker: CircuitBreaker | None = None):
+                 wal_path: str | None = None):
         if scheduler not in ("fifo", "seeded"):
             raise ValueError(
                 f"scheduler must be 'fifo' or 'seeded', got {scheduler!r}")
-        if service_overhead_s < 0:
-            raise ValueError("service_overhead_s must be >= 0")
         self.ctx = ctx
         self.scheduler = scheduler
         self.seed = seed
-        self.service_overhead_s = service_overhead_s
         self.metrics = ctx.metrics
-        self.plan_cache = PlanCache(plan_cache_size, metrics=self.metrics)
-        self.result_cache = ResultCache(result_cache_size,
-                                        metrics=self.metrics)
+        self.plan_cache = PlanCache(metrics=self.metrics)
+        self.result_cache = ResultCache(metrics=self.metrics)
         self._rng = random.Random(seed)
         self._sessions: dict[str, Session] = {}
         self._views: dict[str, ServedView] = {}
@@ -176,13 +172,11 @@ class QueryService:
         #: Execution order of the completed requests still in the window
         #: (request ids), which the interleaving differential replays.
         self.execution_order: list[int] = []
-        self.retry_policy = retry_policy or RetryPolicy()
-        if self.retry_policy.rng is None:
-            # Seeded, decorrelated from the scheduler draw — never
-            # wall-clock entropy (replay-twice-identical contract).
-            self.retry_policy.rng = random.Random(
-                (seed * 2654435761 + 73) % 2**32)
-        self.breaker = circuit_breaker or CircuitBreaker()
+        # Seeded, decorrelated from the scheduler draw — never
+        # wall-clock entropy (replay-twice-identical contract).
+        self.retry_policy = RetryPolicy(
+            random.Random((seed * 2654435761 + 73) % 2**32))
+        self.breaker = CircuitBreaker()
         #: Futures rebuilt by :meth:`recover` for in-flight WAL entries,
         #: keyed by their original request id.
         self.recovered_futures: dict[int, QueryFuture] = {}
@@ -363,9 +357,7 @@ class QueryService:
     def _execute(self, request: _Request) -> QueryFuture:
         future = request.future
         future.started_at = self.metrics.sim_time
-        if self.service_overhead_s:
-            self.metrics.advance(self.service_overhead_s,
-                                 label="serving-overhead")
+        self.metrics.advance(SERVICE_OVERHEAD_S, label="serving-overhead")
         self.execution_order.append(future.request_id)
         del self.execution_order[:-COMPLETED_WINDOW]
         try:

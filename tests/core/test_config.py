@@ -28,3 +28,36 @@ class TestConfig:
     def test_invalid_join_strategy_rejected(self):
         with pytest.raises(ValueError, match="join strategy"):
             ExecutionConfig(join_strategy="bogus")
+
+
+class TestProcessConfig:
+    """The supervision knobs refuse values that would reap every healthy
+    worker or fail every task, instead of degrading the run silently."""
+
+    def test_defaults_validate(self):
+        from repro.engine.backend import ProcessConfig
+        from repro.engine.backend.base import HEARTBEAT_INTERVAL_S
+
+        config = ProcessConfig()
+        assert config.liveness_timeout > HEARTBEAT_INTERVAL_S
+        assert config.task_deadline_s > 0
+        assert config.respawn_budget >= 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("liveness_timeout", -1.0),
+        ("liveness_timeout", 0.0),
+        ("liveness_timeout", 0.05),  # equal to the heartbeat interval
+        ("task_deadline_s", -5.0),
+        ("task_deadline_s", 0.0),
+        ("respawn_budget", -1),
+    ])
+    def test_rejects_values_that_break_supervision(self, field, value):
+        from repro.engine.backend import ProcessConfig
+
+        with pytest.raises(ValueError, match=field):
+            ProcessConfig(**{field: value})
+
+    def test_zero_respawn_budget_is_valid(self):
+        from repro.engine.backend import ProcessConfig
+
+        assert ProcessConfig(respawn_budget=0).respawn_budget == 0

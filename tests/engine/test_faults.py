@@ -7,10 +7,13 @@ from repro.baselines import serial
 from repro.engine.cluster import Cluster, StageTask
 from repro.engine.dataset import Partition
 from repro.engine.faults import (
+    BLACKLIST_AFTER,
+    MAX_TASK_RETRIES,
+    CorruptionInjector,
     FailureInjector,
-    FaultToleranceConfig,
     WorkerLossInjector,
 )
+from repro.engine.serialization import rows_checksum
 from repro.errors import (
     FaultInjectionError,
     NoHealthyWorkersError,
@@ -131,23 +134,20 @@ class TestFixpointRecovery:
 
 class TestRetryBudget:
     def test_persistent_failure_exhausts_budget(self):
-        cluster = Cluster(
-            num_workers=2,
-            fault_config=FaultToleranceConfig(max_task_retries=2))
+        cluster = Cluster(num_workers=2)
         cluster.inject_failures(FailureInjector(
             "work", point="before", times=100, persistent=True))
         with pytest.raises(TaskRetryExhaustedError) as excinfo:
             cluster.run_stage("work", [StageTask(0, [], lambda: "ok")])
         assert excinfo.value.stage == "work"
-        assert excinfo.value.attempts == 3  # budget of 2 retries exceeded
-        assert cluster.metrics.get("task_failures") == 3
+        # The budget of MAX_TASK_RETRIES retries is exceeded by one.
+        assert excinfo.value.attempts == MAX_TASK_RETRIES + 1
+        assert cluster.metrics.get("task_failures") == MAX_TASK_RETRIES + 1
 
     def test_transient_failure_stays_within_budget(self):
         # A non-persistent injector fails each task at most once per
         # stage visit, so even times=100 never exhausts the budget.
-        cluster = Cluster(
-            num_workers=2,
-            fault_config=FaultToleranceConfig(max_task_retries=1))
+        cluster = Cluster(num_workers=2)
         cluster.inject_failures(FailureInjector(
             "work", task_index=None, point="before", times=100))
         results = cluster.run_stage("work", [StageTask(0, [], lambda: "ok")])
@@ -250,7 +250,7 @@ class TestWorkerLoss:
 
     def test_inject_failures_rejects_unknown_objects(self):
         """Anything that is not one of the six injector classes used to be
-        appended to ``failure_injectors`` and die mid-query with
+        appended to ``Cluster.armed["task"]`` and die mid-query with
         ``AttributeError: ... 'point'``; it is refused at the call."""
         from repro.chaos import ChaosSchedule
 
@@ -266,9 +266,9 @@ class TestWorkerLoss:
             assert name in message
         with pytest.raises(TypeError):
             cluster.inject_failures(None)
-        assert not cluster.failure_injectors
+        assert not cluster.armed["task"]
         schedule.arm(cluster)
-        assert cluster.failure_injectors == schedule.injectors
+        assert cluster.armed["task"] == schedule.injectors
 
     def test_last_worker_cannot_be_lost(self):
         cluster = Cluster(num_workers=2)
@@ -300,12 +300,11 @@ class TestWorkerLoss:
 
 class TestBlacklisting:
     def test_repeated_failures_blacklist_worker(self):
-        cluster = Cluster(
-            num_workers=4,
-            fault_config=FaultToleranceConfig(max_task_retries=10,
-                                              blacklist_after=2))
+        # Within the retry budget, BLACKLIST_AFTER failures blacklist.
+        assert BLACKLIST_AFTER <= MAX_TASK_RETRIES
+        cluster = Cluster(num_workers=4)
         cluster.inject_failures(FailureInjector(
-            "work", point="before", times=2, persistent=True))
+            "work", point="before", times=BLACKLIST_AFTER, persistent=True))
         task = StageTask(0, [], lambda: "ok", preferred_worker=1)
         results = cluster.run_stage("work", [task])
         assert cluster.recovery.blacklisted == {1}
@@ -329,8 +328,9 @@ class TestBlacklisting:
 
 
 class TestShuffleCorruption:
-    """Checksum verification earns its keep: detected flips are
-    bit-exact, unverified flips visibly diverge.
+    """Checksum verification earns its keep: an injected flip changes
+    the bucket's checksum, so every flip is detected and the run stays
+    bit-exact.
 
     Decomposed plans keep delta rows co-partitioned — the whole point of
     the optimization is that iterations never shuffle — so the suite
@@ -356,7 +356,6 @@ SELECT Src, Dst FROM tc
                     config=ctx.config.but(decomposed_plans=False)).rows)
 
     def test_detected_corruption_is_bit_exact_and_charged(self):
-        from repro.engine.faults import CorruptionInjector
         clean = self.run_tc(self.make_context())
 
         ctx = self.make_context()
@@ -371,24 +370,20 @@ SELECT Src, Dst FROM tc
         assert snap["shuffle_corruption_refetch_bytes"] > 0
         assert snap["recovery_seconds"] > 0
 
-    def test_unverified_corruption_flows_through_and_diverges(self):
-        from repro.engine.faults import CorruptionInjector
-        clean = self.run_tc(self.make_context())
-
-        ctx = self.make_context(fault_config=FaultToleranceConfig(
-            verify_shuffle_checksums=False))
-        ctx.inject_faults(CorruptionInjector(skip_matches=2, times=3, seed=5))
-        got = self.run_tc(ctx)
-        snap = ctx.metrics.snapshot()
-        assert snap["shuffle_corruption_undetected"] >= 1
-        assert snap.get("shuffle_corruption_detected", 0) == 0
-        # The mangled bucket reached the reduce side: the closure the
-        # fixpoint computes is no longer the clean one.
-        assert got != clean
+    @pytest.mark.parametrize("seed", range(8))
+    def test_corrupt_changes_the_bucket_checksum(self, seed):
+        """What verification relies on: the mangled copy never hashes
+        like the pristine bucket, for numeric and string cells alike."""
+        rows = [(i, i + 1, f"v{i}", 0.5 * i) for i in range(12)] + [()]
+        injector = CorruptionInjector(seed=seed)
+        assert injector.corrupt(rows) is None  # not armed yet
+        assert injector.matches()
+        mangled = injector.corrupt(rows)
+        assert injector.injected == 1
+        assert len(mangled) == len(rows) and mangled != rows
+        assert rows_checksum(mangled) != rows_checksum(rows)
 
     def test_corruption_schedule_replays_identically(self):
-        from repro.engine.faults import CorruptionInjector
-
         def discrete():
             ctx = self.make_context()
             ctx.inject_faults(CorruptionInjector(skip_matches=1, times=2,

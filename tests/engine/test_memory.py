@@ -18,7 +18,6 @@ class TestMemoryConfig:
     def test_defaults_unbounded(self):
         config = MemoryConfig()
         assert config.worker_budget_bytes is None
-        assert config.spill_enabled
 
     @pytest.mark.parametrize("bad", [0, -1, -100])
     def test_rejects_nonpositive_budget(self, bad):
@@ -143,13 +142,6 @@ class TestHardBudget:
         assert error.requested_bytes == 200
         assert error.budget_bytes == 50
         assert "spill" in str(error)
-
-    def test_spill_disabled_raises_immediately(self):
-        manager, _ = make_manager(worker_budget_bytes=100,
-                                  spill_enabled=False)
-        manager.charge("state", "a", 0, 0, 80)
-        with pytest.raises(MemoryBudgetExceededError):
-            manager.charge("state", "b", 0, 0, 80)
 
     def test_reset_budget_restores_configured(self):
         manager, _ = make_manager(worker_budget_bytes=500)

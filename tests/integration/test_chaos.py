@@ -123,11 +123,8 @@ def test_every_library_query_is_covered():
 
 
 #: Tight supervision constants so process-backend fault tests run in
-#: seconds: a worker silent for 1s is reaped, crash backoff is near-zero.
-FAST_SUPERVISION = ProcessConfig(heartbeat_interval=0.05,
-                                 liveness_timeout=1.0,
-                                 task_deadline_s=20.0,
-                                 backoff_base_s=0.01)
+#: seconds: a worker silent for 1s is reaped.
+FAST_SUPERVISION = ProcessConfig(liveness_timeout=1.0, task_deadline_s=20.0)
 
 
 def make_context_factory(query_name, tables=None, warm=False, **fixed):

@@ -27,6 +27,8 @@ from repro.chaos import (
 )
 from repro.core.config import ExecutionConfig
 from repro.engine.backend import ProcessConfig
+from repro.engine.backend.base import HEARTBEAT_INTERVAL_S
+from repro.engine.backend.process import POISON_THRESHOLD
 from repro.engine.faults import DriverKillInjector
 from repro.engine.tracing import _find_dict
 from repro.errors import (
@@ -144,7 +146,7 @@ def test_hung_worker_reaped_within_liveness_timeout():
         # the OS process alive) but detect within about one heartbeat of
         # it; the remaining slack covers the respawn (a fresh spawn-start
         # interpreter) and state rebuild.
-        assert overhead >= config.liveness_timeout - config.heartbeat_interval
+        assert overhead >= config.liveness_timeout - HEARTBEAT_INTERVAL_S
         assert overhead <= config.liveness_timeout + 10.0
     finally:
         ctx.close()
@@ -159,12 +161,12 @@ def poison(task, times):
 @pytest.mark.timeout(120)
 def test_poison_task_quarantined_with_partial_trace():
     """A task that keeps killing its worker is quarantined after
-    ``poison_threshold`` kills and fails the query typed."""
+    ``POISON_THRESHOLD`` kills and fails the query typed."""
     report = process_differential("sssp", faults=[poison(1, 10)])
     exc = report.error
     assert isinstance(exc, PoisonTaskError)
     assert exc.task_index == 1
-    assert exc.worker_kills == FAST_SUPERVISION.poison_threshold
+    assert exc.worker_kills == POISON_THRESHOLD
     assert exc.partial_trace is not None
     assert report.counters["process_tasks_quarantined"] == 1
     # The first kills were respawned before the quarantine tripped.
@@ -194,8 +196,7 @@ def test_poison_surfaces_through_query_future():
         ctx.close()
 
 
-NO_RESPAWN = ProcessConfig(heartbeat_interval=0.05, liveness_timeout=1.0,
-                           task_deadline_s=20.0, backoff_base_s=0.01,
+NO_RESPAWN = ProcessConfig(liveness_timeout=1.0, task_deadline_s=20.0,
                            respawn_budget=0)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro import ExecutionConfig, MemoryConfig, QueryGovernor, RaSQLContext
 from repro.chaos import run_service_differential, sorted_rows
-from repro.engine.faults import FailureInjector, FaultToleranceConfig, RecoveryManager
+from repro.engine.faults import FailureInjector
 from repro.errors import (
     AdmissionRejectedError,
     AnalysisError,
@@ -26,6 +26,12 @@ from repro.errors import (
 )
 from repro.queries import get_query
 from repro.serving import CircuitBreaker, QueryService, RetryPolicy, WriteAheadLog
+from repro.serving.resilience import (
+    BREAKER_COOLDOWN_S,
+    BREAKER_THRESHOLD,
+    RETRY_BASE_BACKOFF_S,
+    RETRY_MAX,
+)
 from repro.serving.workload import VIEW_NAME, generate_ops
 
 pytestmark = [pytest.mark.serving, pytest.mark.resilience]
@@ -280,8 +286,8 @@ class TestRetries:
         events_before = ctx.metrics.event_count()
         future = service.submit(service.session("a"), TC)
         service.drain()
-        # Both service-level retries consumed, original error surfaced.
-        assert ctx.metrics.snapshot()["serving_retries"] == 2
+        # Every service-level retry consumed, original error surfaced.
+        assert ctx.metrics.snapshot()["serving_retries"] == RETRY_MAX
         with pytest.raises(TaskRetryExhaustedError):
             future.result()
         breakdown = [e.label
@@ -296,25 +302,8 @@ class TestRetries:
         assert draws(7) == draws(7)  # replay-twice-identical
         assert draws(7) != draws(8)  # and actually jittered
         grow = draws(7)
-        assert all(b >= RetryPolicy().base_backoff_s * (2 ** i)
+        assert all(b >= RETRY_BASE_BACKOFF_S * (2 ** i)
                    for i, b in enumerate(grow))
-
-    def test_recovery_manager_jitter_is_seeded_not_wallclock(self):
-        config = FaultToleranceConfig(backoff_jitter=0.5)
-
-        def seconds(seed):
-            manager = RecoveryManager(config, rng=random.Random(seed))
-            return [manager.backoff_seconds(0.1, a) for a in range(1, 6)]
-
-        assert seconds(3) == seconds(3)
-        assert seconds(3) != seconds(4)
-        # jitter=0 (the default) keeps the historical schedule exactly.
-        plain = RecoveryManager(FaultToleranceConfig(),
-                                rng=random.Random(3))
-        legacy = RecoveryManager(FaultToleranceConfig())
-        for attempt in range(1, 6):
-            assert (plain.backoff_seconds(0.1, attempt)
-                    == legacy.backoff_seconds(0.1, attempt))
 
     def test_service_error_counters_replay_identically(self):
         def discrete():
@@ -335,26 +324,29 @@ class TestRetries:
 
 class TestCircuitBreaker:
     def test_state_machine(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_s=10.0)
-        for _ in range(2):
+        breaker = CircuitBreaker()
+        for _ in range(BREAKER_THRESHOLD - 1):
             breaker.record_failure("q", now=0.0)
         breaker.check("q", now=0.0)  # still closed
         breaker.record_failure("q", now=0.0)
         assert breaker.state("q") == "open"
         with pytest.raises(CircuitOpenError) as info:
             breaker.check("q", now=4.0)
-        assert info.value.retry_after_s == pytest.approx(6.0)
-        breaker.check("q", now=10.0)  # cooldown elapsed: half-open probe
+        assert info.value.retry_after_s == pytest.approx(
+            BREAKER_COOLDOWN_S - 4.0)
+        # Cooldown elapsed: half-open probe.
+        breaker.check("q", now=BREAKER_COOLDOWN_S)
         assert breaker.state("q") == "half_open"
-        breaker.record_failure("q", now=10.0)  # probe failed: re-open
+        # The probe failed: re-open for a fresh cooldown.
+        breaker.record_failure("q", now=BREAKER_COOLDOWN_S)
         assert breaker.state("q") == "open"
-        breaker.check("q", now=20.0)
+        breaker.check("q", now=2 * BREAKER_COOLDOWN_S)
         breaker.record_success("q")
         assert breaker.state("q") == "closed"
         assert breaker.report() == {}
 
     def test_a_shape_exists_only_while_failing_or_not_closed(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown_s=10.0)
+        breaker = CircuitBreaker()
         for i in range(100):
             breaker.check(f"healthy-{i}", now=0.0)
             breaker.record_success(f"healthy-{i}")
@@ -367,13 +359,10 @@ class TestCircuitBreaker:
 
     def test_failing_shape_is_shed_then_probed(self):
         ctx = make_context()
-        service = QueryService(
-            ctx, scheduler="fifo",
-            circuit_breaker=CircuitBreaker(failure_threshold=2,
-                                           cooldown_s=5.0))
+        service = QueryService(ctx, scheduler="fifo")
         session = service.session("a")
         bad = "SELECT Nope FROM missing_table"
-        for _ in range(2):
+        for _ in range(BREAKER_THRESHOLD):
             future = service.submit(session, bad)
             service.drain()
             assert isinstance(future.error, AnalysisError)
@@ -387,7 +376,7 @@ class TestCircuitBreaker:
         ok = service.submit(session, TC)
         service.drain()
         assert ok.ok
-        ctx.metrics.advance(5.0, label="idle")
+        ctx.metrics.advance(BREAKER_COOLDOWN_S, label="idle")
         probe = service.submit(session, bad)
         service.drain()  # half-open probe reaches the analyzer again
         assert isinstance(probe.error, AnalysisError)

@@ -34,8 +34,8 @@ class TestMakeSchedule:
         ctx = RaSQLContext(num_workers=2)
         schedule = make_schedule(3)
         schedule.arm(ctx.cluster)
-        assert len(ctx.cluster.failure_injectors) == 2
-        assert len(ctx.cluster.worker_loss_injectors) == 1
+        assert len(ctx.cluster.armed["task"]) == 2
+        assert len(ctx.cluster.armed["worker-loss"]) == 1
 
 
 class TestParseFaultSpec:

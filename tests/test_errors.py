@@ -18,7 +18,7 @@ from repro.__main__ import main as cli_main
 from repro.baselines.sql_loop import SQLLoopEngine
 from repro.core.prem import check_prem
 from repro.engine.cluster import Cluster, StageTask
-from repro.engine.faults import FailureInjector, FaultToleranceConfig
+from repro.engine.faults import MAX_TASK_RETRIES, FailureInjector
 from repro.errors import (
     AdmissionRejectedError,
     AnalysisError,
@@ -188,16 +188,15 @@ class TestAdmissionRejectedError:
 
 class TestTaskRetryExhaustedError:
     def test_persistent_failure_reports_stage_and_attempts(self):
-        ctx = sssp_ctx(
-            fault_config=FaultToleranceConfig(max_task_retries=1))
+        ctx = sssp_ctx()
         ctx.inject_faults(FailureInjector(
             "shufflemap", point="before", times=100, persistent=True))
         with pytest.raises(TaskRetryExhaustedError) as info:
             ctx.sql(sssp_query())
         error = info.value
         assert error.stage == "fixpoint-shufflemap"
-        assert error.attempts == 2
-        assert "max_task_retries" in str(error)
+        assert error.attempts == MAX_TASK_RETRIES + 1
+        assert "MAX_TASK_RETRIES" in str(error)
 
 
 class TestNoHealthyWorkersError:
