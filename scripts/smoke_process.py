@@ -117,7 +117,8 @@ def repeated() -> int:
             rss = worker_rss_kb(ctx)
             if number == 5:
                 rss_at_5 = rss
-        counters = ctx.last_run.metrics
+        # Totals over every run: the registry's, not the last run's record.
+        counters = ctx.metrics.snapshot()
     finally:
         for context in contexts.values():
             context.close()

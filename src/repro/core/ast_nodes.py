@@ -294,10 +294,6 @@ class ViewDef:
         return tuple(c.name for c in self.columns)
 
     @property
-    def aggregate_columns(self) -> tuple[ColumnSpec, ...]:
-        return tuple(c for c in self.columns if c.aggregate)
-
-    @property
     def has_aggregates(self) -> bool:
         return any(c.aggregate for c in self.columns)
 

@@ -62,7 +62,10 @@ class RunInfo:
     iterations: int = 0
     clique_iterations: dict[str, int] = field(default_factory=dict)
     delta_history: dict[str, list[int]] = field(default_factory=dict)
+    #: Simulated seconds that passed during this call (a checkpoint
+    #: restore's clock jump included).
     sim_time: float = 0.0
+    #: The non-zero counter increments of this call, by counter name.
     metrics: dict[str, float] = field(default_factory=dict)
     #: Simulated seconds attributed to each clock label during this call
     #: (``stage:fixpoint-shufflemap``, ``shuffle``, ``broadcast``, ...).
@@ -98,8 +101,9 @@ class RunInfo:
 
         Keys: ``spill_events``, ``spill_bytes``, ``unspill_events``,
         ``unspill_bytes``, ``memory_pressure_events``,
-        ``memory_budget_overflows``, plus the per-worker high-water
-        marks ``memory_hwm_bytes_w<N>``.
+        ``memory_budget_overflows``, plus ``memory_hwm_bytes_w<N>``: how
+        far the call raised worker N's high-water mark (on a fresh
+        context, the mark itself).
         """
         keys = ("spill_events", "spill_bytes", "unspill_events",
                 "unspill_bytes", "memory_pressure_events",
@@ -466,7 +470,7 @@ class RaSQLContext:
         tracer = self.cluster.tracer
         query_span = None
         try:
-            with self.cluster.metrics.attributing(run.time_breakdown), \
+            with self.cluster.metrics.attributing() as window, \
                     tracer.owned_span("query", label) as query_span:
                 if admission is not None:
                     query_span.annotate(admission=dict(admission))
@@ -499,10 +503,10 @@ class RaSQLContext:
             # The span closed (its ``finally`` ran), so the partial trace
             # is complete up to the aborting stage (deadline) or the
             # quarantining batch (poison pill).
-            self._record_run(run, query_span, tracer)
+            self._record_run(run, window, query_span, tracer)
             exc.partial_trace = run.trace
             raise
-        self._record_run(run, query_span, tracer)
+        self._record_run(run, window, query_span, tracer)
         return final
 
     def _run_clique(self, unit: CliquePlan, unit_index: int,
@@ -631,9 +635,10 @@ class RaSQLContext:
                                      query_id=query_id,
                                      resume_state=resume_state)
 
-    def _record_run(self, run: RunInfo, query_span, tracer) -> None:
-        run.sim_time = self.cluster.metrics.sim_time
-        run.metrics = self.cluster.metrics.snapshot()
+    def _record_run(self, run: RunInfo, window, query_span, tracer) -> None:
+        run.sim_time = window.seconds
+        run.metrics = window.metrics
+        run.time_breakdown = window.time_by_label
         if tracer.enabled and query_span is not None:
             run.trace = query_span.to_dict()
         self.last_run = run

@@ -56,39 +56,6 @@ def _aggregate_value(call: ast.FunctionCall, rows: list[tuple],
     raise AnalysisError(f"unknown aggregate {name!r}")
 
 
-def _compile_with_aggregates(expr: ast.Expr, layout: Layout,
-                             agg_slots: dict[ast.FunctionCall, int]):
-    """Compile an expression where aggregate calls read precomputed values.
-
-    Used for SELECT items and HAVING in grouped queries: the returned
-    closure takes ``(representative_row, agg_values)``.
-    """
-    if isinstance(expr, ast.FunctionCall) and expr.name.lower() in ast.AGGREGATE_NAMES:
-        slot = agg_slots[expr]
-        return lambda row, aggs: aggs[slot]
-    if isinstance(expr, ast.BinaryOp):
-        op = expr.op.upper()
-        left = _compile_with_aggregates(expr.left, layout, agg_slots)
-        right = _compile_with_aggregates(expr.right, layout, agg_slots)
-        if op == "AND":
-            return lambda row, aggs: bool(left(row, aggs)) and bool(right(row, aggs))
-        if op == "OR":
-            return lambda row, aggs: bool(left(row, aggs)) or bool(right(row, aggs))
-        import operator as _op
-        table = {"+": _op.add, "-": _op.sub, "*": _op.mul, "/": _op.truediv,
-                 "=": _op.eq, "<>": _op.ne, "<": _op.lt, "<=": _op.le,
-                 ">": _op.gt, ">=": _op.ge}
-        fn = table[expr.op]
-        return lambda row, aggs: fn(left(row, aggs), right(row, aggs))
-    if isinstance(expr, ast.UnaryOp):
-        inner = _compile_with_aggregates(expr.operand, layout, agg_slots)
-        if expr.op.upper() == "NOT":
-            return lambda row, aggs: not inner(row, aggs)
-        return lambda row, aggs: -inner(row, aggs)
-    plain = compile_expr(expr, layout)
-    return lambda row, aggs: plain(row)
-
-
 def _collect_aggregates(exprs: list[ast.Expr]) -> list[ast.FunctionCall]:
     calls: list[ast.FunctionCall] = []
     for expr in exprs:
@@ -280,24 +247,21 @@ def _execute_select(query: ast.SelectQuery,
         else:
             groups = {(): rows}
 
-        agg_slots = {call: i for i, call in enumerate(aggregate_calls)}
-        compiled_items = [_compile_with_aggregates(e, layout, agg_slots)
-                          for e in item_exprs]
-        compiled_having = (_compile_with_aggregates(query.having, layout, agg_slots)
+        grouped = layout.with_aggregates(aggregate_calls)
+        compiled_items = [compile_expr(e, grouped) for e in item_exprs]
+        compiled_having = (compile_expr(query.having, grouped)
                            if query.having is not None else None)
 
         out_rows = []
         for key, group_rows in groups.items():
             if not group_rows:
                 continue
-            representative = group_rows[0]
-            agg_values = [_aggregate_value(call, group_rows, layout)
-                          for call in aggregate_calls]
-            if compiled_having is not None and not compiled_having(
-                    representative, agg_values):
+            row = group_rows[0] + tuple(
+                _aggregate_value(call, group_rows, layout)
+                for call in aggregate_calls)
+            if compiled_having is not None and not compiled_having(row):
                 continue
-            out_rows.append(tuple(fn(representative, agg_values)
-                                  for fn in compiled_items))
+            out_rows.append(tuple(fn(row) for fn in compiled_items))
     elif all(isinstance(e, ast.ColumnRef) for e in item_exprs):
         # Pure-projection fast path: one itemgetter per row instead of a
         # closure call per cell.

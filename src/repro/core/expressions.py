@@ -13,6 +13,7 @@ joins), so three-valued logic is out of scope and documented as such.
 
 from __future__ import annotations
 
+import copy
 import operator
 from typing import Callable
 
@@ -25,7 +26,8 @@ class Layout:
 
     ``bindings`` is the FROM list in order: ``(binding_name, columns)``.
     A column reference resolves to a slot index; unqualified names must be
-    unambiguous across bindings.
+    unambiguous across bindings.  A grouped layout
+    (:meth:`with_aggregates`) also gives each aggregate call a slot.
     """
 
     def __init__(self, bindings: list[tuple[str, tuple[str, ...]]]):
@@ -45,6 +47,15 @@ class Layout:
                 self.by_column.setdefault(column.lower(), []).append(index)
                 index += 1
         self.arity = index
+        self.aggregates: dict[ast.FunctionCall, int] = {}
+
+    def with_aggregates(self, calls: list[ast.FunctionCall]) -> "Layout":
+        """This layout over rows extended by one value per aggregate call
+        (a group's representative row + its aggregate values)."""
+        grouped = copy.copy(self)
+        grouped.aggregates = {call: self.arity + i
+                              for i, call in enumerate(calls)}
+        return grouped
 
     def slot_of(self, ref: ast.ColumnRef) -> int:
         """Resolve a column reference to its slot, with SQL error messages."""
@@ -97,8 +108,8 @@ _COMPARISON = {
 def compile_expr(expr: ast.Expr, layout: Layout) -> Callable[[tuple], object]:
     """Compile an expression into a ``row -> value`` closure.
 
-    Aggregate calls are rejected — they are only legal inside GROUP BY
-    evaluation, which :mod:`repro.core.executor` handles separately.
+    An aggregate call reads its slot of a grouped layout
+    (:meth:`Layout.with_aggregates`); anywhere else it is rejected.
     """
     if isinstance(expr, ast.Literal):
         value = expr.value
@@ -148,8 +159,11 @@ def compile_expr(expr: ast.Expr, layout: Layout) -> Callable[[tuple], object]:
         return evaluate_case
 
     if isinstance(expr, ast.FunctionCall):
-        raise AnalysisError(
-            f"aggregate {expr.name!r} is not allowed in this position")
+        slot = layout.aggregates.get(expr)
+        if slot is None:
+            raise AnalysisError(
+                f"aggregate {expr.name!r} is not allowed in this position")
+        return lambda row: row[slot]
 
     if isinstance(expr, ast.Star):
         raise AnalysisError("'*' is only allowed inside count(*)")

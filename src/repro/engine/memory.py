@@ -324,22 +324,3 @@ class MemoryManager:
     def max_segment_bytes(self) -> int:
         """Largest live segment — the floor any hard budget must clear."""
         return max((s.nbytes for s in self._segments.values()), default=0)
-
-    def report(self) -> dict:
-        """A plain-dict summary for ``RunInfo.memory_summary`` and tests."""
-        return {
-            "budget_bytes": self.budget_bytes,
-            "soft": self.soft,
-            "per_worker": [
-                {"worker": w,
-                 "resident_bytes": self._resident[w],
-                 "spilled_bytes": self._spilled[w],
-                 "high_water_bytes": self._hwm[w]}
-                for w in range(self.num_workers)
-            ],
-            "spill_events": self.metrics.get("spill_events"),
-            "spill_bytes": self.metrics.get("spill_bytes"),
-            "unspill_events": self.metrics.get("unspill_events"),
-            "unspill_bytes": self.metrics.get("unspill_bytes"),
-            "spill_seconds": self.metrics.get("spill_seconds"),
-        }

@@ -20,22 +20,6 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import NamedTuple
-
-
-class ClockEvent(NamedTuple):
-    """One labelled advance of the simulated clock.
-
-    ``span_id`` is the innermost open tracing span at the time of the
-    advance (``None`` when no tracer is attached or no span is open),
-    which is how post-hoc analysis joins the flat event log back onto
-    the span tree.  Being a NamedTuple, an event still unpacks as the
-    historical ``(label, seconds)`` pair plus the extra field.
-    """
-
-    label: str
-    seconds: float
-    span_id: int | None = None
 
 
 @dataclass(frozen=True)
@@ -110,27 +94,15 @@ class MetricsRegistry:
       admission control (``repro.core.governor``).
     """
 
-    #: Labelled advances the event log keeps: the recent past, for
-    #: debugging cost attribution.  Nothing's correctness reads the log
-    #: (a query sums its own advances through an open window), so a
-    #: registry that lives as long as a service does not grow with it.
-    EVENT_LOG_DEPTH = 1024
-
     def __init__(self):
         self.counters: dict[str, float] = defaultdict(float)
         self.sim_time: float = 0.0
-        self._events: list[ClockEvent] = []
-        #: Events that fell off the front of the log.
-        self._events_dropped = 0
         #: The open attribution windows, outermost first — the only such
         #: list.  A window is anything with a ``metrics`` and a
         #: ``time_by_label`` dict (an open tracing ``Span``, or the bare
         #: one of :meth:`attributing`); each hears every :meth:`inc` and
         #: labelled :meth:`advance` as it happens.
         self.windows: list = []
-        #: Optional :class:`repro.engine.tracing.Tracer`; when attached,
-        #: its innermost open span stamps the event log.
-        self.tracer = None
 
     def inc(self, name: str, amount: float = 1) -> None:
         self.counters[name] += amount
@@ -151,24 +123,23 @@ class MetricsRegistry:
             for window in self.windows:
                 sums = window.time_by_label
                 sums[label] = sums.get(label, 0.0) + seconds
-            span = self.tracer.current if self.tracer is not None else None
-            events = self._events
-            events.append(ClockEvent(label, seconds, span and span.span_id))
-            if len(events) > self.EVENT_LOG_DEPTH:
-                overflow = len(events) - self.EVENT_LOG_DEPTH
-                del events[:overflow]
-                self._events_dropped += overflow
 
     @contextmanager
-    def attributing(self, sums: dict[str, float]):
-        """While open, every labelled advance also adds its seconds to
-        ``sums[label]`` — how one query of a long-lived registry gets its
-        own time breakdown, whatever the event log has kept."""
-        self.windows.append(SimpleNamespace(metrics={}, time_by_label=sums))
+    def attributing(self):
+        """A bare attribution window: while open it hears every :meth:`inc`
+        (``window.metrics``) and labelled :meth:`advance`
+        (``window.time_by_label``); on close ``window.seconds`` is the
+        simulated time that passed inside it.  One query's record
+        (``RunInfo``) is one such window, however long the registry has
+        lived."""
+        window = SimpleNamespace(metrics={}, time_by_label={}, seconds=0.0)
+        start = self.sim_time
+        self.windows.append(window)
         try:
-            yield sums
+            yield window
         finally:
             self.windows.pop()
+            window.seconds = self.sim_time - start
 
     def snapshot(self) -> dict[str, float]:
         """A plain-dict copy of all counters plus the simulated clock."""
@@ -179,23 +150,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         self.counters.clear()
         self.sim_time = 0.0
-        self._events.clear()
-        self._events_dropped = 0
-
-    def events(self) -> list[ClockEvent]:
-        """The most recent labelled clock advances (at most
-        :attr:`EVENT_LOG_DEPTH`), for debugging cost attribution."""
-        return list(self._events)
-
-    def event_count(self) -> int:
-        """How many labelled advances were ever recorded (not how many
-        the log still holds); pair with :meth:`events_since`."""
-        return self._events_dropped + len(self._events)
-
-    def events_since(self, start: int) -> list[ClockEvent]:
-        """The advances recorded after the first ``start``, as far back
-        as the log still holds them — copies only that tail."""
-        return self._events[max(0, start - self._events_dropped):]
 
     def scoped(self, scope: str) -> "ScopedCounters":
         """A counter view that namespaces every name under ``<scope>.``.

@@ -123,7 +123,6 @@ class Tracer:
     def __init__(self, metrics, enabled: bool = True):
         self.metrics = metrics
         self.enabled = enabled
-        metrics.tracer = self
         self.roots: list[Span] = []
         self._next_id = 1
 

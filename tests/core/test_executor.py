@@ -112,6 +112,28 @@ class TestAggregates:
                      HAVING count(*) > 1""", edge=EDGE)
         assert out.rows == [(1, 2)]
 
+    @pytest.mark.parametrize("sql, expected", [
+        ("SELECT a, CASE WHEN count(*) > 1 THEN 1 ELSE 0 END AS big "
+         "FROM t GROUP BY a", [(1, 1), (2, 0)]),
+        ("SELECT a, sum(b) AS s FROM t GROUP BY a "
+         "HAVING CASE WHEN max(b) > 4 THEN 1 ELSE 0 END = 1", [(2, 5)]),
+    ])
+    def test_aggregate_inside_case_agrees_with_sqlite(self, sql, expected):
+        from repro import RaSQLContext
+        from repro.compile import diff_query
+
+        ctx = RaSQLContext(num_workers=2)
+        ctx.register_table("t", ["a", "b"], [(1, 2), (1, 3), (2, 5)])
+        assert sorted(ctx.sql(sql).rows) == expected
+        report = diff_query(ctx, sql)
+        assert report.equal, report.summary()
+
+    def test_aggregate_outside_a_grouped_position_is_rejected(self):
+        with pytest.raises(AnalysisError, match="not allowed"):
+            run("SELECT Src FROM edge WHERE count(*) > 1", edge=EDGE)
+        with pytest.raises(AnalysisError, match="not allowed"):
+            run("SELECT sum(count(*)) FROM edge", edge=EDGE)
+
     def test_empty_input_aggregate(self):
         out = run("SELECT count(*) FROM edge",
                   edge=(("Src", "Dst"), []))

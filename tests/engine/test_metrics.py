@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.metrics import ClockEvent, CostModel, MetricsRegistry
+from repro.engine.metrics import CostModel, MetricsRegistry
 from repro.engine.tracing import Tracer
 
 
@@ -16,48 +16,23 @@ class TestRegistry:
 
     def test_clock_advances_with_labels(self):
         metrics = MetricsRegistry()
-        metrics.advance(0.5, label="stage:x")
-        metrics.advance(0.25, label="shuffle")
+        with metrics.attributing() as window:
+            metrics.advance(0.5, label="stage:x")
+            metrics.advance(0.25, label="shuffle")
         assert metrics.sim_time == pytest.approx(0.75)
-        assert [(e.label, e.seconds) for e in metrics.events()] == [
-            ("stage:x", 0.5), ("shuffle", 0.25)]
-
-    def test_events_unpack_as_label_seconds_pairs(self):
-        # ClockEvent stays tuple-compatible with the historical
-        # (label, seconds) shape plus the span_id attribution field.
-        metrics = MetricsRegistry()
-        metrics.advance(0.5, label="load")
-        event = metrics.events()[0]
-        assert isinstance(event, ClockEvent)
-        label, seconds, span_id = event
-        assert (label, seconds, span_id) == ("load", 0.5, None)
+        assert window.time_by_label == {"stage:x": 0.5, "shuffle": 0.25}
+        assert window.seconds == pytest.approx(0.75)
 
     def test_unlabeled_advance_not_recorded_as_event(self):
         metrics = MetricsRegistry()
-        metrics.advance(0.5)
-        assert metrics.events() == []
-        assert metrics.sim_time == 0.5
+        with metrics.attributing() as window:
+            metrics.advance(0.5)
+        assert window.time_by_label == {}
+        assert metrics.sim_time == window.seconds == 0.5
 
 
 class TestEventAttribution:
-    """events() label/span attribution after the tracing refactor."""
-
-    def test_event_carries_innermost_span_id(self):
-        metrics = MetricsRegistry()
-        tracer = Tracer(metrics)
-        with tracer.span("query", "q") as outer:
-            metrics.advance(0.1, label="load")
-            with tracer.span("stage", "s") as inner:
-                metrics.advance(0.2, label="stage:s")
-        events = metrics.events()
-        assert events[0].span_id == outer.span_id
-        assert events[1].span_id == inner.span_id
-
-    def test_event_span_id_none_outside_spans(self):
-        metrics = MetricsRegistry()
-        Tracer(metrics)
-        metrics.advance(0.1, label="load")
-        assert metrics.events()[0].span_id is None
+    """Labelled advances and increments reach every open window."""
 
     def test_labels_attributed_to_open_spans(self):
         metrics = MetricsRegistry()
@@ -72,12 +47,16 @@ class TestEventAttribution:
         assert inner.time_by_label == pytest.approx({"stage:s": 0.2})
 
     def test_disabled_tracer_leaves_events_unattributed(self):
+        # No span hears the advance, but a bare window still does: a
+        # query's record does not depend on tracing.
         metrics = MetricsRegistry()
         tracer = Tracer(metrics, enabled=False)
-        with tracer.span("query", "q"):
+        with metrics.attributing() as window, tracer.span("query", "q"):
             metrics.advance(0.1, label="load")
-        assert metrics.events()[0] == ClockEvent("load", 0.1, None)
-        assert tracer.roots == []
+            metrics.inc("tasks", 2)
+        assert tracer.roots == [] and metrics.windows == []
+        assert window.time_by_label == {"load": 0.1}
+        assert window.metrics == {"tasks": 2}
 
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
@@ -98,16 +77,6 @@ class TestEventAttribution:
         metrics.reset()
         assert metrics.sim_time == 0
         assert metrics.get("x") == 0
-        assert metrics.events() == []
-
-    def test_events_since_returns_only_the_tail(self):
-        metrics = MetricsRegistry()
-        metrics.advance(1, label="old")
-        mark = metrics.event_count()
-        assert mark == 1
-        metrics.advance(2, label="new")
-        assert metrics.events_since(mark) == [ClockEvent("new", 2, None)]
-        assert metrics.events_since(metrics.event_count()) == []
 
 
 class TestScopedCounters:
@@ -134,80 +103,68 @@ class TestScopedCounters:
         assert bob.snapshot() == {}
 
 
-class TestBoundedEventLog:
-    def test_the_log_keeps_the_recent_past_and_counts_everything(self):
+class TestAttributingWindow:
+    def test_a_window_hears_only_while_open(self):
         metrics = MetricsRegistry()
-        depth = metrics.EVENT_LOG_DEPTH
-        for i in range(depth + 10):
-            metrics.advance(1, label=f"e{i}")
-        assert metrics.event_count() == depth + 10
-        events = metrics.events()
-        assert len(events) == depth
-        assert (events[0].label, events[-1].label) \
-            == ("e10", f"e{depth + 9}")
-        # Marks are absolute: a tail reads the same before and after the
-        # front fell off; a mark older than the log reads what is left.
-        assert [e.label for e in metrics.events_since(depth + 8)] \
-            == [f"e{depth + 8}", f"e{depth + 9}"]
-        assert metrics.events_since(3) == events
-        assert metrics.sim_time == depth + 10
-        metrics.reset()
-        assert metrics.event_count() == 0 and metrics.events() == []
-
-    def test_attributing_sums_a_window_whatever_the_log_kept(self):
-        metrics = MetricsRegistry()
+        metrics.inc("tasks", 5)
         metrics.advance(1, label="before")
-        outer, inner = {}, {}
-        with metrics.attributing(outer):
-            for _ in range(metrics.EVENT_LOG_DEPTH):
-                metrics.advance(0.5, label="stage")
-            with metrics.attributing(inner):
+        with metrics.attributing() as outer:
+            metrics.inc("tasks")
+            metrics.advance(0.5, label="stage")
+            with metrics.attributing() as inner:
+                metrics.inc("shuffle_bytes", 64)
                 metrics.advance(2, label="shuffle")
+            metrics.inc("zero", 0)
             metrics.advance(3)  # unlabelled: clock only
             with pytest.raises(ZeroDivisionError):
-                with metrics.attributing({}):
+                with metrics.attributing() as failed:
+                    metrics.advance(0.25, label="stage")
                     1 / 0
             metrics.advance(0.5, label="stage")
+        metrics.inc("tasks")
         metrics.advance(1, label="after")
-        assert inner == {"shuffle": 2}
-        assert outer == {"stage": 0.5 * (metrics.EVENT_LOG_DEPTH + 1),
-                         "shuffle": 2}
+        assert inner.metrics == {"shuffle_bytes": 64}
+        assert inner.time_by_label == {"shuffle": 2} and inner.seconds == 2
+        assert failed.seconds == 0.25
+        assert outer.metrics == {"tasks": 1, "shuffle_bytes": 64}
+        assert outer.time_by_label == {"stage": 1.25, "shuffle": 2}
+        assert outer.seconds == 6.25
         assert metrics.windows == []
 
 
-class _TailOnlyList(list):
-    """An event log that may be appended to, measured and tail-sliced,
-    but never walked from the start — which is what copying it does."""
-
-    def __iter__(self):
-        raise AssertionError("the whole event log was copied")
-
-
-def test_per_query_event_read_ignores_earlier_events():
-    """A query on a long-lived context reads only its own clock events:
-    its cost must not depend on how many came before."""
-    from repro import RaSQLContext
+def test_a_query_record_ignores_earlier_queries(tmp_path):
+    """A query on a long-lived context reports its own counters, clock
+    and time breakdown: a checkpointed run before it leaves no trace."""
+    from repro import ExecutionConfig, RaSQLContext
 
     ctx = RaSQLContext(num_workers=2)
-    ctx.register_table("edge", ["Src", "Dst"], [(0, 1), (1, 2), (2, 3)])
+    ctx.register_table("edge", ["Src", "Dst"],
+                       [(i, i + 1) for i in range(12)])
     query = """
         WITH recursive tc(Src, Dst) AS
           (SELECT Src, Dst FROM edge) UNION
           (SELECT tc.Src, edge.Dst FROM tc, edge WHERE tc.Dst = edge.Src)
         SELECT Src, Dst FROM tc
     """
-    ctx.sql(query)
-    expected = dict(ctx.last_run.time_breakdown)
-    assert expected
+    ctx.sql(query, config=ExecutionConfig(checkpoint_dir=str(tmp_path),
+                                          checkpoint_interval=2))
+    checkpointed = ctx.last_run
+    assert checkpointed.checkpoint_summary()["checkpoint_writes"] > 0
 
-    metrics = ctx.cluster.metrics
-    backlog = _TailOnlyList(metrics._events)
-    backlog.extend(ClockEvent("backlog", 1.0, None) for _ in range(1000))
-    metrics._events = backlog
     ctx.sql(query)
-    breakdown = ctx.last_run.time_breakdown
-    assert "backlog" not in breakdown
-    assert breakdown.keys() == expected.keys()
+    run = ctx.last_run
+    assert set(run.checkpoint_summary().values()) == {0}
+    assert run.sim_time == run.trace["duration"]
+    assert run.metrics == run.trace["metrics"]
+    assert run.time_breakdown == run.trace["time_by_label"]
+    assert 0 < run.sim_time < ctx.metrics.sim_time
+    # The same plain query on a fresh context reads the same record.
+    fresh = RaSQLContext(num_workers=2)
+    fresh.register_table("edge", ["Src", "Dst"],
+                         [(i, i + 1) for i in range(12)])
+    fresh.sql(query)
+    assert fresh.last_run.metrics["tasks"] == run.metrics["tasks"]
+    assert fresh.last_run.iterations == run.iterations
 
 
 class TestCostModel:

@@ -165,27 +165,27 @@ class TestRendering:
 class TestWindows:
     def test_a_zero_increment_adds_no_key(self):
         metrics, tracer = make_tracer()
-        sums = {}
-        with metrics.attributing(sums), tracer.span("stage", "s") as span:
+        with metrics.attributing() as window, \
+                tracer.span("stage", "s") as span:
             metrics.inc("spill_bytes", 0)
             metrics.inc("tasks")
-        assert span.metrics == {"tasks": 1}
-        assert metrics.windows == [] and sums == {}
+        assert span.metrics == window.metrics == {"tasks": 1}
+        assert metrics.windows == [] and window.time_by_label == {}
 
     def test_an_exception_leaves_no_window_open(self):
         metrics, tracer = make_tracer()
         with pytest.raises(ZeroDivisionError):
             with tracer.span("query", "q"):
-                with metrics.attributing({}):
+                with metrics.attributing():
                     with tracer.span("stage", "s"):
-                        with metrics.attributing({}):
+                        with metrics.attributing():
                             1 / 0
         assert metrics.windows == [] and tracer.current is None
 
     def test_spans_nest_through_a_bare_window_and_close_by_identity(self):
         metrics, tracer = make_tracer()
         with tracer.span("query", "q") as query:
-            with metrics.attributing({}):
+            with metrics.attributing():
                 first = tracer.begin("stage", "s")
                 assert tracer.current is first
                 tracer.end(first)
@@ -202,12 +202,12 @@ class TestWindows:
     def test_a_disabled_tracer_opens_no_window_and_attributing_still_sums(self):
         metrics = MetricsRegistry()
         tracer = Tracer(metrics, enabled=False)
-        sums = {}
-        with metrics.attributing(sums), tracer.span("query", "q") as span:
+        with metrics.attributing() as window, \
+                tracer.span("query", "q") as span:
             assert len(metrics.windows) == 1
             metrics.inc("tasks", 2)
             metrics.advance(0.25, label="shuffle")
-        assert sums == {"shuffle": 0.25}
+        assert window.time_by_label == {"shuffle": 0.25}
         assert span.metrics == {} and span.time_by_label == {}
 
     def test_spans_carry_wall_time_and_leaves_none(self):
@@ -303,13 +303,11 @@ def test_every_span_equals_the_snapshot_and_diff_reference(
             make_schedule(29, num_workers=NUM_WORKERS).arm(ctx.cluster)
         ctx.sql(make_query())
         root = ctx.last_run.trace
-        # A fresh registry's root span heard every addition the registry
-        # made since admission, in the same order: bit-equal to the
-        # snapshot.
-        snapshot = {name: value for name, value in ctx.last_run.metrics.items()
-                    if value and name not in ("sim_time", "queries_admitted")}
-        assert root["metrics"] == snapshot
+        # The query's record and its root span heard the same additions
+        # in the same order: bit-equal.
+        assert root["metrics"] == ctx.last_run.metrics
         assert root["time_by_label"] == ctx.last_run.time_breakdown
+        assert root["duration"] == ctx.last_run.sim_time
     assert_spans_match_reference(reference)
     assert len({id(span) for span, _, _ in reference}) == len(reference)
 
@@ -350,8 +348,9 @@ def test_a_query_reads_the_whole_registry_once_however_many_spans():
     spans = sum(1 for kind in ("query", "fixpoint", "iteration", "stage")
                 for _ in _find_dict(ctx.last_run.trace, kind))
     assert spans > 10
-    # ... the ``RunInfo.metrics`` snapshot, and nothing per span.
-    assert counters.whole_reads == 1
-    assert len(ctx.last_run.metrics) > 20_000
+    # Neither the query's record nor any span copies the registry.
+    assert counters.whole_reads == 0
+    assert ctx.last_run.metrics == ctx.last_run.trace["metrics"]
+    assert ctx.last_run.metrics["tasks"] > 0
     assert not any(name.startswith("session.")
-                   for name in ctx.last_run.trace["metrics"])
+                   for name in ctx.last_run.metrics)

@@ -134,21 +134,21 @@ class TestExplainAnalyzeSSSP:
             assert [s["name"] for s in stages] == ["fixpoint-shufflemap"]
             assert len(find(span, "task")) == ctx.cluster.num_partitions
 
-    def test_event_span_ids_resolve_into_trace(self):
+    def test_advances_land_in_the_trace(self):
         ctx = sssp_ctx()
-        events_before = ctx.metrics.event_count()
         ctx.sql(get_query("sssp").formatted(source=1))
-        trace = ctx.last_run.trace
-
-        def span_ids(span):
-            yield span["span_id"]
+        run = ctx.last_run
+        trace = run.trace
+        assert run.time_breakdown
+        assert trace["time_by_label"] == run.time_breakdown
+        # Each child's labelled seconds are part of its parent's.
+        pending = [trace]
+        while pending:
+            span = pending.pop()
             for child in span["children"]:
-                yield from span_ids(child)
-
-        known = set(span_ids(trace))
-        events = ctx.metrics.events_since(events_before)
-        assert events
-        assert all(e.span_id in known for e in events)
+                for label, seconds in child["time_by_label"].items():
+                    assert seconds <= span["time_by_label"][label] + 1e-12
+                pending.append(child)
 
     def test_trace_is_json_serializable(self):
         ctx = sssp_ctx()

@@ -373,10 +373,6 @@ def install_spies(monkeypatch):
     return pickles, shipped
 
 
-def _delta(run, before, name):
-    return run.metrics.get(name, 0) - before.get(name, 0)
-
-
 @pytest.mark.timeout(180)
 def test_repeated_query_ships_no_heavy_half_and_pickles_nothing(
         install_spies):
@@ -392,15 +388,14 @@ def test_repeated_query_ships_no_heavy_half_and_pickles_nothing(
         assert ("install heavy half: pickled and hashed by this query"
                 in ctx.last_run.explain_analyze())
 
-        before = dict(ctx.last_run.metrics)
         del pickles[:], shipped[:]
         second = ctx.sql(SSSP)
         run = ctx.last_run
         assert pickles == [] and shipped == [None] * NUM_WORKERS
-        assert _delta(run, before, "process_install_blob_reused") == 1
-        assert _delta(run, before, "process_install_bytes") == 0
-        assert _delta(run, before, "base_side_cache_hits") == 1
-        assert _delta(run, before, "process_tasks_shipped") > 0
+        assert run.metrics["process_install_blob_reused"] == 1
+        assert "process_install_bytes" not in run.metrics
+        assert run.metrics["base_side_cache_hits"] == 1
+        assert run.metrics["process_tasks_shipped"] > 0
         assert ("install heavy half: reused pickled from the base-side cache"
                 in run.explain_analyze())
         assert (sorted_rows(second) == sorted_rows(first)
@@ -411,12 +406,11 @@ def test_repeated_query_ships_no_heavy_half_and_pickles_nothing(
         # still bit-exact with the simulated twin.
         for context in (ctx, sim_ctx):
             context.catalog.append_rows("edge", [(0, 23, 0.5), (23, 7, 0.25)])
-        before = dict(run.metrics)
         third = ctx.sql(SSSP)
         assert pickles == ["dump_payload", "sha256"]
         assert len(shipped) == 2 * NUM_WORKERS and None not in shipped[-NUM_WORKERS:]
-        assert _delta(ctx.last_run, before, "base_side_cache_misses") == 0
-        assert _delta(ctx.last_run, before, "base_side_cache_appended") == 1
+        assert "base_side_cache_misses" not in ctx.last_run.metrics
+        assert ctx.last_run.metrics["base_side_cache_appended"] == 1
         expected = sim_ctx.sql(SSSP)
         assert sorted_rows(third) == sorted_rows(expected) != sorted_rows(first)
         assert ctx.last_run.iterations == sim_ctx.last_run.iterations
@@ -447,8 +441,9 @@ def test_killed_workers_replacement_is_installed_from_the_memoised_half(
                               shipped[NUM_WORKERS:2 * NUM_WORKERS],
                               shipped[2 * NUM_WORKERS:])
     assert again == [None] * NUM_WORKERS and resent == warm[0]
-    assert (report.counters["process_install_bytes"]
-            == (NUM_WORKERS + 1) * len(resent))
+    # The counters are the killed run's own: the warm-up's installs are
+    # not in them.
+    assert report.counters["process_install_bytes"] == len(resent)
     # ... and they are the pruned sides: (Dst, Cost), not edge rows.
     assert _stored_widths(resent) == {2}
 

@@ -283,16 +283,14 @@ class TestRetries:
 
     def test_transient_exhaustion_is_retried_then_surfaced(self):
         ctx, service = self._service_with_persistent_failure()
-        events_before = ctx.metrics.event_count()
-        future = service.submit(service.session("a"), TC)
-        service.drain()
+        with ctx.metrics.attributing() as window:
+            future = service.submit(service.session("a"), TC)
+            service.drain()
         # Every service-level retry consumed, original error surfaced.
         assert ctx.metrics.snapshot()["serving_retries"] == RETRY_MAX
         with pytest.raises(TaskRetryExhaustedError):
             future.result()
-        breakdown = [e.label
-                     for e in ctx.metrics.events_since(events_before)]
-        assert "retry-backoff" in breakdown
+        assert "retry-backoff" in window.time_by_label
 
     def test_retry_backoff_draws_are_seeded_and_replayable(self):
         def draws(seed):

@@ -98,6 +98,23 @@ class TestChaos:
             assert kind in out
 
 
+class TestMemoryBudget:
+    def test_a_tight_budget_spills_and_the_report_line_says_so(
+            self, tmp_path, capsys):
+        # A 30-edge chain: the closure's state partition and the broadcast
+        # edge table do not both fit in 3,500 bytes, but each fits alone.
+        chain = tmp_path / "chain.tsv"
+        chain.write_text("".join(f"{i} {i + 1}\n" for i in range(30)))
+        assert main(["--table", f"edge={chain}", "-q", TC,
+                     "--memory-budget", "3500", "--limit", "1"]) == 0
+        err = capsys.readouterr().err
+        assert "-- 465 rows;" in err
+        (line,) = [line for line in err.splitlines()
+                   if line.startswith("-- memory: ")]
+        spills = int(line.split("spills=")[1].split()[0])
+        assert spills > 0, line
+
+
 class TestErrors:
     @pytest.mark.parametrize("flag, value, field", [
         ("--liveness-timeout", "-1", "liveness_timeout"),
