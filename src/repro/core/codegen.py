@@ -342,13 +342,15 @@ def grouped_dedup_spec(
 ) -> GroupedDedupSpec | None:
     """Recognize the column-decomposed fixpoint shape, if *term* has it.
 
-    The shape is a single broadcast hash join probed by delta columns,
-    projecting delta-only parts followed by exactly one build column
-    (transitive closure's ``tc(x, z), edge(z, y) -> (x, y)`` is the
-    canonical instance).  The decomposed driver exploits it by keeping
-    the member set as ``prefix -> {last column}`` and deduplicating
-    whole adjacency sets at C speed; duplicate-heavy fixpoints never
-    build (or hash) the duplicate row tuples at all.
+    The shape is a single broadcast hash join probed by the delta row's
+    last column, projecting the delta's other columns in order followed
+    by exactly one build column (transitive closure's ``tc(x, z),
+    edge(z, y) -> (x, y)`` is the canonical instance).  The decomposed
+    driver exploits it by keeping both the members and the delta as
+    ``prefix -> {last column}`` and deduplicating whole adjacency sets
+    at C speed; duplicate-heavy fixpoints never build (or hash) the
+    duplicate row tuples at all.  Any other shape runs on the clique's
+    own step (``decomposed.run_local_fixpoint``).
     """
     rule = term.rule
     if rule is None or rule.layout is None:
@@ -364,23 +366,16 @@ def grouped_dedup_spec(
         return None
     layout = rule.layout
     lo = term.delta_offset
-    hi = lo + term.delta_arity
-    probe = []
-    for slot in step.probe_slots:
-        if not lo <= slot < hi:
-            return None
-        probe.append(slot - lo)
-    projections = rule.projections
-    if not projections:
+    arity = term.delta_arity
+    if tuple(step.probe_slots) != (lo + arity - 1,):
         return None
-    prefix = []
-    for expr in projections[:-1]:
-        if not isinstance(expr, ast.ColumnRef):
+    projections = rule.projections
+    if len(projections) != arity:
+        return None
+    for position, expr in enumerate(projections[:-1]):
+        if not (isinstance(expr, ast.ColumnRef)
+                and layout.slot_of(expr) == lo + position):
             return None
-        slot = layout.slot_of(expr)
-        if not lo <= slot < hi:
-            return None
-        prefix.append(slot - lo)
     last = projections[-1]
     if not isinstance(last, ast.ColumnRef):
         return None
@@ -392,8 +387,8 @@ def grouped_dedup_spec(
     # stores it bare.
     pruned = step.read_positions is not None
     return GroupedDedupSpec(step_id=step.step_id,
-                            probe=tuple(probe),
-                            prefix=tuple(prefix),
+                            probe=(arity - 1,),
+                            prefix=tuple(range(arity - 1)),
                             build_index=(None if pruned
                                          else last_slot - build_offset))
 

@@ -10,98 +10,68 @@ clique's own iteration step over one partition for every other shape.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 from repro.core.iteration import CliqueStep
 from repro.engine.backend.payloads import remote_task_stub
 from repro.engine.cluster import StageTask
 from repro.engine.dataset import Dataset
-from repro.engine.kernels import make_extractor
 from repro.errors import FixpointNotReachedError
 
 
 def run_grouped_fixpoint(grouped_specs, broadcast_tables, delta_rows,
-                         max_iters: int) -> tuple[set, int]:
+                         max_iters: int) -> tuple[dict[tuple, None], int]:
     """Column-decomposed set fixpoint (see ``GroupedDedupSpec``).
 
-    Members live as ``prefix -> {last column}``; each round collects the
-    adjacency sets hit by the delta, unions them per prefix and subtracts
-    the already-known values — all C-level set algebra over bare column
-    values.  Duplicate derivations (the bulk of a transitive closure's
-    work) are collapsed before any row tuple is built or hashed.
-    ``derived_any`` mirrors the local loop's accounting: a final round
-    that derives only duplicates still counts.  Shared verbatim by
-    the driver's decomposed path and the process-backend worker.
+    Members live as ``prefix -> {last column}``, and so does each round's
+    work: what a key derived, less what it already holds, is its fresh
+    set — added to its members and, through the adjacency sets of its
+    values, the key's next derivations.  All of it is C-level set algebra
+    over bare column values; no row tuple is built or probed inside the
+    loop.  A round counts whenever it has derivations to merge, so a last
+    round that derives only duplicates counts, as in the local loop.  The
+    rows are built once at the end, key by key, into an insertion-ordered
+    ``SetRDD`` partition.  Shared verbatim by the driver's decomposed path
+    and the process-backend worker.
     """
-    pair = all(len(spec.prefix) == 1 for spec in grouped_specs)
-    probes = []
+    # Every spec probes the last column and keys on the others, so the
+    # terms' adjacencies union into one.
+    adj: dict = {}
     for spec in grouped_specs:
         col = spec.build_index  # None: the side stores the bare column
-        adj = {k: set(rows) if col is None else {r[col] for r in rows}
-               for k, rows in broadcast_tables[spec.step_id].items()}
-        probes.append((make_extractor(spec.probe),
-                       make_extractor(spec.prefix), adj.get))
-    seed = set(delta_rows)
-    members: dict = {}
-    for row in seed:
-        key = row[0] if pair else row[:-1]
-        known = members.get(key)
-        if known is None:
-            members[key] = {row[-1]}
-        else:
-            known.add(row[-1])
-    delta = list(seed)
+        for k, rows in broadcast_tables[spec.step_id].items():
+            adj.setdefault(k, set()).update(
+                rows if col is None else [r[col] for r in rows])
+    aget = adj.get
+    pair = len(grouped_specs[0].prefix) == 1
+    derived: dict = {}
+    for row in delta_rows:
+        derived.setdefault(row[0] if pair else row[:-1], set()).add(row[-1])
+    members = {key: set() for key in derived}
     iterations = 0
-    derived_any = False
-    while delta:
+    while derived:
         iterations += 1
         if iterations > max_iters:
             raise FixpointNotReachedError(
                 "decomposed local fixpoint exceeded budget",
                 iterations - 1)
-        groups: dict = {}
-        gget = groups.get
-        for probe, prefix, aget in probes:
-            for d in delta:
-                adj_set = aget(probe(d))
-                if adj_set is not None:
-                    key = prefix(d)
-                    group = gget(key)
-                    if group is None:
-                        groups[key] = [adj_set]
-                    else:
-                        group.append(adj_set)
-        derived_any = bool(groups)
-        delta = []
-        extend = delta.extend
-        mget = members.get
-        for key, sets in groups.items():
-            candidates = (sets[0] if len(sets) == 1
-                          else sets[0].union(*sets[1:]))
-            known = mget(key)
-            if known is None:
-                fresh = set(candidates)  # adj sets stay pristine
-                members[key] = fresh
-            else:
-                fresh = candidates - known
-                if not fresh:
-                    continue
-                known.update(fresh)
-            if pair:
-                extend((key, y) for y in fresh)
-            else:
-                extend(key + (y,) for y in fresh)
-    if derived_any:
-        # The local loop runs one more (all-duplicate) round before its
-        # merge comes back empty.
-        iterations += 1
-        if iterations > max_iters:
-            raise FixpointNotReachedError(
-                "decomposed local fixpoint exceeded budget",
-                iterations - 1)
+        following: dict = {}
+        for key, candidates in derived.items():
+            known = members[key]
+            fresh = candidates - known
+            if fresh:
+                known |= fresh
+                more = set().union(*filter(None, map(aget, fresh)))
+                if more:
+                    following[key] = more
+        derived = following
     if pair:
-        rows = {(key, y) for key, ys in members.items() for y in ys}
+        rows = chain.from_iterable(
+            zip(repeat(key), ys) for key, ys in members.items())
     else:
-        rows = {key + (y,) for key, ys in members.items() for y in ys}
-    return rows, iterations
+        rows = chain.from_iterable(
+            map(key.__add__, zip(ys)) for key, ys in members.items())
+    return dict.fromkeys(rows), iterations
 
 
 def run_local_fixpoint(terms, view_name: str, view,

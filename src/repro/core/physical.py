@@ -289,14 +289,16 @@ class FilterStep(Step):
 class GroupedDedupSpec:
     """Shape descriptor for the column-decomposed set fixpoint.
 
-    Applies to terms of the form ``view(p..., y) <- delta(..), rel(..)``
-    where ``rel`` is a single broadcast hash join, every projection part
-    but the last reads only the delta row, and the last reads one build
-    column.  The decomposed driver then keeps the member set as
+    Applies to terms of the form ``view(p..., y) <- delta(p..., z),
+    rel(z, .., y, ..)`` where ``rel`` is a single broadcast hash join
+    probed by the delta row's last column, and the projection is the
+    delta's other columns in order followed by one build column.  The
+    decomposed driver then keeps the members and the delta as
     ``prefix -> {last column}`` and dedups whole adjacency sets with
     C-level set algebra instead of hashing every derived row tuple.
 
-    ``probe`` and ``prefix`` are positions into delta (= view) rows;
+    ``probe`` is always ``(arity - 1,)`` and ``prefix`` always
+    ``(0, .., arity - 2)``, positions into delta (= view) rows;
     ``build_index`` is the column within the broadcast side's stored
     values, ``None`` when they are that one column's bare values.
     """
@@ -338,10 +340,11 @@ class CompiledTerm:
     #: returns the derived head rows as a list.
     folds: bool = False
     #: Column-decomposed fixpoint shape; set when the term is a single
-    #: broadcast join whose projection is delta-only parts followed by one
-    #: build column — see ``codegen.grouped_dedup_spec``.  Recognized only
-    #: for the recursive terms of an aggregate-free clique that will run
-    #: decomposed — nothing else reads it.
+    #: broadcast join probed by the delta's last column whose projection
+    #: is the delta's other columns followed by one build column — see
+    #: ``codegen.grouped_dedup_spec``.  Recognized only for the recursive
+    #: terms of an aggregate-free clique that will run decomposed —
+    #: nothing else reads it.
     grouped_spec: "GroupedDedupSpec | None" = field(default=None, repr=False)
     #: The scan filter ``delta_prefilter`` was compiled from.
     prefilter_expr: ast.Expr | None = field(default=None, repr=False)

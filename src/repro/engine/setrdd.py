@@ -5,9 +5,10 @@ relation; the paper replaces the all-RDD with an append-only per-partition
 hash set that supports in-place union.  We reproduce both flavours:
 
 - :class:`SetRDD` for recursion without aggregates (REACH, TC, SG): each
-  partition is a Python ``set`` of rows; ``union_in_place`` inserts the delta
-  and returns only the genuinely new rows (set difference fused with union,
-  as in the Reduce stage of Algorithm 4).
+  partition is an insertion-ordered set of rows (a ``dict`` whose keys are
+  the rows); ``union_in_place`` inserts the delta and returns only the
+  genuinely new rows (set difference fused with union, as in the Reduce
+  stage of Algorithm 4).
 - :class:`KeyedStateRDD` for aggregates-in-recursion (CC, SSSP, BOM, ...):
   each partition is a dict from group key to *the view's own head row
   carrying the group's current totals*; merging applies the monotonic
@@ -48,7 +49,14 @@ from repro.errors import CheckpointError
 
 
 class SetRDD:
-    """Per-partition hash sets with fused union+difference."""
+    """Per-partition insertion-ordered hash sets with fused
+    union+difference.
+
+    A partition is a ``dict[tuple, None]``: a set whose iteration order
+    is the order its rows were added, so every reader — the fixpoint's
+    state tables, ``collect`` and the final select — walks the rows in
+    the order they were built (in memory, too), not in hash order.
+    """
 
     #: Between version bumps a partition only ever grows, by exactly the
     #: fresh rows its merges return (what lets a cached state table be
@@ -56,7 +64,8 @@ class SetRDD:
     append_only = True
 
     def __init__(self, num_partitions: int, partitioner: HashPartitioner | None = None):
-        self.partitions: list[set[tuple]] = [set() for _ in range(num_partitions)]
+        self.partitions: list[dict[tuple, None]] = \
+            [{} for _ in range(num_partitions)]
         self.partitioner = partitioner or HashPartitioner(num_partitions)
         self.versions: list[int] = [0] * num_partitions
         self._size_cache: list[tuple[tuple[int, int], int] | None] = \
@@ -78,7 +87,7 @@ class SetRDD:
         fresh: list[tuple] = []
         for row in rows:
             if row not in target:
-                target.add(row)
+                target[row] = None
                 fresh.append(row)
         return fresh
 
@@ -87,31 +96,32 @@ class SetRDD:
     def contains(self, partition_index: int, row: tuple) -> bool:
         return row in self.partitions[partition_index]
 
-    def snapshot_partition(self, partition_index: int) -> set[tuple]:
+    def snapshot_partition(self, partition_index: int) -> dict[tuple, None]:
         """Copy one partition's state for fault recovery.
 
         Taken by the cluster before a stage that mutates this partition;
         the pre-iteration copy plays the role of the cached all-relation
         "checkpoint" of Section 6.1.
         """
-        return set(self.partitions[partition_index])
+        return dict(self.partitions[partition_index])
 
     def restore_partition(self, partition_index: int,
-                          saved: set[tuple]) -> None:
+                          saved: dict[tuple, None]) -> None:
         """Reset one partition to a previously-snapshotted state."""
-        self.partitions[partition_index] = set(saved)
+        self.partitions[partition_index] = dict(saved)
         self.versions[partition_index] += 1
         self._size_cache[partition_index] = None
 
     def replace_partition(self, partition_index: int,
-                          rows: set[tuple]) -> None:
-        """Install a whole new partition (immutability ablation, gather)."""
+                          rows: dict[tuple, None]) -> None:
+        """Install a whole new partition (immutability ablation, decomposed
+        write-back, collect from the pool)."""
         self.partitions[partition_index] = rows
         self.versions[partition_index] += 1
         self._size_cache[partition_index] = None
 
     def clear_partition(self, partition_index: int) -> None:
-        self.replace_partition(partition_index, set())
+        self.replace_partition(partition_index, {})
 
     def dump_state(self) -> dict:
         """Whole-state dump for durable checkpoints (pickle-friendly)."""
@@ -121,15 +131,16 @@ class SetRDD:
     def load_state(self, dumped: dict) -> None:
         """Restore a :meth:`dump_state` payload into this RDD.
 
-        Goes through :meth:`restore_partition`, so versions bump and the
+        Goes through :meth:`replace_partition`, so versions bump and the
         kernel layer's cached derivatives invalidate — a resumed fixpoint
-        rebuilds its build tables instead of trusting cold caches.
+        rebuilds its build tables instead of trusting cold caches.  Rows
+        come back in their dumped order.
         """
         if dumped.get("kind") != "set" or \
                 len(dumped["partitions"]) != self.num_partitions:
             raise ValueError("checkpoint state does not match this SetRDD")
         for index, rows in enumerate(dumped["partitions"]):
-            self.restore_partition(index, set(rows))
+            self.replace_partition(index, dict.fromkeys(rows))
 
     def num_rows(self) -> int:
         return sum(len(p) for p in self.partitions)

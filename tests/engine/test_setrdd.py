@@ -51,6 +51,62 @@ class TestSetRDD:
         assert set(s.collect()) == set(a) | set(b)
 
 
+class TestSetRDDOrder:
+    """A partition is an insertion-ordered set: every reader walks the
+    rows in the order they were added."""
+
+    ROWS = [(5, 1), (0, 9), (3, 3), (1, 2)]
+
+    def test_rows_come_back_in_insertion_order(self):
+        s = SetRDD(2)
+        s.union_in_place(0, self.ROWS[:2])
+        s.union_in_place(1, [(7, 7)])
+        s.union_in_place(0, self.ROWS[1:])  # (0, 9) again: kept in place
+        assert s.partition_rows(0) == self.ROWS
+        assert s.collect() == self.ROWS + [(7, 7)]
+
+    def test_snapshot_restore_and_dump_load_keep_rows_and_order(self):
+        s = SetRDD(2)
+        s.union_in_place(0, self.ROWS)
+        s.union_in_place(1, [(7, 7), (6, 6)])
+        saved = s.snapshot_partition(0)
+        s.union_in_place(0, [(8, 8)])
+        s.restore_partition(0, saved)
+        assert s.partition_rows(0) == self.ROWS
+        s.union_in_place(0, [(8, 8)])  # the snapshot is a copy
+        assert list(saved) == self.ROWS
+
+        dumped = s.dump_state()
+        assert dumped == {"kind": "set", "partitions": [
+            self.ROWS + [(8, 8)], [(7, 7), (6, 6)]]}
+        restored = SetRDD(2)
+        restored.load_state(dumped)
+        assert [restored.partition_rows(i) for i in range(2)] == \
+            [s.partition_rows(i) for i in range(2)]
+        assert restored.versions == [1, 1]  # kernel caches invalidate
+
+    def test_replace_partition_bumps_the_version(self):
+        s = SetRDD(1)
+        s.union_in_place(0, [(1,)])
+        version = s.versions[0]
+        s.union_in_place(0, [(2,)])
+        assert s.versions[0] == version  # an append is not a version
+        s.replace_partition(0, dict.fromkeys([(3,), (1,)]))
+        assert s.versions[0] == version + 1
+        assert s.partition_rows(0) == [(3,), (1,)]
+        assert s.union_in_place(0, [(1,), (4,)]) == [(4,)]
+
+    @given(st.lists(st.tuples(st.integers(0, 20)), max_size=100),
+           st.lists(st.tuples(st.integers(0, 20)), max_size=100))
+    def test_a_duplicate_is_never_fresh(self, a, b):
+        s = SetRDD(1)
+        first = s.union_in_place(0, a)
+        second = s.union_in_place(0, b)
+        assert first == list(dict.fromkeys(a))
+        assert second == [row for row in dict.fromkeys(b) if row not in set(a)]
+        assert s.partition_rows(0) == first + second
+
+
 class TestKeyedStateRDD:
     """Rows in, rows out: a partition is ``{group key: head row}``."""
 

@@ -143,6 +143,26 @@ class TestModeEquivalence:
 
     @SETTINGS
     @given(weighted_graphs())
+    def test_grouped_runner_counts_rounds_like_the_local_runner(self, edges):
+        """On cyclic graphs too, where the last round derives only
+        duplicates: same rows, same per-partition iteration counts."""
+        edges = sorted({(a, b) for a, b, _ in edges})
+
+        def run(config):
+            ctx = RaSQLContext(config=config)
+            ctx.register_table("edge", ["Src", "Dst"], edges)
+            rows = sorted(ctx.sql(get_query("tc").sql).rows)
+            (fixpoint,) = [span for span in ctx.last_run.trace["children"]
+                           if span["kind"] == "fixpoint"]
+            return (rows, fixpoint["attrs"]["runner"],
+                    fixpoint["attrs"]["local_iterations"])
+
+        rows, runner, local = run(ExecutionConfig())
+        assert runner == "grouped"
+        assert run(ExecutionConfig(codegen=False)) == (rows, "local", local)
+
+    @SETTINGS
+    @given(weighted_graphs())
     def test_sort_merge_equals_shuffle_hash(self, edges):
         hash_join = run_sssp(edges, ExecutionConfig(join_strategy="shuffle_hash"))
         merge_join = run_sssp(edges, ExecutionConfig(join_strategy="sort_merge",

@@ -21,7 +21,12 @@ import pytest
 from repro import ExecutionConfig, RaSQLContext
 from repro.chaos import make_schedule, run_differential, squeezed
 from repro.compile import diff_query
+from repro.core.analyzer import analyze
+from repro.core.catalog import Catalog
 from repro.core.context import RunInfo
+from repro.core.optimizer import optimize
+from repro.core.parser import parse
+from repro.core.planner import plan_clique
 from repro.core.streaming import IncrementalView
 from repro.engine.tracing import format_explain_analyze
 
@@ -240,3 +245,88 @@ def test_kernels_bit_exact_under_spill(query_name):
     report = differential(query_name, subject=squeezed)
     assert report.exact, report.summary()
     assert report.counters["spill_events"] >= 1
+
+
+# ----------------------------------------------------------------------
+# 6. the grouped set runner's shape: probe the delta's last column, key
+#    on the others in order — and nothing else
+# ----------------------------------------------------------------------
+
+def closure(head, base, recursive, join):
+    """A one-view closure over ``edge`` with the given column lists."""
+    return (f"WITH recursive p({head}) AS\n"
+            f"  (SELECT {base} FROM edge) UNION\n"
+            f"  (SELECT {recursive}, edge.Dst FROM p, edge"
+            f" WHERE {join} = edge.Src)\n"
+            f"SELECT {head} FROM p")
+
+
+#: Three columns: the grouped runner keys on ``(A, B)`` and builds its
+#: rows as ``key + (y,)`` — the branch no library query reaches.
+WIDE_CLOSURE = closure("A, B, C", "Src, Src, Dst", "p.A, p.B", "p.C")
+
+#: Decomposable shapes the grouped runner does not take, each on the
+#: clique's own step instead.
+OFF_GATE = {
+    "repeated_prefix": closure("A, B, C", "Src, Src, Dst", "p.A, p.A",
+                               "p.C"),
+    "probe_on_prefix": closure("A, B", "Src, Dst", "p.A", "p.A"),
+    "probe_on_prefix_wide": closure("A, B, C", "Src, Dst, Dst", "p.A, p.B",
+                                    "p.B"),
+}
+
+
+def recursive_terms(sql):
+    """The recursive terms of *sql*'s one clique, planned by default."""
+    catalog = Catalog()
+    catalog.register("edge", ["Src", "Dst"])
+    (clique,) = optimize(analyze(parse(sql), catalog)).cliques()
+    return plan_clique(clique, ExecutionConfig()).terms
+
+
+def closure_run(sql, config, seed):
+    """``(rows, iterations, local iterations, runner, grouped stages)``
+    of one run, after checking the sqlite lowering agrees with it."""
+    ctx = RaSQLContext(num_workers=NUM_WORKERS, config=config)
+    ctx.register_table("edge", ["Src", "Dst"], random_graph(24, 60, seed=seed))
+    rows = sorted(ctx.sql(sql).rows)
+    run = ctx.last_run
+    (fixpoint,) = [span for span in run.trace["children"]
+                   if span["kind"] == "fixpoint"]
+    attrs = fixpoint["attrs"]
+    report = diff_query(ctx, sql)
+    assert report.equal, report.summary()
+    return (rows, run.iterations, attrs.get("local_iterations"),
+            attrs.get("runner"),
+            run.kernels_summary()["kernel_grouped_fixpoint_stages"])
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grouped_runner_builds_wide_rows_bit_exact(seed):
+    (spec,) = [term.grouped_spec for term in recursive_terms(WIDE_CLOSURE)]
+    assert (spec.probe, spec.prefix) == ((2,), (0, 1))
+    rows, iterations, local, runner, stages = closure_run(
+        WIDE_CLOSURE, ExecutionConfig(), seed)
+    assert runner == "grouped" and stages == 1
+    assert rows and all(len(row) == 3 and row[0] == row[1] for row in rows)
+    # The clique's own step over the same partitions ...
+    assert closure_run(WIDE_CLOSURE, REFERENCE, seed) == (
+        rows, iterations, local, "local", 0)
+    # ... and the global plan.
+    assert closure_run(WIDE_CLOSURE, ExecutionConfig(decomposed_plans=False),
+                       seed)[:2] == (rows, iterations)
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("shape", sorted(OFF_GATE))
+def test_shapes_off_the_grouped_gate_run_local_bit_exact(shape):
+    sql = OFF_GATE[shape]
+    assert [term.grouped_spec for term in recursive_terms(sql)] == [None]
+    rows, iterations, local, runner, stages = closure_run(
+        sql, ExecutionConfig(), SEEDS[0])
+    assert (runner, stages) == ("local", 0)
+    assert closure_run(sql, REFERENCE, SEEDS[0]) == (
+        rows, iterations, local, "local", 0)
+    assert closure_run(sql, ExecutionConfig(decomposed_plans=False),
+                       SEEDS[0])[:2] == (rows, iterations)
