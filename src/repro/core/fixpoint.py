@@ -75,14 +75,13 @@ def _distinct(relation: Relation, own: bool = False) -> Relation:
     return Relation.from_tuples(relation.name, relation.columns, distinct)
 
 
-def _extend_distinct(value: tuple[Relation, set], rows: list[tuple]
-                     ) -> tuple[Relation, set]:
+def _extend_distinct(value: tuple[Relation, set, dict], rows: list[tuple]
+                     ) -> tuple[Relation, set, dict]:
     """:func:`_distinct`'s append form over ``(an owned distinct relation,
-    its membership set)``: the relation gains the ``rows`` it does not
-    hold, each once.  The set costs what the table costs again, so it is
-    filled at the first append and kept — a re-inserted row must never
-    enter twice."""
-    distinct, seen = value
+    its membership set, its canonical-value map)``: the relation gains
+    the ``rows`` it does not hold, each once.  The set costs what the
+    table costs again, so it is filled at the first append and kept."""
+    distinct, seen, _ = value
     if not seen:
         seen.update(distinct.rows)
     add = seen.add
@@ -132,8 +131,8 @@ class FixpointOperator:
         self._resolve_raw = resolve
         #: name -> (set-semantics relation, the generation of the
         #: registered relation it was derived from when the cache covers
-        #: it).
-        self._resolved: dict[str, tuple[Relation, int | None]] = {}
+        #: it, the canonical-value map every side over it interns into).
+        self._resolved: dict[str, tuple[Relation, int | None, dict]] = {}
         self.n = cluster.num_partitions
         #: Resident state + the per-partition step; pool workers build the
         #: same class from the wire spec (``engine/backend/worker.py``).
@@ -172,24 +171,26 @@ class FixpointOperator:
         """
         return self._resolve_registered(name)[0]
 
-    def _resolve_registered(self, name: str) -> tuple[Relation, int | None]:
+    def _resolve_registered(self, name: str
+                            ) -> tuple[Relation, int | None, dict]:
         """:meth:`resolve` plus the generation of the catalog's own
         relation behind it, or ``None`` for one the cross-query cache
-        must not see."""
+        must not see, and the canonical-value map its sides intern into
+        (one per table generation, else this query's own)."""
         found = self._resolved.get(name)
         if found is None:
             raw = self._resolve_raw(name)
             cache = self.base_sides
             if cache is not None and cache.covers(raw):
                 epoch = cache.catalog.epoch(raw.name)
-                (distinct, _), _ = cache.get(
+                (distinct, _, canon), _ = cache.get(
                     (raw.name.lower(), "distinct"), epoch,
-                    lambda: (_distinct(raw, own=True), set()),
+                    lambda: (_distinct(raw, own=True), set(), {}),
                     lambda value, held: _extend_distinct(value,
                                                          raw.rows[held:]))
-                found = distinct, epoch[0]
+                found = distinct, epoch[0], canon
             else:
-                found = _distinct(raw), None
+                found = _distinct(raw), None, {}
             self._resolved[name] = found
         return found
 
@@ -214,9 +215,7 @@ class FixpointOperator:
         build_cpu = 0.0
 
         for plan in self.planned.base_plans:
-            relation, generation = self._resolve_registered(plan.relation)
-            buckets, sides, seconds = self._base_side(
-                plan, relation.rows, generation)
+            buckets, sides, seconds = self._base_side(plan)
             build_cpu += seconds
             self._bind_base_side(plan, buckets, sides)
 
@@ -225,7 +224,7 @@ class FixpointOperator:
                 if charge_key not in broadcast_charged:
                     broadcast_charged.add(charge_key)
                     broadcast = cluster.broadcast(
-                        relation.rows,
+                        self.resolve(plan.relation).rows,
                         compress=config.broadcast_compression,
                         ship_hash_table=not config.broadcast_compression)
                     if broadcast.memory_group:
@@ -261,13 +260,15 @@ class FixpointOperator:
             Partition(i, bucket, self.cluster.worker_for_partition(i))
             for i, bucket in enumerate(buckets)]
 
-    def _base_side(self, plan: BaseRelationPlan, rows: list[tuple],
-                   generation: int | None) -> tuple[list, list, float]:
-        """``(buckets, sides, build seconds)`` of one base input over the
-        distinct ``rows``: through the cross-query cache when they are
-        those of the catalog's own relation, at ``generation`` (a side
-        built under it absorbs the rows it does not hold yet), built for
-        this query alone (``None``) otherwise."""
+    def _base_side(self, plan: BaseRelationPlan
+                   ) -> tuple[list, list, float]:
+        """``(buckets, sides, build seconds)`` of one base input over its
+        relation's distinct rows and canonical map: through the cross-query
+        cache when they are the catalog's own relation's, at its generation
+        (a side built under it absorbs the rows it does not hold yet),
+        built for this query alone otherwise."""
+        relation, generation, canon = self._resolve_registered(plan.relation)
+        rows = relation.rows
         copartition = plan.mode == "copartition"
         sort_merge = (copartition
                       and self.config.join_strategy == "sort_merge")
@@ -278,14 +279,14 @@ class FixpointOperator:
         def build():
             t0 = time.perf_counter()
             buckets, sides = build_base_side(plan, rows, router(),
-                                             sort_merge=sort_merge)
+                                             sort_merge, canon)
             return buckets, sides, time.perf_counter() - t0
 
         def absorb(built, held):
             buckets, sides, seconds = built
             t0 = time.perf_counter()
             for bucket, new in zip(buckets, append_base_side(
-                    plan, rows[held:], sides, router())):
+                    plan, rows[held:], sides, router(), canon)):
                 # An unfiltered broadcast bucket *is* the distinct list,
                 # which has the new rows already.
                 if bucket is not rows:
@@ -313,7 +314,8 @@ class FixpointOperator:
         """Which path this fixpoint's Map side and build sides take, for
         its trace span and the kernel counters: how many recursive terms
         and scan-driven base rules fold and route inside their probe loop,
-        and what each base side stores."""
+        and what each base side stores (with its table's distinct values
+        and rows)."""
         planned = self.planned
         fused = sum(term.folds for term in planned.terms)
         scans = [rule.term for rule in planned.base_rules if rule.term]
@@ -323,11 +325,15 @@ class FixpointOperator:
         self.cluster.metrics.inc("kernel_fused_fold_terms", fused)
         self.cluster.metrics.inc("kernel_fused_fold_base_rules", fused_base)
         self.cluster.metrics.inc("kernel_pruned_sides", pruned)
+        stored = []
+        for plan in planned.base_plans:
+            relation, _, canon = self._resolve_registered(plan.relation)
+            stored.append(f"{plan.describe_side(relation.columns)} "
+                          f"({len(canon):,} values / "
+                          f"{len(relation.rows):,} rows)")
         return {"fused_terms": [fused, len(planned.terms)],
                 "fused_base_rules": [fused_base, len(scans)],
-                "stored_sides": [
-                    plan.describe_side(self.resolve(plan.relation).columns)
-                    for plan in planned.base_plans]}
+                "stored_sides": stored}
 
     def catch_up(self, table: str, held: int) -> list[tuple]:
         """The facts of base ``table`` past its first ``held`` — what was
@@ -343,9 +349,7 @@ class FixpointOperator:
             del self._resolved[name]
         for plan in self.planned.base_plans:
             if plan.relation.lower() == key:
-                relation, generation = self._resolve_registered(plan.relation)
-                buckets, sides, _ = self._base_side(plan, relation.rows,
-                                                    generation)
+                buckets, sides, _ = self._base_side(plan)
                 self._bind_base_side(plan, buckets, sides)
         return self.resolve(table).rows[held:]
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from repro.core import ast_nodes as ast
@@ -485,9 +486,42 @@ class BaseRelationPlan:
         return f"{self.relation}[{stored}]" + (f" on {on}" if on else "")
 
 
+def _canonical(values) -> bool:
+    """Whether ``values`` may share one object per value: only ``int`` and
+    ``str`` (``1 == 1.0 == True``, ``0.0 == -0.0``; NaN equals nothing)."""
+    return set(map(type, values)) <= {int, str}
+
+
+def _values_at(positions: tuple[int, ...], bucket: list[tuple], canon: dict):
+    """``bucket``'s values at ``positions`` (bare for one position, else
+    tuples), each :func:`_canonical` column through ``canon``."""
+    columns = [map(canon.setdefault, map(get, bucket), map(get, bucket))
+               if _canonical(map(get, bucket)) else map(get, bucket)
+               for get in map(itemgetter, positions)]
+    if len(columns) == 1:
+        return columns[0]
+    return zip(*columns) if columns else [()] * len(bucket)
+
+
+def _fill_hash_side(plan: BaseRelationPlan, bucket: list[tuple],
+                    canon: dict, side: dict | None = None) -> dict:
+    """Build (or grow) one hash side over ``bucket``, its keys and stored
+    columns through ``canon`` (whole rows stay the relation's own)."""
+    read = plan.read_positions
+    stored = bucket if read is None else _values_at(read, bucket, canon)
+    if len(plan.build_key) > 1:
+        keys, intern = _values_at(plan.build_key, bucket, canon), None
+    else:  # each key enters the map as it opens its bucket
+        get = itemgetter(*plan.build_key)
+        keys = map(get, bucket)
+        intern = canon.setdefault if _canonical(map(get, bucket)) else None
+    return build_hash_table_columns(keys, stored, intern, side)
+
+
 def build_base_side(plan: BaseRelationPlan, rows: list[tuple],
                     route: Callable | None = None,
-                    sort_merge: bool = False) -> tuple[list, list]:
+                    sort_merge: bool = False,
+                    canon: dict | None = None) -> tuple[list, list]:
     """Filter, bucket and index one base input over the relation's own
     tuples (never copied or padded).
 
@@ -497,39 +531,33 @@ def build_base_side(plan: BaseRelationPlan, rows: list[tuple],
     each partition holds and what its join step reads — a hash table on
     the build key (of the rows, or of their ``plan.read_positions``
     columns), a sorted run under ``sort_merge``, or (no equi key: a
-    nested loop) the row list itself.
+    nested loop) the row list itself.  A hash side's keys and stored
+    columns go through ``canon``, the table's canonical-value map.
     """
     if plan.filter is not None:
         rows = [row for row in rows if plan.filter(row)]
     buckets = route(rows) if route is not None else [rows]
     if not plan.equi:  # the side is a row list: never the relation's own
         return buckets, [list(bucket) for bucket in buckets]
-    key_fn = make_slots_key(plan.build_key)
-    if plan.read_positions is not None:
-        stored = make_extractor(plan.read_positions)
-        return buckets, [
-            build_hash_table_columns(map(key_fn, bucket), map(stored, bucket))
-            for bucket in buckets]
-    build = sort_rows if sort_merge else build_hash_table
-    return buckets, [build(bucket, key_fn) for bucket in buckets]
+    if sort_merge:
+        key_fn = make_slots_key(plan.build_key)
+        return buckets, [sort_rows(bucket, key_fn) for bucket in buckets]
+    canon = {} if canon is None else canon
+    return buckets, [_fill_hash_side(plan, bucket, canon)
+                     for bucket in buckets]
 
 
 def append_base_side(plan: BaseRelationPlan, rows: list[tuple], sides: list,
-                     route: Callable | None = None) -> list[list[tuple]]:
-    """:func:`build_base_side`'s append form: insert ``rows``, filtered
-    and bucketed the same way, into existing hash-table / row-list sides
-    (a sorted run cannot absorb inserts).  Returns the buckets."""
+                     route: Callable | None, canon: dict) -> list[list[tuple]]:
+    """:func:`build_base_side`'s append form: insert ``rows``, filtered,
+    bucketed and interned the same way, into existing hash-table / row-list
+    sides (a sorted run cannot absorb inserts).  Returns the buckets."""
     if plan.filter is not None:
         rows = [row for row in rows if plan.filter(row)]
     buckets = route(rows) if route is not None else [rows]
-    key_fn = make_slots_key(plan.build_key)
-    read = plan.read_positions
     for side, bucket in zip(sides, buckets):
         if plan.equi:
-            stored = bucket if read is None else map(make_extractor(read),
-                                                     bucket)
-            for row, value in zip(bucket, stored):
-                side.setdefault(key_fn(row), []).append(value)
+            _fill_hash_side(plan, bucket, canon, side)
         else:
             side.extend(bucket)
     return buckets

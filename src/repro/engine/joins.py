@@ -38,7 +38,9 @@ def build_hash_table(rows: Iterable[tuple],
     return table
 
 
-def build_hash_table_columns(keys: Iterable, rows: Iterable) -> dict:
+def build_hash_table_columns(keys: Iterable, rows: Iterable,
+                             intern: Callable | None = None,
+                             table: dict | None = None) -> dict:
     """Columnar build: parallel key column instead of per-row ``key_fn``.
 
     ``{key: [rows]}`` with buckets in input order — entry-for-entry
@@ -46,13 +48,15 @@ def build_hash_table_columns(keys: Iterable, rows: Iterable) -> dict:
     key function would have extracted (e.g. ``ColumnBatch.keys(...)``).
     ``rows`` may be any parallel sequence of values to store: a pruned
     base side (``physical.build_base_side``) passes the columns its
-    pipeline reads instead of the rows.
+    pipeline reads instead of the rows.  ``intern`` (a canonical map's
+    ``setdefault``) maps each key as it opens its bucket; ``table`` grows.
     """
-    table: dict = {}
+    table = {} if table is None else table
+    get = table.get
     for key, row in zip(keys, rows):
-        bucket = table.get(key)
+        bucket = get(key)
         if bucket is None:
-            table[key] = [row]
+            table[key if intern is None else intern(key, key)] = [row]
         else:
             bucket.append(row)
     return table

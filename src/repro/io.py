@@ -13,20 +13,24 @@ from __future__ import annotations
 
 import csv
 import pathlib
+import re
 from typing import Sequence
 
 from repro.relation import Relation
 
 
+#: A number is ASCII digits without separators, as :func:`write_csv`
+#: writes it (``int()`` alone would read ``1_000`` and ``١٢`` too).
+_INT = re.compile(r"[+-]?[0-9]+")
+_FLOAT = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                    r"|[+-]?(?:nan|inf|infinity)", re.IGNORECASE)
+
+
 def _convert(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    number = text.strip()
+    if _INT.fullmatch(number):
+        return int(number)
+    return float(number) if _FLOAT.fullmatch(number) else text
 
 
 def read_edge_list(path: str | pathlib.Path, columns: Sequence[str] | None = None,

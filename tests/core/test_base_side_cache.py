@@ -15,12 +15,20 @@ reading the very entries ad-hoc SQL does (across an eviction and a
 cleared cache too), the simulated clock's independence from cache
 history, and that no exit path leaves a half-built entry.
 
+The table's canonical-value map, kept in its ``distinct`` entry, is
+pinned here too: every int / str value a side holds in its keys or
+stored columns is the map's one object for it, after a build and after
+an absorb; columns that mix ``1``, ``1.0``, ``True``, ``0.0``, ``-0.0``
+or NaN are left exactly as the table gave them; and the map is released
+with its entry.
+
 Also here, because the cache would otherwise hide it: a finished
 fixpoint is freed by reference counting (no cycle through the terms'
 runtime), checked with the collector disabled.
 """
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -726,6 +734,289 @@ def test_close_drops_the_cache():
     assert len(ctx.base_sides) == 0
     # Closing is not terminal for a simulated context.
     assert run(ctx, SSSP)[1] == (0, 0, 1, 0)
+
+
+# ----------------------------------------------------------------------
+# one object per value: the table's canonical-value map
+# ----------------------------------------------------------------------
+
+
+def _fresh(value):
+    """An equal value in a new object (ints past the small-int cache and
+    runtime-built strings are never shared by CPython on their own)."""
+    return int(str(value)) if type(value) is int else "".join(value)
+
+
+def _canon(ctx, table="edge") -> dict:
+    (_, _, canon), _ = ctx.base_sides._entries[(table, "distinct")]
+    return canon
+
+
+def _hash_sides(operator):
+    """``(plan, side)`` of every hash side the operator's steps probe."""
+    runtime = operator.runtime
+    for plan in operator.planned.base_plans:
+        sides = runtime.base_partitions.get(plan.step_id) \
+            or [runtime.broadcast_tables.get(plan.step_id)]
+        for side in sides:
+            if isinstance(side, dict):
+                yield plan, side
+
+
+def _side_values(plan, side):
+    """Every key column value of ``side``, and every stored column value
+    when it stores columns rather than whole rows."""
+    read = plan.read_positions
+    for key, bucket in side.items():
+        yield from key if len(plan.build_key) > 1 else (key,)
+        if read is not None:
+            for value in bucket:
+                yield from value if len(read) != 1 else (value,)
+
+
+def _assert_one_object_per_value(ctx, operator, relation):
+    """Every int / str value the operator's sides hold is the canonical
+    object for it, and the map holds nothing else."""
+    canon, held = _canon(ctx), set()
+    rows = {id(row) for row in relation.rows}
+    for plan, side in _hash_sides(operator):
+        for value in _side_values(plan, side):
+            if type(value) in (int, str):
+                assert canon[value] is value, (plan.describe_side(
+                    relation.columns), value)
+                held.add(value)
+        if plan.read_positions is None:  # whole rows are the table's own
+            assert all(id(row) in rows
+                       for bucket in side.values() for row in bucket)
+    assert held and set(canon) == held
+
+
+ONE_OBJECT_CONFIGS = {
+    "pruned": None,
+    "whole_rows": ExecutionConfig(codegen=False),
+    "broadcast": ExecutionConfig(broadcast_bases=True),
+}
+
+
+@pytest.mark.parametrize("config", sorted(ONE_OBJECT_CONFIGS))
+@pytest.mark.parametrize("query_name", ["sssp", "cc", "tc"])
+def test_equal_values_are_one_object_after_build_and_absorb(
+        query_name, config, operators):
+    """Every int / str value a side holds in its keys or stored columns
+    is the table's canonical object for it — across partitions, sides
+    and appended rows; whole rows stay the relation's own tuples."""
+    config = ONE_OBJECT_CONFIGS[config]
+    vertices = [1000 + i for i in range(12)]
+    rng = random.Random(query_name)
+    edges = [(_fresh(rng.choice(vertices)), _fresh(rng.choice(vertices)),
+              float(rng.randint(1, 5))) for _ in range(60)]
+    if query_name != "sssp":
+        edges = [edge[:2] for edge in edges]
+    sql = (get_query(query_name).formatted(source=vertices[0])
+           if query_name == "sssp" else get_query(query_name).sql)
+    columns = ("Src", "Dst", "Cost")[:len(edges[0])]
+    ctx = make_ctx({"edge": (columns, edges)}, config)
+    answer, (_, _, built, _) = run(ctx, sql)
+    assert built > 0
+    _assert_one_object_per_value(ctx, operators[-1], ctx.catalog.get("edge"))
+    held = len(_canon(ctx))
+
+    # New objects for old values, and a new vertex in two objects.
+    pad = edges[0][2:]
+    new = [(_fresh(vertices[1]), _fresh(vertices[0])) + pad,
+           (_fresh(vertices[2]), _fresh(2000)) + pad,
+           (_fresh(2000), _fresh(vertices[3])) + pad]
+    ctx.catalog.append_rows("edge", new)
+    answer, (_, appended, built, _) = run(ctx, sql)
+    assert appended > 0 and built == 0
+    _assert_one_object_per_value(ctx, operators[-1], ctx.catalog.get("edge"))
+    assert len(_canon(ctx)) == held + 1 and 2000 in _canon(ctx)
+    fresh = make_ctx({"edge": (columns, edges + new)}, config)
+    assert answer == run(fresh, sql)[0]
+
+
+def test_string_values_are_one_object():
+    edges = [(_fresh(a), _fresh(b)) for a, b in
+             [("ab", "cd"), ("cd", "ef"), ("ef", "ab"), ("cd", "gh")]]
+    ctx = make_ctx({"edge": (("Src", "Dst"), edges)})
+    rows = ctx.sql(get_query("reach").formatted(source="'ab'")).rows
+    assert sorted(rows) == [("ab",), ("cd",), ("ef",), ("gh",)]
+    canon = _canon(ctx)
+    assert sorted(canon) == ["ab", "cd", "ef", "gh"]
+    (_, sides, _), _ = [entry for key, entry in ctx.base_sides._entries.items()
+                        if key[-1] != "distinct"][0]
+    for side in sides:
+        for key, bucket in side.items():
+            assert canon[key] is key
+            assert all(canon[value] is value for value in bucket)
+
+
+#: Values that compare equal across types, or not even to themselves.
+NAN = float("nan")
+TRICKY = [1, 1.0, True, 0, 0.0, -0.0, False, NAN, 2, 2.0, "1", 1001]
+
+
+def _typed(value):
+    """A value as a comparable, type-exact form: ``1``, ``1.0`` and
+    ``True`` differ, and so do ``0.0`` and ``-0.0``; NaN equals NaN."""
+    if isinstance(value, tuple):
+        return tuple(map(_typed, value))
+    return type(value).__name__, repr(value)
+
+
+def _typed_side(side) -> list:
+    return [(_typed(key), [_typed(value) for value in bucket])
+            for key, bucket in side.items()]
+
+
+@pytest.mark.parametrize("config", [
+    None, ExecutionConfig(codegen=False), ExecutionConfig(broadcast_bases=True),
+    ExecutionConfig(join_strategy="sort_merge")])
+def test_mixed_types_keep_their_type_and_repr(config, operators, monkeypatch):
+    """``1 == 1.0 == True`` and ``0.0 == -0.0``: a column holding any
+    of them is never canonicalized, so every side holds every value as
+    the table gave it — exactly what a build with no canonical map at
+    all holds — and the answers match the sqlite lowering."""
+    from repro.compile.differential import diff_query
+    from repro.core import physical
+
+    edges = [(0, 1, 1), (1, 1.0, 2.0), (1.0, True, 0.5), (True, 2, 0.0),
+             (2, 2.0, -0.0), (2.0, 0.0, 3), (-0.0, 1001, True),
+             (1001, 3, 1.5), (NAN, 3, 1), (5, 4, NAN), (4, 1001, 2)]
+    sssp = get_query("sssp").formatted(source=0)
+    reach = get_query("reach").formatted(source=0)
+
+    def sides_and_answers():
+        ctx = make_ctx({"edge": (("Src", "Dst", "Cost"), edges)}, config)
+        answers = [ctx.sql(sssp).rows, ctx.sql(reach).rows]
+        sides = [_typed_side(side) for operator in operators[-2:]
+                 for _, side in _hash_sides(operator)]
+        # Sorted runs and nested-loop lists hold the table's rows as-is.
+        assert sides or config.join_strategy == "sort_merge"
+        return ctx, sides, [sorted(map(_typed, rows)) for rows in answers]
+
+    ctx, sides, answers = sides_and_answers()
+    for sql in (sssp, reach):
+        report = diff_query(ctx, sql, config=config)
+        assert report.equal, report.summary()
+    monkeypatch.setattr(physical, "_canonical", lambda values: False)
+    _, reference_sides, reference_answers = sides_and_answers()
+    assert sides == reference_sides
+    assert answers == reference_answers
+
+
+def _reference_sides(plan, rows, n):
+    """The hash sides over ``rows``, built row by row with no canonical
+    map: the definition the interning build must equal."""
+    from repro.engine.kernels import make_extractor, make_router
+
+    buckets = make_router(plan.build_key, n)(rows) if n else [rows]
+    key = make_extractor(plan.build_key)
+    stored = ((lambda row: row) if plan.read_positions is None
+              else make_extractor(plan.read_positions))
+    sides = []
+    for bucket in buckets:
+        side = {}
+        for row in bucket:
+            side.setdefault(key(row), []).append(stored(row))
+        sides.append(side)
+    return sides
+
+
+def test_build_and_append_equal_an_uninterned_build():
+    """A stream of mixed-type, duplicate-laden batches through
+    ``build_base_side`` + ``append_base_side``, for every stored shape:
+    the sides equal a reference build with no canonical map, entry for
+    entry, in order and type for type."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from repro.core.physical import (
+        BaseRelationPlan,
+        append_base_side,
+        build_base_side,
+    )
+    from repro.engine.kernels import make_router
+
+    value = st.one_of(st.sampled_from(TRICKY),
+                      st.integers(998, 1003).map(_fresh),
+                      st.sampled_from(["a", "b"]).map(_fresh),
+                      st.floats(allow_nan=True, allow_infinity=False))
+    int_or_str = st.one_of(st.integers(998, 1003).map(_fresh),
+                           st.sampled_from(["a", "ab"]).map(_fresh))
+    # Some batches are all int / str (interned), some mix in the rest.
+    row = st.tuples(st.one_of(int_or_str, value), st.one_of(int_or_str, value),
+                    value)
+    batch = st.one_of(st.lists(st.tuples(int_or_str, int_or_str, int_or_str),
+                               max_size=8),
+                      st.lists(row, max_size=8))
+    shapes = st.tuples(st.sampled_from([(0,), (1,), (0, 1)]),
+                       st.sampled_from([None, (), (1,), (2,), (1, 2),
+                                        (2, 0)]),
+                       st.sampled_from([0, 1, 3]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(shapes, st.lists(batch, min_size=1, max_size=5))
+    def check(shape, batches):
+        build_key, read, n = shape
+        plan = BaseRelationPlan(
+            step_id=0, relation="t", binding="t",
+            mode="copartition" if n else "broadcast", offset=0, arity=3,
+            build_slots=build_key, filter=None, filter_sql="", equi=True,
+            read_positions=read)
+        route = make_router(build_key, n) if n else None
+        canon, so_far = {}, list(batches[0])
+        _, sides = build_base_side(plan, list(batches[0]), route,
+                                   canon=canon)
+        for more in batches[1:]:
+            append_base_side(plan, list(more), sides, route, canon)
+            so_far += more
+        expected = _reference_sides(plan, so_far, n)
+        assert list(map(_typed_side, sides)) \
+            == list(map(_typed_side, expected))
+        assert {type(v) for v in canon} <= {int, str}
+        assert all(canon[v] is v for v in canon)
+
+    check()
+
+
+def test_the_map_is_released_with_its_entry():
+    """The canonical map lives in the table's ``distinct`` entry: an
+    eviction, a new generation of the table and ``ctx.close()`` each
+    release it (a token only the map holds is freed)."""
+
+    class Token:
+        pass
+
+    def plant(ctx):
+        token = Token()
+        _canon(ctx)["only the map holds this"] = token
+        return weakref.ref(token)
+
+    ctx = sssp_ctx()
+    ctx.register_table("other", ("Src", "Dst", "Cost"), EDGES)
+    run(ctx, SSSP)
+    token = plant(ctx)
+    run(ctx, SSSP)
+    assert token() is not None  # a hit keeps it
+    ctx.catalog.append_rows("edge", [(0, 99, 1.0)])
+    run(ctx, SSSP)
+    assert token() is not None  # so does an append
+    for i in range(BASE_SIDE_CACHE_SLOTS):
+        run(ctx, SSSP.replace("edge", "other").replace(
+            "other.Src", f"other.Src AND other.Cost < {i}"))
+    assert ("edge", "distinct") not in ctx.base_sides._entries
+    assert token() is None
+
+    run(ctx, SSSP)
+    token = plant(ctx)
+    ctx.register_table("edge", ("Src", "Dst", "Cost"), EDGES)
+    run(ctx, SSSP)
+    assert token() is None and "only the map holds this" not in _canon(ctx)
+
+    token = plant(ctx)
+    ctx.close()
+    assert token() is None
 
 
 # ----------------------------------------------------------------------

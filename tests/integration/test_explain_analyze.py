@@ -32,17 +32,19 @@ class TestExplainAnalyzeSSSP:
     def test_base_sides_line_says_built_then_hit(self):
         ctx = sssp_ctx()
         sssp = get_query("sssp").formatted(source=1)
-        # ... and names what the side stores: two of edge's three columns.
-        stored = "  (edge[Dst, Cost] on Src)"
+        # ... and names what the side stores: two of edge's three columns,
+        # over the table's distinct vertex ids and distinct rows.
+        stored = "  (edge[Dst, Cost] on Src (4 values / 5 rows))"
         assert ("  base sides: 0 hit, 0 appended, 1 built, 0 bypassed"
                 + stored) in ctx.explain_analyze(sssp).splitlines()
         first = ctx.last_run
         assert ("  base sides: 1 hit, 0 appended, 0 built, 0 bypassed"
                 + stored) in ctx.explain_analyze(sssp).splitlines()
         second = ctx.last_run
-        ctx.catalog.append_rows("edge", [(1, 77, 1.0)])
+        ctx.catalog.append_rows("edge", [(1, 77, 1.0), (1, 77, 1.0)])
         assert ("  base sides: 0 hit, 1 appended, 0 built, 0 bypassed"
-                + stored) in ctx.explain_analyze(sssp).splitlines()
+                "  (edge[Dst, Cost] on Src (5 values / 6 rows))"
+                ) in ctx.explain_analyze(sssp).splitlines()
         third = ctx.last_run
         assert first.kernels_summary()["kernel_pruned_sides"] == 1
 
@@ -57,6 +59,8 @@ class TestExplainAnalyzeSSSP:
             "hits": 1, "appended": 0, "built": 0, "bypassed": 0}
         assert fixpoint_attrs(third)["base_sides"] == {
             "hits": 0, "appended": 1, "built": 0, "bypassed": 0}
+        assert fixpoint_attrs(third)["stored_sides"] == [
+            "edge[Dst, Cost] on Src (5 values / 6 rows)"]
         assert first.kernels_summary()["base_side_cache_misses"] == 1
         assert second.kernels_summary()["base_side_cache_hits"] == 1
         assert third.kernels_summary()["base_side_cache_appended"] == 1

@@ -54,6 +54,53 @@ class TestCsv:
         with pytest.raises(ValueError, match="empty"):
             read_csv(path)
 
+    @pytest.mark.parametrize("cell, value", [
+        # A number is ASCII digits without separators ...
+        ("1_000", "1_000"),
+        ("1_0.5", "1_0.5"),
+        ("١٢", "١٢"),
+        ("١٢.٥", "١٢.٥"),
+        ("１２", "１２"),
+        # ... and parses as before.
+        ("1000", 1000),
+        (" 12 ", 12),
+        ("-7", -7),
+        ("+007", 7),
+        ("10.5", 10.5),
+        ("1e+20", 1e20),
+        (".5", 0.5),
+        ("-0.0", -0.0),
+        ("inf", float("inf")),
+        ("-Infinity", float("-inf")),
+        (" abc ", " abc "),
+    ])
+    def test_code_cells_are_not_numbers(self, tmp_path, cell, value):
+        path = tmp_path / "codes.csv"
+        path.write_text(f"Code\n{cell}\n", encoding="utf-8")
+        (loaded,), = read_csv(path).rows
+        assert type(loaded) is type(value) and repr(loaded) == repr(value)
+
+    def test_nan_still_loads_as_a_float(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("A,B\nnan, NaN \n")
+        a, b = read_csv(path).rows[0]
+        assert a != a and b != b and type(a) is type(b) is float
+
+    def test_round_trip_keeps_every_written_type(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        original = Relation("mixed", ["A", "B", "C"], [
+            (1, -0.0, "1_000"), (10**20, 1e-7, "١٢"), (-3, float("inf"), "x")])
+        write_csv(original, path)
+        loaded = read_csv(path).rows
+        assert [tuple(map(type, row)) for row in loaded] \
+            == [tuple(map(type, row)) for row in original.rows]
+        assert list(map(repr, loaded)) == list(map(repr, original.rows))
+
+    def test_edge_list_ids_with_separators_stay_strings(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("1_0 2\n", encoding="utf-8")
+        assert read_edge_list(path).rows == [("1_0", 2)]
+
     def test_load_table_dispatch(self, tmp_path):
         csv_path = tmp_path / "t.csv"
         csv_path.write_text("A,B\n1,2\n")
