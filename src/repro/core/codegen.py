@@ -49,6 +49,11 @@ stored pruned to the columns read after the probe, ``(Dst, Cost)``::
                 old = get(key)
                 if old is None or value < old:
                     combined[key] = value
+
+A set view's term (no aggregates: its ``UNION`` is a ``DISTINCT``) is the
+same function writing into a distinct sink, ``{head row: None}``: for
+transitive closure the loop body is ``combined[(d[0], r1,)] = None``, so
+a row derived twice is built twice but kept, routed and shipped once.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ from repro.core.physical import (
 )
 from repro.engine.aggregates import AggregateFunction
 from repro.engine.joins import build_hash_table
-from repro.engine.kernels import fold_update, key_source
+from repro.engine.kernels import DISTINCT, fold_update, key_source
 from repro.errors import PlanningError
 
 _OP_MAP = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
@@ -152,8 +157,11 @@ def generate_term_function(term: CompiledTerm,
     ``_term(delta_rows, partition, runtime, combined)`` folds every
     derivation into ``combined[group key]`` — a bare aggregate value —
     where the list variant appends a head row, with a negated term's sign
-    flip inlined.  It returns nothing; ``kernels.make_fold_kernel``'s
-    ``emit`` turns the accumulator into routed head rows once per view.
+    flip inlined.  For a set view (``kernels.DISTINCT``) the sink is
+    distinct: ``combined[head row] = None`` keeps each derived row once,
+    at its first derivation.  It returns nothing; the view's ``emit``
+    (:meth:`repro.core.iteration.CliqueStep._make_sink`) turns the sink
+    into routed head rows once per view.
     """
     rule: RulePlan | None = term.rule
     if rule is None or rule.layout is None:
@@ -285,20 +293,25 @@ def generate_term_function(term: CompiledTerm,
         projection_parts.append(source)
     if hoisted:
         body[first_join_mark[0]:first_join_mark[0]] = hoisted
-    if fold is not None:
-        name, group, at = fold
-        for line in fold_update(name, key_source(projection_parts, group),
-                                projection_parts[at]):
-            emit(line, indent)
-        header = ["def _term(delta_rows, partition, runtime, combined):"]
-        header += prologue + ["    get = combined.get"]
-        footer = []
-    else:
-        emit(f"_append(({', '.join(projection_parts)},))", indent)
+    row = f"({', '.join(projection_parts)},)"
+    if fold is None:
+        emit(f"_append({row})", indent)
         header = ["def _term(delta_rows, partition, runtime):"]
         header += prologue + ["    _out = []",
                               "    _append = _out.append"]
         footer = ["    return _out"]
+    else:
+        header = ["def _term(delta_rows, partition, runtime, combined):"]
+        header += prologue
+        footer = []
+        if fold == DISTINCT:
+            emit(f"combined[{row}] = None", indent)
+        else:
+            name, group, at = fold
+            for line in fold_update(name, key_source(projection_parts, group),
+                                    projection_parts[at]):
+                emit(line, indent)
+            header.append("    get = combined.get")
     header.append("    for d in delta_rows:")
     if prefilter_src is not None:
         header.append(f"        if not {prefilter_src}:")

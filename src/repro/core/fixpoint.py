@@ -317,13 +317,23 @@ class FixpointOperator:
         and what each base side stores (with its table's distinct values
         and rows)."""
         planned = self.planned
-        fused = sum(term.folds for term in planned.terms)
+
+        def fused(terms) -> list:
+            """``[folding, of, sinks]``: how many of ``terms`` fold, and
+            into which sink — ``fold`` (an aggregate head's accumulator),
+            ``distinct`` (a set view's) or both, ``+``-joined."""
+            kinds = {"fold" if planned.views[t.view].has_aggregates
+                     else "distinct" for t in terms if t.folds}
+            return [sum(t.folds for t in terms), len(terms),
+                    "+".join(k for k in ("fold", "distinct") if k in kinds)]
+
         scans = [rule.term for rule in planned.base_rules if rule.term]
-        fused_base = sum(term.folds for term in scans)
+        fused_terms, fused_base = fused(planned.terms), fused(scans)
         pruned = sum(plan.read_positions is not None
                      for plan in planned.base_plans)
-        self.cluster.metrics.inc("kernel_fused_fold_terms", fused)
-        self.cluster.metrics.inc("kernel_fused_fold_base_rules", fused_base)
+        self.cluster.metrics.inc("kernel_fused_fold_terms", fused_terms[0])
+        self.cluster.metrics.inc("kernel_fused_fold_base_rules",
+                                 fused_base[0])
         self.cluster.metrics.inc("kernel_pruned_sides", pruned)
         stored = []
         for plan in planned.base_plans:
@@ -331,8 +341,8 @@ class FixpointOperator:
             stored.append(f"{plan.describe_side(relation.columns)} "
                           f"({len(canon):,} values / "
                           f"{len(relation.rows):,} rows)")
-        return {"fused_terms": [fused, len(planned.terms)],
-                "fused_base_rules": [fused_base, len(scans)],
+        return {"fused_terms": fused_terms,
+                "fused_base_rules": fused_base,
                 "stored_sides": stored}
 
     def catch_up(self, table: str, held: int) -> list[tuple]:

@@ -68,6 +68,11 @@ def _append_state_rows(table: dict, rows: list[tuple],
     return table
 
 
+def _add_distinct(sink: dict, rows: list[tuple]) -> None:
+    """A distinct sink's ``add``: the rows it does not hold yet, in order."""
+    sink.update(dict.fromkeys(rows))
+
+
 class CliqueStep:
     """Per-clique resident state plus the per-partition iteration step.
 
@@ -140,16 +145,23 @@ class CliqueStep:
         key: bare aggregate value}``: a term that ``folds`` was generated
         against exactly that dict and writes into it from inside its
         probe loop, and ``emit`` is the one pass that builds the head
-        rows, already bucketed.  Every other view collects a row list,
-        combined by the generic ``partial_aggregate`` (aggregate heads,
-        unless ablated) and bucketed by the view's router.  The planner
-        applies the same test (``partial_aggregation and
-        head_shape(view)``) to decide which variant of a recursive or base
-        term to generate.
+        rows, already bucketed.  A set view's sink is distinct, ``{head
+        row: None}`` (its ``UNION``'s partial ``DISTINCT``), emitted by
+        the view's router: a dict keeps each row's first occurrence in
+        place and the merge keeps a row's first arrival, so the fresh
+        delta and the state are the row list's, without the duplicates
+        on the wire.  Every other view collects a row list, combined by
+        the generic ``partial_aggregate`` (aggregate heads) and bucketed
+        by the view's router, as every view does when partial
+        aggregation is ablated.  The planner applies the same test
+        (``partial_aggregation and head_shape(view)``) to decide which
+        variant of a recursive or base term to generate.
         """
         router = self.routers[name]
-        if not (view.has_aggregates and partial_aggregation):
+        if not partial_aggregation:
             return list, list.extend, router
+        if not view.has_aggregates:
+            return dict, _add_distinct, router
         fold = make_fold_kernel(
             tuple(view.aggregate_functions), tuple(view.group_positions),
             tuple(view.aggregate_positions),

@@ -336,9 +336,10 @@ class CompiledTerm:
     #: code generation is enabled and the pipeline is fusible.
     codegen_fn: Callable | None = field(default=None, repr=False)
     #: ``codegen_fn`` takes a fourth argument, the view's fold accumulator
-    #: (``{group key: bare aggregate value}``), folds every derivation
-    #: into it inside the probe loop and returns nothing; without, it
-    #: returns the derived head rows as a list.
+    #: (``{group key: bare aggregate value}``, or a set view's distinct
+    #: sink ``{head row: None}``), folds every derivation into it inside
+    #: the probe loop and returns nothing; without, it returns the
+    #: derived head rows as a list.
     folds: bool = False
     #: Column-decomposed fixpoint shape; set when the term is a single
     #: broadcast join probed by the delta's last column whose projection

@@ -577,7 +577,7 @@ def plan_clique(clique: CliquePlan, config: ExecutionConfig,
                        and not any(v.has_aggregates for v in views.values()))
         # A recursive or base term of a template-eligible head is the
         # whole Map side: it folds into the view's accumulator inside its
-        # probe loop.
+        # probe loop — a set view's into its distinct sink.
         base_terms = [b.term for b in base_rules if b.term is not None]
         for term, runners in ([(t, set_runners) for t in terms]
                               + [(t, False) for t in base_terms]):

@@ -43,6 +43,7 @@ from repro.engine.aggregates import BY_NAME, AggregateFunction
 from repro.engine.partitioner import _stable_hash
 
 __all__ = [
+    "DISTINCT",
     "batch_hash_probe",
     "fold_update",
     "hash_probe_join",
@@ -332,9 +333,17 @@ def make_fold_kernel(aggregates: tuple[AggregateFunction, ...],
         *shape[1:], key_positions, num_partitions))
 
 
+#: :func:`head_shape` of a set view: its derivations fold into a distinct
+#: sink, ``{head row: None}``.
+DISTINCT = ()
+
+
 def head_shape(view) -> tuple | None:
     """:func:`_shape` of a ``PhysicalView`` / ``WireView``: non-``None``
-    when the view's derivations can fold through the templates."""
+    when the view's derivations can fold through the templates —
+    :data:`DISTINCT` for a view without aggregates."""
+    if not view.has_aggregates:
+        return DISTINCT
     return _shape(tuple(view.aggregate_functions),
                   tuple(view.group_positions),
                   tuple(view.aggregate_positions))

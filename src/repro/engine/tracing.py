@@ -449,9 +449,9 @@ def _format_kernels_section(trace: dict) -> list[str]:
         attrs = span.get("attrs", {})
         for key, path, unit in (("fused_terms", "derive: probe", "terms"),
                                 ("fused_base_rules", "base: scan", "rules")):
-            folding, total = attrs.get(key, (0, 0))
+            folding, total, sink = attrs.get(key, (0, 0, ""))
             if folding:
-                stage_lines.append(f"  {path}·project·fold·route fused "
+                stage_lines.append(f"  {path}·project·{sink}·route fused "
                                    f"({folding} of {total} {unit})")
         runner = attrs.get("runner")
         if runner is not None:

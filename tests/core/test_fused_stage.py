@@ -1,8 +1,9 @@
 """One generated stage per iteration (DESIGN.md §20).
 
 A recursive or base term of a template-eligible head folds its
-derivations into the view's accumulator from inside its probe loop, and
-one emit pass turns the accumulator into routed head rows.  Four pins:
+derivations into the view's accumulator from inside its probe loop (a
+set view's into its distinct sink), and one emit pass turns the
+accumulator into routed head rows.  Four pins:
 
 - *property*: the fused sink + emit is, bucket for bucket and in order,
   the list body → reference fold → router it replaced — for every builtin
@@ -25,9 +26,18 @@ one emit pass turns the accumulator into routed head rows.  Four pins:
   repeats a group per edge), on every axis but
   ``partial_aggregation_off``; rows, iterations and delta sizes did not.
   Cut again when the kernels-off reference path was deleted: its
-  ``kernels_off`` entries went, every other entry byte-identical;
-- a generated recursive or base term of a foldable view builds no
-  ``_out`` list; a maintenance term always does.
+  ``kernels_off`` entries went, every other entry byte-identical.
+  Re-cut when set views began deduplicating before their exchange (a
+  distinct sink, ``tests/core/test_distinct_sink.py``): against the
+  previous dump only ``shuffle_records``, ``shuffle_bytes`` and
+  ``memory_hwm_bytes_w*`` moved, of ``reach`` on every axis but
+  ``partial_aggregation_off`` (records 52 → 45) and of ``tc/stacked``
+  (1,134 → 1,054; ``tc``'s other axes run decomposed and ship no
+  derivations); every ``partial_aggregation_off`` entry, and the rows,
+  iterations and delta sizes of all 90 entries, byte-identical;
+- a generated recursive or base term of a foldable view — a
+  single-aggregate head or a set view — builds no ``_out`` list; a
+  maintenance term always does.
 
 Regenerate the dump (only when the engine's accounting is meant to
 change)::
@@ -144,7 +154,7 @@ def test_a_foldable_recursive_term_builds_no_row_list():
     from repro.core.parser import parse
     from repro.queries.library import ALL_QUERIES
 
-    folding = folding_base = 0
+    folding = folding_base = distinct = 0
     for spec in ALL_QUERIES:
         catalog = Catalog()
         for table, columns in spec.tables.items():
@@ -157,17 +167,21 @@ def test_a_foldable_recursive_term_builds_no_row_list():
             except PlanningError:  # a theta rule has no maintenance plan
                 plan = planner.plan_clique(clique, ExecutionConfig())
             base = [rule.term for rule in plan.base_rules if rule.term]
-            # recursive and base terms fold exactly when their view can
+            # recursive and base terms fold exactly when their view can:
+            # a single-aggregate head into its accumulator, a set view
+            # into its distinct sink
             for term, is_base in ([(t, False) for t in plan.terms]
                                   + [(t, True) for t in base]):
                 view = plan.views[term.view]
-                foldable = (len(view.aggregate_functions) == 1
-                            and view.has_aggregates)
+                foldable = (not view.has_aggregates
+                            or len(view.aggregate_functions) == 1)
                 assert term.folds == foldable, (spec.name, term.describe())
                 source = term.codegen_fn._generated_source
                 assert ("_out" in source) != foldable
+                assert ("] = None" in source) == (not view.has_aggregates)
                 folding += foldable
                 folding_base += foldable and is_base
+                distinct += not view.has_aggregates
             # maintenance terms never do: their rows reach the merge as
             # derived
             for terms in plan.maintenance_terms.values():
@@ -176,6 +190,7 @@ def test_a_foldable_recursive_term_builds_no_row_list():
                            for term in terms)
     assert folding >= 10
     assert folding_base >= 5
+    assert distinct >= 8
 
 
 # ----------------------------------------------------------------------
@@ -384,8 +399,8 @@ def test_base_rules_fold_per_chunk_before_their_exchange(
     t, u, constants, _ = case
     assert records == (chunk_groups(t, n) + chunk_groups(u, n)
                        + len({k for k, _ in constants}))
-    assert attrs["fused_base_rules"] == [2, 2]
-    assert attrs_off["fused_base_rules"] == [0, 2]
+    assert attrs["fused_base_rules"] == [2, 2, "fold"]
+    assert attrs_off["fused_base_rules"] == [0, 2, ""]
 
 
 if __name__ == "__main__":

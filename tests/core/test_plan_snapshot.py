@@ -50,6 +50,16 @@ deleted: the ``dedup`` part left every term entry; against the parent's
 golden every ``explain`` / ``describe`` / ``source`` / ``base_plans`` /
 ``grouped`` / exception entry is byte-identical, and the key set (578
 entries) is unchanged.
+Re-cut when set views began folding into a distinct sink: against the
+parent's golden only ``source`` moved, for 136 of the 578 entries — every
+one a generated recursive or scan-driven base term of a view planned
+without aggregates (``reach``, ``tc``, ``same_generation``,
+``bom_stratified``, ``party_attendance``'s and ``company_control``'s set
+views on every fused axis, and every library query's terms under
+``stratified``), now ``combined[(…,)] = None`` in place of
+``_append((…,))``; no maintenance term moved, and every ``explain`` /
+``describe`` / ``base_plans`` / ``grouped`` / exception entry and the key
+set are byte-identical.
 
 Regenerate (only for an intended plan change)::
 

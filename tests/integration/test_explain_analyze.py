@@ -76,13 +76,16 @@ class TestExplainAnalyzeSSSP:
         assert ctx.last_run.kernels_summary()["kernel_fused_fold_terms"] == 1
 
     @pytest.mark.parametrize("query, line, attr", [
-        ("cc", "  base: scan·project·fold·route fused (1 of 1 rules)", [1, 1]),
-        ("tc", None, [0, 1]),
+        ("cc", "  base: scan·project·fold·route fused (1 of 1 rules)",
+         [1, 1, "fold"]),
+        ("tc", "  base: scan·project·distinct·route fused (1 of 1 rules)",
+         [1, 1, "distinct"]),
     ])
     def test_kernels_section_says_which_base_rules_fold(
             self, query, line, attr):
         """``cc``'s ``SELECT Src, Src`` folds per chunk before the base
-        exchange; ``tc``'s set view ships its base rows as they are."""
+        exchange; ``tc``'s set view writes its base rows into its
+        distinct sink, and the line names which sink."""
         ctx = RaSQLContext(num_workers=2)
         ctx.register_table("edge", ["Src", "Dst"],
                            [(i, (i * 7 + 3) % 40) for i in range(40)])
@@ -94,7 +97,7 @@ class TestExplainAnalyzeSSSP:
         assert (run.kernels_summary()["kernel_fused_fold_base_rules"]
                 == attr[0])
         base_lines = [text for text in lines if text.startswith("  base: ")]
-        assert base_lines == ([line] if line else [])
+        assert base_lines == [line]
 
     def test_delta_sizes_match_delta_history(self):
         ctx = sssp_ctx()
