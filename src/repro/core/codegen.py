@@ -53,7 +53,9 @@ stored pruned to the columns read after the probe, ``(Dst, Cost)``::
 A set view's term (no aggregates: its ``UNION`` is a ``DISTINCT``) is the
 same function writing into a distinct sink, ``{head row: None}``: for
 transitive closure the loop body is ``combined[(d[0], r1,)] = None``, so
-a row derived twice is built twice but kept, routed and shipped once.
+a row derived twice is built twice but kept, routed and shipped once.  A
+one-column set view's sink holds bare values — ``reach``'s body is
+``combined[r1] = None`` — and a duplicate derivation builds nothing.
 """
 
 from __future__ import annotations
@@ -159,7 +161,8 @@ def generate_term_function(term: CompiledTerm,
     where the list variant appends a head row, with a negated term's sign
     flip inlined.  For a set view (``kernels.DISTINCT``) the sink is
     distinct: ``combined[head row] = None`` keeps each derived row once,
-    at its first derivation.  It returns nothing; the view's ``emit``
+    at its first derivation — ``combined[value] = None`` for a view of
+    one column.  It returns nothing; the view's ``emit``
     (:meth:`repro.core.iteration.CliqueStep._make_sink`) turns the sink
     into routed head rows once per view.
     """
@@ -305,7 +308,9 @@ def generate_term_function(term: CompiledTerm,
         header += prologue
         footer = []
         if fold == DISTINCT:
-            emit(f"combined[{row}] = None", indent)
+            # A one-column set view's sink keeps bare values.
+            key = projection_parts[0] if len(projection_parts) == 1 else row
+            emit(f"combined[{key}] = None", indent)
         else:
             name, group, at = fold
             for line in fold_update(name, key_source(projection_parts, group),
@@ -331,8 +336,9 @@ def generate_term_function(term: CompiledTerm,
 @lru_cache(maxsize=256)
 def compile_term(source_text: str, view: str):
     """The code object of a generated term's source.  Kept per distinct
-    text: ``compile()`` is most of a small query's planning time, a served
-    statement is re-planned on every request, and a pool worker recompiles
+    text: ``compile()`` is most of a small query's planning time, every
+    ``ctx.sql`` call re-plans its statement, statements that differ only
+    in a constant generate the same terms, and a pool worker recompiles
     what the driver generated — none of which changes the text."""
     return compile(source_text, f"<rasql-codegen:{view}>", "exec")
 

@@ -70,10 +70,9 @@ class RunInfo:
     #: Simulated seconds attributed to each clock label during this call
     #: (``stage:fixpoint-shufflemap``, ``shuffle``, ``broadcast``, ...).
     time_breakdown: dict[str, float] = field(default_factory=dict)
-    #: Serialized span tree of this call (see ``repro.engine.tracing``):
-    #: query -> fixpoint -> iteration -> stage -> task, each with
-    #: simulated duration, counter deltas, and per-view delta sizes.
-    trace: dict | None = None
+    #: The closed root span of this call; :attr:`trace` serializes it.
+    root_span: object = field(default=None, repr=False)
+    _trace: dict | None = field(default=None, repr=False)
     #: Where the cProfile capture of this call was written (``sql``'s
     #: ``profile_path`` argument / the CLI's ``--profile``), or ``None``.
     profile_path: str | None = None
@@ -83,6 +82,18 @@ class RunInfo:
     #: The checkpointed iteration this call resumed from (0 = ran from
     #: scratch, whether or not checkpointing was on).
     resumed_from: int = 0
+
+    @property
+    def trace(self) -> dict | None:
+        """Serialized span tree of this call (see ``repro.engine.tracing``):
+        query -> fixpoint -> iteration -> stage -> task, each with
+        simulated duration, counter deltas, and per-view delta sizes.
+        Serialized when first read: a served query nobody inspects never
+        pays for it."""
+        if self._trace is None and self.root_span is not None:
+            self._trace = self.root_span.to_dict()
+            self.root_span = None
+        return self._trace
 
     def explain_analyze(self) -> str:
         """Per-iteration timeline of the traced run (EXPLAIN ANALYZE)."""
@@ -248,6 +259,8 @@ class RaSQLContext:
         if self.governor.metrics is None:
             self.governor.metrics = self.cluster.metrics
         self.last_run = RunInfo()
+        #: table -> (its epoch, its sampled wire size) for admission.
+        self._table_bytes: dict[str, tuple[tuple, int]] = {}
 
     def close(self) -> None:
         """Release cluster resources (the process pool, if any) and the
@@ -308,9 +321,16 @@ class RaSQLContext:
         """Admission-time memory estimate, a deliberately cheap pre-parse
         heuristic (Spark's resource profiles likewise reserve from static
         estimates): every registered table the text names counts at its
-        full sampled size."""
-        return sum(rows_size(self.catalog.get(name).rows)
-                   for name in self.catalog.tables_named(query))
+        full sampled size, sampled once per table epoch."""
+        total = 0
+        for name in self.catalog.tables_named(query):
+            epoch = self.catalog.epoch(name)
+            known = self._table_bytes.get(name)
+            if known is None or known[0] != epoch:
+                known = self._table_bytes[name] = (
+                    epoch, rows_size(self.catalog.get(name).rows))
+            total += known[1]
+        return total
 
     def analyze_query(self, query: str,
                       config: ExecutionConfig | None = None):
@@ -515,15 +535,23 @@ class RaSQLContext:
                     run: RunInfo) -> dict[str, Relation]:
         """Plan and run one recursive clique, recording its iterations on
         ``run``.  Returns its views by lower-cased name; nothing else
-        keeps them (or the operator) alive once this frame is gone."""
+        keeps them (or the operator) alive once this frame is gone.
+
+        The planned clique is kept on ``unit`` with the config it was
+        planned under, so a cached analyzed script (``repro.serving``'s
+        plan cache) plans each clique once and drops the plan with it:
+        :func:`plan_clique` reads only the clique and the config, and
+        nothing mutates what it returns."""
         clique_config = self.planning_config(effective)
+        if unit.planned is None or unit.planned[0] != clique_config:
+            unit.planned = clique_config, plan_clique(unit, clique_config)
         checkpointer = None
         if store is not None:
             checkpointer = CliqueCheckpointer(
                 store, qid, unit_index, effective.checkpoint_interval,
                 self.cluster)
         operator = FixpointOperator(
-            plan_clique(unit, clique_config), self.cluster, clique_config,
+            unit.planned[1], self.cluster, clique_config,
             resolve, checkpointer=checkpointer, base_sides=self.base_sides)
         if (effective.decomposed_plans and not clique_config.decomposed_plans
                 and decompose_keys(unit) is not None):
@@ -640,7 +668,7 @@ class RaSQLContext:
         run.metrics = window.metrics
         run.time_breakdown = window.time_by_label
         if tracer.enabled and query_span is not None:
-            run.trace = query_span.to_dict()
+            run.root_span = query_span
         self.last_run = run
 
     def explain_analyze(self, query: str,

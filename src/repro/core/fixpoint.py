@@ -61,6 +61,7 @@ from repro.engine.backend.payloads import (
 from repro.engine.cluster import Cluster, StageTask
 from repro.engine.dataset import Dataset, Partition
 from repro.engine.kernels import make_extractor, make_router
+from repro.engine.serialization import rows_size
 from repro.errors import FixpointNotReachedError, PlanningError
 from repro.relation import Relation
 
@@ -215,16 +216,16 @@ class FixpointOperator:
         build_cpu = 0.0
 
         for plan in self.planned.base_plans:
-            buckets, sides, seconds = self._base_side(plan)
+            buckets, sides, seconds, sizes = self._base_side(plan)
             build_cpu += seconds
-            self._bind_base_side(plan, buckets, sides)
+            self._bind_base_side(plan, buckets, sides, sizes)
 
             if plan.mode == "broadcast":
                 charge_key = (plan.relation.lower(), plan.filter_sql)
                 if charge_key not in broadcast_charged:
                     broadcast_charged.add(charge_key)
                     broadcast = cluster.broadcast(
-                        self.resolve(plan.relation).rows,
+                        self.resolve(plan.relation).rows, nbytes=sizes[0],
                         compress=config.broadcast_compression,
                         ship_hash_table=not config.broadcast_compression)
                     if broadcast.memory_group:
@@ -248,25 +249,29 @@ class FixpointOperator:
             cluster.metrics.inc("stages")
 
     def _bind_base_side(self, plan: BaseRelationPlan, buckets: list,
-                        sides: list) -> None:
+                        sides: list, sizes: list[int]) -> None:
         """Point the step's join at one base input's sides (a co-partitioned
-        one also gets its blocks, wrapped anew: a partition's home moves
-        when the pool shrinks, and a Partition memoizes its size)."""
+        one also gets its blocks, wrapped anew with the sizes the side
+        carries: a partition's home moves when the pool shrinks, and a
+        cached side's blocks grow when it absorbs an insert)."""
         if plan.mode == "broadcast":
             self.runtime.broadcast_tables[plan.step_id] = sides[0]
             return
         self.runtime.base_partitions[plan.step_id] = sides
         self.base_blocks[plan.step_id] = [
-            Partition(i, bucket, self.cluster.worker_for_partition(i))
-            for i, bucket in enumerate(buckets)]
+            Partition(i, bucket, self.cluster.worker_for_partition(i), size)
+            for i, (bucket, size) in enumerate(zip(buckets, sizes))]
 
     def _base_side(self, plan: BaseRelationPlan
-                   ) -> tuple[list, list, float]:
-        """``(buckets, sides, build seconds)`` of one base input over its
-        relation's distinct rows and canonical map: through the cross-query
-        cache when they are the catalog's own relation's, at its generation
-        (a side built under it absorbs the rows it does not hold yet),
-        built for this query alone otherwise."""
+                   ) -> tuple[list, list, float, list[int]]:
+        """``(buckets, sides, build seconds, sizes)`` of one base input
+        over its relation's distinct rows and canonical map: through the
+        cross-query cache when they are the catalog's own relation's, at
+        its generation (a side built under it absorbs the rows it does not
+        hold yet), built for this query alone otherwise.  ``sizes`` are
+        what the cluster charges for the input — each block's wire size,
+        or for a broadcast input the relation's — sized as the rows enter
+        the side, so a query that hits sizes nothing."""
         relation, generation, canon = self._resolve_registered(plan.relation)
         rows = relation.rows
         copartition = plan.mode == "copartition"
@@ -280,18 +285,28 @@ class FixpointOperator:
             t0 = time.perf_counter()
             buckets, sides = build_base_side(plan, rows, router(),
                                              sort_merge, canon)
-            return buckets, sides, time.perf_counter() - t0
+            seconds = time.perf_counter() - t0
+            sizes = (list(map(rows_size, buckets)) if copartition
+                     else [rows_size(rows)])
+            return buckets, sides, seconds, sizes
 
         def absorb(built, held):
-            buckets, sides, seconds = built
+            buckets, sides, seconds, sizes = built
             t0 = time.perf_counter()
-            for bucket, new in zip(buckets, append_base_side(
-                    plan, rows[held:], sides, router(), canon)):
+            appended = append_base_side(plan, rows[held:], sides, router(),
+                                        canon)
+            for bucket, new in zip(buckets, appended):
                 # An unfiltered broadcast bucket *is* the distinct list,
                 # which has the new rows already.
                 if bucket is not rows:
                     bucket.extend(new)
-            return buckets, sides, seconds + time.perf_counter() - t0
+            seconds += time.perf_counter() - t0
+            if copartition:
+                sizes = [size + rows_size(new)
+                         for size, new in zip(sizes, appended)]
+            else:
+                sizes = [sizes[0] + rows_size(rows[held:])]
+            return buckets, sides, seconds, sizes
 
         metrics = self.cluster.metrics
         if generation is None:
@@ -359,8 +374,8 @@ class FixpointOperator:
             del self._resolved[name]
         for plan in self.planned.base_plans:
             if plan.relation.lower() == key:
-                buckets, sides, _ = self._base_side(plan)
-                self._bind_base_side(plan, buckets, sides)
+                buckets, sides, _, sizes = self._base_side(plan)
+                self._bind_base_side(plan, buckets, sides, sizes)
         return self.resolve(table).rows[held:]
 
     # ------------------------------------------------------------------

@@ -22,7 +22,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.engine.kernels import make_fold_kernel, make_router
+from operator import itemgetter
+
+from repro.engine.kernels import (make_distinct_emit, make_fold_kernel,
+                                  make_router)
 from repro.engine.partitioner import HashPartitioner, make_key_fn
 from repro.engine.setrdd import KeyedStateRDD, SetRDD
 
@@ -71,6 +74,11 @@ def _append_state_rows(table: dict, rows: list[tuple],
 def _add_distinct(sink: dict, rows: list[tuple]) -> None:
     """A distinct sink's ``add``: the rows it does not hold yet, in order."""
     sink.update(dict.fromkeys(rows))
+
+
+def _add_distinct_values(sink: dict, rows: list[tuple]) -> None:
+    """:func:`_add_distinct` of a one-column view's sink of bare values."""
+    sink.update(dict.fromkeys(map(itemgetter(0), rows)))
 
 
 class CliqueStep:
@@ -150,10 +158,14 @@ class CliqueStep:
         the view's router: a dict keeps each row's first occurrence in
         place and the merge keeps a row's first arrival, so the fresh
         delta and the state are the row list's, without the duplicates
-        on the wire.  Every other view collects a row list, combined by
-        the generic ``partial_aggregate`` (aggregate heads) and bucketed
-        by the view's router, as every view does when partial
-        aggregation is ablated.  The planner applies the same test
+        on the wire.  A one-column set view keeps bare values, ``{value:
+        None}`` (a duplicate derivation builds no tuple), and its emit
+        builds each ``(value,)`` once as it routes it: the same keys
+        under the same equality, so the same rows.  Every other view
+        collects a row list, combined by the generic
+        ``partial_aggregate`` (aggregate heads) and bucketed by the
+        view's router, as every view does when partial aggregation is
+        ablated.  The planner applies the same test
         (``partial_aggregation and head_shape(view)``) to decide which
         variant of a recursive or base term to generate.
         """
@@ -161,6 +173,9 @@ class CliqueStep:
         if not partial_aggregation:
             return list, list.extend, router
         if not view.has_aggregates:
+            if len(view.group_positions) == 1:
+                return dict, _add_distinct_values, make_distinct_emit(
+                    tuple(view.partition_key_positions), self.n)
             return dict, _add_distinct, router
         fold = make_fold_kernel(
             tuple(view.aggregate_functions), tuple(view.group_positions),
@@ -243,17 +258,21 @@ class CliqueStep:
     # the step: merge (the Reduce side), derive (the Map side)
     # ------------------------------------------------------------------
 
-    def merge(self, partition: int,
-              rows_by_view: dict[str, list[tuple]]) -> dict[str, int]:
+    def merge(self, partition: int, rows_by_view: dict[str, list[tuple]],
+              bytes_by_view: dict[str, int] | None = None) -> dict[str, int]:
         """Union/aggregate one partition's incoming rows into the state.
 
         The fresh delta ``D`` of every view is kept in :attr:`fresh` for
         :meth:`derive`; the return value is ``|D|`` per view (views absent
         from ``rows_by_view`` merge nothing and report 0).
+        ``bytes_by_view``, the incoming rows' wire sizes where the caller
+        knows them, keeps the states' memoized sizes current.
         """
+        sizes = bytes_by_view or {}
         d_by_view: dict[str, int] = {}
         for name, state in self.states.items():
-            fresh = state.merge_rows(partition, rows_by_view.get(name, ()))
+            fresh = state.merge_rows(partition, rows_by_view.get(name, ()),
+                                     sizes.get(name))
             self.fresh[name][partition] = fresh
             d_by_view[name] = len(fresh)
         return d_by_view

@@ -155,10 +155,13 @@ class CliquePlan:
     """A recursive clique: the unit the fixpoint operator evaluates.
 
     Mutual recursion (Party Attendance, Company Control) yields a clique
-    with several views; the common case is a singleton.
+    with several views; the common case is a singleton.  ``planned`` is
+    ``(config, PlannedClique)`` of the clique's last run, reused by the
+    next run under the same config.
     """
 
     views: list[ViewPlan]
+    planned: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def view_names(self) -> tuple[str, ...]:

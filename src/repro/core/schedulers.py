@@ -70,7 +70,9 @@ def _merge(operator, partition: int,
     The cached state partitions are the merge's working set: they are
     touched first (reading them back from the spill tier if the memory
     governor evicted them) and re-charged at their post-merge size, so
-    per-worker accounting tracks the all-relation as it grows.
+    per-worker accounting tracks the all-relation as it grows.  That size
+    grows by what the merge added, sized from the incoming partition's
+    (its exchanged buckets'): the state is never re-sampled here.
     """
     memory = operator.cluster.memory
     for name, state in operator.states.items():
@@ -79,9 +81,11 @@ def _merge(operator, partition: int,
             # Immutable-RDD ablation: every union copies the partition.
             state.replace_partition(partition,
                                     state.snapshot_partition(partition))
+    parts = {name: dataset.partitions[partition]
+             for name, dataset in incoming.items()}
     d_by_view = operator.step.merge(
-        partition, {name: dataset.partitions[partition].rows
-                    for name, dataset in incoming.items()})
+        partition, {name: part.rows for name, part in parts.items()},
+        {name: part.size_bytes() for name, part in parts.items()})
     home = operator.cluster.worker_for_partition(partition)
     for name, state in operator.states.items():
         memory.charge("state", name, partition, home,

@@ -666,6 +666,9 @@ class Cluster:
         in parallel across workers).
         """
         gathered: list[list[tuple]] = [[] for _ in range(num_partitions)]
+        # A gathered partition's size is its buckets' sizes summed: each
+        # row is sized once, here, where it crosses the wire.
+        gathered_bytes = [0] * num_partitions
         remote_bytes = 0
         total_bytes = 0
         total_records = 0
@@ -701,6 +704,7 @@ class Cluster:
                         self.metrics.inc("shuffle_corruption_undetected")
                         delivered = mangled
                 gathered[pid].extend(delivered)
+                gathered_bytes[pid] += nbytes
                 total_bytes += nbytes
                 total_records += len(rows)
                 if self.worker_for_partition(pid) != source_worker:
@@ -716,21 +720,26 @@ class Cluster:
                     label="shuffle")
             span.annotate(records=total_records, bytes=total_bytes,
                           remote_bytes=remote_bytes)
-        return self.restore_exchange(gathered, partitioner, key_indices)
+        return self.restore_exchange(gathered, partitioner, key_indices,
+                                     gathered_bytes)
 
     def restore_exchange(self, per_partition_rows: list[list[tuple]],
                          partitioner: HashPartitioner,
-                         key_indices: tuple[int, ...] | None = None) -> Dataset:
+                         key_indices: tuple[int, ...] | None = None,
+                         sizes: list[int] | None = None) -> Dataset:
         """Place rows already bucketed by target partition: the tail of
         :meth:`exchange`, and all there is to re-materializing an
-        exchanged dataset from a checkpoint.
+        exchanged dataset from a checkpoint.  ``sizes`` are the
+        partitions' wire sizes when the caller summed them (a restored
+        dataset is sized from its rows).
 
         No routing and no *network* time happens here (the resume path
         charges the blob's disk read under the ``"checkpoint"`` label),
         so a restored dataset's placement and shuffle-tier memory charges
         equal the original's and the merge stage releases the same group.
         """
-        parts = [Partition(i, rows, self.worker_for_partition(i))
+        parts = [Partition(i, rows, self.worker_for_partition(i),
+                           None if sizes is None else sizes[i])
                  for i, rows in enumerate(per_partition_rows)]
         dataset = Dataset(parts, partitioner, key_indices)
         # Shuffle buffers occupy memory on the receiving workers until

@@ -18,18 +18,26 @@ from repro.engine.serialization import rows_size
 
 @dataclass
 class Partition:
-    """One partition of a dataset: rows plus their home worker."""
+    """One partition of a dataset: rows plus their home worker.
+
+    ``nbytes`` is the rows' wire size when whoever made the partition
+    already knows it (an exchange sums its buckets', a cached base side
+    carries its blocks'); otherwise :meth:`size_bytes` samples the rows
+    once.
+    """
 
     index: int
     rows: list[tuple]
     worker: int = 0
-    _size_bytes: int | None = field(default=None, repr=False)
+    nbytes: int | None = field(default=None, repr=False)
 
     def size_bytes(self) -> int:
-        """Wire-size estimate, memoized (partitions are never mutated)."""
-        if self._size_bytes is None:
-            self._size_bytes = rows_size(self.rows)
-        return self._size_bytes
+        """Wire-size estimate, memoized.  A base block's rows grow when
+        its cached side absorbs an insert; each query wraps the block
+        anew, with the size the side carries."""
+        if self.nbytes is None:
+            self.nbytes = rows_size(self.rows)
+        return self.nbytes
 
     def __len__(self) -> int:
         return len(self.rows)

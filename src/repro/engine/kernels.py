@@ -17,8 +17,10 @@ once, at plan/setup time, into tight specialized loops:
 - :func:`make_fold_kernel` — the map-side partial aggregation of the same
   heads: an accumulator of bare values (``fold_into``; generated terms
   fold into it from inside their probe loop, :func:`fold_update`) and the
-  one pass that emits it as routed head rows.  All are loop templates,
-  compiled with the head's column positions inlined, once per shape.
+  one pass that emits it as routed head rows; :func:`make_distinct_emit`
+  is that pass for a one-column set view's sink of bare values.  All are
+  loop templates, compiled with the head's column positions inlined, once
+  per shape.
 - :func:`hash_probe_join` / :func:`batch_hash_probe` and
   :func:`make_merge_columns_kernel` — not on the product path; pinned
   for ``benchmarks/e2e/micro.py``.
@@ -49,6 +51,7 @@ __all__ = [
     "hash_probe_join",
     "head_shape",
     "key_source",
+    "make_distinct_emit",
     "make_extractor",
     "make_fold_kernel",
     "make_merge_columns_kernel",
@@ -334,8 +337,24 @@ def make_fold_kernel(aggregates: tuple[AggregateFunction, ...],
 
 
 #: :func:`head_shape` of a set view: its derivations fold into a distinct
-#: sink, ``{head row: None}``.
+#: sink, ``{head row: None}`` — ``{value: None}`` for a one-column view.
 DISTINCT = ()
+
+
+@lru_cache(maxsize=None)
+def make_distinct_emit(key_positions: tuple[int, ...],
+                       num_partitions: int) -> Callable:
+    """The emit pass of a one-column set view's distinct sink ``{value:
+    None}``: ``emit(combined) -> one bucket per partition`` builds each
+    ``(value,)`` once, as it routes it — :func:`make_router` over the
+    sink's rows, bucket for bucket and in order."""
+    if num_partitions == 1:
+        return _compiled(
+            "def emit(combined):\n    return [[(v,) for v in combined]]\n",
+            "emit")
+    return _route_loop("emit", "combined", "v", "combined",
+                       "        row = (v,)\n", ["v"], key_positions,
+                       num_partitions)
 
 
 def head_shape(view) -> tuple | None:

@@ -31,6 +31,11 @@ tables, materialized row lists, memoized wire sizes — with an O(1) check
 instead of a rebuild: a ``(version, row count)`` pair pins append-only
 growth exactly, because appends change the count and everything else
 changes the version.
+
+A partition's wire size (memory accounting) is sampled only when nothing
+better is known: a merge told the size of the rows it merged (the
+exchange summed their buckets') grows the memoized size by the rows it
+added, each at the merged rows' mean size.
 """
 
 from __future__ import annotations
@@ -46,6 +51,29 @@ from repro.engine.kernels import (make_extractor, make_merge_columns_kernel,
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.serialization import rows_size
 from repro.errors import CheckpointError
+
+
+def _grown(entry, before: tuple, after: tuple, added: int, rows,
+           nbytes: int | None):
+    """The size-cache entry of a partition a merge of ``rows`` (``nbytes``
+    on the wire) moved from key ``before`` to ``after`` by ``added`` rows:
+    the old size plus ``added`` rows at the merged rows' mean size — or
+    ``None``, to sample afresh, when either size is unknown."""
+    if nbytes is None or entry is None or entry[0] != before:
+        return None
+    return after, entry[1] + nbytes * added // len(rows)
+
+
+def _partition_size(state, partition_index: int, rows) -> int:
+    """``state``'s memoized wire size of one partition holding ``rows``,
+    sampled when the memo is stale."""
+    key = (state.versions[partition_index], len(rows))
+    entry = state._size_cache[partition_index]
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    size = rows_size(rows) if key[1] else 0
+    state._size_cache[partition_index] = (key, size)
+    return size
 
 
 class SetRDD:
@@ -68,20 +96,22 @@ class SetRDD:
             [{} for _ in range(num_partitions)]
         self.partitioner = partitioner or HashPartitioner(num_partitions)
         self.versions: list[int] = [0] * num_partitions
+        #: Per partition ``((version, row count), wire size)`` or ``None``.
         self._size_cache: list[tuple[tuple[int, int], int] | None] = \
-            [None] * num_partitions
+            [((0, 0), 0)] * num_partitions
 
     @property
     def num_partitions(self) -> int:
         return len(self.partitions)
 
-    def union_in_place(self, partition_index: int,
-                       rows: Iterable[tuple]) -> list[tuple]:
+    def union_in_place(self, partition_index: int, rows: Iterable[tuple],
+                       nbytes: int | None = None) -> list[tuple]:
         """Insert rows into one partition; return those that were new.
 
         This is lines 14–16 of Algorithm 4 collapsed into one pass: the
         returned list is the new delta partition ``D``.  Pure append: the
         partition version is untouched (the row count records the growth).
+        ``nbytes``, the wire size of ``rows`` when known, sizes the growth.
         """
         target = self.partitions[partition_index]
         fresh: list[tuple] = []
@@ -89,6 +119,12 @@ class SetRDD:
             if row not in target:
                 target[row] = None
                 fresh.append(row)
+        if fresh:
+            version = self.versions[partition_index]
+            self._size_cache[partition_index] = _grown(
+                self._size_cache[partition_index],
+                (version, len(target) - len(fresh)), (version, len(target)),
+                len(fresh), rows, nbytes)
         return fresh
 
     merge_rows = union_in_place
@@ -157,18 +193,13 @@ class SetRDD:
     def partition_size_bytes(self, partition_index: int) -> int:
         """Wire-size estimate of one partition (memory accounting).
 
-        Memoized on ``(version, row count)``: the memory manager re-charges
-        every cached partition per stage, and most partitions are quiescent
-        in any given iteration.
+        Memoized on ``(version, row count)`` and grown by each sized merge
+        (:func:`_grown`): the memory manager re-charges every cached
+        partition per stage, and most partitions are quiescent in any
+        given iteration.
         """
-        partition = self.partitions[partition_index]
-        key = (self.versions[partition_index], len(partition))
-        entry = self._size_cache[partition_index]
-        if entry is not None and entry[0] == key:
-            return entry[1]
-        size = rows_size(partition)
-        self._size_cache[partition_index] = (key, size)
-        return size
+        return _partition_size(self, partition_index,
+                               self.partitions[partition_index])
 
     def size_bytes(self) -> int:
         return sum(self.partition_size_bytes(i)
@@ -204,7 +235,9 @@ class KeyedStateRDD:
         self.partitions: list[dict] = [{} for _ in range(num_partitions)]
         self.partitioner = partitioner or HashPartitioner(num_partitions)
         self.versions: list[int] = [0] * num_partitions
-        self._size_cache: list[tuple[int, int] | None] = [None] * num_partitions
+        #: Per partition ``((version, row count), wire size)`` or ``None``.
+        self._size_cache: list[tuple[tuple[int, int], int] | None] = \
+            [((0, 0), 0)] * num_partitions
         self.key_of = make_extractor(group_positions)
         generic = dict(key_of=self.key_of, positions=aggregate_positions,
                        aggregates=aggregates)
@@ -227,8 +260,8 @@ class KeyedStateRDD:
         self.versions[partition_index] += 1
         self._size_cache[partition_index] = None
 
-    def merge_rows(self, partition_index: int,
-                   rows: Iterable[tuple]) -> list[tuple]:
+    def merge_rows(self, partition_index: int, rows: Iterable[tuple],
+                   nbytes: int | None = None) -> list[tuple]:
         """Merge head rows into one partition; return the delta rows.
 
         The Reduce stage of Algorithm 5: a row enters the delta when its
@@ -236,10 +269,19 @@ class KeyedStateRDD:
         delta row is the improved stored row; for ``sum``/``count`` it
         carries the *increments*, which is what downstream linear
         recursion must propagate (see ``repro.engine.aggregates``).
+        ``nbytes``, the wire size of ``rows`` when known, sizes the new
+        groups; an improved group keeps its row's size.
         """
-        fresh = self._merge(self.partitions[partition_index], rows)
+        partition = self.partitions[partition_index]
+        held = len(partition)
+        fresh = self._merge(partition, rows)
         if fresh:
-            self._touch(partition_index)
+            version = self.versions[partition_index]
+            self.versions[partition_index] = version + 1
+            self._size_cache[partition_index] = _grown(
+                self._size_cache[partition_index], (version, held),
+                (version + 1, len(partition)), len(partition) - held, rows,
+                nbytes)
         return fresh
 
     # Unreferenced by the product path; pinned for benchmarks/e2e/micro.py.
@@ -312,14 +354,10 @@ class KeyedStateRDD:
         return out
 
     def partition_size_bytes(self, partition_index: int) -> int:
-        """Wire-size estimate of one partition (memory accounting)."""
-        cached = self._size_cache[partition_index]
-        version = self.versions[partition_index]
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        size = rows_size(self.partitions[partition_index].values())
-        self._size_cache[partition_index] = (version, size)
-        return size
+        """Wire-size estimate of one partition (memory accounting; see
+        :meth:`SetRDD.partition_size_bytes`)."""
+        return _partition_size(self, partition_index,
+                               self.partitions[partition_index].values())
 
     def size_bytes(self) -> int:
         return sum(self.partition_size_bytes(i)

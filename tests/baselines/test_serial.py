@@ -1,5 +1,6 @@
 """Unit tests for the single-threaded reference algorithms."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,25 @@ def graphs(draw, weighted=False):
     if weighted:
         return [(a, b, (a * 7 + b) % 9 + 1) for a, b in edges]
     return edges
+
+
+class TestOutOfCachePenalty:
+    def test_no_penalty_while_the_graph_fits_in_cache(self):
+        assert serial.out_of_cache_penalty(0) == 1.0
+        assert serial.out_of_cache_penalty(10_000_000) == 1.0
+
+    def test_grows_logarithmically_to_8x(self):
+        # 150x the 10M-edge knee is the full log-scale growth
+        assert serial.out_of_cache_penalty(1_500_000_000) \
+            == pytest.approx(8.0)
+        assert serial.out_of_cache_penalty(10_000_000 * 150 ** 0.5) \
+            == pytest.approx(4.5)
+
+    def test_capped_and_monotone(self):
+        counts = [10_000_001, 10 ** 8, 10 ** 9, 1_468_365_182, 10 ** 11]
+        penalties = [serial.out_of_cache_penalty(c) for c in counts]
+        assert penalties == sorted(penalties)
+        assert 1.0 < penalties[0] and penalties[-1] == 8.0
 
 
 class TestReach:

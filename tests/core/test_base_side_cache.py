@@ -245,13 +245,14 @@ def test_every_invalidator_rebuilds_and_matches_a_fresh_context(
 def cached(ctx) -> dict:
     """Every cached value by key, in a form ``==`` compares deeply *and*
     in order: distinct rows as a list, ``(buckets, sides)`` with each hash
-    side as its item list (the recorded seconds are wall time)."""
+    side as its item list (the recorded seconds are wall time, the sizes
+    the wire-size model's estimates)."""
     out = {}
     for key, (value, _) in ctx.base_sides._entries.items():
         if key[-1] == "distinct":
             out[key] = value[0].rows
         elif key[0] != "install":
-            buckets, sides, _ = value
+            buckets, sides, _, _ = value
             out[key] = buckets, [list(side.items())
                                  if isinstance(side, dict) else side
                                  for side in sides]
@@ -596,7 +597,7 @@ def test_incremental_view_shares_the_sessions_entries():
     (key,) = _side_keys(ctx)
 
     def shared():
-        (_, sides, _), _ = ctx.base_sides._entries[key]
+        (_, sides, _, _), _ = ctx.base_sides._entries[key]
         return all(sides is own
                    for own in view.operator.runtime.base_partitions.values())
 
@@ -687,7 +688,7 @@ def test_deadline_abort_leaves_the_cache_usable():
     with pytest.raises(QueryDeadlineExceededError):
         ctx.sql(SSSP, config=ExecutionConfig(deadline_seconds=1e-9))
     for key in _side_keys(ctx):
-        assert len(ctx.base_sides._entries[key][0]) == 3
+        assert len(ctx.base_sides._entries[key][0]) == 4
     assert run(ctx, SSSP)[0] == expected
     with pytest.raises(QueryDeadlineExceededError):
         ctx.sql(SSSP, config=ExecutionConfig(deadline_seconds=1e-9))
@@ -843,7 +844,7 @@ def test_string_values_are_one_object():
     assert sorted(rows) == [("ab",), ("cd",), ("ef",), ("gh",)]
     canon = _canon(ctx)
     assert sorted(canon) == ["ab", "cd", "ef", "gh"]
-    (_, sides, _), _ = [entry for key, entry in ctx.base_sides._entries.items()
+    (_, sides, _, _), _ = [entry for key, entry in ctx.base_sides._entries.items()
                         if key[-1] != "distinct"][0]
     for side in sides:
         for key, bucket in side.items():

@@ -212,3 +212,51 @@ class TestExplain:
         assert "decomposable" in ctx.explain(tc)
         assert "decomposable" not in ctx.explain(tc, config=durable)
         assert not any(tmp_path.iterdir())
+
+
+class TestTraceOnRead:
+    """``RunInfo.trace`` keeps the closed root span and serializes it when
+    first read: a query nobody inspects never pays for ``Span.to_dict``."""
+
+    @pytest.fixture
+    def serialized(self, monkeypatch):
+        from repro.engine.tracing import Span
+
+        roots = []
+        original = Span.to_dict
+
+        def to_dict(span):
+            if span.kind == "query":
+                roots.append(span.name)
+            return original(span)
+
+        monkeypatch.setattr(Span, "to_dict", to_dict)
+        return roots
+
+    def test_unread_traces_are_never_serialized(self, serialized):
+        ctx = make_ctx()
+        for _ in range(3):
+            ctx.sql(SSSP)
+        assert serialized == []
+        trace = ctx.last_run.trace
+        assert ctx.last_run.trace is trace
+        assert len(serialized) == 1
+        assert trace["kind"] == "query" and trace["children"]
+
+    def test_a_late_read_equals_the_trace_at_the_end_of_the_query(self):
+        import copy
+
+        ctx = make_ctx()
+        ctx.sql(SSSP)
+        first = ctx.last_run
+        at_end = copy.deepcopy(first.root_span.to_dict())
+        ctx.sql(SSSP)  # the next query on the same cluster and tracer
+        ctx.catalog.append_rows("edge", [(3, 4, 1.0)])
+        ctx.sql(SSSP)
+        assert first.trace == at_end
+        assert "path" in first.explain_analyze()
+
+    def test_untraced_runs_have_no_trace(self):
+        ctx = make_ctx(trace=False)
+        ctx.sql(SSSP)
+        assert ctx.last_run.trace is None

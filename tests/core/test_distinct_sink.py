@@ -13,10 +13,16 @@ derived twice is routed, size-accounted and shipped once.  Pins:
   occurrences, over values mixing ``1`` / ``1.0`` / ``True``, ``0.0`` /
   ``-0.0``, one shared and many distinct NaN objects, ``None`` and
   ``str``;
+- *bare values*: a one-column set view's sink keeps bare values, ``{value:
+  None}``, and its emit builds each ``(value,)`` as it routes it; that is,
+  bucket for bucket and in order, the tuple-keyed sink plus the router,
+  over the same value mixes, for generated terms, terms that return rows,
+  constant base rows and ``decomposed.run_local_fixpoint``;
 - *differential*: set-view queries over such graphs answer exactly as
   their ``partial_aggregation=False`` run — rows by ``repr`` and in
   order, iterations, ``delta_history`` and every ``SetRDD`` partition's
-  row order — and ship no more records;
+  row order — and ship no more records (``reach`` also with
+  ``codegen=False``, whose terms return rows);
 - *process backend*: ``reach`` on real workers is bit-exact with the
   simulated run, and every task ships.
 """
@@ -46,8 +52,11 @@ VALUES = st.one_of(
 rows_of = st.lists(st.tuples(VALUES, VALUES), max_size=30)
 
 
-def set_view(key):
-    return WireView(group_positions=(), aggregate_positions=(),
+def set_view(key, group=()):
+    """A set view; ``group`` is the view's columns (all of them are its
+    group), which the sink reads its width from — left empty, the rows
+    are keyed whole, as a view of several columns keys them."""
+    return WireView(group_positions=group, aggregate_positions=(),
                     aggregate_names=(), partition_key_positions=key,
                     has_aggregates=False)
 
@@ -102,12 +111,86 @@ def test_distinct_sink_and_emit_match_dedup_then_route(
 
 
 # ----------------------------------------------------------------------
+# a one-column set view keeps bare values
+# ----------------------------------------------------------------------
+
+
+def bare_term(values):
+    """What codegen emits for a one-column set view: the bare value."""
+    def evaluate(delta, partition, runtime, combined):
+        for value in values:
+            combined[value] = None
+    return evaluate
+
+
+def value_shape(buckets):
+    """``repr`` (types and order) and the identity of every row's value:
+    the first occurrence's object, whichever sink kept it."""
+    return repr(buckets), {pid: [id(row[0]) for row in bucket]
+                           for pid, bucket in buckets.items()}
+
+
+values_of = st.lists(VALUES, max_size=30)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(first=values_of, second=values_of, constants=values_of)
+def test_bare_value_sink_emits_what_the_tuple_sink_and_router_do(
+        n, first, second, constants):
+    one_column, keyed_whole = set_view((0,), group=(0,)), set_view((0,))
+    rows = [[(v,) for v in values] for values in (first, second, constants)]
+    bare = derive(one_column,
+                  [("v", "v", False, bare_term(first), True),
+                   ("v", "v", False, bare_term(second), True)], n)
+    # a term that returns rows (codegen off) meets the same sink
+    mixed = derive(one_column,
+                   [("v", "v", False, bare_term(first), True),
+                    ("v", "v", False, list_term(rows[1]), False)], n)
+    tupled = derive(keyed_whole,
+                    [("v", "v", False, distinct_term(rows[0]), True),
+                     ("v", "v", False, distinct_term(rows[1]), True)], n)
+    assert value_shape(bare) == value_shape(mixed) == value_shape(tupled)
+    assert value_shape(bare) == value_shape(nonempty(
+        make_router((0,), n)(list(dict.fromkeys(rows[0] + rows[1])))))
+    # constant base rows (``SELECT 0``) go through ``add``
+    assert value_shape(CliqueStep({"v": one_column}, [], n,
+                                  True).derive_once("v", rows[2])) \
+        == value_shape(CliqueStep({"v": keyed_whole}, [], n,
+                                  True).derive_once("v", rows[2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.dictionaries(st.integers(0, 12),
+                             st.lists(st.integers(0, 12), max_size=4)),
+       start=st.lists(st.integers(0, 12), min_size=1, max_size=3))
+def test_local_fixpoint_of_a_one_column_view_keeps_bare_values(steps, start):
+    from repro.core.decomposed import run_local_fixpoint
+
+    def term(bare):
+        def evaluate(delta, partition, runtime, combined):
+            for (vertex,) in delta:
+                for nxt in steps.get(vertex, ()):
+                    combined[nxt if bare else (nxt,)] = None
+        return evaluate
+
+    runs = [run_local_fixpoint([("v", "v", False, term(bare), True)], "v",
+                               view, True, {}, [(v,) for v in start], 100)
+            for bare, view in ((True, set_view((0,), group=(0,))),
+                               (False, set_view((0,))))]
+    assert repr(list(runs[0][0])) == repr(list(runs[1][0]))
+    assert runs[0][1] == runs[1][1]
+
+
+# ----------------------------------------------------------------------
 # differential: the distinct sink vs the ablation's list sink
 # ----------------------------------------------------------------------
 
 QUERIES = {
     "reach": ("edge", get_query("reach").formatted(source=1),
               ExecutionConfig()),
+    "reach/codegen_off": ("edge", get_query("reach").formatted(source=1),
+                          ExecutionConfig(codegen=False)),
     "tc": ("edge", get_query("tc").sql, ExecutionConfig()),
     "tc/stacked": ("edge", get_query("tc").sql,
                    ExecutionConfig(decomposed_plans=False)),

@@ -60,6 +60,13 @@ views on every fused axis, and every library query's terms under
 ``_append((…,))``; no maintenance term moved, and every ``explain`` /
 ``describe`` / ``base_plans`` / ``grouped`` / exception entry and the key
 set are byte-identical.
+Re-cut when a one-column set view's distinct sink began keeping bare
+values: against the parent's golden only ``source`` moved, for 28 of the
+578 entries — the generated recursive terms of ``reach`` and the
+recursive and base terms of ``party_attendance``'s ``attend`` view, now
+``combined[v] = None`` in place of ``combined[(v,)] = None``; every
+other entry, and every ``explain`` / ``describe`` / ``base_plans`` /
+``grouped`` / exception entry, byte-identical.
 
 Regenerate (only for an intended plan change)::
 

@@ -101,8 +101,8 @@ def checked(monkeypatch):
     merge = CliqueStep.merge
     relations = FixpointOperator.relations
 
-    def checked_merge(self, partition, rows_by_view):
-        d_by_view = merge(self, partition, rows_by_view)
+    def checked_merge(self, partition, rows_by_view, *sizes):
+        d_by_view = merge(self, partition, rows_by_view, *sizes)
         assert_fresh_rows(self, partition)
         return d_by_view
 

@@ -9,6 +9,7 @@ from repro.datagen import (
     gn_graph,
     grid_graph,
     proxy_graph,
+    proxy_table,
     random_graph,
     random_tree,
     rmat_graph,
@@ -95,3 +96,13 @@ class TestRealWorldProxies:
     def test_weighted_variant(self):
         edges = proxy_graph("orkut", scale_divisor=50000, weighted=True)
         assert all(len(edge) == 3 for edge in edges)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_proxy_table_pairs_the_columns_with_the_proxy(self, weighted):
+        columns, rows = proxy_table("orkut", scale_divisor=50000, seed=3,
+                                    weighted=weighted)
+        assert columns == (["Src", "Dst", "Cost"] if weighted
+                           else ["Src", "Dst"])
+        assert rows == proxy_graph("orkut", scale_divisor=50000, seed=3,
+                                   weighted=weighted)
+        assert rows and all(len(row) == len(columns) for row in rows)
