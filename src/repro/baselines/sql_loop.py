@@ -24,7 +24,6 @@ Spark SQL author would add, and the final statement aggregates them away.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.core import ast_nodes as ast
@@ -32,6 +31,7 @@ from repro.core.config import ExecutionConfig
 from repro.core.executor import execute_select
 from repro.core.parser import parse
 from repro.engine.cluster import Cluster
+from repro.engine.metrics import timed
 from repro.engine.serialization import rows_size
 from repro.errors import AnalysisError, FixpointNotReachedError
 from repro.relation import Relation
@@ -128,13 +128,38 @@ class SQLLoopEngine:
                 return tables[name.lower()]
             return resolve
 
+        def select_union(branches, bound: Relation | None) -> set[tuple]:
+            rows: set[tuple] = set()
+            for branch in branches:
+                rows.update(execute_select(branch, resolver(bound),
+                                           view.name).rows)
+            return rows
+
+        def step(all_rows: set[tuple], delta_rows: set[tuple]):
+            source = all_rows if self.mode == "naive" else delta_rows
+            derived = select_union(
+                prepared_recursive,
+                Relation(view.name, working_columns, source))
+            fresh = derived - all_rows
+            # Immutable accumulation: rebuild the full relation, as a
+            # chain of DataFrame unions would.
+            shipped = derived if self.mode == "naive" else fresh
+            return fresh, set(all_rows) | fresh, shipped
+
+        def final_stratum(all_rows: set[tuple]):
+            final_rows = self._final_aggregate(view, all_rows, accumulating)
+            view_relation = Relation(view.name, view.column_names, final_rows)
+
+            def final_resolve(name: str) -> Relation:
+                if name.lower() == view.name.lower():
+                    return view_relation
+                return tables[name.lower()]
+
+            return execute_select(with_query.final, final_resolve, "result")
+
         # --- base case -------------------------------------------------
-        t0 = time.perf_counter()
-        all_rows: set[tuple] = set()
-        for branch in prepared_base:
-            result = execute_select(branch, resolver(None), view.name)
-            all_rows.update(result.rows)
-        self._charge(time.perf_counter() - t0, all_rows, "sqlloop-base")
+        all_rows, seconds = timed(select_union, prepared_base, None)
+        self._charge(seconds, all_rows, "sqlloop-base")
         delta_rows = set(all_rows)
 
         deadline_armed = False
@@ -160,20 +185,9 @@ class SQLLoopEngine:
                         f"query for non-monotonic recursion",
                         iterations - 1)
                 self.cluster.check_deadline(f"sqlloop-iter{iterations}")
-                t0 = time.perf_counter()
-                source = all_rows if self.mode == "naive" else delta_rows
-                bound = Relation(view.name, working_columns, source)
-                derived: set[tuple] = set()
-                for branch in prepared_recursive:
-                    result = execute_select(branch, resolver(bound), view.name)
-                    derived.update(result.rows)
-                fresh = derived - all_rows
-                # Immutable accumulation: rebuild the full relation, as a
-                # chain of DataFrame unions would.
-                all_rows = set(all_rows) | fresh
-                shipped = derived if self.mode == "naive" else fresh
-                self._charge(time.perf_counter() - t0, shipped,
-                             f"sqlloop-iter{iterations}")
+                (fresh, all_rows, shipped), seconds = timed(
+                    step, all_rows, delta_rows)
+                self._charge(seconds, shipped, f"sqlloop-iter{iterations}")
                 if not fresh:
                     break
                 delta_rows = fresh
@@ -183,17 +197,8 @@ class SQLLoopEngine:
                 self.cluster.deadline = None
 
         # --- final stratum ----------------------------------------------
-        t0 = time.perf_counter()
-        final_rows = self._final_aggregate(view, all_rows, accumulating)
-        view_relation = Relation(view.name, view.column_names, final_rows)
-
-        def final_resolve(name: str) -> Relation:
-            if name.lower() == view.name.lower():
-                return view_relation
-            return tables[name.lower()]
-
-        result = execute_select(with_query.final, final_resolve, "result")
-        self._charge(time.perf_counter() - t0, result.rows, "sqlloop-final")
+        result, seconds = timed(final_stratum, all_rows)
+        self._charge(seconds, result.rows, "sqlloop-final")
         return LoopResult(result, iterations)
 
     # ------------------------------------------------------------------

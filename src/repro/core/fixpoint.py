@@ -33,7 +33,6 @@ Also driven from here:
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable
@@ -61,6 +60,7 @@ from repro.engine.backend.payloads import (
 from repro.engine.cluster import Cluster, StageTask
 from repro.engine.dataset import Dataset, Partition
 from repro.engine.kernels import make_extractor, make_router
+from repro.engine.metrics import timed
 from repro.engine.serialization import rows_size
 from repro.errors import FixpointNotReachedError, PlanningError
 from repro.relation import Relation
@@ -282,17 +282,14 @@ class FixpointOperator:
             return make_router(plan.build_key, self.n) if copartition else None
 
         def build():
-            t0 = time.perf_counter()
-            buckets, sides = build_base_side(plan, rows, router(),
-                                             sort_merge, canon)
-            seconds = time.perf_counter() - t0
+            (buckets, sides), seconds = timed(
+                lambda: build_base_side(plan, rows, router(), sort_merge,
+                                        canon))
             sizes = (list(map(rows_size, buckets)) if copartition
                      else [rows_size(rows)])
             return buckets, sides, seconds, sizes
 
-        def absorb(built, held):
-            buckets, sides, seconds, sizes = built
-            t0 = time.perf_counter()
+        def grow(buckets, sides, held):
             appended = append_base_side(plan, rows[held:], sides, router(),
                                         canon)
             for bucket, new in zip(buckets, appended):
@@ -300,7 +297,12 @@ class FixpointOperator:
                 # which has the new rows already.
                 if bucket is not rows:
                     bucket.extend(new)
-            seconds += time.perf_counter() - t0
+            return appended
+
+        def absorb(built, held):
+            buckets, sides, seconds, sizes = built
+            appended, grown = timed(grow, buckets, sides, held)
+            seconds += grown
             if copartition:
                 sizes = [size + rows_size(new)
                          for size, new in zip(sizes, appended)]

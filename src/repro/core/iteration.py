@@ -24,9 +24,9 @@ from typing import Callable
 
 from operator import itemgetter
 
-from repro.engine.kernels import (make_distinct_emit, make_fold_kernel,
-                                  make_router)
-from repro.engine.partitioner import HashPartitioner, make_key_fn
+from repro.engine.kernels import (make_distinct_emit, make_extractor,
+                                  make_fold_kernel, make_router)
+from repro.engine.partitioner import HashPartitioner
 from repro.engine.setrdd import KeyedStateRDD, SetRDD
 
 #: State-table cache outcomes, under the names the metrics registry
@@ -65,7 +65,7 @@ def _make_negator(view) -> Callable[[tuple], tuple]:
 def _append_state_rows(table: dict, rows: list[tuple],
                        key_positions: tuple[int, ...]) -> dict:
     """Add state rows to a build table (``{}`` builds one from scratch)."""
-    key_fn = make_key_fn(key_positions)
+    key_fn = make_extractor(key_positions)
     for row in rows:
         table.setdefault(key_fn(row), []).append(row)
     return table

@@ -30,10 +30,6 @@ from repro.engine.serialization import dump_payload, load_payload
 
 _NORM_REF = re.compile(r"_norm(\d+)")
 
-#: Per-worker install-blob cache capacity (driver and worker mirror this
-#: FIFO exactly, so a driver-predicted cache hit can never miss).
-BLOB_CACHE_SLOTS = 8
-
 
 @dataclass(frozen=True)
 class WireView:

@@ -51,7 +51,7 @@ from repro.engine.backend.base import (
     ClusterBackend,
     ProcessConfig,
 )
-from repro.engine.backend.payloads import BLOB_CACHE_SLOTS, split_install_spec
+from repro.engine.backend.payloads import split_install_spec
 from repro.engine.serialization import dump_payload
 from repro.errors import (
     ExecutionError,
@@ -92,11 +92,10 @@ class _WorkerHandle:
         self.replies: dict[int, object] = {}
         #: Req ids whose replies must be dropped (aborted batch).
         self.abandoned: set[int] = set()
-        #: Digests of heavy-install blobs this worker caches, in FIFO
-        #: insertion order — an exact driver-side mirror of the worker's
-        #: ``blob_cache`` bookkeeping (same capacity, same eviction, no
-        #: reorder on hit), so a predicted hit can never miss.
-        self.cached_digests: dict[str, bool] = {}
+        #: Digest of the heavy install half this worker decoded last —
+        #: the one it holds (``WorkerState.decoded``); ``None`` until the
+        #: first install reaches a fresh process.
+        self.installed_digest: str | None = None
         self._sendq: queue.SimpleQueue = queue.SimpleQueue()
         self._sender = threading.Thread(
             target=self._send_loop, daemon=True,
@@ -281,22 +280,21 @@ class ProcessClusterBackend(ClusterBackend):
 
     def _send_install(self, handle: _WorkerHandle, light, heavy: bytes,
                       digest: str) -> None:
-        """Install a session, skipping the heavy blob on a cache hit.
+        """Install a session, shipping the heavy blob exactly when the
+        worker does not hold its digest decoded already.
 
-        Repeated queries over the same registered tables rebuild
-        byte-identical base-partition structures; content addressing
-        turns every install after the first into a light-spec-only send
-        (the ``payload_bytes_saved`` counter measures the win).
+        Repeated queries over the same table epochs share one heavy half
+        (the ``BaseSideCache`` entry), so every install after the first
+        is a light-spec-only send (``payload_bytes_saved`` counts the
+        bytes not shipped); any other digest ships and replaces it.
         """
         metrics = self.cluster.metrics
-        if digest in handle.cached_digests:
+        if handle.installed_digest == digest:
             ship = None
             metrics.inc("process_payload_bytes_saved", len(heavy))
         else:
             ship = heavy
-            handle.cached_digests[digest] = True
-            while len(handle.cached_digests) > BLOB_CACHE_SLOTS:
-                del handle.cached_digests[next(iter(handle.cached_digests))]
+            handle.installed_digest = digest
             metrics.inc("process_install_bytes", len(heavy))
         handle.send((self._next_req(), "install", light, digest, ship))
 

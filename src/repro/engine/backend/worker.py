@@ -19,13 +19,11 @@ Protocol (driver -> worker, one tuple per message)::
 
 An install ships its *heavy* half (prebuilt base join structures and
 broadcast tables — see ``payloads.split_install_spec``) content-addressed:
-when the driver predicts this worker still caches the digest, it sends
-``None`` instead of re-shipping megabytes of unchanged base partitions.
-The worker's blob cache follows the driver's bookkeeping FIFO exactly
-(``BLOB_CACHE_SLOTS``, insertion order, no reorder on hit), so a
-predicted hit can never miss; beside the bytes it keeps the *decoded*
-structures of the digest it installed last, so repeated queries over the
-same table epochs unpickle them once (:class:`WorkerState`).  Tasks only ever
+the worker keeps the *decoded* structures of the digest it installed
+last, and the driver, which records that one digest per worker, sends
+``None`` instead of the bytes exactly when the install's digest is it —
+so repeated queries over the same table epochs ship and unpickle them
+once (:class:`WorkerState`).  Tasks only ever
 arrive as a ``task_batch``
 — one worker's share of a stage in a single message, a crash-recovery
 re-dispatch being a batch of one; each entry replies individually under
@@ -66,9 +64,10 @@ from dataclasses import replace
 from repro.core.decomposed import run_grouped_fixpoint, run_local_fixpoint
 from repro.core.iteration import CliqueStep
 from repro.engine.backend.base import HEARTBEAT_INTERVAL_S
-from repro.engine.backend.payloads import (BLOB_CACHE_SLOTS, InstallSpec,
+from repro.engine.backend.payloads import (InstallSpec,
                                            assemble_install_spec,
                                            recompile_term)
+from repro.engine.metrics import timed
 from repro.engine.serialization import load_payload
 
 
@@ -184,12 +183,11 @@ def _run_payload(sessions: dict[str, WorkerSession], payload):
 class WorkerState:
     """What a pool worker keeps between messages, and its control arms.
 
-    ``blob_cache`` holds content-addressed heavy-install blobs,
-    FIFO-evicted, following the driver's per-worker ``cached_digests``
-    bookkeeping exactly.  ``decoded`` holds the unpickled ``(base
-    partitions, broadcast tables)`` of the digest installed last —
-    shared read-only by every session installed from it — so only an
-    install over a *different* heavy half pays ``load_payload``.  It has
+    ``decoded`` holds the unpickled ``(base partitions, broadcast
+    tables)`` of the digest installed last — shared read-only by every
+    session installed from it — so only an install over a *different*
+    heavy half ships its bytes and pays ``load_payload``; the driver's
+    ``installed_digest`` of this worker names that one digest.  It has
     no validity check of its own: the digest is the content of the
     driver's install half, which lives by the one epoch rule
     (``BaseSideCache``, DESIGN.md §19).
@@ -199,17 +197,12 @@ class WorkerState:
         self.worker_id = worker_id
         self.sessions: dict[str, WorkerSession] = {}
         self.chaos: list[dict] = []
-        self.blob_cache: dict[str, bytes] = {}
         self.decoded: dict[str, tuple[dict, dict]] = {}
 
     def install(self, light: InstallSpec, digest: str,
                 heavy: bytes | None) -> None:
-        if heavy is None:
-            heavy = self.blob_cache[digest]  # driver predicted a hit
-        else:
-            self.blob_cache[digest] = heavy
-            while len(self.blob_cache) > BLOB_CACHE_SLOTS:
-                del self.blob_cache[next(iter(self.blob_cache))]
+        """``heavy`` is ``None`` exactly when ``digest`` is the one
+        decoded here."""
         sides = self.decoded.get(digest)
         if sides is None:
             self.decoded.clear()  # before decoding: never two resident
@@ -271,9 +264,8 @@ def worker_main(conn, worker_id: int) -> None:
     def run_task(stage, task_index, blob):
         payload = load_payload(blob)
         _apply_chaos(state.chaos, stage, task_index, heartbeat)
-        t0 = time.perf_counter()
-        result = _run_payload(state.sessions, payload)
-        return time.perf_counter() - t0, result
+        result, seconds = timed(_run_payload, state.sessions, payload)
+        return seconds, result
 
     while True:
         try:

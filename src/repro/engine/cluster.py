@@ -3,9 +3,10 @@
 All computation is performed for real inside this process, so results are
 exact.  What is *simulated* is placement and time: partitions have home
 workers, a scheduling policy assigns tasks, and a cost model converts
-measured task CPU time + modelled data movement into cluster seconds on
-``metrics.sim_time``.  Within a stage, workers run concurrently, so a stage
-contributes ``max`` over workers of their busy time.
+measured task time (``metrics.task_clock``) + modelled data movement into
+cluster seconds on ``metrics.sim_time``.  Within a stage, workers run
+concurrently, so a stage contributes ``max`` over workers of their busy
+time.
 
 The key invariant that the partition-aware pieces of the paper rely on:
 partition ``i`` of every co-partitioned structure lives on worker
@@ -43,7 +44,6 @@ mid-run for chaos testing.
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -57,8 +57,9 @@ from repro.engine.faults import (
     injector_kind,
 )
 from repro.engine.memory import MemoryConfig, MemoryManager
-from repro.engine.metrics import CostModel, MetricsRegistry
-from repro.engine.partitioner import HashPartitioner, make_key_fn
+from repro.engine.kernels import make_router
+from repro.engine.metrics import CostModel, MetricsRegistry, timed
+from repro.engine.partitioner import HashPartitioner
 from repro.engine.scheduler import TaskSpec, fallback_worker, make_policy
 from repro.engine.serialization import CompressionCodec, rows_checksum, rows_size
 from repro.engine.tracing import Tracer
@@ -140,7 +141,7 @@ class Cluster:
     def __init__(self, num_workers: int = 4, num_partitions: int | None = None,
                  scheduler: str = "partition_aware",
                  cost_model: CostModel | None = None,
-                 seed: int = 17, trace: bool = True,
+                 trace: bool = True,
                  memory_config: MemoryConfig | None = None,
                  backend: str = "simulated",
                  process_config: ProcessConfig | None = None):
@@ -152,7 +153,7 @@ class Cluster:
                 f"worker), got {num_partitions!r}")
         self.num_workers = num_workers
         self.num_partitions = num_partitions or num_workers
-        self.scheduler = make_policy(scheduler, seed=seed)
+        self.scheduler = make_policy(scheduler)
         self.cost_model = cost_model or CostModel()
         self.codec = CompressionCodec()
         self.metrics = MetricsRegistry()
@@ -287,14 +288,8 @@ class Cluster:
                        key_indices: tuple[int, ...],
                        num_partitions: int | None = None) -> list[list[tuple]]:
         """Hash-partition rows locally (no cost accounting)."""
-        n = num_partitions or self.num_partitions
-        partitioner = HashPartitioner(n)
-        key_fn = make_key_fn(key_indices)
-        buckets: list[list[tuple]] = [[] for _ in range(n)]
-        for row in rows:
-            row = tuple(row)
-            buckets[partitioner.partition_of(key_fn(row))].append(row)
-        return buckets
+        route = make_router(key_indices, num_partitions or self.num_partitions)
+        return route(map(tuple, rows))
 
     def parallelize(self, rows: Iterable[Sequence],
                     key_indices: tuple[int, ...] | None = None,
@@ -323,9 +318,8 @@ class Cluster:
         The paper's Figure 8/9 totals start "from the data loading"; this
         models a parallel HDFS scan followed by the initial hash exchange.
         """
-        t0 = time.perf_counter()
-        dataset = self.parallelize(rows, key_indices, num_partitions)
-        cpu = time.perf_counter() - t0
+        dataset, cpu = timed(self.parallelize, rows, key_indices,
+                             num_partitions)
         nbytes = dataset.size_bytes()
         load_time = self.cost_model.transfer_seconds(nbytes, self.num_workers)
         self.metrics.advance(load_time + cpu * self.cost_model.cpu_scale
@@ -377,35 +371,51 @@ class Cluster:
 
         ``raw`` is ``[(output, worker, cpu_seconds), ...]`` in task
         order.  The simulated clock keeps its meaning under the process
-        backend: measured *worker* CPU seconds feed the same cost model,
-        so sim_time stays comparable across backends even though the
-        wall-clock concurrency is now real.
+        backend: task-clock seconds measured on the *pool worker* feed
+        the same commit path, so sim_time stays comparable across
+        backends even though the wall-clock concurrency is now real.
         """
         worker_busy = [0.0] * self.num_workers
         results: list[TaskResult] = []
         for task, (output, worker, cpu) in zip(tasks, raw):
-            cpu_s = cpu * self.cost_model.cpu_scale
-            fetch_time, remote_bytes, remote_count = self._fetch_cost(task, worker)
-            if remote_count:
-                self.metrics.inc("remote_fetches", remote_count)
-                self.metrics.inc("remote_fetch_bytes", remote_bytes)
             self.metrics.inc("task_attempts")
-            busy = cpu_s + self.cost_model.task_overhead_s + fetch_time
-            worker_busy[worker] += busy
-            results.append(self._traced_task(
-                name, TaskResult(task.index, output, worker, cpu_s,
-                                 remote_bytes), busy))
+            results.append(self._commit(
+                name, task, output, worker, cpu * self.cost_model.cpu_scale,
+                self._fetch_cost(task, worker), worker_busy))
         return self._finish_stage(name, results, worker_busy, stage_span)
 
-    def _traced_task(self, name: str, result: TaskResult,
-                     busy: float) -> TaskResult:
-        """One committed task of stage ``name``, recorded in the trace."""
-        self.tracer.leaf("task", f"{name}[{result.index}]",
-                         index=result.index, worker=result.worker,
-                         cpu_seconds=result.cpu_seconds,
-                         remote_bytes=result.remote_bytes,
-                         busy_seconds=busy)
-        return result
+    def _run_body(self, task: StageTask) -> tuple[object, float]:
+        """Run a task's function over its input rows here: its output and
+        the charged seconds of the body, read from the task clock."""
+        output, seconds = timed(task.fn, *[p.rows for p in task.inputs])
+        return output, seconds * self.cost_model.cpu_scale
+
+    def _commit(self, name: str, task: StageTask, output: object,
+                worker: int, cpu: float, fetch: tuple[float, int, int],
+                worker_busy: list[float], replay: bool = False) -> TaskResult:
+        """Charge the attempt of ``task`` that committed on ``worker``.
+
+        The one place a task is charged, wherever its body ran (here, on
+        a pool worker, or again in a worker-loss replay): the remote
+        fetch of *this* attempt (``fetch`` is :meth:`_fetch_cost` on
+        ``worker``) is counted, and ``cpu + task overhead + fetch`` is
+        the worker's busy time.  A committed task is a ``task`` leaf of
+        the stage; a replay is not — its busy time is recovery.
+        """
+        fetch_time, remote_bytes, remote_count = fetch
+        if remote_count:
+            self.metrics.inc("remote_fetches", remote_count)
+            self.metrics.inc("remote_fetch_bytes", remote_bytes)
+        busy = cpu + self.cost_model.task_overhead_s + fetch_time
+        worker_busy[worker] += busy
+        if replay:
+            self.metrics.inc("recovery_seconds", busy)
+        else:
+            self.tracer.leaf("task", f"{name}[{task.index}]",
+                             index=task.index, worker=worker,
+                             cpu_seconds=cpu, remote_bytes=remote_bytes,
+                             busy_seconds=busy)
+        return TaskResult(task.index, output, worker, cpu, remote_bytes)
 
     def _finish_stage(self, name: str, results: list[TaskResult],
                       worker_busy: list[float],
@@ -451,10 +461,9 @@ class Cluster:
                 self._fire_worker_loss(injector, name, pos, tasks,
                                        assignments, results, snapshots,
                                        worker_busy)
-            result, busy = self._run_task_attempts(
-                name, task, pos, assignments[pos], snapshots.get(pos),
-                injecting, worker_busy)
-            results.append(self._traced_task(name, result, busy))
+            results.append(self._run_task_attempts(
+                name, task, assignments[pos], snapshots.get(pos),
+                injecting, worker_busy))
         return self._finish_stage(name, results, worker_busy, stage_span)
 
     def _fetch_cost(self, task: StageTask,
@@ -513,64 +522,46 @@ class Cluster:
             worker = fallback_worker(preferred, healthy)
         return worker
 
-    def _run_task_attempts(self, name: str, task: StageTask, pos: int,
-                           worker: int, saved: object, injecting: bool,
-                           worker_busy: list[float]) -> tuple[TaskResult, float]:
+    def _run_task_attempts(self, name: str, task: StageTask, worker: int,
+                           saved: object, injecting: bool,
+                           worker_busy: list[float]) -> TaskResult:
         """Run one task to commit, retrying injected failures.
 
         Wasted attempts (scheduling, fetch, discarded CPU, backoff) are
         charged to the worker that ran them *and* accumulated into the
         ``recovery_seconds`` counter so EXPLAIN ANALYZE can report the
-        overhead of recovery separately.
+        overhead of recovery separately; the attempt that commits is
+        charged by :meth:`_commit`, with the fetch onto its own worker.
         """
-        fetch_time, remote_bytes, remote_count = self._fetch_cost(task, worker)
-        if remote_count:
-            self.metrics.inc("remote_fetches", remote_count)
-            self.metrics.inc("remote_fetch_bytes", remote_bytes)
-
         failures = 0
         fired: set[int] = set()
-        backoff_base = self.cost_model.task_retry_backoff_s
         while True:
             self.metrics.inc("task_attempts")
-
+            fetch = self._fetch_cost(task, worker)
+            cpu = 0.0
             # Executor lost before the task ran: the attempt still paid
             # scheduling and any input fetch.
-            if injecting and self._attempt_fails(name, task, "before", fired):
-                failures += 1
-                waste = (self.cost_model.task_overhead_s + fetch_time
-                         + self.recovery.backoff_seconds(backoff_base, failures))
-                worker_busy[worker] += waste
-                self.metrics.inc("task_failures")
-                self.metrics.inc("recovery_seconds", waste)
-                worker = self._record_task_failure(name, task, worker, failures)
-                fetch_time, _, _ = self._fetch_cost(task, worker)
-                continue
-
-            t0 = time.perf_counter()
-            output = task.fn(*[p.rows for p in task.inputs])
-            cpu = (time.perf_counter() - t0) * self.cost_model.cpu_scale
-
-            # Executor lost after computing but before committing: the
-            # whole attempt is wasted; replay from the cached state.
-            if injecting and self._attempt_fails(name, task, "after", fired):
+            if not (injecting
+                    and self._attempt_fails(name, task, "before", fired)):
+                output, cpu = self._run_body(task)
+                if not (injecting
+                        and self._attempt_fails(name, task, "after", fired)):
+                    return self._commit(name, task, output, worker, cpu,
+                                        fetch, worker_busy)
+                # Executor lost after computing but before committing:
+                # the whole attempt is wasted; replay from the cached
+                # state.
                 self._guard_replayable(task, name)
-                failures += 1
-                waste = (cpu + self.cost_model.task_overhead_s + fetch_time
-                         + self.recovery.backoff_seconds(backoff_base, failures))
-                worker_busy[worker] += waste
-                self.metrics.inc("task_failures")
-                self.metrics.inc("recovery_seconds", waste)
                 if task.restore is not None:
                     task.restore(saved)
-                worker = self._record_task_failure(name, task, worker, failures)
-                fetch_time, _, _ = self._fetch_cost(task, worker)
-                continue
-
-            busy = cpu + self.cost_model.task_overhead_s + fetch_time
-            worker_busy[worker] += busy
-            return (TaskResult(task.index, output, worker, cpu, remote_bytes),
-                    busy)
+            failures += 1
+            waste = (cpu + self.cost_model.task_overhead_s + fetch[0]
+                     + self.recovery.backoff_seconds(
+                         self.cost_model.task_retry_backoff_s, failures))
+            worker_busy[worker] += waste
+            self.metrics.inc("task_failures")
+            self.metrics.inc("recovery_seconds", waste)
+            worker = self._record_task_failure(name, task, worker, failures)
 
     def _fire_worker_loss(self, injector: WorkerLossInjector, name: str,
                           pos: int, tasks: list[StageTask],
@@ -624,16 +615,12 @@ class Cluster:
             if prev_task.restore is not None:
                 prev_task.restore(snapshots.get(prev_pos))
             new_worker = fallback_worker(victim, self.healthy_workers())
-            fetch_time, new_remote, _ = self._fetch_cost(prev_task, new_worker)
+            fetch = self._fetch_cost(prev_task, new_worker)
             self.metrics.inc("task_attempts")
-            t0 = time.perf_counter()
-            output = prev_task.fn(*[p.rows for p in prev_task.inputs])
-            cpu = (time.perf_counter() - t0) * self.cost_model.cpu_scale
-            busy = cpu + self.cost_model.task_overhead_s + fetch_time
-            worker_busy[new_worker] += busy
-            self.metrics.inc("recovery_seconds", busy)
-            results[prev_pos] = TaskResult(prev.index, output, new_worker,
-                                           cpu, new_remote)
+            output, cpu = self._run_body(prev_task)
+            results[prev_pos] = self._commit(name, prev_task, output,
+                                             new_worker, cpu, fetch,
+                                             worker_busy, replay=True)
             replayed.append(prev.index)
 
         # 3) Pending tasks assigned to the victim move to healthy workers.

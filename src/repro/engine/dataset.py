@@ -10,7 +10,7 @@ runs elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.serialization import rows_size
@@ -84,40 +84,6 @@ class Dataset:
     def size_bytes(self) -> int:
         return sum(p.size_bytes() for p in self.partitions)
 
-    def is_co_partitioned_with(self, other: "Dataset") -> bool:
-        """True when both datasets share partitioner and partition count.
-
-        This is the ``Require: co-partitioned on key K`` precondition of
-        Algorithms 4–6; the key *positions* may differ between the two
-        schemas (e.g. delta joined on column 0, base on column 1) — what
-        must agree is the hash function and modulus.
-        """
-        return (self.partitioner is not None
-                and other.partitioner is not None
-                and self.partitioner == other.partitioner
-                and self.num_partitions == other.num_partitions)
-
-    def map_partitions(self, fn: Callable[[int, list[tuple]], list[tuple]],
-                       preserve_partitioning: bool = False) -> "Dataset":
-        """Local (no scheduler, no metrics) per-partition transformation.
-
-        Used by tests and by purely local set-up code.  Execution that
-        should be visible to the cost model goes through
-        :meth:`repro.engine.cluster.Cluster.run_stage` instead.
-        """
-        new_parts = [
-            Partition(p.index, fn(p.index, p.rows), p.worker)
-            for p in self.partitions
-        ]
-        if preserve_partitioning:
-            return Dataset(new_parts, self.partitioner, self.key_indices)
-        return Dataset(new_parts)
-
     def __repr__(self) -> str:
         return (f"Dataset(partitions={self.num_partitions}, "
                 f"rows={self.num_rows()}, partitioner={self.partitioner})")
-
-
-def from_rows_single_partition(rows: Iterable[tuple], worker: int = 0) -> Dataset:
-    """Wrap rows into a one-partition dataset (handy in tests)."""
-    return Dataset([Partition(0, [tuple(r) for r in rows], worker)])

@@ -12,7 +12,8 @@ kernels mirror the paper's join menu:
   sorted run can likewise be cached.  Slower than a cached hash probe but
   uses less memory (Figure 11).
 - *nested-loop join* — the fallback for non-equi predicates (Interval
-  Coalesce joins on ``coal.S <= inter.S AND inter.S <= coal.E``).
+  Coalesce joins on ``coal.S <= inter.S AND inter.S <= coal.E``); its
+  loop is ``NestedLoopStep.apply`` (``repro.core.physical``).
 
 The interpreted pipeline (``ExecutionConfig.codegen=False``) joins
 through the functions below; generated terms inline the same probe, and
@@ -122,19 +123,4 @@ def sort_merge_join(left_sorted: Sequence[tuple], right_sorted: Sequence[tuple],
                     if result is not None:
                         append(result)
             i, j = i_end, j_end
-    return out
-
-
-def nested_loop_join(left_rows: Iterable[tuple], right_rows: Sequence[tuple],
-                     predicate: Callable[[tuple, tuple], bool],
-                     combine: Callable[[tuple, tuple], object]) -> list:
-    """Theta join fallback: test every pair against ``predicate``."""
-    out: list = []
-    append = out.append
-    for left_row in left_rows:
-        for right_row in right_rows:
-            if predicate(left_row, right_row):
-                result = combine(left_row, right_row)
-                if result is not None:
-                    append(result)
     return out

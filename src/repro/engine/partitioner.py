@@ -9,7 +9,6 @@ the partition-local joins and set operations of Algorithms 4–6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 
 def _stable_hash(value) -> int:
@@ -97,17 +96,3 @@ def column_partition_ids(keys, num_partitions: int):
             yield key % n
         else:
             yield stable_hash(key) % n
-
-
-def make_key_fn(key_indices: tuple[int, ...]):
-    """Return a fast ``row -> key`` callable for the given column positions.
-
-    ``operator.itemgetter`` extracts at C level — no Python frame per row —
-    while keeping ``key_of``'s contract (scalar for one column, tuple for
-    several).
-    """
-    if not key_indices:
-        return lambda row: ()
-    if len(key_indices) == 1:
-        return itemgetter(key_indices[0])
-    return itemgetter(*key_indices)

@@ -135,11 +135,11 @@ class DefaultPolicy(SchedulingPolicy):
         return assignments
 
 
-def make_policy(name: str, seed: int = 17) -> SchedulingPolicy:
+def make_policy(name: str) -> SchedulingPolicy:
     """Factory used by :class:`repro.engine.cluster.Cluster`."""
     if name == "partition_aware":
         return PartitionAwarePolicy()
     if name == "default":
-        return DefaultPolicy(seed=seed)
+        return DefaultPolicy()
     raise ValueError(f"unknown scheduling policy {name!r} "
                      "(expected 'partition_aware' or 'default')")

@@ -129,9 +129,6 @@ class SetRDD:
 
     merge_rows = union_in_place
 
-    def contains(self, partition_index: int, row: tuple) -> bool:
-        return row in self.partitions[partition_index]
-
     def snapshot_partition(self, partition_index: int) -> dict[tuple, None]:
         """Copy one partition's state for fault recovery.
 

@@ -30,7 +30,6 @@ a trace loaded back from a benchmark artifact renders identically.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter_ns
@@ -204,9 +203,6 @@ class Tracer:
 
     def to_dict(self) -> dict:
         return {"spans": [span.to_dict() for span in self.roots]}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,8 @@ import pytest
 
 from repro.core import fixpoint, iteration, planner
 from repro.engine import setrdd
-from repro.engine.partitioner import HashPartitioner, make_key_fn
+from repro.engine.kernels import make_extractor
+from repro.engine.partitioner import HashPartitioner
 
 
 def seeds(default: str) -> list[int]:
@@ -28,7 +29,7 @@ def seeds(default: str) -> list[int]:
 def reference_router(key_positions: tuple[int, ...], n: int):
     """``kernels.make_router``'s naive twin: one ``partition_of`` call per
     row, same bucket lists."""
-    key_fn = make_key_fn(key_positions)
+    key_fn = make_extractor(key_positions)
     partition_of = HashPartitioner(n).partition_of
 
     def route(rows):

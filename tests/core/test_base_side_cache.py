@@ -24,12 +24,17 @@ with its entry.
 
 Also here, because the cache would otherwise hide it: a finished
 fixpoint is freed by reference counting (no cycle through the terms'
-runtime), checked with the collector disabled.
+runtime), checked with the collector disabled.  And the process
+backend's one install cache downstream of the entry: a pool worker
+decodes the heavy half of the digest it holds once, and the driver ships
+those bytes exactly when the worker holds another digest.
 """
 
 import gc
+import itertools
 import random
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
@@ -1113,7 +1118,7 @@ def test_worker_decodes_a_heavy_half_once_per_digest(monkeypatch):
     _, _, light, digest, heavy = _install_message(ctx, "s1")
     state.control((1, "install", light, digest, heavy))
     assert decodes == [len(heavy)]
-    # The driver predicted a blob-cache hit: no bytes, and no decode.
+    # The driver knows the worker holds this digest: no bytes, no decode.
     _, _, again, same_digest, _ = _install_message(ctx, "s2")
     assert same_digest == digest
     state.control((2, "install", again, digest, None))
@@ -1121,14 +1126,34 @@ def test_worker_decodes_a_heavy_half_once_per_digest(monkeypatch):
     first, second = state.sessions["s1"], state.sessions["s2"]
     assert first.step.base_partitions is second.step.base_partitions
     assert first.step is not second.step
-    # Another table version replaces the decoded one; going back decodes
-    # the cached bytes, as an install always did.
+    # Another table version replaces the decoded one; the worker holds
+    # one digest, so going back to the older one needs its bytes again.
     ctx.catalog.append_rows("edge", [(0, 99, 1.0)])
     _, _, grown, other_digest, other_heavy = _install_message(ctx, "s3")
     assert other_digest != digest
     state.control((3, "install", grown, other_digest, other_heavy))
     assert decodes == [len(heavy), len(other_heavy)]
     assert list(state.decoded) == [other_digest]
-    state.control((4, "install", again, digest, None))
+    state.control((4, "install", again, digest, heavy))
     assert decodes == [len(heavy), len(other_heavy), len(heavy)]
-    assert sorted(state.blob_cache) == sorted([digest, other_digest])
+    assert list(state.decoded) == [digest]
+
+
+def test_driver_ships_a_heavy_half_exactly_when_the_worker_holds_another():
+    from repro.engine.backend.process import ProcessClusterBackend
+    from repro.engine.metrics import MetricsRegistry
+
+    sent = []
+    handle = SimpleNamespace(installed_digest=None, send=sent.append)
+    metrics = MetricsRegistry()
+    backend = SimpleNamespace(cluster=SimpleNamespace(metrics=metrics),
+                              _next_req=itertools.count(1).__next__)
+    for digest, heavy in [("a", b"AAA"), ("a", b"AAA"), ("b", b"BBBBB"),
+                          ("a", b"AAA")]:
+        ProcessClusterBackend._send_install(backend, handle, "light", heavy,
+                                            digest)
+    assert [(message[3], message[4]) for message in sent] == [
+        ("a", b"AAA"), ("a", None), ("b", b"BBBBB"), ("a", b"AAA")]
+    assert handle.installed_digest == "a"
+    assert metrics.get("process_install_bytes") == 11
+    assert metrics.get("process_payload_bytes_saved") == 3

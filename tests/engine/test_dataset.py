@@ -1,7 +1,6 @@
 """Unit tests for Dataset/Partition."""
 
-from repro.engine.dataset import Dataset, Partition, from_rows_single_partition
-from repro.engine.partitioner import HashPartitioner
+from repro.engine.dataset import Dataset, Partition
 
 
 class TestPartition:
@@ -28,27 +27,3 @@ class TestDataset:
 
     def test_iteration(self):
         assert list(self.make()) == [(1, "a"), (2, "b")]
-
-    def test_co_partitioning_requires_same_partitioner(self):
-        p4 = HashPartitioner(2)
-        a = self.make(p4, (0,))
-        b = self.make(HashPartitioner(2), (1,))
-        c = self.make(HashPartitioner(3), (0,))
-        d = self.make(None, None)
-        assert a.is_co_partitioned_with(b)  # key positions may differ
-        assert not a.is_co_partitioned_with(c)
-        assert not a.is_co_partitioned_with(d)
-
-    def test_map_partitions_local(self):
-        ds = self.make(HashPartitioner(2), (0,))
-        doubled = ds.map_partitions(lambda i, rows: rows * 2)
-        assert doubled.num_rows() == 4
-        assert doubled.partitioner is None  # not preserved by default
-        kept = ds.map_partitions(lambda i, rows: rows,
-                                 preserve_partitioning=True)
-        assert kept.partitioner == ds.partitioner
-
-    def test_from_rows_helper(self):
-        ds = from_rows_single_partition([[1, 2], [3, 4]], worker=2)
-        assert ds.partitions[0].worker == 2
-        assert ds.collect() == [(1, 2), (3, 4)]

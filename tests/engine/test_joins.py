@@ -1,12 +1,14 @@
 """Unit + property tests for the partition-local join kernels."""
 
+from types import SimpleNamespace
+
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.physical import NestedLoopStep
 from repro.engine.joins import (
     build_hash_table,
     hash_join_probe,
-    nested_loop_join,
     sort_merge_join,
     sort_rows,
 )
@@ -14,6 +16,16 @@ from repro.engine.joins import (
 
 def combine_concat(a, b):
     return a + b
+
+
+def nested_loop_join(left, right, predicate):
+    """``NestedLoopStep.apply``: each left row, its right slots still
+    unbound, against every row of ``right`` as the broadcast input."""
+    left_width, right_width = len(left[0]), len(right[0])
+    step = NestedLoopStep(0, predicate, (left_width, right_width))
+    runtime = SimpleNamespace(broadcast_tables={0: right})
+    return step.apply([row + (None,) * right_width for row in left], 0,
+                      runtime)
 
 
 class TestHashJoin:
@@ -72,9 +84,7 @@ class TestNestedLoopJoin:
         # The Interval-Coalesce style containment predicate.
         left = [(1, 5)]
         right = [(2, 9), (6, 7), (0, 0)]
-        out = nested_loop_join(left, right,
-                               lambda l, r: l[0] <= r[0] <= l[1],
-                               combine_concat)
+        out = nested_loop_join(left, right, lambda m: m[0] <= m[2] <= m[1])
         assert sorted(out) == [(1, 5, 2, 9)]
 
     def test_subsumes_equi_join(self):
@@ -83,6 +93,5 @@ class TestNestedLoopJoin:
         table = build_hash_table(right, lambda r: r[0])
         expected = sorted(hash_join_probe(left, lambda r: r[0], table,
                                           combine_concat))
-        got = sorted(nested_loop_join(left, right, lambda l, r: l[0] == r[0],
-                                      combine_concat))
+        got = sorted(nested_loop_join(left, right, lambda m: m[0] == m[2]))
         assert got == expected

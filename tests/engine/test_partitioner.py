@@ -5,8 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.engine.aggregates import BY_NAME
+from repro.engine.kernels import make_extractor
 from repro.engine.partitioner import (HashPartitioner, column_partition_ids,
-                                      key_of, make_key_fn)
+                                      key_of)
 
 
 class TestHashPartitioner:
@@ -123,7 +124,7 @@ class TestKeyExtraction:
     def test_multi_column_key_is_tuple(self):
         assert key_of((10, 20, 30), (2, 0)) == (30, 10)
 
-    def test_make_key_fn_matches_key_of(self):
+    def test_make_extractor_matches_key_of(self):
         row = ("a", "b", "c")
         for indices in [(0,), (1, 2), (2, 0, 1)]:
-            assert make_key_fn(indices)(row) == key_of(row, indices)
+            assert make_extractor(indices)(row) == key_of(row, indices)

@@ -22,12 +22,6 @@ class TestSetRDD:
         fresh = s.union_in_place(1, [(1,)])
         assert fresh == [(1,)]  # same row, different partition: still new
 
-    def test_contains(self):
-        s = SetRDD(1)
-        s.union_in_place(0, [(5, 6)])
-        assert s.contains(0, (5, 6))
-        assert not s.contains(0, (6, 5))
-
     def test_num_rows_and_collect(self):
         s = SetRDD(3)
         s.union_in_place(0, [(1,), (2,)])

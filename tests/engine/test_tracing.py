@@ -101,7 +101,7 @@ class TestSerialization:
                 metrics.advance(0.25, label="stage:x")
                 metrics.inc("shuffle_remote_bytes", 64)
                 span.annotate(delta_total=3, delta_by_view={"path": 3})
-        reloaded = json.loads(tracer.to_json())
+        reloaded = json.loads(json.dumps(tracer.to_dict()))
         (query,) = reloaded["spans"]
         (iteration,) = query["children"]
         assert iteration["attrs"]["delta_by_view"] == {"path": 3}

@@ -53,7 +53,7 @@ SPARE = [(18 + i, 19 + i) for i in range(8)]
 
 
 def make_context(**kwargs):
-    ctx = RaSQLContext(num_workers=4, seed=13, **kwargs)
+    ctx = RaSQLContext(num_workers=4, **kwargs)
     ctx.register_table("edge", ["Src", "Dst"], list(EDGES))
     return ctx
 
@@ -118,7 +118,7 @@ class TestWriteAheadLog:
 def make_workload_context(num_workers=4, **kwargs):
     """The ``serving.workload`` schema: a weighted edge table (and room
     for the whole op stream in the governor's backlog)."""
-    ctx = RaSQLContext(num_workers=num_workers, seed=13, governor=QueryGovernor(
+    ctx = RaSQLContext(num_workers=num_workers, governor=QueryGovernor(
         max_concurrent=8, max_queue=8), **kwargs)
     ctx.register_table("edge", ["Src", "Dst", "Cost"],
                        [(a, b, 1.0) for a, b in EDGES])
