@@ -30,7 +30,9 @@ from repro.core import ast_nodes as ast
 from repro.core.config import ExecutionConfig
 from repro.core.executor import execute_select
 from repro.core.parser import parse
+from repro.engine.aggregates import get_aggregate, partial_aggregate
 from repro.engine.cluster import Cluster
+from repro.engine.kernels import make_extractor
 from repro.engine.metrics import timed
 from repro.engine.serialization import rows_size
 from repro.errors import AnalysisError, FixpointNotReachedError
@@ -79,6 +81,11 @@ class SQLLoopEngine:
 
         aggregates = [c.aggregate for c in view.columns]
         accumulating = any(a in ("sum", "count") for a in aggregates)
+        arity = len(aggregates)
+        group_positions = tuple(i for i, a in enumerate(aggregates)
+                                if a is None)
+        agg_positions = tuple(i for i, a in enumerate(aggregates)
+                              if a is not None)
 
         base_branches = []
         recursive_branches = []
@@ -147,7 +154,14 @@ class SQLLoopEngine:
             return fresh, set(all_rows) | fresh, shipped
 
         def final_stratum(all_rows: set[tuple]):
-            final_rows = self._final_aggregate(view, all_rows, accumulating)
+            final_rows = list(all_rows)
+            if agg_positions:
+                # Drop the helper columns first and fold a list, so
+                # contributions differing only in them still count.
+                final_rows = partial_aggregate(
+                    [row[:arity] for row in final_rows],
+                    make_extractor(group_positions), agg_positions,
+                    tuple(get_aggregate(aggregates[p]) for p in agg_positions))
             view_relation = Relation(view.name, view.column_names, final_rows)
 
             def final_resolve(name: str) -> Relation:
@@ -202,44 +216,6 @@ class SQLLoopEngine:
         return LoopResult(result, iterations)
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _final_aggregate(view: ast.ViewDef, rows: set[tuple],
-                         accumulating: bool) -> list[tuple]:
-        """Apply the head aggregates over the accumulated derivations."""
-        aggregates = [c.aggregate for c in view.columns]
-        if not any(aggregates):
-            return list(rows)
-        group_positions = [i for i, a in enumerate(aggregates) if a is None]
-        agg_positions = [i for i, a in enumerate(aggregates) if a is not None]
-
-        def fold(name, a, b):
-            if name == "min":
-                return min(a, b)
-            if name == "max":
-                return max(a, b)
-            return a + b  # sum / count over contribution values
-
-        grouped: dict[tuple, list] = {}
-        for row in rows:
-            key = tuple(row[i] for i in group_positions)
-            values = [row[p] for p in agg_positions]
-            state = grouped.get(key)
-            if state is None:
-                grouped[key] = values
-            else:
-                for i, position in enumerate(agg_positions):
-                    state[i] = fold(aggregates[position], state[i], values[i])
-        out = []
-        arity = len(view.columns)
-        for key, values in grouped.items():
-            row = [None] * arity
-            for position, value in zip(group_positions, key):
-                row[position] = value
-            for position, value in zip(agg_positions, values):
-                row[position] = value
-            out.append(tuple(row))
-        return out
 
     def _charge(self, cpu_seconds: float, shipped_rows, label: str) -> None:
         """Account one driver-loop round as a cluster stage + shuffle."""

@@ -1,7 +1,7 @@
 """Whole-pipeline code generation (Section 7.3).
 
 The interpreted term pipeline materializes a working-row list after every
-step and dispatches each expression through closure chains — the classic
+step and calls one compiled function per expression per row — the classic
 volcano-model overheads the paper's whole-stage code generation removes.
 This module collapses all operators of one term into a single generated
 Python function: one pass of nested loops with inlined key extraction,
@@ -64,7 +64,7 @@ from functools import lru_cache
 from typing import Callable
 
 from repro.core import ast_nodes as ast
-from repro.core.expressions import Layout
+from repro.core.expressions import Layout, expr_source
 from repro.core.logical import RulePlan
 from repro.core.physical import (
     CompiledTerm,
@@ -80,10 +80,6 @@ from repro.engine.aggregates import AggregateFunction
 from repro.engine.joins import build_hash_table
 from repro.engine.kernels import DISTINCT, fold_update, key_source
 from repro.errors import PlanningError
-
-_OP_MAP = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-           "+": "+", "-": "-", "*": "*", "/": "/"}
-
 
 class _SlotNamer:
     """Maps absolute layout slots to generated-code references.
@@ -113,38 +109,6 @@ class _SlotNamer:
                 at = read.index(slot - span.start)
                 return var if len(read) == 1 else f"{var}[{at}]"
         raise PlanningError(f"codegen: slot {slot} not bound yet")
-
-
-def _expr_source(expr: ast.Expr, layout: Layout, namer: _SlotNamer) -> str:
-    """Compile an expression AST to a Python source fragment."""
-    if isinstance(expr, ast.Literal):
-        return repr(expr.value)
-    if isinstance(expr, ast.ColumnRef):
-        return namer.ref(layout.slot_of(expr))
-    if isinstance(expr, ast.BinaryOp):
-        op = expr.op.upper()
-        left = _expr_source(expr.left, layout, namer)
-        right = _expr_source(expr.right, layout, namer)
-        if op == "AND":
-            return f"({left} and {right})"
-        if op == "OR":
-            return f"({left} or {right})"
-        return f"({left} {_OP_MAP[expr.op]} {right})"
-    if isinstance(expr, ast.UnaryOp):
-        inner = _expr_source(expr.operand, layout, namer)
-        if expr.op.upper() == "NOT":
-            return f"(not {inner})"
-        return f"(-{inner})"
-    if isinstance(expr, ast.Case):
-        # Nested conditional expressions; missing ELSE yields None.
-        source = ("None" if expr.default is None
-                  else _expr_source(expr.default, layout, namer))
-        for condition, value in reversed(expr.whens):
-            source = (f"({_expr_source(value, layout, namer)} "
-                      f"if {_expr_source(condition, layout, namer)} "
-                      f"else {source})")
-        return source
-    raise PlanningError(f"codegen: unsupported expression {expr!r}")
 
 
 def generate_term_function(term: CompiledTerm,
@@ -185,7 +149,7 @@ def generate_term_function(term: CompiledTerm,
     if term.delta_prefilter is not None:
         if term.prefilter_expr is None:
             return None  # hand-built term without its AST: not fusible
-        prefilter_src = _expr_source(term.prefilter_expr, layout, namer)
+        prefilter_src = expr_source(term.prefilter_expr, layout, namer.ref)
 
     join_var = 0
     has_totalize = False
@@ -207,7 +171,7 @@ def generate_term_function(term: CompiledTerm,
         if isinstance(step, FilterStep):
             if step.expr is None:
                 return None
-            source = _expr_source(step.expr, layout, namer)
+            source = expr_source(step.expr, layout, namer.ref)
             emit(f"if not {source}:", indent)
             emit("    continue", indent)
             continue
@@ -265,7 +229,7 @@ def generate_term_function(term: CompiledTerm,
                 if not step.conjuncts:
                     return None
                 source = " and ".join(
-                    _expr_source(c, layout, namer) for c in step.conjuncts)
+                    expr_source(c, layout, namer.ref) for c in step.conjuncts)
                 emit(f"if not ({source}):", indent)
                 emit("    continue", indent)
             continue
@@ -274,14 +238,17 @@ def generate_term_function(term: CompiledTerm,
     # Projection with normalization.  Parts that read only the delta row
     # are invariant across the join loops and are hoisted to just before
     # the first join (totalize rebinds ``d`` mid-body, so its presence
-    # disables the hoist).
+    # disables the hoist).  A hoisted part also runs for delta rows that
+    # join nothing, so only arithmetic that cannot raise on numbers is
+    # hoisted: a division by zero, or a CASE yielding NULL into a sum,
+    # raises only where the interpreted term's does.
     hoist = first_join_mark is not None and not has_totalize
     delta_lo = term.delta_offset
     delta_hi = delta_lo + term.delta_arity
     hoisted: list[str] = []
     projection_parts = []
     for i, expr in enumerate(rule.projections):
-        source = _expr_source(expr, layout, namer)
+        source = expr_source(expr, layout, namer.ref)
         agg = aggregates[i] if i < len(aggregates) else None
         if agg is not None and agg.name == "count":
             env[f"_norm{i}"] = agg.normalize
@@ -289,7 +256,7 @@ def generate_term_function(term: CompiledTerm,
         if (fold is not None and term.negate and agg is not None
                 and agg.name in ("sum", "count")):
             source = f"-{source}"  # the δ⋈δ correction enters negated
-        if hoist and _is_delta_only(expr, layout, delta_lo, delta_hi):
+        if hoist and _is_hoistable(expr, layout, delta_lo, delta_hi):
             name = f"_p{i}"
             hoisted.append("    " * first_join_mark[1] + f"{name} = {source}")
             source = name
@@ -348,10 +315,19 @@ def _build_state_table(rows: list[tuple], key_positions: tuple[int, ...]) -> dic
     return build_hash_table(rows, make_slots_key(key_positions))
 
 
-def _is_delta_only(expr: ast.Expr, layout: Layout, lo: int, hi: int) -> bool:
-    """True when *expr* reads at least one delta slot and nothing else."""
-    slots = [layout.slot_of(node) for node in expr.walk()
-             if isinstance(node, ast.ColumnRef)]
+def _is_hoistable(expr: ast.Expr, layout: Layout, lo: int, hi: int) -> bool:
+    """True when *expr* reads at least one delta slot and nothing else,
+    through ``+``, ``-``, ``*`` and numeric literals only."""
+    slots = []
+    for node in expr.walk():
+        if isinstance(node, ast.ColumnRef):
+            slots.append(layout.slot_of(node))
+        elif isinstance(node, ast.Literal):
+            if type(node.value) not in (int, float):
+                return False
+        elif not (isinstance(node, (ast.BinaryOp, ast.UnaryOp))
+                  and node.op in ("+", "-", "*")):
+            return False
     return bool(slots) and all(lo <= s < hi for s in slots)
 
 

@@ -49,7 +49,8 @@ class ExecutionConfig:
         fixpoints with no shuffle.
     codegen:
         Fuse each rule pipeline into one generated Python function
-        (Section 7.3, Figure 7) instead of interpreting closure chains.
+        (Section 7.3, Figure 7) instead of running the interpreted
+        step chain.
         The fixpoint hot path has one implementation (the specialised
         loops of :mod:`repro.engine.kernels`) whatever the input size;
         ``False`` is also the oracle the ``kernels`` differential suite

@@ -29,31 +29,36 @@ from repro.errors import AnalysisError
 from repro.relation import Relation
 
 
-def _aggregate_value(call: ast.FunctionCall, rows: list[tuple],
-                     layout: Layout) -> object:
-    """Evaluate one aggregate call over a group's rows."""
+#: How each aggregate reduces a group's non-empty argument values.
+_REDUCERS: dict[str, Callable[[list], object]] = {
+    "min": min,
+    "max": max,
+    "sum": sum,
+    "count": len,
+    "avg": lambda values: sum(values) / len(values),
+}
+
+
+def _aggregate_evaluator(call: ast.FunctionCall, layout: Layout
+                         ) -> Callable[[list[tuple]], object]:
+    """``group rows -> value`` for one aggregate call, its argument
+    compiled once for every group."""
     name = call.name.lower()
     if name == "count" and (not call.args or isinstance(call.args[0], ast.Star)):
-        return len(rows)
+        return len
     if len(call.args) != 1:
         raise AnalysisError(f"aggregate {name!r} takes exactly one argument")
+    reduce = _REDUCERS[name]  # keyed by every ast.AGGREGATE_NAMES entry
     arg = compile_expr(call.args[0], layout)
-    values = [arg(row) for row in rows]
-    if call.distinct:
-        values = list(set(values))
-    if not values:
-        return None
-    if name == "min":
-        return min(values)
-    if name == "max":
-        return max(values)
-    if name == "sum":
-        return sum(values)
-    if name == "count":
-        return len(values)
-    if name == "avg":
-        return sum(values) / len(values)
-    raise AnalysisError(f"unknown aggregate {name!r}")
+    distinct = call.distinct
+
+    def evaluate(rows: list[tuple]) -> object:
+        values = [arg(row) for row in rows]
+        if distinct:
+            values = list(set(values))
+        return reduce(values) if values else None
+
+    return evaluate
 
 
 def _collect_aggregates(exprs: list[ast.Expr]) -> list[ast.FunctionCall]:
@@ -252,13 +257,14 @@ def _execute_select(query: ast.SelectQuery,
         compiled_having = (compile_expr(query.having, grouped)
                            if query.having is not None else None)
 
+        evaluators = [_aggregate_evaluator(call, layout)
+                      for call in aggregate_calls]
         out_rows = []
         for key, group_rows in groups.items():
             if not group_rows:
                 continue
-            row = group_rows[0] + tuple(
-                _aggregate_value(call, group_rows, layout)
-                for call in aggregate_calls)
+            row = group_rows[0] + tuple(evaluate(group_rows)
+                                        for evaluate in evaluators)
             if compiled_having is not None and not compiled_having(row):
                 continue
             out_rows.append(tuple(fn(row) for fn in compiled_items))

@@ -1,10 +1,11 @@
 """Expression resolution and compilation.
 
 During analysis every rule gets a :class:`Layout`: the flattened row shape
-produced by joining its FROM list in order.  Expressions compile against a
-layout into plain Python closures over that flat tuple — the *interpreted*
-evaluation mode.  (The generated-code mode lives in
-:mod:`repro.core.codegen`; both must agree, which a property test checks.)
+produced by joining its FROM list in order.  :func:`expr_source` is the one
+place an expression becomes Python: generated terms
+(:mod:`repro.core.codegen`) inline its source, :func:`compile_expr` wraps
+it in a ``row -> value`` function over the layout's flat tuple (the
+*interpreted* mode), and :func:`fold_constants` runs it on closed subtrees.
 
 SQL comparison semantics with NULLs are simplified to Python semantics:
 the dialect's workloads never produce NULLs (the analyzer has no outer
@@ -14,7 +15,8 @@ joins), so three-valued logic is out of scope and documented as such.
 from __future__ import annotations
 
 import copy
-import operator
+import math
+from functools import lru_cache
 from typing import Callable
 
 from repro.core import ast_nodes as ast
@@ -88,87 +90,82 @@ class Layout:
         return owner
 
 
-_ARITHMETIC = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-}
-
-_COMPARISON = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
+#: SQL binary operator -> Python operator, for all but AND / OR.
+_OPERATORS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">",
+              ">=": ">=", "+": "+", "-": "-", "*": "*", "/": "/"}
 
 
-def compile_expr(expr: ast.Expr, layout: Layout) -> Callable[[tuple], object]:
-    """Compile an expression into a ``row -> value`` closure.
+def expr_source(expr: ast.Expr, layout: Layout,
+                ref: Callable[[int], str]) -> str:
+    """The Python source of an expression — the one definition of how SQL
+    evaluates, shared by generated terms (:mod:`repro.core.codegen`),
+    :func:`compile_expr` and :func:`fold_constants`.
 
-    An aggregate call reads its slot of a grouped layout
-    (:meth:`Layout.with_aggregates`); anywhere else it is rejected.
+    ``ref(slot)`` is the source reading one layout slot.  AND / OR yield
+    SQL booleans, never an operand; a missing ELSE yields ``None``; an
+    aggregate call reads its slot of a grouped layout
+    (:meth:`Layout.with_aggregates`) and is rejected anywhere else.  A
+    literal renders as a constant the compiler keeps as one object, so
+    every row shares it (``inf`` and ``nan`` as constant-folded
+    arithmetic: the source stays self-contained).
     """
     if isinstance(expr, ast.Literal):
         value = expr.value
-        return lambda row: value
-
+        if isinstance(value, float) and not math.isfinite(value):
+            if math.isnan(value):
+                return "(1e999 - 1e999)"
+            return "1e999" if value > 0 else "(-1e999)"
+        return repr(value)
     if isinstance(expr, ast.ColumnRef):
-        slot = layout.slot_of(expr)
-        return lambda row: row[slot]
-
+        return ref(layout.slot_of(expr))
     if isinstance(expr, ast.BinaryOp):
+        left = expr_source(expr.left, layout, ref)
+        right = expr_source(expr.right, layout, ref)
         op = expr.op.upper()
-        if op == "AND":
-            left = compile_expr(expr.left, layout)
-            right = compile_expr(expr.right, layout)
-            return lambda row: bool(left(row)) and bool(right(row))
-        if op == "OR":
-            left = compile_expr(expr.left, layout)
-            right = compile_expr(expr.right, layout)
-            return lambda row: bool(left(row)) or bool(right(row))
-        fn = _ARITHMETIC.get(expr.op) or _COMPARISON.get(expr.op)
-        if fn is None:
+        if op in ("AND", "OR"):
+            return f"(bool({left}) {op.lower()} bool({right}))"
+        if expr.op not in _OPERATORS:
             raise AnalysisError(f"unsupported operator {expr.op!r}")
-        left = compile_expr(expr.left, layout)
-        right = compile_expr(expr.right, layout)
-        return lambda row: fn(left(row), right(row))
-
+        return f"({left} {_OPERATORS[expr.op]} {right})"
     if isinstance(expr, ast.UnaryOp):
-        inner = compile_expr(expr.operand, layout)
+        inner = expr_source(expr.operand, layout, ref)
         if expr.op.upper() == "NOT":
-            return lambda row: not inner(row)
+            return f"(not {inner})"
         if expr.op == "-":
-            return lambda row: -inner(row)
+            return f"(-{inner})"
         raise AnalysisError(f"unsupported unary operator {expr.op!r}")
-
     if isinstance(expr, ast.Case):
-        compiled = [(compile_expr(c, layout), compile_expr(v, layout))
-                    for c, v in expr.whens]
-        default = (compile_expr(expr.default, layout)
-                   if expr.default is not None else None)
-
-        def evaluate_case(row):
-            for condition, value in compiled:
-                if condition(row):
-                    return value(row)
-            return default(row) if default is not None else None
-
-        return evaluate_case
-
+        # Nested conditional expressions, innermost the ELSE.
+        source = ("None" if expr.default is None
+                  else expr_source(expr.default, layout, ref))
+        for condition, value in reversed(expr.whens):
+            source = (f"({expr_source(value, layout, ref)} "
+                      f"if {expr_source(condition, layout, ref)} "
+                      f"else {source})")
+        return source
     if isinstance(expr, ast.FunctionCall):
         slot = layout.aggregates.get(expr)
         if slot is None:
             raise AnalysisError(
                 f"aggregate {expr.name!r} is not allowed in this position")
-        return lambda row: row[slot]
-
+        return ref(slot)
     if isinstance(expr, ast.Star):
         raise AnalysisError("'*' is only allowed inside count(*)")
-
     raise AnalysisError(f"cannot compile expression {expr!r}")
+
+
+def compile_expr(expr: ast.Expr, layout: Layout) -> Callable[[tuple], object]:
+    """Compile an expression into a ``row -> value`` function over the
+    layout's flat row: :func:`expr_source` with ``row[slot]`` reads."""
+    return _row_function(expr_source(expr, layout, "row[{}]".format))
+
+
+@lru_cache(maxsize=256)
+def _row_function(source: str) -> Callable[[tuple], object]:
+    """``lambda row: <source>``, kept per distinct text: ``compile()``
+    costs several times the source's rendering, and every ``ctx.sql``
+    call re-plans its statement and re-runs its final select."""
+    return eval(compile(f"lambda row: {source}", "<rasql-expr>", "eval"), {})
 
 
 def split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
@@ -215,35 +212,32 @@ def is_equi_conjunct(expr: ast.Expr) -> tuple[ast.ColumnRef, ast.ColumnRef] | No
     return None
 
 
+#: Node kinds a closed (constant) expression is made of.
+_CLOSED = (ast.Literal, ast.BinaryOp, ast.UnaryOp, ast.Case)
+
+#: The layout of a closed expression: it reads no slot.
+_NO_COLUMNS = Layout([])
+
+
 def fold_constants(expr: ast.Expr) -> ast.Expr:
     """Evaluate constant sub-expressions at compile time.
 
     One of the optimizer's batch rules (Section 5, "constant evaluation").
+    A closed subtree folds to the value its compiled source computes; one
+    whose evaluation raises is left for run time, which raises properly.
     """
+    if isinstance(expr, ast.Literal):
+        return expr
+    if all(isinstance(node, _CLOSED) for node in expr.walk()):
+        try:
+            return ast.Literal(compile_expr(expr, _NO_COLUMNS)(()))
+        except (AnalysisError, ArithmeticError, TypeError, ValueError):
+            pass  # folded below as far as it goes
     if isinstance(expr, ast.BinaryOp):
-        left = fold_constants(expr.left)
-        right = fold_constants(expr.right)
-        if isinstance(left, ast.Literal) and isinstance(right, ast.Literal):
-            op = expr.op.upper()
-            if op == "AND":
-                return ast.Literal(bool(left.value) and bool(right.value))
-            if op == "OR":
-                return ast.Literal(bool(left.value) or bool(right.value))
-            fn = _ARITHMETIC.get(expr.op) or _COMPARISON.get(expr.op)
-            if fn is not None and left.value is not None and right.value is not None:
-                try:
-                    return ast.Literal(fn(left.value, right.value))
-                except (ZeroDivisionError, TypeError):
-                    pass  # leave for runtime, which will raise properly
-        return ast.BinaryOp(expr.op, left, right)
+        return ast.BinaryOp(expr.op, fold_constants(expr.left),
+                            fold_constants(expr.right))
     if isinstance(expr, ast.UnaryOp):
-        inner = fold_constants(expr.operand)
-        if isinstance(inner, ast.Literal) and inner.value is not None:
-            if expr.op.upper() == "NOT":
-                return ast.Literal(not inner.value)
-            if expr.op == "-":
-                return ast.Literal(-inner.value)
-        return ast.UnaryOp(expr.op, inner)
+        return ast.UnaryOp(expr.op, fold_constants(expr.operand))
     if isinstance(expr, ast.FunctionCall):
         return ast.FunctionCall(expr.name,
                                 tuple(fold_constants(a) for a in expr.args),

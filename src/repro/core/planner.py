@@ -337,8 +337,8 @@ def _compile_pipeline(ctx: _TermContext, target: PhysicalView, rule: RulePlan,
             isinstance(step, SortMergeJoinStep) for step in steps):
         # Build-side column pruning.  The term will be
         # generated code — without a sort-merge step a planner-built
-        # term always is: codegen supports every expression
-        # ``compile_expr`` does, and the plan snapshot pins that only
+        # term always is: codegen and ``compile_expr`` render through
+        # the one ``expr_source``, and the plan snapshot pins that only
         # sort-merge terms stay interpreted — so a base hash side stores
         # only the columns read once its probe has matched: the
         # projection's, the residual and theta predicates' and later

@@ -34,6 +34,8 @@ from repro.core.config import ExecutionConfig
 from repro.core.parser import parse
 from repro.core.physical import TermRuntime, build_base_side
 from repro.core.planner import plan_clique
+from repro.engine.aggregates import partial_aggregate
+from repro.engine.kernels import make_extractor
 from repro.errors import AnalysisError, PreMViolationError
 
 
@@ -181,31 +183,6 @@ class PreMReport:
         return "\n".join(lines)
 
 
-def _gamma(rows, group_positions, agg_positions, functions):
-    """Apply the aggregate constraint γ to a set of head rows."""
-    grouped: dict[tuple, list] = {}
-    for row in rows:
-        key = tuple(row[i] for i in group_positions)
-        values = [fn.normalize(row[p])
-                  for p, fn in zip(agg_positions, functions)]
-        state = grouped.get(key)
-        if state is None:
-            grouped[key] = values
-        else:
-            for i, fn in enumerate(functions):
-                state[i] = fn.combine(state[i], values[i])
-    out = set()
-    arity = len(group_positions) + len(agg_positions)
-    for key, values in grouped.items():
-        row = [None] * arity
-        for position, value in zip(group_positions, key):
-            row[position] = value
-        for position, value in zip(agg_positions, values):
-            row[position] = value
-        out.add(tuple(row))
-    return out
-
-
 def check_prem(query: str, tables: dict[str, tuple[list[str], list]],
                max_steps: int = 25, raise_on_violation: bool = False
                ) -> PreMReport:
@@ -246,8 +223,13 @@ def check_prem(query: str, tables: dict[str, tuple[list[str], list]],
         runtime.broadcast_tables[plan.step_id] = side
 
     group_positions = view.group_positions
+    key_of = make_extractor(group_positions)
     agg_positions = view.aggregate_positions
-    functions = [view.aggregates[p] for p in agg_positions]
+    functions = tuple(view.aggregates[p] for p in agg_positions)
+
+    def gamma(rows) -> set:
+        """Apply the aggregate constraint γ to a set of head rows."""
+        return set(partial_aggregate(rows, key_of, agg_positions, functions))
 
     def transform(state_rows: set) -> set:
         out = set()
@@ -268,11 +250,9 @@ def check_prem(query: str, tables: dict[str, tuple[list[str], list]],
     state: set = set(base)
     trace: list[StepTrace] = []
     for step in range(1, max_steps + 1):
-        gamma_state = _gamma(state, group_positions, agg_positions, functions)
-        lhs = _gamma(transform(state) | base,
-                     group_positions, agg_positions, functions)
-        rhs = _gamma(transform(gamma_state) | base,
-                     group_positions, agg_positions, functions)
+        gamma_state = gamma(state)
+        lhs = gamma(transform(state) | base)
+        rhs = gamma(transform(gamma_state) | base)
         trace.append(StepTrace(step, len(state), len(gamma_state),
                                lhs == rhs))
         if lhs != rhs:

@@ -52,6 +52,21 @@ class TestCorrectness:
                         basic=(["Part", "Days"], basic))
         assert dict(result.relation.rows) == serial.bom_waitfor(assbl, basic)
 
+    @pytest.mark.parametrize("mode", ["naive", "sn"])
+    def test_count_of_names_folds_like_the_engine(self, mode):
+        # A non-numeric contribution counts as one derived fact: the
+        # final stratum normalizes through the engine's own fold.
+        query = """WITH recursive fans(Name, count() AS N) AS
+          (SELECT Fname, Pname FROM friend) UNION
+          (SELECT friend.Fname, fans.N FROM fans, friend
+           WHERE fans.Name = friend.Pname)
+        SELECT Name, N FROM fans"""
+        friend = [("ann", "bob"), ("ann", "cat"), ("bob", "dan"),
+                  ("cat", "dan")]
+        result, _ = run(mode, query, friend=(["Pname", "Fname"], friend))
+        assert sorted(result.relation.rows) == [("bob", 1), ("cat", 1),
+                                                ("dan", 4)]
+
     def test_sibling_contributions_not_collapsed(self):
         # Two siblings each counting 1 must yield 2 for the parent — the
         # case that requires derivation provenance under set semantics.

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.executor import execute_select
+from repro.core.expressions import compile_expr
 from repro.core.parser import parse_query
 from repro.errors import AnalysisError
 from repro.relation import Relation
@@ -133,6 +134,23 @@ class TestAggregates:
             run("SELECT Src FROM edge WHERE count(*) > 1", edge=EDGE)
         with pytest.raises(AnalysisError, match="not allowed"):
             run("SELECT sum(count(*)) FROM edge", edge=EDGE)
+
+    def test_aggregate_argument_compiles_once_per_select(self, monkeypatch):
+        from repro.core import executor
+
+        calls = []
+
+        def counting(expr, layout):
+            calls.append(expr.to_sql())
+            return compile_expr(expr, layout)
+
+        monkeypatch.setattr(executor, "compile_expr", counting)
+        rows = [(i % 1000, i) for i in range(3000)]
+        out = run("SELECT Src, sum(Dst * 2), max(Dst) FROM edge GROUP BY Src",
+                  edge=(("Src", "Dst"), rows))
+        assert len(out) == 1000
+        assert calls.count("(Dst * 2)") == 1
+        assert calls.count("Dst") == 1
 
     def test_empty_input_aggregate(self):
         out = run("SELECT count(*) FROM edge",

@@ -1,11 +1,19 @@
 """Unit + property tests for expression resolution and compilation,
-including CASE WHEN and interpreted-vs-generated agreement."""
+including CASE WHEN and interpreted-vs-generated agreement.
+
+Generated terms, interpreted terms and constant folding all evaluate SQL
+through ``expressions.expr_source``; the properties at the end draw
+scalar expression trees and check that a recursive query projecting one
+returns the same rows with codegen on and off, and that folding a closed
+tree equals evaluating it or leaves it for run time.
+"""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import RaSQLContext
+from repro import ExecutionConfig, RaSQLContext
+from repro.compile.differential import diff_query
 from repro.core import ast_nodes as ast
 from repro.core.expressions import (
     Layout,
@@ -152,3 +160,141 @@ class TestCaseEndToEnd:
         from repro.core.parser import parse
 
         assert parse(query.to_sql()).statements[0] == query
+
+
+# ----------------------------------------------------------------------
+# one emitter: generated ≡ interpreted ≡ folded
+# ----------------------------------------------------------------------
+
+EDGES = [(1, 2), (2, 3), (3, 0)]
+
+#: Sixteen factors of 1e20: the product overflows a float to ``inf``.
+OVERFLOW = " * ".join(["99999999999999999999.0"] * 16)
+
+
+def recursive_head(head_sql: str) -> str:
+    """A one-rule recursive query whose second head column is *head_sql*."""
+    return ("WITH recursive r(A, B) AS (SELECT Src, Dst FROM edge) UNION "
+            f"(SELECT r.A, {head_sql} FROM r, edge WHERE r.B = edge.Src) "
+            "SELECT A, B FROM r")
+
+
+#: Acyclic, with a delta row (A = 0) that joins no edge.
+DAG = [(1, 2), (2, 3), (3, 0), (1, 3)]
+
+
+def projecting(head_sql: str) -> str:
+    """A one-rule recursive query over :data:`DAG` deriving
+    ``(edge.Dst, head_sql)``: ``r.A`` ranges over edge sources and the
+    graph is acyclic, so the recursion ends whatever the head computes."""
+    return ("WITH recursive r(A, B) AS (SELECT Src, Dst FROM edge) UNION "
+            f"(SELECT edge.Dst, {head_sql} FROM r, edge "
+            "WHERE r.A = edge.Src) SELECT A, B FROM r")
+
+
+def edge_context(codegen: bool, edges=EDGES) -> RaSQLContext:
+    ctx = RaSQLContext(num_workers=2, config=ExecutionConfig(codegen=codegen))
+    ctx.register_table("edge", ["Src", "Dst"], edges)
+    return ctx
+
+
+def outcome(ctx: RaSQLContext, sql: str):
+    """Rows as sorted reprs (``nan``, ``-0.0`` and ``True`` stay apart),
+    or the exception type a run raised."""
+    try:
+        return sorted(map(repr, ctx.sql(sql).rows))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+class TestOneEmitter:
+    def test_and_in_a_head_is_a_sql_boolean_on_both_paths(self):
+        sql = recursive_head("edge.Dst AND edge.Src")
+        want = ["(1, 2)", "(1, True)", "(2, 3)", "(2, False)", "(3, 0)"]
+        assert outcome(edge_context(True), sql) == want
+        assert outcome(edge_context(False), sql) == want
+        for codegen in (True, False):
+            report = diff_query(edge_context(codegen), sql)
+            assert report.equal, report
+
+    def test_folded_nan_literal_renders_in_generated_code(self):
+        head = f"edge.Dst + 0 * ({OVERFLOW})"
+        folded = fold_constants(Parser(f"0 * ({OVERFLOW})").parse_expr())
+        assert repr(folded) == "Literal(value=nan)"
+        sql = recursive_head(head)
+        want = ["(1, 2)", "(1, nan)", "(2, 3)", "(2, nan)", "(3, 0)"]
+        assert outcome(edge_context(True), sql) == want
+        assert outcome(edge_context(False), sql) == want
+
+    @pytest.mark.parametrize("head, zero", [("0 / r.A", "0.0"),
+                                            ("0 + CASE WHEN r.A THEN 0 END",
+                                             "0")])
+    def test_a_part_that_may_raise_is_not_hoisted_above_the_join(self, head,
+                                                                 zero):
+        # The delta row with A = 0 joins nothing: the interpreted term
+        # never evaluates its head, so the generated one must not either.
+        want = [f"(0, {zero})", "(1, 2)", "(1, 3)", f"(2, {zero})", "(2, 3)",
+                "(3, 0)"]
+        assert outcome(edge_context(True, DAG), projecting(head)) == want
+        assert outcome(edge_context(False, DAG), projecting(head)) == want
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), -0.0, 1.0, True, 0,
+                                       None, "it's"])
+    def test_a_literal_is_one_object_for_every_row(self, value):
+        literal = ast.Literal(value)
+        fn = compile_expr(literal, LAYOUT)
+        assert fn((1, 2, 3)) is fn((4, 5, 6))
+        assert repr(fn(())) == repr(value)
+
+
+LITERALS = st.sampled_from([
+    ast.Literal(0), ast.Literal(-0.0), ast.Literal(1.0), ast.Literal(True),
+    ast.Literal(None), ast.Literal("a"), ast.Literal(""),
+    Parser(f"({OVERFLOW})").parse_expr(),          # folds to inf
+    Parser(f"(0 * ({OVERFLOW}))").parse_expr(),    # folds to nan
+])
+COLUMNS = st.sampled_from([ast.ColumnRef("Src", "edge"),
+                           ast.ColumnRef("Dst", "edge"),
+                           ast.ColumnRef("A", "r")])
+OPERATORS = ["+", "-", "*", "/", "=", "<>", "<", "<=", ">", ">=",
+             "AND", "OR"]
+
+
+def trees(leaves):
+    def extend(children):
+        return st.one_of(
+            st.builds(ast.BinaryOp, st.sampled_from(OPERATORS), children,
+                      children),
+            st.builds(ast.UnaryOp, st.sampled_from(["NOT", "-"]), children),
+            st.builds(ast.Case,
+                      st.lists(st.tuples(children, children), min_size=1,
+                               max_size=2).map(tuple),
+                      st.none() | children))
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+class TestExpressionProperties:
+    """The expression-level start of cross-engine query generation."""
+
+    @given(trees(LITERALS | COLUMNS))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_generated_equals_interpreted(self, tree):
+        sql = projecting(tree.to_sql())
+        assert (outcome(edge_context(True, DAG), sql)
+                == outcome(edge_context(False, DAG), sql)), tree.to_sql()
+
+    @given(trees(LITERALS))
+    @settings(max_examples=200, deadline=None)
+    def test_folding_equals_evaluating_or_leaves_the_tree(self, tree):
+        folded = fold_constants(tree)
+        try:
+            value = compile_expr(tree, LAYOUT)(())
+        except Exception as exc:
+            assert not isinstance(folded, ast.Literal)
+            with pytest.raises(type(exc)):
+                compile_expr(folded, LAYOUT)(())
+            return
+        assert isinstance(folded, ast.Literal)
+        assert repr(folded.value) == repr(value)
