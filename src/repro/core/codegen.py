@@ -64,7 +64,7 @@ from functools import lru_cache
 from typing import Callable
 
 from repro.core import ast_nodes as ast
-from repro.core.expressions import Layout, expr_source
+from repro.core.expressions import TOO_DEEP, Layout, expr_source
 from repro.core.logical import RulePlan
 from repro.core.physical import (
     CompiledTerm,
@@ -240,8 +240,7 @@ def generate_term_function(term: CompiledTerm,
     # the first join (totalize rebinds ``d`` mid-body, so its presence
     # disables the hoist).  A hoisted part also runs for delta rows that
     # join nothing, so only arithmetic that cannot raise on numbers is
-    # hoisted: a division by zero, or a CASE yielding NULL into a sum,
-    # raises only where the interpreted term's does.
+    # hoisted (see ``_is_hoistable`` for what still can).
     hoist = first_join_mark is not None and not has_totalize
     delta_lo = term.delta_offset
     delta_hi = delta_lo + term.delta_arity
@@ -293,7 +292,10 @@ def generate_term_function(term: CompiledTerm,
     env["_build_state_table"] = _build_state_table
     try:
         exec(compile_term(source_text, term.view), env)
-    except SyntaxError:
+    except TOO_DEEP:
+        # The term wraps each expression in a few more brackets than
+        # ``compile_expr`` does, so the interpreted path may still
+        # compile it; past that, it raises an ``AnalysisError``.
         return None
     fn = env["_term"]
     fn._generated_source = source_text
@@ -317,7 +319,18 @@ def _build_state_table(rows: list[tuple], key_positions: tuple[int, ...]) -> dic
 
 def _is_hoistable(expr: ast.Expr, layout: Layout, lo: int, hi: int) -> bool:
     """True when *expr* reads at least one delta slot and nothing else,
-    through ``+``, ``-``, ``*`` and numeric literals only."""
+    through ``+``, ``-``, ``*`` and numeric literals only.
+
+    Such a part cannot raise on numbers, so hoisting it above the first
+    join does not make a division by zero, or a CASE yielding NULL into
+    a sum, raise where the interpreted term does not.  One divergence
+    remains: a delta column holding NULL or a string (a base head
+    ``CASE WHEN … THEN 'x' ELSE Src END`` under a recursive ``r.B + 1``)
+    raises ``TypeError`` in the hoisted part for a delta row that joins
+    nothing, where the interpreted term derives nothing from that row.
+    The plan knows no column types to rule that out, and the library's
+    hoisted parts (``mlm_bonus``'s ``d[1] * 0.5``) run over numbers.
+    """
     slots = []
     for node in expr.walk():
         if isinstance(node, ast.ColumnRef):

@@ -94,6 +94,10 @@ class Layout:
 _OPERATORS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">",
               ">=": ">=", "+": "+", "-": "-", "*": "*", "/": "/"}
 
+#: Arithmetic operators by Python precedence level.  Both levels associate
+#: left, as SQL's do, so a left-deep chain within one level renders flat.
+_LEVELS = {"+": 0, "-": 0, "*": 1, "/": 1}
+
 
 def expr_source(expr: ast.Expr, layout: Layout,
                 ref: Callable[[int], str]) -> str:
@@ -108,6 +112,12 @@ def expr_source(expr: ast.Expr, layout: Layout,
     literal renders as a constant the compiler keeps as one object, so
     every row shares it (``inf`` and ``nan`` as constant-folded
     arithmetic: the source stays self-contained).
+
+    Chains render flat — an AND / OR chain, a left-deep ``+`` / ``-`` or
+    ``*`` / ``/`` chain, a run of one unary operator, a CASE's WHENs —
+    so the source nests no deeper for a longer chain: the parser turns
+    ``x IN (v1, …, vN)`` into an N-deep OR tree, and Python compiles at
+    most 200 nested brackets.
     """
     if isinstance(expr, ast.Literal):
         value = expr.value
@@ -119,30 +129,50 @@ def expr_source(expr: ast.Expr, layout: Layout,
     if isinstance(expr, ast.ColumnRef):
         return ref(layout.slot_of(expr))
     if isinstance(expr, ast.BinaryOp):
-        left = expr_source(expr.left, layout, ref)
-        right = expr_source(expr.right, layout, ref)
         op = expr.op.upper()
         if op in ("AND", "OR"):
-            return f"(bool({left}) {op.lower()} bool({right}))"
+            # Associative, so every operand of a same-operator chain,
+            # however it nests, joins one flat expression, in order.
+            operands, pending = [], [expr]
+            while pending:
+                node = pending.pop()
+                if isinstance(node, ast.BinaryOp) and node.op.upper() == op:
+                    pending += (node.right, node.left)
+                else:
+                    operands.append(
+                        f"bool({expr_source(node, layout, ref)})")
+            return "(" + f" {op.lower()} ".join(operands) + ")"
         if expr.op not in _OPERATORS:
             raise AnalysisError(f"unsupported operator {expr.op!r}")
-        return f"({left} {_OPERATORS[expr.op]} {right})"
+        level = _LEVELS.get(expr.op)
+        tail, node = [], expr
+        while True:
+            tail.append(f" {_OPERATORS[node.op]} "
+                        f"{expr_source(node.right, layout, ref)}")
+            node = node.left
+            if (level is None or not isinstance(node, ast.BinaryOp)
+                    or _LEVELS.get(node.op) != level):
+                break
+        return ("(" + expr_source(node, layout, ref)
+                + "".join(reversed(tail)) + ")")
     if isinstance(expr, ast.UnaryOp):
-        inner = expr_source(expr.operand, layout, ref)
-        if expr.op.upper() == "NOT":
-            return f"(not {inner})"
-        if expr.op == "-":
-            return f"(-{inner})"
-        raise AnalysisError(f"unsupported unary operator {expr.op!r}")
+        op = expr.op.upper()
+        if op not in ("NOT", "-"):
+            raise AnalysisError(f"unsupported unary operator {expr.op!r}")
+        run, node = 0, expr
+        while isinstance(node, ast.UnaryOp) and node.op.upper() == op:
+            run, node = run + 1, node.operand
+        prefix = "not " * run if op == "NOT" else "-" * run
+        return f"({prefix}{expr_source(node, layout, ref)})"
     if isinstance(expr, ast.Case):
-        # Nested conditional expressions, innermost the ELSE.
-        source = ("None" if expr.default is None
-                  else expr_source(expr.default, layout, ref))
-        for condition, value in reversed(expr.whens):
-            source = (f"({expr_source(value, layout, ref)} "
-                      f"if {expr_source(condition, layout, ref)} "
-                      f"else {source})")
-        return source
+        # Python's conditional expression associates right: one flat
+        # ``v1 if c1 else v2 if c2 else … else default``.
+        default = ("None" if expr.default is None
+                   else expr_source(expr.default, layout, ref))
+        branches = [f"{expr_source(value, layout, ref)} "
+                    f"if {expr_source(condition, layout, ref)} else "
+                    for condition, value in expr.whens]
+        return "(" + "".join(branches) + default + ")"
     if isinstance(expr, ast.FunctionCall):
         slot = layout.aggregates.get(expr)
         if slot is None:
@@ -154,10 +184,19 @@ def expr_source(expr: ast.Expr, layout: Layout,
     raise AnalysisError(f"cannot compile expression {expr!r}")
 
 
+#: What ``compile()`` raises for source nested beyond CPython's limits
+#: (brackets, its parser stack, its compiler's recursion).
+TOO_DEEP = (SyntaxError, RecursionError, MemoryError)
+
+
 def compile_expr(expr: ast.Expr, layout: Layout) -> Callable[[tuple], object]:
     """Compile an expression into a ``row -> value`` function over the
     layout's flat row: :func:`expr_source` with ``row[slot]`` reads."""
-    return _row_function(expr_source(expr, layout, "row[{}]".format))
+    try:
+        return _row_function(expr_source(expr, layout, "row[{}]".format))
+    except TOO_DEEP:
+        raise AnalysisError("expression nests too deeply to compile") \
+            from None
 
 
 @lru_cache(maxsize=256)

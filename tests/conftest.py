@@ -7,7 +7,8 @@ row) and :func:`generic_loops`, which switches the kernel templates off
 so every head merges, folds and routes through the generic
 ``AggregateFunction`` dispatch the product keeps for multi-aggregate
 heads and custom aggregate clones (the ``kernels_off`` axis of the
-parametrised suites).
+parametrised suites).  The :func:`fake_clock` fixture makes simulated
+charges deterministic.
 """
 
 import os
@@ -15,6 +16,7 @@ import os
 import pytest
 
 from repro.core import fixpoint, iteration, planner
+from repro.engine import metrics as engine_metrics
 from repro.engine import setrdd
 from repro.engine.kernels import make_extractor
 from repro.engine.partitioner import HashPartitioner
@@ -24,6 +26,31 @@ def seeds(default: str) -> list[int]:
     """A seeded suite's seeds: ``RASQL_SEEDS`` (comma-separated; the one
     knob, CI's ``marker-suites`` rows set it) or the suite's ``default``."""
     return [int(s) for s in os.environ.get("RASQL_SEEDS", default).split(",")]
+
+
+#: A binary fraction, so every difference of two readings is exact.
+STEP = 2.0 ** -10
+
+
+class StepClock:
+    """A task clock that advances ``STEP`` per read."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += STEP
+        return self.now
+
+
+@pytest.fixture
+def fake_clock(monkeypatch) -> StepClock:
+    """``metrics.task_clock`` replaced by a :class:`StepClock` for one
+    test: every measured duration the simulated clock charges is a
+    multiple of ``STEP``, so only modelled charges differ between runs."""
+    clock = StepClock()
+    monkeypatch.setattr(engine_metrics, "task_clock", clock)
+    return clock
 
 
 def reference_router(key_positions: tuple[int, ...], n: int):

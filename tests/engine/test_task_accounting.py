@@ -16,59 +16,38 @@ import pytest
 
 from repro import ExecutionConfig
 from repro.baselines.sql_loop import SQLLoopEngine
-from repro.engine import metrics as engine_metrics
 from repro.engine.backend import SimulatedBackend
 from repro.engine.cluster import Cluster, StageTask
 from repro.engine.dataset import Partition
 from repro.engine.faults import FailureInjector, WorkerLossInjector
 from repro.queries.library import get_query
 from repro.relation import Relation
+from tests.conftest import STEP
 from tests.integration.test_chaos import QUERY_SETUPS, make_context_factory
 
-#: A binary fraction, so every difference of two readings is exact.
-STEP = 2.0 ** -10
-
-
-class StepClock:
-    """A task clock that advances ``STEP`` per read."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        self.now += STEP
-        return self.now
-
-
-def fake_clock(monkeypatch) -> StepClock:
-    clock = StepClock()
-    monkeypatch.setattr(engine_metrics, "task_clock", clock)
-    return clock
-
-
 @pytest.mark.parametrize("query_name", sorted(QUERY_SETUPS))
-def test_library_query_charges_only_task_clock_seconds(monkeypatch,
+def test_library_query_charges_only_task_clock_seconds(fake_clock,
                                                        query_name):
     def charged():
-        clock = fake_clock(monkeypatch)
+        start = fake_clock.now
         ctx = make_context_factory(query_name)(config=ExecutionConfig())
         ctx.sql(QUERY_SETUPS[query_name][1]())
-        assert clock.now > 0  # the fake clock is the one read
+        assert fake_clock.now > start  # the fake clock is the one read
         return ctx.cluster.metrics.sim_time
 
     assert charged() == charged()
 
 
-def test_sql_loop_charges_only_task_clock_seconds(monkeypatch):
+def test_sql_loop_charges_only_task_clock_seconds(fake_clock):
     edges = [(i, (i * 7 + 3) % 40) for i in range(40)] + [(5, 9), (9, 5)]
 
     def charged():
-        clock = fake_clock(monkeypatch)
+        start = fake_clock.now
         cluster = Cluster(num_workers=4)
         engine = SQLLoopEngine(cluster, "sn")
         engine.run(get_query("reach").formatted(source=0),
                    {"edge": Relation("edge", ["Src", "Dst"], edges)})
-        assert clock.now > 0
+        assert fake_clock.now > start
         return cluster.metrics.sim_time
 
     assert charged() == charged()
@@ -118,9 +97,8 @@ def accounted(cluster: Cluster) -> dict:
             "sim_time": cluster.metrics.sim_time}
 
 
-def test_claimed_batch_is_charged_like_the_same_tasks_run_locally(
-        monkeypatch):
-    fake_clock(monkeypatch)
+@pytest.mark.usefixtures("fake_clock")
+def test_claimed_batch_is_charged_like_the_same_tasks_run_locally():
     local = accounted(Cluster(num_workers=4))
     batched = Cluster(num_workers=4)
     batched.backend = BatchBackend()

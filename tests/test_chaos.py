@@ -9,7 +9,6 @@ from repro.engine.faults import (
     WorkerLossInjector,
     parse_fault_spec,
 )
-from tests.engine.test_task_accounting import fake_clock
 
 
 class TestMakeSchedule:
@@ -92,10 +91,10 @@ class TestRunWithChaos:
                            self.EDGES + list(extra))
         return ctx
 
-    def test_exact_match_and_counters(self, monkeypatch):
+    @pytest.mark.usefixtures("fake_clock")
+    def test_exact_match_and_counters(self):
         # Both runs read a fixed-step task clock, so the sim_time
         # comparison below sees modelled charges only, not wall jitter.
-        fake_clock(monkeypatch)
         schedule = make_schedule(11, num_workers=4)
         report = run_differential(self.QUERY, self.make_context,
                                   faults=schedule.injectors)
