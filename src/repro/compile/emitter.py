@@ -39,6 +39,7 @@ engine but per *derivation row* in the twin, so those plans raise
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.compile.dialect import SQLITE, Dialect
@@ -78,6 +79,17 @@ _RESERVED = frozenset({
     "RIGHT", "ROW", "ROWS", "SELECT", "SET", "TABLE", "THEN", "TO", "TRUE",
     "UNION", "UNIQUE", "UPDATE", "USING", "VALUES", "WHEN", "WHERE", "WITH",
 })
+
+
+def literal_sql(value) -> str:
+    """A constant as SQL: an infinity as a literal that overflows to it,
+    as in ``expr_source``; a NaN has none (sqlite reads NaN as NULL)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            raise InexpressibleQueryError(
+                "a NaN constant has no SQL literal", reason="nan-literal")
+        return "1e999" if value > 0 else "(-1e999)"
+    return ast.Literal(value).to_sql()
 
 
 def _needs_quoting(name: str) -> bool:
@@ -194,7 +206,7 @@ class _Emitter:
     def render_expr(self, expr: ast.Expr, resolve) -> str:
         """Render *expr*; *resolve* maps a ColumnRef to its SQL."""
         if isinstance(expr, ast.Literal):
-            return expr.to_sql()
+            return literal_sql(expr.value)
         if isinstance(expr, ast.ColumnRef):
             return resolve(expr)
         if isinstance(expr, ast.BinaryOp):
@@ -308,7 +320,7 @@ class _Emitter:
         if rule.join is None:
             selects = []
             for row in rule.constant_rows:
-                values = [ast.Literal(v).to_sql() for v in row]
+                values = [literal_sql(v) for v in row]
                 if twin is not None:
                     values = twin.normalize_branch(self, values,
                                                    rule.projections)

@@ -29,10 +29,13 @@ class Expr:
         return ()
 
     def walk(self):
-        """Yield this node and all descendants, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Yield this node and all descendants, pre-order, off a stack:
+        an ``IN`` list is a deep ``OR`` chain."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack += node.children()[::-1]
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,12 @@ class BinaryOp(Expr):
     right: Expr
 
     def to_sql(self) -> str:
-        return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
+        # Down the left spine of an IN list or a long sum, not recursing.
+        tail, node = [], self
+        while isinstance(node, BinaryOp):
+            tail.append(f" {node.op} {node.right.to_sql()})")
+            node = node.left
+        return "(" * len(tail) + node.to_sql() + "".join(reversed(tail))
 
     def children(self):
         return (self.left, self.right)

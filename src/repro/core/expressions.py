@@ -262,28 +262,34 @@ def fold_constants(expr: ast.Expr) -> ast.Expr:
     """Evaluate constant sub-expressions at compile time.
 
     One of the optimizer's batch rules (Section 5, "constant evaluation").
-    A closed subtree folds to the value its compiled source computes; one
-    whose evaluation raises is left for run time, which raises properly.
+    A closed subtree folds, bottom up, to the value its compiled source
+    computes; one whose evaluation raises is left for run time, which
+    raises properly.  A loop, not recursion: a 1,000-value ``IN`` list is
+    a 1,000-deep ``OR`` chain.
     """
-    if isinstance(expr, ast.Literal):
-        return expr
-    if all(isinstance(node, _CLOSED) for node in expr.walk()):
-        try:
-            return ast.Literal(compile_expr(expr, _NO_COLUMNS)(()))
-        except (AnalysisError, ArithmeticError, TypeError, ValueError):
-            pass  # folded below as far as it goes
+    folded: dict[int, tuple[ast.Expr, bool]] = {}  # id -> (form, closed)
+    for node in reversed(list(expr.walk())):  # each after its children
+        children = [folded[id(child)] for child in node.children()]
+        new = _with_children(node, [form for form, _ in children])
+        closed = isinstance(node, _CLOSED) and all(c for _, c in children)
+        if closed and not isinstance(new, ast.Literal):
+            try:
+                new = ast.Literal(compile_expr(new, _NO_COLUMNS)(()))
+            except (AnalysisError, ArithmeticError, TypeError, ValueError):
+                pass  # left for run time, which raises properly
+        folded[id(node)] = new, closed
+    return folded[id(expr)][0]
+
+
+def _with_children(expr: ast.Expr, children: list[ast.Expr]) -> ast.Expr:
+    """``expr`` over new ``children``, given in ``expr.children()`` order."""
     if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(expr.op, fold_constants(expr.left),
-                            fold_constants(expr.right))
+        return ast.BinaryOp(expr.op, *children)
     if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, fold_constants(expr.operand))
+        return ast.UnaryOp(expr.op, *children)
     if isinstance(expr, ast.FunctionCall):
-        return ast.FunctionCall(expr.name,
-                                tuple(fold_constants(a) for a in expr.args),
-                                expr.distinct)
+        return ast.FunctionCall(expr.name, tuple(children), expr.distinct)
     if isinstance(expr, ast.Case):
-        return ast.Case(
-            tuple((fold_constants(c), fold_constants(v))
-                  for c, v in expr.whens),
-            fold_constants(expr.default) if expr.default is not None else None)
+        default = children.pop() if expr.default is not None else None
+        return ast.Case(tuple(zip(children[::2], children[1::2])), default)
     return expr

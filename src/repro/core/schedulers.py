@@ -189,8 +189,8 @@ def iterate_remote(operator, incoming: dict[str, Dataset], naive: bool
     """One combined iteration with merge/derive/route on the pool
     (semi-naive only: remote eligibility excludes ``naive``).
 
-    The driver only ships each partition's incoming delta rows and
-    routes the returned shuffle buckets between iterations; the
+    The driver only ships each partition's incoming delta and forwards
+    the returned shuffle blocks, unread, between iterations; the
     all-relation state lives worker-side until it is collected.  Tasks
     carry picklable payloads instead of closures, which is what makes
     the process backend claim the batch (``wants_batch``); the worker
@@ -198,11 +198,9 @@ def iterate_remote(operator, incoming: dict[str, Dataset], naive: bool
     """
     tasks = []
     for p in range(operator.n):
-        rows_by_view = {}
-        for name, dataset in incoming.items():
-            rows = dataset.partitions[p].rows
-            if rows:
-                rows_by_view[name] = list(rows)
+        rows_by_view = {name: dataset.partitions[p].rows
+                        for name, dataset in incoming.items()
+                        if dataset.partitions[p].rows}
         tasks.append(_task(
             operator, p, _stage_inputs(operator, incoming, p),
             remote_task_stub,

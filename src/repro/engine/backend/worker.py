@@ -23,8 +23,7 @@ the worker keeps the *decoded* structures of the digest it installed
 last, and the driver, which records that one digest per worker, sends
 ``None`` instead of the bytes exactly when the install's digest is it —
 so repeated queries over the same table epochs ship and unpickle them
-once (:class:`WorkerState`).  Tasks only ever
-arrive as a ``task_batch``
+once (:class:`WorkerState`).  Tasks only ever arrive as a ``task_batch``
 — one worker's share of a stage in a single message, a crash-recovery
 re-dispatch being a batch of one; each entry replies individually under
 its own ``req_id``, in order.
@@ -34,6 +33,11 @@ Worker -> driver::
     ("ok",  req_id, cpu_seconds, result)
     ("err", req_id, pickled_exception_or_None, traceback_text)
     ("hb",  seq)                      # heartbeat daemon thread
+
+An ``iterate`` result's shuffle buckets are ``ShuffleBlock``s pickled
+once here, headed by record count and ``rows_size``: the driver sums its
+shuffle counters from the headers and forwards the blocks unread (next
+payload, replay log) to the worker that decodes them (``incoming_rows``).
 
 The derivation code *is* the simulated oracle's, not a second copy of it:
 an ``iterate`` task runs the same :meth:`CliqueStep.merge` /
@@ -68,7 +72,8 @@ from repro.engine.backend.payloads import (InstallSpec,
                                            assemble_install_spec,
                                            recompile_term)
 from repro.engine.metrics import timed
-from repro.engine.serialization import load_payload
+from repro.engine.serialization import (ShuffleBlock, incoming_rows,
+                                       load_payload)
 
 
 class _Heartbeat(threading.Thread):
@@ -134,7 +139,7 @@ class WorkerSession:
             for state in self.step.states.values():
                 state.clear_partition(partition)
             for rows_by_view in iterations:
-                self.step.merge(partition, rows_by_view)
+                self.step.merge(partition, incoming_rows(rows_by_view))
 
     def collect(self, partitions: list[int]) -> dict[str, dict[int, object]]:
         """Final state containers for the requested (home) partitions."""
@@ -170,10 +175,12 @@ def _run_payload(sessions: dict[str, WorkerSession], payload):
         # driver-only accounting: merge, then derive unless D is empty.
         _, sid, partition, rows_by_view = payload
         step = sessions[sid].step
-        d_by_view = step.merge(partition, rows_by_view)
+        d_by_view = step.merge(partition, incoming_rows(rows_by_view))
         if not any(d_by_view.values()):
             return d_by_view, {}
-        return d_by_view, step.derive(partition)
+        return d_by_view, {
+            view: {pid: ShuffleBlock.encode(b) for pid, b in buckets.items()}
+            for view, buckets in step.derive(partition).items()}
     if kind == "decompose":
         _, sid, partition, mode, delta_rows = payload
         return sessions[sid].decompose(partition, mode, delta_rows)

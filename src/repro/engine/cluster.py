@@ -61,7 +61,8 @@ from repro.engine.kernels import make_router
 from repro.engine.metrics import CostModel, MetricsRegistry, timed
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.scheduler import TaskSpec, fallback_worker, make_policy
-from repro.engine.serialization import CompressionCodec, rows_checksum, rows_size
+from repro.engine.serialization import (CompressionCodec, ShuffleBlock,
+                                       rows_checksum, rows_size)
 from repro.engine.tracing import Tracer
 from repro.errors import (
     DriverCrashError,
@@ -647,18 +648,16 @@ class Cluster:
         """The ShuffleExchange of Algorithm 4, line 22.
 
         ``map_outputs`` is a list of ``(source_worker, buckets)`` pairs where
-        ``buckets`` maps target partition id to rows.  Output partition ``i``
-        is placed on its canonical worker; bytes whose source worker differs
-        from the target worker are charged as network transfer (streams run
-        in parallel across workers).
+        ``buckets`` maps target partition id to rows (or a pool worker's
+        :class:`ShuffleBlock`).  Output partition ``i`` is placed on its
+        canonical worker; bytes whose source worker differs from the target
+        worker are charged as network transfer (streams run in parallel).
         """
         gathered: list[list[tuple]] = [[] for _ in range(num_partitions)]
         # A gathered partition's size is its buckets' sizes summed: each
-        # row is sized once, here, where it crosses the wire.
+        # row is sized once, where it crosses the wire.
         gathered_bytes = [0] * num_partitions
-        remote_bytes = 0
-        total_bytes = 0
-        total_records = 0
+        remote_bytes = total_bytes = total_records = 0
         # Corruption injection + checksum verification.  Checksums are
         # computed only while an injector is armed: the map side hashed
         # the pristine bucket, the reduce side hashes what arrived, and a
@@ -669,8 +668,13 @@ class Cluster:
             for pid, rows in buckets.items():
                 if not rows:
                     continue
-                nbytes = rows_size(rows)
-                delivered = rows
+                if type(rows) is ShuffleBlock:
+                    # A pool worker's bucket: accounted from its header,
+                    # forwarded unread (a remote clique arms no corruptor).
+                    nbytes, records = rows.nbytes, rows.records
+                    delivered = (rows,)
+                else:
+                    nbytes, records, delivered = rows_size(rows), len(rows), rows
                 for injector in corruptors:
                     mangled = injector.corrupt(rows)
                     if mangled is None:
@@ -693,7 +697,7 @@ class Cluster:
                 gathered[pid].extend(delivered)
                 gathered_bytes[pid] += nbytes
                 total_bytes += nbytes
-                total_records += len(rows)
+                total_records += records
                 if self.worker_for_partition(pid) != source_worker:
                     remote_bytes += nbytes
 

@@ -18,12 +18,12 @@ from repro.engine.serialization import rows_size
 
 @dataclass
 class Partition:
-    """One partition of a dataset: rows plus their home worker.
+    """One partition of a dataset: rows plus their home worker (a pool
+    exchange's partition holds its workers' unread ``ShuffleBlock`` s).
 
     ``nbytes`` is the rows' wire size when whoever made the partition
     already knows it (an exchange sums its buckets', a cached base side
-    carries its blocks'); otherwise :meth:`size_bytes` samples the rows
-    once.
+    carries its blocks'); otherwise :meth:`size_bytes` samples the rows once.
     """
 
     index: int

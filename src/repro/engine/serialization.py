@@ -1,7 +1,6 @@
 """Row serialization size model and the broadcast compression codec.
 
-The engine never actually serializes rows — everything lives in one Python
-process — but the network cost model needs byte counts.  ``row_size`` gives a
+The network cost model needs byte counts.  ``row_size`` gives a
 deterministic wire-size estimate comparable to a compact binary row format
 (8 bytes per number, raw bytes per string, small per-field/row overhead).
 
@@ -10,11 +9,12 @@ paper broadcasts the *compressed* relation and lets each worker build its own
 hash table, instead of shipping a hash table that is "often 2X to 3X larger
 than the original".  We reproduce both effects as byte-count multipliers.
 
-Checkpoint blobs are the one place the engine *really* serializes state:
-:func:`dump_blob` / :func:`load_blob` persist a pickled payload behind a
-content hash (first line ``rasql-ckpt <sha256-hex>\\n``, then the pickle
-bytes), written atomically via a temp file + rename so a crash mid-write
-leaves either the previous checkpoint or none, never a torn one.
+Pipes to pool workers (:func:`dump_payload`, :class:`ShuffleBlock`) and
+checkpoint blobs really serialize: :func:`dump_blob` / :func:`load_blob`
+persist a pickled payload behind a content hash (first line
+``rasql-ckpt <sha256-hex>\\n``, then the pickle bytes), written atomically
+via a temp file + rename so a crash mid-write leaves either the previous
+checkpoint or none, never a torn one.
 :func:`rows_checksum` is the cheap order-insensitive integrity hash the
 shuffle path uses for corruption detection.
 """
@@ -27,6 +27,7 @@ import pickle
 import zlib
 from dataclasses import dataclass
 from itertools import chain, islice
+from typing import NamedTuple
 
 from repro.errors import CheckpointCorruptionError, CheckpointError
 
@@ -161,6 +162,30 @@ def dump_payload(payload) -> bytes:
 def load_payload(blob: bytes):
     """Inverse of :func:`dump_payload` (worker side)."""
     return pickle.loads(blob)
+
+
+class ShuffleBlock(NamedTuple):
+    """A non-empty shuffle bucket pickled once by the pool worker that
+    routed it: the driver forwards it unread, its merger decodes it."""
+
+    records: int
+    nbytes: int  # rows_size of the rows, as the exchange would size them
+    data: bytes
+
+    @classmethod
+    def encode(cls, rows: list[tuple]) -> ShuffleBlock:
+        return cls(len(rows), rows_size(rows), dump_payload(rows))
+
+    def decode(self) -> list[tuple]:
+        return pickle.loads(self.data)
+
+
+def incoming_rows(rows_by_view: dict[str, list]) -> dict[str, list[tuple]]:
+    """A partition's incoming delta per view as a worker merges it: blocks
+    decoded in arrival order and concatenated, driver-made rows as is."""
+    return {name: list(chain.from_iterable(block.decode() for block in part))
+            if type(part[0]) is ShuffleBlock else part
+            for name, part in rows_by_view.items()}
 
 
 def rows_checksum(rows) -> int:

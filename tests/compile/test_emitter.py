@@ -13,8 +13,10 @@ from repro.compile import (
     BIGQUERY,
     SQLiteBackend,
     compile_sql,
+    diff_query,
     get_dialect,
 )
+from repro.compile.emitter import literal_sql
 from repro.errors import InexpressibleQueryError
 from repro.queries.library import get_query
 
@@ -224,6 +226,52 @@ class TestRendering:
     def test_unknown_dialect_raises(self):
         with pytest.raises(KeyError, match="postgres"):
             get_dialect("postgres")
+
+
+#: Sixteen factors of 1e20: constant folding turns the product into ``inf``.
+OVERFLOW = "(" + " * ".join(["99999999999999999999.0"] * 16) + ")"
+
+
+def cheapest(bound: str) -> str:
+    """A min-cost recursion whose rule keeps costs below a folded
+    constant ``bound``."""
+    return ("WITH recursive r(A, min() AS C) AS (SELECT 0, 0.0) UNION "
+            "(SELECT edge.Dst, r.C + 1.5 FROM r, edge "
+            f"WHERE r.A = edge.Src AND r.C < {bound}) SELECT A, C FROM r")
+
+
+class TestNonFiniteLiterals:
+    """A folded constant can be infinite or NaN; the emitted SQL must
+    mean what the engine computes, or the compiler must refuse it."""
+
+    @pytest.mark.parametrize("bound, literal, rows", [
+        (OVERFLOW, "(r.C < 1e999)", 3),
+        (f"-{OVERFLOW}", "(r.C < (-1e999))", 1),
+        (f"0 - {OVERFLOW}", "(r.C < (-1e999))", 1),
+    ], ids=["inf", "negated-inf", "minus-inf"])
+    def test_infinity_renders_as_an_overflowing_literal(self, bound,
+                                                        literal, rows):
+        ctx = make_context()
+        compiled = compile_sql(ctx, cheapest(bound))
+        assert literal in compiled.sql
+        assert "inf" not in compiled.sql.replace("1e999", "")
+        report = diff_query(ctx, cheapest(bound))
+        assert report.equal and len(ctx.sql(cheapest(bound)).rows) == rows
+
+    def test_nan_is_refused_by_the_compiler(self):
+        ctx = make_context()
+        sql = cheapest(f"{OVERFLOW} - {OVERFLOW}")
+        assert ctx.sql(sql).rows == [(0, 0.0)]
+        for compile_it in (compile_sql, diff_query):
+            with pytest.raises(InexpressibleQueryError) as exc_info:
+                compile_it(ctx, sql)
+            assert exc_info.value.reason == "nan-literal"
+
+    def test_a_nan_constant_row_is_refused_too(self):
+        with pytest.raises(InexpressibleQueryError, match="NaN"):
+            literal_sql(float("nan"))
+        assert literal_sql(float("-inf")) == "(-1e999)"
+        assert literal_sql(2.5) == "2.5"
 
 
 class TestBigQuerySnapshots:

@@ -316,6 +316,26 @@ class TestDeepChains:
         assert source("- - A") == "(--row[0])"
         assert source("NOT -A") == "(not (-row[0]))"
 
+    @pytest.mark.parametrize("codegen", [True, False])
+    def test_a_1000_value_in_list_filters_a_recursive_rule(self, codegen):
+        """A 1,000-value IN list is a 1,000-deep OR chain: walking,
+        folding and rendering it recurse nowhere, so the rule answers
+        like the same filter applied before the recursion."""
+        in_list = "IN (" + ", ".join(
+            map(str, [2, 3, *range(1000, 1998)])) + ")"
+        ctx = edge_context(codegen)
+        rule = recursive_head("edge.Dst").replace(
+            "WHERE r.B = edge.Src",
+            f"WHERE r.B = edge.Src AND edge.Dst {in_list}")
+        kept = ctx.sql(f"SELECT Src, Dst FROM edge WHERE Dst {in_list}")
+        ctx.register_table("kept", ["Src", "Dst"], kept.rows)
+        outside = ("WITH recursive r(A, B) AS (SELECT Src, Dst FROM edge) "
+                   "UNION (SELECT r.A, kept.Dst FROM r, kept "
+                   "WHERE r.B = kept.Src) SELECT A, B FROM r")
+        want = outcome(ctx, outside)
+        assert want == ["(1, 2)", "(1, 3)", "(2, 3)", "(3, 0)"]
+        assert outcome(ctx, rule) == want
+
     def test_nesting_past_the_limit_is_an_analysis_error(self):
         deep = ast.Literal(1)
         for _ in range(300):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.engine.serialization import (
     CompressionCodec,
     HASH_TABLE_BLOWUP,
+    ShuffleBlock,
+    incoming_rows,
     row_size,
     rows_size,
     value_size,
@@ -105,6 +107,20 @@ class TestRowsSizeIsTheReferenceDefinition:
         rows = [(True, None)] + [(1, 2.0)] * 100
         assert rows_size(rows) == reference_rows_size(rows)
         assert rows_size(rows) < rows_size([(1, 2.0)] * 101)
+
+
+class TestShuffleBlock:
+    @given(st.lists(st.lists(st.tuples(st.integers(), st.text(max_size=3)),
+                             min_size=1, max_size=80),
+                    min_size=1, max_size=4))
+    def test_blocks_decode_in_arrival_order(self, buckets):
+        blocks = [ShuffleBlock.encode(rows) for rows in buckets]
+        for block, rows in zip(blocks, buckets):
+            assert (block.records, block.nbytes) == (len(rows),
+                                                     rows_size(rows))
+        merged = incoming_rows({"v": blocks, "w": buckets[0]})
+        assert merged["v"] == [row for rows in buckets for row in rows]
+        assert merged["w"] is buckets[0]  # a driver-made row list as is
 
 
 class TestCompressionCodec:

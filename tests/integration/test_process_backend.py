@@ -15,6 +15,7 @@ Run with ``pytest -m process_backend``; each test tears its pool down.
 
 import functools
 import time
+from collections import defaultdict
 
 import pytest
 
@@ -78,6 +79,11 @@ def ineligible(report):
 # ----------------------------------------------------------------------
 
 
+#: The model counters a process run must equal its simulated twin's.
+TWIN_COUNTERS = ("shuffle_records", "shuffle_bytes",
+                    "shuffle_remote_bytes", "stages", "tasks", "iterations")
+
+
 @pytest.mark.timeout(180)
 @pytest.mark.parametrize("query_name", sorted(QUERY_SETUPS))
 def test_clean_differential(query_name):
@@ -88,6 +94,12 @@ def test_clean_differential(query_name):
     assert report.counters["process_backend_degradations"] == 0
     assert report.counters["process_remote_ineligible"] == 0
     assert report.counters["process_tasks_shipped"] > 0
+    # Shuffle accounting on real workers is the oracle's: a worker's
+    # ShuffleBlock header carries the records and rows_size the driver
+    # would have counted itself.
+    oracle = defaultdict(float, report.oracle_run.metrics)
+    for name in TWIN_COUNTERS:
+        assert report.counters[name] == oracle[name], name
 
 
 # ----------------------------------------------------------------------
@@ -500,3 +512,85 @@ def test_two_workers_on_pruned_sides_match_the_simulated_twin(
                                make_router(plan.build_key, 2))
     whole = dump_payload(({plan.step_id: sides}, {}))
     assert len(shipped[0]) < len(whole)
+
+
+# ----------------------------------------------------------------------
+# the wire: shuffle blocks cross the driver unread (DESIGN.md §13)
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def block_spies(monkeypatch):
+    """``(decoded, logs)``: every ``ShuffleBlock`` decoded in this (the
+    driver) process, and each released session's commit log.  Pool
+    workers are other processes: their decodes are not counted."""
+    from repro.engine.backend.process import ProcessClusterBackend
+    from repro.engine.serialization import ShuffleBlock
+
+    decoded, logs = [], []
+
+    def decode(self, _original=ShuffleBlock.decode):
+        decoded.append(self.records)
+        return _original(self)
+
+    def release_session(self, sid, _original=ProcessClusterBackend
+                        .release_session):
+        logs.append({p: list(entries) for p, entries
+                     in self._commit_log.get(sid, {}).items()})
+        _original(self, sid)
+
+    monkeypatch.setattr(ShuffleBlock, "decode", decode)
+    monkeypatch.setattr(ProcessClusterBackend, "release_session",
+                        release_session)
+    return decoded, logs
+
+
+def assert_log_holds_blocks(logs):
+    """Every committed iteration after a partition's first holds blocks
+    only; the first may be the base-rule delta, which the driver itself
+    produced and ships as rows."""
+    from repro.engine.serialization import ShuffleBlock
+
+    blocks = 0
+    for log in logs:
+        for entries in log.values():
+            for entry in entries[1:]:
+                for part in entry.values():
+                    assert all(type(item) is ShuffleBlock for item in part)
+                    blocks += len(part)
+    assert blocks > 0
+
+
+@pytest.mark.timeout(180)
+def test_warm_query_forwards_shuffle_blocks_unread(block_spies):
+    decoded, logs = block_spies
+    sim_ctx = make_context("sssp", "simulated")
+    ctx = make_context("sssp", "process")
+    try:
+        ctx.sql(SSSP)
+        del decoded[:], logs[:]
+        rows = ctx.sql(SSSP).rows
+        assert ctx.last_run.metrics["process_tasks_shipped"] > 0
+    finally:
+        ctx.close()
+    assert decoded == []
+    assert len(logs) == 1
+    assert_log_holds_blocks(logs)
+    assert rows == sim_ctx.sql(SSSP).rows  # bit-exact, row order too
+    assert ctx.last_run.iterations == sim_ctx.last_run.iterations
+
+
+@pytest.mark.timeout(180)
+def test_sigkill_replay_rebuilds_from_forwarded_blocks(block_spies):
+    """A respawned worker rebuilds its partitions from the replay log's
+    blocks, which the driver never opened either."""
+    from repro.engine.faults import ProcessKillInjector
+
+    decoded, logs = block_spies
+    report = process_differential("sssp", warm=True, faults=[
+        ProcessKillInjector("fixpoint-shufflemap", signal="kill",
+                            skip_matches=2)])
+    assert report.exact and report.fired == 1, report.summary()
+    assert report.counters["process_worker_respawns"] == 1
+    assert decoded == []
+    assert_log_holds_blocks(logs)
