@@ -16,8 +16,12 @@ cycle collector that rarely runs once large structures are resident.
 The driver's resident set (it also holds the twin) is held to the same
 10% within each table epoch, from its 5th run to its last: the insert
 allocates the grown table's membership set once, by design (DESIGN.md
-section 19).  And the driver must decode no shuffle block: the workers'
-reply buckets cross it as opaque bytes.
+section 19).  Within each epoch it must also not climb run over run: the
+least-squares slope of its VmRSS over those runs stays under
+``DRIVER_RSS_SLOPE_LIMIT_KB`` per run, which a leak of one query's replay
+log (about 0.1 MB a run here) exceeds long before it reaches 10%.  And
+the driver must decode no shuffle block: the workers' reply buckets cross
+it as opaque bytes.
 """
 import random
 import sys
@@ -32,6 +36,8 @@ from repro.queries.library import get_query
 RUNS = 40
 VERTICES = 2_500
 RSS_GROWTH_LIMIT = 0.10
+#: kB per run: the steepest driver VmRSS trend tolerated within an epoch.
+DRIVER_RSS_SLOPE_LIMIT_KB = 40
 
 
 def random_graph(n, m, seed):
@@ -101,6 +107,15 @@ def process_rss_kb(ctx) -> dict[str, int]:
             if (kb := rss_kb(pid)) is not None}
 
 
+def slope(points: dict[int, int]) -> float:
+    """Least-squares slope of ``{run: kB}``, in kB per run."""
+    mean_x = sum(points) / len(points)
+    mean_y = sum(points.values()) / len(points)
+    spread = sum((x - mean_x) ** 2 for x in points)
+    return sum((x - mean_x) * (y - mean_y)
+               for x, y in points.items()) / spread
+
+
 def count_driver_decodes() -> list:
     """Record every ShuffleBlock this process (the driver) decodes."""
     decoded = []
@@ -129,6 +144,7 @@ def repeated() -> int:
     try:
         expected = sorted(twin.sql(sql).rows)
         rss = {}
+        driver_rss = {}
         walls = []
         for number in range(1, RUNS + 1):
             if number == RUNS // 2 + 1:
@@ -143,6 +159,7 @@ def repeated() -> int:
                                 f"twin ({len(rows)} vs {len(expected)} rows)")
             if number in (5, RUNS // 2, RUNS // 2 + 5, RUNS):
                 rss[number] = process_rss_kb(ctx)
+            driver_rss[number] = rss_kb("self")
         # Totals over every run: the registry's, not the last run's record.
         counters = ctx.metrics.snapshot()
     finally:
@@ -179,6 +196,18 @@ def repeated() -> int:
         failures.append(f"the driver decoded {len(decoded)} shuffle blocks "
                         f"({sum(decoded)} rows)")
     epochs = {"driver": [(5, RUNS // 2), (RUNS // 2 + 5, RUNS)]}
+    for first, last in epochs["driver"]:
+        trend = {n: driver_rss[n] for n in range(first, last + 1)
+                 if driver_rss[n] is not None}
+        if len(trend) < 2:
+            continue
+        per_run = slope(trend)
+        print(f"driver VmRSS trend over runs {first}-{last}: "
+              f"{per_run:+.1f} kB per run")
+        if per_run > DRIVER_RSS_SLOPE_LIMIT_KB:
+            failures.append(f"driver VmRSS climbed {per_run:.1f} kB per run "
+                            f"over runs {first}-{last} (limit "
+                            f"{DRIVER_RSS_SLOPE_LIMIT_KB} kB)")
     for name in rss.get(RUNS, {}):
         for first, last in epochs.get(name, [(5, RUNS)]):
             before, after = rss[first].get(name), rss[last].get(name)

@@ -23,6 +23,7 @@ time) are kept on :attr:`last_run`.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -489,8 +490,13 @@ class RaSQLContext:
         run.query_id = qid
         tracer = self.cluster.tracer
         query_span = None
+        # The query's record is its own attribution window.  A recorded
+        # root span is one (it hears exactly what a bare window around it
+        # would), so a bare window opens only when the tracer is off.
+        record = (nullcontext() if tracer.enabled
+                  else self.cluster.metrics.attributing())
         try:
-            with self.cluster.metrics.attributing() as window, \
+            with record as window, \
                     tracer.owned_span("query", label) as query_span:
                 if admission is not None:
                     query_span.annotate(admission=dict(admission))
@@ -664,9 +670,16 @@ class RaSQLContext:
                                      resume_state=resume_state)
 
     def _record_run(self, run: RunInfo, window, query_span, tracer) -> None:
-        run.sim_time = window.seconds
-        run.metrics = window.metrics
-        run.time_breakdown = window.time_by_label
+        """``window`` is the query's bare attribution window, or ``None``
+        when its root span was the window."""
+        if window is None:
+            run.sim_time = query_span.duration
+            run.metrics = query_span.metrics
+            run.time_breakdown = query_span.time_by_label
+        else:
+            run.sim_time = window.seconds
+            run.metrics = window.metrics
+            run.time_breakdown = window.time_by_label
         if tracer.enabled and query_span is not None:
             run.root_span = query_span
         self.last_run = run

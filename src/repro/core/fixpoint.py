@@ -144,6 +144,11 @@ class FixpointOperator:
         self.runtime = self.step  # the step is its terms' runtime
         self.partitioner = self.step.partitioner
         self.base_blocks: dict[int, list[Partition]] = {}
+        #: Per-partition tasks of the iteration stages, built on first use
+        #: and reused by every iteration (``schedulers._tasks``), and the
+        #: incoming datasets the current iteration's tasks merge.
+        self.stage_tasks: dict[str, list[StageTask]] = {}
+        self.incoming: dict[str, Dataset] = {}
         #: Memory-charge groups of this clique's broadcast variables.
         self.broadcast_groups: list[str] = []
         #: Process-backend session id while iterate/decompose work ships
@@ -604,41 +609,48 @@ class FixpointOperator:
         # full relation, so only the merge can detect the fixpoint.
         tracer = self.cluster.tracer
         memory = self.cluster.memory
-        while True:
-            iterations += 1
-            if iterations > self.config.max_iterations:
-                last_delta = delta_history[-1] if delta_history else 0
-                if self.session_id is not None:
-                    collect_remote_states(self)
-                raise FixpointNotReachedError(
-                    f"fixpoint not reached within "
-                    f"{self.config.max_iterations} iterations: the last "
-                    f"completed iteration ({iterations - 1}) still "
-                    f"produced a delta of {last_delta} rows",
-                    iterations - 1, partial_result=self.relations())
+        try:
+            while True:
+                iterations += 1
+                if iterations > self.config.max_iterations:
+                    last_delta = delta_history[-1] if delta_history else 0
+                    if self.session_id is not None:
+                        collect_remote_states(self)
+                    raise FixpointNotReachedError(
+                        f"fixpoint not reached within "
+                        f"{self.config.max_iterations} iterations: the last "
+                        f"completed iteration ({iterations - 1}) still "
+                        f"produced a delta of {last_delta} rows",
+                        iterations - 1, partial_result=self.relations())
 
-            memory.begin_iteration()
-            with tracer.span("iteration", f"iteration-{iterations}",
-                             index=iterations) as span:
-                incoming, delta_by_view = iterate(self, incoming, naive)
-                d_total = sum(delta_by_view.values())
-                if not self.config.use_setrdd:
-                    self._charge_immutable_union()
-                self.cluster.metrics.inc("iterations")
-                iter_hwm = memory.iteration_high_water()
-                span.annotate(
-                    delta_total=d_total,
-                    delta_by_view=delta_by_view,
-                    memory_peak_bytes=max(iter_hwm.values(), default=0),
-                    memory_hwm_by_worker={f"w{w}": nbytes
-                                          for w, nbytes in iter_hwm.items()})
-            if d_total == 0:
-                break
-            delta_history.append(d_total)
-            if self.checkpointer is not None \
-                    and self.checkpointer.due(iterations):
-                self.checkpointer.write(iterations, delta_history,
-                                        self.states, incoming)
+                memory.begin_iteration()
+                with tracer.span("iteration", f"iteration-{iterations}",
+                                 index=iterations) as span:
+                    incoming, delta_by_view = iterate(self, incoming, naive)
+                    d_total = sum(delta_by_view.values())
+                    if not self.config.use_setrdd:
+                        self._charge_immutable_union()
+                    self.cluster.metrics.inc("iterations")
+                    hwm = memory.iteration_high_water()
+                    span.annotate(
+                        delta_total=d_total,
+                        delta_by_view=delta_by_view,
+                        memory_peak_bytes=max(hwm.values(), default=0),
+                        memory_hwm_by_worker={f"w{w}": nbytes
+                                              for w, nbytes in hwm.items()})
+                if d_total == 0:
+                    break
+                delta_history.append(d_total)
+                if self.checkpointer is not None \
+                        and self.checkpointer.due(iterations):
+                    self.checkpointer.write(iterations, delta_history,
+                                            self.states, incoming)
+        finally:
+            # The stage tasks close over this operator: let them go with
+            # the iteration state, so a finished fixpoint is freed by
+            # reference counting, not left to the cycle collector.
+            self.stage_tasks.clear()
+            self.incoming = {}
 
         if self.session_id is not None:
             collect_remote_states(self)

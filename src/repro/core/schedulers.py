@@ -12,6 +12,12 @@ fault snapshot/restore hooks, the immutable-state ablation's copy,
 folding the step's cache tallies into the metrics registry — happens
 *around* the two step calls, here.  (Decomposed plans have no global
 iteration; see :mod:`repro.core.decomposed`.)
+
+What does not change between iterations is built once per fixpoint: a
+combined or remote stage's tasks (their functions, snapshot / restore
+hooks) are made on the operator's first iteration and kept in
+:attr:`FixpointOperator.stage_tasks`; each iteration only points them at
+its incoming partitions (:func:`_tasks`).
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from typing import Callable
 from repro.engine.backend.payloads import remote_task_stub
 from repro.engine.cluster import StageTask
 from repro.engine.dataset import Dataset, Partition
+from repro.engine.serialization import forwarded
 
 # ----------------------------------------------------------------------
 # the driver's task wrapper around the shared step
@@ -63,6 +70,23 @@ def _stage_inputs(operator, incoming: dict[str, Dataset],
             + [blocks[partition] for blocks in operator.base_blocks.values()])
 
 
+def _tasks(operator, stage: str, incoming: dict[str, Dataset],
+           make: Callable[[int], StageTask]) -> list[StageTask]:
+    """``stage``'s per-partition tasks for this iteration: made by
+    ``make(partition)`` on the fixpoint's first iteration and kept on the
+    operator, then re-pointed at ``incoming`` and at each partition's
+    current home (a lost worker's partitions move) every iteration."""
+    tasks = operator.stage_tasks.get(stage)
+    if tasks is None:
+        tasks = operator.stage_tasks[stage] = [make(p)
+                                               for p in range(operator.n)]
+    homes = operator.cluster.homes
+    for task in tasks:
+        task.inputs = _stage_inputs(operator, incoming, task.index)
+        task.preferred_worker = homes[task.index]
+    return tasks
+
+
 def _merge(operator, partition: int,
            incoming: dict[str, Dataset]) -> dict[str, int]:
     """:meth:`CliqueStep.merge` under the memory governor.
@@ -81,12 +105,13 @@ def _merge(operator, partition: int,
             # Immutable-RDD ablation: every union copies the partition.
             state.replace_partition(partition,
                                     state.snapshot_partition(partition))
-    parts = {name: dataset.partitions[partition]
-             for name, dataset in incoming.items()}
-    d_by_view = operator.step.merge(
-        partition, {name: part.rows for name, part in parts.items()},
-        {name: part.size_bytes() for name, part in parts.items()})
-    home = operator.cluster.worker_for_partition(partition)
+    rows_by_view, bytes_by_view = {}, {}
+    for name, dataset in incoming.items():
+        part = dataset.partitions[partition]
+        rows_by_view[name] = part.rows
+        bytes_by_view[name] = part.size_bytes()
+    d_by_view = operator.step.merge(partition, rows_by_view, bytes_by_view)
+    home = operator.cluster.homes[partition]
     for name, state in operator.states.items():
         memory.charge("state", name, partition, home,
                       state.partition_size_bytes(partition))
@@ -100,7 +125,7 @@ def _derive(operator, partition: int,
     # them so LRU eviction prefers colder segments, and so a spilled
     # block is read back (and charged) before use.
     memory = operator.cluster.memory
-    home = operator.cluster.worker_for_partition(partition)
+    home = operator.cluster.homes[partition]
     for step_id in operator.base_blocks:
         memory.touch("base", str(step_id), partition)
     for group in operator.broadcast_groups:
@@ -143,17 +168,16 @@ def iterate_combined(operator, incoming: dict[str, Dataset], naive: bool
     with the post-merge delta size ``|D|`` per view (summed over
     partitions), which is what the fixpoint loop keys termination off.
     """
-    def task_fn(partition):
+    def make(partition):
         def run(*_input_rows):
-            d_by_view = _merge(operator, partition, incoming)
+            d_by_view = _merge(operator, partition, operator.incoming)
             if not naive and not any(d_by_view.values()):
                 return d_by_view, {}
             return d_by_view, _derive(operator, partition, naive)
-        return run
+        return _task(operator, partition, [], run, mutating=True)
 
-    tasks = [_task(operator, p, _stage_inputs(operator, incoming, p),
-                   task_fn(p), mutating=True)
-             for p in range(operator.n)]
+    operator.incoming = incoming
+    tasks = _tasks(operator, "combined", incoming, make)
     return _run_and_exchange(operator, "fixpoint-shufflemap", tasks, incoming)
 
 
@@ -196,13 +220,12 @@ def iterate_remote(operator, incoming: dict[str, Dataset], naive: bool
     the process backend claim the batch (``wants_batch``); the worker
     answers with the same ``(|D| per view, buckets)`` a local task does.
     """
-    tasks = []
-    for p in range(operator.n):
-        rows_by_view = {name: dataset.partitions[p].rows
-                        for name, dataset in incoming.items()
-                        if dataset.partitions[p].rows}
-        tasks.append(_task(
-            operator, p, _stage_inputs(operator, incoming, p),
-            remote_task_stub,
-            payload=("iterate", operator.session_id, p, rows_by_view)))
+    tasks = _tasks(operator, "remote", incoming,
+                   lambda p: _task(operator, p, [], remote_task_stub))
+    for task in tasks:
+        p = task.index
+        task.payload = ("iterate", operator.session_id, p,
+                        {name: forwarded(dataset.partitions[p].rows)
+                         for name, dataset in incoming.items()
+                         if dataset.partitions[p].rows})
     return _run_and_exchange(operator, "fixpoint-shufflemap", tasks, incoming)

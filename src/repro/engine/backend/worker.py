@@ -36,8 +36,9 @@ Worker -> driver::
 
 An ``iterate`` result's shuffle buckets are ``ShuffleBlock``s pickled
 once here, headed by record count and ``rows_size``: the driver sums its
-shuffle counters from the headers and forwards the blocks unread (next
-payload, replay log) to the worker that decodes them (``incoming_rows``).
+shuffle counters from the headers and forwards each block's pickled rows
+unread, as plain bytes (next payload, replay log), to the worker that
+decodes them (``incoming_rows``).
 
 The derivation code *is* the simulated oracle's, not a second copy of it:
 an ``iterate`` task runs the same :meth:`CliqueStep.merge` /

@@ -44,7 +44,6 @@ mid-run for chaos testing.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -72,7 +71,7 @@ from repro.errors import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class StageTask:
     """One task of a stage: a function over the rows of its input partitions.
 
@@ -85,6 +84,10 @@ class StageTask:
     after-commit failure (or a worker-loss replay) of a mutating task
     without both hooks raises :class:`repro.errors.FaultInjectionError`
     instead of replaying against half-applied state.
+
+    A task is also the scheduler's :class:`~repro.engine.scheduler.
+    TaskSpec` (``index``, ``preferred_worker``) whenever it names its
+    preferred worker.
     """
 
     index: int
@@ -100,7 +103,7 @@ class StageTask:
     payload: object | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskResult:
     index: int
     output: object
@@ -168,6 +171,11 @@ class Cluster:
         #: (``None`` = no deadline); set by ``RaSQLContext.sql``.
         self.deadline: float | None = None
         self.lost_workers: set[int] = set()
+        #: ``homes[i] == worker_for_partition(i)`` for each of the
+        #: default ``num_partitions`` (recomputed when a worker is lost):
+        #: the hot paths index it instead of calling per partition.
+        self.homes: list[int] = [i % num_workers
+                                 for i in range(self.num_partitions)]
         #: Armed injectors by fault kind (``faults.INJECTOR_KINDS``).
         #: ``"process-kill"`` (real signals, process backend only) is
         #: deliberately NOT part of ``_injecting``: it strikes OS
@@ -215,8 +223,11 @@ class Cluster:
         (Spark likewise refuses to starve a stage), so the pool is never
         empty while any worker survives.
         """
+        blacklisted = self.recovery.blacklisted
+        if not (self.lost_workers or blacklisted):
+            return list(range(self.num_workers))
         live = self.live_workers()
-        healthy = [w for w in live if w not in self.recovery.blacklisted]
+        healthy = [w for w in live if w not in blacklisted]
         return healthy or live
 
     def lose_worker(self, worker: int, stage_name: str = "") -> None:
@@ -233,6 +244,8 @@ class Cluster:
             raise NoHealthyWorkersError(
                 f"cannot lose worker {worker}: it is the last live worker")
         self.lost_workers.add(worker)
+        self.homes = [self.worker_for_partition(i)
+                      for i in range(self.num_partitions)]
         detect = self.cost_model.worker_loss_detect_s
         self.metrics.inc("workers_lost")
         self.metrics.advance(detect, label="recovery")
@@ -351,12 +364,10 @@ class Cluster:
             if injector.matches(name):
                 injector.fire()
                 self.memory.apply_pressure(injector.fraction, stage=name)
-        specs = []
-        for task in tasks:
-            preferred = task.preferred_worker
-            if preferred is None and task.inputs:
-                preferred = task.inputs[0].worker
-            specs.append(TaskSpec(task.index, preferred))
+        # A task that names no worker prefers its first input's home.
+        specs = [TaskSpec(task.index, task.inputs[0].worker)
+                 if task.preferred_worker is None and task.inputs else task
+                 for task in tasks]
         assignments = self.scheduler.assign(specs, self.num_workers,
                                             healthy=self.healthy_workers())
 
@@ -446,7 +457,7 @@ class Cluster:
         # Pre-stage snapshots are the last cached all-relation state: the
         # Section 6.1 "checkpoint" every recovery path replays from.
         snapshots: dict[int, object] = {}
-        loss_at: dict[int, list[WorkerLossInjector]] = defaultdict(list)
+        loss_at: dict[int, list[WorkerLossInjector]] = {}
         if injecting:
             for pos, task in enumerate(tasks):
                 if task.snapshot is not None:
@@ -455,7 +466,7 @@ class Cluster:
                 for injector in self.armed["worker-loss"]:
                     if injector.matches(name):
                         strike = min(max(injector.at_task, 0), len(tasks) - 1)
-                        loss_at[strike].append(injector)
+                        loss_at.setdefault(strike, []).append(injector)
 
         for pos, task in enumerate(tasks):
             for injector in loss_at.get(pos, ()):
@@ -664,6 +675,9 @@ class Cluster:
         # mismatch triggers a charged re-fetch of the pristine rows.  No
         # injector armed -> zero extra work on the clean hot path.
         corruptors = [c for c in self.armed["corruption"] if c.matches()]
+        homes = (self.homes if num_partitions == self.num_partitions
+                 else [self.worker_for_partition(pid)
+                       for pid in range(num_partitions)])
         for source_worker, buckets in map_outputs:
             for pid, rows in buckets.items():
                 if not rows:
@@ -698,10 +712,11 @@ class Cluster:
                 gathered_bytes[pid] += nbytes
                 total_bytes += nbytes
                 total_records += records
-                if self.worker_for_partition(pid) != source_worker:
+                if homes[pid] != source_worker:
                     remote_bytes += nbytes
 
-        with self.tracer.span("exchange", "shuffle") as span:
+        with self.tracer.span("exchange", "shuffle", records=total_records,
+                              bytes=total_bytes, remote_bytes=remote_bytes):
             self.metrics.inc("shuffle_records", total_records)
             self.metrics.inc("shuffle_bytes", total_bytes)
             self.metrics.inc("shuffle_remote_bytes", remote_bytes)
@@ -709,15 +724,14 @@ class Cluster:
                 self.metrics.advance(
                     self.cost_model.transfer_seconds(remote_bytes, self.num_workers),
                     label="shuffle")
-            span.annotate(records=total_records, bytes=total_bytes,
-                          remote_bytes=remote_bytes)
         return self.restore_exchange(gathered, partitioner, key_indices,
-                                     gathered_bytes)
+                                     gathered_bytes, homes)
 
     def restore_exchange(self, per_partition_rows: list[list[tuple]],
                          partitioner: HashPartitioner,
                          key_indices: tuple[int, ...] | None = None,
-                         sizes: list[int] | None = None) -> Dataset:
+                         sizes: list[int] | None = None,
+                         homes: list[int] | None = None) -> Dataset:
         """Place rows already bucketed by target partition: the tail of
         :meth:`exchange`, and all there is to re-materializing an
         exchanged dataset from a checkpoint.  ``sizes`` are the
@@ -728,8 +742,12 @@ class Cluster:
         charges the blob's disk read under the ``"checkpoint"`` label),
         so a restored dataset's placement and shuffle-tier memory charges
         equal the original's and the merge stage releases the same group.
+        ``homes`` are the partitions' workers when the caller placed them.
         """
-        parts = [Partition(i, rows, self.worker_for_partition(i),
+        if homes is None:
+            homes = [self.worker_for_partition(i)
+                     for i in range(len(per_partition_rows))]
+        parts = [Partition(i, rows, homes[i],
                            None if sizes is None else sizes[i])
                  for i, rows in enumerate(per_partition_rows)]
         dataset = Dataset(parts, partitioner, key_indices)

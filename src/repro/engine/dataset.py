@@ -16,7 +16,7 @@ from repro.engine.partitioner import HashPartitioner
 from repro.engine.serialization import rows_size
 
 
-@dataclass
+@dataclass(slots=True)
 class Partition:
     """One partition of a dataset: rows plus their home worker (a pool
     exchange's partition holds its workers' unread ``ShuffleBlock`` s).

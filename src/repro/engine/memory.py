@@ -107,6 +107,9 @@ class MemoryManager:
         #: set raises); ``True`` for injected pressure (degrade only).
         self.soft: bool = False
         self._segments: dict[tuple, MemorySegment] = {}
+        #: ``(kind, name)`` -> the partitions of that group charged now,
+        #: so a group is released without a walk over every segment.
+        self._groups: dict[tuple[str, str], set[int]] = {}
         self._clock = 0
         self._resident = [0] * num_workers
         self._spilled = [0] * num_workers
@@ -123,18 +126,29 @@ class MemoryManager:
 
         Re-charging an existing key updates its size in place (cached
         state grows every iteration) and counts as a touch; a spilled
-        segment being re-charged is read back from disk first.  The
-        charged segment itself is the working set and is never chosen as
-        its own spill victim.
+        segment being re-charged is read back from disk first; one
+        re-charged at its size on its worker is only a touch (no
+        resident byte or high-water mark can move).  The charged segment
+        itself is the working set and is never chosen as its own spill
+        victim.
         """
         key = (kind, name, partition)
         self._clock += 1
         segment = self._segments.get(key)
-        if segment is None:
+        if (segment is not None and segment.nbytes == nbytes
+                and segment.worker == worker and not segment.spilled):
+            segment.last_touch = self._clock
+        elif segment is None:
             segment = MemorySegment(kind, name, partition, worker,
                                     nbytes, spillable, self._clock)
             self._segments[key] = segment
+            group = self._groups.get((kind, name))
+            if group is None:
+                self._groups[(kind, name)] = {partition}
+            else:
+                group.add(partition)
             self._resident[worker] += nbytes
+            self._update_hwm(worker)
         else:
             if segment.spilled:
                 self._unspill(segment)
@@ -145,8 +159,9 @@ class MemoryManager:
             segment.nbytes = nbytes
             segment.last_touch = self._clock
             self._resident[worker] += nbytes
-        self._update_hwm(worker)
-        self._enforce(worker, keep=key)
+            self._update_hwm(worker)
+        if self.budget_bytes is not None:
+            self._enforce(worker, keep=key)
 
     def touch(self, kind: str, name: str, partition: int) -> None:
         """Mark a segment recently used; read it back if it was spilled.
@@ -169,6 +184,10 @@ class MemoryManager:
         segment = self._segments.pop((kind, name, partition), None)
         if segment is None:
             return
+        group = self._groups[(kind, name)]
+        group.discard(partition)
+        if not group:
+            del self._groups[(kind, name)]
         if segment.spilled:
             self._spilled[segment.worker] -= segment.nbytes
         else:
@@ -176,8 +195,8 @@ class MemoryManager:
 
     def release_group(self, kind: str, name: str) -> None:
         """Free every segment of one ``(kind, name)`` group."""
-        for key in [k for k in self._segments if k[0] == kind and k[1] == name]:
-            self.release(*key)
+        for partition in list(self._groups.get((kind, name), ())):
+            self.release(kind, name, partition)
 
     def release_all(self) -> None:
         """Drop every charge (a query's caches die with the query)."""

@@ -31,9 +31,11 @@ from typing import Sequence
 from repro.errors import NoHealthyWorkersError
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskSpec:
-    """What the scheduler needs to know about one task."""
+    """What the scheduler needs to know about one task (a
+    :class:`~repro.engine.cluster.StageTask` naming its preferred worker
+    is one too)."""
 
     index: int
     preferred_worker: int | None

@@ -63,16 +63,19 @@ def row_size(row: tuple) -> int:
 
 
 _SAMPLE_THRESHOLD = 64
+_NUMBERS = frozenset((int, float))
 
 
 def _sized(rows) -> int:
     """Summed :func:`row_size` of a few rows; rows of plain numbers (the
     common case, and this sits on the shuffle accounting hot path) are
-    sized from their widths alone."""
-    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+    sized from their row and value counts alone, after one pass that
+    gathers the values and one that reads their types."""
+    values = [*chain.from_iterable(rows)]
+    if not _NUMBERS.issuperset(map(type, values)):
         return sum(map(row_size, rows))
     return (_ROW_OVERHEAD * len(rows)
-            + (_FIELD_OVERHEAD + _NUMERIC_BYTES) * sum(map(len, rows)))
+            + (_FIELD_OVERHEAD + _NUMERIC_BYTES) * len(values))
 
 
 def rows_size(rows) -> int:
@@ -164,27 +167,57 @@ def load_payload(blob: bytes):
     return pickle.loads(blob)
 
 
+#: A protocol-5 pickle opens with PROTO (2 bytes) and, when it frames its
+#: body, FRAME and the frame's 8-byte length (9 more) that say nothing a
+#: block's reader needs: framing is optional to the unpickler.
+_FRAMED = b"\x80\x05\x95"
+_FRAME_HEADER = 11
+
+
+def dump_rows(rows: list[tuple]) -> bytes:
+    """``rows`` pickled as one shuffle bucket travels: the protocol-5
+    pickle without its frame header (PROTO stays, so it loads as is)."""
+    data = pickle.dumps(rows, protocol=5)
+    if data.startswith(_FRAMED):
+        return data[:2] + data[_FRAME_HEADER:]
+    return data
+
+
 class ShuffleBlock(NamedTuple):
     """A non-empty shuffle bucket pickled once by the pool worker that
-    routed it: the driver forwards it unread, its merger decodes it."""
+    routed it: the driver forwards it unread, its merger decodes it.
+
+    A reply carries blocks; what the driver forwards (the next payload,
+    the replay log) is their ``data`` alone, a plain ``bytes`` per
+    block: the header has been read by then, and bytes pickle with no
+    class reference (:func:`forwarded`)."""
 
     records: int
     nbytes: int  # rows_size of the rows, as the exchange would size them
-    data: bytes
+    data: bytes  # dump_rows(rows)
 
     @classmethod
     def encode(cls, rows: list[tuple]) -> ShuffleBlock:
-        return cls(len(rows), rows_size(rows), dump_payload(rows))
+        return cls(len(rows), rows_size(rows), dump_rows(rows))
 
     def decode(self) -> list[tuple]:
         return pickle.loads(self.data)
 
 
+def forwarded(part: list) -> list:
+    """A gathered partition as the driver ships it on: its blocks'
+    ``data`` (no row is read), driver-made rows as they are."""
+    if part and type(part[0]) is ShuffleBlock:
+        return [block.data for block in part]
+    return part
+
+
 def incoming_rows(rows_by_view: dict[str, list]) -> dict[str, list[tuple]]:
-    """A partition's incoming delta per view as a worker merges it: blocks
-    decoded in arrival order and concatenated, driver-made rows as is."""
-    return {name: list(chain.from_iterable(block.decode() for block in part))
-            if type(part[0]) is ShuffleBlock else part
+    """A partition's incoming delta per view as a worker merges it:
+    forwarded blocks (:func:`forwarded`) decoded in arrival order and
+    concatenated, driver-made rows as is."""
+    return {name: list(chain.from_iterable(map(pickle.loads, part)))
+            if type(part[0]) is bytes else part
             for name, part in rows_by_view.items()}
 
 

@@ -30,9 +30,9 @@ a trace loaded back from a benchmark artifact renders identically.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter_ns
+from types import MappingProxyType
 from typing import Iterator
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One bracketed region of execution on the simulated cluster.
 
@@ -53,6 +53,12 @@ class Span:
     moments (``wall_s``: zero for a leaf, instantaneous on both clocks).
     ``metrics`` holds the non-zero counter increments heard in between;
     ``time_by_label`` splits the duration by clock-advance label.
+
+    A span opened by :meth:`Tracer.span` is its own context manager
+    (``with tracer.span(...) as span``): it closes itself through the
+    ``tracer`` that opened it.  Spans are made per stage, task and
+    exchange, so the tracer passes every field, by position: no default
+    factory runs.
     """
 
     kind: str
@@ -66,6 +72,24 @@ class Span:
     metrics: dict = field(default_factory=dict)
     time_by_label: dict = field(default_factory=dict)
     children: list["Span"] = field(default_factory=list)
+    #: The tracer that closes this span on ``__exit__`` while it is open
+    #: (``None`` once closed, for a leaf, a span made by hand, or the
+    #: disabled tracers' shared sink).
+    tracer: "Tracer | None" = field(default=None, repr=False, compare=False)
+    #: Whether it leaves :attr:`Tracer.roots` when it closes
+    #: (:meth:`Tracer.owned_span`).
+    owned: bool = field(default=False, repr=False, compare=False)
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        tracer = self.tracer
+        if tracer is None:
+            return
+        if self.owned:
+            tracer.roots[:] = [r for r in tracer.roots if r is not self]
+        tracer.end(self)
 
     @property
     def duration(self) -> float:
@@ -108,6 +132,12 @@ class Span:
 #: it freely; nothing is retained.
 _NULL_SPAN = Span(kind="null", name="null")
 
+#: What a leaf hears and holds: nothing.  A leaf is never an open window
+#: and never a parent, so every leaf shares these read-only empties
+#: instead of three containers of its own.
+_HEARS_NOTHING = MappingProxyType({})
+_NO_CHILDREN = ()
+
 
 class Tracer:
     """Builds the span tree for one simulated cluster.
@@ -137,22 +167,33 @@ class Tracer:
                 return window
         return None
 
-    def _new_span(self, kind: str, name: str, attrs: dict) -> Span:
-        """A span starting now, attached under the innermost open one."""
-        span = Span(kind=kind, name=name, start=self.metrics.sim_time,
-                    span_id=self._next_id, attrs=attrs)
+    def _attach(self, span: Span) -> None:
+        """Number ``span`` and hang it under the innermost open span (or
+        make it a root)."""
         self._next_id += 1
-        parent = self.current
+        windows = self.metrics.windows
+        parent = windows[-1] if windows else None
+        if type(parent) is not Span:
+            parent = self.current
         (parent.children if parent is not None else self.roots).append(span)
-        return span
 
     def begin(self, kind: str, name: str, **attrs) -> Span:
+        """Open a span starting now under the innermost open one.  The
+        span is its own context manager: ``with tracer.span(...)`` ends
+        it on exit, exception or not."""
         if not self.enabled:
             return _NULL_SPAN
-        span = self._new_span(kind, name, attrs)
-        self.metrics.windows.append(span)
+        metrics = self.metrics
+        span = Span(kind, name, metrics.sim_time, None, 0, 0, self._next_id,
+                    attrs, {}, {}, [], self)
+        self._attach(span)
+        metrics.windows.append(span)
         span.wall_start_ns = perf_counter_ns()
         return span
+
+    def span(self, kind: str, name: str, **attrs) -> Span:
+        """:meth:`begin`, as a context manager (the span is its own)."""
+        return self.begin(kind, name, **attrs)
 
     def end(self, span: Span) -> None:
         if not self.enabled or span is _NULL_SPAN:
@@ -166,32 +207,25 @@ class Tracer:
         windows.pop()
         span.end = self.metrics.sim_time
         span.wall_end_ns = wall_end_ns
+        span.tracer = None  # closed: a finished tree holds no tracer
 
-    @contextmanager
-    def span(self, kind: str, name: str, **attrs):
-        span = self.begin(kind, name, **attrs)
-        try:
-            yield span
-        finally:
-            self.end(span)
-
-    @contextmanager
-    def owned_span(self, kind: str, name: str, **attrs):
+    def owned_span(self, kind: str, name: str, **attrs) -> Span:
         """A span whose opener owns the finished tree (it serializes it,
         as ``RunInfo.trace``, or is done with it): as a root it leaves
         :attr:`roots` on exit, so a long-lived tracer does not grow."""
-        with self.span(kind, name, **attrs) as span:
-            try:
-                yield span
-            finally:
-                self.roots[:] = [r for r in self.roots if r is not span]
+        span = self.begin(kind, name, **attrs)
+        if span is not _NULL_SPAN:
+            span.owned = True
+        return span
 
     def leaf(self, kind: str, name: str, **attrs) -> Span:
         """Record an instantaneous child span (e.g. one task of a stage)."""
         if not self.enabled:
             return _NULL_SPAN
-        span = self._new_span(kind, name, attrs)
-        span.end = span.start
+        start = self.metrics.sim_time
+        span = Span(kind, name, start, start, 0, 0, self._next_id, attrs,
+                    _HEARS_NOTHING, _HEARS_NOTHING, _NO_CHILDREN)
+        self._attach(span)
         return span
 
     # ------------------------------------------------------------------

@@ -32,6 +32,7 @@ import re
 from collections import OrderedDict
 
 _WHITESPACE = re.compile(r"\s+")
+_QUOTE = re.compile("['\"]")
 
 
 def _segments(sql: str):
@@ -44,11 +45,12 @@ def _segments(sql: str):
     key must not mangle it into colliding with a valid statement.
     """
     i, start = 0, 0
-    while i < len(sql):
+    while True:
+        found = _QUOTE.search(sql, i)
+        if found is None:
+            break
+        i = found.start()
         quote = sql[i]
-        if quote not in ("'", '"'):
-            i += 1
-            continue
         if start < i:
             yield False, sql[start:i]
         end = i + 1

@@ -1,5 +1,7 @@
 """Unit tests for the wire-size model and compression codec."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from repro.engine.serialization import (
     CompressionCodec,
     HASH_TABLE_BLOWUP,
     ShuffleBlock,
+    forwarded,
     incoming_rows,
     row_size,
     rows_size,
@@ -118,9 +121,22 @@ class TestShuffleBlock:
         for block, rows in zip(blocks, buckets):
             assert (block.records, block.nbytes) == (len(rows),
                                                      rows_size(rows))
-        merged = incoming_rows({"v": blocks, "w": buckets[0]})
+        merged = incoming_rows({"v": forwarded(blocks), "w": buckets[0]})
         assert merged["v"] == [row for rows in buckets for row in rows]
         assert merged["w"] is buckets[0]  # a driver-made row list as is
+
+    def test_forwarded_blocks_carry_no_class_reference_or_frame(self):
+        rows = [(i, float(i)) for i in range(40)]
+        blocks = [ShuffleBlock.encode(rows[:3]), ShuffleBlock.encode(rows)]
+        shipped = pickle.dumps(("iterate", "s", 0, {"v": forwarded(blocks)}),
+                               protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"ShuffleBlock" not in shipped
+        for block in blocks:
+            assert block.data.startswith(b"\x80\x05")  # PROTO, no FRAME
+            assert block.data[2:3] != b"\x95"
+            assert len(block.data) == len(pickle.dumps(
+                block.decode(), protocol=5)) - 9
+        assert forwarded(rows) is rows and forwarded([]) == []
 
 
 class TestCompressionCodec:

@@ -547,16 +547,15 @@ def block_spies(monkeypatch):
 
 def assert_log_holds_blocks(logs):
     """Every committed iteration after a partition's first holds blocks
-    only; the first may be the base-rule delta, which the driver itself
-    produced and ships as rows."""
-    from repro.engine.serialization import ShuffleBlock
-
+    only, as forwarded: each block's pickled rows, a plain ``bytes``
+    (``serialization.forwarded``); the first may be the base-rule delta,
+    which the driver itself produced and ships as rows."""
     blocks = 0
     for log in logs:
         for entries in log.values():
             for entry in entries[1:]:
                 for part in entry.values():
-                    assert all(type(item) is ShuffleBlock for item in part)
+                    assert all(type(item) is bytes for item in part)
                     blocks += len(part)
     assert blocks > 0
 
