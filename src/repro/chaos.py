@@ -43,8 +43,6 @@ from repro.errors import DriverCrashError, RaSQLError
 
 
 def _describe(fault) -> str:
-    if isinstance(fault, dict):  # a worker-side directive (poison / hang)
-        return f"worker-{fault['kind']}[{fault['stage']}]"
     options = " ".join(f"{f.name}={getattr(fault, f.name)}"
                        for f in dataclasses.fields(fault)
                        if f.init and getattr(fault, f.name) != f.default)
@@ -181,7 +179,7 @@ class DifferentialReport:
     @property
     def fired(self) -> int:
         """Strikes of the armed injectors that landed."""
-        return sum(getattr(fault, "injected", 0) for fault in self.faults)
+        return sum(fault.injected for fault in self.faults)
 
     @property
     def counters(self) -> dict[str, float]:
@@ -280,9 +278,9 @@ def run_differential(query: str, make_context: Callable[..., object], *,
     (``config=``, ``memory_config=``, ...; default: nothing).  ``subject``
     may be a function of the finished oracle context (:func:`squeezed`).
 
-    ``faults`` are armed on the subject only: injectors, worker-side
-    directive dicts (``ProcessClusterBackend.add_chaos``), or a function
-    of the oracle's ``RunInfo`` returning them (:func:`driver_kill`).
+    ``faults`` are armed on the subject only: injectors of any
+    :data:`repro.engine.faults.INJECTOR_KINDS` kind, or a function of the
+    oracle's ``RunInfo`` returning them (:func:`driver_kill`).
 
     ``resume=True`` is the one control-flow difference: a
     :class:`DriverCrashError` out of the subject is the modelled crash,
@@ -307,10 +305,7 @@ def run_differential(query: str, make_context: Callable[..., object], *,
             faults = faults(oracle_ctx.last_run)
         faults = list(faults)
         ctx = fresh(subject)
-        directives = [f for f in faults if isinstance(f, dict)]
-        ctx.inject_faults(*(f for f in faults if not isinstance(f, dict)))
-        if directives:
-            ctx.cluster.backend.add_chaos(directives)
+        ctx.inject_faults(*faults)
         try:
             actual = ctx.sql(query)
         except DriverCrashError:

@@ -23,7 +23,6 @@ time) are kept on :attr:`last_run`.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -308,7 +307,11 @@ class RaSQLContext:
         shuffle bucket; caught by checksum verification), and
         :class:`repro.engine.faults.DriverKillInjector` (raises
         :class:`repro.errors.DriverCrashError` before a matching stage —
-        pair with durable checkpoints and :meth:`resume`).
+        pair with durable checkpoints and :meth:`resume`), and on the
+        process backend :class:`repro.engine.faults.ProcessKillInjector`
+        (a real SIGKILL / SIGSTOP) and
+        :class:`repro.engine.faults.ProcessPoisonInjector` (a task that
+        crashes its worker).
         """
         for injector in injectors:
             self.cluster.inject_failures(injector)
@@ -489,15 +492,10 @@ class RaSQLContext:
         run = RunInfo()
         run.query_id = qid
         tracer = self.cluster.tracer
-        query_span = None
-        # The query's record is its own attribution window.  A recorded
-        # root span is one (it hears exactly what a bare window around it
-        # would), so a bare window opens only when the tracer is off.
-        record = (nullcontext() if tracer.enabled
-                  else self.cluster.metrics.attributing())
+        # The query's record is its root span, its own attribution window.
+        query_span = tracer.owned_span("query", label)
         try:
-            with record as window, \
-                    tracer.owned_span("query", label) as query_span:
+            with query_span:
                 if admission is not None:
                     query_span.annotate(admission=dict(admission))
                 for unit_index, unit in enumerate(analyzed.units):
@@ -529,10 +527,10 @@ class RaSQLContext:
             # The span closed (its ``finally`` ran), so the partial trace
             # is complete up to the aborting stage (deadline) or the
             # quarantining batch (poison pill).
-            self._record_run(run, window, query_span, tracer)
+            self._record_run(run, query_span)
             exc.partial_trace = run.trace
             raise
-        self._record_run(run, window, query_span, tracer)
+        self._record_run(run, query_span)
         return final
 
     def _run_clique(self, unit: CliquePlan, unit_index: int,
@@ -669,19 +667,11 @@ class RaSQLContext:
                                      query_id=query_id,
                                      resume_state=resume_state)
 
-    def _record_run(self, run: RunInfo, window, query_span, tracer) -> None:
-        """``window`` is the query's bare attribution window, or ``None``
-        when its root span was the window."""
-        if window is None:
-            run.sim_time = query_span.duration
-            run.metrics = query_span.metrics
-            run.time_breakdown = query_span.time_by_label
-        else:
-            run.sim_time = window.seconds
-            run.metrics = window.metrics
-            run.time_breakdown = window.time_by_label
-        if tracer.enabled and query_span is not None:
-            run.root_span = query_span
+    def _record_run(self, run: RunInfo, query_span) -> None:
+        run.sim_time = query_span.duration
+        run.metrics = query_span.metrics
+        run.time_breakdown = query_span.time_by_label
+        run.root_span = query_span
         self.last_run = run
 
     def explain_analyze(self, query: str,

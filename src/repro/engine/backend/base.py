@@ -46,15 +46,10 @@ class ProcessConfig:
         it is hung (its worker may well keep heartbeating — an infinite
         loop beats happily); the worker is reaped and the attempt counts
         toward the poison threshold.
-    respawn_budget:
-        Reaps/crashes absorbed per stage batch before the backend stops
-        respawning and instead retires the slot (the pool shrinks to
-        survivors, partitions re-home via ``worker_for_partition``).
     """
 
     liveness_timeout: float = 5.0
     task_deadline_s: float = 30.0
-    respawn_budget: int = 3
 
     def __post_init__(self):
         if not self.liveness_timeout > HEARTBEAT_INTERVAL_S:
@@ -65,9 +60,6 @@ class ProcessConfig:
             raise ValueError(
                 f"task_deadline_s must be positive, got "
                 f"{self.task_deadline_s!r}")
-        if self.respawn_budget < 0:
-            raise ValueError(
-                f"respawn_budget must be >= 0, got {self.respawn_budget!r}")
 
 
 class ClusterBackend:

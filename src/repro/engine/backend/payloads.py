@@ -86,7 +86,8 @@ class InstallSpec:
 
 
 #: ``Cluster.armed`` kinds that pin a clique to the simulated oracle,
-#: with the slug :func:`remote_ineligible_reason` reports for each.
+#: with the slug :func:`remote_ineligible_reason` reports for each
+#: (``process-kill`` and ``process-poison`` strike the pool itself).
 _SIMULATED_INJECTORS = (
     ("task", "injector:failure"),
     ("worker-loss", "injector:worker-loss"),

@@ -22,10 +22,11 @@ supervises them:
 - **Poison quarantine** — a task that kills its worker
   :data:`POISON_THRESHOLD` times is quarantined and the query fails with a
   typed :class:`repro.errors.PoisonTaskError` instead of crash-looping.
-- **Graceful degradation** — reaps past ``respawn_budget`` per batch
-  retire the slot: the pool shrinks to survivors and partitions re-home.
-  If the pool cannot spawn at all, the backend degrades permanently and
-  every stage runs on the simulated oracle (with a warning).
+- **Graceful degradation** — reaps past :data:`RESPAWN_BUDGET` per
+  batch retire the slot: the pool shrinks to survivors and partitions
+  re-home.  If the pool cannot spawn at all, the backend degrades
+  permanently and every stage runs on the simulated oracle (with a
+  warning).
 
 The driver side of the pipe never blocks on a send: each handle owns a
 sender thread fed by a queue, and the supervisor drains replies with
@@ -39,7 +40,6 @@ import multiprocessing
 import os
 import pickle
 import queue
-import re
 import signal
 import threading
 import time
@@ -66,6 +66,11 @@ _SPAWN_TIMEOUT_S = 60.0
 #: query fails with :class:`repro.errors.PoisonTaskError` instead of
 #: crash-looping the pool.
 POISON_THRESHOLD = 3
+
+#: Reaps/crashes absorbed per stage batch before the backend stops
+#: respawning and retires the slot instead (the pool shrinks to
+#: survivors, partitions re-home via ``worker_for_partition``).
+RESPAWN_BUDGET = 3
 
 #: Base of the exponential respawn backoff
 #: (``RESPAWN_BACKOFF_BASE_S * 2**(respawns - 1)`` wall seconds).
@@ -145,11 +150,10 @@ class ProcessClusterBackend(ClusterBackend):
         self._commit_log: dict[str, dict[int, list]] = {}
         #: sid -> partition -> worker currently holding its merged state.
         self._owner: dict[str, dict[int, int]] = {}
-        self._chaos: list[dict] = []
         #: (sid, stage, task_index) -> times this task killed its worker.
         self._kill_counts: dict[tuple, int] = {}
         self._quarantined: set[tuple] = set()
-        self._respawns_left = self.config.respawn_budget
+        self._respawns_left = RESPAWN_BUDGET
         atexit.register(self.shutdown)
 
     # ------------------------------------------------------------------
@@ -222,9 +226,6 @@ class ProcessClusterBackend(ClusterBackend):
         handle = _WorkerHandle(worker, proc, parent_conn)
         for light, heavy, digest in self._sessions.values():
             self._send_install(handle, light, heavy, digest)
-        if self._chaos:
-            handle.send((self._next_req(), "chaos",
-                         [dict(d) for d in self._chaos]))
         # Readiness barrier: the ping reply proves the child imported,
         # applied every install, and is beating — so a respawned worker
         # cannot be liveness-reaped for its own startup latency.
@@ -305,16 +306,6 @@ class ProcessClusterBackend(ClusterBackend):
         for handle in self._live_handles():
             handle.send((self._next_req(), "release", sid))
 
-    def add_chaos(self, directives: list[dict]) -> None:
-        """Arm worker-side chaos (poison / hang) directives."""
-        self._chaos = [dict(d) for d in directives]
-        self._ship_chaos()
-
-    def _ship_chaos(self) -> None:
-        directives = [dict(d) for d in self._chaos]
-        for handle in self._live_handles():
-            handle.send((self._next_req(), "chaos", directives))
-
     def collect_states(self, sid: str) -> dict[str, dict[int, object]]:
         """Gather final state partitions from their home workers."""
         out: dict[str, dict[int, object]] = {}
@@ -347,7 +338,6 @@ class ProcessClusterBackend(ClusterBackend):
         return self.remote_ready()
 
     def run_batch(self, name, tasks, assignments):
-        config = self.config
         self._fire_kill_injectors(name)
         outputs: dict[int, tuple] = {}
         # Grace reset: between batches nobody drains the pipes, so idle
@@ -357,7 +347,7 @@ class ProcessClusterBackend(ClusterBackend):
         for handle in self._live_handles():
             self._drain(handle, outputs)
             handle.last_heartbeat = now
-        self._respawns_left = config.respawn_budget
+        self._respawns_left = RESPAWN_BUDGET
         try:
             # Coalesce the initial dispatch per worker: one pipe message
             # per worker instead of one per task cuts an n-partition
@@ -413,25 +403,29 @@ class ProcessClusterBackend(ClusterBackend):
 
         Bookkeeping is per task (req ids, inflight FIFO, shipped/payload
         counters, iterate-state ownership); only the message framing is
-        coalesced.  A crash-recovery re-dispatch is a batch of one.
+        coalesced.  A crash-recovery re-dispatch is a batch of one, and
+        is offered to the armed poison injectors again like any entry.
         """
         metrics = self.cluster.metrics
+        poisons = self.cluster.armed["process-poison"]
         if not handle.inflight:
             handle.head_since = time.monotonic()
-        wire: list[tuple[int, int, bytes]] = []
+        wire: list[tuple[int, bytes, bool]] = []
         for pos, task in entries:
             blob = dump_payload(task.payload)
             req_id = self._next_req()
             handle.reqs[req_id] = (pos, task)
             handle.inflight.append((pos, task))
-            wire.append((req_id, task.index, blob))
+            poisoned = any(injector.should_fail(name, task.index)
+                           for injector in poisons)
+            wire.append((req_id, blob, poisoned))
             metrics.inc("process_tasks_shipped")
             metrics.inc("process_payload_bytes", len(blob))
             payload = task.payload
             if payload[0] == "iterate":
                 self._owner.setdefault(payload[1], {})[payload[2]] = \
                     handle.worker_id
-        handle.send((0, "task_batch", name, wire))
+        handle.send((0, "task_batch", wire))
         metrics.inc("process_task_messages")
 
     # -- supervision loop --
@@ -601,7 +595,6 @@ class ProcessClusterBackend(ClusterBackend):
             key = self._poison_key(name, suspect)
             kills = self._kill_counts.get(key, 0) + 1
             self._kill_counts[key] = kills
-            self._consume_chaos(name, suspect.index)
             metrics.inc("task_failures")
             if kills >= POISON_THRESHOLD:
                 self._quarantined.add(key)
@@ -620,7 +613,7 @@ class ProcessClusterBackend(ClusterBackend):
 
         if self._respawns_left > 0:
             self._respawns_left -= 1
-            used = self.config.respawn_budget - self._respawns_left
+            used = RESPAWN_BUDGET - self._respawns_left
             backoff = RESPAWN_BACKOFF_BASE_S * (2 ** (used - 1))
             time.sleep(backoff)
             metrics.advance(backoff, label="recovery")
@@ -639,7 +632,6 @@ class ProcessClusterBackend(ClusterBackend):
                     worker=worker, stage=name, backoff_s=backoff)
                 self._handles[worker] = replacement
                 self._send_rebuilds(replacement)
-                self._ship_chaos()
                 for entry in inflight:
                     self._dispatch_many(replacement, name, [entry])
                 return
@@ -653,7 +645,6 @@ class ProcessClusterBackend(ClusterBackend):
         cluster.lose_worker(worker, name)
         for survivor in self._live_handles():
             self._send_rebuilds(survivor)
-        self._ship_chaos()
         for pos, task in inflight:
             target = self._route(task, None, pos)
             self._dispatch_many(self._handles[target], name, [(pos, task)])
@@ -672,20 +663,6 @@ class ProcessClusterBackend(ClusterBackend):
                     owners[partition] = worker
             if todo:
                 handle.send((self._next_req(), "rebuild", sid, todo))
-
-    def _consume_chaos(self, name, task_index: int) -> None:
-        """Mirror the worker-side decrement of the directive that (very
-        likely) just fired, so a respawn does not re-arm it."""
-        for directive in self._chaos:
-            if directive.get("times", 0) <= 0:
-                continue
-            if not re.search(directive["stage"], name):
-                continue
-            task = directive.get("task")
-            if task is not None and task != task_index:
-                continue
-            directive["times"] -= 1
-            return
 
     def _abandon_all(self) -> None:
         for handle in self._live_handles():

@@ -12,8 +12,7 @@ Protocol (driver -> worker, one tuple per message)::
     (req_id, "release", sid)
     (req_id, "rebuild", sid, {partition: [rows_by_view, ...]})
     (req_id, "collect", sid, [partition, ...])
-    (req_id, "chaos",   [directive, ...])
-    (0,      "task_batch", stage, [(req_id, task_index, blob), ...])
+    (0,      "task_batch", [(req_id, blob, poisoned), ...])
     (req_id, "ping")
     (req_id, "stop")
 
@@ -26,7 +25,10 @@ so repeated queries over the same table epochs ship and unpickle them
 once (:class:`WorkerState`).  Tasks only ever arrive as a ``task_batch``
 — one worker's share of a stage in a single message, a crash-recovery
 re-dispatch being a batch of one; each entry replies individually under
-its own ``req_id``, in order.
+its own ``req_id``, in order.  An entry whose ``poisoned`` flag the
+driver set (an armed ``faults.ProcessPoisonInjector`` struck it)
+hard-exits the process (``os._exit``) instead of running, the way a
+segfaulting UDF would; the worker matches no fault rule of its own.
 
 Worker -> driver::
 
@@ -47,20 +49,12 @@ task the same ``run_grouped_fixpoint`` / ``run_local_fixpoint`` the
 driver's decomposed path calls (the latter over the session step's own
 terms), and term functions are recompiled from the very source the
 driver generated.
-
-Chaos directives (``{"kind": "poison"|"hang", "stage": regex,
-"task": index-or-None, "times": n}``) are checked before a task runs:
-``poison`` hard-exits the process (``os._exit``) the way a segfaulting
-UDF would; ``hang`` silences the heartbeat and sleeps, modelling a
-livelocked executor, so the supervisor's liveness reaper has something
-real to catch.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import re
 import threading
 import time
 import traceback
@@ -86,19 +80,16 @@ class _Heartbeat(threading.Thread):
         self.lock = lock
         self.interval = interval
         self.seq = 0
-        self._stopped = threading.Event()
 
     def run(self):
-        while not self._stopped.wait(self.interval):
+        while True:
+            time.sleep(self.interval)
             try:
                 with self.lock:
                     self.conn.send(("hb", self.seq))
             except Exception:
                 return  # driver gone; the main loop will exit on EOF
             self.seq += 1
-
-    def stop(self):
-        self._stopped.set()
 
 
 class WorkerSession:
@@ -148,27 +139,6 @@ class WorkerSession:
                 for name, state in self.step.states.items()}
 
 
-def _apply_chaos(directives: list[dict], stage: str, task_index: int,
-                 heartbeat: _Heartbeat) -> None:
-    """Fire the first matching armed directive (worker-side decrement;
-    the driver keeps its own copy in sync via reap detection)."""
-    for directive in directives:
-        if directive.get("times", 0) <= 0:
-            continue
-        if not re.search(directive["stage"], stage):
-            continue
-        task = directive.get("task")
-        if task is not None and task != task_index:
-            continue
-        directive["times"] -= 1
-        if directive["kind"] == "poison":
-            os._exit(42)  # no cleanup, no reply: a hard native crash
-        if directive["kind"] == "hang":
-            heartbeat.stop()
-            time.sleep(3600.0)  # reaped long before this returns
-        return
-
-
 def _run_payload(sessions: dict[str, WorkerSession], payload):
     kind = payload[0]
     if kind == "iterate":
@@ -204,7 +174,6 @@ class WorkerState:
     def __init__(self, worker_id: int):
         self.worker_id = worker_id
         self.sessions: dict[str, WorkerSession] = {}
-        self.chaos: list[dict] = []
         self.decoded: dict[str, tuple[dict, dict]] = {}
 
     def install(self, light: InstallSpec, digest: str,
@@ -230,8 +199,6 @@ class WorkerState:
             self.install(*message[2:5])
         elif kind == "release":
             self.sessions.pop(message[2], None)
-        elif kind == "chaos":
-            self.chaos[:] = message[2]
         elif kind == "rebuild":
             self.sessions[message[2]].rebuild(message[3])
         elif kind == "collect":
@@ -265,14 +232,14 @@ def _reply(conn, lock, req_id, run) -> bool:
 def worker_main(conn, worker_id: int) -> None:
     """Entry point of a pool worker process."""
     lock = threading.Lock()
-    heartbeat = _Heartbeat(conn, lock, HEARTBEAT_INTERVAL_S)
-    heartbeat.start()
+    _Heartbeat(conn, lock, HEARTBEAT_INTERVAL_S).start()
     state = WorkerState(worker_id)
 
-    def run_task(stage, task_index, blob):
-        payload = load_payload(blob)
-        _apply_chaos(state.chaos, stage, task_index, heartbeat)
-        result, seconds = timed(_run_payload, state.sessions, payload)
+    def run_task(blob, poisoned):
+        if poisoned:
+            os._exit(42)  # no cleanup, no reply: a hard native crash
+        result, seconds = timed(_run_payload, state.sessions,
+                                load_payload(blob))
         return seconds, result
 
     while True:
@@ -287,10 +254,9 @@ def worker_main(conn, worker_id: int) -> None:
             # poison-suspect and deadline logic see individual tasks.
             # Liveness under a long batch is the heartbeat daemon's job;
             # it beats independently of this loop.
-            stage, entries = message[2], message[3]
-            for task_req, task_index, blob in entries:
+            for task_req, blob, poisoned in message[2]:
                 if not _reply(conn, lock, task_req,
-                              lambda: run_task(stage, task_index, blob)):
+                              lambda: run_task(blob, poisoned)):
                     return
         elif not _reply(conn, lock, req_id,
                         lambda: (0.0, state.control(message))) or kind == "stop":

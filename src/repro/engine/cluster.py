@@ -145,7 +145,6 @@ class Cluster:
     def __init__(self, num_workers: int = 4, num_partitions: int | None = None,
                  scheduler: str = "partition_aware",
                  cost_model: CostModel | None = None,
-                 trace: bool = True,
                  memory_config: MemoryConfig | None = None,
                  backend: str = "simulated",
                  process_config: ProcessConfig | None = None):
@@ -161,7 +160,7 @@ class Cluster:
         self.cost_model = cost_model or CostModel()
         self.codec = CompressionCodec()
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(self.metrics, enabled=trace)
+        self.tracer = Tracer(self.metrics)
         self.recovery = RecoveryManager()
         self.memory = MemoryManager(num_workers,
                                     memory_config or MemoryConfig(),

@@ -51,8 +51,28 @@ MAX_TASK_RETRIES = 4
 BLACKLIST_AFTER = 3
 
 
+class _TaskTrigger:
+    """Shared rule of the task injectors: strike a task of a stage whose
+    name matches ``stage_pattern`` — task ``task_index``, or every task
+    when it is ``None`` — at most ``times`` times in total.  A plain
+    mixin like :class:`_StageTrigger`."""
+
+    def __post_init__(self):
+        self._regex = re.compile(self.stage_pattern)
+
+    def should_fail(self, stage_name: str, task_index: int) -> bool:
+        if self.injected >= self.times:
+            return False
+        if not self._regex.search(stage_name):
+            return False
+        if self.task_index is not None and task_index != self.task_index:
+            return False
+        self.injected += 1
+        return True
+
+
 @dataclass
-class FailureInjector:
+class FailureInjector(_TaskTrigger):
     """Fail matching task attempts a bounded number of times.
 
     ``stage_pattern`` is a regex matched against the stage name;
@@ -75,17 +95,30 @@ class FailureInjector:
     def __post_init__(self):
         if self.point not in ("before", "after"):
             raise ValueError(f"unknown failure point {self.point!r}")
-        self._regex = re.compile(self.stage_pattern)
+        super().__post_init__()
 
-    def should_fail(self, stage_name: str, task_index: int) -> bool:
-        if self.injected >= self.times:
-            return False
-        if not self._regex.search(stage_name):
-            return False
-        if self.task_index is not None and task_index != self.task_index:
-            return False
-        self.injected += 1
-        return True
+
+@dataclass
+class ProcessPoisonInjector(_TaskTrigger):
+    """Crash the pool worker that runs a matching task (process backend
+    only): a segfaulting UDF.
+
+    The driver consults :meth:`should_fail` as it ships each task
+    (``ProcessClusterBackend._dispatch_many``); a struck task's entry
+    carries a poison flag and the worker hard-exits (``os._exit``)
+    instead of running it.  The supervisor learns of the crash the way
+    it learns of any other — pipe EOF or process sentinel, the head of
+    the worker's in-flight FIFO as suspect — and never reads the
+    injector.  ``times`` counts strikes in total, across workers and
+    respawns: ``task_index=None, times=1`` crashes one worker, and a
+    task struck on each re-dispatch is quarantined after
+    ``process.POISON_THRESHOLD`` kills.
+    """
+
+    stage_pattern: str
+    task_index: int | None = 0
+    times: int = 1
+    injected: int = field(default=0, init=False)
 
 
 class _StageTrigger:
@@ -279,6 +312,7 @@ INJECTOR_KINDS = {
     "corruption": CorruptionInjector,
     "driver-kill": DriverKillInjector,
     "process-kill": ProcessKillInjector,
+    "process-poison": ProcessPoisonInjector,
 }
 
 #: How a spec option's value is read when it is not an int.
@@ -313,6 +347,7 @@ def parse_fault_spec(spec: str):
         worker-loss:fixpoint:worker=auto:at_task=1:skip_matches=3
         memory-pressure:fixpoint:fraction=0.4:skip_matches=1
         process-kill:fixpoint:signal=stop:skip_matches=2
+        process-poison:fixpoint:task_index=any
         corruption:skip_matches=2:seed=7
 
     ``task_index=any`` targets every task of a matching stage;

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 #: The clock every charged duration is read from (see the module doc).
 task_clock = time.perf_counter
@@ -116,10 +114,11 @@ class MetricsRegistry:
         self.counters: dict[str, float] = defaultdict(float)
         self.sim_time: float = 0.0
         #: The open attribution windows, outermost first — the only such
-        #: list.  A window is anything with a ``metrics`` and a
-        #: ``time_by_label`` dict (an open tracing ``Span``, or the bare
-        #: one of :meth:`attributing`); each hears every :meth:`inc` and
-        #: labelled :meth:`advance` as it happens.
+        #: list.  A window is an open tracing ``Span`` (its ``metrics`` and
+        #: ``time_by_label`` dicts); each hears every :meth:`inc` and
+        #: labelled :meth:`advance` as it happens.  One query's record
+        #: (``RunInfo``) is its root span, however long the registry has
+        #: lived.
         self.windows: list = []
 
     def inc(self, name: str, amount: float = 1) -> None:
@@ -141,23 +140,6 @@ class MetricsRegistry:
             for window in self.windows:
                 sums = window.time_by_label
                 sums[label] = sums.get(label, 0.0) + seconds
-
-    @contextmanager
-    def attributing(self):
-        """A bare attribution window: while open it hears every :meth:`inc`
-        (``window.metrics``) and labelled :meth:`advance`
-        (``window.time_by_label``); on close ``window.seconds`` is the
-        simulated time that passed inside it.  One query's record
-        (``RunInfo``) is one such window, however long the registry has
-        lived."""
-        window = SimpleNamespace(metrics={}, time_by_label={}, seconds=0.0)
-        start = self.sim_time
-        self.windows.append(window)
-        try:
-            yield window
-        finally:
-            self.windows.pop()
-            window.seconds = self.sim_time - start
 
     def snapshot(self) -> dict[str, float]:
         """A plain-dict copy of all counters plus the simulated clock."""

@@ -13,8 +13,8 @@ module adds a hierarchical layer on top of them:
 
 A :class:`Span` brackets a region of execution.  Between entry and exit
 it is one of the registry's open attribution windows
-(:attr:`MetricsRegistry.windows`): it reads the simulated clock — and an
-enabled tracer the host's monotonic one (``Span.wall_s``) — at both ends
+(:attr:`MetricsRegistry.windows`): it reads the simulated clock and the
+host's monotonic one (``Span.wall_s``) at both ends
 and *hears* every ``inc`` and labelled ``advance`` in between.  So every
 span carries, with no bookkeeping at the instrumentation sites, its
 inclusive duration, the counter traffic inside it (``Span.metrics``:
@@ -73,8 +73,7 @@ class Span:
     time_by_label: dict = field(default_factory=dict)
     children: list["Span"] = field(default_factory=list)
     #: The tracer that closes this span on ``__exit__`` while it is open
-    #: (``None`` once closed, for a leaf, a span made by hand, or the
-    #: disabled tracers' shared sink).
+    #: (``None`` once closed, for a leaf, or a span made by hand).
     tracer: "Tracer | None" = field(default=None, repr=False, compare=False)
     #: Whether it leaves :attr:`Tracer.roots` when it closes
     #: (:meth:`Tracer.owned_span`).
@@ -128,10 +127,6 @@ class Span:
         }
 
 
-#: Shared sink for disabled tracers: instrumentation sites may annotate
-#: it freely; nothing is retained.
-_NULL_SPAN = Span(kind="null", name="null")
-
 #: What a leaf hears and holds: nothing.  A leaf is never an open window
 #: and never a parent, so every leaf shares these read-only empties
 #: instead of three containers of its own.
@@ -145,13 +140,12 @@ class Tracer:
     The tracer wraps a :class:`MetricsRegistry`: :meth:`begin` pushes the
     span onto the registry's open windows and :meth:`end` pops it, so the
     registry itself delivers every increment and labelled advance to the
-    open spans; the tracer keeps no stack and no marks.  Disabled tracers
-    keep the full API but record nothing.
+    open spans; the tracer keeps no stack and no marks.  Every query is
+    traced: its root span is its record (``RunInfo``).
     """
 
-    def __init__(self, metrics, enabled: bool = True):
+    def __init__(self, metrics):
         self.metrics = metrics
-        self.enabled = enabled
         self.roots: list[Span] = []
         self._next_id = 1
 
@@ -161,28 +155,21 @@ class Tracer:
 
     @property
     def current(self) -> Span | None:
-        """The innermost open span (bare windows are looked through)."""
-        for window in reversed(self.metrics.windows):
-            if isinstance(window, Span):
-                return window
-        return None
+        """The innermost open span: the innermost window."""
+        windows = self.metrics.windows
+        return windows[-1] if windows else None
 
     def _attach(self, span: Span) -> None:
         """Number ``span`` and hang it under the innermost open span (or
         make it a root)."""
         self._next_id += 1
         windows = self.metrics.windows
-        parent = windows[-1] if windows else None
-        if type(parent) is not Span:
-            parent = self.current
-        (parent.children if parent is not None else self.roots).append(span)
+        (windows[-1].children if windows else self.roots).append(span)
 
     def begin(self, kind: str, name: str, **attrs) -> Span:
         """Open a span starting now under the innermost open one.  The
         span is its own context manager: ``with tracer.span(...)`` ends
         it on exit, exception or not."""
-        if not self.enabled:
-            return _NULL_SPAN
         metrics = self.metrics
         span = Span(kind, name, metrics.sim_time, None, 0, 0, self._next_id,
                     attrs, {}, {}, [], self)
@@ -196,8 +183,6 @@ class Tracer:
         return self.begin(kind, name, **attrs)
 
     def end(self, span: Span) -> None:
-        if not self.enabled or span is _NULL_SPAN:
-            return
         wall_end_ns = perf_counter_ns()
         windows = self.metrics.windows
         # By identity: ``Span`` is a dataclass, ``==`` compares trees.
@@ -214,14 +199,11 @@ class Tracer:
         as ``RunInfo.trace``, or is done with it): as a root it leaves
         :attr:`roots` on exit, so a long-lived tracer does not grow."""
         span = self.begin(kind, name, **attrs)
-        if span is not _NULL_SPAN:
-            span.owned = True
+        span.owned = True
         return span
 
     def leaf(self, kind: str, name: str, **attrs) -> Span:
         """Record an instantaneous child span (e.g. one task of a stage)."""
-        if not self.enabled:
-            return _NULL_SPAN
         start = self.metrics.sim_time
         span = Span(kind, name, start, start, 0, 0, self._next_id, attrs,
                     _HEARS_NOTHING, _HEARS_NOTHING, _NO_CHILDREN)

@@ -41,7 +41,6 @@ class TestProcessConfig:
         config = ProcessConfig()
         assert config.liveness_timeout > HEARTBEAT_INTERVAL_S
         assert config.task_deadline_s > 0
-        assert config.respawn_budget >= 0
 
     @pytest.mark.parametrize("field, value", [
         ("liveness_timeout", -1.0),
@@ -49,15 +48,9 @@ class TestProcessConfig:
         ("liveness_timeout", 0.05),  # equal to the heartbeat interval
         ("task_deadline_s", -5.0),
         ("task_deadline_s", 0.0),
-        ("respawn_budget", -1),
     ])
     def test_rejects_values_that_break_supervision(self, field, value):
         from repro.engine.backend import ProcessConfig
 
         with pytest.raises(ValueError, match=field):
             ProcessConfig(**{field: value})
-
-    def test_zero_respawn_budget_is_valid(self):
-        from repro.engine.backend import ProcessConfig
-
-        assert ProcessConfig(respawn_budget=0).respawn_budget == 0

@@ -255,8 +255,3 @@ class TestTraceOnRead:
         ctx.sql(SSSP)
         assert first.trace == at_end
         assert "path" in first.explain_analyze()
-
-    def test_untraced_runs_have_no_trace(self):
-        ctx = make_ctx(trace=False)
-        ctx.sql(SSSP)
-        assert ctx.last_run.trace is None

@@ -249,7 +249,7 @@ class TestWorkerLoss:
                 assert home == i % 4  # surviving homes unchanged
 
     def test_inject_failures_rejects_unknown_objects(self):
-        """Anything that is not one of the six injector classes used to be
+        """Anything that is not one of the injector classes used to be
         appended to ``Cluster.armed["task"]`` and die mid-query with
         ``AttributeError: ... 'point'``; it is refused at the call."""
         from repro.chaos import ChaosSchedule
@@ -262,7 +262,7 @@ class TestWorkerLoss:
         for name in ("FailureInjector", "WorkerLossInjector",
                      "MemoryPressureInjector", "CorruptionInjector",
                      "DriverKillInjector", "ProcessKillInjector",
-                     "ChaosSchedule"):
+                     "ProcessPoisonInjector", "ChaosSchedule"):
             assert name in message
         with pytest.raises(TypeError):
             cluster.inject_failures(None)

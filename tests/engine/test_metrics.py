@@ -16,19 +16,19 @@ class TestRegistry:
 
     def test_clock_advances_with_labels(self):
         metrics = MetricsRegistry()
-        with metrics.attributing() as window:
+        with Tracer(metrics).span("query", "q") as window:
             metrics.advance(0.5, label="stage:x")
             metrics.advance(0.25, label="shuffle")
         assert metrics.sim_time == pytest.approx(0.75)
         assert window.time_by_label == {"stage:x": 0.5, "shuffle": 0.25}
-        assert window.seconds == pytest.approx(0.75)
+        assert window.duration == pytest.approx(0.75)
 
     def test_unlabeled_advance_not_recorded_as_event(self):
         metrics = MetricsRegistry()
-        with metrics.attributing() as window:
+        with Tracer(metrics).span("query", "q") as window:
             metrics.advance(0.5)
         assert window.time_by_label == {}
-        assert metrics.sim_time == window.seconds == 0.5
+        assert metrics.sim_time == window.duration == 0.5
 
 
 class TestEventAttribution:
@@ -45,18 +45,6 @@ class TestEventAttribution:
         assert outer.time_by_label == pytest.approx(
             {"load": 0.1, "stage:s": 0.2, "shuffle": 0.3})
         assert inner.time_by_label == pytest.approx({"stage:s": 0.2})
-
-    def test_disabled_tracer_leaves_events_unattributed(self):
-        # No span hears the advance, but a bare window still does: a
-        # query's record does not depend on tracing.
-        metrics = MetricsRegistry()
-        tracer = Tracer(metrics, enabled=False)
-        with metrics.attributing() as window, tracer.span("query", "q"):
-            metrics.advance(0.1, label="load")
-            metrics.inc("tasks", 2)
-        assert tracer.roots == [] and metrics.windows == []
-        assert window.time_by_label == {"load": 0.1}
-        assert window.metrics == {"tasks": 2}
 
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
@@ -106,29 +94,30 @@ class TestScopedCounters:
 class TestAttributingWindow:
     def test_a_window_hears_only_while_open(self):
         metrics = MetricsRegistry()
+        tracer = Tracer(metrics)
         metrics.inc("tasks", 5)
         metrics.advance(1, label="before")
-        with metrics.attributing() as outer:
+        with tracer.span("query", "q") as outer:
             metrics.inc("tasks")
             metrics.advance(0.5, label="stage")
-            with metrics.attributing() as inner:
+            with tracer.span("exchange", "shuffle") as inner:
                 metrics.inc("shuffle_bytes", 64)
                 metrics.advance(2, label="shuffle")
             metrics.inc("zero", 0)
             metrics.advance(3)  # unlabelled: clock only
             with pytest.raises(ZeroDivisionError):
-                with metrics.attributing() as failed:
+                with tracer.span("stage", "s") as failed:
                     metrics.advance(0.25, label="stage")
                     1 / 0
             metrics.advance(0.5, label="stage")
         metrics.inc("tasks")
         metrics.advance(1, label="after")
         assert inner.metrics == {"shuffle_bytes": 64}
-        assert inner.time_by_label == {"shuffle": 2} and inner.seconds == 2
-        assert failed.seconds == 0.25
+        assert inner.time_by_label == {"shuffle": 2} and inner.duration == 2
+        assert failed.duration == 0.25
         assert outer.metrics == {"tasks": 1, "shuffle_bytes": 64}
         assert outer.time_by_label == {"stage": 1.25, "shuffle": 2}
-        assert outer.seconds == 6.25
+        assert outer.duration == 6.25
         assert metrics.windows == []
 
 

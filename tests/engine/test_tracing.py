@@ -83,15 +83,6 @@ class TestSpanLifecycle:
         assert task.attrs["worker"] == 2
         assert task.duration == 0.0
 
-    def test_disabled_tracer_records_nothing(self):
-        metrics = MetricsRegistry()
-        tracer = Tracer(metrics, enabled=False)
-        with tracer.span("query", "q") as span:
-            span.annotate(anything=1)
-            tracer.leaf("task", "t")
-        assert tracer.roots == []
-        assert tracer.to_dict() == {"spans": []}
-
 
 class TestSerialization:
     def test_to_dict_round_trips_through_json(self):
@@ -165,27 +156,29 @@ class TestRendering:
 class TestWindows:
     def test_a_zero_increment_adds_no_key(self):
         metrics, tracer = make_tracer()
-        with metrics.attributing() as window, \
+        with tracer.span("query", "q") as query, \
                 tracer.span("stage", "s") as span:
             metrics.inc("spill_bytes", 0)
             metrics.inc("tasks")
-        assert span.metrics == window.metrics == {"tasks": 1}
-        assert metrics.windows == [] and window.time_by_label == {}
+        assert span.metrics == query.metrics == {"tasks": 1}
+        assert metrics.windows == [] and query.time_by_label == {}
 
     def test_an_exception_leaves_no_window_open(self):
         metrics, tracer = make_tracer()
         with pytest.raises(ZeroDivisionError):
             with tracer.span("query", "q"):
-                with metrics.attributing():
+                with tracer.owned_span("fixpoint", "f"):
                     with tracer.span("stage", "s"):
-                        with metrics.attributing():
+                        with tracer.span("exchange", "shuffle"):
                             1 / 0
         assert metrics.windows == [] and tracer.current is None
 
     def test_spans_nest_through_a_bare_window_and_close_by_identity(self):
+        # The window between the query and its stages is an owned span:
+        # nested, it stays its parent's child.
         metrics, tracer = make_tracer()
         with tracer.span("query", "q") as query:
-            with metrics.attributing():
+            with tracer.owned_span("fixpoint", "f") as fixpoint:
                 first = tracer.begin("stage", "s")
                 assert tracer.current is first
                 tracer.end(first)
@@ -196,19 +189,9 @@ class TestWindows:
                 with pytest.raises(RuntimeError):
                     tracer.end(twin)
                 tracer.end(second)
-        assert query.children == [first, second]
-        assert metrics.windows == []
-
-    def test_a_disabled_tracer_opens_no_window_and_attributing_still_sums(self):
-        metrics = MetricsRegistry()
-        tracer = Tracer(metrics, enabled=False)
-        with metrics.attributing() as window, \
-                tracer.span("query", "q") as span:
-            assert len(metrics.windows) == 1
-            metrics.inc("tasks", 2)
-            metrics.advance(0.25, label="shuffle")
-        assert window.time_by_label == {"shuffle": 0.25}
-        assert span.metrics == {} and span.time_by_label == {}
+        assert query.children == [fixpoint]
+        assert fixpoint.children == [first, second]
+        assert tracer.roots == [query] and metrics.windows == []
 
     def test_spans_carry_wall_time_and_leaves_none(self):
         _, tracer = make_tracer()

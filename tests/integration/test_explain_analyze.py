@@ -227,13 +227,6 @@ class TestExplainAnalyzeOtherShapes:
             assert (fixpoint["attrs"]["mode"] == "decomposed") == (
                 config is None)
 
-    def test_tracing_can_be_disabled(self):
-        ctx = sssp_ctx(trace=False)
-        ctx.sql(get_query("sssp").formatted(source=1))
-        assert ctx.last_run.trace is None
-        assert "no trace" in ctx.last_run.explain_analyze()
-        assert ctx.last_run.iteration_timeline() == []
-
     def test_system_result_carries_trace(self):
         from repro.baselines.systems import RaSQLSystem, Workload
 

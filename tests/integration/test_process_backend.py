@@ -27,10 +27,14 @@ from repro.chaos import (
     squeezed,
 )
 from repro.core.config import ExecutionConfig
-from repro.engine.backend import ProcessConfig
+from repro.engine.backend import process
 from repro.engine.backend.base import HEARTBEAT_INTERVAL_S
 from repro.engine.backend.process import POISON_THRESHOLD
-from repro.engine.faults import DriverKillInjector
+from repro.engine.faults import (
+    DriverKillInjector,
+    ProcessKillInjector,
+    ProcessPoisonInjector,
+)
 from repro.engine.tracing import _find_dict
 from repro.errors import (
     FixpointNotReachedError,
@@ -129,8 +133,9 @@ def test_differential_under_real_kills(query_name):
 
 @pytest.mark.timeout(120)
 def test_hung_worker_reaped_within_liveness_timeout():
-    """A SIGSTOP-style hang (heartbeats cease) is detected and reaped
-    within the configured liveness timeout plus scheduling slack."""
+    """A SIGSTOPped worker (heartbeats cease) is detected and reaped
+    within the configured liveness timeout plus scheduling slack — once:
+    one reap, one respawn, the pool intact."""
     config = FAST_SUPERVISION
     ctx = make_context("sssp", "process")
     try:
@@ -142,20 +147,20 @@ def test_hung_worker_reaped_within_liveness_timeout():
         clean = ctx.sql(SSSP)
         clean_wall = time.monotonic() - t0
 
-        backend.add_chaos([{"kind": "hang", "stage": "fixpoint",
-                            "task": None, "times": 1}])
+        ctx.inject_faults(ProcessKillInjector("fixpoint", signal="stop"))
         t0 = time.monotonic()
         chaotic = ctx.sql(SSSP)
         chaos_wall = time.monotonic() - t0
 
         supervision = ctx.last_run.supervision_summary()
-        assert supervision["process_worker_reaps"] >= 1
-        assert supervision["process_worker_respawns"] >= 1
+        assert supervision["process_worker_reaps"] == 1
+        assert supervision["process_worker_respawns"] == 1
+        assert supervision["process_backend_degradations"] == 0
         assert sorted_rows(clean) == sorted_rows(chaotic)
 
         overhead = chaos_wall - clean_wall
-        # The reaper must wait out the liveness timeout (the hang keeps
-        # the OS process alive) but detect within about one heartbeat of
+        # The reaper must wait out the liveness timeout (the stopped
+        # process stays alive) but detect within about one heartbeat of
         # it; the remaining slack covers the respawn (a fresh spawn-start
         # interpreter) and state rebuild.
         assert overhead >= config.liveness_timeout - HEARTBEAT_INTERVAL_S
@@ -165,9 +170,23 @@ def test_hung_worker_reaped_within_liveness_timeout():
 
 
 def poison(task, times):
-    """A worker-side directive: the task kills whichever worker runs it."""
-    return {"kind": "poison", "stage": "fixpoint", "task": task,
-            "times": times}
+    """The task kills whichever worker runs it, ``times`` times in all."""
+    return ProcessPoisonInjector("fixpoint", task_index=task, times=times)
+
+
+@pytest.mark.timeout(120)
+def test_one_shot_poison_on_every_task_crashes_one_worker():
+    """``times`` counts strikes in total, not per worker: a one-shot
+    poison aimed at any task crashes one worker, which is respawned; the
+    pool keeps its size and the rows are exact."""
+    report = process_differential("sssp", faults=[poison(None, 1)])
+    assert report.exact and report.fired == 1, report.summary()
+    counters = report.counters
+    assert counters["process_worker_crashes"] == 1
+    assert counters["process_worker_respawns"] == 1
+    assert counters["task_failures"] == 1
+    assert counters["process_worker_reaps"] == 0
+    assert counters["process_backend_degradations"] == 0
 
 
 @pytest.mark.timeout(120)
@@ -179,6 +198,8 @@ def test_poison_task_quarantined_with_partial_trace():
     assert isinstance(exc, PoisonTaskError)
     assert exc.task_index == 1
     assert exc.worker_kills == POISON_THRESHOLD
+    # One strike per kill: the shipped entry and its two re-dispatches.
+    assert report.fired == POISON_THRESHOLD
     assert exc.partial_trace is not None
     assert report.counters["process_tasks_quarantined"] == 1
     # The first kills were respawned before the quarantine tripped.
@@ -194,9 +215,8 @@ def test_poison_surfaces_through_query_future():
 
     ctx = make_context("sssp", "process")
     try:
-        backend = ctx.cluster.backend
-        assert backend.remote_ready()
-        backend.add_chaos([poison(1, 20)])
+        assert ctx.cluster.backend.remote_ready()
+        ctx.inject_faults(poison(1, 20))
         service = QueryService(ctx)
         future = service.submit(service.session("alice"), SSSP)
         service.drain()
@@ -208,26 +228,28 @@ def test_poison_surfaces_through_query_future():
         ctx.close()
 
 
-NO_RESPAWN = ProcessConfig(liveness_timeout=1.0, task_deadline_s=20.0,
-                           respawn_budget=0)
+@pytest.fixture
+def no_respawn(monkeypatch):
+    monkeypatch.setattr(process, "RESPAWN_BUDGET", 0)
 
 
 @pytest.mark.timeout(120)
+@pytest.mark.usefixtures("no_respawn")
 def test_pool_exhaustion_raises_no_healthy_workers():
     """Killing every worker with no respawn budget fails typed, not by
     hanging or indexing into an empty pool."""
     report = process_differential("sssp", faults=[poison(None, 20)],
-                                  process_config=NO_RESPAWN, num_workers=2)
+                                  num_workers=2)
     assert isinstance(report.error, NoHealthyWorkersError)
     assert not report.leaks, report.summary()
 
 
 @pytest.mark.timeout(120)
+@pytest.mark.usefixtures("no_respawn")
 def test_pool_shrinks_to_survivors_and_stays_exact():
     """With no respawn budget the pool degrades gracefully: partitions
     re-home onto survivors and the result stays bit-exact."""
-    report = process_differential("cc", faults=[poison(2, 1)],
-                                  process_config=NO_RESPAWN)
+    report = process_differential("cc", faults=[poison(2, 1)])
     assert report.exact, report.summary()
     assert report.counters["process_worker_crashes"] >= 1
     assert report.counters["process_worker_respawns"] == 0
@@ -435,8 +457,6 @@ def test_repeated_query_ships_no_heavy_half_and_pickles_nothing(
 def test_killed_workers_replacement_is_installed_from_the_memoised_half(
         install_spies):
     """Composition: a warm base-side cache x a real SIGKILL."""
-    from repro.engine.faults import ProcessKillInjector
-
     pickles, shipped = install_spies
     report = process_differential("sssp", warm=True, faults=[
         ProcessKillInjector("fixpoint-shufflemap", signal="kill",
@@ -583,8 +603,6 @@ def test_warm_query_forwards_shuffle_blocks_unread(block_spies):
 def test_sigkill_replay_rebuilds_from_forwarded_blocks(block_spies):
     """A respawned worker rebuilds its partitions from the replay log's
     blocks, which the driver never opened either."""
-    from repro.engine.faults import ProcessKillInjector
-
     decoded, logs = block_spies
     report = process_differential("sssp", warm=True, faults=[
         ProcessKillInjector("fixpoint-shufflemap", signal="kill",

@@ -283,7 +283,7 @@ class TestRetries:
 
     def test_transient_exhaustion_is_retried_then_surfaced(self):
         ctx, service = self._service_with_persistent_failure()
-        with ctx.metrics.attributing() as window:
+        with ctx.cluster.tracer.owned_span("test", "retries") as window:
             future = service.submit(service.session("a"), TC)
             service.drain()
         # Every service-level retry consumed, original error surfaced.

@@ -6,6 +6,7 @@ from repro import RaSQLContext
 from repro.chaos import make_schedule, run_differential
 from repro.engine.faults import (
     FailureInjector,
+    ProcessPoisonInjector,
     WorkerLossInjector,
     parse_fault_spec,
 )
@@ -63,6 +64,20 @@ class TestParseFaultSpec:
 
     def test_worker_auto(self):
         assert parse_fault_spec("worker-loss:fixpoint:worker=auto").worker is None
+
+    def test_process_poison_spec(self):
+        injector = parse_fault_spec(
+            "process-poison:fixpoint-shufflemap:task_index=any:times=2")
+        assert isinstance(injector, ProcessPoisonInjector)
+        assert injector.stage_pattern == "fixpoint-shufflemap"
+        assert injector.task_index is None
+        assert injector.times == 2
+        # FailureInjector's rule: any task of a matching stage, two
+        # strikes in total.
+        assert not injector.should_fail("fixpoint-base", 0)
+        assert [injector.should_fail("fixpoint-shufflemap", index)
+                for index in (0, 1, 2)] == [True, True, False]
+        assert injector.injected == 2
 
     @pytest.mark.parametrize("bad", [
         "nonsense",

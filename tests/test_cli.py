@@ -115,6 +115,23 @@ class TestMemoryBudget:
         assert spills > 0, line
 
 
+class TestProfile:
+    def test_profile_writes_a_loadable_capture(self, cycle_graph, tmp_path,
+                                               capsys):
+        """``--profile PATH`` wraps the query in cProfile: the dump loads
+        with ``pstats`` and names the engine's entry point, and the run's
+        ``RunInfo.profile_path`` (the line the CLI prints) is PATH."""
+        import pstats
+
+        path = tmp_path / "q.prof"
+        assert main(["--table", f"edge={cycle_graph}", "-q", TC,
+                     "--profile", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert f"-- wrote profile {path}\n" in err
+        functions = {name for _, _, name in pstats.Stats(str(path)).stats}
+        assert "_run_sql" in functions
+
+
 class TestErrors:
     @pytest.mark.parametrize("flag, value, field", [
         ("--liveness-timeout", "-1", "liveness_timeout"),
