@@ -321,13 +321,17 @@ class RaSQLContext:
     # query execution
     # ------------------------------------------------------------------
 
-    def _estimate_query_bytes(self, query: str) -> int:
+    def _estimate_query_bytes(self, query: str,
+                              names: list[str] | None = None) -> int:
         """Admission-time memory estimate, a deliberately cheap pre-parse
         heuristic (Spark's resource profiles likewise reserve from static
-        estimates): every registered table the text names counts at its
-        full sampled size, sampled once per table epoch."""
+        estimates): every registered table the text names (``names``, when
+        the caller has ``catalog.tables_named(query)`` already) counts at
+        its full sampled size, sampled once per table epoch."""
         total = 0
-        for name in self.catalog.tables_named(query):
+        if names is None:
+            names = self.catalog.tables_named(query)
+        for name in names:
             epoch = self.catalog.epoch(name)
             known = self._table_bytes.get(name)
             if known is None or known[0] != epoch:

@@ -72,7 +72,9 @@ class InstallSpec:
     build to every worker (not just the worker's home partitions): after
     a crash the survivors adopt the dead worker's partitions via
     ``worker_for_partition``, and re-homing must not require a second
-    install round-trip mid-recovery.
+    install round-trip mid-recovery.  A worker *decodes* only the
+    partitions it serves (:class:`HeavyHalf`); the rest stay pickled
+    until a respawn or a pool shrink re-homes them there.
     """
 
     sid: str
@@ -229,8 +231,15 @@ def build_install_spec(operator, sid: str) -> InstallSpec:
 def pickle_heavy_half(spec: InstallSpec) -> tuple[bytes, str]:
     """``(blob, content digest)`` of a spec's heavy half: the prebuilt
     base join structures and broadcast tables, nearly all of an install's
-    bytes."""
-    heavy = dump_payload((spec.base_partitions, spec.broadcast_tables))
+    bytes.  Each partition's co-partitioned sides (one per join step, in
+    ``base_partitions`` order) are pickled on their own inside the blob,
+    so a worker decodes only the partitions it serves (:class:`HeavyHalf`).
+    """
+    steps = tuple(spec.base_partitions)
+    partitions = [dump_payload(tuple(spec.base_partitions[step][p]
+                                     for step in steps))
+                  for p in range(spec.n)]
+    heavy = dump_payload((steps, partitions, spec.broadcast_tables))
     return heavy, hashlib.sha256(heavy).hexdigest()
 
 
@@ -251,11 +260,33 @@ def split_install_spec(spec: InstallSpec,
     return light, heavy, digest
 
 
-def assemble_install_spec(light: InstallSpec, heavy: bytes) -> InstallSpec:
-    """Worker-side inverse of :func:`split_install_spec`."""
-    base_partitions, broadcast_tables = load_payload(heavy)
-    return replace(light, base_partitions=base_partitions,
-                   broadcast_tables=broadcast_tables)
+class HeavyHalf:
+    """Worker-side inverse of :func:`pickle_heavy_half`.
+
+    The broadcast tables are decoded on arrival.  A partition's
+    co-partitioned sides stay pickled until :meth:`decode` asks for them —
+    before the first task for that partition on this worker starts its
+    clock — and then stay decoded for the life of the half.  Until then
+    ``base_partitions[step][partition]`` is ``None``, so a probe of a side
+    nobody decoded raises instead of joining with nothing.  (Decomposed
+    cliques have no co-partitioned sides — the planner builds them only
+    ``and not ctx.decomposed`` — so each of their partitions decodes an
+    empty tuple.)
+    """
+
+    def __init__(self, heavy: bytes):
+        steps, self.pickled, self.broadcast_tables = load_payload(heavy)
+        self.base_partitions: dict[int, list] = {
+            step: [None] * len(self.pickled) for step in steps}
+
+    def decode(self, partition: int) -> None:
+        blob = self.pickled[partition]
+        if blob is None:
+            return
+        for sides, side in zip(self.base_partitions.values(),
+                               load_payload(blob)):
+            sides[partition] = side
+        self.pickled[partition] = None
 
 
 def recompile_term(source: str, view: str):

@@ -97,7 +97,7 @@ class _WorkerHandle:
         self.replies: dict[int, object] = {}
         #: Req ids whose replies must be dropped (aborted batch).
         self.abandoned: set[int] = set()
-        #: Digest of the heavy install half this worker decoded last —
+        #: Digest of the heavy install half this worker installed last —
         #: the one it holds (``WorkerState.decoded``); ``None`` until the
         #: first install reaches a fresh process.
         self.installed_digest: str | None = None
@@ -282,7 +282,7 @@ class ProcessClusterBackend(ClusterBackend):
     def _send_install(self, handle: _WorkerHandle, light, heavy: bytes,
                       digest: str) -> None:
         """Install a session, shipping the heavy blob exactly when the
-        worker does not hold its digest decoded already.
+        worker does not hold its digest already.
 
         Repeated queries over the same table epochs share one heavy half
         (the ``BaseSideCache`` entry), so every install after the first

@@ -18,11 +18,16 @@ Protocol (driver -> worker, one tuple per message)::
 
 An install ships its *heavy* half (prebuilt base join structures and
 broadcast tables — see ``payloads.split_install_spec``) content-addressed:
-the worker keeps the *decoded* structures of the digest it installed
-last, and the driver, which records that one digest per worker, sends
-``None`` instead of the bytes exactly when the install's digest is it —
-so repeated queries over the same table epochs ship and unpickle them
-once (:class:`WorkerState`).  Tasks only ever arrive as a ``task_batch``
+the worker keeps the half of the digest it installed last, and the
+driver, which records that one digest per worker, sends ``None`` instead
+of the bytes exactly when the install's digest is it — so repeated
+queries over the same table epochs ship and unpickle them once
+(:class:`WorkerState`).  Every worker receives every partition's sides,
+one pickle per partition, and decodes a partition's sides when the first
+task for that partition runs here (:class:`payloads.HeavyHalf`), before
+the task's clock starts: a worker holds decoded only the partitions it
+serves, and a partition that a respawn or a pool shrink re-homes here is
+decoded before its first task on this worker.  Tasks only ever arrive as a ``task_batch``
 — one worker's share of a stage in a single message, a crash-recovery
 re-dispatch being a batch of one; each entry replies individually under
 its own ``req_id``, in order.  An entry whose ``poisoned`` flag the
@@ -58,13 +63,11 @@ import pickle
 import threading
 import time
 import traceback
-from dataclasses import replace
 
 from repro.core.decomposed import run_grouped_fixpoint, run_local_fixpoint
 from repro.core.iteration import CliqueStep
 from repro.engine.backend.base import HEARTBEAT_INTERVAL_S
-from repro.engine.backend.payloads import (InstallSpec,
-                                           assemble_install_spec,
+from repro.engine.backend.payloads import (HeavyHalf, InstallSpec,
                                            recompile_term)
 from repro.engine.metrics import timed
 from repro.engine.serialization import (ShuffleBlock, incoming_rows,
@@ -94,30 +97,32 @@ class _Heartbeat(threading.Thread):
 
 class WorkerSession:
     """One installed fixpoint session: the clique's step (resident state
-    + live callables) reconstructed from the wire spec."""
+    + live callables) reconstructed from the light wire spec, joining
+    against the sides of its install's heavy half."""
 
-    def __init__(self, spec: InstallSpec):
+    def __init__(self, spec: InstallSpec, half: HeavyHalf):
         self.spec = spec
+        self.half = half
         self.step = CliqueStep(
             spec.views,
             [(ts.view, ts.delta_view, ts.negate,
               recompile_term(ts.source, ts.view), ts.folds)
              for ts in spec.terms],
             spec.n, spec.partial_aggregation)
-        self.step.broadcast_tables = spec.broadcast_tables
-        self.step.base_partitions = spec.base_partitions
+        self.step.broadcast_tables = half.broadcast_tables
+        self.step.base_partitions = half.base_partitions
 
     def decompose(self, partition: int, mode: str, delta_rows: list):
         """Stateless per-partition fixpoint via the shared runners."""
-        spec = self.spec
+        spec, tables = self.spec, self.half.broadcast_tables
         if mode == "grouped":
             return run_grouped_fixpoint(
                 [ts.grouped_spec for ts in spec.terms],
-                spec.broadcast_tables, delta_rows, spec.max_iterations)
+                tables, delta_rows, spec.max_iterations)
         (view_name, view), = spec.views.items()
         return run_local_fixpoint(
             self.step.terms, view_name, view, spec.partial_aggregation,
-            spec.broadcast_tables, delta_rows, spec.max_iterations)
+            tables, delta_rows, spec.max_iterations)
 
     def rebuild(self, log: dict[int, list]) -> None:
         """Replay committed iterations from the driver's replay log.
@@ -139,13 +144,13 @@ class WorkerSession:
                 for name, state in self.step.states.items()}
 
 
-def _run_payload(sessions: dict[str, WorkerSession], payload):
+def _run_payload(session: WorkerSession, payload):
     kind = payload[0]
     if kind == "iterate":
         # The combined step of ``schedulers.iterate_combined``, minus the
         # driver-only accounting: merge, then derive unless D is empty.
-        _, sid, partition, rows_by_view = payload
-        step = sessions[sid].step
+        _, _, partition, rows_by_view = payload
+        step = session.step
         d_by_view = step.merge(partition, incoming_rows(rows_by_view))
         if not any(d_by_view.values()):
             return d_by_view, {}
@@ -153,20 +158,23 @@ def _run_payload(sessions: dict[str, WorkerSession], payload):
             view: {pid: ShuffleBlock.encode(b) for pid, b in buckets.items()}
             for view, buckets in step.derive(partition).items()}
     if kind == "decompose":
-        _, sid, partition, mode, delta_rows = payload
-        return sessions[sid].decompose(partition, mode, delta_rows)
+        _, _, partition, mode, delta_rows = payload
+        return session.decompose(partition, mode, delta_rows)
     raise RuntimeError(f"unknown payload kind {kind!r}")
 
 
 class WorkerState:
-    """What a pool worker keeps between messages, and its control arms.
+    """What a pool worker keeps between messages, its control arms and
+    its task runner.
 
-    ``decoded`` holds the unpickled ``(base partitions, broadcast
-    tables)`` of the digest installed last — shared read-only by every
-    session installed from it — so only an install over a *different*
-    heavy half ships its bytes and pays ``load_payload``; the driver's
-    ``installed_digest`` of this worker names that one digest.  It has
-    no validity check of its own: the digest is the content of the
+    ``decoded`` holds the :class:`payloads.HeavyHalf` of the digest
+    installed last — shared by every session installed from it — so only
+    an install over a *different* heavy half ships its bytes and pays
+    ``load_payload``; the driver's ``installed_digest`` of this worker
+    names that one digest.  Of its co-partitioned sides, only those of
+    the partitions this worker has run a task for are decoded
+    (:meth:`run_task`); each is decoded once per digest.  It has no
+    validity check of its own: the digest is the content of the
     driver's install half, which lives by the one epoch rule
     (``BaseSideCache``, DESIGN.md §19).
     """
@@ -174,22 +182,27 @@ class WorkerState:
     def __init__(self, worker_id: int):
         self.worker_id = worker_id
         self.sessions: dict[str, WorkerSession] = {}
-        self.decoded: dict[str, tuple[dict, dict]] = {}
+        self.decoded: dict[str, HeavyHalf] = {}
 
     def install(self, light: InstallSpec, digest: str,
                 heavy: bytes | None) -> None:
         """``heavy`` is ``None`` exactly when ``digest`` is the one
-        decoded here."""
-        sides = self.decoded.get(digest)
-        if sides is None:
+        held here."""
+        half = self.decoded.get(digest)
+        if half is None:
             self.decoded.clear()  # before decoding: never two resident
-            spec = assemble_install_spec(light, heavy)
-            self.decoded[digest] = (spec.base_partitions,
-                                    spec.broadcast_tables)
-        else:
-            spec = replace(light, base_partitions=sides[0],
-                           broadcast_tables=sides[1])
-        self.sessions[light.sid] = WorkerSession(spec)
+            half = self.decoded[digest] = HeavyHalf(heavy)
+        self.sessions[light.sid] = WorkerSession(light, half)
+
+    def run_task(self, blob: bytes) -> tuple[float, object]:
+        """``(cpu seconds, result)`` of one task payload.  Decoding the
+        task partition's base sides, the first time one of its tasks runs
+        here, is install work: it happens before the task clock starts."""
+        payload = load_payload(blob)
+        session = self.sessions[payload[1]]
+        session.half.decode(payload[2])
+        result, seconds = timed(_run_payload, session, payload)
+        return seconds, result
 
     def control(self, message):
         kind = message[1]
@@ -238,9 +251,7 @@ def worker_main(conn, worker_id: int) -> None:
     def run_task(blob, poisoned):
         if poisoned:
             os._exit(42)  # no cleanup, no reply: a hard native crash
-        result, seconds = timed(_run_payload, state.sessions,
-                                load_payload(blob))
-        return seconds, result
+        return state.run_task(blob)
 
     while True:
         try:

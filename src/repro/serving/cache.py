@@ -175,13 +175,23 @@ class ResultCache(_LRUCache):
     The config enters the key through its ``repr`` — the frozen dataclass
     renders every knob, and two configs answer identically exactly when
     all knobs match (codegen on/off etc. are bit-exact by contract, but
-    e.g. ``max_iterations`` is not).
+    e.g. ``max_iterations`` is not).  The ``repr`` of the config keyed
+    last is kept, by identity: a frozen config renders the same every
+    time.
     """
 
     def __init__(self, capacity: int = 256, metrics=None):
         super().__init__(capacity, metrics, "result_cache_hits",
                          "result_cache_misses")
+        self._config_key: tuple = (None, repr(None))
 
-    def normalized_key(self, text: str, catalog, config) -> tuple:
-        return (text, catalog.version,
-                catalog.epochs(catalog.tables_named(text)), repr(config))
+    def normalized_key(self, text: str, catalog, config,
+                       names: list[str] | None = None) -> tuple:
+        """``names``: ``catalog.tables_named(text)`` when the caller has
+        it already, under the catalog's current ``version``."""
+        if names is None:
+            names = catalog.tables_named(text)
+        memo = self._config_key
+        if memo[0] is not config:
+            memo = self._config_key = (config, repr(config))
+        return (text, catalog.version, catalog.epochs(names), memo[1])

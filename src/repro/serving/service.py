@@ -144,6 +144,9 @@ class _Request:
     resume_checkpoint: bool = False
     #: Transient-failure re-executions consumed so far (RetryPolicy).
     retries: int = 0
+    #: ``(catalog.version, catalog.tables_named(sql))`` at submission:
+    #: admission's estimate and the result key read one scan of the text.
+    named: tuple | None = None
 
 
 class QueryService:
@@ -250,11 +253,14 @@ class QueryService:
                    "label": future.label, "sql": sql,
                    "config": (dataclasses.asdict(config)
                               if config is not None else None)})
-        estimate = self.ctx._estimate_query_bytes(sql)
+        catalog = self.ctx.catalog
+        named = (catalog.version, catalog.tables_named(sql))
+        estimate = self.ctx._estimate_query_bytes(sql, named[1])
         request = self._admit(future, session, estimate)
         if request is not None:
             request.sql = sql
             request.config = config
+            request.named = named
         return future
 
     def submit_view_read(self, session: Session,
@@ -422,7 +428,13 @@ class QueryService:
         session, sql = request.session, request.sql
         config = request.config or self.ctx.config
         catalog = self.ctx.catalog
-        result_key = self.result_cache.normalized_key(text, catalog, config)
+        # Normalizing collapses whitespace only, so the submitted text
+        # names the same tables — while the schema it was scanned under
+        # holds.
+        names = (request.named[1] if request.named is not None
+                 and request.named[0] == catalog.version else None)
+        result_key = self.result_cache.normalized_key(text, catalog, config,
+                                                      names)
         found, cached = self.result_cache.lookup(result_key)
         if found:
             session.counters.inc("result_cache_hits")

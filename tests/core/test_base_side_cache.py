@@ -33,6 +33,7 @@ those bytes exactly when the worker holds another digest.
 import gc
 import itertools
 import random
+import time
 import weakref
 from types import SimpleNamespace
 
@@ -1102,6 +1103,13 @@ def test_released_worker_session_is_freed_without_the_cycle_collector(
     assert session() is None and step() is None
 
 
+def _iterate_blob(sid: str, partition: int) -> bytes:
+    """An ``iterate`` task payload merging one ``path`` row."""
+    from repro.engine.serialization import dump_payload
+
+    return dump_payload(("iterate", sid, partition, {"path": [(0, 0)]}))
+
+
 def test_worker_decodes_a_heavy_half_once_per_digest(monkeypatch):
     from repro.engine.backend import payloads
     from repro.engine.backend.worker import WorkerState
@@ -1117,26 +1125,80 @@ def test_worker_decodes_a_heavy_half_once_per_digest(monkeypatch):
     state = WorkerState(0)
     _, _, light, digest, heavy = _install_message(ctx, "s1")
     state.control((1, "install", light, digest, heavy))
-    assert decodes == [len(heavy)]
+    assert decodes == [len(heavy)]  # the broadcast tables and the pickles
+    sizes = [len(blob) for blob in state.decoded[digest].pickled]
+    assert len(sizes) == NUM_WORKERS
+    # A partition's sides are decoded by the first task for it, once.
+    for partition in (2, 0, 2, 0, 2):
+        state.run_task(_iterate_blob("s1", partition))
+    assert decodes == [len(heavy), sizes[2], sizes[0]]
     # The driver knows the worker holds this digest: no bytes, no decode.
     _, _, again, same_digest, _ = _install_message(ctx, "s2")
     assert same_digest == digest
     state.control((2, "install", again, digest, None))
-    assert decodes == [len(heavy)]
+    for partition in (0, 2):
+        state.run_task(_iterate_blob("s2", partition))
+    assert decodes == [len(heavy), sizes[2], sizes[0]]
     first, second = state.sessions["s1"], state.sessions["s2"]
     assert first.step.base_partitions is second.step.base_partitions
     assert first.step is not second.step
-    # Another table version replaces the decoded one; the worker holds
-    # one digest, so going back to the older one needs its bytes again.
+    # Another table version replaces the held one; the worker holds one
+    # digest, so going back to the older one needs its bytes, and each
+    # served partition its decode, again.
     ctx.catalog.append_rows("edge", [(0, 99, 1.0)])
     _, _, grown, other_digest, other_heavy = _install_message(ctx, "s3")
     assert other_digest != digest
     state.control((3, "install", grown, other_digest, other_heavy))
-    assert decodes == [len(heavy), len(other_heavy)]
+    assert decodes == [len(heavy), sizes[2], sizes[0], len(other_heavy)]
     assert list(state.decoded) == [other_digest]
     state.control((4, "install", again, digest, heavy))
-    assert decodes == [len(heavy), len(other_heavy), len(heavy)]
+    state.run_task(_iterate_blob("s2", 0))
+    assert decodes == [len(heavy), sizes[2], sizes[0], len(other_heavy),
+                       len(heavy), sizes[0]]
     assert list(state.decoded) == [digest]
+
+
+#: What the slowed decode sleeps: ≫ one merge-and-derive of sssp's
+#: fixture graph, so the task clock would show it.
+DECODE_S = 0.25
+
+
+def test_a_task_decodes_its_partition_alone_and_off_its_clock(monkeypatch):
+    """Only the partition a task runs for is decoded, exactly once, and
+    the decode is install work: the reply's CPU seconds leave it out."""
+    import threading
+
+    from repro.engine.backend import payloads, worker
+    from repro.engine.backend.worker import WorkerState
+
+    decoded = []
+    original = payloads.HeavyHalf.decode
+
+    def slow_decode(self, partition):
+        if self.pickled[partition] is not None:
+            decoded.append(partition)
+            time.sleep(DECODE_S)
+        original(self, partition)
+
+    monkeypatch.setattr(payloads.HeavyHalf, "decode", slow_decode)
+    state = WorkerState(0)
+    state.control(_install_message(sssp_ctx(), "s1"))
+    half, = state.decoded.values()
+    replies = []
+    conn = SimpleNamespace(send=replies.append)
+    started = time.perf_counter()
+    worker._reply(conn, threading.Lock(), 7,
+                  lambda: state.run_task(_iterate_blob("s1", 0)))
+    took = time.perf_counter() - started
+    (tag, req_id, cpu_seconds, (d_by_view, _)), = replies
+    assert (tag, req_id, d_by_view) == ("ok", 7, {"path": 1})
+    assert decoded == [0] and took >= DECODE_S
+    assert cpu_seconds < DECODE_S / 2
+    for step, sides in half.base_partitions.items():
+        assert sides[0] is not None, step
+        assert all(side is None for side in sides[1:]), step
+    assert half.pickled[0] is None
+    assert all(type(blob) is bytes for blob in half.pickled[1:])
 
 
 def test_driver_ships_a_heavy_half_exactly_when_the_worker_holds_another():

@@ -21,8 +21,7 @@ from repro.core.iteration import CliqueStep
 from repro.core.optimizer import optimize
 from repro.core.parser import parse
 from repro.core.planner import plan_clique
-from repro.engine.backend.payloads import (assemble_install_spec,
-                                           build_install_spec,
+from repro.engine.backend.payloads import (HeavyHalf, build_install_spec,
                                            split_install_spec)
 from repro.engine.backend.worker import WorkerSession
 from repro.engine.serialization import dump_payload, load_payload
@@ -81,10 +80,13 @@ def _set_up_operator(tables, sql) -> FixpointOperator:
 
 
 def _wire_step(operator) -> CliqueStep:
-    """The step a pool worker would build: every byte through pickle."""
+    """The step a pool worker would build: every byte through pickle,
+    every partition's base sides decoded (each round runs them all)."""
     light, heavy, _ = split_install_spec(build_install_spec(operator, "s1"))
-    spec = assemble_install_spec(load_payload(dump_payload(light)), heavy)
-    return WorkerSession(spec).step
+    half = HeavyHalf(heavy)
+    for partition in range(operator.n):
+        half.decode(partition)
+    return WorkerSession(load_payload(dump_payload(light)), half).step
 
 
 def _round(step: CliqueStep, incoming):

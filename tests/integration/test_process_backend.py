@@ -14,6 +14,9 @@ Run with ``pytest -m process_backend``; each test tears its pool down.
 """
 
 import functools
+import multiprocessing
+import os
+import signal
 import time
 from collections import defaultdict
 
@@ -244,17 +247,111 @@ def test_pool_exhaustion_raises_no_healthy_workers():
     assert not report.leaks, report.summary()
 
 
+@pytest.fixture
+def adopted_logs(monkeypatch):
+    """The committed replay log length of every partition a lost worker
+    homed, as the pool shrinks: ``[{partition: committed merges}]``."""
+    from repro.engine.cluster import Cluster
+
+    logs = []
+    lose_worker = Cluster.lose_worker
+
+    def recording_lose_worker(self, worker, stage_name=""):
+        committed = self.backend._commit_log
+        logs.append({p: sum(len(log.get(p, ())) for log in committed.values())
+                     for p in range(self.num_partitions)
+                     if self.worker_for_partition(p) == worker})
+        lose_worker(self, worker, stage_name)
+
+    monkeypatch.setattr(Cluster, "lose_worker", recording_lose_worker)
+    return logs
+
+
 @pytest.mark.timeout(120)
 @pytest.mark.usefixtures("no_respawn")
-def test_pool_shrinks_to_survivors_and_stays_exact():
+def test_pool_shrinks_to_survivors_and_stays_exact(adopted_logs):
     """With no respawn budget the pool degrades gracefully: partitions
-    re-home onto survivors and the result stays bit-exact."""
+    re-home onto survivors and the result stays bit-exact.  A survivor
+    probes the adopted partition's base sides, which it decodes before
+    its first task for that partition: an undecoded side would raise."""
     report = process_differential("cc", faults=[poison(2, 1)])
     assert report.exact, report.summary()
     assert report.counters["process_worker_crashes"] >= 1
     assert report.counters["process_worker_respawns"] == 0
     assert report.counters["process_backend_degradations"] >= 1
     assert report.counters["workers_lost"] == 1
+    # The poison struck partition 2's first task: nothing of it had
+    # committed, so the survivor adopts it with an empty replay log.
+    assert adopted_logs == [{2: 0}]
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.usefixtures("no_respawn")
+@pytest.mark.parametrize("skip_matches", [0, 2])
+def test_pool_shrink_under_sigkill_decodes_the_adopted_sides(
+        skip_matches, adopted_logs):
+    """A worker SIGKILLed as the first iteration ships, before any merge
+    anywhere commits, leaves its partition an empty replay log: the
+    survivor adopts it with nothing to rebuild and still decodes its base
+    sides before its first task there, bit-exactly.  Killed two
+    iterations later, the adopted partition is rebuilt first."""
+    report = process_differential("sssp", faults=[
+        ProcessKillInjector("fixpoint-shufflemap", signal="kill",
+                            skip_matches=skip_matches)])
+    assert report.exact and report.fired == 1, report.summary()
+    assert report.counters["process_worker_respawns"] == 0
+    assert report.counters["process_backend_degradations"] >= 1
+    assert report.counters["workers_lost"] == 1
+    (committed,), = [list(logs.values()) for logs in adopted_logs]
+    assert (committed > 0) == (skip_matches > 0)
+
+
+@pytest.mark.timeout(120)
+def test_a_spawn_failure_degrades_and_kills_the_workers_already_up(
+        monkeypatch):
+    """A spawn failure past the first worker degrades the backend for
+    good: the worker already up is killed, one warning says why, and the
+    query answers on the simulated oracle with its twin's rows."""
+    spawn = process.ProcessClusterBackend._spawn_worker
+
+    def spawn_one(self, worker):
+        if worker > 0:
+            raise OSError("no processes for you")
+        return spawn(self, worker)
+
+    monkeypatch.setattr(process.ProcessClusterBackend, "_spawn_worker",
+                        spawn_one)
+    twin = make_context_factory("sssp", num_workers=2)(
+        config=ExecutionConfig(backend="simulated"))
+    ctx = make_context_factory("sssp", num_workers=2)(config=PROCESS)
+    try:
+        with pytest.warns(RuntimeWarning, match="falling back") as warned:
+            rows = sorted_rows(ctx.sql(SSSP))
+        assert len(warned) == 1
+        assert not multiprocessing.active_children()
+        summary = ctx.last_run.supervision_summary()
+        assert summary["process_backend_degradations"] == 1
+        assert summary["process_tasks_shipped"] == 0
+        assert rows == sorted_rows(twin.sql(SSSP))
+    finally:
+        ctx.close()
+        twin.close()
+
+
+@pytest.mark.timeout(120)
+def test_close_sigkills_a_worker_that_ignores_stop():
+    """``close`` returns with no child left when a worker cannot obey its
+    ``stop``: a SIGSTOPped one is SIGKILLed past the join deadline."""
+    ctx = make_context("sssp", "process")
+    try:
+        ctx.sql(SSSP)
+        handles = ctx.cluster.backend._live_handles()
+        os.kill(handles[0].proc.pid, signal.SIGSTOP)
+    finally:
+        ctx.close()
+    assert [handle.proc.exitcode for handle in handles] == (
+        [-signal.SIGKILL] + [0] * (len(handles) - 1))
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.timeout(120)
@@ -375,6 +472,11 @@ def test_remote_ineligible_cause_is_reported(cause, tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 
 
+#: One pickling pass over a heavy install half: one ``dump_payload`` per
+#: partition's sides, the outer one, and the digest.
+ONE_PICKLING = ["dump_payload"] * (NUM_WORKERS + 1) + ["sha256"]
+
+
 @pytest.fixture
 def install_spies(monkeypatch):
     """``(pickles, shipped)``: every driver-side pickling/hashing of a
@@ -415,7 +517,7 @@ def test_repeated_query_ships_no_heavy_half_and_pickles_nothing(
     ctx = make_context("sssp", "process")
     try:
         first = ctx.sql(SSSP)
-        assert pickles == ["dump_payload", "sha256"]
+        assert pickles == ONE_PICKLING
         assert len(shipped) == NUM_WORKERS and None not in shipped
         assert ctx.last_run.supervision_summary()[
             "process_install_blob_reused"] == 0
@@ -441,7 +543,7 @@ def test_repeated_query_ships_no_heavy_half_and_pickles_nothing(
         for context in (ctx, sim_ctx):
             context.catalog.append_rows("edge", [(0, 23, 0.5), (23, 7, 0.25)])
         third = ctx.sql(SSSP)
-        assert pickles == ["dump_payload", "sha256"]
+        assert pickles == ONE_PICKLING
         assert len(shipped) == 2 * NUM_WORKERS and None not in shipped[-NUM_WORKERS:]
         assert "base_side_cache_misses" not in ctx.last_run.metrics
         assert ctx.last_run.metrics["base_side_cache_appended"] == 1
@@ -468,7 +570,7 @@ def test_killed_workers_replacement_is_installed_from_the_memoised_half(
     # Only the warm-up pickled.  The killed run shipped no heavy half, yet
     # the respawned worker (whose blob cache is empty) was sent the
     # bytes: the memoised ones.
-    assert pickles == ["dump_payload", "sha256"]
+    assert pickles == ONE_PICKLING
     warm, again, (resent,) = (shipped[:NUM_WORKERS],
                               shipped[NUM_WORKERS:2 * NUM_WORKERS],
                               shipped[2 * NUM_WORKERS:])
@@ -482,12 +584,15 @@ def test_killed_workers_replacement_is_installed_from_the_memoised_half(
 
 def _stored_widths(heavy: bytes) -> set:
     """Tuple widths (0: a bare value) of every value the co-partitioned
-    sides of a pickled heavy install half store."""
-    from repro.engine.serialization import load_payload
+    sides of a pickled heavy install half store, every partition's
+    pickle decoded."""
+    from repro.engine.backend.payloads import HeavyHalf
 
-    base_partitions, _ = load_payload(heavy)
+    half = HeavyHalf(heavy)
+    for partition in range(len(half.pickled)):
+        half.decode(partition)
     return {len(value) if isinstance(value, tuple) else 0
-            for sides in base_partitions.values() for side in sides
+            for sides in half.base_partitions.values() for side in sides
             for bucket in side.values() for value in bucket}
 
 
@@ -505,8 +610,8 @@ def test_two_workers_on_pruned_sides_match_the_simulated_twin(
     from repro.core.parser import parse
     from repro.core.physical import build_base_side
     from repro.core.planner import plan_clique
+    from repro.engine.backend.payloads import InstallSpec, pickle_heavy_half
     from repro.engine.kernels import make_router
-    from repro.engine.serialization import dump_payload
 
     _, shipped = install_spies
     _, make_query = QUERY_SETUPS[query_name]
@@ -522,7 +627,8 @@ def test_two_workers_on_pruned_sides_match_the_simulated_twin(
     assert len(shipped) == 2 and shipped[0] == shipped[1]
     assert _stored_widths(shipped[0]) == widths
     assert summary["process_install_bytes"] == 2 * len(shipped[0])
-    # What the same install weighed before pruning: whole edge rows.
+    # What the same install, in the same layout, weighed before pruning:
+    # whole edge rows.
     clique = optimize(analyze(parse(make_query()), ctx.catalog)).cliques()[0]
     (plan,) = plan_clique(clique, ExecutionConfig(
         decomposed_plans=False)).base_plans
@@ -530,7 +636,9 @@ def test_two_workers_on_pruned_sides_match_the_simulated_twin(
     rows = list(dict.fromkeys(ctx.catalog.get("edge").rows))
     _, sides = build_base_side(replace(plan, read_positions=None), rows,
                                make_router(plan.build_key, 2))
-    whole = dump_payload(({plan.step_id: sides}, {}))
+    whole, _ = pickle_heavy_half(InstallSpec(
+        sid="whole", n=2, views={}, terms=(),
+        base_partitions={plan.step_id: sides}))
     assert len(shipped[0]) < len(whole)
 
 

@@ -117,6 +117,60 @@ class TestCacheKeys:
                 in service.plan_cache._entries)
 
 
+    def test_a_request_scans_its_statement_for_tables_once(
+            self, monkeypatch):
+        from repro.core.catalog import Catalog
+
+        calls = []
+        tables_named = Catalog.tables_named
+
+        def counting(self, text):
+            calls.append(text)
+            return tables_named(self, text)
+
+        monkeypatch.setattr(Catalog, "tables_named", counting)
+        ctx = RaSQLContext(num_workers=2)
+        ctx.register_table("t", ["Name"], [("a",), ("b",)])
+        service = QueryService(ctx, scheduler="fifo")
+        session = service.session("alice")
+        statement = "SELECT  Name FROM t ;"
+        first, second = session.sql(statement), session.sql(statement)
+        service.drain()
+        assert (first.source, second.source) == ("executed", "result_cache")
+        # Admission's estimate and the result key share one scan.
+        assert calls == [statement, statement]
+        assert (service.result_cache.key(statement, ctx.catalog, ctx.config)
+                in service.result_cache._entries)
+
+    def test_a_table_registered_while_queued_enters_the_key(self):
+        ctx = RaSQLContext(num_workers=2)
+        ctx.register_table("t", ["Name"], [("people",), ("b",)])
+        service = QueryService(ctx, scheduler="fifo")
+        session = service.session("alice")
+        statement = "SELECT Name FROM t WHERE Name = 'people'"
+        future = session.sql(statement)
+        ctx.register_table("people", ["Name"], [("x",)])
+        service.drain()
+        assert future.result().rows == [("people",)]
+        key, = service.result_cache._entries
+        assert key == service.result_cache.key(statement, ctx.catalog,
+                                               ctx.config)
+        assert [name for name, *_ in key[2]] == ["people", "t"]
+
+    def test_the_config_enters_the_key_as_its_own_repr(self):
+        from repro import ExecutionConfig
+
+        ctx = RaSQLContext(num_workers=2)
+        ctx.register_table("t", ["Name"], [("a",)])
+        cache = ResultCache()
+        whole, fraction = (ExecutionConfig(deadline_seconds=1),
+                           ExecutionConfig(deadline_seconds=1.0))
+        assert whole == fraction and repr(whole) != repr(fraction)
+        for config in (whole, fraction, whole, ctx.config, ctx.config):
+            key = cache.key("SELECT Name FROM t", ctx.catalog, config)
+            assert key[-1] == repr(config)
+
+
 class TestEndToEnd:
     """The user-visible symptom: the service served the wrong rows."""
 
